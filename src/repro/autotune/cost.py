@@ -32,7 +32,7 @@ __all__ = ["HostCostModel", "roofline_breakdown", "modeled_device_seconds"]
 
 #: Per-cell host multiplier for a mirrored (upper-triangular symmetric)
 #: tile: the update kernel re-reads each plane for the row-wise reduce
-#: (one extra compare per element; see ``UpdateKernel._record_cost``).
+#: (one extra compare per element; see ``UpdateKernel.charge_rows``).
 MIRROR_CELL_FACTOR = 1.25
 
 

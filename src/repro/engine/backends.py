@@ -28,6 +28,7 @@ This module is also the home of the tile *primitive* itself
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
@@ -113,30 +114,34 @@ def _cached_arange(n: int) -> np.ndarray:
 
 
 class WorkspacePool:
-    """Reusable host-side kernel workspaces, one buffer per (shape, dtype).
+    """Reusable host-side kernel workspaces: one flat buffer per dtype.
 
-    The row-blocked main loop leases its ``(d, B, n_q)`` QT block buffer
-    from here, amortising the allocation across blocks, rows *and* tiles
-    executed by the same worker.  :meth:`lease` is a context manager: the
-    buffer returns to the pool on every exit path, so an injected fault
-    or device OOM mid-tile can neither leak the buffer nor leave it
-    checked out.  Pools are per-worker (see ``NumericBackend``), so no
-    locking is needed.
+    The row-blocked main loop leases its ``(d, B, width)`` QT block
+    buffer from here, amortising the allocation across blocks, rows *and*
+    tiles executed by the same worker.  A lease is a contiguous prefix of
+    the dtype's buffer reshaped to the requested shape; the buffer grows
+    to the largest request seen, so a stream of varying tile shapes holds
+    one buffer per dtype rather than one per shape.  :meth:`lease` is a
+    context manager: the buffer returns to the pool on every exit path,
+    so an injected fault or device OOM mid-tile can neither leak the
+    buffer nor leave it checked out.  Pools are per-worker (see
+    ``NumericBackend``), so no locking is needed.
     """
 
     def __init__(self):
-        self._free: dict[tuple, np.ndarray] = {}
+        self._free: dict[np.dtype, np.ndarray] = {}
 
     @contextmanager
     def lease(self, shape: tuple[int, ...], dtype):
-        key = (tuple(shape), np.dtype(dtype))
-        buf = self._free.pop(key, None)
-        if buf is None:
-            buf = np.empty(key[0], dtype=key[1])
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self._free.pop(dtype, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=dtype)
         try:
-            yield buf
+            yield buf[:size].reshape(shape)
         finally:
-            self._free[key] = buf
+            self._free[dtype] = buf
 
 
 #: Maps kernel class cost names to the paper's kernel labels.
@@ -201,8 +206,15 @@ def run_tile(
     ``(d, B*n_q)`` plane and the update reduces the block before one
     merge into the running profile.  Output, kernel costs and therefore
     modelled timings are bit-for-bit identical to the per-row path —
-    blocking only amortises the host dispatch overhead.  ``workspace``
-    is an optional :class:`WorkspacePool` reused across calls.
+    blocking only amortises the host dispatch overhead.  A tall tile —
+    ``ceil(n_q_seg / B) < ceil(n_r_seg / B)`` — runs the same loop
+    transposed: super-steps of ``B`` query columns against every
+    reference row, each panel reduced row-wise, with the precalc roles
+    swapped (:meth:`~repro.kernels.precalc.PrecalcResult.transposed`)
+    and the rounded operations kept in row-major order, so output and
+    costs are again bit-identical; costs are charged once for the
+    logical row-major tile.  ``workspace`` is an optional
+    :class:`WorkspacePool` reused across calls.
 
     ``precalc`` is an optional :class:`~repro.kernels.precalc.
     PreparedPrecalc` assembled by the plan-level
@@ -274,35 +286,30 @@ def run_tile(
     else:
         pre = precalc.result
         precalc_cost = precalc.cost
-    dist.bind(pre)
+    # A tall tile runs along its short side: the blocked loop steps over
+    # query columns instead of reference rows and reduces each panel
+    # row-wise, which takes fewer super-steps whenever ceil(n_q / B) <
+    # ceil(n_r / B).  The shape alone decides; the output is bit-identical
+    # either way.  Mirrored tiles keep the row-major panels their second,
+    # row-wise reduce needs, and the panel kernel is row-major by design.
+    transposed = (
+        row_block > 1
+        and not (tensor_core or mirror)
+        and -(-n_q_seg // row_block) < -(-n_r_seg // row_block)
+    )
+    if transposed:
+        dist.bind(pre.transposed(), transposed=True)
+        steps, width = n_q_seg, n_r_seg
+        step_offset, width_offset = col_offset, row_offset
+    else:
+        dist.bind(pre)
+        steps, width = n_r_seg, n_q_seg
+        step_offset, width_offset = row_offset, col_offset
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None)
 
-    cols_global = _cached_arange(n_q_seg) + col_offset
-    block = max(1, min(row_block, n_r_seg))
-    if tensor_core:
-        # The panel kernel's super-step *is* the blocked loop; it keeps
-        # the QT panel in its own FP32 accumulator scratch, so the leased
-        # compute-dtype QT workspace of the vector path is never needed.
-        for i0 in range(0, n_r_seg, block):
-            b = min(block, n_r_seg - i0)
-            dist_blk = dist.run_block(i0, b, None)
-            if skip_sort:
-                avg_blk = dist_blk
-            else:
-                flat = dist_blk.reshape(d, b * n_q_seg)
-                avg_blk = sort_scan.run(flat, rows=b).reshape(d, b, n_q_seg)
-            if exclusion_zone is None:
-                update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 col_offset=col_offset)
-            else:
-                rows_global = _cached_arange(n_r_seg)[i0 : i0 + b] + row_offset
-                mask = (
-                    np.abs(cols_global[None, :] - rows_global[:, None])
-                    <= exclusion_zone
-                )
-                update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 mask=mask, col_offset=col_offset)
-    elif block == 1:
+    block = max(1, min(row_block, steps))
+    if block == 1 and not (tensor_core or transposed):
+        cols_global = _cached_arange(n_q_seg) + col_offset
         for i in range(n_r_seg):
             plane = dist.run(i)
             averaged = plane if skip_sort else sort_scan.run(plane)
@@ -314,29 +321,39 @@ def run_tile(
                 update.masked_run(averaged, i, mask, row_offset=row_offset,
                                   col_offset=col_offset)
     else:
-        pool = workspace if workspace is not None else WorkspacePool()
-        with pool.lease((d, block, n_q_seg), policy.compute) as qt_ws:
-            for i0 in range(0, n_r_seg, block):
-                b = min(block, n_r_seg - i0)
-                dist_blk = dist.run_block(i0, b, qt_ws[:, :b, :])
+        if tensor_core:
+            # The panel kernel keeps its QT panel in its own FP32
+            # accumulator scratch: no compute-dtype workspace to lease.
+            lease = nullcontext()
+        else:
+            pool = workspace if workspace is not None else WorkspacePool()
+            lease = pool.lease((d, block, width), policy.compute)
+        across = _cached_arange(width) + width_offset
+        with lease as qt_ws:
+            for s0 in range(0, steps, block):
+                b = min(block, steps - s0)
+                dist_blk = dist.run_block(
+                    s0, b, None if qt_ws is None else qt_ws[:, :b, :]
+                )
                 if skip_sort:
                     avg_blk = dist_blk
                 else:
-                    flat = dist_blk.reshape(d, b * n_q_seg)
-                    avg_blk = sort_scan.run(flat, rows=b).reshape(d, b, n_q_seg)
-                if exclusion_zone is None:
-                    update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 col_offset=col_offset)
-                else:
-                    rows_global = (
-                        _cached_arange(n_r_seg)[i0 : i0 + b] + row_offset
-                    )
-                    mask = (
-                        np.abs(cols_global[None, :] - rows_global[:, None])
-                        <= exclusion_zone
-                    )
-                    update.run_block(avg_blk, i0, row_offset=row_offset,
-                                 mask=mask, col_offset=col_offset)
+                    flat = dist_blk.reshape(d, b * width)
+                    avg_blk = sort_scan.run(
+                        flat, rows=b, charge=not transposed
+                    ).reshape(d, b, width)
+                mask = None
+                if exclusion_zone is not None:
+                    along = _cached_arange(steps)[s0 : s0 + b] + step_offset
+                    mask = np.abs(across[None, :] - along[:, None]) <= exclusion_zone
+                update.run_block(avg_blk, s0, row_offset=row_offset, mask=mask,
+                                 col_offset=col_offset, transposed=transposed)
+        if transposed:
+            # Costs stay in the logical row-major orientation, so the
+            # modelled clock — and the service, which schedules on it —
+            # sees the same tile whichever way it ran.
+            for kernel in (dist, update) if skip_sort else (dist, sort_scan, update):
+                kernel.charge_rows(n_r_seg, d, n_q_seg)
 
     itemsize = policy.itemsize
     h2d_bytes = float((tr_dev.shape[1] + tq_dev.shape[1]) * d * itemsize)

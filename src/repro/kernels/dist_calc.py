@@ -80,10 +80,21 @@ class DistCalcKernel(Kernel):
 
     policy: PrecisionPolicy = field(kw_only=True)
 
-    def bind(self, pre: PrecalcResult) -> None:
-        """Attach a tile's precalculation outputs and reset the recurrence."""
+    def bind(self, pre: PrecalcResult, transposed: bool = False) -> None:
+        """Attach a tile's precalculation outputs and reset the recurrence.
+
+        ``transposed=True`` marks ``pre`` as :meth:`PrecalcResult.
+        transposed`: :meth:`run_block` then walks query columns, and every
+        rounded operation whose order depends on the roles — the two
+        FMAs of Eq. (1) and the two normaliser multiplies — is applied
+        in the row-major order, so each QT and distance element is the
+        bit pattern the row-major walk produces.  A transposed binding
+        charges nothing per block: its blocks are not logical rows, so
+        the caller charges the tile once with :meth:`charge_rows`.
+        """
         dtype = self.policy.compute
         self.pre = pre
+        self.transposed = transposed
         self.qt = None  # current row's QT plane, (d, n_q_seg)
         self._two_m = dtype.type(2 * pre.m)
         self._one = dtype.type(1)
@@ -174,16 +185,19 @@ class DistCalcKernel(Kernel):
             # block (row r reads prev[:, :-1], i.e. the *previous* row's
             # column 0) — pre-write the whole strip in one assignment.
             ws[:, :rows, 0] = self._qt_col0[:, i0 : i0 + rows]
+            # Eq. (1) adds df_r*dg_q first; with the roles swapped that
+            # product is prod2.
+            first, second = (prod2, prod1) if self.transposed else (prod1, prod2)
             for r in range(rows):
                 i = i0 + r
                 row = ws[:, r, :]
                 if i == 0:
                     row[...] = self.pre.qt_row0
                 else:
-                    t = prod1[:, r]  # consumed once, so += in place is fine
+                    t = first[:, r]  # consumed once, so += in place is fine
                     np.add(t, prev[:, :-1], out=t)  # c widened in the add
                     step_q[...] = t  # single rounding of the fused a*b + c
-                    t = prod2[:, r]
+                    t = second[:, r]
                     np.add(t, step_q, out=t)  # exact widening in the add
                     row[:, 1:] = t  # single rounding of the second FMA
                 prev = row
@@ -215,6 +229,13 @@ class DistCalcKernel(Kernel):
         # alias ``qt_prev``.)
         out[:, 0] = self._qt_col0[:, i]
 
+    def _normalisers(self, inv_rows, inv_cols):
+        """The two normaliser factors in Eq. (1)'s rounding order: the
+        reference norm ``inv_r`` first, then the query norm ``inv_q``
+        (under a transposed binding these index the columns and the
+        rows respectively)."""
+        return (inv_cols, inv_rows) if self.transposed else (inv_rows, inv_cols)
+
     def _distances_block_f16(self, qt: np.ndarray, i0: int, rows: int) -> np.ndarray:
         """Half-precision :meth:`_distances` over a ``(d, rows, n_q)`` QT
         block, with the two genuine binary multiplies evaluated the way
@@ -227,11 +248,14 @@ class DistCalcKernel(Kernel):
         ``round_f16_inplace`` and still match.
         """
         self._ensure_block_state()
+        first, second = self._normalisers(
+            self._inv_r_w[:, i0 : i0 + rows, None], self._inv_q_w[:, None, :]
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             corr = qt.astype(np.float32)
-            corr *= self._inv_r_w[:, i0 : i0 + rows, None]
+            corr *= first
             round_f16_inplace(corr)
-            corr *= self._inv_q_w[:, None, :]
+            corr *= second
             round_f16_inplace(corr)
         return np.take(_qt_to_dist_lut19_f16(self.pre.m), f16_keys19(corr))
 
@@ -240,9 +264,11 @@ class DistCalcKernel(Kernel):
         result per element is independent of how many rows are batched."""
         dtype = self.policy.compute
         blocked = qt.ndim == 3
-        inv_q = self._inv_q[:, None, :] if blocked else self._inv_q
+        first, second = self._normalisers(
+            inv_r, self._inv_q[:, None, :] if blocked else self._inv_q
+        )
         with np.errstate(over="ignore", invalid="ignore"):
-            corr = ((qt * inv_r).astype(dtype) * inv_q).astype(dtype)
+            corr = ((qt * first).astype(dtype) * second).astype(dtype)
             gap = (self._one - corr).astype(dtype)
             # Rounding can push corr slightly above 1 for perfect matches;
             # clamp so sqrt stays real (SCAMP does the same).
@@ -261,7 +287,7 @@ class DistCalcKernel(Kernel):
             self._advance_qt(i, qt_new, self.qt)
             self.qt = qt_new
         dist = self._distances(self.qt, self._inv_r[:, i : i + 1])
-        self._record_cost(dist.size)
+        self.charge_rows(1, *dist.shape)
         return dist
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray) -> np.ndarray:
@@ -273,9 +299,10 @@ class DistCalcKernel(Kernel):
         the whole block.  Every operation is element-wise, so the result
         is bit-for-bit identical to ``rows`` consecutive :meth:`run`
         calls, and the cost is recorded per logical row so the modelled
-        timings stay identical too.  Returns a fresh (d, rows, n_q)
-        distance block (``workspace`` keeps the QT planes for the next
-        block's recurrence).
+        timings stay identical too (a transposed binding leaves the
+        charge to the caller, see :meth:`bind`).  Returns a fresh
+        (d, rows, n_q) distance block (``workspace`` keeps the QT planes
+        for the next block's recurrence).
         """
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
@@ -290,12 +317,14 @@ class DistCalcKernel(Kernel):
             dist = self._distances_block_f16(block, i0, rows)
         else:
             dist = self._distances(block, self._inv_r[:, i0 : i0 + rows, None])
-        self._record_cost(dist[:, 0, :].size, rows=rows)
+        if not self.transposed:
+            self.charge_rows(rows, *dist[:, 0, :].shape)
         return dist
 
-    def _record_cost(self, plane_size: int, rows: int = 1) -> None:
-        """Cost of ``rows`` logical row invocations, per the conventions
-        in ``repro.gpu.perfmodel``; ``plane_size`` is one row's d*n_q."""
+    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
+        """Charge ``rows`` logical row invocations over a ``(d, n_q)``
+        plane, per the conventions in ``repro.gpu.perfmodel``."""
+        plane_size = d * n_q
         elems = float(plane_size)
         size = self.policy.storage.itemsize
         step = self.config.total_threads

@@ -72,6 +72,26 @@ class PrecalcResult:
     def d(self) -> int:
         return self.mu_r.shape[0]
 
+    def transposed(self) -> "PrecalcResult":
+        """The same tile seen with query and reference roles swapped.
+
+        The ``_r``/``_q`` planes trade places and so do the seeds:
+        QT[i, 0] (``qt_col0``) becomes the first row, QT[0, j]
+        (``qt_row0``) the first column.  The corner QT[0, 0] is taken
+        from ``qt_row0`` — the row-major recurrence reads it from there
+        and never reads ``qt_col0[:, 0]``, which a non-diagonal tile
+        computes separately and may round differently.
+        """
+        row0 = self.qt_col0.copy()
+        row0[:, 0] = self.qt_row0[:, 0]
+        return PrecalcResult(
+            m=self.m,
+            mu_r=self.mu_q, inv_r=self.inv_q, df_r=self.df_q, dg_r=self.dg_q,
+            mu_q=self.mu_r, inv_q=self.inv_r, df_q=self.df_r, dg_q=self.dg_r,
+            qt_row0=row0,
+            qt_col0=self.qt_row0,
+        )
+
 
 class _Accumulator:
     """Sequential (optionally Kahan-compensated) accumulator in ``dtype``.

@@ -357,7 +357,7 @@ class SortScanKernel(Kernel):
     #: conventions stay, conservatively).
     mma_scan: bool = field(default=False, kw_only=True)
 
-    def run(self, plane: np.ndarray, rows: int = 1) -> np.ndarray:
+    def run(self, plane: np.ndarray, rows: int = 1, charge: bool = True) -> np.ndarray:
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
@@ -368,6 +368,8 @@ class SortScanKernel(Kernel):
         per-row results.  ``rows`` only affects the cost accounting,
         which stays per *logical* row (``rows`` launches, per-row loop
         rounds and syncs) so blocked and per-row timings are identical.
+        ``charge=False`` skips the accounting for a caller whose panels
+        are not logical rows; it charges with :meth:`charge_rows`.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
@@ -376,7 +378,7 @@ class SortScanKernel(Kernel):
             and plane.dtype == np.float32
             and dtype == np.float16
         ):
-            return self._run_mma(plane, rows)
+            return self._run_mma(plane, rows, charge)
         plane_c = plane.astype(dtype, copy=False)
         if rows > 1:
             # Blocked fast path: value-exact sort, float32-domain scan
@@ -384,8 +386,6 @@ class SortScanKernel(Kernel):
             # faithful stage-by-stage network emulation; both produce
             # the same bits.
             sorted_plane = _sort_columns_exact(plane_c)
-            sort_stages = _network_stage_count(_next_pow2(d))
-            scan_stages = max(d - 1, 0).bit_length()
             if dtype == np.float16:
                 keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
                 keys += (
@@ -400,17 +400,16 @@ class SortScanKernel(Kernel):
                 with np.errstate(over="ignore", invalid="ignore"):
                     averaged = (scanned / divisors).astype(dtype)
         else:
-            sorted_plane, sort_stages = bitonic_sort(plane_c, count_stages=True)
-            scanned, scan_stages = fanin_inclusive_scan(
-                sorted_plane, dtype, count_stages=True
-            )
+            sorted_plane = bitonic_sort(plane_c)
+            scanned = fanin_inclusive_scan(sorted_plane, dtype)
             divisors = _divisor_column(d, dtype)
             with np.errstate(over="ignore", invalid="ignore"):
                 averaged = (scanned / divisors).astype(dtype)
-        self._record_cost(plane, sort_stages + scan_stages, rows)
+        if charge:
+            self.charge_rows(rows, d, plane.shape[1] // rows)
         return averaged
 
-    def _run_mma(self, plane: np.ndarray, rows: int) -> np.ndarray:
+    def _run_mma(self, plane: np.ndarray, rows: int, charge: bool) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.
 
         ``plane`` is treated as scratch (it is ``TcGemmKernel``'s reused
@@ -427,17 +426,17 @@ class SortScanKernel(Kernel):
             self._mma_out = out
         np.matmul(_scan_tri_f32(d), sorted_plane, out=out)
         np.divide(out, _divisor_column(d, np.dtype(np.float32)), out=out)
-        sort_stages = _network_stage_count(_next_pow2(d))
-        scan_stages = max(d - 1, 0).bit_length()
-        self._record_cost(plane, sort_stages + scan_stages, rows)
+        if charge:
+            self.charge_rows(rows, d, plane.shape[1] // rows)
         return out
 
-    def _record_cost(self, plane: np.ndarray, stages: int, rows: int = 1) -> None:
-        """Cost of ``rows`` logical per-row invocations, per the
-        conventions in ``repro.gpu.perfmodel``."""
-        d, cols = plane.shape
-        n_q = cols // rows
+    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
+        """Charge ``rows`` logical per-row invocations over a ``(d, n_q)``
+        plane, per the conventions in ``repro.gpu.perfmodel``: one
+        synchronisation per network stage — the bitonic sort's passes
+        plus the fan-in scan's ``ceil(log2 d)`` stages."""
         p = _next_pow2(d)
+        stages = _network_stage_count(p) + max(d - 1, 0).bit_length()
         size = self.policy.storage.itemsize
         elems = float(d * n_q)
         rounds = math.ceil(n_q * p / self.config.total_threads)

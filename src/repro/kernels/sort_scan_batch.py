@@ -79,14 +79,17 @@ class BatchSortScanKernel(Kernel):
     """Drop-in alternative to :class:`SortScanKernel` (batch strategy)."""
 
     policy: PrecisionPolicy = field(kw_only=True)
+    #: Element moves of the invocations not charged yet (see ``run``).
+    _moves: int = field(default=0, init=False, repr=False)
 
-    def run(self, plane: np.ndarray, rows: int = 1) -> np.ndarray:
+    def run(self, plane: np.ndarray, rows: int = 1, charge: bool = True) -> np.ndarray:
         """One logical thread per column; column-independent, so a
         row-blocked caller may pass ``rows`` logical rows side by side as
         a ``(d, rows*n_q)`` plane (bit-identical values; the per-column
         move counts are additive, so the traffic accounting agrees with
         ``rows`` separate invocations exactly — only launches and loop
-        rounds need the per-logical-row split)."""
+        rounds need the per-logical-row split).  ``charge=False`` defers
+        the accounting: the moves are kept until :meth:`charge_rows`."""
         from .sort_scan import _divisor_column
 
         dtype = self.policy.compute
@@ -98,20 +101,26 @@ class BatchSortScanKernel(Kernel):
         divisors = _divisor_column(d, dtype)
         with np.errstate(over="ignore", invalid="ignore"):
             averaged = (scanned / divisors).astype(dtype)
-        self._record_cost(plane, move_ops, rows)
+        self._moves += move_ops
+        if charge:
+            self.charge_rows(rows, d, plane.shape[1] // rows)
         return averaged
 
-    def _record_cost(self, plane: np.ndarray, move_ops: int, rows: int = 1) -> None:
-        """Batch-strategy accounting: every touched element is a serial,
+    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
+        """Charge ``rows`` logical row invocations over a ``(d, n_q)``
+        plane, with the moves deferred since the last charge.
+
+        Batch-strategy accounting: every touched element is a serial,
         dimension-strided access.  A warp's 32 threads hit 32 distinct
         cache lines per step (one useful element per 64-byte sector: 8x
         waste in FP64), and the per-thread dependent compare-swap chain
         serialises issue for roughly another 2x — an effective-traffic
         multiplier of 16.  No cooperative syncs exist to hide."""
-        d, cols = plane.shape
-        n_q = cols // rows
         size = self.policy.storage.itemsize
-        touched = float(move_ops * 2 + d * cols)  # moves r/w + scan pass
+        # Moves r/w + scan pass.  Move counts are per column, so the
+        # moves deferred over any split of the plane sum to the same total.
+        touched = float(self._moves * 2 + d * n_q * rows)
+        self._moves = 0
         sector_waste = 16.0
         self._account(
             bytes_dram=touched * size * sector_waste,

@@ -75,37 +75,39 @@ class UpdateKernel(Kernel):
             return np.argmin(block.view(np.uint32), axis=axis)
         return np.argmin(block, axis=axis)
 
-    def _merge_mirror_rows(
+    def _merge_rowwise(
         self,
         block: np.ndarray,
+        profile: np.ndarray,
+        indices: np.ndarray,
         row0: int,
-        col_offset: int,
+        index_offset: int,
         wide_block: bool = False,
     ) -> None:
-        """Row-wise reduce of a masked ``(d, rows, n_q)`` block into the
-        mirrored outputs for tile-local rows ``row0 .. row0+rows-1``.
+        """Row-wise reduce of a masked ``(d, rows, n)`` block into
+        ``profile``/``indices`` entries ``row0 .. row0+rows-1``.
 
-        The column axis is reduced with the same radix-key argmin
-        (first-occurrence keeps the earliest global column = earliest
-        mirrored reference index) and merged strict-``<`` against the
-        limit-initialised mirror profile, so fully-excluded rows keep
-        index -1.  Wide (FP32 accumulator) blocks reduce *before*
-        narrowing, mirroring the column path's reduce-then-store.
+        The last axis is reduced with the same radix-key argmin (first
+        occurrence keeps the earliest position, recorded as
+        ``index_offset`` + position) and merged strict-``<`` against the
+        limit-initialised profile, so fully-excluded rows keep index -1.
+        Wide (FP32 accumulator) blocks reduce *before* narrowing,
+        mirroring the column path's reduce-then-store.  Feeds the
+        mirrored outputs of symmetric tiles and the column profile of
+        transposed panels.
         """
         rows = block.shape[1]
-        best_col = self._radix_argmin(block, axis=2)  # (d, rows)
-        best_val = np.take_along_axis(
-            block, best_col[:, :, None], axis=2
-        )[:, :, 0]
+        best = self._radix_argmin(block, axis=2)  # (d, rows)
+        best_val = np.take_along_axis(block, best[:, :, None], axis=2)[:, :, 0]
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):
                 best_val = best_val.astype(self.policy.storage)
-        target = self.mirror_profile[:, row0 : row0 + rows]
+        target = profile[:, row0 : row0 + rows]
         improved = best_val < target
         np.copyto(target, best_val, where=improved)
         np.copyto(
-            self.mirror_indices[:, row0 : row0 + rows],
-            best_col.astype(INDEX_DTYPE) + INDEX_DTYPE.type(col_offset),
+            indices[:, row0 : row0 + rows],
+            best.astype(INDEX_DTYPE) + INDEX_DTYPE.type(index_offset),
             where=improved,
         )
 
@@ -132,8 +134,9 @@ class UpdateKernel(Kernel):
         np.copyto(self.profile, plane, where=improved)
         np.copyto(self.indices, INDEX_DTYPE.type(row + row_offset), where=improved)
         if self.mirror_profile is not None:
-            self._merge_mirror_rows(plane[:, None, :], row, col_offset)
-        self._record_cost(plane)
+            self._merge_rowwise(plane[:, None, :], self.mirror_profile,
+                                self.mirror_indices, row, col_offset)
+        self.charge_rows(1, *plane.shape)
 
     def masked_run(
         self,
@@ -156,8 +159,9 @@ class UpdateKernel(Kernel):
             storage = self.policy.storage
             limit = storage.type(DTYPE_MAX[np.dtype(storage)])
             lifted = np.where(np.broadcast_to(mask, plane.shape), limit, plane)
-            self._merge_mirror_rows(lifted[:, None, :], row, col_offset)
-        self._record_cost(plane)
+            self._merge_rowwise(lifted[:, None, :], self.mirror_profile,
+                                self.mirror_indices, row, col_offset)
+        self.charge_rows(1, *plane.shape)
 
     def run_block(
         self,
@@ -166,6 +170,7 @@ class UpdateKernel(Kernel):
         row_offset: int = 0,
         mask: np.ndarray | None = None,
         col_offset: int = 0,
+        transposed: bool = False,
     ) -> None:
         """Merge a ``(d, rows, n_q)`` block of D'' planes for tile-local
         reference rows ``row0 .. row0+rows-1`` in one step.
@@ -179,9 +184,20 @@ class UpdateKernel(Kernel):
         excluded); masked entries are lifted to the dtype limit, which
         can never win a strict-``<`` merge against a profile that starts
         at that limit.  Cost is recorded per logical row.
+
+        ``transposed=True`` takes a ``(d, cols, n_r)`` panel of tile-local
+        query columns ``row0 .. row0+cols-1`` against every reference
+        row (``mask`` then ``(cols, n_r)``): each column is final after
+        one row-wise reduce, the earliest minimising reference row
+        winning as in the sequential merge.  Such a panel is not a set
+        of logical rows, so nothing is charged; the caller charges the
+        tile with :meth:`charge_rows`.
         """
         d, rows, n_q = block.shape
-        if (d, n_q) != self.profile.shape:
+        n_cols = self.profile.shape[1]
+        if d != self.profile.shape[0] or (
+            row0 + rows > n_cols if transposed else n_q != n_cols
+        ):
             raise ValueError(
                 f"block shape {block.shape} != profile shape {self.profile.shape}"
             )
@@ -206,6 +222,11 @@ class UpdateKernel(Kernel):
             if mask is not None:
                 limit = storage.type(DTYPE_MAX[np.dtype(storage)])
                 block = np.where(mask[None, :, :], limit, block)
+        if transposed:
+            self._merge_rowwise(
+                block, self.profile, self.indices, row0, row_offset
+            )
+            return
         # First-occurrence argmin over the row axis (radix keys for the
         # half/single planes — see :meth:`_radix_argmin`).
         best_row = self._radix_argmin(block, axis=1)  # (d, n_q), first min row
@@ -221,17 +242,18 @@ class UpdateKernel(Kernel):
             where=improved,
         )
         if self.mirror_profile is not None:
-            self._merge_mirror_rows(
-                block, row0, col_offset, wide_block=wide_block
+            self._merge_rowwise(
+                block, self.mirror_profile, self.mirror_indices, row0,
+                col_offset, wide_block=wide_block,
             )
-        self._record_cost(block[:, 0, :], rows=rows)
+        self.charge_rows(rows, d, n_q)
 
-    def _record_cost(self, plane: np.ndarray, rows: int = 1) -> None:
-        """Cost of ``rows`` logical per-row invocations, per the
-        conventions in ``repro.gpu.perfmodel``."""
-        elems = float(plane.size)
+    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
+        """Charge ``rows`` logical per-row invocations over a ``(d, n_q)``
+        plane, per the conventions in ``repro.gpu.perfmodel``."""
+        elems = float(d * n_q)
         size = self.policy.storage.itemsize
-        rounds = math.ceil(plane.size / self.config.total_threads)
+        rounds = math.ceil(d * n_q / self.config.total_threads)
         mirror = self.mirror_profile is not None
         self._account(
             # The mirrored row-wise reduce re-reads the plane from L2 and

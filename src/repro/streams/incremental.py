@@ -569,13 +569,14 @@ class IncrementalMatrixProfile:
     # ------------------------------------------------------------------
     # Checkpoint / resume
 
-    def save(self, path) -> None:
+    def save(self, path, extra: dict | None = None) -> None:
         """Checkpoint the stream to ``path`` (npz).
 
         Saves the stream layout, accumulator state and tile bookkeeping;
         :meth:`load` resumes bit-identically (modelled cost aggregates
         and the timeline restart empty — they are observability, not
-        state).
+        state).  ``extra`` is caller state (JSON-serialisable) saved
+        alongside; :meth:`load` hands it back as ``checkpoint_extra``.
         """
         if self._acc is None:
             raise ValueError("nothing to checkpoint: no segments covered yet")
@@ -587,6 +588,7 @@ class IncrementalMatrixProfile:
             "covered": self._covered,
             "next_tile_id": self._next_tile_id,
             "samples_ingested": self.samples_ingested,
+            "extra": extra or {},
         }
         tiles = np.array(
             [
@@ -616,7 +618,8 @@ class IncrementalMatrixProfile:
 
         ``config`` defaults to ``RunConfig(mode=<saved mode>)``; a config
         whose storage dtype disagrees with the checkpoint is rejected
-        (resume is bit-identical, not a cast).
+        (resume is bit-identical, not a cast).  The ``extra`` dict given
+        to :meth:`save` comes back as ``checkpoint_extra``.
         """
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
@@ -649,6 +652,7 @@ class IncrementalMatrixProfile:
         obj.samples_ingested = meta["samples_ingested"]
         obj._covered = meta["covered"]
         obj._next_tile_id = meta["next_tile_id"]
+        obj.checkpoint_extra = meta.get("extra", {})
         obj._tiles = [Tile(*(int(v) for v in row)) for row in tiles]
         obj._acc = ProfileAccumulator(obj.d, profile.shape[1], obj.policy)
         obj._acc.restore_state(

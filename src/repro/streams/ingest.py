@@ -160,6 +160,12 @@ class StreamIngestService:
             rolling=policy.sketch_rolling,
         )
 
+    def _primed_monitor(self, policy: TenantPolicy, stream) -> SketchMonitor:
+        """A fresh sketch monitor that has seen every retained window."""
+        monitor = self._build_monitor(policy, d=stream.d)
+        monitor.prime(stream.window(seg) for seg in range(stream.n_q_seg))
+        return monitor
+
     def _tune_band(self, entry: "_Tenant", rows: int, cols: int,
                    effective: PrecisionMode) -> PrecisionMode:
         """Autotune one append's band micro-job (rows x cols segments).
@@ -371,11 +377,7 @@ class StreamIngestService:
             # Gated tenants re-prime the sketch state over the retained
             # suffix; the exact profile restarts (probes are on-alarm).
             fresh.ingest(suffix)
-            monitor = self._build_monitor(policy, d=stream.d)
-            monitor.prime(
-                fresh.window(seg) for seg in range(fresh.n_q_seg)
-            )
-            session.monitor = monitor
+            session.monitor = self._primed_monitor(policy, fresh)
         else:
             fresh.append(suffix)
         session.stream = fresh
@@ -399,13 +401,22 @@ class StreamIngestService:
     # Checkpoint / restore
 
     def checkpoint(self, tenant_id: str, path) -> None:
-        """Journal a tenant's stream state to ``path`` (npz)."""
-        self.tenant(tenant_id).stream.save(path)
+        """Journal a tenant's stream state to ``path`` (npz), with the
+        session's global ``base_offset``."""
+        session = self.tenant(tenant_id)
+        session.stream.save(path, extra={"base_offset": session.base_offset})
 
     def restore(
         self, tenant_id: str, path, policy: TenantPolicy
     ) -> TenantStream:
-        """Re-register a tenant from a checkpoint (bit-identical resume)."""
+        """Re-register a tenant from a checkpoint (bit-identical resume).
+
+        The session comes back as it was checkpointed: its global
+        ``base_offset``, the AB reference later re-bases rebuild from (the
+        stream's saved layout — a cast to the storage dtype it already
+        has) and, for a gated ``policy``, a sketch monitor primed over the
+        retained windows as a sliding re-base primes it.
+        """
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
         scheduler = self.service.scheduler
@@ -426,10 +437,14 @@ class StreamIngestService:
             tenant_id=tenant_id,
             policy=policy,
             stream=stream,
-            monitor=None,
+            monitor=self._primed_monitor(policy, stream) if policy.sketch_gate else None,
             counters=StreamCounters(),
+            base_offset=stream.checkpoint_extra.get("base_offset", 0),
         )
-        self._tenants[tenant_id] = _Tenant(session=session)
+        self._tenants[tenant_id] = _Tenant(
+            session=session,
+            reference=None if stream.self_join else stream._ref_layout.T,
+        )
         return session
 
 

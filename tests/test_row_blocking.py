@@ -254,9 +254,9 @@ class TestWorkspacePool:
         with pool.lease((2, 3), np.float16) as a:
             first = a
         with pool.lease((2, 3), np.float16) as b:
-            assert b is first  # same buffer back
+            assert np.shares_memory(b, first)  # same buffer back
         with pool.lease((2, 3), np.float32) as c:
-            assert c is not first  # dtype keys differ
+            assert not np.shares_memory(c, first)  # dtype keys differ
 
     def test_lease_returns_buffer_on_exception(self):
         pool = WorkspacePool()
@@ -267,7 +267,35 @@ class TestWorkspacePool:
         except RuntimeError:
             pass
         with pool.lease((4, 4), np.float32) as b:
-            assert b is leaked  # returned to the pool despite the raise
+            assert np.shares_memory(b, leaked)  # returned despite the raise
+
+    def test_one_growing_buffer_per_dtype(self):
+        """Varying shapes share one flat buffer per dtype, grown to the
+        largest request; each lease is a contiguous prefix."""
+        pool = WorkspacePool()
+        for shape in ((2, 8, 30), (2, 32, 100), (3, 4, 5), (2, 32, 99)):
+            for dtype in (np.float16, np.float64):
+                with pool.lease(shape, dtype) as ws:
+                    assert ws.shape == shape and ws.dtype == dtype
+                    assert ws.flags.c_contiguous
+        assert {k: v.size for k, v in pool._free.items()} == {
+            np.dtype(np.float16): 6400, np.dtype(np.float64): 6400,
+        }
+
+    def test_stream_holds_one_buffer_per_dtype(self, rng):
+        """A stream with varying batch sizes (tall bands, wide new-row
+        tiles, probes) leaves one workspace buffer per dtype behind."""
+        from repro.streams import IncrementalMatrixProfile
+
+        series = rng.normal(size=(400, 2)).cumsum(axis=0)
+        inc = IncrementalMatrixProfile(16, RunConfig(mode="FP32"))
+        off = 0
+        for step in (120, 7, 33, 1, 64, 19, 90, 66):
+            inc.append(series[off : off + step])
+            off += step
+        inc.probe(3, 9)
+        pool = inc._backend._workspace_pool()
+        assert list(pool._free) == [np.dtype(np.float32)]
 
     def test_backend_pools_are_per_thread(self):
         backend = NumericBackend()

@@ -383,6 +383,53 @@ class TestIngestService:
         solo.append(series[70:])
         _assert_bit_identical(svc2.profile("t"), solo.profile())
 
+    def test_restore_keeps_rebased_ab_tenant(self, rng, tmp_path):
+        """Regression: restore() lost a re-based sliding AB tenant's
+        base_offset and reference, so global positions shifted and the
+        next re-base rebuilt the tenant as a self-join."""
+        ref = _series(rng, 60, 2)
+        series = _series(rng, 300, 2)
+        policy = TenantPolicy(m=8, mode="FP32", window="sliding", retention=48)
+        svc = StreamIngestService(n_gpus=1)
+        svc.register("t", policy, reference=ref)
+        for i in range(0, 120, 20):
+            svc.ingest("t", series[i : i + 20])
+        before = svc.tenant("t")
+        assert before.base_offset > 0
+        path = tmp_path / "tenant.npz"
+        svc.checkpoint("t", path)
+
+        svc2 = StreamIngestService(n_gpus=1)
+        after = svc2.restore("t", path, policy)
+        assert after.base_offset == before.base_offset
+        assert after.n_samples_global == before.n_samples_global == 120
+        for i in range(120, 300, 20):
+            r1 = svc.ingest("t", series[i : i + 20])
+            r2 = svc2.ingest("t", series[i : i + 20])
+            assert r1.rebased == r2.rebased
+        assert svc2.tenant("t").counters.rebases > 0
+        assert not svc2.tenant("t").stream.self_join
+        assert svc2.tenant("t").base_offset == svc.tenant("t").base_offset
+        _assert_bit_identical(svc2.profile("t"), svc.profile("t"))
+
+    def test_restore_keeps_gated_tenant_gated(self, rng, tmp_path):
+        """Regression: a gated tenant came back without its sketch monitor
+        and covered every new column exactly."""
+        policy = TenantPolicy(m=8, sketch_gate=True, sketch_warmup=4)
+        svc = StreamIngestService(n_gpus=1)
+        svc.register("t", policy)
+        svc.ingest("t", _series(rng, 60, 1))
+        path = tmp_path / "tenant.npz"
+        svc.checkpoint("t", path)
+
+        svc2 = StreamIngestService(n_gpus=1)
+        session = svc2.restore("t", path, policy)
+        assert session.gated
+        assert session.monitor.n_windows == session.stream.n_q_seg
+        report = svc2.ingest("t", _series(rng, 40, 1))
+        assert report.exact_columns + report.suppressed_columns == 40
+        assert session.stream.covered_segments == 0  # gated: probes only
+
     def test_duplicate_and_unknown_tenants(self, rng):
         svc = StreamIngestService(n_gpus=1)
         svc.register("t", TenantPolicy(m=8))
