@@ -13,12 +13,14 @@ Bit-identity is the design invariant.  Tiles are independent, so a
 tile's output depends only on its geometry, the series, and the config —
 never on which node ran it.  The coordinator merges completed tiles in
 ascending tile-id order (the serial loop's order, hence the strict-``<``
-tie-break contract), buffering out-of-order arrivals, so the final
-profile is bit-identical to a single-node run *regardless of sharding,
-node loss, or recovery*.  The merge is **asynchronous**: after every
-round the contiguous done-prefix of tile ids is merged (and journaled)
-immediately — a coordinator crash mid-recovery leaves a valid prefix
-journal that :func:`resume_cluster` continues bit-identically.
+tie-break contract), buffering out-of-order arrivals.  A tile split on
+device OOM merges its children at its own place, in the node's commit
+order.  So the final profile is bit-identical to a single-node run
+*regardless of sharding, node loss, or recovery*.  The merge is
+**asynchronous**: after every round the contiguous done-prefix of tile
+ids is merged (and journaled) immediately — a coordinator crash
+mid-recovery leaves a valid prefix journal that :func:`resume_cluster`
+continues bit-identically.
 
 Node-loss recovery: a :class:`~repro.cluster.faults.NodeFaultPlan`
 decides deterministically which nodes crash and after what fraction of
@@ -316,13 +318,24 @@ class ClusterDispatcher:
         else:
             injector = corruptor = None
 
-        finished: dict[int, object] = {}  # tile_id -> TileExecution
+        # planned tile id -> its executions (split children included), in
+        # the node's commit order.
+        finished: dict[int, list] = {}
         dead: set[int] = set()
         merged_ids = {
             t.tile_id
             for t in plan.tiles
             if RunJournal.key(t) in done_keys
         }
+
+        def merge(tid: int) -> None:
+            for execution in finished.pop(tid):
+                accumulator.add(execution)
+                if journal is not None:
+                    journal.record(execution, accumulator)
+            result.tiles_completed += 1
+            merged_ids.add(tid)
+
         straggled: set[int] = set()
         round_no = 0
 
@@ -375,8 +388,14 @@ class ClusterDispatcher:
                     label=f"node{node}",
                 )
                 result.escalations.update(report.escalations)
+                # A node numbers split children from its own max tile id,
+                # so file each execution under its planned root tile.
+                parent = {c: p for p, cs in report.splits.items() for c in cs}
                 for execution in report.executions:
-                    finished[execution.tile.tile_id] = execution
+                    root = execution.tile.tile_id
+                    while root in parent:
+                        root = parent[root]
+                    finished.setdefault(root, []).append(execution)
                 slowdown = 1.0
                 if faults is not None:
                     slowdown = faults.straggler(node)
@@ -406,12 +425,7 @@ class ClusterDispatcher:
                     continue
                 if tid not in finished:
                     break
-                execution = finished.pop(tid)
-                accumulator.add(execution)
-                result.tiles_completed += 1
-                merged_ids.add(tid)
-                if journal is not None:
-                    journal.record(execution, accumulator)
+                merge(tid)
 
             # Tiles finished out of prefix order stay buffered in
             # ``finished`` until their predecessors complete; they are
@@ -439,14 +453,7 @@ class ClusterDispatcher:
 
         # Drain the out-of-order buffer (everything pending is now done).
         for tid in sorted(finished):
-            execution = finished.pop(tid)
-            if tid in merged_ids:
-                continue
-            accumulator.add(execution)
-            result.tiles_completed += 1
-            merged_ids.add(tid)
-            if journal is not None:
-                journal.record(execution, accumulator)
+            merge(tid)
 
         result.rounds = round_no if round_no > 0 else 1
 

@@ -81,7 +81,7 @@ def matrix_profile(
         emulation.
     parallel_workers:
         Host threads executing independent tiles concurrently (results
-        merge in tile-id order, so output is deterministic and identical
+        merge in plan order, so output is deterministic and identical
         to serial dispatch).  ``> 1`` routes through the tiled engine.
     amortize_precalc:
         Compute window statistics once per series at plan level and slice

@@ -149,7 +149,7 @@ class RunConfig:
     #: ``cache_key()``.
     symmetric_tiles: bool = False
     #: Host threads executing independent tiles concurrently.  Results
-    #: merge in tile-id order, so the output is deterministic and
+    #: merge in plan order, so the output is deterministic and
     #: bit-identical to serial dispatch — like ``row_block`` this is a
     #: pure host-execution knob, excluded from ``cache_key()``.
     parallel_workers: int = 1

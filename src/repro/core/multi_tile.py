@@ -74,7 +74,7 @@ def compute_multi_tile(
       directory path to create one) checkpointing completed tiles for
       :func:`~repro.engine.checkpoint.resume_plan`;
     * ``parallel_workers`` — host threads executing independent tiles
-      concurrently (results merge in tile-id order, so the output is
+      concurrently (results merge in plan order, so the output is
       deterministic and matches the serial dispatch bit for bit);
       defaults to ``config.parallel_workers`` so autotuned configs carry
       the knob without every caller threading it through.

@@ -7,6 +7,9 @@ model — each with a different subset of the production behaviours
 loop now, with the variation points made explicit:
 
 * **backend** — numeric or analytic (:mod:`repro.engine.backends`);
+* **executor** — ``parallel_workers`` only chooses where an attempt
+  runs: inline on the calling thread (1 worker) or on a thread pool
+  (more); the coordinator loop and its decisions are the same either way;
 * **placement** — static Pseudocode 2 round-robin by default
   (:class:`StaticPlacement` over the plan's assignment), or a dynamic
   :class:`RoundRobinPlacement` with device exclusion for
@@ -15,11 +18,25 @@ loop now, with the variation points made explicit:
   back of the work deque on a different device, up to ``max_retries``
   attempts, then :class:`TileRetryExhaustedError`;
 * **deadline / anytime cancellation** — when ``clock()`` passes
-  ``deadline_at`` the remaining tiles are abandoned; completed tiles
-  already merged make the accumulator a valid anytime upper bound;
+  ``deadline_at`` the queued tiles are abandoned; tiles that finished
+  are committed, so the accumulator is a valid anytime upper bound;
 * **observers** — per-tile hooks (:class:`TileObserver`) feeding service
   metrics, anytime-style progress callbacks and trace annotation without
   the loop knowing about any of them.
+
+Commit order.  The CPU merge is a strict-``<`` min/argmin, so the order
+tiles reach the accumulator is part of the output.  A finished tile
+*commits* — stream scheduling, ``accumulator.add``, ``journal.record``,
+``on_tile_complete`` — in plan-position order, whatever order attempts
+finish in.  A planned tile's key is its plan index ``(i,)``; child ``j``
+of a split tile with key ``k`` gets ``k + (j,)``, so split children
+commit contiguously at their parent's place.  A tile commits as soon as
+no queued or in-flight tile has a smaller key; a deadline or the end of
+the run commits whatever has finished, in key order.  A serial,
+failure-free run commits every tile the moment it finishes, and under
+retries, escalations and splits the output is the same for any worker
+count.  The journal always holds a committed prefix, so a crashed run
+resumes bit-identically.
 
 Fault tolerance (all opt-in; the happy path stays bit-identical):
 
@@ -33,7 +50,7 @@ Fault tolerance (all opt-in; the happy path stays bit-identical):
   quartered (halved along a 1-segment axis) and its children re-queued,
   instead of aborting the job;
 * **journaling** — pass a :class:`~repro.engine.checkpoint.RunJournal`
-  and completed tiles are recorded (tile log + accumulator snapshot);
+  and committed tiles are recorded (tile log + accumulator snapshot);
   a journaled dispatch skips already-completed tiles on resume.
 
 Without ``oom_split``, device OOM
@@ -44,10 +61,11 @@ own answer to memory pressure.
 
 from __future__ import annotations
 
+import heapq
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -245,6 +263,7 @@ class CallbackObserver(TileObserver):
 @dataclass
 class _TileWork:
     tile: Tile
+    key: tuple[int, ...]  # commit order: plan index, then split child index
     attempt: int = 0
     excluded: set[int] = field(default_factory=set)
     mode: PrecisionMode | None = None  # escalated execution mode
@@ -342,6 +361,22 @@ def _retry_backoff(policy, tile, attempt, sleeper, report) -> None:
         sleeper(delay)
 
 
+class _InlineExecutor:
+    """``parallel_workers=1``: each attempt runs on the calling thread and
+    comes back as an already-resolved future."""
+
+    def shutdown(self, cancel_futures: bool = False) -> None:
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 def execute_plan(
     plan: ExecutionPlan,
     backend: TileBackend,
@@ -368,9 +403,18 @@ def execute_plan(
 ) -> DispatchReport:
     """Run every tile of ``plan`` on ``sim`` through ``backend``.
 
-    Tiles run in plan order (row-major), so CPU-side merges via the
-    ``accumulator`` reproduce the sequential single-tile iteration order
-    — the tie-breaking contract of :func:`merge_tile_outputs`.
+    One coordinator loop owns every decision with shared state: the work
+    queue, placement picks, ``plan.escalated()``'s cache, retry / split /
+    escalation, observers, stream scheduling, the accumulator and the
+    journal.  ``parallel_workers`` only chooses the executor of each
+    attempt (injected failure check plus backend numerics): 1 runs it
+    inline, more run it on a thread pool whose workers touch nothing but
+    the backend (per-thread workspaces, serialised allocator).  Finished
+    tiles commit in plan-position order (see the module docstring), so
+    CPU-side merges via the ``accumulator`` reproduce the sequential
+    single-tile iteration order — the tie-breaking contract of
+    :func:`merge_tile_outputs` — for any worker count, with or without
+    faults.
 
     ``timeline`` defaults to ``sim.timeline``; pass a fresh
     :class:`~repro.gpu.stream.Timeline` for job-local accounting (the
@@ -381,7 +425,8 @@ def execute_plan(
     :class:`TransientDeviceError` before a tile allocates anything.
     ``lock`` serialises stream bookkeeping across concurrent dispatches.
     ``keep_executions`` retains per-tile :class:`TileExecution` records
-    on the report (off by default to keep big runs lean).
+    on the report, in commit order (off by default to keep big runs
+    lean).
 
     Fault tolerance (all opt-in, see the module docstring): ``health``
     validates every tile output and escalates sick tiles up the precision
@@ -390,7 +435,7 @@ def execute_plan(
     (fault injection — escalated re-executions stay clean, so recovery
     converges); ``oom_split`` splits a tile on device OOM instead of
     propagating; ``journal`` (a :class:`~repro.engine.checkpoint
-    .RunJournal`-like object) records completed tiles and skips tiles it
+    .RunJournal`-like object) records committed tiles and skips tiles it
     already holds.
 
     ``retry_policy`` (a :class:`~repro.core.config.RetryPolicy`; defaults
@@ -401,13 +446,8 @@ def execute_plan(
     injectable wait primitive (tests pass a recorder; cluster simulation
     prices delays into the modelled makespan instead of sleeping).
 
-    ``parallel_workers > 1`` executes independent tiles concurrently on a
-    thread pool (see :func:`_execute_plan_parallel`): workers run only
-    the numerics, the coordinator keeps every non-thread-safe decision
-    (placement, retries, escalation, splitting, journaling), and results
-    merge in tile-id order regardless of completion order — so the
-    output is deterministic and, on the failure-free path, bit-identical
-    to the serial loop, timeline included.
+    A deadline stops new submissions and abandons the queue; attempts
+    already in flight finish and still commit.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -417,411 +457,194 @@ def execute_plan(
         )
     if retry_policy is None:
         retry_policy = getattr(plan.spec.config, "retry_policy", None)
+    timeline = timeline if timeline is not None else sim.timeline
+    placement = placement if placement is not None else StaticPlacement(plan)
+    lock = lock if lock is not None else nullcontext()
+    tile_label = f"{label}:tile" if label else "tile"
+    report = DispatchReport(tiles_total=plan.n_tiles)
+    base_mode = PrecisionMode.parse(plan.spec.config.mode)
+    symmetric = (
+        getattr(plan.spec.config, "symmetric_tiles", False)
+        and plan.spec.self_join
+    )
     if parallel_workers > 1:
-        return _execute_plan_parallel(
-            plan, backend, sim,
-            accumulator=accumulator, placement=placement, timeline=timeline,
-            observers=observers, max_retries=max_retries,
-            deadline_at=deadline_at, clock=clock,
-            failure_injector=failure_injector, label=label,
-            flush_per_tile=flush_per_tile, lock=lock,
-            keep_executions=keep_executions, health=health,
-            corruptor=corruptor, oom_split=oom_split, journal=journal,
-            workers=parallel_workers,
-            retry_policy=retry_policy, sleeper=sleeper,
+        ensure = getattr(backend, "ensure_serialised_allocator", None)
+        if ensure is not None:
+            ensure()
+        executor = ThreadPoolExecutor(
+            max_workers=parallel_workers, thread_name_prefix="tile-worker"
         )
-    timeline = timeline if timeline is not None else sim.timeline
-    placement = placement if placement is not None else StaticPlacement(plan)
-    lock = lock if lock is not None else nullcontext()
-    tile_label = f"{label}:tile" if label else "tile"
-    report = DispatchReport(tiles_total=plan.n_tiles)
-    base_mode = PrecisionMode.parse(plan.spec.config.mode)
+    else:
+        executor = _InlineExecutor()
 
-    symmetric = (
-        getattr(plan.spec.config, "symmetric_tiles", False)
-        and plan.spec.self_join
-    )
     completed_keys = journal.completed_keys() if journal is not None else frozenset()
     next_id = max((t.tile_id for t in plan.tiles), default=-1) + 1
     work: deque[_TileWork] = deque()
-    for tile in plan.tiles:
+    # Keys of every queued, in-flight or finished-but-uncommitted tile.
+    uncommitted: list[tuple[int, ...]] = []
+    # key -> (item, gpu_id, execution) awaiting commit; None marks a
+    # split parent (its children took its place in ``uncommitted``).
+    finished: dict[tuple[int, ...], tuple | None] = {}
+    in_flight: dict[Future, tuple[_TileWork, int]] = {}
+
+    def enqueue(tile: Tile, key: tuple[int, ...], **state) -> None:
         if journal is not None and journal.key(tile) in completed_keys:
             report.tiles_completed += 1
             report.tiles_restored += 1
-            continue
-        work.append(_TileWork(tile))
+            return
+        heapq.heappush(uncommitted, key)
+        work.append(_TileWork(tile, key, **state))
 
-    while work:
-        if deadline_at is not None and clock() >= deadline_at:
-            # Anytime-style: merge what finished, abandon the rest.
-            report.deadline_hit = True
-            remaining = [w.tile for w in work]
-            for obs in observers:
-                obs.on_deadline(remaining)
-            break
-        item = work.popleft()
-        if (
-            health is not None
-            and health.preflight
-            and not item.preflighted
-            and item.mode is None
-            and plan.spec.reference is not None
-        ):
-            # Pre-flight risk scoring: start overflow-doomed tiles at the
-            # first rung their own data cannot overflow.
-            item.preflighted = True
-            target = health.preflight_mode(plan.spec, item.tile)
-            if target != base_mode:
-                item.mode = target
-                report.escalations[item.tile.tile_id] = target
-        active_plan = plan if item.mode is None else plan.escalated(item.mode)
-        gpu_id = placement.pick(item.tile, item.excluded)
+    def attempt(active_plan, item: _TileWork, gpu_id: int, gpu) -> TileExecution:
+        # The injector fires *before* device allocations, so an
+        # injected failure never leaks pool memory.
+        if failure_injector is not None:
+            failure_injector(label, item.tile, gpu_id, item.attempt)
+        return backend.run(active_plan, item.tile, gpu)
+
+    def commit(item: _TileWork, gpu_id: int, execution: TileExecution) -> None:
         gpu = sim.gpus[gpu_id]
-        item.devices.append(gpu_id)
+        with lock:
+            stream = gpu.next_stream()
+            schedule_tile_timing(
+                gpu, stream, timeline, execution.timing,
+                f"{tile_label}{item.tile.tile_id}",
+            )
+            if flush_per_tile:
+                flush_streams(gpu.streams, timeline)
+        if accumulator is not None:
+            accumulator.add(execution)
+            if journal is not None:
+                journal.record(execution, accumulator)
+        report.tiles_completed += 1
+        if keep_executions:
+            report.executions.append(execution)
         for obs in observers:
-            obs.on_tile_start(item.tile, gpu_id, item.attempt)
-        try:
-            # The injector fires *before* device allocations, so an
-            # injected failure never leaks pool memory.
-            if failure_injector is not None:
-                failure_injector(label, item.tile, gpu_id, item.attempt)
-            execution = backend.run(active_plan, item.tile, gpu)
-        except TransientDeviceError as exc:
-            if item.attempt >= max_retries:
-                raise TileRetryExhaustedError(
-                    item.tile.tile_id, item.attempt + 1, exc,
-                    gpu_ids=tuple(item.devices),
-                ) from exc
-            for obs in observers:
-                obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
-            _retry_backoff(
-                retry_policy, item.tile, item.attempt, sleeper, report
-            )
-            item.attempt += 1
-            item.excluded.add(gpu_id)
-            report.tile_retries += 1
-            work.append(item)  # re-queue at the back, different device
-            continue
-        except DeviceOutOfMemoryError as exc:
-            if not oom_split:
-                raise
-            children = _split_tile(item.tile, next_id, symmetric=symmetric)
-            if not children:
-                raise  # 1x1 tile: nothing left to split off
-            next_id += len(children)
-            report.splits[item.tile.tile_id] = tuple(
-                c.tile_id for c in children
-            )
-            report.tiles_total += len(children) - 1
-            for obs in observers:
-                obs.on_tile_split(item.tile, children, exc)
-            for child in children:
-                if journal is not None and journal.key(child) in completed_keys:
-                    report.tiles_completed += 1
-                    report.tiles_restored += 1
-                    continue
-                work.append(
-                    _TileWork(
-                        child,
-                        mode=item.mode,
-                        split_depth=item.split_depth + 1,
-                        preflighted=item.preflighted,
-                    )
-                )
-            continue
-        if (
-            corruptor is not None
-            and item.mode is None
-            and execution.output is not None
-        ):
-            corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
-        if health is not None and execution.output is not None:
-            issues = health.check(execution.output, plan.spec.m)
-            if issues:
-                report.health_failures += 1
-                current = execution.mode if execution.mode is not None else base_mode
-                nxt = escalation_next(current) if health.escalate else None
-                if nxt is None:
-                    raise TileHealthError(item.tile.tile_id, current, issues)
+            obs.on_tile_complete(item.tile, gpu_id, execution)
+
+    for i, tile in enumerate(plan.tiles):
+        enqueue(tile, (i,))
+
+    try:
+        while work or in_flight:
+            if (
+                not report.deadline_hit
+                and deadline_at is not None
+                and clock() >= deadline_at
+            ):
+                # Anytime-style: commit what finished, abandon the rest.
+                report.deadline_hit = True
+                remaining = [w.tile for w in work]
+                work.clear()
                 for obs in observers:
-                    obs.on_tile_escalate(item.tile, gpu_id, current, nxt, issues)
-                item.mode = nxt
-                report.escalations[item.tile.tile_id] = nxt
-                work.append(item)  # re-execute one rung up the ladder
-                continue
-        execution.gpu_id = gpu_id
-        with lock:
-            stream = gpu.next_stream()
-            schedule_tile_timing(
-                gpu, stream, timeline, execution.timing,
-                f"{tile_label}{item.tile.tile_id}",
-            )
-            if flush_per_tile:
-                flush_streams(gpu.streams, timeline)
-        if accumulator is not None:
-            accumulator.add(execution)
-            if journal is not None:
-                journal.record(execution, accumulator)
-        report.tiles_completed += 1
-        if keep_executions:
-            report.executions.append(execution)
-        for obs in observers:
-            obs.on_tile_complete(item.tile, gpu_id, execution)
-
-    if not flush_per_tile:
-        for gpu in sim.gpus:
-            flush_streams(gpu.streams, timeline)
-    return report
-
-
-def _run_tile_on_worker(backend, active_plan, item, gpu_id, gpu,
-                        failure_injector, label):
-    """The worker-thread slice of one tile attempt: injected failure
-    check plus the backend numerics — nothing that touches coordinator
-    state.  ``NumericBackend`` keeps workspace pools per thread and the
-    dispatcher has already serialised its allocator."""
-    if failure_injector is not None:
-        failure_injector(label, item.tile, gpu_id, item.attempt)
-    return backend.run(active_plan, item.tile, gpu)
-
-
-def _execute_plan_parallel(
-    plan: ExecutionPlan,
-    backend: TileBackend,
-    sim: GPUSimulator,
-    *,
-    accumulator,
-    placement,
-    timeline,
-    observers,
-    max_retries,
-    deadline_at,
-    clock,
-    failure_injector,
-    label,
-    flush_per_tile,
-    lock,
-    keep_executions,
-    health,
-    corruptor,
-    oom_split,
-    journal,
-    workers: int,
-    retry_policy=None,
-    sleeper: Callable[[float], None] = time.sleep,
-) -> DispatchReport:
-    """The ``parallel_workers > 1`` body of :func:`execute_plan`.
-
-    Division of labour:
-
-    * **workers** run only :func:`_run_tile_on_worker` — upload, kernels,
-      free.  The backend's per-thread workspace pools and serialised
-      allocator make that safe.
-    * the **coordinator** (this thread) owns everything with shared
-      state: the work queue, placement picks, ``plan.escalated()``'s
-      cache, retry/split/escalation decisions, observers, stream
-      scheduling, the accumulator and the journal.
-
-    Determinism: completed tiles are buffered and merged *after* the
-    run, in tile-id order — the same order the serial loop uses on its
-    failure-free path — so profile, indices, tie-breaks, journal
-    contents and the simulated timeline are independent of which worker
-    finished first.  A deadline stops new submissions and abandons the
-    queue; tiles already in flight finish and still merge (their work is
-    done — discarding it would only lose coverage).
-    """
-    timeline = timeline if timeline is not None else sim.timeline
-    placement = placement if placement is not None else StaticPlacement(plan)
-    lock = lock if lock is not None else nullcontext()
-    tile_label = f"{label}:tile" if label else "tile"
-    report = DispatchReport(tiles_total=plan.n_tiles)
-    base_mode = PrecisionMode.parse(plan.spec.config.mode)
-
-    ensure = getattr(backend, "ensure_serialised_allocator", None)
-    if ensure is not None:
-        ensure()
-
-    symmetric = (
-        getattr(plan.spec.config, "symmetric_tiles", False)
-        and plan.spec.self_join
-    )
-    completed_keys = journal.completed_keys() if journal is not None else frozenset()
-    next_id = max((t.tile_id for t in plan.tiles), default=-1) + 1
-    work: deque[_TileWork] = deque()
-    for tile in plan.tiles:
-        if journal is not None and journal.key(tile) in completed_keys:
-            report.tiles_completed += 1
-            report.tiles_restored += 1
-            continue
-        work.append(_TileWork(tile))
-
-    # tile id -> (_TileWork, gpu_id, TileExecution), merged in id order below.
-    finished: dict[int, tuple[_TileWork, int, TileExecution]] = {}
-    pending: dict = {}
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="tile-worker"
-    ) as pool:
-        try:
-            while work or pending:
+                    obs.on_deadline(remaining)
+            while work and len(in_flight) < parallel_workers:
+                item = work.popleft()
                 if (
-                    not report.deadline_hit
-                    and deadline_at is not None
-                    and clock() >= deadline_at
+                    health is not None
+                    and health.preflight
+                    and not item.preflighted
+                    and item.mode is None
+                    and plan.spec.reference is not None
                 ):
-                    report.deadline_hit = True
-                    remaining = [w.tile for w in work]
-                    work.clear()
+                    # Pre-flight risk scoring: start overflow-doomed tiles at
+                    # the first rung their own data cannot overflow.
+                    item.preflighted = True
+                    target = health.preflight_mode(plan.spec, item.tile)
+                    if target != base_mode:
+                        item.mode = target
+                        report.escalations[item.tile.tile_id] = target
+                active_plan = plan if item.mode is None else plan.escalated(item.mode)
+                gpu_id = placement.pick(item.tile, item.excluded)
+                item.devices.append(gpu_id)
+                for obs in observers:
+                    obs.on_tile_start(item.tile, gpu_id, item.attempt)
+                future = executor.submit(
+                    attempt, active_plan, item, gpu_id, sim.gpus[gpu_id]
+                )
+                in_flight[future] = (item, gpu_id)
+            if not in_flight:
+                break  # the deadline drained the queue
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            # Handle a batch in key order, so re-queues (retries,
+            # escalations, splits) happen in a reproducible order.
+            for future in sorted(done, key=lambda f: in_flight[f][0].key):
+                item, gpu_id = in_flight.pop(future)
+                try:
+                    execution = future.result()
+                except TransientDeviceError as exc:
+                    if item.attempt >= max_retries:
+                        raise TileRetryExhaustedError(
+                            item.tile.tile_id, item.attempt + 1, exc,
+                            gpu_ids=tuple(item.devices),
+                        ) from exc
                     for obs in observers:
-                        obs.on_deadline(remaining)
-                while work and len(pending) < workers:
-                    item = work.popleft()
-                    if (
-                        health is not None
-                        and health.preflight
-                        and not item.preflighted
-                        and item.mode is None
-                        and plan.spec.reference is not None
-                    ):
-                        item.preflighted = True
-                        target = health.preflight_mode(plan.spec, item.tile)
-                        if target != base_mode:
-                            item.mode = target
-                            report.escalations[item.tile.tile_id] = target
-                    active_plan = (
-                        plan if item.mode is None else plan.escalated(item.mode)
+                        obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
+                    _retry_backoff(
+                        retry_policy, item.tile, item.attempt, sleeper, report
                     )
-                    gpu_id = placement.pick(item.tile, item.excluded)
-                    gpu = sim.gpus[gpu_id]
-                    item.devices.append(gpu_id)
+                    item.attempt += 1
+                    item.excluded.add(gpu_id)
+                    report.tile_retries += 1
+                    work.append(item)  # re-queue at the back, different device
+                    continue
+                except DeviceOutOfMemoryError as exc:
+                    if not oom_split:
+                        raise
+                    children = _split_tile(item.tile, next_id, symmetric=symmetric)
+                    if not children:
+                        raise  # 1x1 tile: nothing left to split off
+                    next_id += len(children)
+                    report.splits[item.tile.tile_id] = tuple(
+                        c.tile_id for c in children
+                    )
+                    report.tiles_total += len(children) - 1
                     for obs in observers:
-                        obs.on_tile_start(item.tile, gpu_id, item.attempt)
-                    fut = pool.submit(
-                        _run_tile_on_worker, backend, active_plan, item,
-                        gpu_id, gpu, failure_injector, label,
-                    )
-                    pending[fut] = (item, gpu_id)
-                if not pending:
-                    continue  # deadline drained the queue; loop exits
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                # Process batches in tile-id order: re-queues (retries,
-                # escalations, splits) then happen in a reproducible
-                # order for any given completion grouping.
-                for fut in sorted(done, key=lambda f: pending[f][0].tile.tile_id):
-                    item, gpu_id = pending.pop(fut)
-                    try:
-                        execution = fut.result()
-                    except TransientDeviceError as exc:
-                        if item.attempt >= max_retries:
-                            raise TileRetryExhaustedError(
-                                item.tile.tile_id, item.attempt + 1, exc,
-                                gpu_ids=tuple(item.devices),
-                            ) from exc
+                        obs.on_tile_split(item.tile, children, exc)
+                    finished[item.key] = None
+                    for j, child in enumerate(children):
+                        enqueue(
+                            child, item.key + (j,),
+                            mode=item.mode,
+                            split_depth=item.split_depth + 1,
+                            preflighted=item.preflighted,
+                        )
+                    continue
+                if (
+                    corruptor is not None
+                    and item.mode is None
+                    and execution.output is not None
+                ):
+                    corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
+                if health is not None and execution.output is not None:
+                    issues = health.check(execution.output, plan.spec.m)
+                    if issues:
+                        report.health_failures += 1
+                        current = execution.mode if execution.mode is not None else base_mode
+                        nxt = escalation_next(current) if health.escalate else None
+                        if nxt is None:
+                            raise TileHealthError(item.tile.tile_id, current, issues)
                         for obs in observers:
-                            obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
-                        _retry_backoff(
-                            retry_policy, item.tile, item.attempt,
-                            sleeper, report,
-                        )
-                        item.attempt += 1
-                        item.excluded.add(gpu_id)
-                        report.tile_retries += 1
-                        work.append(item)
+                            obs.on_tile_escalate(item.tile, gpu_id, current, nxt, issues)
+                        item.mode = nxt
+                        report.escalations[item.tile.tile_id] = nxt
+                        work.append(item)  # re-execute one rung up the ladder
                         continue
-                    except DeviceOutOfMemoryError as exc:
-                        if not oom_split:
-                            raise
-                        children = _split_tile(item.tile, next_id, symmetric=symmetric)
-                        if not children:
-                            raise
-                        next_id += len(children)
-                        report.splits[item.tile.tile_id] = tuple(
-                            c.tile_id for c in children
-                        )
-                        report.tiles_total += len(children) - 1
-                        for obs in observers:
-                            obs.on_tile_split(item.tile, children, exc)
-                        for child in children:
-                            if (
-                                journal is not None
-                                and journal.key(child) in completed_keys
-                            ):
-                                report.tiles_completed += 1
-                                report.tiles_restored += 1
-                                continue
-                            work.append(
-                                _TileWork(
-                                    child,
-                                    mode=item.mode,
-                                    split_depth=item.split_depth + 1,
-                                    preflighted=item.preflighted,
-                                )
-                            )
-                        continue
-                    if (
-                        corruptor is not None
-                        and item.mode is None
-                        and execution.output is not None
-                    ):
-                        corruptor(
-                            label, item.tile, gpu_id, item.attempt,
-                            execution.output,
-                        )
-                    if health is not None and execution.output is not None:
-                        issues = health.check(execution.output, plan.spec.m)
-                        if issues:
-                            report.health_failures += 1
-                            current = (
-                                execution.mode
-                                if execution.mode is not None
-                                else base_mode
-                            )
-                            nxt = (
-                                escalation_next(current)
-                                if health.escalate
-                                else None
-                            )
-                            if nxt is None:
-                                raise TileHealthError(
-                                    item.tile.tile_id, current, issues
-                                )
-                            for obs in observers:
-                                obs.on_tile_escalate(
-                                    item.tile, gpu_id, current, nxt, issues
-                                )
-                            item.mode = nxt
-                            report.escalations[item.tile.tile_id] = nxt
-                            work.append(item)
-                            continue
-                    finished[item.tile.tile_id] = (item, gpu_id, execution)
-        except BaseException:
-            for fut in pending:
-                fut.cancel()  # queued-but-unstarted attempts; in-flight drain
-            raise
+                execution.gpu_id = gpu_id
+                finished[item.key] = (item, gpu_id, execution)
+            # Commit every finished tile no outstanding tile precedes.
+            while uncommitted and uncommitted[0] in finished:
+                ready = finished.pop(heapq.heappop(uncommitted))
+                if ready is not None:
+                    commit(*ready)
+    finally:
+        # Queued-but-unstarted attempts are dropped; in-flight ones drain.
+        executor.shutdown(cancel_futures=True)
 
-    # Deterministic epilogue: merge in tile-id order, whatever order the
-    # workers delivered — stream assignment, accumulator tie-breaks and
-    # journal records all match the serial failure-free loop.
-    for tile_id in sorted(finished):
-        item, gpu_id, execution = finished[tile_id]
-        execution.gpu_id = gpu_id
-        gpu = sim.gpus[gpu_id]
-        with lock:
-            stream = gpu.next_stream()
-            schedule_tile_timing(
-                gpu, stream, timeline, execution.timing,
-                f"{tile_label}{item.tile.tile_id}",
-            )
-            if flush_per_tile:
-                flush_streams(gpu.streams, timeline)
-        if accumulator is not None:
-            accumulator.add(execution)
-            if journal is not None:
-                journal.record(execution, accumulator)
-        report.tiles_completed += 1
-        if keep_executions:
-            report.executions.append(execution)
-        for obs in observers:
-            obs.on_tile_complete(item.tile, gpu_id, execution)
+    # After a deadline, tiles that finished behind an abandoned one.
+    for key in sorted(finished):
+        if finished[key] is not None:
+            commit(*finished[key])
 
     if not flush_per_tile:
         for gpu in sim.gpus:

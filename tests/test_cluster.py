@@ -25,9 +25,13 @@ from repro.cluster import (
     resume_cluster,
 )
 from repro.core.config import RetryPolicy, RunConfig
-from repro.engine.checkpoint import RunJournal
-from repro.engine.dispatch import TileRetryExhaustedError
+from repro.engine.accumulate import ProfileAccumulator
+from repro.engine.backends import NumericBackend
+from repro.engine.checkpoint import RunJournal, tile_key
+from repro.engine.dispatch import TileRetryExhaustedError, execute_plan
 from repro.engine.plan import JobSpec
+from repro.gpu.memory import DeviceOutOfMemoryError
+from repro.gpu.simulator import GPUSimulator
 from repro.precision.modes import PrecisionMode
 
 
@@ -310,6 +314,53 @@ class TestRecovery:
         assert with_backoff.backoff_seconds > 0.0
         assert with_backoff.recovery_overhead > without.recovery_overhead
         np.testing.assert_array_equal(with_backoff.profile, without.profile)
+
+
+class _TileOOM:
+    """fault_plan stand-in: the tile with geometry ``key`` runs out of
+    device memory on its first ``times`` attempts (None: on every one)."""
+
+    corruptor = None
+
+    def __init__(self, key, times=None):
+        self.key = key
+        self.times = times
+        self.hits = 0
+
+    def injector(self, label, tile, gpu_id, attempt):
+        if tile_key(tile) == self.key and (
+            self.times is None or self.hits < self.times
+        ):
+            self.hits += 1
+            raise DeviceOutOfMemoryError(0, 0, f"gpu{gpu_id} (injected)")
+
+
+class TestClusterOOMSplit:
+    @pytest.mark.parametrize("times", [None, 1])
+    @pytest.mark.parametrize("n_nodes", [1, 2])
+    def test_split_tile_finishes_in_one_round(self, n_nodes, times):
+        """Split children are filed under their planned tile, so an OOMing
+        tile is not re-sharded and node-local child ids cannot collide."""
+        spec = _spec()
+        plan = spec.plan(n_tiles=16)
+        first = tile_key(plan.tiles[0])
+        run = ClusterDispatcher(
+            ClusterSpec(n_nodes=n_nodes, gpus_per_node=1),
+            fault_plan=_TileOOM(first, times),
+            oom_split=True,
+        ).run(spec, plan=plan)
+        assert run.rounds == 1
+        assert run.tiles_completed == run.tiles_total == 16
+
+        acc = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
+        report = execute_plan(
+            plan, NumericBackend(), GPUSimulator(spec.config.device, 1),
+            accumulator=acc, oom_split=True,
+            failure_injector=_TileOOM(first, times).injector,
+        )
+        assert report.splits
+        np.testing.assert_array_equal(run.profile, acc.host_profile())
+        np.testing.assert_array_equal(run.index, acc.host_index())
 
 
 class TestCoordinatorCrashResume:

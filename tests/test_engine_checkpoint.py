@@ -182,6 +182,37 @@ class TestKillAndResume:
         assert resumed.resumed_tiles == 2
         assert np.array_equal(resumed.profile, uninterrupted.profile)
 
+    def test_parallel_crash_keeps_committed_prefix(self, tmp_path):
+        """Parallel dispatch journals tiles as they commit, so a crash
+        leaves the committed prefix and resume stays bit-identical."""
+
+        class CrashAt:
+            corruptor = None
+
+            def injector(self, label, tile, gpu_id, attempt):
+                if tile.tile_id == 12:
+                    raise RuntimeError("node lost")
+
+        config = RunConfig(mode="FP16", n_tiles=16, n_gpus=2)
+        series = _series()
+        uninterrupted = compute_multi_tile(series, None, 16, config)
+        path = tmp_path / "journal"
+        with pytest.raises(RuntimeError, match="node lost"):
+            compute_multi_tile(
+                series, None, 16, config, journal=path,
+                fault_plan=CrashAt(), parallel_workers=2,
+            )
+        ids = [r["tile_id"] for r in RunJournal.open(path).completed_records()]
+        # When tile 12 failed, the other worker may still have held tile
+        # 10 or 11, with tile 11 finished behind it.
+        assert ids == list(range(len(ids)))
+        assert len(ids) >= 12 - 2
+
+        resumed = resume_plan(path)
+        assert resumed.resumed_tiles == len(ids)
+        assert np.array_equal(resumed.profile, uninterrupted.profile)
+        assert np.array_equal(resumed.index, uninterrupted.index)
+
     def test_resume_carries_journaled_escalations(self, tmp_path):
         from repro.engine import HealthPolicy
         from repro.engine.faults import FaultPlan

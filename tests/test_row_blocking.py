@@ -10,6 +10,7 @@ join type and sort strategy, including the degenerate inputs that force
 the half-precision fast paths onto their scalar fallbacks.
 """
 
+import sys
 import threading
 import time
 
@@ -27,6 +28,7 @@ from repro.engine import (
 from repro.engine.backends import WorkspacePool, run_tile
 from repro.engine.dispatch import TransientDeviceError
 from repro.engine.health import HealthPolicy
+from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels._f16fast import (
     f16_keys19,
@@ -193,14 +195,9 @@ class TestParallelDispatch:
 
     def test_parallel_composes_with_retry_and_escalation(self, spec_plan):
         """A deterministic transient failure plus a health escalation must
-        recover under parallel dispatch exactly as under serial dispatch.
-
-        Profile *values* and the recovery counters must match serial
-        exactly; the parallel result must additionally be reproducible
-        run-to-run (the serial loop re-queues failed tiles at the back of
-        the deque, so its merge order — and therefore fp16 argmin
-        tie-breaks — legitimately differs from the tile-id-ordered
-        parallel merge once a fault fires)."""
+        recover under parallel dispatch exactly as under serial dispatch:
+        profile, indices (fp16 argmin tie-breaks included), makespan and
+        the recovery counters, reproducibly run to run."""
         spec, plan = spec_plan
 
         def injector(label, tile, gpu_id, attempt):
@@ -218,19 +215,92 @@ class TestParallelDispatch:
             health=HealthPolicy(),
         )
         base = self._dispatch(spec, plan, NumericBackend(), **kwargs)
+        assert base[3].tile_retries == 1
+        assert base[3].escalations.keys() == {5}
+        for _ in range(2):
+            got = self._dispatch(
+                spec, plan, NumericBackend(), parallel_workers=3, **kwargs
+            )
+            assert np.array_equal(got[0], base[0])
+            assert np.array_equal(got[1], base[1])
+            assert got[2] == base[2]
+            assert got[3].tile_retries == 1
+            assert got[3].escalations.keys() == {5}
+
+    @pytest.mark.parametrize("mode", ["FP16", "FP32", "FP64"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_transient_retry_is_invisible(self, mode, workers):
+        """One retried tile commits at its plan position: profile, indices
+        and makespan equal the failure-free run's.  A periodic series has
+        exact distance ties, so a merge out of plan order would move
+        argmin indices."""
+        t = np.arange(400)
+        ref = np.stack([np.sin(2 * np.pi * t / 25), np.sin(2 * np.pi * t / 40)], axis=1)
+        config = RunConfig(mode=mode, n_tiles=9, n_gpus=3)
+        spec = JobSpec.from_arrays(ref, None, 16, config)
+        plan = spec.plan()
+
+        def injector(label, tile, gpu_id, attempt):
+            if tile.tile_id == 0 and attempt == 0:
+                raise TransientDeviceError("injected")
+
+        clean = self._dispatch(spec, plan, NumericBackend())
         got = self._dispatch(
-            spec, plan, NumericBackend(), parallel_workers=3, **kwargs
+            spec, plan, NumericBackend(), parallel_workers=workers,
+            max_retries=1, failure_injector=injector,
         )
-        again = self._dispatch(
-            spec, plan, NumericBackend(), parallel_workers=3, **kwargs
-        )
-        assert np.array_equal(got[0], base[0])  # same profile values
-        assert got[3].tile_retries == base[3].tile_retries == 1
-        assert got[3].escalations.keys() == base[3].escalations.keys() == {5}
-        # Parallel recovery is reproducible bit-for-bit, indices included.
-        assert np.array_equal(got[0], again[0])
-        assert np.array_equal(got[1], again[1])
-        assert got[2] == again[2]
+        assert got[3].tile_retries == 1
+        assert np.array_equal(got[0].view(np.uint8), clean[0].view(np.uint8))
+        assert np.array_equal(got[1], clean[1])
+        assert got[2] == clean[2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_children_commit_at_parent_position(self, spec_plan, workers):
+        spec, plan = spec_plan
+        first = plan.tiles[0]
+
+        def injector(label, tile, gpu_id, attempt):
+            if tile is first:
+                raise DeviceOutOfMemoryError(0, 0, f"gpu{gpu_id} (injected)")
+
+        report = self._dispatch(
+            spec, plan, NumericBackend(), parallel_workers=workers,
+            oom_split=True, keep_executions=True, failure_injector=injector,
+        )[3]
+        children = report.splits[first.tile_id]
+        assert len(children) == 4
+        committed = [e.tile.tile_id for e in report.executions]
+        planned = [t.tile_id for t in plan.tiles[1:]]
+        assert committed == list(children) + planned
+        assert report.tiles_completed == report.tiles_total == plan.n_tiles + 3
+
+    def test_commits_under_thread_churn(self, spec_plan):
+        """More workers than cores, a tiny switch interval, a retry and an
+        OOM split: tiles commit while workers run, and the result still
+        equals the serial run's."""
+        spec, plan = spec_plan
+        first = plan.tiles[0]
+
+        def injector(label, tile, gpu_id, attempt):
+            if tile is first:
+                raise DeviceOutOfMemoryError(0, 0, "injected")
+            if tile.tile_id == 4 and attempt == 0:
+                raise TransientDeviceError("injected")
+
+        kwargs = dict(max_retries=1, oom_split=True, failure_injector=injector)
+        base = self._dispatch(spec, plan, NumericBackend(), **kwargs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self._dispatch(
+                spec, plan, _DelayingBackend(), parallel_workers=8, **kwargs
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got[0], base[0])
+        assert np.array_equal(got[1], base[1])
+        assert got[2] == base[2]
+        assert got[3].tiles_completed == base[3].tiles_completed == plan.n_tiles + 3
 
     def test_parallel_workers_validation(self, spec_plan):
         spec, plan = spec_plan
