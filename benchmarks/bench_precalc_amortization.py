@@ -15,9 +15,10 @@ modest segment count with a long window, so the O(n·m·d) statistics pass
 dominates the O(tile²·d) main loop):
 
 1. **End-to-end engine** — a many-tile long-window self-join through
-   :func:`~repro.core.multi_tile.compute_multi_tile`, amortised (the
-   default) vs ``amortize_precalc=False`` (the historical per-tile
-   restart).  Acceptance: >= 2x at full scale.
+   :func:`~repro.core.multi_tile.compute_multi_tile` (amortised) vs the
+   same engine run over a plan whose ``precalc_cache`` is ``None`` (the
+   historical per-tile restart, kept as the test oracle).  Acceptance:
+   >= 2x at full scale.
 2. **Cross-job stats store** — the same plan prepared against a cold vs
    a warm :class:`~repro.service.PrecalcStatsCache`: a warm store skips
    the statistics pass entirely and only pays the seed batching.
@@ -40,7 +41,8 @@ import pytest
 
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
-from repro.engine import JobSpec
+from repro.engine import JobSpec, NumericBackend, ProfileAccumulator, execute_plan
+from repro.gpu.simulator import GPUSimulator
 from repro.reporting import format_table
 from repro.service import PrecalcStatsCache
 
@@ -78,6 +80,18 @@ def _timed(fn, repeats=REPEATS):
     return result, best
 
 
+def _per_tile_run(series, cfg):
+    """The engine over a plan without a precalc cache: every tile runs
+    ``PrecalcKernel`` on its own slices."""
+    spec = JobSpec.from_arrays(series, None, M, cfg)
+    plan = spec.plan()
+    plan.precalc_cache = None
+    sim = GPUSimulator(cfg.device, cfg.n_gpus, cfg.n_streams)
+    acc = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
+    execute_plan(plan, NumericBackend(discount_shared_h2d=True), sim, accumulator=acc)
+    return acc
+
+
 def _prepare_all(series, store):
     spec = JobSpec.from_arrays(
         series, None, M, RunConfig(mode=MODE, n_tiles=N_TILES)
@@ -102,17 +116,15 @@ def test_precalc_amortization_speedup(benchmark):
 
     # -- end-to-end engine: the acceptance measurement -------------------
     cfg = dict(mode=MODE, n_tiles=N_TILES)
-    r_off, t_off = _timed(
-        lambda: compute_multi_tile(
-            series, None, M, RunConfig(amortize_precalc=False, **cfg))
-    )
+    r_off, t_off = _timed(lambda: _per_tile_run(series, RunConfig(**cfg)))
     r_on, t_on = _timed(
         lambda: compute_multi_tile(series, None, M, RunConfig(**cfg))
     )
     assert np.array_equal(
-        r_on.profile.view(np.uint8), r_off.profile.view(np.uint8)
+        r_on.profile.view(np.uint8), r_off.host_profile().view(np.uint8)
     )
-    assert np.array_equal(r_on.index, r_off.index)
+    assert np.array_equal(r_on.index, r_off.host_index())
+    assert r_off.precalc_saved_flops == 0.0
     assert r_on.precalc_saved_flops > 0.0
     ratio = t_off / t_on
     rows.append([f"engine {MODE} per-tile precalc", f"{t_off * 1e3:9.1f}", "1.00x"])

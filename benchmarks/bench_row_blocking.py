@@ -1,22 +1,24 @@
-"""Row-blocked kernel execution bench — per-row vs blocked vs parallel.
+"""Row-blocked kernel execution bench — block of 1 vs blocked vs parallel.
 
 The row-blocked main loop (``RunConfig.row_block``) is a pure host-side
 optimisation: ``dist_calc`` keeps the sequential Eq. (1) recurrence but
 fills B consecutive row planes into one workspace, and the
 column-independent sort/scan/update stages then run once per block.  The
 output — profile, indices, per-kernel costs, modelled timeline — is
-bit-for-bit that of the per-row emulation (``tests/test_row_blocking.py``
-pins this), so the only thing to measure is wall clock.
+bit-for-bit that of the per-row test oracle for every block size
+(``tests/test_row_blocking.py`` pins this), so the only thing to measure
+is wall clock.  ``row_block=1`` runs the same loop with blocks of one
+row; the per-row kernels exist only as the test oracle.
 
 Two measurements:
 
 1. **Kernel level (the reference config)** — one multi-dimensional FP16
    tile, n_seg = 256, d = 8, m = 32, timed through
    :func:`repro.engine.backends.run_tile` at ``row_block`` 1 vs the
-   default 64, for FP16 and FP64.  Acceptance: >= 3x for the FP16 tile.
+   default 32, for FP16 and FP64.  Acceptance: >= 3x for the FP16 tile.
 2. **Engine level** — a 4-tile FP16 self-join through
-   :func:`~repro.core.multi_tile.compute_multi_tile`, serial per-row vs
-   serial blocked vs blocked with ``parallel_workers`` tile threads.
+   :func:`~repro.core.multi_tile.compute_multi_tile`, serial block of 1
+   vs serial blocked vs blocked with ``parallel_workers`` tile threads.
    The per-tile precalc and merge overhead is shared by every variant,
    so the end-to-end ratio is lower than the kernel-level one; on a
    single-core host the parallel row measures dispatch overhead only
@@ -52,7 +54,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N_SEG = 128 if SMOKE else 256
 D = 8
 M = 32
-BLOCK = RunConfig().row_block  # the shipped default (64)
+BLOCK = RunConfig().row_block  # the shipped default (32)
 REPEATS = 2 if SMOKE else 3
 #: CI smoke boxes are noisy single-core runners; the real floor is
 #: asserted at full scale.
@@ -116,11 +118,11 @@ def test_row_blocking_speedup(benchmark):
         ratio = t_1 / t_b
         if mode == "FP16":
             fp16_ratio = ratio
-        rows.append([f"tile {mode} per-row", f"{t_1 * 1e3:9.1f}", "1.00x"])
+        rows.append([f"tile {mode} block of 1", f"{t_1 * 1e3:9.1f}", "1.00x"])
         rows.append([f"tile {mode} block={BLOCK}", f"{t_b * 1e3:9.1f}",
                      f"{ratio:.2f}x"])
         record["kernel_level"][mode] = {
-            "per_row_s": t_1, "blocked_s": t_b, "speedup": ratio,
+            "block_of_1_s": t_1, "blocked_s": t_b, "speedup": ratio,
         }
 
     # -- engine level: multi-tile, serial vs parallel workers ------------
@@ -142,14 +144,14 @@ def test_row_blocking_speedup(benchmark):
     assert np.array_equal(r_blk.index, r_row.index)
     assert np.array_equal(r_par.profile, r_blk.profile)
     assert np.array_equal(r_par.index, r_blk.index)
-    rows.append(["engine FP16 per-row", f"{t_row * 1e3:9.1f}", "1.00x"])
+    rows.append(["engine FP16 block of 1", f"{t_row * 1e3:9.1f}", "1.00x"])
     rows.append(["engine FP16 blocked", f"{t_blk * 1e3:9.1f}",
                  f"{t_row / t_blk:.2f}x"])
     rows.append([f"engine FP16 blocked +{WORKERS} workers",
                  f"{t_par * 1e3:9.1f}", f"{t_row / t_par:.2f}x"])
     record["engine_level"] = {
         "n": ENGINE_N, "n_tiles": ENGINE_TILES, "workers": WORKERS,
-        "per_row_s": t_row, "blocked_s": t_blk, "parallel_s": t_par,
+        "block_of_1_s": t_row, "blocked_s": t_blk, "parallel_s": t_par,
         "host_cpus": os.cpu_count(),
     }
 

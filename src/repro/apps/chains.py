@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import RunConfig, default_exclusion_zone
+from ..engine.backends import WorkspacePool
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.layout import to_device_layout, validate_series
 from ..kernels.precalc import PrecalcKernel
@@ -51,9 +52,10 @@ def left_right_profile(
 ) -> LeftRightProfile:
     """Compute the left and right k-dimensional matrix profiles.
 
-    Same kernel pipeline as the batch computation, with two running
-    min-merges: row i contributes to the *left* profile of columns
-    j > i + zone and to the *right* profile of columns j < i - zone.
+    Same row-blocked kernel pipeline as the batch computation, with two
+    running min-merges per block: row i contributes to the *left*
+    profile of columns j > i + zone and to the *right* profile of
+    columns j < i - zone.
     """
     config = config or RunConfig()
     policy = config.policy
@@ -81,15 +83,20 @@ def left_right_profile(
     left.allocate(d, n_seg)
     right.allocate(d, n_seg)
 
+    block = min(config.row_block, n_seg)
     cols = np.arange(n_seg)
-    for i in range(n_seg):
-        averaged = sort_scan.run(dist.run(i))
-        # Row i is a *left* neighbour for columns after it...
-        left_mask = (cols <= i + zone)[None, :]
-        left.masked_run(averaged, i, left_mask)
-        # ...and a *right* neighbour for columns before it.
-        right_mask = (cols >= i - zone)[None, :]
-        right.masked_run(averaged, i, right_mask)
+    with WorkspacePool().lease((d, block, n_seg), policy.compute) as qt_ws:
+        for i0 in range(0, n_seg, block):
+            b = min(block, n_seg - i0)
+            dist_blk = dist.run_block(i0, b, qt_ws[:, :b, :])
+            averaged = sort_scan.run(
+                dist_blk.reshape(d, b * n_seg), rows=b
+            ).reshape(d, b, n_seg)
+            rows = np.arange(i0, i0 + b)[:, None]
+            # Row i is a *left* neighbour for columns after it...
+            left.run_block(averaged, i0, mask=cols <= rows + zone)
+            # ...and a *right* neighbour for columns before it.
+            right.run_block(averaged, i0, mask=cols >= rows - zone)
 
     col = k - 1
     return LeftRightProfile(

@@ -11,9 +11,10 @@ model plus the device roofline, and returns the predicted-fastest
 :class:`~repro.core.config.RunConfig`.
 
 The bit-identity contract: **absent a** ``target_error`` **the tuner only
-moves knobs that cannot change a single output bit** — ``row_block``,
-``parallel_workers`` and ``amortize_precalc`` are cache-key-excluded
-host-execution knobs, and the tile count is pinned to the same memory
+moves knobs that cannot change a single output bit** — ``row_block`` and
+``parallel_workers`` are cache-key-excluded host-execution knobs (any
+``row_block`` runs the same blocked loop; the per-row kernels are the
+test oracle only), and the tile count is pinned to the same memory
 floor the default path would be forced onto anyway.  Mode and
 ``precalc_strategy`` changes (both numerics-visible) happen only when the
 caller states an error budget, and then only among candidates whose

@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--row-block", type=int, default=None, metavar="B",
         help="main-loop rows per kernel super-step (default 32; "
-        "1 = original per-row execution; any value is bit-exact)",
+        "1 = blocks of one row; any value is bit-exact, the per-row "
+        "kernels are the test oracle only)",
     )
     p.add_argument(
         "--tile-workers", type=int, default=None, metavar="W",
@@ -76,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed-QT batching strategy for the amortised precalc plane "
         "(exact = streaming accumulator, bit-identical to per-tile; "
         "fft = MASS-style convolution, FP64/FP32 only)",
-    )
-    p.add_argument(
-        "--no-amortize-precalc", action="store_true",
-        help="recompute window statistics inside every tile instead of "
-        "slicing the plan-level precalc plane (debug/comparison knob)",
     )
     p.add_argument("--output", help="write P and I as CSV to this prefix")
     p.add_argument("--top", type=int, default=3, help="motifs to print")
@@ -341,7 +337,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         journal=args.journal,
         row_block=args.row_block,
         parallel_workers=args.tile_workers,
-        amortize_precalc=False if args.no_amortize_precalc else None,
         precalc_strategy=args.precalc_strategy,
         auto=args.auto,
         target_error=args.target_error,

@@ -107,11 +107,8 @@ def anytime_matrix_profile(
             dist = np.sqrt((two_m * gap).astype(dtype)).astype(dtype)
             dist = np.where(np.isfinite(dist), dist, limit).astype(dtype)
             averaged = sort_scan.run(dist)
-            if zone is None:
-                update.run(averaged, int(i))
-            else:
-                mask = (np.abs(cols - int(i)) <= zone)[None, :]
-                update.masked_run(averaged, int(i), mask)
+            mask = None if zone is None else (np.abs(cols - i) <= zone)[None, :]
+            update.run_block(averaged[:, None, :], int(i), mask=mask)
             done += 1
             if callback is not None and (done % report_every == 0 or done == rows_to_do):
                 state = AnytimeState(

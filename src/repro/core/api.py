@@ -33,7 +33,6 @@ def matrix_profile(
     observers=(),
     row_block: int | None = None,
     parallel_workers: int | None = None,
-    amortize_precalc: bool | None = None,
     precalc_strategy: str | None = None,
     backend: str | None = None,
     symmetric_tiles: bool | None = None,
@@ -77,17 +76,12 @@ def matrix_profile(
     row_block:
         Main-loop rows executed per kernel super-step
         (:attr:`~repro.core.config.RunConfig.row_block`; default 32).
-        Any value is bit-exact — ``1`` recovers the original per-row
-        emulation.
+        Any value is bit-exact — ``1`` runs blocks of one row through
+        the same loop (the per-row kernels are the test oracle only).
     parallel_workers:
         Host threads executing independent tiles concurrently (results
         merge in plan order, so output is deterministic and identical
         to serial dispatch).  ``> 1`` routes through the tiled engine.
-    amortize_precalc:
-        Compute window statistics once per series at plan level and slice
-        them per tile instead of recomputing inside every tile
-        (:attr:`~repro.core.config.RunConfig.amortize_precalc`; default
-        on).  Bit-identical to the per-tile path in every precision mode.
     precalc_strategy:
         ``"exact"`` (default) evolves the seed-QT dot products with the
         streaming accumulator; ``"fft"`` batches them through an FFT
@@ -155,8 +149,6 @@ def matrix_profile(
         config_kwargs["row_block"] = row_block
     if parallel_workers is not None:
         config_kwargs["parallel_workers"] = parallel_workers
-    if amortize_precalc is not None:
-        config_kwargs["amortize_precalc"] = amortize_precalc
     if precalc_strategy is not None:
         config_kwargs["precalc_strategy"] = precalc_strategy
     if backend is not None:

@@ -109,18 +109,12 @@ class RunConfig:
     #: its sequential QT recurrence but fills ``row_block`` consecutive
     #: row planes into one workspace, and the column-independent
     #: sort/scan/update stages then run once per block.  Bit-exact for
-    #: any value (1 = the per-row path); purely a host-emulation batching
-    #: knob, so it changes neither the numerics nor the modelled costs.
+    #: any value (1 = a block of one row); purely a host-emulation
+    #: batching knob, so it changes neither the numerics nor the
+    #: modelled costs.
     #: 32 keeps the block workspace cache-resident and measures fastest.
     row_block: int = 32
-    #: Compute the window-statistics planes (mu/inv/df/dg) once per plan
-    #: and batch the per-tile seed dots, instead of restarting the full
-    #: precalculation per tile.  Bit-exact (the planes are window-local,
-    #: so tile slices are elementwise identical) — purely an execution
-    #: amortisation, which is why it is on by default and excluded from
-    #: ``cache_key()`` just like ``row_block``.
-    amortize_precalc: bool = True
-    #: How the amortised layer evaluates the seed QT dot products:
+    #: How the plan-level precalc cache evaluates the seed QT dot products:
     #: ``"exact"`` (the paper's sequential naive dot, bit-identical to
     #: per-tile precalculation) or ``"fft"`` (MASS-style sliding dot
     #: product — O(n log n) but *not* bit-identical, so it is opt-in,
@@ -206,11 +200,6 @@ class RunConfig:
                     "precalc_strategy='fft' is validated only for the FP64 "
                     f"and FP32 modes, got {self.mode.value}"
                 )
-            if not self.amortize_precalc:
-                raise ValueError(
-                    "precalc_strategy='fft' requires amortize_precalc=True "
-                    "(the FFT seeds live in the amortisation layer)"
-                )
 
     @property
     def policy(self) -> PrecisionPolicy:
@@ -292,7 +281,6 @@ class RunConfig:
             "row_block": self.row_block,
             "backend": self.backend,
             "symmetric_tiles": self.symmetric_tiles,
-            "amortize_precalc": self.amortize_precalc,
             "precalc_strategy": self.precalc_strategy,
             "parallel_workers": self.parallel_workers,
             "retry_policy": (
@@ -304,6 +292,9 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Reconstruct a config from :meth:`to_dict` output."""
         data = dict(data)
+        # Retired knob: journals written while per-tile precalculation
+        # was selectable still carry it.
+        data.pop("amortize_precalc", None)
         launch = data.get("launch")
         if isinstance(launch, dict):
             data["launch"] = LaunchConfig(**launch)
@@ -318,10 +309,9 @@ class RunConfig:
         Two configs share a key iff :meth:`to_dict` agrees on every field
         that can change the result — the numerics knobs (mode, tile
         count, exclusion zone, sort strategy, 1-d fast path) and the
-        performance-model knobs.  ``row_block``, ``amortize_precalc``
-        and ``parallel_workers`` are excluded: row-blocked execution,
-        amortised precalculation and parallel tile dispatch are bit-exact
-        and cost-identical, so cached results are shared across those
+        performance-model knobs.  ``row_block`` and ``parallel_workers``
+        are excluded: row-blocked execution and parallel tile dispatch
+        are bit-exact and cost-identical, so cached results are shared across those
         knobs.  ``precalc_strategy``, ``backend`` and ``symmetric_tiles``
         *are* included — the FFT seeds, the tensor-core main loop and the
         mirrored triangular grid are not bit-identical.
@@ -332,7 +322,6 @@ class RunConfig:
             if k
             not in (
                 "row_block",
-                "amortize_precalc",
                 "parallel_workers",
                 "retry_policy",
             )

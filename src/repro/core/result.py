@@ -49,7 +49,7 @@ class MatrixProfileResult:
         thanks to the plan-level amortisation layer: the sum over tiles
         of the plane flops they would each have recomputed, minus the
         one-off full-series pass actually charged.  0.0 for single-tile
-        runs (nothing to amortise) and for ``amortize_precalc=False``.
+        runs (nothing to amortise).
     escalations:
         Tile id -> final precision mode, for tiles re-executed up the
         FP16 -> Mixed -> FP32 -> FP64 ladder after failing their health

@@ -37,6 +37,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..core.config import RunConfig
 from ..gpu.kernel import KernelCost, LaunchConfig
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
 from ..gpu.simulator import SimulatedGPU, schedule_tile_timing
@@ -183,7 +184,7 @@ def run_tile(
     exclusion_zone: int | None = None,
     sort_strategy: str = "bitonic",
     fast_path_1d: bool = True,
-    row_block: int = 1,
+    row_block: int = RunConfig.row_block,
     workspace: "WorkspacePool | None" = None,
     precalc: "PreparedPrecalc | None" = None,
     main_loop: str = "vector",
@@ -199,14 +200,15 @@ def run_tile(
     cooperative bitonic kernel or the batch-based ablation alternative;
     ``fast_path_1d`` skips the sort/scan entirely for d == 1 (identity).
 
-    ``row_block > 1`` executes the main loop in super-steps of that many
-    reference rows: ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
+    The main loop runs in super-steps of ``row_block`` reference rows
+    (default: :attr:`~repro.core.config.RunConfig.row_block`; ``1`` is a
+    block of one row): ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
     workspace (sequential recurrence, no per-row temporaries), the
     column-independent sort/scan runs once per block on the reshaped
     ``(d, B*n_q)`` plane and the update reduces the block before one
     merge into the running profile.  Output, kernel costs and therefore
-    modelled timings are bit-for-bit identical to the per-row path —
-    blocking only amortises the host dispatch overhead.  A tall tile —
+    modelled timings are bit-for-bit identical for every block size;
+    the per-row kernel methods are the test oracle only.  A tall tile —
     ``ceil(n_q_seg / B) < ceil(n_r_seg / B)`` — runs the same loop
     transposed: super-steps of ``B`` query columns against every
     reference row, each panel reduced row-wise, with the precalc roles
@@ -226,10 +228,10 @@ def run_tile(
     footprint stay as they were.
 
     ``main_loop`` selects the main-loop execution path: ``"vector"`` (the
-    paper's per-row/row-blocked recurrence) or ``"tensor_core"`` (the
+    paper's row-blocked recurrence) or ``"tensor_core"`` (the
     packed-panel chained-GEMM kernel of :class:`~repro.kernels.tc_gemm.
-    TcGemmKernel`).  The tensor-core path always runs row-blocked (its
-    unit of work *is* the panel), keeps the distance panel in the FP32
+    TcGemmKernel`).  The tensor-core path never transposes (its unit of
+    work *is* the row-major panel), keeps the distance panel in the FP32
     accumulator through a fused sort/scan (``SortScanKernel(mma_scan=
     True)``) and reduce-then-store update, and is only valid for the
     ``TENSOR_CORE_MODES`` — callers route ineligible jobs back to
@@ -308,52 +310,39 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None)
 
     block = max(1, min(row_block, steps))
-    if block == 1 and not (tensor_core or transposed):
-        cols_global = _cached_arange(n_q_seg) + col_offset
-        for i in range(n_r_seg):
-            plane = dist.run(i)
-            averaged = plane if skip_sort else sort_scan.run(plane)
-            if exclusion_zone is None:
-                update.run(averaged, i, row_offset=row_offset,
-                           col_offset=col_offset)
-            else:
-                mask = (np.abs(cols_global - (i + row_offset)) <= exclusion_zone)[None, :]
-                update.masked_run(averaged, i, mask, row_offset=row_offset,
-                                  col_offset=col_offset)
+    if tensor_core:
+        # The panel kernel keeps its QT panel in its own FP32
+        # accumulator scratch: no compute-dtype workspace to lease.
+        lease = nullcontext()
     else:
-        if tensor_core:
-            # The panel kernel keeps its QT panel in its own FP32
-            # accumulator scratch: no compute-dtype workspace to lease.
-            lease = nullcontext()
-        else:
-            pool = workspace if workspace is not None else WorkspacePool()
-            lease = pool.lease((d, block, width), policy.compute)
-        across = _cached_arange(width) + width_offset
-        with lease as qt_ws:
-            for s0 in range(0, steps, block):
-                b = min(block, steps - s0)
-                dist_blk = dist.run_block(
-                    s0, b, None if qt_ws is None else qt_ws[:, :b, :]
-                )
-                if skip_sort:
-                    avg_blk = dist_blk
-                else:
-                    flat = dist_blk.reshape(d, b * width)
-                    avg_blk = sort_scan.run(
-                        flat, rows=b, charge=not transposed
-                    ).reshape(d, b, width)
-                mask = None
-                if exclusion_zone is not None:
-                    along = _cached_arange(steps)[s0 : s0 + b] + step_offset
-                    mask = np.abs(across[None, :] - along[:, None]) <= exclusion_zone
-                update.run_block(avg_blk, s0, row_offset=row_offset, mask=mask,
-                                 col_offset=col_offset, transposed=transposed)
-        if transposed:
-            # Costs stay in the logical row-major orientation, so the
-            # modelled clock — and the service, which schedules on it —
-            # sees the same tile whichever way it ran.
-            for kernel in (dist, update) if skip_sort else (dist, sort_scan, update):
-                kernel.charge_rows(n_r_seg, d, n_q_seg)
+        pool = workspace if workspace is not None else WorkspacePool()
+        lease = pool.lease((d, block, width), policy.compute)
+    across = _cached_arange(width) + width_offset
+    with lease as qt_ws:
+        for s0 in range(0, steps, block):
+            b = min(block, steps - s0)
+            dist_blk = dist.run_block(
+                s0, b, None if qt_ws is None else qt_ws[:, :b, :]
+            )
+            if skip_sort:
+                avg_blk = dist_blk
+            else:
+                flat = dist_blk.reshape(d, b * width)
+                avg_blk = sort_scan.run(
+                    flat, rows=b, charge=not transposed
+                ).reshape(d, b, width)
+            mask = None
+            if exclusion_zone is not None:
+                along = _cached_arange(steps)[s0 : s0 + b] + step_offset
+                mask = np.abs(across[None, :] - along[:, None]) <= exclusion_zone
+            update.run_block(avg_blk, s0, row_offset=row_offset, mask=mask,
+                             col_offset=col_offset, transposed=transposed)
+    if transposed:
+        # Costs stay in the logical row-major orientation, so the
+        # modelled clock — and the service, which schedules on it —
+        # sees the same tile whichever way it ran.
+        for kernel in (dist, update) if skip_sort else (dist, sort_scan, update):
+            kernel.charge_rows(n_r_seg, d, n_q_seg)
 
     itemsize = policy.itemsize
     h2d_bytes = float((tr_dev.shape[1] + tq_dev.shape[1]) * d * itemsize)

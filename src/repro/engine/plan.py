@@ -337,10 +337,9 @@ class JobSpec:
         precalc_cache = None
         if not self.is_modeled:
             tr_layout, tq_layout = self.layouts()
-            if self.config.amortize_precalc:
-                precalc_cache = PrecalcPlaneCache(
-                    store=precalc_store, base_mode=self.config.mode
-                )
+            precalc_cache = PrecalcPlaneCache(
+                store=precalc_store, base_mode=self.config.mode
+            )
         return ExecutionPlan(
             spec=self,
             tiles=tiles,
@@ -366,10 +365,11 @@ class ExecutionPlan:
     assignment: list[int]
     tr_layout: np.ndarray | None = None
     tq_layout: np.ndarray | None = None
-    #: Plan-level amortised precalculation (None for modeled plans or
-    #: when ``config.amortize_precalc`` is off); escalated plans share
-    #: their parent's instance so escalation populates new mode planes
-    #: in the same cache.
+    #: Plan-level amortised precalculation (None for modeled plans;
+    #: setting it to None makes every tile run :class:`~repro.kernels.
+    #: precalc.PrecalcKernel` itself, the test oracle); escalated plans
+    #: share their parent's instance so escalation populates new mode
+    #: planes in the same cache.
     precalc_cache: "PrecalcPlaneCache | None" = None
     _escalated: dict = field(default_factory=dict, repr=False)
 

@@ -11,12 +11,16 @@ an O(log d) **fan-in (Hillis–Steele) inclusive scan**, both executed
 cooperatively by a thread group per column with coarse-grained
 synchronisation between stages (Section III-A, IV).
 
-This implementation runs the *same networks*: every compare-exchange stage
-and every scan stage is one vectorised numpy operation across all columns,
-with per-stage rounding in the mode's compute dtype and one synchronisation
-accounted per stage.  Sorting is exact (comparisons don't round); the scan
-adds in fan-in order, which on real hardware differs from a sequential
-cumsum — our emulation reproduces that summation order bit-for-bit.
+:func:`bitonic_sort` and :func:`fanin_inclusive_scan` run the *same
+networks*: every compare-exchange stage and every scan stage is one
+vectorised numpy operation across all columns, with per-stage rounding in
+the mode's compute dtype.  Sorting is exact (comparisons don't round); the
+scan adds in fan-in order, which on real hardware differs from a
+sequential cumsum — the emulation reproduces that summation order
+bit-for-bit.  :class:`SortScanKernel` produces the identical bits through
+a value-exact sort and a float32-domain scan (the stage-by-stage
+functions are its test oracle) and accounts one synchronisation per
+network stage.
 """
 
 from __future__ import annotations
@@ -214,9 +218,9 @@ def _divide_lut_f16(k: int) -> np.ndarray:
 
     ``x / k`` is a unary function of ``x`` for a fixed divisor, and half
     precision has only 2^16 values — so the whole inclusive-average
-    division collapses to a gather.  Built with the very numpy ops the
-    per-row path runs, hence bit-identical by construction (NaN payloads
-    included).
+    division collapses to a gather.  Built with the very numpy ops of the
+    stage-by-stage division, hence bit-identical by construction (NaN
+    payloads included).
     """
     vals = np.arange(65536, dtype=np.uint16).view(np.float16)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -361,15 +365,19 @@ class SortScanKernel(Kernel):
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
-        Both networks are column-independent, so a row-blocked caller may
-        pass ``rows`` logical distance rows side by side as one
-        ``(d, rows*n_q)`` plane: the same compare-exchange and fan-in
-        stages run once over all columns, producing bit-for-bit the
-        per-row results.  ``rows`` only affects the cost accounting,
-        which stays per *logical* row (``rows`` launches, per-row loop
-        rounds and syncs) so blocked and per-row timings are identical.
-        ``charge=False`` skips the accounting for a caller whose panels
-        are not logical rows; it charges with :meth:`charge_rows`.
+        The sort is value-exact (:func:`_sort_columns_exact`) and the
+        half-precision scan and division run in the float32 domain with
+        per-stage rounding and a divide-by-k table, so the output is
+        bit-for-bit what the stage-by-stage :func:`bitonic_sort` and
+        :func:`fanin_inclusive_scan` networks produce — those remain the
+        test oracle.  Both networks are column-independent, so a
+        row-blocked caller passes ``rows`` logical distance rows side by
+        side as one ``(d, rows*n_q)`` plane.  ``rows`` only affects the
+        cost accounting, which stays per *logical* row (``rows``
+        launches, per-row loop rounds and syncs) so the modelled timings
+        do not depend on the block size.  ``charge=False`` skips the
+        accounting for a caller whose panels are not logical rows; it
+        charges with :meth:`charge_rows`.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
@@ -379,32 +387,15 @@ class SortScanKernel(Kernel):
             and dtype == np.float16
         ):
             return self._run_mma(plane, rows, charge)
-        plane_c = plane.astype(dtype, copy=False)
-        if rows > 1:
-            # Blocked fast path: value-exact sort, float32-domain scan
-            # and LUT division.  The per-row path below stays the
-            # faithful stage-by-stage network emulation; both produce
-            # the same bits.
-            sorted_plane = _sort_columns_exact(plane_c)
-            if dtype == np.float16:
-                keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
-                keys += (
-                    np.arange(d, dtype=np.uint32)[:, None] << np.uint32(19)
-                )
-                averaged = np.take(_divide_lut19_stack_f16(d), keys)
-            else:
-                scanned, _ = fanin_inclusive_scan(
-                    sorted_plane, dtype, count_stages=True
-                )
-                divisors = _divisor_column(d, dtype)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    averaged = (scanned / divisors).astype(dtype)
+        sorted_plane = _sort_columns_exact(plane.astype(dtype, copy=False))
+        if dtype == np.float16:
+            keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
+            keys += np.arange(d, dtype=np.uint32)[:, None] << np.uint32(19)
+            averaged = np.take(_divide_lut19_stack_f16(d), keys)
         else:
-            sorted_plane = bitonic_sort(plane_c)
             scanned = fanin_inclusive_scan(sorted_plane, dtype)
-            divisors = _divisor_column(d, dtype)
             with np.errstate(over="ignore", invalid="ignore"):
-                averaged = (scanned / divisors).astype(dtype)
+                averaged = (scanned / _divisor_column(d, dtype)).astype(dtype)
         if charge:
             self.charge_rows(rows, d, plane.shape[1] // rows)
         return averaged

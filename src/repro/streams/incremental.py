@@ -373,7 +373,7 @@ class IncrementalMatrixProfile:
         self._next_tile_id = 0
         self._tiles: list[Tile] = []
         self._acc: ProfileAccumulator | None = None
-        self._planes = StreamPlaneCache() if self.config.amortize_precalc else None
+        self._planes = StreamPlaneCache()
         self.tile_retries = 0
         self.tiles_split = 0
         self.health_failures = 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import matrix_profile
+from repro.apps import chains
 from repro.apps.chains import (
     anchored_chain,
     left_right_profile,
@@ -15,6 +16,11 @@ from repro.apps.segmentation import (
     find_regime_changes,
     segment_regimes,
 )
+from repro.core.config import RunConfig
+
+from .per_row_oracle import per_row_left_right
+
+MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
 
 class TestArcCurve:
@@ -116,6 +122,22 @@ class TestLeftRightProfile:
     def test_first_position_has_no_left(self, lr):
         assert lr.left_index[0] == -1
         assert lr.right_index[-1] == -1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_per_row_oracle(self, mode):
+        """The row-blocked left/right merges == per-row ``masked_run``
+        merges, bit for bit, for every k and a block size that does not
+        divide the segment count."""
+        series = np.random.default_rng(3).normal(size=(140, 3)).cumsum(axis=0)
+        m = 12
+        for config in (RunConfig(mode=mode), RunConfig(mode=mode, row_block=7)):
+            for k in (1, 2, 3):
+                got = chains.left_right_profile(series, m, config, k=k)
+                lp, li, rp, ri = per_row_left_right(series, m, config, k=k)
+                assert np.array_equal(got.left_profile, lp.astype(np.float64))
+                assert np.array_equal(got.left_index, li)
+                assert np.array_equal(got.right_profile, rp.astype(np.float64))
+                assert np.array_equal(got.right_index, ri)
 
     def test_k_validation(self, rng):
         with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro import matrix_profile
+from repro.core import anytime as anytime_module
 from repro.core.anytime import AnytimeState, anytime_matrix_profile, convergence_curve
 from repro.core.config import RunConfig
 from repro.core.planner import plan_tiles, tile_memory_bytes
+
+from .per_row_oracle import PerRowSortScan, PerRowUpdate
 
 
 class TestAnytime:
@@ -64,6 +67,27 @@ class TestAnytime:
         pos = np.arange(r.n_q_seg)
         valid = r.index[:, 0] >= 0
         assert np.all(np.abs(r.index[valid, 0] - pos[valid]) > m // 4)
+
+    @pytest.mark.parametrize("mode", ("FP64", "FP32", "FP16", "Mixed", "FP16C"))
+    @pytest.mark.parametrize("fraction", [1.0, 0.4])
+    def test_matches_per_row_oracle(self, mode, fraction, monkeypatch):
+        """The block sort/update kernels == the per-row oracle kernels
+        (stage-by-stage networks, ``run``/``masked_run``), bit for bit,
+        for AB- and self-joins and a partial fraction."""
+        rng = np.random.default_rng(9)
+        ref = rng.normal(size=(90, 2)).cumsum(axis=0)
+        qry = rng.normal(size=(70, 2)).cumsum(axis=0)
+        config = RunConfig(mode=mode)
+        for query in (qry, None):
+            got = anytime_matrix_profile(ref, query, 10, config, fraction=fraction, seed=4)
+            with monkeypatch.context() as patch:
+                patch.setattr(anytime_module, "SortScanKernel", PerRowSortScan)
+                patch.setattr(anytime_module, "UpdateKernel", PerRowUpdate)
+                want = anytime_matrix_profile(
+                    ref, query, 10, config, fraction=fraction, seed=4
+                )
+            assert np.array_equal(got.profile, want.profile)
+            assert np.array_equal(got.index, want.index)
 
     def test_invalid_fraction(self, pair):
         ref, qry, m = pair

@@ -171,6 +171,29 @@ class TestKillAndResume:
         assert np.array_equal(resumed.profile, uninterrupted.profile)
         assert np.array_equal(resumed.index, uninterrupted.index)
 
+    def test_journal_with_retired_config_key_resumes(self, tmp_path, config):
+        """Journals written while ``amortize_precalc`` was a config field
+        store it in their config dict; they must still resume, and
+        bit-identically."""
+        series = _series()
+        uninterrupted = compute_multi_tile(series, None, 16, config)
+        spec = JobSpec.from_arrays(series, None, 16, config)
+        journal = RunJournal.create(tmp_path / "journal", spec, spec.plan())
+        meta = journal.meta()
+        meta["config"]["amortize_precalc"] = False
+        journal.meta_path.write_text(json.dumps(meta))
+        with pytest.raises(KeyboardInterrupt):
+            compute_multi_tile(
+                series, None, 16, config, journal=journal, fault_plan=KillPlan(2),
+            )
+        assert len(journal.completed_records()) == 2
+
+        resumed = resume_plan(journal.path)
+        assert resumed.resumed_tiles == 2
+        assert np.array_equal(resumed.profile.view(np.uint8),
+                              uninterrupted.profile.view(np.uint8))
+        assert np.array_equal(resumed.index, uninterrupted.index)
+
     def test_resume_is_itself_resumable(self, tmp_path, config):
         series = _series()
         uninterrupted = compute_multi_tile(series, None, 16, config)

@@ -4,7 +4,9 @@ The amortisation layer is a pure performance feature on its default
 path: every tile's precalculation assembled from the plan-level plane
 cache must be *bit-identical* to what ``PrecalcKernel.run`` produces on
 that tile's device slices, for every precision mode (including the Kahan
-FP16C path), join type and tile geometry.  The opt-in FFT seed strategy
+FP16C path), join type and tile geometry.  End to end, the reference is
+a plan whose ``precalc_cache`` is ``None`` (every tile runs the kernel
+itself).  There is no knob to turn the cache off.  The opt-in FFT seed strategy
 is the one deliberate numerical deviation and is pinned against the
 ``precision/errors.py`` dot-product bound instead.  Cost accounting is
 pinned too: seed work per tile, the one-off plane pass on exactly one
@@ -32,6 +34,8 @@ from repro.precision.errors import dot_product_error_bound
 from repro.precision.modes import PrecisionMode, policy_for
 from repro.reporting import render_precalc_savings
 from repro.service import PrecalcStatsCache
+
+from .per_row_oracle import per_tile_precalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
@@ -114,17 +118,17 @@ class TestPlaneBitIdentity:
 
 
 class TestFullProfileEquality:
-    """Engine output with amortisation on == off, for every mode."""
+    """Engine output with the plane cache == plans without one, for
+    every mode."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_self_join_bitwise(self, rng, mode):
         ref = rng.normal(size=(260, 3)).cumsum(axis=0)
-        assert RunConfig().amortize_precalc  # amortisation is the default
-        on = compute_multi_tile(ref, None, 16, RunConfig(mode=mode, n_tiles=4))
-        off = compute_multi_tile(
-            ref, None, 16,
-            RunConfig(mode=mode, n_tiles=4, amortize_precalc=False),
-        )
+        cfg = RunConfig(mode=mode, n_tiles=4)
+        assert JobSpec.from_arrays(ref, None, 16, cfg).plan().precalc_cache is not None
+        on = compute_multi_tile(ref, None, 16, cfg)
+        with per_tile_precalc():
+            off = compute_multi_tile(ref, None, 16, cfg)
         assert np.array_equal(on.profile.view(np.uint8), off.profile.view(np.uint8))
         assert np.array_equal(on.index, off.index)
         assert off.precalc_saved_flops == 0.0
@@ -133,23 +137,12 @@ class TestFullProfileEquality:
     def test_ab_join_bitwise(self, rng):
         ref = rng.normal(size=(240, 2)).cumsum(axis=0)
         qry = rng.normal(size=(200, 2)).cumsum(axis=0)
-        on = compute_multi_tile(ref, qry, 12, RunConfig(mode="FP16C", n_tiles=6))
-        off = compute_multi_tile(
-            ref, qry, 12,
-            RunConfig(mode="FP16C", n_tiles=6, amortize_precalc=False),
-        )
+        cfg = RunConfig(mode="FP16C", n_tiles=6)
+        on = compute_multi_tile(ref, qry, 12, cfg)
+        with per_tile_precalc():
+            off = compute_multi_tile(ref, qry, 12, cfg)
         assert np.array_equal(on.profile.view(np.uint8), off.profile.view(np.uint8))
         assert np.array_equal(on.index, off.index)
-
-    def test_api_amortize_flag(self, rng):
-        from repro import matrix_profile
-
-        ref = rng.normal(size=(180, 2)).cumsum(axis=0)
-        r1 = matrix_profile(ref, m=12, mode="FP16", n_tiles=4)
-        r2 = matrix_profile(ref, m=12, mode="FP16", n_tiles=4,
-                            amortize_precalc=False)
-        assert np.array_equal(r1.profile.view(np.uint8), r2.profile.view(np.uint8))
-        assert np.array_equal(r1.index, r2.index)
 
 
 class TestCostAccounting:
@@ -298,18 +291,13 @@ class TestFFTStrategy:
             RunConfig(precalc_strategy="nope")
         with pytest.raises(ValueError, match="FP64 and FP32"):
             RunConfig(mode="FP16", precalc_strategy="fft")
-        with pytest.raises(ValueError, match="amortize_precalc"):
-            RunConfig(precalc_strategy="fft", amortize_precalc=False)
 
     def test_cache_key_semantics(self):
-        # amortize_precalc is bit-exact -> excluded from the result key;
-        # the fft strategy changes numerics -> included.
-        assert (RunConfig(amortize_precalc=False).cache_key()
-                == RunConfig().cache_key())
+        # The fft strategy changes numerics -> included in the result key.
         assert (RunConfig(precalc_strategy="fft").cache_key()
                 != RunConfig().cache_key())
         d = RunConfig().to_dict()
-        assert d["amortize_precalc"] is True
+        assert "amortize_precalc" not in d  # retired: the cache is always on
         assert d["precalc_strategy"] == "exact"
 
 
@@ -485,12 +473,13 @@ class TestReportingAndCli:
     def test_cli_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["profile", "x.csv", "-m", "16",
-             "--precalc-strategy", "fft", "--no-amortize-precalc"]
+        parser = build_parser()
+        args = parser.parse_args(
+            ["profile", "x.csv", "-m", "16", "--precalc-strategy", "fft"]
         )
         assert args.precalc_strategy == "fft"
-        assert args.no_amortize_precalc is True
+        with pytest.raises(SystemExit):  # the retired flag is gone
+            parser.parse_args(["profile", "x.csv", "-m", "16", "--no-amortize-precalc"])
 
     def test_api_fft_strategy(self, rng):
         from repro import matrix_profile

@@ -4,12 +4,14 @@ The row-blocked main loop (``RunConfig.row_block``) and the parallel
 tile dispatcher (``execute_plan(parallel_workers=...)``) are pure
 performance features: every test here pins the contract that they change
 *nothing* observable — profiles, indices, per-kernel costs and the
-modelled timeline are bit-for-bit those of the original per-row,
-serial execution, for every precision mode, dimensionality, block size,
-join type and sort strategy, including the degenerate inputs that force
-the half-precision fast paths onto their scalar fallbacks.
+modelled timeline are bit-for-bit those of the per-row oracle
+(``tests/per_row_oracle.py``) and of serial execution, for every
+precision mode, dimensionality, block size (a block of one row
+included), join type and sort strategy, including the degenerate inputs
+that force the half-precision fast paths onto their scalar fallbacks.
 """
 
+import inspect
 import sys
 import threading
 import time
@@ -38,11 +40,15 @@ from repro.kernels._f16fast import (
 )
 from repro.kernels.layout import to_device_layout
 
+from .per_row_oracle import per_row_engine, per_row_tile
+
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
 
 def _run(tr, tq, m, cfg, row_block, strategy="bitonic", ez=None):
-    out = run_tile(
+    """``run_tile`` at ``row_block``; ``None`` runs the per-row oracle."""
+    tile = per_row_tile if row_block is None else run_tile
+    out = tile(
         tr, tq, m, cfg.policy, cfg.launch,
         exclusion_zone=ez, sort_strategy=strategy, row_block=row_block,
     )
@@ -59,7 +65,7 @@ def _assert_same(ref, got, label):
 
 
 class TestKernelBitIdentity:
-    """Blocked execution == per-row execution at the run_tile level."""
+    """Blocked execution == the per-row oracle at the run_tile level."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -72,8 +78,8 @@ class TestKernelBitIdentity:
         tq = to_device_layout(qry, cfg.policy.storage)
         for strategy in ("bitonic", "batch"):
             for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
-                base = _run(tr, tq_used, m, cfg, 1, strategy, ez)
-                for blk in (7, 64, 500):  # incl. one block > n_r_seg
+                base = _run(tr, tq_used, m, cfg, None, strategy, ez)
+                for blk in (1, 7, 64, 500):  # incl. one block > n_r_seg
                     got = _run(tr, tq_used, m, cfg, blk, strategy, ez)
                     _assert_same(base, got, f"{mode} d={d} {strategy} blk={blk}")
 
@@ -93,8 +99,8 @@ class TestKernelBitIdentity:
         cfg = RunConfig(mode=mode)
         for ref in series:
             tr = to_device_layout(ref, cfg.policy.storage)
-            base = _run(tr, tr, m, cfg, 1, ez=m // 2)
-            for blk in (16, 500):
+            base = _run(tr, tr, m, cfg, None, ez=m // 2)
+            for blk in (1, 16, 500):
                 got = _run(tr, tr, m, cfg, blk, ez=m // 2)
                 _assert_same(base, got, f"degenerate {mode} blk={blk}")
 
@@ -123,16 +129,22 @@ class TestEngineDefaultBlocking:
         ref = rng.normal(size=(300, 3)).cumsum(axis=0)
         m = 16
         assert RunConfig().row_block > 1  # blocking is the default
-        r_blocked = compute_multi_tile(ref, None, m, RunConfig(mode="FP16", n_tiles=4))
-        r_perrow = compute_multi_tile(
-            ref, None, m, RunConfig(mode="FP16", n_tiles=4, row_block=1)
-        )
-        assert np.array_equal(
-            r_blocked.profile.view(np.uint8), r_perrow.profile.view(np.uint8)
-        )
-        assert np.array_equal(r_blocked.index, r_perrow.index)
-        assert r_blocked.timeline.makespan == r_perrow.timeline.makespan
-        assert vars(r_blocked.costs["dist_calc"]) == vars(r_perrow.costs["dist_calc"])
+        with per_row_engine():
+            r_perrow = compute_multi_tile(ref, None, m, RunConfig(mode="FP16", n_tiles=4))
+        for row_block in (RunConfig().row_block, 1):
+            r_blocked = compute_multi_tile(
+                ref, None, m, RunConfig(mode="FP16", n_tiles=4, row_block=row_block)
+            )
+            assert np.array_equal(
+                r_blocked.profile.view(np.uint8), r_perrow.profile.view(np.uint8)
+            )
+            assert np.array_equal(r_blocked.index, r_perrow.index)
+            assert r_blocked.timeline.makespan == r_perrow.timeline.makespan
+            assert vars(r_blocked.costs["dist_calc"]) == vars(r_perrow.costs["dist_calc"])
+
+    def test_run_tile_default_block_is_the_engine_default(self):
+        default = inspect.signature(run_tile).parameters["row_block"].default
+        assert default == RunConfig().row_block
 
     def test_row_block_excluded_from_cache_key(self):
         a = RunConfig(row_block=1)

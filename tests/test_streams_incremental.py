@@ -90,13 +90,12 @@ class TestIncrementalBitIdentity:
 
     @pytest.mark.parametrize("mode", ("FP64", "FP16C"))
     def test_plane_cache_matches_uncached(self, rng, mode):
-        """amortize_precalc=False recomputes planes per tile; the stream
-        cache must not perturb a single bit."""
+        """A stream without a plane cache recomputes planes per tile;
+        the stream cache must not perturb a single bit."""
         series = _series(rng, 90, 2)
         a = IncrementalMatrixProfile(12, RunConfig(mode=mode))
-        b = IncrementalMatrixProfile(
-            12, RunConfig(mode=mode, amortize_precalc=False)
-        )
+        b = IncrementalMatrixProfile(12, RunConfig(mode=mode))
+        b._planes = None  # every band plan then has precalc_cache=None
         off = 0
         for step in (40, 1, 49):
             a.append(series[off : off + step])
@@ -104,6 +103,7 @@ class TestIncrementalBitIdentity:
             off += step
         _assert_bit_identical(a.profile(), b.profile())
         assert a.accumulator.precalc_saved_flops > 0
+        assert b.accumulator.precalc_saved_flops == 0
 
     def test_single_append_matches_one_shot(self, rng):
         """One big append equals constructing with initial=..."""

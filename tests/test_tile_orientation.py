@@ -3,14 +3,16 @@
 ``run_tile`` steps a row-blocked tile over query columns instead of
 reference rows whenever that takes fewer super-steps
 (``ceil(n_q / B) < ceil(n_r / B)``).  The contract pinned here: such a
-tile is bit-identical to the ``row_block=1`` per-row oracle — profile,
-index and every field of the per-kernel ``costs`` — in all five modes,
-for self- and AB-joins, both sort strategies, with and without
-amortised precalculation, at every panel width around ``B``, under the
-exclusion zone and its tie-breaks, and through the engine's fault stack
-and the streaming tier.  Mirrored and tensor-core tiles keep the
-row-major loop.
+tile is bit-identical to the per-row oracle (``tests/per_row_oracle.py``)
+— profile, index and every field of the per-kernel ``costs`` — in all
+five modes, for self- and AB-joins, both sort strategies, with and
+without the plan-level precalc cache, at every panel width around ``B``,
+under the exclusion zone and its tie-breaks, and through the engine's
+fault stack and the streaming tier.  Mirrored and tensor-core tiles keep
+the row-major loop.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from repro.kernels.layout import to_device_layout
 from repro.kernels.precalc import PrecalcKernel, PrecalcResult
 from repro.kernels.update import UpdateKernel
 from repro.streams import IncrementalMatrixProfile
+
+from .per_row_oracle import per_row_engine, per_row_tile, per_tile_precalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 B = 8  # row block of the blocked runs; small, so tall tiles take several panels
@@ -71,7 +75,9 @@ def _assert_same(got, want, label):
 
 
 def _tile(tr, tq, m, cfg, row_block, **kwargs):
-    return run_tile(tr, tq, m, cfg.policy, cfg.launch, row_block=row_block, **kwargs)
+    """``run_tile`` at ``row_block``; ``None`` runs the per-row oracle."""
+    tile = per_row_tile if row_block is None else run_tile
+    return tile(tr, tq, m, cfg.policy, cfg.launch, row_block=row_block, **kwargs)
 
 
 def _tile_result(out):
@@ -93,13 +99,13 @@ class TestEngineBitIdentity:
         for query, n_tiles in joins:
             for strategy in ("bitonic", "batch"):
                 for amortize in (True, False):
-                    cfg = RunConfig(
-                        mode=mode, n_tiles=n_tiles, sort_strategy=strategy,
-                        amortize_precalc=amortize,
-                    )
-                    want = _result(compute_multi_tile(ref, query, m, cfg.with_(row_block=1)))
+                    cfg = RunConfig(mode=mode, n_tiles=n_tiles, sort_strategy=strategy)
+                    precalc = nullcontext if amortize else per_tile_precalc
+                    with precalc(), per_row_engine():
+                        want = _result(compute_multi_tile(ref, query, m, cfg))
                     before = len(transposed_calls)
-                    got = _result(compute_multi_tile(ref, query, m, cfg.with_(row_block=B)))
+                    with precalc():
+                        got = _result(compute_multi_tile(ref, query, m, cfg.with_(row_block=B)))
                     assert len(transposed_calls) > before
                     _assert_same(
                         got, want,
@@ -152,7 +158,7 @@ class TestPanelWidths:
         c0 = 40
         tq = np.ascontiguousarray(layout[:, c0 : c0 + n_q + m - 1])
         kwargs = dict(col_offset=c0, exclusion_zone=m // 2)
-        want = _tile_result(_tile(layout, tq, m, cfg, 1, **kwargs))
+        want = _tile_result(_tile(layout, tq, m, cfg, None, **kwargs))
         got = _tile_result(_tile(layout, tq, m, cfg, B, **kwargs))
         assert transposed_calls == [(97 - m + 1, n_q)]
         _assert_same(got, want, f"{mode} n_q={n_q}")
@@ -178,7 +184,7 @@ class TestExclusionAndTies:
         tr = np.ascontiguousarray(layout[:, : 30 + m - 1])  # rows 0..29
         tq = np.ascontiguousarray(layout[:, 12 : 12 + 3 + m - 1])  # cols 12..14
         kwargs = dict(col_offset=12, exclusion_zone=15)
-        want = _tile(tr, tq, m, cfg, 1, **kwargs)
+        want = _tile(tr, tq, m, cfg, None, **kwargs)
         got = _tile(tr, tq, m, cfg, B, **kwargs)
         # Column 14 is within 15 of rows 0..29, all of them.
         assert got.indices[:, 2].tolist() == [-1, -1]
@@ -196,7 +202,7 @@ class TestExclusionAndTies:
         layout = to_device_layout(series, cfg.policy.storage)
         tq = np.ascontiguousarray(layout[:, 60 : 60 + 5 + m - 1])
         kwargs = dict(col_offset=60, exclusion_zone=m // 2)
-        want = _tile(layout, tq, m, cfg, 1, **kwargs)
+        want = _tile(layout, tq, m, cfg, None, **kwargs)
         got = _tile(layout, tq, m, cfg, B, **kwargs)
         _assert_same(_tile_result(got), _tile_result(want), mode)
 
@@ -232,30 +238,38 @@ class TestFaultComposition:
     def test_health_escalation(self):
         series = _series(200, 3)
         runs = []
-        for rb in (1, B):
+        for rb in (None, 1, B):  # None: the per-row oracle
             plan = FaultPlan(seed=3, corrupt_rate=0.4)
-            res = compute_multi_tile(
-                series, None, 16, _cfg(row_block=rb),
-                health=HealthPolicy(), fault_plan=plan, max_retries=3,
-            )
+            with per_row_engine() if rb is None else nullcontext():
+                res = compute_multi_tile(
+                    series, None, 16, _cfg(row_block=rb or B),
+                    health=HealthPolicy(), fault_plan=plan, max_retries=3,
+                )
             runs.append(res)
-        assert runs[0].escalations and runs[0].escalations == runs[1].escalations
-        _assert_same(_result(runs[1]), _result(runs[0]), "escalation")
+        assert runs[0].escalations
+        for res in runs[1:]:
+            assert res.escalations == runs[0].escalations
+            _assert_same(_result(res), _result(runs[0]), "escalation")
 
     def test_oom_split(self):
         series = _series(200, 3)
         runs = []
-        for rb in (1, B):
+        for rb in (None, 1, B):  # None: the per-row oracle
             plan = FaultPlan(seed=9, oom_rate=0.4)
-            runs.append(compute_multi_tile(
-                series, None, 16, _cfg(row_block=rb), fault_plan=plan, oom_split=True,
-            ))
-        assert runs[0].split_tiles and runs[0].split_tiles == runs[1].split_tiles
-        _assert_same(_result(runs[1]), _result(runs[0]), "oom split")
+            with per_row_engine() if rb is None else nullcontext():
+                runs.append(compute_multi_tile(
+                    series, None, 16, _cfg(row_block=rb or B), fault_plan=plan,
+                    oom_split=True,
+                ))
+        assert runs[0].split_tiles
+        for res in runs[1:]:
+            assert res.split_tiles == runs[0].split_tiles
+            _assert_same(_result(res), _result(runs[0]), "oom split")
 
     def test_parallel_workers(self):
         series = _series(200, 3)
-        want = _result(compute_multi_tile(series, None, 16, _cfg(row_block=1)))
+        with per_row_engine():
+            want = _result(compute_multi_tile(series, None, 16, _cfg()))
         got = _result(compute_multi_tile(
             series, None, 16, _cfg(row_block=B), parallel_workers=2,
         ))
@@ -274,7 +288,8 @@ class TestFaultComposition:
                     raise KeyboardInterrupt("killed mid-run")
 
         series = _series(200, 3)
-        want = compute_multi_tile(series, None, 16, _cfg(row_block=1))
+        with per_row_engine():
+            want = compute_multi_tile(series, None, 16, _cfg())
         path = tmp_path / "journal"
         with pytest.raises(KeyboardInterrupt):
             compute_multi_tile(
@@ -292,7 +307,7 @@ class TestStreams:
     @pytest.mark.parametrize("self_join", [True, False], ids=["self", "AB"])
     def test_equivalent_tiles_match_per_row_batch(self, mode, self_join, transposed_calls):
         """A stream's tall history bands and probes run transposed; a
-        per-row batch dispatch of its equivalent tiles must agree."""
+        per-row oracle dispatch of its equivalent tiles must agree."""
         m = 12
         series = _series(160, 2)
         reference = None if self_join else _series(140, 2, seed=11)
@@ -306,14 +321,15 @@ class TestStreams:
         inc.probe(5, 8)
         assert transposed_calls
 
-        cfg = RunConfig(mode=mode, row_block=1)
+        cfg = RunConfig(mode=mode)
         tiles = list(inc.equivalent_tiles())
         tr = inc._stream if self_join else inc._ref_layout
         spec = JobSpec.from_layouts(tr, inc._stream, m, cfg, exclusion_zone=inc.exclusion_zone)
         sim = GPUSimulator(cfg.device, cfg.n_gpus, cfg.n_streams)
         plan = spec.plan(tiles=tiles, assignment=assign_tiles(tiles, sim.n_gpus))
         acc = ProfileAccumulator(spec.d, inc.n_q_seg, cfg.policy)
-        execute_plan(plan, NumericBackend(), sim, accumulator=acc)
+        with per_row_engine():
+            execute_plan(plan, NumericBackend(), sim, accumulator=acc)
         got_p, got_i = inc.profile()
         assert np.array_equal(got_p.view(np.uint8), acc.host_profile().view(np.uint8))
         assert np.array_equal(got_i, acc.host_index())
@@ -326,7 +342,7 @@ class TestRowMajorOnly:
         layout = to_device_layout(_series(90, 2), cfg.policy.storage)
         tq = np.ascontiguousarray(layout[:, 50 : 50 + 4 + m - 1])
         kwargs = dict(col_offset=50, exclusion_zone=m // 2, mirror=True)
-        want = _tile(layout, tq, m, cfg, 1, **kwargs)
+        want = _tile(layout, tq, m, cfg, None, **kwargs)
         got = _tile(layout, tq, m, cfg, B, **kwargs)
         assert transposed_calls == []
         _assert_same(_tile_result(got), _tile_result(want), "mirror")
