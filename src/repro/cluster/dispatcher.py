@@ -329,10 +329,11 @@ class ClusterDispatcher:
         }
 
         def merge(tid: int) -> None:
-            for execution in finished.pop(tid):
+            executions = finished.pop(tid)
+            for execution in executions:
                 accumulator.add(execution)
-                if journal is not None:
-                    journal.record(execution, accumulator)
+            if journal is not None:
+                journal.record(executions, accumulator)
             result.tiles_completed += 1
             merged_ids.add(tid)
 

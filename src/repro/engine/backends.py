@@ -7,8 +7,8 @@ modelled :class:`~repro.gpu.perfmodel.TileTiming` and (for numeric
 backends) the tile's :class:`TileOutput`.  Two backends exist:
 
 * :class:`NumericBackend` — Pseudocode 1 for real: slice + upload the
-  device layouts, reserve the workspace, run the four kernels via
-  :func:`run_tile`, and free everything afterwards.  Allocation cleanup
+  device layouts, reserve the workspace and free them again, then run
+  the four kernels via :func:`run_tile`.  Allocation cleanup
   is context-managed, so an injected failure or OOM mid-tile can no
   longer leak pool memory the way the old hand-rolled
   ``alloc.free()`` choreography could.  For self-join *diagonal* tiles
@@ -19,6 +19,24 @@ backends) the tile's :class:`TileOutput`.  Two backends exist:
   roofline cost model (:func:`~repro.gpu.perfmodel.single_tile_timing`),
   enabling paper-scale projections (n = 2^16 and beyond) and the
   multi-node deployment model.
+
+Tile batches.  :meth:`NumericBackend.run` also takes a *stack* of
+same-shape tiles — the dispatcher groups queued tiles by ``(n_rows,
+n_cols, mirror, execution mode)`` — and :func:`run_tile` runs them as
+one main loop over a leading tile axis: one Eq. (1) recurrence over the
+stacked ``d * T`` dimension rows, one sort/scan over the stacked panel
+and one update reducing each tile on its own, every tile with its own
+precalc restart, seeds, offsets and exclusion mask.  Outputs are
+bit-identical to one-tile calls, and costs stay per logical tile (the
+dist_calc, sort/scan and update costs of same-shape tiles are equal, so
+they are computed once and copied), so the modelled clock does not
+move.  :data:`TILE_BATCH_ELEMENTS` caps the stacked per-row plane
+(``T * d * width`` elements); a tile already that wide, the tensor-core
+main loop and the batch sort strategy run as a batch of one.  Each
+tile's device memory is uploaded, reserved and freed on its own GPU in
+batch order before the stacked numerics run, so out-of-memory decisions
+are those of tiles dispatched one at a time.  A single tile is a batch
+of one; there is no second path.
 
 This module is also the home of the tile *primitive* itself
 (:func:`run_tile`, :class:`TileOutput`, :func:`schedule_tile`,
@@ -39,11 +57,12 @@ import numpy as np
 
 from ..core.config import RunConfig
 from ..gpu.kernel import KernelCost, LaunchConfig
+from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
 from ..gpu.simulator import SimulatedGPU, schedule_tile_timing
 from ..gpu.stream import Stream, Timeline
 from ..kernels.dist_calc import DistCalcKernel
-from ..kernels.precalc import PrecalcKernel, PreparedPrecalc
+from ..kernels.precalc import PrecalcKernel, PrecalcResult
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.sort_scan_batch import BatchSortScanKernel
 from ..kernels.tc_gemm import TcGemmKernel
@@ -65,9 +84,24 @@ __all__ = [
     "tile_timing_from_output",
     "workspace_bytes",
     "KERNEL_ORDER",
+    "TILE_BATCH_ELEMENTS",
 ]
 
 KERNEL_ORDER = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_prof")
+
+
+#: Cap on a stacked tile batch's per-row plane, ``T * d * width``
+#: elements: :meth:`NumericBackend.stack_limit` stacks as many same-shape
+#: tiles as fit, and a tile whose own plane is already this wide runs as
+#: a batch of one.  Measured on a shared 2-core x86 host with stacks of
+#: 38 x 38, d = 2 tiles (FP32, FP16, Mixed): the per-tile main-loop time
+#: falls 2-3x from one tile to ~500 stacked elements, where numpy's
+#: per-call overhead stops dominating, and at most ~1.3x more up to
+#: ~2000.  Each worker's live temporaries grow by ~40 bytes per stacked
+#: block element, and a multi-worker job keeps one such set per thread:
+#: at 2048 the 100-tile benchmark jobs' peak RSS grew 13% over one-tile
+#: dispatch, at 512 under 5%.
+TILE_BATCH_ELEMENTS = 512
 
 
 #: Workspace row planes the main loop keeps live, priced in half-plane
@@ -173,23 +207,39 @@ class TileOutput:
     mirror_indices: np.ndarray | None = None
 
 
+def _runs_transposed(
+    n_r_seg: int, n_q_seg: int, row_block: int, tensor_core: bool, mirror: bool
+) -> bool:
+    """The main loop's orientation rule: a tall tile runs along its short
+    side — super-steps over query columns, each panel reduced row-wise —
+    which takes fewer super-steps whenever ``ceil(n_q / B) < ceil(n_r /
+    B)``.  The shape alone decides; the output is bit-identical either
+    way.  Mirrored tiles keep the row-major panels their second,
+    row-wise reduce needs, and the panel kernel is row-major by design."""
+    return (
+        row_block > 1
+        and not (tensor_core or mirror)
+        and -(-n_q_seg // row_block) < -(-n_r_seg // row_block)
+    )
+
+
 def run_tile(
     tr_dev: np.ndarray,
     tq_dev: np.ndarray,
     m: int,
     policy: PrecisionPolicy,
     launch: LaunchConfig,
-    row_offset: int = 0,
-    col_offset: int = 0,
+    row_offset=0,
+    col_offset=0,
     exclusion_zone: int | None = None,
     sort_strategy: str = "bitonic",
     fast_path_1d: bool = True,
     row_block: int = RunConfig.row_block,
     workspace: "WorkspacePool | None" = None,
-    precalc: "PreparedPrecalc | None" = None,
+    precalc=None,
     main_loop: str = "vector",
     mirror: bool = False,
-) -> TileOutput:
+) -> "TileOutput | list[TileOutput]":
     """Execute the kernels of one tile; pure numerics + cost accounting.
 
     ``tr_dev``/``tq_dev`` are (d, len) device-layout arrays in the storage
@@ -217,6 +267,21 @@ def run_tile(
     costs are again bit-identical; costs are charged once for the
     logical row-major tile.  ``workspace`` is an optional
     :class:`WorkspacePool` reused across calls.
+
+    **Tile axis.**  ``tr_dev``/``tq_dev`` may also be ``(T, d, len)``
+    stacks of ``T`` same-shape tiles, with ``row_offset``/``col_offset``/
+    ``precalc`` holding one entry per tile; the call then returns one
+    :class:`TileOutput` per tile, in order.  The stack runs as one main
+    loop over ``d * T`` dimension rows
+    (:meth:`~repro.kernels.precalc.PrecalcResult.stacked`): one Eq. (1)
+    recurrence per super-step, one sort/scan over the stacked panel and
+    one update that reduces every tile on its own.  Each tile keeps its
+    own precalc restart, seeds, offsets and exclusion mask, so each
+    output is bit-identical to running that tile alone.  The dist_calc,
+    sort/scan and update costs of same-shape tiles are equal, so they
+    are computed once and copied to every output; each tile keeps its
+    own precalc cost.  A 2-D call is a stack of one.  The tensor-core
+    main loop and the batch sort strategy run one tile per call.
 
     ``precalc`` is an optional :class:`~repro.kernels.precalc.
     PreparedPrecalc` assembled by the plan-level
@@ -246,12 +311,16 @@ def run_tile(
     symmetric in global coordinates, so the same lifted panel feeds both
     reduces.
     """
-    d = tr_dev.shape[0]
-    n_r_seg = tr_dev.shape[1] - m + 1
-    n_q_seg = tq_dev.shape[1] - m + 1
+    single = tr_dev.ndim == 2
+    if single:
+        tr_dev, tq_dev = tr_dev[None], tq_dev[None]
+        row_offset, col_offset, precalc = [row_offset], [col_offset], [precalc]
+    n_tiles, d = tr_dev.shape[:2]
+    n_r_seg = tr_dev.shape[2] - m + 1
+    n_q_seg = tq_dev.shape[2] - m + 1
     if n_r_seg < 1 or n_q_seg < 1:
         raise ValueError(f"m={m} leaves no segments for tile of shape "
-                         f"{tr_dev.shape} x {tq_dev.shape}")
+                         f"{tr_dev.shape[1:]} x {tq_dev.shape[1:]}")
     if main_loop not in ("vector", "tensor_core"):
         raise ValueError(
             f"main_loop must be 'vector' or 'tensor_core', got {main_loop!r}"
@@ -281,33 +350,29 @@ def run_tile(
     update = UpdateKernel(config=launch, policy=policy)
     skip_sort = fast_path_1d and d == 1
 
-    if precalc is None:
-        precalc_kernel = PrecalcKernel(config=launch, policy=policy)
-        pre = precalc_kernel.run(tr_dev, tq_dev, m)
-        precalc_cost = precalc_kernel.cost
-    else:
-        pre = precalc.result
-        precalc_cost = precalc.cost
-    # A tall tile runs along its short side: the blocked loop steps over
-    # query columns instead of reference rows and reduces each panel
-    # row-wise, which takes fewer super-steps whenever ceil(n_q / B) <
-    # ceil(n_r / B).  The shape alone decides; the output is bit-identical
-    # either way.  Mirrored tiles keep the row-major panels their second,
-    # row-wise reduce needs, and the panel kernel is row-major by design.
-    transposed = (
-        row_block > 1
-        and not (tensor_core or mirror)
-        and -(-n_q_seg // row_block) < -(-n_r_seg // row_block)
-    )
+    results, precalc_costs = [], []
+    for t, prepared in enumerate(precalc):
+        if prepared is None:
+            precalc_kernel = PrecalcKernel(config=launch, policy=policy)
+            results.append(precalc_kernel.run(tr_dev[t], tq_dev[t], m))
+            precalc_costs.append(precalc_kernel.cost)
+        else:
+            results.append(prepared.result)
+            precalc_costs.append(prepared.cost)
+    pre = PrecalcResult.stacked(results)
+    row_offsets = np.asarray(row_offset, dtype=INDEX_DTYPE)
+    col_offsets = np.asarray(col_offset, dtype=INDEX_DTYPE)
+    transposed = _runs_transposed(n_r_seg, n_q_seg, row_block, tensor_core, mirror)
     if transposed:
-        dist.bind(pre.transposed(), transposed=True)
+        dist.bind(pre.transposed(), transposed=True, tiles=n_tiles)
         steps, width = n_q_seg, n_r_seg
-        step_offset, width_offset = col_offset, row_offset
+        step_offsets, width_offsets = col_offsets, row_offsets
     else:
-        dist.bind(pre)
+        dist.bind(pre, tiles=n_tiles)
         steps, width = n_r_seg, n_q_seg
-        step_offset, width_offset = row_offset, col_offset
-    update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None)
+        step_offsets, width_offsets = row_offsets, col_offsets
+    update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
+                    tiles=n_tiles)
 
     block = max(1, min(row_block, steps))
     if tensor_core:
@@ -316,8 +381,8 @@ def run_tile(
         lease = nullcontext()
     else:
         pool = workspace if workspace is not None else WorkspacePool()
-        lease = pool.lease((d, block, width), policy.compute)
-    across = _cached_arange(width) + width_offset
+        lease = pool.lease((d * n_tiles, block, width), policy.compute)
+    across = _cached_arange(width) + width_offsets[:, None]  # (T, width)
     with lease as qt_ws:
         for s0 in range(0, steps, block):
             b = min(block, steps - s0)
@@ -327,16 +392,19 @@ def run_tile(
             if skip_sort:
                 avg_blk = dist_blk
             else:
-                flat = dist_blk.reshape(d, b * width)
+                # Dimension-major rows: the (d * T, b, width) block is the
+                # (d, T * b * width) plane of the column-wise sort/scan.
                 avg_blk = sort_scan.run(
-                    flat, rows=b, charge=not transposed
-                ).reshape(d, b, width)
+                    dist_blk.reshape(d, n_tiles * b * width), rows=b,
+                    charge=not transposed, tiles=n_tiles,
+                )
             mask = None
             if exclusion_zone is not None:
-                along = _cached_arange(steps)[s0 : s0 + b] + step_offset
-                mask = np.abs(across[None, :] - along[:, None]) <= exclusion_zone
-            update.run_block(avg_blk, s0, row_offset=row_offset, mask=mask,
-                             col_offset=col_offset, transposed=transposed)
+                along = _cached_arange(steps)[s0 : s0 + b] + step_offsets[:, None]
+                mask = np.abs(across[:, None, :] - along[:, :, None]) <= exclusion_zone
+            update.run_block(avg_blk.reshape(d, n_tiles, b, width), s0,
+                             row_offset=row_offsets, mask=mask,
+                             col_offset=col_offsets, transposed=transposed)
     if transposed:
         # Costs stay in the logical row-major orientation, so the
         # modelled clock — and the service, which schedules on it —
@@ -345,24 +413,32 @@ def run_tile(
             kernel.charge_rows(n_r_seg, d, n_q_seg)
 
     itemsize = policy.itemsize
-    h2d_bytes = float((tr_dev.shape[1] + tq_dev.shape[1]) * d * itemsize)
+    h2d_bytes = float((tr_dev.shape[2] + tq_dev.shape[2]) * d * itemsize)
     d2h_bytes = float(n_q_seg * d * (itemsize + INDEX_DTYPE.itemsize))
     if mirror:
         # The mirrored P/I pair rides the same download.
         d2h_bytes += float(n_r_seg * d * (itemsize + INDEX_DTYPE.itemsize))
-    costs = {
+    shared = {
         _KERNEL_LABELS[c.name]: replace(c, name=_KERNEL_LABELS[c.name])
-        for c in (precalc_cost, dist.cost, sort_scan.cost, update.cost)
+        for c in (dist.cost, sort_scan.cost, update.cost)
     }
-    return TileOutput(
-        profile=update.profile,
-        indices=update.indices,
-        costs=costs,
-        h2d_bytes=h2d_bytes,
-        d2h_bytes=d2h_bytes,
-        mirror_profile=update.mirror_profile,
-        mirror_indices=update.mirror_indices,
-    )
+    outputs = []
+    for t, precalc_cost in enumerate(precalc_costs):
+        mirror_profile = mirror_indices = None
+        if mirror:
+            mirror_profile = np.ascontiguousarray(update.mirror_profile[:, t])
+            mirror_indices = np.ascontiguousarray(update.mirror_indices[:, t])
+        outputs.append(TileOutput(
+            profile=np.ascontiguousarray(update.profile[:, t]),
+            indices=np.ascontiguousarray(update.indices[:, t]),
+            costs={"precalculation": replace(precalc_cost, name="precalculation"),
+                   **shared},
+            h2d_bytes=h2d_bytes,
+            d2h_bytes=d2h_bytes,
+            mirror_profile=mirror_profile,
+            mirror_indices=mirror_indices,
+        ))
+    return outputs[0] if single else outputs
 
 
 def tile_timing_from_output(
@@ -415,14 +491,20 @@ class TileExecution:
 
 @runtime_checkable
 class TileBackend(Protocol):
-    """Executes one tile of a plan on one simulated GPU."""
+    """Executes one tile of a plan on one simulated GPU.
+
+    A backend that also defines ``stack_limit(plan, tile) -> int`` is
+    handed stacked batches of same-shape tiles as sequences (see
+    :meth:`NumericBackend.run`); batches of one always come as a tile.
+    """
 
     def run(self, plan: ExecutionPlan, tile: Tile, gpu: SimulatedGPU) -> TileExecution:
         ...
 
 
 class NumericBackend:
-    """Real numerics: upload → :func:`run_tile` → free, context-managed.
+    """Real numerics: per tile upload → reserve → free (context-managed),
+    then :func:`run_tile` over the batch.
 
     Parameters
     ----------
@@ -470,10 +552,68 @@ class NumericBackend:
             self._workspaces.pool = pool
         return pool
 
-    def run(self, plan: ExecutionPlan, tile: Tile, gpu: SimulatedGPU) -> TileExecution:
+    def _main_loop(self, policy: PrecisionPolicy) -> str:
+        # Per-plan eligibility: an escalated plan may have widened the
+        # mode past the tensor-core formats (FP16 -> FP32 on a sick
+        # tile), in which case *that* execution silently takes the
+        # vector path — escalation composes without special-casing.
+        if policy.mode not in TENSOR_CORE_MODES:
+            return "vector"
+        return self.main_loop
+
+    def stack_limit(self, plan: ExecutionPlan, tile: Tile) -> int:
+        """How many tiles shaped like ``tile`` one :meth:`run` call of
+        ``plan`` stacks: as many as keep the stacked per-row plane
+        ``T * d * width`` within :data:`TILE_BATCH_ELEMENTS`, and at
+        least one.  The tensor-core main loop and the batch sort
+        strategy (whose costs depend on each tile's data) run one tile
+        per call."""
         spec = plan.spec
-        policy = spec.policy
-        config = spec.config
+        tensor_core = self._main_loop(spec.policy) == "tensor_core"
+        if tensor_core or spec.config.sort_strategy == "batch":
+            return 1
+        mirror = getattr(tile, "mirror", False)
+        transposed = _runs_transposed(
+            tile.n_rows, tile.n_cols, plan.row_block, tensor_core, mirror
+        )
+        width = tile.n_rows if transposed else tile.n_cols
+        return max(1, TILE_BATCH_ELEMENTS // (spec.d * width))
+
+    def run(self, plan: ExecutionPlan, tile, gpu):
+        """Execute one tile, or a stacked batch of same-shape tiles.
+
+        With a single :class:`Tile` and :class:`SimulatedGPU` this is a
+        batch of one: it returns the :class:`TileExecution` or raises
+        what stopped the tile.  With equal-length sequences of tiles
+        (same shape and mirror flag, at most :meth:`stack_limit`) and
+        their GPUs it returns one outcome per tile, in order: the
+        tile's execution, or the :class:`DeviceOutOfMemoryError` its own
+        upload or workspace reservation raised.
+
+        Every tile is staged on its own, in order, exactly as a one-tile
+        call stages it: plane-cache ``prepare``, then upload and
+        workspace reservation on its GPU — the capacity check and
+        high-water mark of its footprint — released again before the
+        next tile is staged, so a batch takes the same out-of-memory
+        decisions as tiles dispatched one at a time.  The staged tiles
+        then run as one stack through :func:`run_tile` on the uploaded
+        arrays.
+        """
+        if isinstance(tile, Tile):
+            (outcome,) = self._run_stack(plan, [tile], [gpu])
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+        return self._run_stack(plan, list(tile), list(gpu))
+
+    def _stage(self, plan: ExecutionPlan, tile: Tile, gpu: SimulatedGPU,
+               main_loop: str):
+        """Prepare one tile's precalc and take its device footprint.
+
+        Returns the uploaded row/column slices, the prepared precalc
+        (``None`` without a plane cache) and whether the tile is a
+        self-join diagonal tile sharing one upload."""
+        spec = plan.spec
         m = spec.m
         r0, r1 = tile.sample_range_rows(m)
         c0, c1 = tile.sample_range_cols(m)
@@ -502,54 +642,67 @@ class NumericBackend:
                         label=f"{self._label}Tq{tile.tile_id}",
                     )
                     stack.callback(self._free, tq_alloc)
-            # Per-plan eligibility: an escalated plan may have widened the
-            # mode past the tensor-core formats (FP16 -> FP32 on a sick
-            # tile), in which case *that* execution silently takes the
-            # vector path — escalation composes without special-casing.
-            main_loop = self.main_loop
-            if policy.mode not in TENSOR_CORE_MODES:
-                main_loop = "vector"
-            mirror = getattr(tile, "mirror", False)
             with self._lock:
                 workspace = gpu.memory.reserve(
                     workspace_bytes(
                         tile.n_rows,
                         tile.n_cols,
                         spec.d,
-                        policy,
+                        spec.policy,
                         main_loop=main_loop,
-                        mirror=mirror,
+                        mirror=getattr(tile, "mirror", False),
                     ),
                     label=f"{self._label}ws{tile.tile_id}",
                 )
                 stack.callback(self._free, workspace)
-            output = run_tile(
-                tr_alloc.array,
-                tq_alloc.array,
-                m,
-                policy,
-                config.launch,
-                row_offset=tile.row_start,
-                col_offset=tile.col_start,
-                exclusion_zone=spec.exclusion_zone,
-                sort_strategy=config.sort_strategy,
-                fast_path_1d=config.fast_path_1d,
-                row_block=plan.row_block,
-                workspace=self._workspace_pool(),
-                precalc=prepared,
-                main_loop=main_loop,
-                mirror=mirror,
-            )
-        saved = 0.0
-        if shared and self.discount_shared_h2d:
-            saved = float((c1 - c0) * spec.d * policy.itemsize)
-            output.h2d_bytes -= saved
-        timing = tile_timing_from_output(output, policy, gpu.spec)
-        return TileExecution(
-            tile=tile, timing=timing, output=output, h2d_saved_bytes=saved,
-            mode=policy.mode,
-            precalc_saved_flops=prepared.saved_flops if prepared else 0.0,
+        return tr_alloc.array, tq_alloc.array, prepared, shared
+
+    def _run_stack(self, plan: ExecutionPlan, tiles: list, gpus: list) -> list:
+        spec = plan.spec
+        policy = spec.policy
+        config = spec.config
+        main_loop = self._main_loop(policy)
+        outcomes: list = [None] * len(tiles)
+        staged = []
+        for k, (tile, gpu) in enumerate(zip(tiles, gpus)):
+            try:
+                staged.append((k, *self._stage(plan, tile, gpu, main_loop)))
+            except DeviceOutOfMemoryError as exc:
+                outcomes[k] = exc
+        if not staged:
+            return outcomes
+        ks, trs, tqs, prepared, shared = zip(*staged)
+        outputs = run_tile(
+            np.stack(trs),
+            np.stack(tqs),
+            spec.m,
+            policy,
+            config.launch,
+            row_offset=[tiles[k].row_start for k in ks],
+            col_offset=[tiles[k].col_start for k in ks],
+            exclusion_zone=spec.exclusion_zone,
+            sort_strategy=config.sort_strategy,
+            fast_path_1d=config.fast_path_1d,
+            row_block=plan.row_block,
+            workspace=self._workspace_pool(),
+            precalc=prepared,
+            main_loop=main_loop,
+            mirror=getattr(tiles[ks[0]], "mirror", False),
         )
+        for k, output, prep, diag in zip(ks, outputs, prepared, shared):
+            saved = 0.0
+            if diag and self.discount_shared_h2d:
+                saved = float((tiles[k].n_cols + spec.m - 1) * spec.d * policy.itemsize)
+                output.h2d_bytes -= saved
+            outcomes[k] = TileExecution(
+                tile=tiles[k],
+                timing=tile_timing_from_output(output, policy, gpus[k].spec),
+                output=output,
+                h2d_saved_bytes=saved,
+                mode=policy.mode,
+                precalc_saved_flops=prep.saved_flops if prep else 0.0,
+            )
+        return outcomes
 
     def _free(self, alloc) -> None:
         with self._lock:

@@ -18,13 +18,14 @@ Journal directory layout::
     tiles.log   -- one JSON line per completed tile: geometry + the
                    precision mode it finally executed at
 
-Crash-window safety: :meth:`RunJournal.record` writes ``state.npz``
-first (tmp + atomic rename), *then* appends the ``tiles.log`` line.  A
-crash between the two leaves a state snapshot that already contains the
-in-flight tile but no log line for it — so resume re-executes and
-re-merges that one tile.  The strict-``<`` min/argmin merge is
-idempotent under an identical repeated merge, so the resumed profile is
-still bit-identical.
+Group commit: the dispatcher commits finished tiles in waves (every
+tile no outstanding tile precedes), and :meth:`RunJournal.record` writes
+one wave at a time — ``state.npz`` first (tmp + atomic rename), *then*
+one ``tiles.log`` append holding a line per tile of the wave.  A crash
+between the two leaves a state snapshot that already contains the wave
+but no log lines for it — so resume re-executes and re-merges those
+tiles.  The strict-``<`` min/argmin merge is idempotent under an
+identical repeated merge, so the resumed profile is still bit-identical.
 
 Tiles are keyed by *geometry* (row/col segment ranges), not tile id:
 OOM splits renumber tiles, and geometry is what makes a journaled output
@@ -164,8 +165,9 @@ class RunJournal:
             for r in self.completed_records()
         }
 
-    def record(self, execution, accumulator: ProfileAccumulator) -> None:
-        """Journal one completed tile: state snapshot, then log line."""
+    def record(self, executions, accumulator: ProfileAccumulator) -> None:
+        """Group-commit a wave of merged tiles: one state snapshot, then
+        one log append with a line per tile, in commit order."""
         from ..io import _costs_to_records
 
         state = accumulator.state_arrays()
@@ -177,17 +179,19 @@ class RunJournal:
             **state,
         )
         os.replace(tmp, self.state_path)
-        tile = execution.tile
-        line = {
-            "tile_id": tile.tile_id,
-            "row_start": tile.row_start,
-            "row_stop": tile.row_stop,
-            "col_start": tile.col_start,
-            "col_stop": tile.col_stop,
-            "mode": execution.mode.value if execution.mode is not None else None,
-        }
+        lines = []
+        for execution in executions:
+            tile = execution.tile
+            lines.append(json.dumps({
+                "tile_id": tile.tile_id,
+                "row_start": tile.row_start,
+                "row_stop": tile.row_stop,
+                "col_start": tile.col_start,
+                "col_stop": tile.col_stop,
+                "mode": execution.mode.value if execution.mode is not None else None,
+            }) + "\n")
         with self.log_path.open("a") as fh:
-            fh.write(json.dumps(line) + "\n")
+            fh.write("".join(lines))
 
     # ------------------------------------------------------------------
     # Resume

@@ -10,6 +10,24 @@ loop now, with the variation points made explicit:
 * **executor** — ``parallel_workers`` only chooses where an attempt
   runs: inline on the calling thread (1 worker) or on a thread pool
   (more); the coordinator loop and its decisions are the same either way;
+* **tile batches** — the coordinator places the whole queue at once,
+  tile by tile in queue order (pre-flight, placement pick,
+  ``on_tile_start`` — the order one-tile dispatch uses), groups it by
+  the batch key ``(n_rows, n_cols, mirror, execution mode)`` and splits
+  each group into ``parallel_workers`` batches of at most the backend's
+  ``stack_limit`` (:data:`~repro.engine.backends.TILE_BATCH_ELEMENTS`
+  stacked per-row plane elements ``T * d * width``; see there for how
+  the cap was measured).  An attempt runs one batch, which the numeric
+  backend runs as one stacked main loop — the host analogue of the
+  paper's concurrent streams per GPU (Pseudocode 2).  When the queue
+  head cannot be stacked — backends without ``stack_limit`` (analytic),
+  the tensor-core main loop, tiles wider than the cap — or a
+  ``deadline_at`` is set, the coordinator places and runs one tile at a
+  time, so anytime cancellation keeps per-tile granularity.  Everything
+  else stays per tile: the failure injector and each tile's
+  device-memory upload/reserve/free run tile by tile in batch order, and
+  every tile returns its own outcome, settled (retry, split, escalation,
+  health check) exactly as a lone tile's;
 * **placement** — static Pseudocode 2 round-robin by default
   (:class:`StaticPlacement` over the plan's assignment), or a dynamic
   :class:`RoundRobinPlacement` with device exclusion for
@@ -35,8 +53,17 @@ no queued or in-flight tile has a smaller key; a deadline or the end of
 the run commits whatever has finished, in key order.  A serial,
 failure-free run commits every tile the moment it finishes, and under
 retries, escalations and splits the output is the same for any worker
-count.  The journal always holds a committed prefix, so a crashed run
+count.  The tiles that become committable together form a *commit
+wave*: each is scheduled and merged in key order, then the journal
+writes the wave as one group commit (one state snapshot, one log
+append).  The journal always holds a committed prefix, so a crashed run
 resumes bit-identically.
+
+Commit before raising.  A tile that ends the run — retries exhausted,
+unrecoverable health failure, an OOM that cannot split, any other
+error — does not discard the finished tiles before it: no new work is
+submitted, in-flight attempts drain, every finished tile with a smaller
+key is committed and journaled, and only then does the error propagate.
 
 Fault tolerance (all opt-in; the happy path stays bit-identical):
 
@@ -187,7 +214,10 @@ class TileObserver:
     """Per-tile lifecycle hooks; subclass and override what you need."""
 
     def on_tile_start(self, tile: Tile, gpu_id: int, attempt: int) -> None:
-        """A tile is about to execute (fires again on each retry)."""
+        """A tile was placed on ``gpu_id`` to execute (fires again on each
+        retry).  When the queue's tiles can be stacked, the dispatcher
+        places the whole queue at once, in queue order, before running it
+        in batches."""
 
     def on_tile_complete(self, tile: Tile, gpu_id: int, execution: TileExecution) -> None:
         """A tile finished and was merged into the accumulator."""
@@ -406,9 +436,10 @@ def execute_plan(
     One coordinator loop owns every decision with shared state: the work
     queue, placement picks, ``plan.escalated()``'s cache, retry / split /
     escalation, observers, stream scheduling, the accumulator and the
-    journal.  ``parallel_workers`` only chooses the executor of each
-    attempt (injected failure check plus backend numerics): 1 runs it
-    inline, more run it on a thread pool whose workers touch nothing but
+    journal.  Each attempt runs one batch of same-key tiles (see the
+    module docstring).  ``parallel_workers`` only chooses the executor
+    of each attempt (injected failure checks plus backend numerics): 1
+    runs it inline, more run it on a thread pool whose workers touch nothing but
     the backend (per-thread workspaces, serialised allocator).  Finished
     tiles commit in plan-position order (see the module docstring), so
     CPU-side merges via the ``accumulator`` reproduce the sequential
@@ -447,7 +478,9 @@ def execute_plan(
     prices delays into the modelled makespan instead of sleeping).
 
     A deadline stops new submissions and abandons the queue; attempts
-    already in flight finish and still commit.
+    already in flight finish and still commit.  A dispatch with
+    ``deadline_at`` runs batches of one tile.  An error that ends the run
+    is raised after the finished tiles before it are committed.
     """
     if max_retries < 0:
         raise ValueError(f"max_retries must be >= 0, got {max_retries}")
@@ -485,7 +518,13 @@ def execute_plan(
     # key -> (item, gpu_id, execution) awaiting commit; None marks a
     # split parent (its children took its place in ``uncommitted``).
     finished: dict[tuple[int, ...], tuple | None] = {}
-    in_flight: dict[Future, tuple[_TileWork, int]] = {}
+    # future -> the (item, gpu_id) picks of the batch it runs.
+    in_flight: dict[Future, list[tuple[_TileWork, int]]] = {}
+    # Placed batches waiting for a free worker: (active plan, picks).
+    pending: deque[tuple[ExecutionPlan, list[tuple[_TileWork, int]]]] = deque()
+    # key -> the error of each tile that ended the run.
+    fatal: dict[tuple[int, ...], BaseException] = {}
+    stack_limit = getattr(backend, "stack_limit", None)
 
     def enqueue(tile: Tile, key: tuple[int, ...], **state) -> None:
         if journal is not None and journal.key(tile) in completed_keys:
@@ -495,38 +534,193 @@ def execute_plan(
         heapq.heappush(uncommitted, key)
         work.append(_TileWork(tile, key, **state))
 
-    def attempt(active_plan, item: _TileWork, gpu_id: int, gpu) -> TileExecution:
-        # The injector fires *before* device allocations, so an
-        # injected failure never leaks pool memory.
-        if failure_injector is not None:
-            failure_injector(label, item.tile, gpu_id, item.attempt)
-        return backend.run(active_plan, item.tile, gpu)
+    def preflight(item: _TileWork) -> None:
+        if (
+            health is not None
+            and health.preflight
+            and not item.preflighted
+            and item.mode is None
+            and plan.spec.reference is not None
+        ):
+            # Pre-flight risk scoring: start overflow-doomed tiles at the
+            # first rung their own data cannot overflow.
+            item.preflighted = True
+            target = health.preflight_mode(plan.spec, item.tile)
+            if target != base_mode:
+                item.mode = target
+                report.escalations[item.tile.tile_id] = target
 
-    def commit(item: _TileWork, gpu_id: int, execution: TileExecution) -> None:
-        gpu = sim.gpus[gpu_id]
-        with lock:
-            stream = gpu.next_stream()
-            schedule_tile_timing(
-                gpu, stream, timeline, execution.timing,
-                f"{tile_label}{item.tile.tile_id}",
+    def place_window() -> None:
+        """Take the queue — only its head when the backend cannot stack
+        the head tile or a deadline is set — and, tile by tile in queue
+        order, pre-flight it, pick its GPU and announce its start, the
+        order one-tile dispatch uses.  Then group it by batch key and
+        queue the batches for the workers: each group split into
+        ``parallel_workers`` batches of at most the backend's stack
+        limit, in key order of their first tiles."""
+        head = work[0]
+        preflight(head)
+        active_plan = plan if head.mode is None else plan.escalated(head.mode)
+        if (
+            deadline_at is None
+            and stack_limit is not None
+            and stack_limit(active_plan, head.tile) > 1
+        ):
+            window = list(work)
+            work.clear()
+        else:
+            window = [work.popleft()]
+        groups: dict[tuple, list[tuple[_TileWork, int]]] = {}
+        for item in window:
+            preflight(item)
+            gpu_id = placement.pick(item.tile, item.excluded)
+            item.devices.append(gpu_id)
+            for obs in observers:
+                obs.on_tile_start(item.tile, gpu_id, item.attempt)
+            tile = item.tile
+            key = (tile.n_rows, tile.n_cols, getattr(tile, "mirror", False), item.mode)
+            groups.setdefault(key, []).append((item, gpu_id))
+        batches = []
+        for picks in groups.values():
+            head = picks[0][0]
+            active_plan = plan if head.mode is None else plan.escalated(head.mode)
+            limit = stack_limit(active_plan, head.tile) if stack_limit else 1
+            size = max(1, min(limit, -(-len(picks) // parallel_workers)))
+            batches += [
+                (active_plan, picks[i : i + size])
+                for i in range(0, len(picks), size)
+            ]
+        pending.extend(sorted(batches, key=lambda b: b[1][0][0].key))
+
+    def attempt(active_plan, picks: list[tuple[_TileWork, int]]) -> list[tuple]:
+        """Run one batch; returns ``(item, gpu_id, outcome)`` per attempted
+        tile, the outcome being its execution or the error that stopped
+        it.  The injector fires per tile *before* device allocations, so
+        an injected failure never leaks pool memory; an unrecoverable
+        injected error ends the batch (the tiles before it still run)."""
+        outcomes, runnable = [], []
+        for item, gpu_id in picks:
+            try:
+                if failure_injector is not None:
+                    failure_injector(label, item.tile, gpu_id, item.attempt)
+            except (TransientDeviceError, DeviceOutOfMemoryError) as exc:
+                outcomes.append((item, gpu_id, exc))
+                continue
+            except BaseException as exc:  # committed first, then re-raised
+                outcomes.append((item, gpu_id, exc))
+                break
+            runnable.append((item, gpu_id))
+        if not runnable:
+            return outcomes
+        tiles = [item.tile for item, _ in runnable]
+        gpus = [sim.gpus[gpu_id] for _, gpu_id in runnable]
+        try:
+            if len(runnable) == 1:  # the one-tile protocol every backend speaks
+                results = [backend.run(active_plan, tiles[0], gpus[0])]
+            else:
+                results = backend.run(active_plan, tiles, gpus)
+        except Exception as exc:  # every tile's outcome
+            results = [exc] * len(runnable)
+        return outcomes + [(item, g, r) for (item, g), r in zip(runnable, results)]
+
+    def settle(item: _TileWork, gpu_id: int, outcome) -> None:
+        """Retry, split, escalate, fail or finish one attempted tile."""
+        nonlocal next_id
+        if isinstance(outcome, TransientDeviceError):
+            if item.attempt >= max_retries:
+                error = TileRetryExhaustedError(
+                    item.tile.tile_id, item.attempt + 1, outcome,
+                    gpu_ids=tuple(item.devices),
+                )
+                error.__cause__ = outcome
+                fatal[item.key] = error
+                return
+            for obs in observers:
+                obs.on_tile_retry(item.tile, gpu_id, item.attempt, outcome)
+            _retry_backoff(retry_policy, item.tile, item.attempt, sleeper, report)
+            item.attempt += 1
+            item.excluded.add(gpu_id)
+            report.tile_retries += 1
+            work.append(item)  # re-queue at the back, different device
+            return
+        if isinstance(outcome, DeviceOutOfMemoryError):
+            children = (
+                _split_tile(item.tile, next_id, symmetric=symmetric)
+                if oom_split
+                else []
             )
-            if flush_per_tile:
-                flush_streams(gpu.streams, timeline)
-        if accumulator is not None:
-            accumulator.add(execution)
-            if journal is not None:
-                journal.record(execution, accumulator)
-        report.tiles_completed += 1
-        if keep_executions:
-            report.executions.append(execution)
-        for obs in observers:
-            obs.on_tile_complete(item.tile, gpu_id, execution)
+            if not children:  # no splitting, or a 1x1 tile
+                fatal[item.key] = outcome
+                return
+            next_id += len(children)
+            report.splits[item.tile.tile_id] = tuple(c.tile_id for c in children)
+            report.tiles_total += len(children) - 1
+            for obs in observers:
+                obs.on_tile_split(item.tile, children, outcome)
+            finished[item.key] = None
+            for j, child in enumerate(children):
+                enqueue(
+                    child, item.key + (j,),
+                    mode=item.mode,
+                    split_depth=item.split_depth + 1,
+                    preflighted=item.preflighted,
+                )
+            return
+        if isinstance(outcome, BaseException):
+            fatal[item.key] = outcome
+            return
+        execution = outcome
+        if corruptor is not None and item.mode is None and execution.output is not None:
+            corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
+        if health is not None and execution.output is not None:
+            issues = health.check(execution.output, plan.spec.m)
+            if issues:
+                report.health_failures += 1
+                current = execution.mode if execution.mode is not None else base_mode
+                nxt = escalation_next(current) if health.escalate else None
+                if nxt is None:
+                    fatal[item.key] = TileHealthError(item.tile.tile_id, current, issues)
+                    return
+                for obs in observers:
+                    obs.on_tile_escalate(item.tile, gpu_id, current, nxt, issues)
+                item.mode = nxt
+                report.escalations[item.tile.tile_id] = nxt
+                work.append(item)  # re-execute one rung up the ladder
+                return
+        execution.gpu_id = gpu_id
+        finished[item.key] = (item, gpu_id, execution)
+
+    def commit(ready: list[tuple]) -> None:
+        """Commit finished tiles, in key order, as one wave: stream
+        scheduling and the merge per tile, one journal group commit
+        (one state snapshot, one log append), then the per-tile
+        bookkeeping and ``on_tile_complete``."""
+        for item, gpu_id, execution in ready:
+            gpu = sim.gpus[gpu_id]
+            with lock:
+                stream = gpu.next_stream()
+                schedule_tile_timing(
+                    gpu, stream, timeline, execution.timing,
+                    f"{tile_label}{item.tile.tile_id}",
+                )
+                if flush_per_tile:
+                    flush_streams(gpu.streams, timeline)
+            if accumulator is not None:
+                accumulator.add(execution)
+        if ready and journal is not None and accumulator is not None:
+            journal.record([execution for _, _, execution in ready], accumulator)
+        for item, gpu_id, execution in ready:
+            report.tiles_completed += 1
+            if keep_executions:
+                report.executions.append(execution)
+            for obs in observers:
+                obs.on_tile_complete(item.tile, gpu_id, execution)
 
     for i, tile in enumerate(plan.tiles):
         enqueue(tile, (i,))
 
     try:
-        while work or in_flight:
+        while in_flight or ((work or pending) and not fatal):
             if (
                 not report.deadline_hit
                 and deadline_at is not None
@@ -538,113 +732,50 @@ def execute_plan(
                 work.clear()
                 for obs in observers:
                     obs.on_deadline(remaining)
-            while work and len(in_flight) < parallel_workers:
-                item = work.popleft()
-                if (
-                    health is not None
-                    and health.preflight
-                    and not item.preflighted
-                    and item.mode is None
-                    and plan.spec.reference is not None
-                ):
-                    # Pre-flight risk scoring: start overflow-doomed tiles at
-                    # the first rung their own data cannot overflow.
-                    item.preflighted = True
-                    target = health.preflight_mode(plan.spec, item.tile)
-                    if target != base_mode:
-                        item.mode = target
-                        report.escalations[item.tile.tile_id] = target
-                active_plan = plan if item.mode is None else plan.escalated(item.mode)
-                gpu_id = placement.pick(item.tile, item.excluded)
-                item.devices.append(gpu_id)
-                for obs in observers:
-                    obs.on_tile_start(item.tile, gpu_id, item.attempt)
-                future = executor.submit(
-                    attempt, active_plan, item, gpu_id, sim.gpus[gpu_id]
-                )
-                in_flight[future] = (item, gpu_id)
+            while (work or pending) and not fatal and len(in_flight) < parallel_workers:
+                if not pending:
+                    place_window()
+                active_plan, picks = pending.popleft()
+                in_flight[executor.submit(attempt, active_plan, picks)] = picks
             if not in_flight:
                 break  # the deadline drained the queue
             done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-            # Handle a batch in key order, so re-queues (retries,
-            # escalations, splits) happen in a reproducible order.
-            for future in sorted(done, key=lambda f: in_flight[f][0].key):
-                item, gpu_id = in_flight.pop(future)
+            outcomes = []
+            for future in done:
+                picks = in_flight.pop(future)
                 try:
-                    execution = future.result()
-                except TransientDeviceError as exc:
-                    if item.attempt >= max_retries:
-                        raise TileRetryExhaustedError(
-                            item.tile.tile_id, item.attempt + 1, exc,
-                            gpu_ids=tuple(item.devices),
-                        ) from exc
-                    for obs in observers:
-                        obs.on_tile_retry(item.tile, gpu_id, item.attempt, exc)
-                    _retry_backoff(
-                        retry_policy, item.tile, item.attempt, sleeper, report
-                    )
-                    item.attempt += 1
-                    item.excluded.add(gpu_id)
-                    report.tile_retries += 1
-                    work.append(item)  # re-queue at the back, different device
-                    continue
-                except DeviceOutOfMemoryError as exc:
-                    if not oom_split:
-                        raise
-                    children = _split_tile(item.tile, next_id, symmetric=symmetric)
-                    if not children:
-                        raise  # 1x1 tile: nothing left to split off
-                    next_id += len(children)
-                    report.splits[item.tile.tile_id] = tuple(
-                        c.tile_id for c in children
-                    )
-                    report.tiles_total += len(children) - 1
-                    for obs in observers:
-                        obs.on_tile_split(item.tile, children, exc)
-                    finished[item.key] = None
-                    for j, child in enumerate(children):
-                        enqueue(
-                            child, item.key + (j,),
-                            mode=item.mode,
-                            split_depth=item.split_depth + 1,
-                            preflighted=item.preflighted,
-                        )
-                    continue
-                if (
-                    corruptor is not None
-                    and item.mode is None
-                    and execution.output is not None
+                    outcomes += future.result()
+                except BaseException as exc:  # committed first, then re-raised
+                    outcomes += [(item, gpu_id, exc) for item, gpu_id in picks]
+            # Settle in key order, so re-queues (retries, escalations,
+            # splits) happen in a reproducible order.  Nothing behind a
+            # fatal tile can commit, so its outcomes are dropped — all but
+            # an interrupt, which is never swallowed.
+            for item, gpu_id, outcome in sorted(outcomes, key=lambda o: o[0].key):
+                if not fatal or item.key < min(fatal):
+                    settle(item, gpu_id, outcome)
+                elif isinstance(outcome, BaseException) and not isinstance(
+                    outcome, Exception
                 ):
-                    corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
-                if health is not None and execution.output is not None:
-                    issues = health.check(execution.output, plan.spec.m)
-                    if issues:
-                        report.health_failures += 1
-                        current = execution.mode if execution.mode is not None else base_mode
-                        nxt = escalation_next(current) if health.escalate else None
-                        if nxt is None:
-                            raise TileHealthError(item.tile.tile_id, current, issues)
-                        for obs in observers:
-                            obs.on_tile_escalate(item.tile, gpu_id, current, nxt, issues)
-                        item.mode = nxt
-                        report.escalations[item.tile.tile_id] = nxt
-                        work.append(item)  # re-execute one rung up the ladder
-                        continue
-                execution.gpu_id = gpu_id
-                finished[item.key] = (item, gpu_id, execution)
+                    fatal[item.key] = outcome
             # Commit every finished tile no outstanding tile precedes.
+            ready = []
             while uncommitted and uncommitted[0] in finished:
-                ready = finished.pop(heapq.heappop(uncommitted))
-                if ready is not None:
-                    commit(*ready)
+                entry = finished.pop(heapq.heappop(uncommitted))
+                if entry is not None:
+                    ready.append(entry)
+            commit(ready)
     finally:
         # Queued-but-unstarted attempts are dropped; in-flight ones drain.
         executor.shutdown(cancel_futures=True)
+    if fatal:
+        # The committable prefix is merged and journaled; now fail with
+        # an interrupt if one arrived, else the smallest-key tile's error.
+        interrupts = [e for e in fatal.values() if not isinstance(e, Exception)]
+        raise interrupts[0] if interrupts else fatal[min(fatal)]
 
     # After a deadline, tiles that finished behind an abandoned one.
-    for key in sorted(finished):
-        if finished[key] is not None:
-            commit(*finished[key])
+    commit([finished[key] for key in sorted(finished) if finished[key] is not None])
 
     if not flush_per_tile:
         for gpu in sim.gpus:

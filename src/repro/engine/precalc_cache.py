@@ -91,9 +91,10 @@ class _ModePlanes:
         "col_seeds",
         "charge",
         "charge_claimed",
+        "carrier",
     )
 
-    def __init__(self, tr_pd, tq_pd, r, q, charge):
+    def __init__(self, tr_pd, tq_pd, r, q, charge, carrier):
         self.tr_pd = tr_pd
         self.tq_pd = tq_pd  # aliases tr_pd for self-joins
         self.r = r  # role entry: mu_pd + storage-dtype mu/inv/df/dg
@@ -105,6 +106,7 @@ class _ModePlanes:
         self.col_seeds: dict = self.row_seeds if q is r else {}
         self.charge: KernelCost | None = charge  # None when served from store
         self.charge_claimed = False
+        self.carrier = carrier  # smallest planned tile id: the base-mode carrier
 
 
 class PrecalcPlaneCache:
@@ -151,14 +153,17 @@ class PrecalcPlaneCache:
             if planes is None:
                 planes = self._build_planes(plan)
                 self._planes[mode] = planes
-            self._ensure_seeds(planes, plan, tile)
+            if (
+                tile.row_start not in planes.row_seeds
+                or tile.col_start not in planes.col_seeds
+            ):
+                # An OOM-split child starting mid-band.
+                self._ensure_seeds(planes, plan, {tile.row_start}, {tile.col_start})
 
             claimed = False
             if planes.charge is not None:
                 if mode == self._base_mode:
-                    claimed = tile.tile_id == min(
-                        t.tile_id for t in plan.tiles
-                    )
+                    claimed = tile.tile_id == planes.carrier
                 elif not planes.charge_claimed:
                     planes.charge_claimed = True
                     claimed = True
@@ -270,11 +275,26 @@ class PrecalcPlaneCache:
             )
         else:
             charge = None
-        return _ModePlanes(tr_pd, tq_pd, r_entry, q_entry, charge)
+        planes = _ModePlanes(
+            tr_pd, tq_pd, r_entry, q_entry, charge,
+            carrier=min(t.tile_id for t in plan.tiles),
+        )
+        # Every planned band's seeds in one batch per direction.
+        self._ensure_seeds(
+            planes, plan,
+            {t.row_start for t in plan.tiles},
+            {t.col_start for t in plan.tiles},
+        )
+        return planes
 
-    def _ensure_seeds(self, planes: _ModePlanes, plan, tile) -> None:
-        """Batch-compute any seed bands the plan (or this tile — OOM
-        splits create mid-band starts after planning) still needs."""
+    def _ensure_seeds(
+        self, planes: _ModePlanes, plan, row_needed: set, col_needed: set
+    ) -> None:
+        """Batch-compute the seed bands among ``row_needed``/``col_needed``
+        not built yet: the planned bands once per mode, then only the
+        mid-band starts OOM splits create after planning.  Each band's
+        seed is element-wise in its inputs, so how bands are batched
+        never changes a bit."""
         spec = plan.spec
         policy = spec.policy
         m = spec.m
@@ -282,12 +302,8 @@ class PrecalcPlaneCache:
         strategy = getattr(spec.config, "precalc_strategy", "exact")
         seeds_fn = fft_seed_qt_rows if strategy == "fft" else seed_qt_rows
 
-        row_needed = {t.row_start for t in plan.tiles}
-        row_needed.add(tile.row_start)
-        col_needed = {t.col_start for t in plan.tiles}
-        col_needed.add(tile.col_start)
         if planes.col_seeds is planes.row_seeds:  # self-join: one direction
-            row_needed |= col_needed
+            row_needed = row_needed | col_needed
             col_needed = set()
 
         rows_missing = sorted(row_needed - planes.row_seeds.keys())

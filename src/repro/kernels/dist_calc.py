@@ -80,7 +80,9 @@ class DistCalcKernel(Kernel):
 
     policy: PrecisionPolicy = field(kw_only=True)
 
-    def bind(self, pre: PrecalcResult, transposed: bool = False) -> None:
+    def bind(
+        self, pre: PrecalcResult, transposed: bool = False, tiles: int = 1
+    ) -> None:
         """Attach a tile's precalculation outputs and reset the recurrence.
 
         ``transposed=True`` marks ``pre`` as :meth:`PrecalcResult.
@@ -91,10 +93,17 @@ class DistCalcKernel(Kernel):
         bit pattern the row-major walk produces.  A transposed binding
         charges nothing per block: its blocks are not logical rows, so
         the caller charges the tile once with :meth:`charge_rows`.
+
+        ``tiles`` is the tile axis: ``pre`` may be a :meth:`PrecalcResult.
+        stacked` result of ``tiles`` same-shape tiles, whose ``d * tiles``
+        dimension rows then run their recurrences side by side.  Costs
+        stay those of *one* tile (the tiles of a stack cost the same), so
+        the caller copies them to every tile's output.
         """
         dtype = self.policy.compute
         self.pre = pre
         self.transposed = transposed
+        self.tiles = tiles
         self.qt = None  # current row's QT plane, (d, n_q_seg)
         self._two_m = dtype.type(2 * pre.m)
         self._one = dtype.type(1)
@@ -298,11 +307,12 @@ class DistCalcKernel(Kernel):
         temporaries); the QT -> distance conversion then runs once over
         the whole block.  Every operation is element-wise, so the result
         is bit-for-bit identical to ``rows`` consecutive :meth:`run`
-        calls, and the cost is recorded per logical row so the modelled
-        timings stay identical too (a transposed binding leaves the
-        charge to the caller, see :meth:`bind`).  Returns a fresh
-        (d, rows, n_q) distance block (``workspace`` keeps the QT planes
-        for the next block's recurrence).
+        calls, and the cost is recorded per logical row of one tile so
+        the modelled timings stay identical too (a transposed binding
+        leaves the charge to the caller, see :meth:`bind`).  Returns a
+        fresh (d, rows, n_q) distance block (``workspace`` keeps the QT
+        planes for the next block's recurrence); ``d`` counts the
+        ``d * tiles`` rows of a stacked binding.
         """
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
@@ -318,7 +328,7 @@ class DistCalcKernel(Kernel):
         else:
             dist = self._distances(block, self._inv_r[:, i0 : i0 + rows, None])
         if not self.transposed:
-            self.charge_rows(rows, *dist[:, 0, :].shape)
+            self.charge_rows(rows, dist.shape[0] // self.tiles, dist.shape[2])
         return dist
 
     def charge_rows(self, rows: int, d: int, n_q: int) -> None:

@@ -18,7 +18,8 @@ additionally applies Kahan compensation (Section III-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -71,6 +72,30 @@ class PrecalcResult:
     @property
     def d(self) -> int:
         return self.mu_r.shape[0]
+
+    @classmethod
+    def stacked(cls, results: "Sequence[PrecalcResult]") -> "PrecalcResult":
+        """Same-shape tiles' results as one result over ``d * T`` rows.
+
+        Row ``k * T + t`` is dimension ``k`` of tile ``t``.  Every
+        main-loop operation is element-wise per dimension row, so the
+        stack runs each tile's own recurrence from its own seeds; the
+        dimension-major order lets a ``(d * T, rows, n)`` distance block
+        reshape to the ``(d, T * rows * n)`` sort/scan plane without a
+        copy.  A single result is returned as is.
+        """
+        if len(results) == 1:
+            return results[0]
+
+        def stack(name):
+            arrays = [getattr(r, name) for r in results]
+            d, n = arrays[0].shape
+            return np.stack(arrays, axis=1).reshape(d * len(arrays), n)
+
+        return cls(
+            m=results[0].m,
+            **{f.name: stack(f.name) for f in fields(cls) if f.name != "m"},
+        )
 
     def transposed(self) -> "PrecalcResult":
         """The same tile seen with query and reference roles swapped.

@@ -361,7 +361,9 @@ class SortScanKernel(Kernel):
     #: conventions stay, conservatively).
     mma_scan: bool = field(default=False, kw_only=True)
 
-    def run(self, plane: np.ndarray, rows: int = 1, charge: bool = True) -> np.ndarray:
+    def run(
+        self, plane: np.ndarray, rows: int = 1, charge: bool = True, tiles: int = 1
+    ) -> np.ndarray:
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
@@ -375,18 +377,21 @@ class SortScanKernel(Kernel):
         side as one ``(d, rows*n_q)`` plane.  ``rows`` only affects the
         cost accounting, which stays per *logical* row (``rows``
         launches, per-row loop rounds and syncs) so the modelled timings
-        do not depend on the block size.  ``charge=False`` skips the
-        accounting for a caller whose panels are not logical rows; it
-        charges with :meth:`charge_rows`.
+        do not depend on the block size.  ``tiles`` is the tile axis: a
+        stacked batch passes the blocks of ``tiles`` same-shape tiles side
+        by side, and the charge stays that of one tile's ``rows`` rows.
+        ``charge=False`` skips the accounting for a caller whose panels
+        are not logical rows; it charges with :meth:`charge_rows`.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
+        n_q = plane.shape[1] // (rows * tiles)  # one tile's logical row
         if (
             self.mma_scan
             and plane.dtype == np.float32
             and dtype == np.float16
         ):
-            return self._run_mma(plane, rows, charge)
+            return self._run_mma(plane, rows, n_q, charge)
         sorted_plane = _sort_columns_exact(plane.astype(dtype, copy=False))
         if dtype == np.float16:
             keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
@@ -397,10 +402,12 @@ class SortScanKernel(Kernel):
             with np.errstate(over="ignore", invalid="ignore"):
                 averaged = (scanned / _divisor_column(d, dtype)).astype(dtype)
         if charge:
-            self.charge_rows(rows, d, plane.shape[1] // rows)
+            self.charge_rows(rows, d, n_q)
         return averaged
 
-    def _run_mma(self, plane: np.ndarray, rows: int, charge: bool) -> np.ndarray:
+    def _run_mma(
+        self, plane: np.ndarray, rows: int, n_q: int, charge: bool
+    ) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.
 
         ``plane`` is treated as scratch (it is ``TcGemmKernel``'s reused
@@ -418,7 +425,7 @@ class SortScanKernel(Kernel):
         np.matmul(_scan_tri_f32(d), sorted_plane, out=out)
         np.divide(out, _divisor_column(d, np.dtype(np.float32)), out=out)
         if charge:
-            self.charge_rows(rows, d, plane.shape[1] // rows)
+            self.charge_rows(rows, d, n_q)
         return out
 
     def charge_rows(self, rows: int, d: int, n_q: int) -> None:

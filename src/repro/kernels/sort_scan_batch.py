@@ -82,15 +82,22 @@ class BatchSortScanKernel(Kernel):
     #: Element moves of the invocations not charged yet (see ``run``).
     _moves: int = field(default=0, init=False, repr=False)
 
-    def run(self, plane: np.ndarray, rows: int = 1, charge: bool = True) -> np.ndarray:
+    def run(
+        self, plane: np.ndarray, rows: int = 1, charge: bool = True, tiles: int = 1
+    ) -> np.ndarray:
         """One logical thread per column; column-independent, so a
         row-blocked caller may pass ``rows`` logical rows side by side as
         a ``(d, rows*n_q)`` plane (bit-identical values; the per-column
         move counts are additive, so the traffic accounting agrees with
         ``rows`` separate invocations exactly — only launches and loop
         rounds need the per-logical-row split).  ``charge=False`` defers
-        the accounting: the moves are kept until :meth:`charge_rows`."""
+        the accounting: the moves are kept until :meth:`charge_rows`.
+        The move counts depend on each tile's data, so there is no
+        shared per-tile cost to stack: ``tiles`` must be 1."""
         from .sort_scan import _divisor_column
+
+        if tiles != 1:
+            raise ValueError("the batch sort strategy runs one tile at a time")
 
         dtype = self.policy.compute
         d = plane.shape[0]

@@ -151,7 +151,9 @@ class TcGemmKernel(DistCalcKernel):
         self.cost.tensor_core = True
         self._tc_round = None  # quantiser scratch; usable before bind()
 
-    def bind(self, pre: PrecalcResult) -> None:
+    def bind(self, pre: PrecalcResult, tiles: int = 1) -> None:
+        if tiles != 1:
+            raise ValueError("the tensor-core main loop runs one tile at a time")
         if self.policy.mode not in TENSOR_CORE_MODES:
             eligible = ", ".join(m.value for m in TENSOR_CORE_MODES)
             raise ValueError(

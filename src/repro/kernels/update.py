@@ -26,6 +26,12 @@ __all__ = ["UpdateKernel", "INDEX_DTYPE"]
 INDEX_DTYPE = np.dtype(np.int64)
 
 
+def _per_tile(offset) -> np.ndarray:
+    """A scalar offset or one offset per tile, shaped ``(T, 1)`` to
+    broadcast over ``(d, T, n)`` index planes."""
+    return np.asarray(offset, dtype=INDEX_DTYPE).reshape(-1, 1)
+
+
 @dataclass
 class UpdateKernel(Kernel):
     """Running min/argmin merge for one tile."""
@@ -37,7 +43,11 @@ class UpdateKernel(Kernel):
     mirror_indices = None
 
     def allocate(
-        self, d: int, n_q_seg: int, mirror_rows: int | None = None
+        self,
+        d: int,
+        n_q_seg: int,
+        mirror_rows: int | None = None,
+        tiles: int | None = None,
     ) -> None:
         """Initialise the running profile to +max and indices to -1.
 
@@ -47,16 +57,21 @@ class UpdateKernel(Kernel):
         the row-wise reduce of the same distance planes (D(i, j) =
         D(j, i), so row i's minimum over columns is the profile
         contribution of global column ``row_offset + i``).
+
+        ``tiles`` adds the tile axis: the outputs become ``(d, tiles,
+        n)`` — one running profile per tile of a stacked batch, fed by
+        :meth:`run_block` with ``(d, tiles, rows, n)`` blocks.
         """
         dtype = self.policy.storage
         limit = dtype.type(DTYPE_MAX[np.dtype(dtype)])
-        self.profile = np.full((d, n_q_seg), limit, dtype=dtype)
-        self.indices = np.full((d, n_q_seg), -1, dtype=INDEX_DTYPE)
+        lead = (d,) if tiles is None else (d, tiles)
+        self.profile = np.full((*lead, n_q_seg), limit, dtype=dtype)
+        self.indices = np.full((*lead, n_q_seg), -1, dtype=INDEX_DTYPE)
         self.mirror_profile = self.mirror_indices = None
         if mirror_rows is not None:
-            self.mirror_profile = np.full((d, mirror_rows), limit, dtype=dtype)
+            self.mirror_profile = np.full((*lead, mirror_rows), limit, dtype=dtype)
             self.mirror_indices = np.full(
-                (d, mirror_rows), -1, dtype=INDEX_DTYPE
+                (*lead, mirror_rows), -1, dtype=INDEX_DTYPE
             )
 
     @staticmethod
@@ -81,33 +96,34 @@ class UpdateKernel(Kernel):
         profile: np.ndarray,
         indices: np.ndarray,
         row0: int,
-        index_offset: int,
+        index_offset,
         wide_block: bool = False,
     ) -> None:
-        """Row-wise reduce of a masked ``(d, rows, n)`` block into
-        ``profile``/``indices`` entries ``row0 .. row0+rows-1``.
+        """Row-wise reduce of a masked ``(d, T, rows, n)`` block into the
+        ``(d, T, ·)`` ``profile``/``indices`` entries ``row0 ..
+        row0+rows-1``.
 
         The last axis is reduced with the same radix-key argmin (first
         occurrence keeps the earliest position, recorded as
-        ``index_offset`` + position) and merged strict-``<`` against the
-        limit-initialised profile, so fully-excluded rows keep index -1.
-        Wide (FP32 accumulator) blocks reduce *before* narrowing,
-        mirroring the column path's reduce-then-store.  Feeds the
-        mirrored outputs of symmetric tiles and the column profile of
-        transposed panels.
+        ``index_offset`` + position; one offset per tile) and merged
+        strict-``<`` against the limit-initialised profile, so
+        fully-excluded rows keep index -1.  Wide (FP32 accumulator)
+        blocks reduce *before* narrowing, mirroring the column path's
+        reduce-then-store.  Feeds the mirrored outputs of symmetric tiles
+        and the column profile of transposed panels.
         """
-        rows = block.shape[1]
-        best = self._radix_argmin(block, axis=2)  # (d, rows)
-        best_val = np.take_along_axis(block, best[:, :, None], axis=2)[:, :, 0]
+        rows = block.shape[2]
+        best = self._radix_argmin(block, axis=3)  # (d, T, rows)
+        best_val = np.take_along_axis(block, best[..., None], axis=3)[..., 0]
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):
                 best_val = best_val.astype(self.policy.storage)
-        target = profile[:, row0 : row0 + rows]
+        target = profile[:, :, row0 : row0 + rows]
         improved = best_val < target
         np.copyto(target, best_val, where=improved)
         np.copyto(
-            indices[:, row0 : row0 + rows],
-            best.astype(INDEX_DTYPE) + INDEX_DTYPE.type(index_offset),
+            indices[:, :, row0 : row0 + rows],
+            best.astype(INDEX_DTYPE) + _per_tile(index_offset),
             where=improved,
         )
 
@@ -134,8 +150,9 @@ class UpdateKernel(Kernel):
         np.copyto(self.profile, plane, where=improved)
         np.copyto(self.indices, INDEX_DTYPE.type(row + row_offset), where=improved)
         if self.mirror_profile is not None:
-            self._merge_rowwise(plane[:, None, :], self.mirror_profile,
-                                self.mirror_indices, row, col_offset)
+            self._merge_rowwise(plane[:, None, None, :],
+                                self.mirror_profile[:, None],
+                                self.mirror_indices[:, None], row, col_offset)
         self.charge_rows(1, *plane.shape)
 
     def masked_run(
@@ -159,17 +176,18 @@ class UpdateKernel(Kernel):
             storage = self.policy.storage
             limit = storage.type(DTYPE_MAX[np.dtype(storage)])
             lifted = np.where(np.broadcast_to(mask, plane.shape), limit, plane)
-            self._merge_rowwise(lifted[:, None, :], self.mirror_profile,
-                                self.mirror_indices, row, col_offset)
+            self._merge_rowwise(lifted[:, None, None, :],
+                                self.mirror_profile[:, None],
+                                self.mirror_indices[:, None], row, col_offset)
         self.charge_rows(1, *plane.shape)
 
     def run_block(
         self,
         block: np.ndarray,
         row0: int,
-        row_offset: int = 0,
+        row_offset=0,
         mask: np.ndarray | None = None,
-        col_offset: int = 0,
+        col_offset=0,
         transposed: bool = False,
     ) -> None:
         """Merge a ``(d, rows, n_q)`` block of D'' planes for tile-local
@@ -192,10 +210,26 @@ class UpdateKernel(Kernel):
         winning as in the sequential merge.  Such a panel is not a set
         of logical rows, so nothing is charged; the caller charges the
         tile with :meth:`charge_rows`.
+
+        With the tile axis (:meth:`allocate` with ``tiles``) the block is
+        ``(d, T, rows, n)``, ``mask`` is ``(T, rows, n)`` and
+        ``row_offset``/``col_offset`` hold one offset per tile; every
+        tile is reduced on its own, and the charge stays that of one
+        tile.
         """
-        d, rows, n_q = block.shape
-        n_cols = self.profile.shape[1]
-        if d != self.profile.shape[0] or (
+        stacked = self.profile.ndim == 3
+        profile, indices = self.profile, self.indices
+        mirror_profile, mirror_indices = self.mirror_profile, self.mirror_indices
+        if not stacked:
+            # A plain tile is a stack of one.
+            block = block[:, None]
+            profile, indices = profile[:, None], indices[:, None]
+            if mirror_profile is not None:
+                mirror_profile = mirror_profile[:, None]
+                mirror_indices = mirror_indices[:, None]
+        d, tiles, rows, n_q = block.shape
+        n_cols = profile.shape[2]
+        if (d, tiles) != profile.shape[:2] or (
             row0 + rows > n_cols if transposed else n_q != n_cols
         ):
             raise ValueError(
@@ -216,34 +250,32 @@ class UpdateKernel(Kernel):
             # the storage-domain networks.
             if mask is not None:
                 limit = block.dtype.type(DTYPE_MAX[np.dtype(storage)])
-                np.copyto(block, limit, where=mask[None, :, :])
+                np.copyto(block, limit, where=mask[None])
         else:
             block = block.astype(storage, copy=False)
             if mask is not None:
                 limit = storage.type(DTYPE_MAX[np.dtype(storage)])
-                block = np.where(mask[None, :, :], limit, block)
+                block = np.where(mask[None], limit, block)
         if transposed:
-            self._merge_rowwise(
-                block, self.profile, self.indices, row0, row_offset
-            )
+            self._merge_rowwise(block, profile, indices, row0, row_offset)
             return
         # First-occurrence argmin over the row axis (radix keys for the
         # half/single planes — see :meth:`_radix_argmin`).
-        best_row = self._radix_argmin(block, axis=1)  # (d, n_q), first min row
-        best_val = np.take_along_axis(block, best_row[:, None, :], axis=1)[:, 0, :]
+        best_row = self._radix_argmin(block, axis=2)  # (d, T, n_q)
+        best_val = np.take_along_axis(block, best_row[:, :, None], axis=2)[:, :, 0]
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):
                 best_val = best_val.astype(storage)
-        improved = best_val < self.profile
-        np.copyto(self.profile, best_val, where=improved)
+        improved = best_val < profile
+        np.copyto(profile, best_val, where=improved)
         np.copyto(
-            self.indices,
-            best_row.astype(INDEX_DTYPE) + INDEX_DTYPE.type(row0 + row_offset),
+            indices,
+            best_row.astype(INDEX_DTYPE) + _per_tile(row_offset) + INDEX_DTYPE.type(row0),
             where=improved,
         )
-        if self.mirror_profile is not None:
+        if mirror_profile is not None:
             self._merge_rowwise(
-                block, self.mirror_profile, self.mirror_indices, row0,
+                block, mirror_profile, mirror_indices, row0,
                 col_offset, wide_block=wide_block,
             )
         self.charge_rows(rows, d, n_q)

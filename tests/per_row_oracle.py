@@ -61,7 +61,20 @@ def per_row_tile(
     mirror=False,
 ) -> TileOutput:
     """One tile, one reference row at a time; drop-in for ``run_tile``
-    (``row_block`` and ``workspace`` are accepted and ignored)."""
+    (``row_block`` and ``workspace`` are accepted and ignored).  A
+    ``(T, d, len)`` stack runs tile by tile and returns one output per
+    tile, like ``run_tile``'s tile axis."""
+    if tr_dev.ndim == 3:
+        return [
+            per_row_tile(
+                tr_dev[t], tq_dev[t], m, policy, launch,
+                row_offset=row_offset[t], col_offset=col_offset[t],
+                exclusion_zone=exclusion_zone, sort_strategy=sort_strategy,
+                fast_path_1d=fast_path_1d, precalc=precalc[t],
+                main_loop=main_loop, mirror=mirror,
+            )
+            for t in range(tr_dev.shape[0])
+        ]
     if main_loop != "vector":
         raise ValueError("the per-row oracle covers the vector main loop only")
     d = tr_dev.shape[0]

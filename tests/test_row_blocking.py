@@ -160,10 +160,12 @@ class TestEngineDefaultBlocking:
 
 class _DelayingBackend(NumericBackend):
     """Numeric backend that delays early tiles so completion order is the
-    reverse of submission order — the merge must not care."""
+    reverse of submission order — the merge must not care.  ``tile`` is
+    one tile or a stacked batch of them."""
 
     def run(self, plan, tile, gpu):
-        time.sleep(0.03 if tile.tile_id < 2 else 0.0)
+        first = min(t.tile_id for t in ([tile] if hasattr(tile, "tile_id") else tile))
+        time.sleep(0.03 if first < 2 else 0.0)
         return super().run(plan, tile, gpu)
 
 
