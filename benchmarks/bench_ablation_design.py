@@ -73,7 +73,7 @@ def test_ablation_sort_strategy_executed(benchmark):
     kernel (repro.kernels.sort_scan_batch) against the cooperative one and
     compare recorded-cost-derived busy times plus result equality."""
     from repro.core.config import RunConfig
-    from repro.core.single_tile import run_tile, tile_timing_from_output
+    from repro.engine.backends import run_tile, tile_timing_from_output
     from repro.kernels.layout import to_device_layout
     from repro.precision import policy_for
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import matrix_profile
-from repro.core.single_tile import KERNEL_ORDER
+from repro.engine.backends import KERNEL_ORDER
 from repro.gpu.perfmodel import single_tile_timing
 from repro.reporting import format_table
 

@@ -43,7 +43,7 @@ def test_memory_footprint(benchmark):
     for mode in MODES:
         # Executed run against the tracking allocator.
         from repro.kernels.layout import to_device_layout
-        from repro.core.single_tile import run_tile
+        from repro.engine.backends import run_tile
         from repro.precision import policy_for
 
         policy = policy_for(mode)

@@ -9,8 +9,8 @@ cluster tier at 10-100x the paper's tile counts: the per-GPU tile count
 is 10x the paper's 4-per-GPU oversubscription guidance, and the largest
 fleet (16 nodes x 4 GPUs = 2560 tiles) runs ~100x the paper's largest
 DGX-1 tiling.  Times are modelled (AnalyticBackend) — the same pricing
-the fault-free dispatcher shares with ``model_multi_node`` — so the
-paper-scale problems stay tractable in pure Python.
+as the fault-free strong-scaling bench ``bench_ext_multinode.py`` — so
+the paper-scale problems stay tractable in pure Python.
 
 Measurements:
 

@@ -15,11 +15,12 @@ import numpy as np
 
 from repro import matrix_profile
 from repro.baselines import mstamp
+from repro.cluster import ClusterDispatcher, ClusterSpec
+from repro.core.config import RunConfig
+from repro.engine.plan import JobSpec
 from repro.extensions import (
     BF16,
     TF32,
-    ClusterSpec,
-    model_multi_node,
     motif_with_subspace,
     transprecision_matrix_profile,
 )
@@ -49,10 +50,11 @@ def main() -> None:
     print_table(["format", "significand", "rel. accuracy", "recall"], rows)
 
     banner("2. Multi-node (MPI-style) strong scaling, n=2^17, d=2^6")
-    base = model_multi_node(2**17, 64, 64, ClusterSpec(1))
+    spec = JobSpec.modeled(2**17, 2**17, 64, 64, RunConfig())
+    base = ClusterDispatcher(ClusterSpec(1)).run(spec)
     rows = []
     for n_nodes in (1, 2, 4, 8):
-        r = model_multi_node(2**17, 64, 64, ClusterSpec(n_nodes))
+        r = ClusterDispatcher(ClusterSpec(n_nodes)).run(spec)
         rows.append(
             [
                 n_nodes,

@@ -5,17 +5,18 @@ The case studies of the paper (HPC monitoring, turbine surveillance) are
 inherently *online*: samples arrive continuously and anomalies should be
 flagged as soon as a window completes.  This example feeds a simulated
 live sensor stream — normal periodic operation with one injected fault —
-into :class:`repro.apps.StreamingMatrixProfile` and raises an alert when
-the nearest-neighbour distance to the healthy reference jumps.
+into an AB-join :class:`repro.streams.IncrementalMatrixProfile` (fixed
+healthy reference, growing query) and raises an alert when the
+nearest-neighbour distance to the healthy reference jumps.
 
 Run:  python examples/streaming_monitoring.py
 """
 
 import numpy as np
 
-from repro.apps import StreamingMatrixProfile
 from repro.core.config import RunConfig
 from repro.reporting import banner, print_table
+from repro.streams import IncrementalMatrixProfile
 
 
 def healthy_signal(n: int, rng: np.random.Generator, d: int = 3) -> np.ndarray:
@@ -33,7 +34,9 @@ def main() -> None:
 
     banner("Building the healthy reference model")
     reference = healthy_signal(1024, rng, d)
-    stream = StreamingMatrixProfile(reference, m, RunConfig(mode="Mixed"))
+    stream = IncrementalMatrixProfile(
+        m, RunConfig(mode="Mixed"), reference=reference
+    )
     print(f"reference: {reference.shape[0]} samples, {d} sensors, window m={m}")
 
     banner("Streaming live data (fault injected at t=300)")
@@ -44,11 +47,10 @@ def main() -> None:
     threshold = None
     distances = []
     for t, sample in enumerate(live):
-        out = stream.append(sample)
-        if out is None:
-            continue
-        profile_row, _ = out
-        score = profile_row[d - 1]  # full-dimensional consensus distance
+        if stream.append(sample[None]).new_segments == 0:
+            continue  # the first window is not complete yet
+        profile, _ = stream.profile()
+        score = profile[-1, d - 1]  # full-dimensional consensus distance
         distances.append(score)
         if threshold is None and len(distances) == 100:
             threshold = float(np.mean(distances) + 6 * np.std(distances))

@@ -1,5 +1,7 @@
 """Applications built on the matrix profile: NN classification (HPC-ODA
-case study), motif/discord mining, and streaming analysis."""
+case study), motif/discord mining, and MPdist, snippets, chains, regime
+segmentation, consensus motifs and annotation vectors.  Live streams are
+served by :mod:`repro.streams`."""
 
 from .annotation import (
     apply_annotation,
@@ -30,7 +32,6 @@ from .segmentation import (
     find_regime_changes,
     segment_regimes,
 )
-from .streaming import StreamingMatrixProfile
 
 __all__ = [
     "apply_annotation",
@@ -60,5 +61,4 @@ __all__ = [
     "Motif",
     "top_discords",
     "top_motifs",
-    "StreamingMatrixProfile",
 ]

@@ -39,12 +39,11 @@ from dataclasses import dataclass, field
 
 from ..core.config import RetryPolicy, RunConfig
 from ..core.result import MatrixProfileResult
-from ..engine.accumulate import ProfileAccumulator
+from ..engine.accumulate import ProfileAccumulator, merge_time
 from ..engine.backends import AnalyticBackend, NumericBackend
 from ..engine.checkpoint import RunJournal
 from ..engine.dispatch import TileRetryExhaustedError, execute_plan
 from ..engine.plan import JobSpec
-from ..gpu.calibration import MERGE_TIME_PER_ELEMENT, TILE_DISPATCH_OVERHEAD
 from ..gpu.simulator import GPUSimulator
 from ..gpu.stream import Timeline
 from ..gpu.topology import (
@@ -467,14 +466,11 @@ class ClusterDispatcher:
         covering = max(1, round(result.tiles_total**0.5))
         n_mergers = max(len(survivors), 1)
         reduce_rounds = max(len(survivors) - 1, 0).bit_length()
-        result.merge_time = (
-            float(spec.n_q_seg)
-            * spec.d
-            * covering
-            * MERGE_TIME_PER_ELEMENT
-            / n_mergers
-            + result.tiles_total * TILE_DISPATCH_OVERHEAD / n_mergers
-            + reduce_rounds * float(spec.n_q_seg) * spec.d * MERGE_TIME_PER_ELEMENT
+        result.merge_time = merge_time(
+            float(spec.n_q_seg) * spec.d * covering,
+            result.tiles_total,
+            mergers=n_mergers,
+            reduce_elements=reduce_rounds * float(spec.n_q_seg) * spec.d,
         )
         result.merge_elements = accumulator.merge_elements
         result.costs = dict(accumulator.costs)

@@ -9,13 +9,7 @@ from .pan import PanMatrixProfile, geometric_window_range, pan_matrix_profile
 from .planner import TilePlan, plan_tiles, tile_memory_bytes
 from .result import MatrixProfileResult
 from .scrimp import diagonal_count, diagonal_matrix_profile
-from .single_tile import (
-    TileOutput,
-    compute_single_tile,
-    run_tile,
-    schedule_tile,
-    tile_timing_from_output,
-)
+from .single_tile import compute_single_tile
 from .tiling import Tile, assign_tiles, compute_tile_list, tile_grid_shape
 
 __all__ = [
@@ -35,14 +29,10 @@ __all__ = [
     "RunConfig",
     "default_exclusion_zone",
     "MatrixProfileResult",
-    "TileOutput",
     "compute_single_tile",
     "compute_multi_tile",
     "model_multi_tile",
     "merge_tile_outputs",
-    "run_tile",
-    "schedule_tile",
-    "tile_timing_from_output",
     "Tile",
     "assign_tiles",
     "compute_tile_list",

@@ -6,45 +6,23 @@ The tile algorithm: asynchronously copy the inputs to the device, run the
 profile back.  The numerical work happens in the mode's precision; the
 simulated device/stream machinery produces the modelled timeline.
 
-The tile *primitive* (:func:`run_tile`, :class:`TileOutput`,
-:func:`schedule_tile`, :func:`tile_timing_from_output`) lives in
-:mod:`repro.engine.backends` now — this module re-exports it unchanged
-for backwards compatibility and keeps :func:`compute_single_tile`, the
-one-tile adapter over the engine's dispatch loop.
+The tile primitive itself (``run_tile``, ``TileOutput``) lives in
+:mod:`repro.engine.backends`; this module keeps :func:`compute_single_tile`,
+the one-tile adapter over the engine's dispatch loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.backends import (  # noqa: F401 - re-exported API
-    KERNEL_ORDER,
-    _KERNEL_LABELS,
-    TileOutput,
-    NumericBackend,
-    TensorCoreBackend,
-    backend_for,
-    run_tile,
-    schedule_tile,
-    tile_timing_from_output,
-    workspace_bytes,
-)
+from ..engine.backends import TensorCoreBackend, backend_for
 from ..engine.dispatch import execute_plan
 from ..engine.plan import JobSpec
 from ..gpu.simulator import GPUSimulator
 from .config import RunConfig
 from .result import MatrixProfileResult
 
-__all__ = [
-    "TileOutput",
-    "run_tile",
-    "schedule_tile",
-    "tile_timing_from_output",
-    "compute_single_tile",
-]
-
-#: Backwards-compatible alias (pre-engine name of the footprint helper).
-_workspace_bytes = workspace_bytes
+__all__ = ["compute_single_tile"]
 
 
 def compute_single_tile(

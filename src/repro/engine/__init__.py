@@ -23,8 +23,9 @@ CPU — and this package is that loop's one implementation:
   and :func:`resume_plan` for kill-and-resume without recomputation.
 
 ``compute_multi_tile``, ``model_multi_tile``, ``compute_single_tile``,
-the service ``TileScheduler`` and the multi-node model are all thin
-adapters over these modules.
+the service ``TileScheduler``, the ``repro.cluster`` dispatcher and the
+``repro.streams`` incremental profile are all thin adapters over these
+modules.
 """
 
 from .accumulate import ProfileAccumulator, merge_tile_outputs
@@ -36,7 +37,6 @@ from .backends import (
     TileExecution,
     TileOutput,
     run_tile,
-    schedule_tile,
     tile_timing_from_output,
     workspace_bytes,
 )
@@ -75,7 +75,6 @@ __all__ = [
     "TileExecution",
     "TileOutput",
     "run_tile",
-    "schedule_tile",
     "tile_timing_from_output",
     "workspace_bytes",
     "KERNEL_ORDER",

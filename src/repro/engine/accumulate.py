@@ -24,7 +24,27 @@ from ..gpu.kernel import KernelCost
 from ..kernels.update import INDEX_DTYPE
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 
-__all__ = ["merge_tile_outputs", "merge_mirrored", "ProfileAccumulator"]
+__all__ = ["merge_tile_outputs", "merge_mirrored", "merge_time", "ProfileAccumulator"]
+
+
+def merge_time(
+    merge_elements: float, dispatch_count: int, mergers: int = 1, reduce_elements: float = 0.0
+) -> float:
+    """Modelled CPU min/argmin merge time — the one copy of the formula.
+
+    ``merge_elements`` profile entries merged and ``dispatch_count``
+    tiles dispatched, split evenly over ``mergers`` merge nodes, plus
+    ``reduce_elements`` merged sequentially by a reduce tree (the
+    cluster's gather).  With the defaults the division by one and the
+    added zero are exact, so a single merger pays exactly
+    ``merge_elements * MERGE_TIME_PER_ELEMENT + dispatch_count *
+    TILE_DISPATCH_OVERHEAD``.
+    """
+    return (
+        merge_elements * MERGE_TIME_PER_ELEMENT / mergers
+        + dispatch_count * TILE_DISPATCH_OVERHEAD / mergers
+        + reduce_elements * MERGE_TIME_PER_ELEMENT
+    )
 
 
 def merge_tile_outputs(
@@ -218,10 +238,7 @@ class ProfileAccumulator:
     def merge_time(self, dispatch_count: int) -> float:
         """Modelled CPU merge time for ``dispatch_count`` dispatched tiles
         (callers pass completed tiles for partial runs)."""
-        return (
-            self.merge_elements * MERGE_TIME_PER_ELEMENT
-            + dispatch_count * TILE_DISPATCH_OVERHEAD
-        )
+        return merge_time(self.merge_elements, dispatch_count)
 
     def host_profile(self) -> np.ndarray:
         """The (n_q_seg, d) float64 time-major profile for results."""

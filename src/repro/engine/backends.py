@@ -39,9 +39,7 @@ are those of tiles dispatched one at a time.  A single tile is a batch
 of one; there is no second path.
 
 This module is also the home of the tile *primitive* itself
-(:func:`run_tile`, :class:`TileOutput`, :func:`schedule_tile`,
-:func:`tile_timing_from_output`), re-exported by
-:mod:`repro.core.single_tile` for backwards compatibility.
+(:func:`run_tile`, :class:`TileOutput`, :func:`tile_timing_from_output`).
 """
 
 from __future__ import annotations
@@ -59,8 +57,7 @@ from ..core.config import RunConfig
 from ..gpu.kernel import KernelCost, LaunchConfig
 from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
-from ..gpu.simulator import SimulatedGPU, schedule_tile_timing
-from ..gpu.stream import Stream, Timeline
+from ..gpu.simulator import SimulatedGPU
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.precalc import PrecalcKernel, PrecalcResult
 from ..kernels.sort_scan import SortScanKernel
@@ -80,7 +77,6 @@ __all__ = [
     "WorkspacePool",
     "backend_for",
     "run_tile",
-    "schedule_tile",
     "tile_timing_from_output",
     "workspace_bytes",
     "KERNEL_ORDER",
@@ -457,23 +453,6 @@ def tile_timing_from_output(
             cost, device, itemsize, working_set=working_set
         )
     return timing
-
-
-def schedule_tile(
-    gpu: SimulatedGPU,
-    stream: Stream,
-    timeline: Timeline,
-    output: TileOutput,
-    policy: PrecisionPolicy,
-    label: str = "tile0",
-) -> None:
-    """Place one executed tile's operations on a simulated stream.
-
-    The four kernels are aggregated over rows: the engine-exclusive total
-    is identical to interleaved per-row scheduling.
-    """
-    timing = tile_timing_from_output(output, policy, gpu.spec)
-    schedule_tile_timing(gpu, stream, timeline, timing, label)
 
 
 @dataclass

@@ -4,7 +4,7 @@ Before this layer existed the repo carried six copies of the same
 prologue (validate the series, default the exclusion zone, build the
 device layouts, partition into tiles, assign GPUs) spread over
 ``core.multi_tile``, ``core.single_tile``, ``service.scheduler``,
-``extensions.multinode``, ``core.anytime`` and ``core.scrimp`` — and
+the first multi-node model, ``core.anytime`` and ``core.scrimp`` — and
 they had drifted (``anytime`` skipped the dimension-count check the
 tiled path enforced).  :class:`JobSpec` owns that prologue now:
 

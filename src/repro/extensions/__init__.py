@@ -1,8 +1,7 @@
 """Extensions implementing the paper's future-work directions (Section VII):
-TF32/BFLOAT16 transprecision modes, multi-node (MPI-style) deployment, and
-mSTAMP motif-subspace recovery."""
+TF32/BFLOAT16 transprecision modes and mSTAMP motif-subspace recovery.
+Multi-node deployment lives in its own tier, :mod:`repro.cluster`."""
 
-from .multinode import ClusterSpec, MultiNodeResult, NodeTimeline, model_multi_node
 from .subspace import (
     MotifSubspace,
     motif_with_subspace,
@@ -21,10 +20,6 @@ from .transprecision import (
 )
 
 __all__ = [
-    "ClusterSpec",
-    "MultiNodeResult",
-    "NodeTimeline",
-    "model_multi_node",
     "MotifSubspace",
     "motif_with_subspace",
     "recover_subspace",

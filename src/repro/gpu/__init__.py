@@ -5,7 +5,6 @@ from .calibration import (
     DEVICE_EFFICIENCY_SCALE,
     DRAM_EFFICIENCY,
     L1_EFFICIENCY,
-    MERGE_TIME_PER_ELEMENT,
     device_scale,
     dram_efficiency,
     l1_efficiency,
@@ -57,7 +56,6 @@ __all__ = [
     "DEVICE_EFFICIENCY_SCALE",
     "DRAM_EFFICIENCY",
     "L1_EFFICIENCY",
-    "MERGE_TIME_PER_ELEMENT",
     "device_scale",
     "dram_efficiency",
     "l1_efficiency",

@@ -11,16 +11,15 @@ an O(log d) **fan-in (Hillis–Steele) inclusive scan**, both executed
 cooperatively by a thread group per column with coarse-grained
 synchronisation between stages (Section III-A, IV).
 
-:func:`bitonic_sort` and :func:`fanin_inclusive_scan` run the *same
-networks*: every compare-exchange stage and every scan stage is one
-vectorised numpy operation across all columns, with per-stage rounding in
-the mode's compute dtype.  Sorting is exact (comparisons don't round); the
-scan adds in fan-in order, which on real hardware differs from a
-sequential cumsum — the emulation reproduces that summation order
-bit-for-bit.  :class:`SortScanKernel` produces the identical bits through
-a value-exact sort and a float32-domain scan (the stage-by-stage
-functions are its test oracle) and accounts one synchronisation per
-network stage.
+:func:`fanin_inclusive_scan` runs the *same network* as the device scan:
+every stage is one vectorised numpy operation across all columns, rounded
+in the mode's compute dtype, so the fan-in summation order (which on real
+hardware differs from a sequential cumsum) is reproduced bit for bit.
+Sorting is exact (comparisons don't round).  :class:`SortScanKernel`
+produces the bits of the stage-by-stage bitonic network through a
+value-exact sort and, for half precision, a float32-domain scan, and
+accounts one synchronisation per network stage.  The stage-by-stage
+bitonic network itself is the test oracle, in ``tests/per_row_oracle.py``.
 """
 
 from __future__ import annotations
@@ -32,43 +31,14 @@ from functools import lru_cache
 import numpy as np
 
 from ..gpu.kernel import Kernel
-from ..precision.modes import DTYPE_MAX, PrecisionPolicy
+from ..precision.modes import PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_nonneg_inplace
 
-__all__ = ["SortScanKernel", "bitonic_sort", "fanin_inclusive_scan"]
+__all__ = ["SortScanKernel", "fanin_inclusive_scan"]
 
 
 def _next_pow2(d: int) -> int:
     return 1 << (d - 1).bit_length()
-
-
-@lru_cache(maxsize=64)
-def _bitonic_network(p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Compare-exchange passes of the ``p``-input bitonic network.
-
-    The network depends only on the padded size ``p``, so the index
-    arrays — for each pass the lower/upper partner rows and the
-    per-pair ascending flag column — are built once and cached instead
-    of being rebuilt on every kernel invocation.  Arrays are marked
-    read-only; a pass is ``(i_lo, i_hi, ascending[:, None])``.
-    """
-    passes = []
-    idx = np.arange(p)
-    size = 2
-    while size <= p:
-        stride = size // 2
-        while stride >= 1:
-            partner = idx ^ stride
-            lower = idx < partner
-            i_lo = idx[lower]
-            i_hi = partner[lower]
-            asc = ((idx & size) == 0)[lower][:, None]
-            for arr in (i_lo, i_hi, asc):
-                arr.setflags(write=False)
-            passes.append((i_lo, i_hi, asc))
-            stride //= 2
-        size *= 2
-    return tuple(passes)
 
 
 @lru_cache(maxsize=64)
@@ -271,48 +241,6 @@ def _fanin_scan_f16_block(sorted16: np.ndarray) -> np.ndarray:
     return work
 
 
-def bitonic_sort(plane: np.ndarray, count_stages: bool = False):
-    """Bitonic-sort each column of ``plane`` (axis 0) ascending.
-
-    ``plane`` is (d, n) and is padded to the next power of two with the
-    dtype's largest finite value (padding sorts to the bottom and is
-    stripped before returning).  Returns the sorted (d, n) array, plus the
-    stage count when ``count_stages`` is set.
-
-    The network is the standard iterative formulation: for each ``size``
-    (2, 4, ..., p) and each ``stride`` (size/2 ... 1) a full compare-
-    exchange pass runs; on the device every pass ends with a group
-    synchronisation.
-    """
-    d, n = plane.shape
-    p = _next_pow2(d)
-    dtype = plane.dtype
-    pad_value = DTYPE_MAX.get(np.dtype(dtype), np.inf)
-    if p != d:
-        padding = np.full((p - d, n), pad_value, dtype=dtype)
-        work = np.concatenate([plane, padding], axis=0)
-    else:
-        work = plane.copy()
-
-    stages = 0
-    for i_lo, i_hi, asc in _bitonic_network(p):
-        # For each pair (i, i^stride) with i < partner, keep min at i
-        # when the subsequence is ascending, max otherwise.
-        a = work[i_lo]
-        b = work[i_hi]
-        swap = np.where(asc, a > b, a < b)
-        a_new = np.where(swap, b, a)
-        b_new = np.where(swap, a, b)
-        work[i_lo] = a_new
-        work[i_hi] = b_new
-        stages += 1
-
-    out = work[:d]
-    if count_stages:
-        return out, stages
-    return out
-
-
 def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool = False):
     """Hillis–Steele inclusive scan along axis 0 with per-stage rounding.
 
@@ -370,7 +298,7 @@ class SortScanKernel(Kernel):
         The sort is value-exact (:func:`_sort_columns_exact`) and the
         half-precision scan and division run in the float32 domain with
         per-stage rounding and a divide-by-k table, so the output is
-        bit-for-bit what the stage-by-stage :func:`bitonic_sort` and
+        bit-for-bit what the stage-by-stage bitonic sort and
         :func:`fanin_inclusive_scan` networks produce — those remain the
         test oracle.  Both networks are column-independent, so a
         row-blocked caller passes ``rows`` logical distance rows side by

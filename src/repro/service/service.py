@@ -42,8 +42,8 @@ from ..core.anytime import AnytimeState
 from ..core.config import RunConfig, default_exclusion_zone
 from ..core.planner import plan_tiles
 from ..core.result import MatrixProfileResult
+from ..engine.accumulate import merge_time
 from ..engine.plan import JobSpec
-from ..gpu.calibration import MERGE_TIME_PER_ELEMENT, TILE_DISPATCH_OVERHEAD
 from ..gpu.device import DeviceSpec
 from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.simulator import GPUSimulator
@@ -474,9 +474,8 @@ class MatrixProfileService:
                     self._finish_from_cache(job, decision, cached)
                     return
 
-        merge_time = (
-            execution.merge_elements * MERGE_TIME_PER_ELEMENT
-            + execution.tiles_completed * TILE_DISPATCH_OVERHEAD
+        merge_seconds = merge_time(
+            execution.merge_elements, execution.tiles_completed
         )
         result = MatrixProfileResult(
             profile=np.ascontiguousarray(execution.profile.T.astype(np.float64)),
@@ -486,7 +485,7 @@ class MatrixProfileService:
             n_tiles=config.n_tiles,
             n_gpus=self.sim.n_gpus,
             timeline=execution.timeline,
-            merge_time=merge_time,
+            merge_time=merge_seconds,
             costs=execution.costs,
             precalc_saved_flops=execution.precalc_saved_flops,
             escalations=dict(execution.escalations),

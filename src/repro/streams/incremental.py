@@ -58,7 +58,7 @@ from ..engine.dispatch import DispatchReport, execute_plan
 from ..engine.plan import JobSpec
 from ..gpu.simulator import GPUSimulator
 from ..gpu.stream import Timeline
-from ..kernels.layout import to_device_layout, validate_stream_samples
+from ..kernels.layout import to_device_layout, validate_series, validate_stream_samples
 from ..kernels.precalc import (
     PrecalcResult,
     PreparedPrecalc,
@@ -354,7 +354,9 @@ class IncrementalMatrixProfile:
                 zone if zone is not None else default_exclusion_zone(m)
             )
         else:
-            self._ref_layout = to_device_layout(reference, self.policy.storage)
+            self._ref_layout = to_device_layout(
+                validate_series(reference, "reference"), self.policy.storage
+            )
             if self._ref_layout.shape[1] < m:
                 raise ValueError(
                     f"m={m} too long for reference of "
@@ -597,20 +599,23 @@ class IncrementalMatrixProfile:
             ],
             dtype=np.int64,
         ).reshape(-1, 5)
-        np.savez_compressed(
-            path,
-            meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
-            stream=self._stream,
-            reference=(
-                np.empty((0, 0)) if self._ref_layout is None else self._ref_layout
-            ),
-            tiles=tiles,
-            profile=self._acc.profile,
-            index=self._acc.index,
-            merge_elements=np.int64(self._acc.merge_elements),
-            h2d_saved_bytes=np.float64(self._acc.h2d_saved_bytes),
-            precalc_saved_flops=np.float64(self._acc.precalc_saved_flops),
-        )
+        # An open handle pins the file name: given a path, numpy would
+        # append ".npz" to a suffix-less one and :meth:`load` would miss it.
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+                stream=self._stream,
+                reference=(
+                    np.empty((0, 0)) if self._ref_layout is None else self._ref_layout
+                ),
+                tiles=tiles,
+                profile=self._acc.profile,
+                index=self._acc.index,
+                merge_elements=np.int64(self._acc.merge_elements),
+                h2d_saved_bytes=np.float64(self._acc.h2d_saved_bytes),
+                precalc_saved_flops=np.float64(self._acc.precalc_saved_flops),
+            )
 
     @classmethod
     def load(cls, path, config: RunConfig | None = None, **kwargs) -> "IncrementalMatrixProfile":

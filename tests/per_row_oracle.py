@@ -4,8 +4,8 @@ Every caller under ``src/`` runs Pseudocode 1 through one row-blocked
 loop (:func:`repro.engine.backends.run_tile` and the block kernels).
 This module chains the per-row kernel methods the way the pseudocode
 reads — ``PrecalcKernel.run``, then for every reference row
-``DistCalcKernel.run(i)``, the stage-by-stage ``bitonic_sort`` /
-``fanin_inclusive_scan`` networks (or ``BatchSortScanKernel`` for the
+``DistCalcKernel.run(i)``, the stage-by-stage :func:`bitonic_sort`
+(defined here) / ``fanin_inclusive_scan`` networks (or ``BatchSortScanKernel`` for the
 batch strategy) and ``UpdateKernel.run`` / ``masked_run`` — and charges
 every kernel per row.  None of it goes through the blocked loop, so the
 suites compare the blocked loop (any block size, either orientation)
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,9 +28,82 @@ from repro.engine.backends import TileOutput
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout, validate_series
 from repro.kernels.precalc import PrecalcKernel
-from repro.kernels.sort_scan import SortScanKernel, bitonic_sort, fanin_inclusive_scan
+from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
 from repro.kernels.sort_scan_batch import BatchSortScanKernel
 from repro.kernels.update import INDEX_DTYPE, UpdateKernel
+from repro.precision.modes import DTYPE_MAX
+
+
+@lru_cache(maxsize=64)
+def _bitonic_network(p: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Compare-exchange passes of the ``p``-input bitonic network.
+
+    The network depends only on the padded size ``p``, so the index
+    arrays — for each pass the lower/upper partner rows and the
+    per-pair ascending flag column — are built once and cached instead
+    of being rebuilt on every sort.  Arrays are marked
+    read-only; a pass is ``(i_lo, i_hi, ascending[:, None])``.
+    """
+    passes = []
+    idx = np.arange(p)
+    size = 2
+    while size <= p:
+        stride = size // 2
+        while stride >= 1:
+            partner = idx ^ stride
+            lower = idx < partner
+            i_lo = idx[lower]
+            i_hi = partner[lower]
+            asc = ((idx & size) == 0)[lower][:, None]
+            for arr in (i_lo, i_hi, asc):
+                arr.setflags(write=False)
+            passes.append((i_lo, i_hi, asc))
+            stride //= 2
+        size *= 2
+    return tuple(passes)
+
+
+def bitonic_sort(plane: np.ndarray, count_stages: bool = False):
+    """Bitonic-sort each column of ``plane`` (axis 0) ascending.
+
+    ``plane`` is (d, n) and is padded to the next power of two with the
+    dtype's largest finite value (padding sorts to the bottom and is
+    stripped before returning).  Returns the sorted (d, n) array, plus the
+    stage count when ``count_stages`` is set.
+
+    The network is the standard iterative formulation: for each ``size``
+    (2, 4, ..., p) and each ``stride`` (size/2 ... 1) a full compare-
+    exchange pass runs; on the device every pass ends with a group
+    synchronisation.
+    """
+    d, n = plane.shape
+    p = 1 << (d - 1).bit_length()
+    dtype = plane.dtype
+    pad_value = DTYPE_MAX.get(np.dtype(dtype), np.inf)
+    if p != d:
+        padding = np.full((p - d, n), pad_value, dtype=dtype)
+        work = np.concatenate([plane, padding], axis=0)
+    else:
+        work = plane.copy()
+
+    stages = 0
+    for i_lo, i_hi, asc in _bitonic_network(p):
+        # For each pair (i, i^stride) with i < partner, keep min at i
+        # when the subsequence is ascending, max otherwise.
+        a = work[i_lo]
+        b = work[i_hi]
+        swap = np.where(asc, a > b, a < b)
+        a_new = np.where(swap, b, a)
+        b_new = np.where(swap, a, b)
+        work[i_lo] = a_new
+        work[i_hi] = b_new
+        stages += 1
+
+    out = work[:d]
+    if count_stages:
+        return out, stages
+    return out
+
 
 def inclusive_average(plane: np.ndarray, dtype) -> np.ndarray:
     """Eq. (2) through the stage-by-stage networks: bitonic sort, fan-in

@@ -114,6 +114,68 @@ class TestClusterSpecValidation:
         assert ClusterSpec.from_dict(cluster.to_dict()) == cluster
 
 
+class TestStrongScaling:
+    """Fault-free modelled strong scaling (the Section VII projection)."""
+
+    N, D, M = 2**16, 64, 64
+
+    def _run(self, n_nodes, n=None, mode="FP64", n_tiles=None):
+        cluster = ClusterSpec(n_nodes)
+        n = n or self.N
+        config = RunConfig(mode=mode, device=cluster.device_spec)
+        return ClusterDispatcher(cluster).run(
+            JobSpec.modeled(n, n, self.D, self.M, config), n_tiles=n_tiles
+        )
+
+    def test_default_fleet_shape(self):
+        cluster = ClusterSpec(4)
+        assert cluster.total_gpus == 16
+        assert cluster.device_spec.name == "A100"
+
+    def test_single_node_has_no_communication(self):
+        r = self._run(1)
+        assert r.broadcast_time == 0.0  # no peers to broadcast to
+        assert r.gather_time == 0.0
+        assert r.gpu_makespan > 0
+        assert r.total_time > r.gpu_makespan  # merge still happens
+
+    def test_every_node_gets_tiles(self):
+        r = self._run(4)
+        assert len(r.nodes) == 4
+        assert all(n.n_tiles > 0 for n in r.nodes)
+        assert sum(n.n_tiles for n in r.nodes) == 4 * ClusterSpec(4).total_gpus
+
+    def test_two_nodes_speed_up(self):
+        assert self._run(2).total_time < self._run(1).total_time
+
+    def test_efficiency_saturates(self):
+        base = self._run(1)
+        effs = [self._run(nn).efficiency_vs(base) for nn in (2, 4, 8)]
+        assert effs[0] > effs[2]
+
+    def test_bigger_problems_scale_better(self):
+        # The paper's claim that the workload is not communication-bound:
+        # at 16x the problem area the 8-node efficiency must improve.
+        small = self._run(8, n=2**14).efficiency_vs(self._run(1, n=2**14))
+        big = self._run(8).efficiency_vs(self._run(1))
+        assert big > small
+
+    def test_communication_grows_with_nodes(self):
+        r2, r8 = self._run(2), self._run(8)
+        assert r8.broadcast_time > r2.broadcast_time
+        assert r8.gather_time > r2.gather_time
+
+    def test_reduced_precision_cheaper_transfers(self):
+        r64 = self._run(4, mode="FP64")
+        r16 = self._run(4, mode="FP16")
+        assert r16.broadcast_time < r64.broadcast_time
+        assert r16.total_time < r64.total_time
+
+    def test_explicit_tile_count(self):
+        r = self._run(2, n_tiles=64)
+        assert sum(n.n_tiles for n in r.nodes) == 64
+
+
 class TestRetryPolicy:
     def test_default_is_immediate(self):
         policy = RetryPolicy()

@@ -5,7 +5,8 @@ import pytest
 
 from repro.baselines.mstamp import mstamp
 from repro.core.config import RunConfig
-from repro.core.single_tile import compute_single_tile, run_tile
+from repro.core.single_tile import compute_single_tile
+from repro.engine.backends import run_tile
 from repro.gpu.kernel import LaunchConfig
 from repro.kernels.layout import to_device_layout
 from repro.precision.modes import PrecisionMode, policy_for

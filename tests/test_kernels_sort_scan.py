@@ -5,8 +5,10 @@ import pytest
 
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import sort_stage_count
-from repro.kernels.sort_scan import SortScanKernel, bitonic_sort, fanin_inclusive_scan
+from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
 from repro.precision.modes import policy_for
+
+from .per_row_oracle import bitonic_sort
 
 CFG = LaunchConfig(grid=4, block=64)
 

@@ -95,11 +95,7 @@ class TestRunConfigIntegration:
         # Compare the *busy* (throughput) term: at tiny test sizes the
         # per-row launch overhead — identical for both strategies —
         # otherwise swamps the difference.
-        from repro.core.single_tile import (
-            compute_single_tile,
-            tile_timing_from_output,
-        )
-        from repro.core.single_tile import run_tile
+        from repro.engine.backends import run_tile, tile_timing_from_output
         from repro.kernels.layout import to_device_layout
         from repro.precision import policy_for
         from repro.gpu.device import A100

@@ -7,9 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core.tiling import assign_tiles, compute_tile_list, tile_grid_shape
 from repro.gpu.kernel import LaunchConfig, grid_stride_chunks
-from repro.kernels.sort_scan import bitonic_sort, fanin_inclusive_scan
+from repro.kernels.sort_scan import fanin_inclusive_scan
 from repro.precision.arithmetic import quantize, saturate_cast
 from repro.precision.kahan import kahan_sum, naive_sum
+
+from .per_row_oracle import bitonic_sort
 
 finite_floats = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False

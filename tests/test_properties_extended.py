@@ -115,16 +115,19 @@ class TestPlannerProperties:
 
 
 class TestStreamingEquivalence:
-    @given(seed=st.integers(0, 50))
+    @given(seed=st.integers(0, 50), chunk=st.integers(1, 70))
     @SLOW
-    def test_streaming_matches_batch(self, seed):
-        from repro.apps.streaming import StreamingMatrixProfile
+    def test_streaming_matches_batch(self, seed, chunk):
+        from repro.core.config import RunConfig
+        from repro.streams import IncrementalMatrixProfile
 
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=(90, 2))
         qry = rng.normal(size=(70, 2))
         batch = matrix_profile(ref, qry, m=10, mode="FP64")
-        stream = StreamingMatrixProfile(ref, 10)
-        profiles, indices = stream.extend(qry)
+        stream = IncrementalMatrixProfile(10, RunConfig(), reference=ref)
+        for start in range(0, len(qry), chunk):
+            stream.append(qry[start : start + chunk])
+        profiles, indices = stream.profile()
         np.testing.assert_allclose(profiles, batch.profile, atol=1e-8)
         assert np.mean(indices == batch.index) > 0.99

@@ -11,6 +11,7 @@ checkpoint/resume.
 import numpy as np
 import pytest
 
+from repro import matrix_profile
 from repro.core.config import RunConfig
 from repro.core.tiling import assign_tiles
 from repro.engine.accumulate import ProfileAccumulator
@@ -19,6 +20,7 @@ from repro.engine.dispatch import execute_plan
 from repro.engine.plan import JobSpec
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.layout import validate_stream_samples
+from repro.precision.errors import implied_correlation, streaming_qt_error_bound
 from repro.streams import (
     IncrementalMatrixProfile,
     SketchMonitor,
@@ -129,6 +131,40 @@ class TestIncrementalBitIdentity:
         _assert_bit_identical(resumed.profile(), full.profile())
         assert resumed.equivalent_tiles() == full.equivalent_tiles()
 
+    @pytest.mark.parametrize("join", ("self", "ab"))
+    def test_checkpoint_suffixless_path(self, rng, tmp_path, join):
+        """Regression: save() let numpy append ".npz" to a path without a
+        suffix, so load() of the same path raised FileNotFoundError."""
+        ref = None if join == "self" else _series(rng, 60, 2)
+        series = _series(rng, 90, 2)
+        cfg = RunConfig(mode="FP16")
+        full = IncrementalMatrixProfile(8, cfg, reference=ref)
+        full.append(series[:50])
+        full.append(series[50:])
+
+        # The stream API.
+        half = IncrementalMatrixProfile(8, cfg, reference=ref)
+        half.append(series[:50])
+        path = tmp_path / "s"
+        half.save(path)
+        assert path.exists()
+        resumed = IncrementalMatrixProfile.load(path)
+        resumed.append(series[50:])
+        _assert_bit_identical(resumed.profile(), full.profile())
+
+        # The tenant service API.
+        policy = TenantPolicy(m=8, mode="FP16")
+        svc = StreamIngestService(n_gpus=1)
+        svc.register("t", policy, reference=ref)
+        svc.ingest("t", series[:50])
+        svc_path = tmp_path / "tenant"
+        svc.checkpoint("t", svc_path)
+        svc2 = StreamIngestService(n_gpus=1)
+        svc2.restore("t", svc_path, policy)
+        svc2.ingest("t", series[50:])
+        svc.ingest("t", series[50:])
+        _assert_bit_identical(svc2.profile("t"), svc.profile("t"))
+
     def test_checkpoint_rejects_mode_mismatch(self, rng, tmp_path):
         inc = IncrementalMatrixProfile(8, RunConfig(mode="FP16"))
         inc.append(_series(rng, 30, 1))
@@ -136,6 +172,78 @@ class TestIncrementalBitIdentity:
         inc.save(path)
         with pytest.raises(ValueError, match="storage dtype"):
             IncrementalMatrixProfile.load(path, RunConfig(mode="FP64"))
+
+
+class TestABJoinStream:
+    """A fixed reference matched against a live query, one sample at a
+    time — the monitoring-probe pattern."""
+
+    def test_fp64_matches_batch_matrix_profile(self, rng):
+        ref = _series(rng, 200, 3)
+        qry = _series(rng, 150, 3)
+        batch = matrix_profile(ref, qry, m=16, mode="FP64")
+        inc = IncrementalMatrixProfile(16, RunConfig(mode="FP64"), reference=ref)
+        for sample in qry:
+            inc.append(sample[None])
+        profile, index = inc.profile()
+        assert profile.shape == batch.profile.shape
+        np.testing.assert_allclose(profile, batch.profile, atol=1e-8)
+        assert np.mean(index == batch.index) > 0.999
+
+    @pytest.mark.parametrize("mode", ("FP32", "Mixed", "FP16", "FP16C"))
+    def test_reduced_modes_within_error_bound(self, mode):
+        rng = np.random.default_rng(3)
+        t = np.arange(230)
+        series = np.stack(
+            [np.sin(2 * np.pi * t / (14 + 5 * k)) for k in range(3)], axis=1
+        ) + 0.1 * rng.standard_normal((230, 3))
+        ref, qry = series[:120], series[120:]
+        m = 16
+        truth = matrix_profile(ref, qry, m=m, mode="FP64").profile
+        inc = IncrementalMatrixProfile(m, RunConfig(mode=mode), reference=ref)
+        for sample in qry:
+            inc.append(sample[None])
+        err = np.max(np.abs(
+            implied_correlation(inc.profile()[0], m)
+            - implied_correlation(truth, m)
+        ))
+        # An AB stream tile spans every reference row.
+        assert err <= streaming_qt_error_bound(inc.n_r_seg, m, mode)
+
+    def test_empty_profile_before_first_segment(self, rng):
+        inc = IncrementalMatrixProfile(8, RunConfig(), reference=rng.normal(size=(50, 2)))
+        profile, index = inc.profile()
+        assert profile.shape == index.shape == (0, 2)
+
+    def test_no_segments_until_m_samples(self, rng):
+        inc = IncrementalMatrixProfile(8, RunConfig(), reference=rng.normal(size=(100, 2)))
+        steps = [inc.append(row[None]).new_segments for row in rng.normal(size=(20, 2))]
+        # First m-1 appends complete no segment; the rest complete one each.
+        assert steps == [0] * 7 + [1] * 13
+        assert inc.n_q_seg == 13
+
+    def test_profile_rows_shape(self, rng):
+        inc = IncrementalMatrixProfile(8, RunConfig(), reference=rng.normal(size=(80, 4)))
+        for row in rng.normal(size=(8, 4)):
+            inc.append(row[None])
+        profile, index = inc.profile()
+        assert profile.shape == index.shape == (1, 4)
+        assert np.all((index >= 0) & (index < inc.n_r_seg))
+
+    def test_planted_motif_found_live(self, rng):
+        m = 16
+        ref = rng.normal(size=(200, 1))
+        wave = 5 * np.sin(np.linspace(0, 6.28, m))
+        ref[60 : 60 + m, 0] += wave
+        inc = IncrementalMatrixProfile(m, RunConfig(), reference=ref)
+        for row in rng.normal(size=(40, 1)):
+            inc.append(row[None])
+        baseline = inc.profile()[0][-1, 0]
+        for v in wave:
+            inc.append(np.array([[v + 0.01 * rng.normal()]]))
+        profile, index = inc.profile()
+        assert abs(int(index[-1, 0]) - 60) <= 1
+        assert profile[-1, 0] < baseline
 
 
 class TestStreamValidation:
@@ -149,6 +257,34 @@ class TestStreamValidation:
             inc.append(bad)
         # The rejected batch must not have been ingested.
         assert inc.n_samples == 20
+
+    def test_ab_non_finite_rejected_across_appends(self, rng):
+        inc = IncrementalMatrixProfile(8, RunConfig(), reference=rng.normal(size=(60, 2)))
+        inc.append(rng.normal(size=(10, 2)))
+        with pytest.raises(ValueError, match="dimension 0, stream offsets 10..10"):
+            inc.append(np.array([[np.nan, 1.0]]))
+        bad = rng.normal(size=(6, 2))
+        bad[4, 1] = np.inf
+        with pytest.raises(ValueError, match="dimension 1, stream offsets 14..14"):
+            inc.append(bad)
+        # Rejected batches are not ingested; the stream continues cleanly.
+        assert inc.samples_ingested == 10
+        assert inc.n_q_seg == 3
+
+    def test_reference_named_in_errors(self, rng):
+        ref = rng.normal(size=(50, 2))
+        ref[7, 1] = np.nan
+        with pytest.raises(ValueError, match="^reference contains 1 non-finite"):
+            IncrementalMatrixProfile(8, RunConfig(), reference=ref)
+        with pytest.raises(ValueError, match="^reference must have at least 2"):
+            IncrementalMatrixProfile(8, RunConfig(), reference=np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="too long for reference"):
+            IncrementalMatrixProfile(8, RunConfig(), reference=np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            IncrementalMatrixProfile(1, RunConfig(), reference=ref[:5])
+        inc = IncrementalMatrixProfile(8, RunConfig(), reference=rng.normal(size=(50, 2)))
+        with pytest.raises(ValueError, match="stream has d=2"):
+            inc.append(np.zeros((1, 3)))
 
     def test_validate_stream_samples_contract(self):
         arr = validate_stream_samples([1.0, 2.0, 3.0])
