@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""The roofline autotuner: every performance knob becomes a planner output.
+"""The error-budget planner: mode, backend, layout and tiles from a target.
 
 Walks `repro.autotune` through its three contracts:
 
-1. **Bit-identity** — `matrix_profile(..., auto=True)` picks row
-   blocking, tile workers and tiling for the job shape, yet the profile
-   is bit-identical to the constructor-default run (only
-   cache-key-excluded knobs move absent an error target).
+1. **Bit-identity** — `matrix_profile(..., auto=True)` derives the host
+   block (`row_block`) from the tile shape, yet the profile is
+   bit-identical to the constructor-default run (only cache-key-excluded
+   knobs move absent an error target).
 2. **Explainability** — `AutoTuner.tune()` returns the full decision:
    tile plan, roofline position, occupancy, and the ranked candidate
    list with rejection reasons.
 3. **The error-target tier** — an explicit error budget unlocks the
-   numerics-visible knobs: the tuner walks the precision ladder and
+   numerics-visible knobs: the planner walks the precision ladder and
    picks the cheapest mode whose Section V-B bound stays inside it.
 
 Run:  python examples/autotune_demo.py
@@ -23,7 +23,6 @@ import numpy as np
 
 from repro import matrix_profile
 from repro.autotune import AutoTuner
-from repro.gpu.calibration import measure_host_profile
 from repro.reporting import banner
 
 
@@ -31,18 +30,14 @@ def main() -> None:
     rng = np.random.default_rng(11)
     m = 32
     series = rng.normal(size=(256 + m - 1, 4)).cumsum(axis=0)
+    tuner = AutoTuner(device="A100")
 
     banner("1. auto=True is bit-identical to the default config")
-    # Calibrate the host cost model on this machine (cold starts fall
-    # back to shipped defaults; `repro calibrate` persists a profile).
-    calibration = measure_host_profile(n_seg=96)
-    tuner = AutoTuner(device="A100", calibration=calibration)
-
     start = time.perf_counter()
     default = matrix_profile(series, m=m, mode="FP16")
     t_default = time.perf_counter() - start
     start = time.perf_counter()
-    tuned = matrix_profile(series, m=m, mode="FP16", auto=True, tuner=tuner)
+    tuned = matrix_profile(series, m=m, mode="FP16", auto=True)
     t_auto = time.perf_counter() - start
     identical = np.array_equal(
         tuned.profile, default.profile, equal_nan=True
@@ -62,7 +57,7 @@ def main() -> None:
         c = decision.chosen
         print(f"target {target:8.0e} -> {c.mode.value:5s} "
               f"(bound {c.error_bound:.3g}, {c.n_tiles} tile(s), "
-              f"row_block={c.row_block}, precalc={c.precalc_strategy})")
+              f"{c.backend}, precalc={c.precalc_strategy})")
 
 
 if __name__ == "__main__":

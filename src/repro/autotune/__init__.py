@@ -1,21 +1,11 @@
-"""Roofline-driven autotuner (ISSUE 7).
+"""The error-budget planner (Section III-B, Fig. 7).
 
-Entry points: :meth:`repro.core.config.RunConfig.auto` for the one-shot
-"give me the fastest config" call, :class:`AutoTuner` for a reusable
-tuner with calibration/feedback state, and
-:meth:`TuneDecision.explain` for the roofline + candidate report.
+:meth:`AutoTuner.tune` picks mode, backend, layout and tile count under
+a ``target_error`` and explains its choice with
+:meth:`TuneDecision.explain`.  ``matrix_profile(auto=True)`` and
+``repro plan --explain`` are its entry points.
 """
 
-from .cost import HostCostModel, modeled_device_seconds, roofline_breakdown
-from .feedback import TuningObserver
 from .planner import AutoTuner, Candidate, TuneDecision
 
-__all__ = [
-    "AutoTuner",
-    "Candidate",
-    "TuneDecision",
-    "HostCostModel",
-    "TuningObserver",
-    "roofline_breakdown",
-    "modeled_device_seconds",
-]
+__all__ = ["AutoTuner", "Candidate", "TuneDecision"]

@@ -11,8 +11,7 @@ Gives downstream users a zero-code path to the main workflows:
 * ``cluster``   — run jobs over a sharded node fleet, optionally under a storm
 * ``stream``    — drive tenant streams through the online ingestion tier
 * ``submit``    — run one CSV job through the service (deadline-aware)
-* ``plan``      — tile planning; ``--explain`` prints the autotuner report
-* ``calibrate`` — measure host constants into a calibration profile
+* ``plan``      — tile planning; ``--explain`` prints the planner report
 """
 
 from __future__ import annotations
@@ -63,14 +62,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--auto", action="store_true",
-        help="let the roofline autotuner pick row_block / tile workers / "
-        "tiling for this job (bit-identical to the default config); "
+        help="derive row_block from the tile shape and raise the tile "
+        "count to the memory floor (bit-identical to the default config); "
         "explicit knob flags override its choices",
     )
     p.add_argument(
         "--target-error", type=float, default=None, metavar="EPS",
-        help="error budget for --auto: the tuner may then also pick a "
-        "cheaper precision mode whose Section V-B bound stays inside it",
+        help="error budget for --auto: the planner may then also pick a "
+        "cheaper mode, backend, layout or precalc strategy whose bound "
+        "stays inside it",
     )
     p.add_argument(
         "--precalc-strategy", choices=("exact", "fft"), default=None,
@@ -252,25 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--target-error", type=float, default=None)
     pl.add_argument(
         "--explain", action="store_true",
-        help="run the roofline autotuner and print its full report "
+        help="run the error-budget planner and print its full report "
         "(roofline position per kernel, occupancy, every candidate "
         "configuration with its predicted time and rejection reason)",
     )
-
-    ca = sub.add_parser(
-        "calibrate", help="measure host-execution constants and write a "
-        "calibration profile the autotuner can start from"
-    )
-    ca.add_argument("--device", default="A100", help="simulated device")
-    ca.add_argument(
-        "--output", metavar="PATH", default=None,
-        help="profile path (default calibration_<device>.json)",
-    )
-    ca.add_argument(
-        "-n", type=int, default=160,
-        help="segments per measurement series (larger = steadier rates)",
-    )
-    ca.add_argument("--repeats", type=int, default=2, help="best-of repeats")
     return parser
 
 
@@ -484,7 +469,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .reporting import render_autotune_choices, render_service_metrics
+    from .reporting import render_service_metrics
     from .service import JobRequest, MatrixProfileService
 
     rng = np.random.default_rng(args.seed)
@@ -526,13 +511,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             note += f" downgraded {out.requested_mode}->{out.effective_mode}"
         print(f"job {job.job_id}: {out.status} {out.effective_mode} "
               f"{out.latency * 1e3:.1f} ms{note}")
-    snapshot = service.metrics.snapshot()
     print()
-    print(render_service_metrics(snapshot))
-    tuned = render_autotune_choices(snapshot)
-    if tuned:
-        print()
-        print(tuned)
+    print(render_service_metrics(service.metrics.snapshot()))
     return 0
 
 
@@ -684,31 +664,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0 if outcome.status in ("completed", "partial") else 1
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .gpu.calibration import measure_host_profile, save_profile
-
-    print(f"measuring host-execution constants on {args.device} "
-          f"(n={args.n}, best of {args.repeats})...")
-    profile = measure_host_profile(
-        device=args.device, n_seg=args.n, repeats=args.repeats
-    )
-    output = args.output or f"calibration_{profile.device}.json"
-    path = save_profile(profile, output)
-    rows = [
-        [mode, f"{profile.seconds_per_cell[mode]:.3e}",
-         f"{profile.superstep_overhead[mode]:.3e}"]
-        for mode in profile.seconds_per_cell
-    ]
-    print_table(
-        ["mode", "s/cell-dim", "s/super-step"], rows,
-        title="measured host rates",
-    )
-    print(f"tile overhead {profile.tile_overhead:.3e} s; "
-          f"parallel efficiency {profile.parallel_efficiency:.2f}")
-    print(f"wrote {path}")
-    return 0
-
-
 _COMMANDS = {
     "profile": _cmd_profile,
     "resume": _cmd_resume,
@@ -717,7 +672,6 @@ _COMMANDS = {
     "devices": _cmd_devices,
     "experiments": _cmd_experiments,
     "plan": _cmd_plan,
-    "calibrate": _cmd_calibrate,
     "validate": _cmd_validate,
     "serve": _cmd_serve,
     "cluster": _cmd_cluster,

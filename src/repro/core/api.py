@@ -38,7 +38,6 @@ def matrix_profile(
     symmetric_tiles: bool | None = None,
     auto: bool = False,
     target_error: float | None = None,
-    tuner=None,
 ) -> MatrixProfileResult:
     """Compute the multi-dimensional matrix profile of ``query`` against
     ``reference`` on simulated GPU hardware.
@@ -106,20 +105,17 @@ def matrix_profile(
         the full grid (they stay inside the same Section V-B bounds);
         part of :meth:`~repro.core.config.RunConfig.cache_key`.
     auto:
-        Run the roofline autotuner (:class:`~repro.core.config.RunConfig`
-        ``.auto()``) to pick ``row_block``, ``parallel_workers``, tiling
-        and precalc strategy for this job's shape.  Without a
-        ``target_error`` the tuned knobs are numerics-inert, so the
-        profile stays bit-identical to the untuned call.  Explicit
-        knob arguments (``row_block`` etc.) override the tuner's choice.
+        Plan the job with :class:`~repro.autotune.AutoTuner`.  Without
+        a ``target_error`` it only derives ``row_block`` from the tile
+        shape (:func:`~repro.core.planner.row_block_for`) and raises the
+        tile count to the memory floor, so the profile stays
+        bit-identical to the untuned call.  Explicit knob arguments
+        (``row_block`` etc.) override the planner's choice.
     target_error:
-        Error budget for the autotuner (implies ``auto``): the tuner may
-        then also change the precision mode and enable the FFT precalc
-        path, constrained to candidates whose Section V-B bound stays
-        inside the budget.
-    tuner:
-        Optional prebuilt :class:`~repro.autotune.AutoTuner` to reuse
-        calibration and feedback state across calls.
+        Error budget for the planner (implies ``auto``): it may then
+        also change the precision mode, backend, symmetric layout and
+        precalc strategy, constrained to candidates whose a-priori bound
+        stays inside the budget.
 
     Returns
     -------
@@ -156,8 +152,7 @@ def matrix_profile(
     if symmetric_tiles is not None:
         config_kwargs["symmetric_tiles"] = symmetric_tiles
     config = RunConfig(**config_kwargs)
-    decision = None
-    if auto or target_error is not None or tuner is not None:
+    if auto or target_error is not None:
         from ..autotune import AutoTuner
 
         ref = np.asarray(reference)
@@ -167,9 +162,7 @@ def matrix_profile(
             n_q_seg, self_join = n_r_seg, True
         else:
             n_q_seg, self_join = np.asarray(query).shape[0] - m + 1, False
-        if tuner is None:
-            tuner = AutoTuner(device=config.device)
-        decision = tuner.tune(
+        decision = AutoTuner(device=config.device).tune(
             n_r_seg,
             n_q_seg,
             d,
@@ -184,15 +177,11 @@ def matrix_profile(
         )
         chosen = decision.chosen
         tuned = {"n_tiles": chosen.n_tiles}
-        # Explicit knob arguments always win over the tuner's choice.
+        # Explicit knob arguments always win over the planner's choice.
         if row_block is None:
-            tuned["row_block"] = chosen.row_block
-        if parallel_workers is None:
-            tuned["parallel_workers"] = chosen.parallel_workers
+            tuned["row_block"] = decision.config.row_block
         if target_error is not None:
             tuned["mode"] = chosen.mode
-            # Numerics-visible like the mode itself, so tuner-driven
-            # only under an explicit error budget.
             if symmetric_tiles is None:
                 tuned["symmetric_tiles"] = chosen.symmetric_tiles
             if precalc_strategy is None:
@@ -211,16 +200,7 @@ def matrix_profile(
     )
     if config.n_tiles == 1 and config.n_gpus == 1 and not fault_tolerant:
         return compute_single_tile(reference, query, m, config)
-    feedback = None
-    if decision is not None:
-        # Close the tuner's predict -> execute -> correct loop: measure
-        # this job's dispatch wall time and feed it back as the chosen
-        # candidate's cost, so a mispriced point re-ranks next tune call.
-        from ..autotune import TuningObserver
-
-        feedback = TuningObserver(tuner, decision.chosen)
-        observers = (*observers, feedback)
-    result = compute_multi_tile(
+    return compute_multi_tile(
         reference,
         query,
         m,
@@ -232,6 +212,3 @@ def matrix_profile(
         journal=journal,
         observers=observers,
     )
-    if feedback is not None:
-        feedback.flush()
-    return result

@@ -111,8 +111,12 @@ class RunConfig:
     #: sort/scan/update stages then run once per block.  Bit-exact for
     #: any value (1 = a block of one row); purely a host-emulation
     #: batching knob, so it changes neither the numerics nor the
-    #: modelled costs.
-    #: 32 keeps the block workspace cache-resident and measures fastest.
+    #: modelled costs.  The tensor-core main loop ignores it: its panel
+    #: height is numerics-visible and fixed
+    #: (:data:`~repro.kernels.tc_gemm.TC_PANEL_ROWS`).
+    #: 32 measures fastest single-threaded; the service and
+    #: ``matrix_profile(auto=True)`` derive it per tile with
+    #: :func:`~repro.core.planner.row_block_for`.
     row_block: int = 32
     #: How the plan-level precalc cache evaluates the seed QT dot products:
     #: ``"exact"`` (the paper's sequential naive dot, bit-identical to
@@ -204,57 +208,6 @@ class RunConfig:
     @property
     def policy(self) -> PrecisionPolicy:
         return policy_for(self.mode)
-
-    @classmethod
-    def auto(
-        cls,
-        n_r_seg: int,
-        n_q_seg: int | None = None,
-        d: int = 1,
-        m: int = 64,
-        *,
-        mode: "PrecisionMode | str" = PrecisionMode.FP64,
-        device: "DeviceSpec | str" = "A100",
-        target_error: float | None = None,
-        n_gpus: int = 1,
-        n_streams: int | None = None,
-        exclusion_zone: int | None = None,
-        self_join: bool = True,
-        tuner=None,
-        **tuner_kwargs,
-    ) -> "RunConfig":
-        """Planner-chosen configuration for one job (the roofline autotuner).
-
-        Evaluates candidate ``row_block`` / ``parallel_workers`` / tile
-        counts (and, under an explicit ``target_error``, precision mode
-        and ``precalc_strategy``) against the calibrated cost model and
-        returns the predicted-fastest config.  Absent a ``target_error``
-        every tuned knob is numerics-inert, so the profile is
-        bit-identical to the default configuration's.
-
-        Pass a prebuilt :class:`~repro.autotune.AutoTuner` as ``tuner``
-        to reuse its calibration/feedback state; ``tuner_kwargs`` are
-        forwarded to a fresh tuner otherwise.  Use
-        :meth:`repro.autotune.AutoTuner.tune` directly to also get the
-        :meth:`~repro.autotune.TuneDecision.explain` report.
-        """
-        from ..autotune import AutoTuner
-
-        if tuner is None:
-            tuner = AutoTuner(device=device, **tuner_kwargs)
-        decision = tuner.tune(
-            n_r_seg,
-            n_q_seg if n_q_seg is not None else n_r_seg,
-            d,
-            m,
-            mode=mode,
-            self_join=self_join,
-            target_error=target_error,
-            n_gpus=n_gpus,
-            n_streams=n_streams,
-            exclusion_zone=exclusion_zone,
-        )
-        return decision.config
 
     def with_(self, **changes) -> "RunConfig":
         """Return a copy with the given fields replaced."""

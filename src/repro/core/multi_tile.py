@@ -76,8 +76,8 @@ def compute_multi_tile(
     * ``parallel_workers`` — host threads executing independent tiles
       concurrently (results merge in plan order, so the output is
       deterministic and matches the serial dispatch bit for bit);
-      defaults to ``config.parallel_workers`` so autotuned configs carry
-      the knob without every caller threading it through.
+      defaults to ``config.parallel_workers`` so a config carries the
+      knob without every caller threading it through.
     """
     config = config or RunConfig()
     if parallel_workers is None:

@@ -7,7 +7,8 @@ input", so arbitrarily large problems fit in device memory, and it
 tiles".  This module turns both arguments into a planner: given the
 problem size, precision mode, device and an optional error target, it
 returns the smallest tile count that satisfies the memory bound and the
-Section V-B error bound.
+Section V-B error bound.  :func:`row_block_for` derives the main loop's
+host block from a tile's shape.
 """
 
 from __future__ import annotations
@@ -21,7 +22,16 @@ from ..precision.errors import streaming_qt_error_bound, tile_edge_for_target_er
 from ..precision.modes import PrecisionMode, policy_for
 from .tiling import tile_grid_shape
 
-__all__ = ["TilePlan", "tile_memory_bytes", "plan_tiles"]
+__all__ = [
+    "TilePlan",
+    "tile_memory_bytes",
+    "plan_tiles",
+    "tile_edges",
+    "row_block_for",
+]
+
+#: Host cache budget for the main loop's live block workspace.
+ROW_BLOCK_WORKSPACE_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -62,6 +72,37 @@ def tile_memory_bytes(
     return int(inputs + precalc + planes + outputs)
 
 
+def tile_edges(n_r_seg: int, n_q_seg: int, n_tiles: int) -> tuple[int, int]:
+    """``(rows, cols)`` of the largest tile of an ``n_tiles`` grid.
+
+    The grid splits each axis into near-equal chunks, so the largest
+    tile edge is the ceiling split — no need to materialise the list.
+    """
+    g_r, g_q = tile_grid_shape(n_tiles)
+    return (
+        math.ceil(n_r_seg / min(g_r, n_r_seg)),
+        math.ceil(n_q_seg / min(g_q, n_q_seg)),
+    )
+
+
+def row_block_for(
+    n_rows: int, n_cols: int, d: int, mode: "PrecisionMode | str"
+) -> int:
+    """Main-loop rows per super-step for one ``n_rows x n_cols`` tile.
+
+    The largest of 1, 8, 16, 32, 64 and 128 whose four live ``(b,
+    n_cols, d)`` block planes fit :data:`ROW_BLOCK_WORKSPACE_BYTES` of
+    host cache, clipped to the tile's rows: fewer super-steps until the
+    workspace spills.  ``row_block`` is outside ``RunConfig.cache_key()``
+    and bit-exact at every value, so the choice only moves host time.
+    """
+    itemsize = policy_for(mode).itemsize
+    for block in (128, 64, 32, 16, 8):
+        if 4 * block * n_cols * d * itemsize <= ROW_BLOCK_WORKSPACE_BYTES:
+            return max(1, min(block, n_rows))
+    return 1
+
+
 def plan_tiles(
     n_r_seg: int,
     n_q_seg: int,
@@ -93,9 +134,7 @@ def plan_tiles(
     # Minimum tiles for memory: grow until a tile fits the budget.
     memory_tiles = 1
     while True:
-        g_r, g_q = tile_grid_shape(memory_tiles)
-        rows = math.ceil(n_r_seg / min(g_r, n_r_seg))
-        cols = math.ceil(n_q_seg / min(g_q, n_q_seg))
+        rows, cols = tile_edges(n_r_seg, n_q_seg, memory_tiles)
         if tile_memory_bytes(rows, cols, d, m, mode) <= budget:
             break
         if memory_tiles >= n_r_seg * n_q_seg:
@@ -115,14 +154,10 @@ def plan_tiles(
             accuracy_tiles *= 2
 
     n_tiles = max(memory_tiles, accuracy_tiles)
-    g = tile_grid_shape(n_tiles)
-    # The grid splits each axis into near-equal chunks, so the largest
-    # tile edge is the ceiling split — no need to materialise the list.
-    rows = math.ceil(n_r_seg / min(g[0], n_r_seg))
-    cols = math.ceil(n_q_seg / min(g[1], n_q_seg))
+    rows, cols = tile_edges(n_r_seg, n_q_seg, n_tiles)
     return TilePlan(
         n_tiles=n_tiles,
-        grid=g,
+        grid=tile_grid_shape(n_tiles),
         tile_rows=rows,
         tile_cols=cols,
         tile_bytes=tile_memory_bytes(rows, cols, d, m, mode),

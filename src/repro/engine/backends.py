@@ -62,7 +62,7 @@ from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.precalc import PrecalcKernel, PrecalcResult
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.sort_scan_batch import BatchSortScanKernel
-from ..kernels.tc_gemm import TcGemmKernel
+from ..kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
 from ..kernels.update import INDEX_DTYPE, UpdateKernel
 from ..precision.modes import TENSOR_CORE_MODES, PrecisionMode, PrecisionPolicy
 from .plan import ExecutionPlan, Tile
@@ -370,7 +370,10 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
                     tiles=n_tiles)
 
-    block = max(1, min(row_block, steps))
+    # The tensor-core panel height is numerics-visible (FP16 store at each
+    # panel boundary), so that path ignores the cache-key-excluded
+    # row_block and runs fixed TC_PANEL_ROWS panels.
+    block = max(1, min(TC_PANEL_ROWS if tensor_core else row_block, steps))
     if tensor_core:
         # The panel kernel keeps its QT panel in its own FP32
         # accumulator scratch: no compute-dtype workspace to lease.

@@ -237,57 +237,6 @@ class JobSpec:
             )
         return self._tr_layout, self._tq_layout
 
-    def tune(self, target_error: float | None = None, tuner=None):
-        """Replace the config's performance knobs with planner outputs.
-
-        Runs the roofline autotuner (:mod:`repro.autotune`) on this
-        spec's shape and folds the chosen knobs back into ``config``.
-        Without a ``target_error`` only the numerics-inert knobs move
-        (``row_block``, ``parallel_workers``, and the tile floor the
-        memory planner would force anyway); with one, the mode and
-        ``precalc_strategy`` may change too, in which case any built
-        layouts are re-materialised at the new storage dtype.  Returns
-        the :class:`~repro.autotune.TuneDecision` for inspection.
-        """
-        from ..autotune import AutoTuner
-
-        if tuner is None:
-            tuner = AutoTuner(device=self.config.device)
-        decision = tuner.tune_spec(self, target_error=target_error)
-        chosen = decision.chosen
-        changes = {
-            "row_block": chosen.row_block,
-            "parallel_workers": chosen.parallel_workers,
-            "n_tiles": chosen.n_tiles,
-        }
-        if target_error is not None:
-            changes["mode"] = chosen.mode
-            changes["precalc_strategy"] = chosen.precalc_strategy
-            # The main-loop backend is numerics-visible (the tensor-core
-            # path accumulates in FP32), so like the mode it only moves
-            # under an explicit error budget.
-            changes["backend"] = getattr(chosen, "backend", "numeric")
-        new_config = self.config.with_(**changes)
-        if new_config.mode != self.config.mode:
-            from ..precision.modes import policy_for
-
-            if self.reference is not None:
-                # Host series present: drop the layouts so they rebuild
-                # lazily at the new storage dtype.
-                self._tr_layout = self._tq_layout = None
-            elif self._tr_layout is not None:
-                storage = policy_for(new_config.mode).storage
-                self._tr_layout = np.ascontiguousarray(
-                    self._tr_layout.astype(storage)
-                )
-                self._tq_layout = (
-                    self._tr_layout
-                    if self.self_join
-                    else np.ascontiguousarray(self._tq_layout.astype(storage))
-                )
-        self.config = new_config
-        return decision
-
     def plan(
         self,
         n_tiles: int | None = None,
@@ -295,9 +244,6 @@ class JobSpec:
         tiles: list[Tile] | None = None,
         assignment: list[int] | None = None,
         precalc_store=None,
-        auto: bool = False,
-        target_error: float | None = None,
-        tuner=None,
     ) -> "ExecutionPlan":
         """Materialise the execution plan.
 
@@ -311,14 +257,7 @@ class JobSpec:
         :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`; the
         cache itself is created empty and populates lazily on the first
         numeric tile execution, so planning stays cheap.
-
-        ``auto=True`` runs :meth:`tune` first (optionally with a
-        ``target_error`` budget and/or a reusable ``tuner``), so the
-        materialised plan carries planner-chosen knobs instead of the
-        constructor defaults.
         """
-        if auto or target_error is not None:
-            self.tune(target_error=target_error, tuner=tuner)
         if self.config.symmetric_tiles and not self.self_join:
             raise ValueError(
                 "symmetric_tiles exploits self-join symmetry "

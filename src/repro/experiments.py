@@ -126,7 +126,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     ),
     Experiment(
         "autotuner", "Secs. III-B, V",
-        "Roofline autotuner: predicted-fastest config vs default and exhaustive search",
+        "Error-budget planner: auto vs default (bit-identical) and the error-target tier",
         "bench_autotuner.py", "autotuner", "executed",
     ),
     Experiment(

@@ -19,7 +19,7 @@ from ..reporting import format_seconds, format_table
 from . import calibration as cal
 from .device import DeviceSpec, get_device
 
-__all__ = ["KernelProfile", "profile_result", "render_report"]
+__all__ = ["KernelProfile", "binding", "profile_result", "render_report"]
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,9 @@ class KernelProfile:
     syncs: int
 
 
-def _binding(name: str, cost, device: DeviceSpec, itemsize: int) -> str:
+def binding(name: str, cost, device: DeviceSpec, itemsize: int) -> str:
+    """The resource binding ``cost`` on ``device``: the largest of its
+    DRAM, L2, L1/TEX and SM roofline terms."""
     scale = cal.device_scale(device.name)
     terms = {
         "DRAM": cost.bytes_dram
@@ -86,7 +88,7 @@ def profile_result(
                 arithmetic_intensity=(
                     cost.flops / cost.bytes_dram if cost.bytes_dram else 0.0
                 ),
-                bound_by=_binding(name, cost, device, itemsize),
+                bound_by=binding(name, cost, device, itemsize),
                 launches=cost.launches,
                 syncs=cost.syncs,
             )

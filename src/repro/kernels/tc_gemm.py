@@ -6,7 +6,7 @@ The streaming recurrence of Eq. (1),
 
 advances one row per step, which on hardware costs one kernel launch per
 row and keeps the FMA pipes at vector-FP16 rates.  This kernel executes a
-whole ``row_block x n_q`` panel per super-step on the (simulated)
+whole ``TC_PANEL_ROWS x n_q`` panel per super-step on the (simulated)
 tensor-core unit instead, following the playbook of Curless (*Mixed
 Precision Euclidean Distance Using Tensor Cores*) and Navarro et al.
 (*Tensor Cores for Arithmetic Reductions*):
@@ -36,8 +36,8 @@ Precision Euclidean Distance Using Tensor Cores*) and Navarro et al.
 
 4. **Corner chains.**  Diagonals entering through column 0 *inside* the
    block (``j <= t``) restart from the precalculated ``qt_col0`` entries;
-   they form a second, ``row_block``-wide sheared panel fed through the
-   same chained prefix with ``qt_col0`` as the initial carry.
+   they form a second sheared panel, ``TC_PANEL_ROWS`` wide, fed through
+   the same chained prefix with ``qt_col0`` as the initial carry.
 
 5. **Fused FP32 epilogue.**  The panel's QT values end the chain in the
    FP32 accumulator, so the correlation -> distance conversion runs in
@@ -72,7 +72,13 @@ from ..precision.modes import DTYPE_MAX, TENSOR_CORE_MODES
 from .dist_calc import DistCalcKernel
 from .precalc import PrecalcResult
 
-__all__ = ["TcGemmKernel"]
+__all__ = ["TcGemmKernel", "TC_PANEL_ROWS"]
+
+#: Panel height of the tensor-core main loop: reference rows per chained-
+#: GEMM super-step.  The panel boundary is where the FP32 accumulator is
+#: stored back to FP16, so the height is part of the numerics and is
+#: fixed here rather than taken from the host knob ``row_block``.
+TC_PANEL_ROWS = 32
 
 #: Flops of one dense 16x16x16 MMA (2*m*n*k).
 _MMA_FLOPS = 2 * 16 * 16 * 16

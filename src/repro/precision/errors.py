@@ -75,7 +75,7 @@ def streaming_qt_error_bound(
 
 
 def tc_gemm_error_bound(
-    rows: int, m: int, mode: PrecisionMode | str, row_block: int = 32
+    rows: int, m: int, mode: PrecisionMode | str, row_block: int | None = None
 ) -> float:
     """Relative error bound for QT on the tensor-core main loop.
 
@@ -100,9 +100,14 @@ def tc_gemm_error_bound(
     (FP32 seed dot products; Kahan-compensated for FP16C).  Only the
     FP16-storage wide-precalc modes (``TENSOR_CORE_MODES``) are valid —
     the bound is meaningless for policies the tensor-core path refuses.
+    ``row_block`` is the panel height; it defaults to the height the
+    main loop runs, :data:`~repro.kernels.tc_gemm.TC_PANEL_ROWS`.
     """
+    from ..kernels.tc_gemm import TC_PANEL_ROWS
     from .modes import TENSOR_CORE_MODES
 
+    if row_block is None:
+        row_block = TC_PANEL_ROWS
     policy = policy_for(mode)
     if policy.mode not in TENSOR_CORE_MODES:
         eligible = ", ".join(m_.value for m_ in TENSOR_CORE_MODES)

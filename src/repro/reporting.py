@@ -17,7 +17,6 @@ __all__ = [
     "render_service_metrics",
     "render_precalc_savings",
     "render_stream_tenants",
-    "render_autotune_choices",
     "render_cluster_health",
 ]
 
@@ -110,33 +109,6 @@ def render_stream_tenants(sessions) -> str:
         ],
         rows,
         title="stream tenants (* = sketch-gated)",
-    )
-
-
-def render_autotune_choices(snapshot) -> str:
-    """Table of the roofline autotuner's per-job choices in a snapshot.
-
-    Accepts any object with the :class:`repro.service.MetricsSnapshot`
-    autotune surface (``autotuned_jobs``, ``autotune_choices``,
-    ``autotune_predicted_seconds``), so the reporting layer stays
-    import-independent of the service subsystem.  Empty string when no
-    job was tuned.
-    """
-    tuned = int(getattr(snapshot, "autotuned_jobs", 0))
-    if not tuned:
-        return ""
-    choices = getattr(snapshot, "autotune_choices", None) or {}
-    rows = [
-        [block, count, f"{count / tuned:.0%}"]
-        for block, count in sorted(choices.items())
-    ]
-    table = format_table(
-        ["row_block", "jobs", "share"], rows, title="autotune choices"
-    )
-    predicted = float(getattr(snapshot, "autotune_predicted_seconds", 0.0))
-    return (
-        f"{table}\n{tuned} job(s) tuned; predicted host time "
-        f"{format_seconds(predicted)} total"
     )
 
 

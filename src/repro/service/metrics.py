@@ -69,12 +69,6 @@ class MetricsSnapshot:
     stream_shed_steps: int = 0
     stream_escalations: int = 0
     stream_tenants: int = 0
-    # Autotuner counters: every planner-tuned job records its chosen
-    # row_block; zero jobs → to_rows() omits the section.
-    autotuned_jobs: int = 0
-    #: ``{row_block: jobs}`` histogram of the tuner's choices.
-    autotune_choices: dict = None  # type: ignore[assignment]
-    autotune_predicted_seconds: float = 0.0
     # Cluster-tier counters (repro.cluster); to_rows() omits the section
     # when no job ran over a fleet and nothing was shed.
     cluster_jobs: int = 0
@@ -113,19 +107,6 @@ class MetricsSnapshot:
                 ["stream exact tiles", self.stream_exact_tiles],
                 ["stream shed steps", self.stream_shed_steps],
                 ["stream escalations", self.stream_escalations],
-            ]
-        if self.autotuned_jobs:
-            choices = ", ".join(
-                f"{block}x{count}"
-                for block, count in sorted((self.autotune_choices or {}).items())
-            )
-            rows += [
-                ["autotuned jobs", self.autotuned_jobs],
-                ["autotune row_block (block x jobs)", choices],
-                [
-                    "autotune predicted total (s)",
-                    f"{self.autotune_predicted_seconds:.4f}",
-                ],
             ]
         if (
             self.cluster_jobs
@@ -205,9 +186,6 @@ class ServiceMetrics:
         self.stream_shed_steps = 0
         self.stream_escalations = 0
         self._stream_tenants: set = set()
-        self.autotuned_jobs = 0
-        self._autotune_choices: dict[int, int] = {}
-        self.autotune_predicted_seconds = 0.0
         self.cluster_jobs = 0
         self.cluster_nodes = 0
         self.node_deaths = 0
@@ -298,15 +276,6 @@ class ServiceMetrics:
             self.stream_shed_steps += shed_steps
             self.stream_escalations += escalations
 
-    def record_autotune(self, row_block: int, predicted_seconds: float) -> None:
-        """One job routed through the roofline autotuner."""
-        with self._lock:
-            self.autotuned_jobs += 1
-            self._autotune_choices[row_block] = (
-                self._autotune_choices.get(row_block, 0) + 1
-            )
-            self.autotune_predicted_seconds += predicted_seconds
-
     def record_cluster(
         self,
         nodes: int,
@@ -387,9 +356,6 @@ class ServiceMetrics:
                 stream_shed_steps=self.stream_shed_steps,
                 stream_escalations=self.stream_escalations,
                 stream_tenants=len(self._stream_tenants),
-                autotuned_jobs=self.autotuned_jobs,
-                autotune_choices=dict(self._autotune_choices),
-                autotune_predicted_seconds=self.autotune_predicted_seconds,
                 cluster_jobs=self.cluster_jobs,
                 cluster_nodes=self.cluster_nodes,
                 node_deaths=self.node_deaths,

@@ -168,43 +168,24 @@ class StreamIngestService:
 
     def _tune_band(self, entry: "_Tenant", rows: int, cols: int,
                    effective: PrecisionMode) -> PrecisionMode:
-        """Autotune one append's band micro-job (rows x cols segments).
+        """Plan one append's band micro-job (rows x cols segments) under
+        the policy's ``target_error``: the mode further down the ladder
+        of the admission mode and the planner's bound-respecting pick."""
+        from ..autotune import AutoTuner
+        from ..service.admission import _LADDER_POSITION
 
-        Sets the stream's ``row_block`` for the band geometry (bit-exact
-        always) and, when the policy carries a ``target_error``, returns
-        the faster of the admission mode and the tuner's bound-respecting
-        pick.  Decisions are memoised in the tuner, so constant-batch
-        appends pay the planner once.
-        """
-        session = entry.session
-        policy = session.policy
-        tuner = self.service.tuner
-        if tuner is None or rows < 1 or cols < 1:
-            return effective
-        stream = session.stream
-        decision = tuner.tune(
-            rows, cols, max(stream.d or 1, 1), policy.m,
+        policy = entry.session.policy
+        chosen = AutoTuner(device=self.service.sim.spec).tune(
+            rows, cols, max(entry.session.stream.d or 1, 1), policy.m,
             mode=policy.mode, self_join=False,
             target_error=policy.target_error,
             exclusion_zone=policy.exclusion_zone,
-        )
-        chosen = decision.chosen
-        if chosen.row_block != stream.config.row_block:
-            stream.config = stream.config.with_(row_block=chosen.row_block)
-        self.metrics.record_autotune(
-            chosen.row_block, chosen.predicted_seconds
-        )
-        if policy.target_error is not None:
-            # Two independent reasons to leave the requested mode: load
-            # shedding (admission) and the error budget (tuner).  Take
-            # whichever sits further down the ladder — both contracts
-            # allow it, and further down is faster.
-            from ..service.admission import _LADDER_POSITION
-
-            if _LADDER_POSITION.get(chosen.mode, 0) > _LADDER_POSITION.get(
-                effective, 0
-            ):
-                effective = chosen.mode
+        ).chosen
+        # Two independent reasons to leave the requested mode: load
+        # shedding (admission) and the error budget (planner).  Both
+        # contracts allow the one further down, and it is faster.
+        if _LADDER_POSITION.get(chosen.mode, 0) > _LADDER_POSITION.get(effective, 0):
+            return chosen.mode
         return effective
 
     def tenant(self, tenant_id: str) -> TenantStream:
@@ -251,7 +232,7 @@ class StreamIngestService:
             )
             effective = decision.effective
             shed_steps = decision.downgrade_steps
-        if policy.autotune:
+        if policy.target_error is not None:
             effective = self._tune_band(entry, n_rows, max(n_new, 1), effective)
 
         esc_before = len(stream.escalations)

@@ -69,15 +69,11 @@ class TenantPolicy:
     exclusion_zone: int | None = None
     n_tiles: int = 1
     row_block: int = 32
-    #: Route every exact micro-job (cover/probe band) through the
-    #: roofline autotuner: ``row_block`` is then picked per band geometry
-    #: instead of taken from this policy.  Numerics-inert — tuned knobs
-    #: are cache-key-excluded, so gated/ungated outputs are unchanged.
-    autotune: bool = False
-    #: Error budget for the autotuner: when set, the tuner may also pick
-    #: a cheaper precision mode per band, provided its Section V-B bound
-    #: stays inside the budget (combined with admission shedding by
-    #: taking the faster of the two on the downgrade ladder).
+    #: Error budget: when set, each band's mode comes from the
+    #: error-budget planner (:class:`~repro.autotune.AutoTuner`) — the
+    #: cheapest mode whose Section V-B bound stays inside the budget —
+    #: combined with admission shedding by taking the one further down
+    #: the downgrade ladder.  Bands keep ``row_block``.
     target_error: float | None = None
 
     def __post_init__(self):

@@ -1,24 +1,17 @@
-"""The roofline autotuner: bit-identity contract, candidate space, wiring."""
+"""The error-budget planner: bit-identity contract, candidate space,
+pinned decisions and wiring."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.autotune import AutoTuner, Candidate, HostCostModel, TuneDecision
+from repro.autotune import AutoTuner
 from repro.core.api import matrix_profile
 from repro.core.config import RunConfig
-from repro.engine.plan import JobSpec
-from repro.gpu.calibration import (
-    CalibrationProfile,
-    default_profile,
-    load_profile,
-    measure_host_profile,
-    save_profile,
-)
-from repro.precision.modes import PrecisionMode
-from repro.reporting import render_autotune_choices
+from repro.core.planner import row_block_for, tile_edges
+from repro.precision.errors import implied_correlation
+from repro.precision.modes import PrecisionMode, policy_for
 from repro.service import JobRequest, MatrixProfileService
 from repro.streams import StreamIngestService, TenantPolicy
 
@@ -52,8 +45,20 @@ class TestBitIdentity:
         assert np.array_equal(auto.profile, base.profile, equal_nan=True)
         assert np.array_equal(auto.index, base.index)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tensor_core_backend_identical(self, mode):
+        # Non-TC modes fall back to the vector path; both must match.
+        ts = _series(300, 3, seed=8)
+        base = matrix_profile(ts, m=16, mode=mode, backend="tensor_core", n_tiles=4)
+        auto = matrix_profile(
+            ts, m=16, mode=mode, backend="tensor_core", n_tiles=4, auto=True
+        )
+        assert np.array_equal(auto.profile, base.profile, equal_nan=True)
+        assert np.array_equal(auto.index, base.index)
+
     def test_auto_config_shares_cache_key(self):
-        cfg = RunConfig.auto(500, 500, 4, 32, mode="FP32")
+        cfg = AutoTuner().tune(500, 500, 4, 32, mode="FP32").config
+        assert cfg.row_block != RunConfig.row_block
         assert cfg.cache_key() == RunConfig(mode="FP32").cache_key()
 
     def test_explicit_knobs_override_tuner(self):
@@ -69,35 +74,16 @@ class TestBitIdentity:
 
 class TestTuneDecision:
     def test_chosen_is_fastest_viable(self):
-        decision = AutoTuner().tune(400, 400, 3, 32, mode="FP32")
+        decision = AutoTuner().tune(400, 400, 3, 32, mode="FP32", target_error=1e-2)
         viable = [c for c in decision.candidates if not c.rejected]
         assert decision.chosen in viable
         assert decision.chosen.predicted_seconds == min(
             c.predicted_seconds for c in viable
         )
 
-    def test_candidates_cover_row_block_grid(self):
-        tuner = AutoTuner()
-        decision = tuner.tune(400, 400, 3, 32, mode="FP64")
-        blocks = {c.row_block for c in decision.candidates}
-        assert blocks == {min(b, 400) for b in tuner.row_blocks}
-
     def test_row_block_clamped_to_tile_rows(self):
         decision = AutoTuner().tune(40, 40, 1, 8, mode="FP64")
-        assert all(c.row_block <= 40 for c in decision.candidates)
-
-    def test_workers_clamped_to_tile_count(self):
-        decision = AutoTuner().tune(300, 300, 2, 16, mode="FP64")
-        assert all(
-            c.parallel_workers <= c.n_tiles for c in decision.candidates
-        )
-
-    def test_memoised_per_shape(self):
-        tuner = AutoTuner()
-        first = tuner.tune(256, 256, 2, 24, mode="FP32")
-        second = tuner.tune(256, 256, 2, 24, mode="FP32")
-        assert first is second
-        assert tuner.tune(256, 256, 2, 25, mode="FP32") is not first
+        assert decision.config.row_block == 40
 
     def test_caller_tile_floor_respected(self):
         decision = AutoTuner().tune(300, 300, 2, 16, mode="FP64", n_tiles=4)
@@ -109,6 +95,7 @@ class TestTuneDecision:
             assert decision.chosen.mode == PrecisionMode.parse(mode)
             assert decision.chosen.precalc_strategy == "exact"
             assert not decision.mode_changed
+            assert len(decision.candidates) == 1
 
     def test_explain_mentions_candidates_and_roofline(self):
         decision = AutoTuner().tune(256, 256, 4, 32, mode="FP16")
@@ -119,13 +106,33 @@ class TestTuneDecision:
         assert "chosen:" in report
         assert "occupancy" in report
 
+    def test_explain_busy_is_the_modelled_clock(self):
+        from repro.gpu.perfmodel import single_tile_timing
+        from repro.reporting import format_seconds
+
+        policy = policy_for("FP16")
+        decision = AutoTuner().tune(1024, 1024, 4, 64, mode="FP16")
+        timing = single_tile_timing(
+            1024, 1024, 4, 64, "A100", policy.itemsize,
+            precalc_itemsize=policy.precalc.itemsize,
+        )
+        report = decision.explain()
+        for name, kernel in timing.kernels.items():
+            line = next(ln for ln in report.splitlines() if ln.startswith(name))
+            assert format_seconds(kernel.busy) in line
+        assert format_seconds(timing.compute_total) in report
+
     def test_config_carries_chosen_knobs(self):
         decision = AutoTuner().tune(300, 300, 2, 24, mode="FP32")
         cfg = decision.config
-        assert cfg.row_block == decision.chosen.row_block
-        assert cfg.parallel_workers == decision.chosen.parallel_workers
+        assert cfg.row_block == row_block_for(300, 300, 2, "FP32")
+        assert cfg.parallel_workers == 1
         assert cfg.n_tiles == decision.chosen.n_tiles
         assert cfg.mode == PrecisionMode.FP32
+
+    def test_target_runs_at_default_row_block(self):
+        decision = AutoTuner().tune(1000, 1000, 2, 32, mode="FP32", target_error=1e-2)
+        assert decision.config.row_block == RunConfig.row_block
 
 
 class TestErrorTargetTier:
@@ -165,175 +172,208 @@ class TestErrorTargetTier:
         assert decision.chosen.mode == PrecisionMode.FP64
         assert math.isfinite(decision.chosen.predicted_seconds)
 
-
-# ---------------------------------------------------------------------------
-# Cost model
-
-
-class TestHostCostModel:
-    def test_row_block_one_is_slowest(self):
-        model = HostCostModel()
-        times = {
-            b: model.tile_time(256, 256, 4, PrecisionMode.FP64, b)
-            for b in (1, 32, 128)
-        }
-        assert times[1] > times[32] > times[128]
-
-    def test_parallel_floored_at_critical_path(self):
-        model = HostCostModel()
-        tiles = [(256, 256)] * 4
-        serial = model.job_time(tiles, 2, 32, PrecisionMode.FP64, 32, 1)
-        quad = model.job_time(tiles, 2, 32, PrecisionMode.FP64, 32, 4)
-        longest = model.tile_time(256, 256, 2, PrecisionMode.FP64, 32)
-        assert quad < serial
-        assert quad >= longest
-
-    def test_estimator_overrides_calibration(self):
-        class Estimator:
-            seconds_per_cell = 1.0
-
-            def mode_factor(self, mode):
-                return 2.0
-
-        model = HostCostModel(estimator=Estimator())
-        assert model.cell_time(PrecisionMode.FP64) == 2.0
+    @pytest.mark.parametrize("target", (1e-1, 1e-3, 1e-6))
+    def test_measured_error_within_target(self, target):
+        ts = _series(330, 2, seed=3)
+        ref = matrix_profile(ts, m=32).profile
+        result = matrix_profile(ts, m=32, mode="FP16", target_error=target)
+        err = np.abs(implied_correlation(result.profile.astype(np.float64), 32)
+                     - implied_correlation(ref, 32))
+        assert err.max() <= target
 
 
 # ---------------------------------------------------------------------------
-# Calibration persistence (satellite)
+# Pinned decisions.  Generated from the previous tuner with its grid
+# restricted to row_block 32 and one worker (what every error-target run
+# now executes at).  Columns: n_r, n_q, d, m, target, requested mode,
+# self-join, caller tiles -> mode, backend, symmetric, tiles, precalc.
+
+DECISIONS = [
+    (4096, 4096, 8, 16, 1e-1, "FP64", True, 16, "Mixed", "tensor_core", True, 16, "exact"),  # tc
+    (4096, 4096, 8, 16, 1e-1, "FP16", True, 16, "Mixed", "tensor_core", True, 16, "exact"),  # tc
+    (4096, 4096, 8, 64, 1e-1, "FP64", True, 16, "Mixed", "tensor_core", True, 16, "exact"),  # tc
+    (4096, 4096, 8, 64, 1e-1, "FP16", True, 16, "Mixed", "tensor_core", True, 16, "exact"),  # tc
+    (300, 300, 1, 16, 1e-1, "FP64", True, 16, "FP32", "numeric", True, 16, "exact"),  # sym
+    (300, 300, 4, 64, 1e-2, "FP64", True, 16, "FP32", "numeric", True, 16, "fft"),  # sym
+    (1000, 1000, 1, 16, 1e-3, "FP64", True, 16, "FP32", "numeric", True, 16, "exact"),  # sym
+    (1000, 1000, 4, 64, 1e-4, "FP64", True, 16, "FP32", "numeric", True, 16, "fft"),  # sym
+    (2048, 2048, 1, 16, 1e-3, "FP64", True, 16, "FP32", "numeric", True, 16, "exact"),  # sym
+    (2048, 2048, 4, 64, 1e-3, "FP64", True, 16, "FP32", "numeric", True, 16, "fft"),  # sym
+    (4096, 4096, 1, 16, 1e-1, "FP64", True, 16, "FP32", "numeric", True, 16, "exact"),  # sym
+    (4096, 4096, 4, 64, 1e-1, "FP64", True, 16, "FP32", "numeric", True, 16, "fft"),  # sym
+    (300, 300, 1, 64, 1e-1, "FP64", True, None, "FP32", "numeric", False, 1, "fft"),  # fft
+    (300, 300, 4, 64, 1e-3, "FP32", True, None, "FP32", "numeric", False, 1, "fft"),  # fft
+    (300, 300, 8, 64, 1e-5, "FP16", True, None, "FP64", "numeric", False, 1, "fft"),  # fft
+    (1000, 1000, 4, 64, 1e-2, "Mixed", True, None, "FP32", "numeric", False, 1, "fft"),  # fft
+    (1000, 507, 8, 64, 1e-5, "FP32", False, None, "FP64", "numeric", False, 1, "fft"),  # fft
+    (2048, 1031, 4, 64, 1e-2, "FP16", False, None, "FP32", "numeric", False, 1, "fft"),  # fft
+    (2048, 2048, 8, 64, 1e-5, "FP16", True, None, "FP64", "numeric", False, 1, "fft"),  # fft
+    (4096, 4096, 4, 64, 1e-2, "Mixed", True, None, "FP32", "numeric", False, 1, "fft"),  # fft
+    (300, 300, 1, 16, 1e-4, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # tight
+    (300, 300, 4, 16, 1e-4, "Mixed", True, None, "FP32", "numeric", False, 1, "exact"),  # tight
+    (300, 300, 8, 16, 1e-5, "FP16", True, None, "FP64", "numeric", False, 1, "exact"),  # tight
+    (1000, 1000, 4, 16, 1e-4, "FP32", True, None, "FP64", "numeric", False, 1, "exact"),  # tight
+    (1000, 507, 8, 16, 1e-5, "FP32", False, None, "FP64", "numeric", False, 1, "exact"),  # tight
+    (2048, 1031, 4, 16, 1e-4, "FP64", False, 16, "FP64", "numeric", False, 16, "exact"),  # tight
+    (2048, 2048, 8, 16, 1e-5, "FP16", True, None, "FP64", "numeric", False, 1, "exact"),  # tight
+    (4096, 2055, 4, 16, 1e-4, "FP32", False, 16, "FP64", "numeric", False, 16, "exact"),  # tight
+    (300, 300, 1, 16, 1e-1, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (300, 300, 4, 16, 1e-2, "FP16", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (1000, 1000, 1, 16, 1e-1, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (1000, 1000, 4, 16, 1e-2, "FP16", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (2048, 2048, 1, 16, 1e-1, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (2048, 2048, 4, 16, 1e-2, "FP16", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (4096, 4096, 1, 16, 1e-1, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (4096, 4096, 4, 16, 1e-2, "FP16", True, None, "FP32", "numeric", False, 1, "exact"),  # loose
+    (5000, 5000, 2, 64, 1e-30, "FP64", True, None, "FP64", "numeric", False, 1, "exact"),  # fallback
+    (400, 400, 2, 64, 1e-30, "FP16", True, None, "FP16", "numeric", False, 1, "exact"),  # fallback
+    (2048, 1031, 4, 32, 1e-20, "Mixed", False, 16, "Mixed", "numeric", False, 16, "exact"),  # fallback
+    (1000, 1000, 8, 16, 1e-18, "FP32", True, 4, "FP32", "numeric", False, 4, "exact"),  # fallback
+    (4096, 4096, 8, 32, 5e-2, "Mixed", True, None, "FP32", "numeric", False, 1, "exact"),  # tc rescue
+    (4096, 2055, 8, 32, 5e-2, "Mixed", False, None, "FP32", "numeric", False, 1, "exact"),  # tc rescue
+    (8192, 8192, 8, 32, 5e-2, "Mixed", True, None, "FP32", "numeric", False, 1, "exact"),  # tc rescue
+    (4096, 4096, 16, 32, 1e-1, "FP16C", True, 4, "Mixed", "tensor_core", True, 4, "exact"),  # tc
+    (6000, 6000, 8, 64, 2e-1, "FP64", True, None, "Mixed", "tensor_core", False, 1, "exact"),  # tc
+    (4096, 4096, 8, 16, 1e-1, "FP32", False, 16, "Mixed", "tensor_core", False, 16, "exact"),  # tc
+    (400, 400, 2, 64, 1e-10, "FP16", True, None, "FP64", "numeric", False, 1, "fft"),  # tight
+    (300, 300, 2, 32, 1e-4, "FP64", True, None, "FP32", "numeric", False, 1, "exact"),  # tight
+]
 
 
-class TestCalibrationProfiles:
-    def test_json_round_trip(self, tmp_path):
-        profile = default_profile("V100")
-        path = save_profile(profile, tmp_path / "cal.json")
-        loaded = load_profile(path)
-        assert loaded == profile
-        assert loaded.device == "V100"
+class TestPinnedDecisions:
+    @pytest.mark.parametrize("case", DECISIONS, ids=lambda c: "-".join(map(str, c[:8])))
+    def test_matches_pinned_choice(self, case):
+        n_r, n_q, d, m, target, mode, self_join, n_tiles, *expected = case
+        chosen = AutoTuner().tune(
+            n_r, n_q, d, m, mode=mode, self_join=self_join,
+            target_error=target, n_tiles=n_tiles,
+        ).chosen
+        assert [
+            chosen.mode.value, chosen.backend, chosen.symmetric_tiles,
+            chosen.n_tiles, chosen.precalc_strategy,
+        ] == expected
 
-    def test_from_json_ignores_unknown_fields(self):
-        payload = json.loads(default_profile().to_json())
-        payload["future_field"] = 123
-        profile = CalibrationProfile.from_json(json.dumps(payload))
-        assert profile.device == "A100"
 
-    def test_measured_profile_is_usable(self):
-        profile = measure_host_profile(n_seg=48, d=2, m=12, repeats=1)
-        assert profile.source == "measured"
-        for mode in MODES:
-            assert profile.cell_time(PrecisionMode.parse(mode)) > 0
-            assert profile.step_time(PrecisionMode.parse(mode)) > 0
-        tuner = AutoTuner(calibration=profile)
-        decision = tuner.tune(128, 128, 2, 16, mode="FP32")
-        assert decision.calibration_source == "measured"
+# ---------------------------------------------------------------------------
+# row_block_for: the closed form of the previous tuner's no-target pick
 
-    def test_unknown_mode_falls_back_to_fp64(self):
-        profile = default_profile()
-        assert profile.cell_time("NOPE") == profile.cell_time(
-            PrecisionMode.FP64
+#: (n, d, mode, requested tiles, row_block) sampled from the previous
+#: tuner's no-target choices on square self-joins.
+NO_TARGET_PICKS = [
+    (64, 1, "FP64", 1, 64),
+    (64, 3, "FP32", 4, 32),
+    (64, 8, "FP16", 16, 16),
+    (128, 1, "Mixed", 100, 13),
+    (128, 4, "FP64", 1, 128),
+    (128, 16, "FP32", 4, 64),
+    (256, 2, "FP16", 16, 64),
+    (256, 4, "Mixed", 100, 26),
+    (384, 1, "FP64", 1, 128),
+    (384, 3, "FP32", 4, 128),
+    (384, 8, "FP16", 16, 96),
+    (512, 1, "Mixed", 100, 52),
+    (512, 4, "FP64", 1, 128),
+    (512, 16, "FP32", 4, 128),
+    (1024, 2, "FP16", 16, 128),
+    (1024, 4, "Mixed", 100, 103),
+    (2048, 1, "FP64", 1, 128),
+    (2048, 3, "FP32", 4, 128),
+    (2048, 8, "FP16", 16, 128),
+    (4096, 1, "Mixed", 100, 128),
+    (4096, 4, "FP64", 1, 16),
+    (4096, 16, "FP32", 16, 32),
+    (8192, 2, "FP16", 100, 128),
+    (8192, 4, "FP16C", 4, 64),
+]
+
+
+class TestRowBlockFor:
+    @pytest.mark.parametrize("n_samples", (384, 385, 386, 387))
+    @pytest.mark.parametrize("m", (32, 48))
+    @pytest.mark.parametrize("n_tiles", (1, 4))
+    @pytest.mark.parametrize("mode", ("FP64", "FP32", "Mixed", "FP16"))
+    def test_service_mixed_shapes_get_128(self, n_samples, m, n_tiles, mode):
+        n_seg = n_samples - m + 1
+        assert row_block_for(*tile_edges(n_seg, n_seg, n_tiles), 3, mode) == 128
+
+    @pytest.mark.parametrize("case", NO_TARGET_PICKS, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_previous_no_target_pick(self, case):
+        n, d, mode, n_tiles, expected = case
+        decision = AutoTuner().tune(
+            n, n, d, 16, mode=mode, n_tiles=n_tiles if n_tiles > 1 else None
         )
+        assert decision.config.row_block == expected
+
+    def test_spill_budget(self):
+        # 4 planes x 128 rows x 4096 cols x d=4 x 8 B = 64 MiB: too big;
+        # 16 rows is the largest block within 8 MiB.
+        assert row_block_for(4096, 4096, 4, "FP64") == 16
+        assert row_block_for(4096, 1 << 21, 1, "FP64") == 1
+        assert row_block_for(5, 100, 1, "FP32") == 5
 
 
 # ---------------------------------------------------------------------------
-# Layer wiring: JobSpec, service, streams, reporting
-
-
-class TestJobSpecWiring:
-    def test_plan_auto_applies_tuned_knobs(self):
-        ts = _series(200, 2)
-        spec = JobSpec.from_arrays(ts, None, 16)
-        default_block = spec.config.row_block
-        spec.plan(auto=True)
-        decision = AutoTuner().tune(spec.n_r_seg, spec.n_q_seg, 2, 16)
-        assert spec.config.row_block == decision.chosen.row_block
-        assert spec.config.row_block != default_block or default_block == 128
-
-    def test_tune_with_target_rebuilds_layouts(self):
-        ts = _series(200, 2)
-        spec = JobSpec.from_arrays(ts, None, 16, RunConfig(mode="FP16"))
-        spec.layouts()
-        assert spec._tr_layout.dtype == np.float16
-        spec.tune(target_error=1e-12)
-        assert spec.config.mode == PrecisionMode.FP64
-        tr, _ = spec.layouts()
-        assert tr.dtype == np.float64
-
-    def test_tune_returns_decision(self):
-        spec = JobSpec.modeled(300, 300, 2, 32)
-        decision = spec.tune()
-        assert isinstance(decision, TuneDecision)
-        assert isinstance(decision.chosen, Candidate)
+# Layer wiring: service and streams
 
 
 class TestServiceWiring:
-    def test_every_admitted_job_is_tuned(self):
+    def test_every_admitted_job_is_tuned(self, monkeypatch):
+        import repro.service.service as service_module
+
+        blocks = []
+
+        def recording(*args):
+            blocks.append(row_block_for(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(service_module, "row_block_for", recording)
         svc = MatrixProfileService(n_gpus=1, n_workers=1, use_cache=False)
-        ts = _series(150, 2)
-        for _ in range(3):
-            svc.submit_and_wait(JobRequest(reference=ts, m=16))
-        snap = svc.metrics.snapshot()
-        assert snap.autotuned_jobs == 3
-        assert sum(snap.autotune_choices.values()) == 3
+        ts = _series(387, 3)
+        for mode in ("FP64", "Mixed", "FP16"):
+            svc.submit_and_wait(JobRequest(reference=ts, m=32, mode=mode, n_tiles=4))
+        assert blocks == [128, 128, 128]
 
     def test_service_output_unchanged_by_tuning(self):
         ts = _series(180, 3, seed=9)
-        out_a = MatrixProfileService(
+        out = MatrixProfileService(
             n_gpus=1, n_workers=1
         ).submit_and_wait(JobRequest(reference=ts, m=20, mode="FP16"))
-        out_b = MatrixProfileService(
-            n_gpus=1, n_workers=1, autotune=False
-        ).submit_and_wait(JobRequest(reference=ts, m=20, mode="FP16"))
-        assert np.array_equal(
-            out_a.result.profile, out_b.result.profile, equal_nan=True
-        )
-        assert np.array_equal(out_a.result.index, out_b.result.index)
-
-    def test_autotune_off_records_nothing(self):
-        svc = MatrixProfileService(n_gpus=1, n_workers=1, autotune=False)
-        svc.submit_and_wait(JobRequest(reference=_series(120, 1), m=12))
-        assert svc.metrics.snapshot().autotuned_jobs == 0
-
-    def test_estimator_feedback_reaches_cost_model(self):
-        svc = MatrixProfileService(n_gpus=1, n_workers=1, use_cache=False)
-        model = svc.tuner.cost
-        before = model.cell_time(PrecisionMode.FP64)
-        # A wildly slow observed job drags the EMA, and with it the
-        # tuner's absolute predictions, away from the calibration prior.
-        svc.estimator.observe(100, 100, 1, PrecisionMode.FP64, 60.0)
-        assert model.cell_time(PrecisionMode.FP64) != before
+        base = matrix_profile(ts, m=20, mode="FP16", n_tiles=out.tiles_total)
+        assert np.array_equal(out.result.profile, base.profile, equal_nan=True)
+        assert np.array_equal(out.result.index, base.index)
 
 
-class TestStreamWiring:
-    def _drive(self, autotune):
+class TestStreamTargetError:
+    """A tenant's ``target_error`` alone drives its band modes."""
+
+    #: Per-band modes the previous tuner picked for this tenant with its
+    #: separate ``autotune`` flag set (without it every band ran FP64).
+    EXPECTED = {
+        5e-2: ["FP32"] * 8,
+        1e-3: ["FP32"] * 8,
+        1e-6: ["FP64"] * 8,
+    }
+
+    def _drive(self, target):
         svc = StreamIngestService(n_gpus=1, n_workers=1)
-        data = _series(320, 2, seed=11)
-        svc.register("t", TenantPolicy(m=16, mode="FP32", autotune=autotune),
+        data = _series(400, 2, seed=11)
+        svc.register("t", TenantPolicy(m=16, mode="FP64", target_error=target),
                      initial=data[:80])
-        for i in range(80, 320, 60):
-            svc.ingest("t", data[i:i + 60])
-        return svc
+        modes = [
+            svc.ingest("t", data[i:i + 40]).mode.value for i in range(80, 400, 40)
+        ]
+        return svc, modes
 
-    def test_tuned_tenant_bit_identical(self):
-        tuned, plain = self._drive(True), self._drive(False)
-        pa, ia = tuned.profile("t")
-        pb, ib = plain.profile("t")
-        assert np.array_equal(pa, pb, equal_nan=True)
-        assert np.array_equal(ia, ib)
+    @pytest.mark.parametrize("target", sorted(EXPECTED))
+    def test_band_modes_follow_target(self, target):
+        svc, modes = self._drive(target)
+        assert modes == self.EXPECTED[target]
+        reference, _ = self._drive(None)[0].profile("t")
+        profile, _ = svc.profile("t")
+        err = np.abs(implied_correlation(profile.astype(np.float64), 16)
+                     - implied_correlation(reference, 16))
+        assert np.nanmax(err) <= target
 
-    def test_micro_jobs_recorded(self):
-        svc = self._drive(True)
-        assert svc.metrics.snapshot().autotuned_jobs > 0
-        assert self._drive(False).metrics.snapshot().autotuned_jobs == 0
-
-
-class TestReporting:
-    def test_render_autotune_choices(self):
-        svc = MatrixProfileService(n_gpus=1, n_workers=1)
-        svc.submit_and_wait(JobRequest(reference=_series(140, 2), m=16))
-        text = render_autotune_choices(svc.metrics.snapshot())
-        assert "autotune choices" in text
-        assert "1 job(s) tuned" in text
-
-    def test_empty_when_untuned(self):
-        svc = MatrixProfileService(n_gpus=1, n_workers=1, autotune=False)
-        assert render_autotune_choices(svc.metrics.snapshot()) == ""
+    def test_bands_keep_policy_row_block(self):
+        svc, _ = self._drive(5e-2)
+        assert svc.tenant("t").stream.config.row_block == RunConfig.row_block

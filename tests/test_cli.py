@@ -102,17 +102,6 @@ class TestCommands:
         assert main(["profile", str(csv), "-m", "16", "--auto"]) == 0
         assert "modelled device time" in capsys.readouterr().out
 
-    def test_calibrate_writes_profile(self, tmp_path, capsys):
-        out_path = tmp_path / "cal.json"
-        assert main(
-            ["calibrate", "-n", "64", "--repeats", "1",
-             "--output", str(out_path)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert out_path.exists()
-        assert "measured host rates" in out
-        assert "wrote" in out
-
     def test_experiments_listing(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out

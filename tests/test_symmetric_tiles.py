@@ -28,7 +28,7 @@ from repro.precision.errors import (
     streaming_qt_error_bound,
     tc_gemm_error_bound,
 )
-from repro.precision.modes import TENSOR_CORE_MODES, PrecisionMode
+from repro.precision.modes import TENSOR_CORE_MODES
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
@@ -487,131 +487,13 @@ class TestAutoSelection:
         )
         assert not any(c.symmetric_tiles for c in ab.candidates)
 
-    def test_symmetric_correction_keyed_separately(self):
-        """A measured triangular-grid job must not perturb the full-grid
-        point's correction EMA (and vice versa)."""
-        from repro.autotune import AutoTuner
-
-        tuner = AutoTuner()
-        dec = tuner.tune(
-            1024, 1024, 4, 64, mode="FP32", self_join=True,
-            target_error=1e-2, n_tiles=16,
-        )
-        sym = dec.chosen
-        assert sym.symmetric_tiles
-        tuner.observe_candidate(sym, sym.predicted_seconds * 4.0)
-        keys = set(tuner.cost._corrections)
-        assert all(k[-1] is True for k in keys)
-        corrected = tuner.cost.correction(
-            sym.mode, sym.row_block, sym.parallel_workers,
-            sym.precalc_strategy, backend=sym.backend, symmetric=True,
-        )
-        uncorrected = tuner.cost.correction(
-            sym.mode, sym.row_block, sym.parallel_workers,
-            sym.precalc_strategy, backend=sym.backend, symmetric=False,
-        )
-        assert corrected > 1.0
-        assert uncorrected == 1.0
-
-
-class TestLiveFeedback:
-    """Satellite: measured tile timings flow back into the tuner."""
-
-    def test_auto_job_feeds_observed_time_to_tuner(self):
-        from repro import matrix_profile
-        from repro.autotune import AutoTuner
-
-        series = _series(200, d=2)
-        tuner = AutoTuner()
-        assert not tuner.cost._corrections
-        matrix_profile(
-            series, m=16, mode="FP32", n_tiles=9, auto=True, tuner=tuner
-        )
-        # the dispatch observer measured the run and fed it back
-        assert tuner.cost._corrections
-
-    def test_mispriced_candidate_reranks_after_one_job(self):
-        from repro.autotune import AutoTuner
-
-        tuner = AutoTuner()
-        first = tuner.tune(
-            1024, 1024, 4, 64, mode="FP32", self_join=True,
-            target_error=1e-2, n_tiles=16,
-        )
-        viable = [c for c in first.candidates if not c.rejected]
-        runner_up = next(
-            c for c in sorted(viable, key=lambda c: c.predicted_seconds)
-            if (c.mode, c.row_block, c.parallel_workers, c.precalc_strategy,
-                c.backend, c.symmetric_tiles)
-            != (first.chosen.mode, first.chosen.row_block,
-                first.chosen.parallel_workers, first.chosen.precalc_strategy,
-                first.chosen.backend, first.chosen.symmetric_tiles)
-        )
-        # one observed job shows the chosen point is badly mispriced
-        factor = 4.0 * runner_up.predicted_seconds / first.chosen.predicted_seconds
-        tuner.observe_candidate(
-            first.chosen, first.chosen.predicted_seconds * factor
-        )
-        second = tuner.tune(
-            1024, 1024, 4, 64, mode="FP32", self_join=True,
-            target_error=1e-2, n_tiles=16,
-        )
-        assert (
-            second.chosen.mode, second.chosen.row_block,
-            second.chosen.parallel_workers, second.chosen.precalc_strategy,
-            second.chosen.backend, second.chosen.symmetric_tiles,
-        ) != (
-            first.chosen.mode, first.chosen.row_block,
-            first.chosen.parallel_workers, first.chosen.precalc_strategy,
-            first.chosen.backend, first.chosen.symmetric_tiles,
-        )
-
-    def test_flush_noop_without_completed_tiles(self):
-        from repro.autotune import AutoTuner, TuningObserver
-
-        tuner = AutoTuner()
-        dec = tuner.tune(400, 400, 3, 32, mode="FP32")
-        obs = TuningObserver(tuner, dec.chosen)
-        # a fully journal-restored resume never starts a tile
-        assert obs.flush() == 0.0
-        assert not tuner.cost._corrections
-
 
 class TestWorkspacePlanes:
-    """Satellite: the capacity model prices the backend's real workspace
-    plane count — 3 for the tensor-core layout against the vector path's
-    4 — so TC jobs stop being over-split near the cache budget."""
+    """The capacity model prices the backend's real workspace plane
+    count — 3 for the tensor-core layout against the vector path's 4 —
+    so TC jobs stop being over-split near the cache budget."""
 
     def test_plane_counts(self):
         from repro.engine.backends import WORKSPACE_HALF_PLANES
 
         assert WORKSPACE_HALF_PLANES == {"vector": 4, "tensor_core": 3}
-
-    def test_tc_spill_penalty_never_exceeds_vector(self):
-        from repro.autotune import AutoTuner
-
-        tuner = AutoTuner()
-        mode = PrecisionMode.MIXED
-        for row_block in (32, 64, 128, 256):
-            for plane_elems in (1 << 16, 1 << 20, 1 << 22):
-                vec = tuner.cost._spill_penalty(
-                    row_block, plane_elems, mode, backend="numeric"
-                )
-                tc = tuner.cost._spill_penalty(
-                    row_block, plane_elems, mode, backend="tensor_core"
-                )
-                assert tc <= vec
-        # and the gap is real in the spill ramp: size the workspace so
-        # the 4-plane estimate sits at twice the cache budget (penalty
-        # ramps up to saturation at 4x), where 3 planes must price lower
-        from repro.precision.modes import policy_for
-
-        budget = tuner.cost.calibration.workspace_bytes
-        plane_elems = 1 << 16
-        itemsize = policy_for(mode).itemsize
-        spill_block = max(1, int(2 * budget / (4 * plane_elems * itemsize)))
-        assert tuner.cost._spill_penalty(
-            spill_block, plane_elems, mode, backend="tensor_core"
-        ) < tuner.cost._spill_penalty(
-            spill_block, plane_elems, mode, backend="numeric"
-        )

@@ -1,10 +1,13 @@
 """Tensor-core execution path: kernel parity, fused sort, backend routing,
-escalation composition and the autotuner's backend axis."""
+fixed panel height, escalation composition and the planner's backend
+axis."""
 
 import numpy as np
 import pytest
 
-from repro.autotune import AutoTuner, HostCostModel
+from repro.autotune import AutoTuner
+from repro.autotune.planner import predicted_seconds
+from repro.core.api import matrix_profile
 from repro.baselines.brute_force import znormalized_distance_matrix
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
@@ -297,7 +300,47 @@ class TestEscalationComposition:
 
 
 # ---------------------------------------------------------------------------
-# Autotuner: backend axis, rescue, online correction
+# The panel height is fixed: row_block cannot change tensor-core bytes
+
+
+class TestPanelHeight:
+    """``row_block`` is outside ``cache_key()``, so it must not move the
+    tensor-core output: the panel runs at ``TC_PANEL_ROWS`` whatever
+    the host block."""
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        rng = np.random.default_rng(3)
+        return (
+            rng.standard_normal((600, 4)).cumsum(axis=0),
+            rng.standard_normal((450, 4)).cumsum(axis=0),
+        )
+
+    @pytest.mark.parametrize("mode", [m.value for m in TENSOR_CORE_MODES])
+    @pytest.mark.parametrize("ab", [False, True], ids=["self", "ab"])
+    def test_row_block_is_bit_exact(self, walks, mode, ab):
+        ref, qry = walks[0], walks[1] if ab else None
+        outs = [
+            matrix_profile(ref, qry, m=16, mode=mode, backend="tensor_core",
+                           row_block=block)
+            for block in (32, 1, 8, 128, ref.shape[0] - 15)
+        ]
+        assert outs[0].backend == "tensor_core"
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out.profile, outs[0].profile)
+            np.testing.assert_array_equal(out.index, outs[0].index)
+
+    @pytest.mark.parametrize("mode", [m.value for m in TENSOR_CORE_MODES])
+    def test_auto_matches_default(self, walks, mode):
+        base = matrix_profile(walks[0], m=16, mode=mode, backend="tensor_core")
+        auto = matrix_profile(walks[0], m=16, mode=mode, backend="tensor_core",
+                              auto=True)
+        np.testing.assert_array_equal(auto.profile, base.profile)
+        np.testing.assert_array_equal(auto.index, base.index)
+
+
+# ---------------------------------------------------------------------------
+# Planner: backend axis and rescue
 
 
 class TestAutotunerBackendAxis:
@@ -320,11 +363,12 @@ class TestAutotunerBackendAxis:
         assert tuner._backends(PrecisionMode.MIXED, 0.1) == ("numeric",)
 
     def test_tc_rescue_when_vector_bound_explodes(self):
-        # At this scale the vector Mixed bound is inf at any admissible
-        # tiling, but the per-block TC bound stays under the target: the
-        # rescue path must still surface viable tensor-core candidates.
+        # At this scale the vector Mixed bound needs more tiles than the
+        # planner admits, but the per-panel TC bound (32-row panels)
+        # stays under the target: the rescue path must still surface
+        # viable tensor-core candidates.
         decision = AutoTuner().tune(
-            4096, 4096, 8, 32, mode="Mixed", target_error=0.05
+            3072, 3072, 8, 32, mode="Mixed", target_error=0.1
         )
         viable_tc = [
             c for c in decision.candidates
@@ -347,43 +391,10 @@ class TestAutotunerBackendAxis:
         assert all(c.rejected for c in tc)
         assert any("tc error bound above target" in (c.note or "") for c in tc)
 
-
-class TestOnlineCorrection:
-    def test_observe_candidate_reranks(self):
-        tuner = AutoTuner()
-        first = tuner.tune(400, 400, 3, 32, mode="FP32")
-        chosen = first.chosen
-
-        def key(c):
-            return (c.mode.value, c.row_block, c.parallel_workers,
-                    c.precalc_strategy, c.backend)
-
-        # The chosen point turns out 50x slower than predicted: the next
-        # tune of the same job must re-rank away from it.
-        tuner.observe_candidate(chosen, chosen.predicted_seconds * 50)
-        second = tuner.tune(400, 400, 3, 32, mode="FP32")
-        assert key(second.chosen) != key(chosen)
-
-    def test_correction_converges_not_compounds(self):
-        cost = HostCostModel()
-        args = (PrecisionMode.FP32, 64, 1, "exact", "numeric")
-        f1 = cost.correct(*args, predicted=1.0, measured=2.0)
-        assert f1 == pytest.approx(2.0)
-        # Re-observing the now-correct prediction leaves the factor put.
-        f2 = cost.correct(*args, predicted=2.0, measured=2.0)
-        assert f2 == pytest.approx(2.0)
-
-    def test_correction_ignores_garbage(self):
-        cost = HostCostModel()
-        args = (PrecisionMode.FP32, 64, 1, "exact", "numeric")
-        cost.correct(*args, predicted=0.0, measured=1.0)
-        cost.correct(*args, predicted=1.0, measured=float("nan"))
-        assert cost.correction(*args) == 1.0
-
-    def test_tc_pricing_uses_calibrated_factors(self):
-        cost = HostCostModel()
-        vec = cost.tile_time(256, 256, 8, PrecisionMode.MIXED, 32)
-        tc = cost.tile_time(
-            256, 256, 8, PrecisionMode.MIXED, 32, backend="tensor_core"
+    def test_tc_pricing_uses_tc_factors(self):
+        tiles = [(256, 256, 1, False)]
+        vec = predicted_seconds(tiles, 8, 32, PrecisionMode.MIXED, 256, 256)
+        tc = predicted_seconds(
+            tiles, 8, 32, PrecisionMode.MIXED, 256, 256, backend="tensor_core"
         )
         assert tc != vec
