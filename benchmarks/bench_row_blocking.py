@@ -1,21 +1,24 @@
 """Row-blocked kernel execution bench — block of 1 vs blocked vs parallel.
 
-The row-blocked main loop (``RunConfig.row_block``) is a pure host-side
-optimisation: ``dist_calc`` keeps the sequential Eq. (1) recurrence but
-fills B consecutive row planes into one workspace, and the
-column-independent sort/scan/update stages then run once per block.  The
-output — profile, indices, per-kernel costs, modelled timeline — is
-bit-for-bit that of the per-row test oracle for every block size
+The row-blocked main loop is a pure host-side optimisation: ``dist_calc``
+keeps the sequential Eq. (1) recurrence but fills B consecutive row
+planes into one workspace, and the column-independent sort/scan/update
+stages then run once per block.  B comes from
+:func:`repro.engine.backends.super_step_rows`: as many rows as keep one
+super-step within ``SUPER_STEP_ELEMENTS``.  The output — profile,
+indices, per-kernel costs, modelled timeline — is bit-for-bit that of
+the per-row test oracle for every block size
 (``tests/test_row_blocking.py`` pins this), so the only thing to measure
-is wall clock.  ``row_block=1`` runs the same loop with blocks of one
+is wall clock.  A budget of 0 runs the same loop with blocks of one
 row; the per-row kernels exist only as the test oracle.
 
 Two measurements:
 
 1. **Kernel level (the reference config)** — one multi-dimensional FP16
    tile, n_seg = 256, d = 8, m = 32, timed through
-   :func:`repro.engine.backends.run_tile` at ``row_block`` 1 vs the
-   default 32, for FP16 and FP64.  Acceptance: >= 3x for the FP16 tile.
+   :func:`repro.engine.backends.run_tile` with blocks of one row (the
+   budget patched to 0) vs the derived super-step, for FP16 and FP64.
+   Acceptance: >= 3x for the FP16 tile.
 2. **Engine level** — a 4-tile FP16 self-join through
    :func:`~repro.core.multi_tile.compute_multi_tile`, serial block of 1
    vs serial blocked vs blocked with ``parallel_workers`` tile threads.
@@ -26,14 +29,15 @@ Two measurements:
    the tests either way).
 
 Results are archived to ``benchmarks/results/row_blocking.txt`` and, for
-machine consumption, ``BENCH_row_blocking.json`` at the repo root.
-``REPRO_BENCH_SMOKE=1`` shrinks the problem and relaxes the speedup
-floor for CI smoke runs.
+machine consumption, ``BENCH_row_blocking.json`` at the repo root (full
+runs only).  ``REPRO_BENCH_SMOKE=1`` shrinks the problem and relaxes the
+speedup floor for CI smoke runs.
 """
 
 import json
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +45,8 @@ import pytest
 
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
-from repro.engine.backends import run_tile
+from repro.engine import backends
+from repro.engine.backends import run_tile, super_step_rows
 from repro.kernels.layout import to_device_layout
 from repro.reporting import format_table
 
@@ -54,7 +59,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N_SEG = 128 if SMOKE else 256
 D = 8
 M = 32
-BLOCK = RunConfig().row_block  # the shipped default (32)
+BLOCK = super_step_rows(N_SEG, N_SEG, D)  # the derived super-step
 REPEATS = 2 if SMOKE else 3
 #: CI smoke boxes are noisy single-core runners; the real floor is
 #: asserted at full scale.
@@ -82,16 +87,24 @@ def _timed(fn, repeats=REPEATS):
     return result, best
 
 
-def _time_tile(mode, row_block):
-    cfg = RunConfig(mode=mode, row_block=row_block)
+@contextmanager
+def _blocks_of_one():
+    """Patch the super-step budget to 0: every step is one row."""
+    saved = backends.SUPER_STEP_ELEMENTS
+    backends.SUPER_STEP_ELEMENTS = 0
+    try:
+        yield
+    finally:
+        backends.SUPER_STEP_ELEMENTS = saved
+
+
+def _time_tile(mode):
+    cfg = RunConfig(mode=mode)
     ref = _series(N_SEG + M - 1, D)
     tr = to_device_layout(ref, cfg.policy.storage)
 
     def run():
-        return run_tile(
-            tr, tr, M, cfg.policy, cfg.launch,
-            exclusion_zone=M // 4, row_block=row_block,
-        )
+        return run_tile(tr, tr, M, cfg.policy, cfg.launch, exclusion_zone=M // 4)
     out, best = _timed(run)
     return out, best
 
@@ -101,7 +114,8 @@ def test_row_blocking_speedup(benchmark):
     rows = []
     record = {
         "reference_config": {"n_seg": N_SEG, "d": D, "m": M,
-                             "row_block": BLOCK, "smoke": SMOKE},
+                             "super_step_elements": backends.SUPER_STEP_ELEMENTS,
+                             "block": BLOCK, "smoke": SMOKE},
         "kernel_level": {},
         "engine_level": {},
     }
@@ -109,8 +123,9 @@ def test_row_blocking_speedup(benchmark):
     # -- kernel level: the acceptance measurement ------------------------
     fp16_ratio = None
     for mode in ("FP16", "FP64"):
-        out_1, t_1 = _time_tile(mode, 1)
-        out_b, t_b = _time_tile(mode, BLOCK)
+        with _blocks_of_one():
+            out_1, t_1 = _time_tile(mode)
+        out_b, t_b = _time_tile(mode)
         assert np.array_equal(
             out_b.profile.view(np.uint8), out_1.profile.view(np.uint8)
         )
@@ -128,10 +143,10 @@ def test_row_blocking_speedup(benchmark):
     # -- engine level: multi-tile, serial vs parallel workers ------------
     series = _series(ENGINE_N, D, seed=23)
     base_cfg = dict(mode="FP16", n_tiles=ENGINE_TILES)
-    r_row, t_row = _timed(
-        lambda: compute_multi_tile(
-            series, None, M, RunConfig(row_block=1, **base_cfg))
-    )
+    with _blocks_of_one():
+        r_row, t_row = _timed(
+            lambda: compute_multi_tile(series, None, M, RunConfig(**base_cfg))
+        )
     r_blk, t_blk = _timed(
         lambda: compute_multi_tile(series, None, M, RunConfig(**base_cfg))
     )
@@ -162,10 +177,10 @@ def test_row_blocking_speedup(benchmark):
         f"m={M} (block={BLOCK}, best of {REPEATS})",
     )
     emit("row_blocking", table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    if not SMOKE:
+        JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
 
-    benchmark.pedantic(lambda: _time_tile("FP16", BLOCK), rounds=1,
-                       iterations=1)
+    benchmark.pedantic(lambda: _time_tile("FP16"), rounds=1, iterations=1)
 
     assert fp16_ratio >= MIN_SPEEDUP_FP16, (
         f"FP16 reference tile speedup {fp16_ratio:.2f}x below the "

@@ -11,7 +11,8 @@ measures both clocks:
 1. **Speed (the acceptance measurement)** — one Mixed tile at the
    reference config, n_seg = 256, d = 8, m = 32 on the A100 launch,
    timed through :func:`repro.engine.backends.run_tile` with
-   ``main_loop="vector"`` (row_block 32) vs ``main_loop="tensor_core"``.
+   ``main_loop="vector"`` (its derived super-step) vs
+   ``main_loop="tensor_core"``.
    Acceptance: >= 2x for the tensor-core panel.
 2. **Accuracy** — per-cell correlation error against the FP64
    brute-force oracle across 3 seeds x {self-join, AB-join}, asserted
@@ -41,7 +42,7 @@ from repro.gpu.occupancy import launch_for_full_occupancy
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout
 from repro.kernels.precalc import PrecalcKernel
-from repro.kernels.tc_gemm import TcGemmKernel
+from repro.kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
 from repro.precision.errors import tc_gemm_error_bound
 from repro.precision.modes import policy_for
 from repro.reporting import format_table
@@ -55,7 +56,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N_SEG = 128 if SMOKE else 256
 D = 8
 M = 32
-BLOCK = 32
+BLOCK = TC_PANEL_ROWS  # rows per step of the accuracy walk
 SEEDS = (0, 1, 2)
 REPEATS = 2 if SMOKE else 5
 #: CI smoke boxes are noisy single-core runners; the real floor is
@@ -112,7 +113,7 @@ def _time_tile(main_loop):
         start = time.perf_counter()
         out = run_tile(
             tr, tr, M, policy, LAUNCH,
-            exclusion_zone=EZ, row_block=BLOCK, workspace=pool,
+            exclusion_zone=EZ, workspace=pool,
             main_loop=main_loop,
         )
         best = min(best, time.perf_counter() - start)
@@ -124,7 +125,7 @@ def test_tensor_core_speedup_and_parity(benchmark):
     rows = []
     record = {
         "reference_config": {"n_seg": N_SEG, "d": D, "m": M,
-                             "row_block": BLOCK, "device": "A100",
+                             "panel_rows": BLOCK, "device": "A100",
                              "smoke": SMOKE},
         "parity": {},
         "mode_errors": {},
@@ -132,7 +133,7 @@ def test_tensor_core_speedup_and_parity(benchmark):
     }
 
     # -- accuracy: 3 seeds x {self, AB} against the a-priori bound -------
-    bound = tc_gemm_error_bound(N_SEG, M, "Mixed", row_block=BLOCK)
+    bound = tc_gemm_error_bound(N_SEG, M, "Mixed", panel_rows=BLOCK)
     record["parity"]["bound"] = bound
     worst = 0.0
     for seed in SEEDS:
@@ -174,8 +175,7 @@ def test_tensor_core_speedup_and_parity(benchmark):
     # numerics differ by design — FP32 accumulation).
     assert out_tc.profile.shape == out_vec.profile.shape
     agree = float(np.mean(out_tc.indices == out_vec.indices))
-    rows.append([f"vector Mixed block={BLOCK}", f"{t_vec * 1e3:9.1f} ms",
-                 "1.00x"])
+    rows.append(["vector Mixed", f"{t_vec * 1e3:9.1f} ms", "1.00x"])
     rows.append(["tensor-core Mixed", f"{t_tc * 1e3:9.1f} ms",
                  f"{speedup:.2f}x"])
     rows.append(["motif index agreement", f"{agree:.3f}", ""])

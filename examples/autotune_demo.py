@@ -3,10 +3,10 @@
 
 Walks `repro.autotune` through its three contracts:
 
-1. **Bit-identity** — `matrix_profile(..., auto=True)` derives the host
-   block (`row_block`) from the tile shape, yet the profile is
-   bit-identical to the constructor-default run (only cache-key-excluded
-   knobs move absent an error target).
+1. **Bit-identity** — `matrix_profile(..., auto=True)` only raises the
+   tile count to the memory floor, so the profile is bit-identical to
+   the constructor-default run (no numerics-visible knob moves absent
+   an error target).
 2. **Explainability** — `AutoTuner.tune()` returns the full decision:
    tile plan, roofline position, occupancy, and the ranked candidate
    list with rejection reasons.

@@ -17,7 +17,7 @@ Run:  python examples/tensor_core_demo.py
 import numpy as np
 
 from repro import matrix_profile
-from repro.core.config import RunConfig
+from repro.kernels.tc_gemm import TC_PANEL_ROWS
 from repro.precision.errors import tc_gemm_error_bound
 from repro.reporting import banner, print_table
 
@@ -52,9 +52,7 @@ def main() -> None:
         rows.append([label, f"{err:.5f}", "yes" if hit else "no"])
     print_table(["main loop", "max |P - P_fp64|", "motif found"], rows)
 
-    bound = tc_gemm_error_bound(
-        n_seg, m, "Mixed", row_block=RunConfig().row_block
-    )
+    bound = tc_gemm_error_bound(n_seg, m, "Mixed", panel_rows=TC_PANEL_ROWS)
     print(f"\na-priori tensor-core bound (corr): {bound:.5f} — the panel's "
           "FP32 accumulator")
     print("keeps rounding per *block* in half precision, not per row.")

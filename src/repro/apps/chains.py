@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import RunConfig, default_exclusion_zone
-from ..engine.backends import WorkspacePool
+from ..engine.backends import WorkspacePool, super_step_rows
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.layout import to_device_layout, validate_series
 from ..kernels.precalc import PrecalcKernel
@@ -83,7 +83,7 @@ def left_right_profile(
     left.allocate(d, n_seg)
     right.allocate(d, n_seg)
 
-    block = min(config.row_block, n_seg)
+    block = super_step_rows(n_seg, n_seg, d)
     cols = np.arange(n_seg)
     with WorkspacePool().lease((d, block, n_seg), policy.compute) as qt_ws:
         for i0 in range(0, n_seg, block):

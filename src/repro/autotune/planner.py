@@ -12,9 +12,7 @@ Candidates are priced by the constant host-cost table below.
 
 The bit-identity contract: **without a target the planner moves no
 numerics-visible knob**.  It returns the requested mode at the larger of
-the requested tile count and the memory floor, with
-:func:`~repro.core.planner.row_block_for`'s host block — ``row_block`` is
-outside ``RunConfig.cache_key()`` and bit-exact at every value.
+the requested tile count and the memory floor.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from ..core.config import RunConfig
-from ..core.planner import TilePlan, plan_tiles, row_block_for, tile_edges
+from ..core.planner import TilePlan, plan_tiles
 from ..core.tiling import tile_grid_shape
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.kernel import LaunchConfig
@@ -73,6 +71,9 @@ SECONDS_PER_STEP = {
     PrecisionMode.FP16: 2.5e-4,
     PrecisionMode.FP16C: 3.0e-4,
 }
+#: Rows per priced super-step (the main loop's block on the 512-wide,
+#: d = 8 tiles the table was fitted on).
+STEP_ROWS = 32
 #: Host seconds per dispatched tile (planning, slicing, merge bookkeeping).
 TILE_OVERHEAD = 1.5e-3
 #: Per-cell multiplier of the tensor-core main loop (the packed-panel
@@ -93,11 +94,10 @@ def predicted_seconds(
     """Predicted host seconds of one tiled job.
 
     ``tiles`` holds ``(rows, cols, count, mirror)`` weighted tile
-    geometries.  Super-steps are priced at the default ``row_block``
-    (32), which is what every error-target run executes at.  The seed-QT
-    term streams a length-``m`` dot per segment-dimension (``"exact"``)
-    or runs an O(n log n) convolution with a ~4x vectorised constant
-    (``"fft"``).
+    geometries.  Super-steps are priced at :data:`STEP_ROWS` rows.  The
+    seed-QT term streams a length-``m`` dot per segment-dimension
+    (``"exact"``) or runs an O(n log n) convolution with a ~4x vectorised
+    constant (``"fft"``).
     """
     cell, step = SECONDS_PER_CELL[mode], SECONDS_PER_STEP[mode]
     if backend == "tensor_core":
@@ -108,7 +108,7 @@ def predicted_seconds(
     total = sum(
         (
             TILE_OVERHEAD
-            + math.ceil(rows / RunConfig.row_block) * step
+            + math.ceil(rows / STEP_ROWS) * step
             + float(rows) * cols * d
             * (cell_rate * MIRROR_CELL_FACTOR if mirror else cell_rate)
         )
@@ -169,7 +169,7 @@ class TuneDecision:
     def explain(self) -> str:
         """Human-readable report: roofline position, candidates, verdict."""
         n_r, n_q, d, m = self.shape
-        c, cfg, device = self.chosen, self.config, self.device
+        c, device = self.chosen, self.device
         lines = [
             f"autotune report — {n_r} x {n_q} segments, d={d}, m={m}, "
             f"{device.name}, requested {self.requested_mode.value}"
@@ -247,8 +247,7 @@ class TuneDecision:
         lines.append(
             f"chosen: {c.mode.value}, {c.backend} backend, "
             f"{'symmetric' if c.symmetric_tiles else 'full'} grid, "
-            f"{c.n_tiles} tile(s), row_block={cfg.row_block}, "
-            f"precalc={c.precalc_strategy} — predicted "
+            f"{c.n_tiles} tile(s), precalc={c.precalc_strategy} — predicted "
             f"{format_seconds(c.predicted_seconds)}"
         )
         return "\n".join(lines)
@@ -366,10 +365,6 @@ class AutoTuner:
         chosen = min(
             viable, key=lambda c: (c.predicted_seconds, _MODE_ORDER.index(c.mode))
         )
-        row_block = RunConfig.row_block
-        if target_error is None:
-            rows, cols = tile_edges(n_r_seg, n_q_seg, chosen.n_tiles)
-            row_block = row_block_for(rows, cols, d, chosen.mode)
         config = RunConfig(
             mode=chosen.mode,
             device=self.device,
@@ -377,7 +372,6 @@ class AutoTuner:
             n_gpus=n_gpus,
             n_streams=n_streams,
             exclusion_zone=exclusion_zone,
-            row_block=row_block,
             backend=chosen.backend,
             symmetric_tiles=chosen.symmetric_tiles,
             precalc_strategy=chosen.precalc_strategy,

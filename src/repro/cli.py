@@ -50,21 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", type=int, default=1)
     p.add_argument("--gpus", type=int, default=1)
     p.add_argument(
-        "--row-block", type=int, default=None, metavar="B",
-        help="main-loop rows per kernel super-step (default 32; "
-        "1 = blocks of one row; any value is bit-exact, the per-row "
-        "kernels are the test oracle only)",
-    )
-    p.add_argument(
         "--tile-workers", type=int, default=None, metavar="W",
         help="host threads executing independent tiles concurrently "
         "(deterministic tile-id merge order; default 1 = serial)",
     )
     p.add_argument(
         "--auto", action="store_true",
-        help="derive row_block from the tile shape and raise the tile "
-        "count to the memory floor (bit-identical to the default config); "
-        "explicit knob flags override its choices",
+        help="raise the tile count to the memory floor (bit-identical "
+        "to the default config)",
     )
     p.add_argument(
         "--target-error", type=float, default=None, metavar="EPS",
@@ -320,7 +313,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         n_tiles=args.tiles,
         n_gpus=args.gpus,
         journal=args.journal,
-        row_block=args.row_block,
         parallel_workers=args.tile_workers,
         precalc_strategy=args.precalc_strategy,
         auto=args.auto,

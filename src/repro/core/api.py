@@ -31,7 +31,6 @@ def matrix_profile(
     oom_split: bool = False,
     journal=None,
     observers=(),
-    row_block: int | None = None,
     parallel_workers: int | None = None,
     precalc_strategy: str | None = None,
     backend: str | None = None,
@@ -72,11 +71,6 @@ def matrix_profile(
         see that function).  Using any of them routes the computation
         through the tiled engine even for a single-tile configuration,
         since the recovery machinery lives in the tile dispatch loop.
-    row_block:
-        Main-loop rows executed per kernel super-step
-        (:attr:`~repro.core.config.RunConfig.row_block`; default 32).
-        Any value is bit-exact — ``1`` runs blocks of one row through
-        the same loop (the per-row kernels are the test oracle only).
     parallel_workers:
         Host threads executing independent tiles concurrently (results
         merge in plan order, so output is deterministic and identical
@@ -106,16 +100,14 @@ def matrix_profile(
         part of :meth:`~repro.core.config.RunConfig.cache_key`.
     auto:
         Plan the job with :class:`~repro.autotune.AutoTuner`.  Without
-        a ``target_error`` it only derives ``row_block`` from the tile
-        shape (:func:`~repro.core.planner.row_block_for`) and raises the
-        tile count to the memory floor, so the profile stays
-        bit-identical to the untuned call.  Explicit knob arguments
-        (``row_block`` etc.) override the planner's choice.
+        a ``target_error`` it only raises the tile count to the memory
+        floor, so the profile stays bit-identical to the untuned call.
     target_error:
         Error budget for the planner (implies ``auto``): it may then
         also change the precision mode, backend, symmetric layout and
         precalc strategy, constrained to candidates whose a-priori bound
-        stays inside the budget.
+        stays inside the budget.  Explicit knob arguments
+        (``backend`` etc.) override the planner's choice.
 
     Returns
     -------
@@ -141,8 +133,6 @@ def matrix_profile(
         n_streams=n_streams,
         exclusion_zone=exclusion_zone,
     )
-    if row_block is not None:
-        config_kwargs["row_block"] = row_block
     if parallel_workers is not None:
         config_kwargs["parallel_workers"] = parallel_workers
     if precalc_strategy is not None:
@@ -178,8 +168,6 @@ def matrix_profile(
         chosen = decision.chosen
         tuned = {"n_tiles": chosen.n_tiles}
         # Explicit knob arguments always win over the planner's choice.
-        if row_block is None:
-            tuned["row_block"] = decision.config.row_block
         if target_error is not None:
             tuned["mode"] = chosen.mode
             if symmetric_tiles is None:

@@ -105,19 +105,6 @@ class RunConfig:
     #: Skip the sort/scan kernel entirely when d == 1 (it is the identity
     #: there) — the fast path the turbine case study (d=1) benefits from.
     fast_path_1d: bool = True
-    #: Rows of the main loop executed per super-step: ``dist_calc`` keeps
-    #: its sequential QT recurrence but fills ``row_block`` consecutive
-    #: row planes into one workspace, and the column-independent
-    #: sort/scan/update stages then run once per block.  Bit-exact for
-    #: any value (1 = a block of one row); purely a host-emulation
-    #: batching knob, so it changes neither the numerics nor the
-    #: modelled costs.  The tensor-core main loop ignores it: its panel
-    #: height is numerics-visible and fixed
-    #: (:data:`~repro.kernels.tc_gemm.TC_PANEL_ROWS`).
-    #: 32 measures fastest single-threaded; the service and
-    #: ``matrix_profile(auto=True)`` derive it per tile with
-    #: :func:`~repro.core.planner.row_block_for`.
-    row_block: int = 32
     #: How the plan-level precalc cache evaluates the seed QT dot products:
     #: ``"exact"`` (the paper's sequential naive dot, bit-identical to
     #: per-tile precalculation) or ``"fft"`` (MASS-style sliding dot
@@ -133,8 +120,8 @@ class RunConfig:
     #: for the FP16-storage wide-precalc modes (Mixed, FP16C) on devices
     #: with tensor cores; other configurations fall back to the numeric
     #: backend with the reason recorded on the result.  The two paths are
-    #: *not* bit-identical (FP32 accumulation is the point), so unlike
-    #: ``row_block`` this knob enters ``cache_key()``.
+    #: *not* bit-identical (FP32 accumulation is the point), so this
+    #: knob enters ``cache_key()``.
     backend: str = "numeric"
     #: Exploit self-join symmetry (D(i, j) = D(j, i)): plan only diagonal
     #: + upper-triangular tiles and consume each off-diagonal distance
@@ -143,13 +130,12 @@ class RunConfig:
     #: but is *not* bit-identical to the full grid (reduced-precision
     #: recurrences restart at tile edges, so the mirrored contribution is
     #: computed from the transposed tile's panel), which is why it is
-    #: opt-in, rejected for AB-joins, and — unlike ``row_block`` — enters
-    #: ``cache_key()``.
+    #: opt-in, rejected for AB-joins, and enters ``cache_key()``.
     symmetric_tiles: bool = False
     #: Host threads executing independent tiles concurrently.  Results
     #: merge in plan order, so the output is deterministic and
-    #: bit-identical to serial dispatch — like ``row_block`` this is a
-    #: pure host-execution knob, excluded from ``cache_key()``.
+    #: bit-identical to serial dispatch — a pure host-execution knob,
+    #: excluded from ``cache_key()``.
     parallel_workers: int = 1
     #: Backoff schedule applied between per-tile retry attempts.  ``None``
     #: (and the ``RetryPolicy()`` default) mean immediate retry — the
@@ -177,8 +163,6 @@ class RunConfig:
                 f"sort_strategy must be 'bitonic' or 'batch', got "
                 f"{self.sort_strategy!r}"
             )
-        if self.row_block < 1:
-            raise ValueError(f"row_block must be >= 1, got {self.row_block}")
         if self.backend not in ("numeric", "tensor_core"):
             raise ValueError(
                 f"backend must be 'numeric' or 'tensor_core', got "
@@ -231,7 +215,6 @@ class RunConfig:
             "exclusion_zone": self.exclusion_zone,
             "sort_strategy": self.sort_strategy,
             "fast_path_1d": self.fast_path_1d,
-            "row_block": self.row_block,
             "backend": self.backend,
             "symmetric_tiles": self.symmetric_tiles,
             "precalc_strategy": self.precalc_strategy,
@@ -245,9 +228,11 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         """Reconstruct a config from :meth:`to_dict` output."""
         data = dict(data)
-        # Retired knob: journals written while per-tile precalculation
-        # was selectable still carry it.
-        data.pop("amortize_precalc", None)
+        # Retired host-only knobs: journals written while per-tile
+        # precalculation or the main-loop row block was selectable still
+        # carry them.  Any other unknown key still fails loudly.
+        for retired in ("amortize_precalc", "row_block"):
+            data.pop(retired, None)
         launch = data.get("launch")
         if isinstance(launch, dict):
             data["launch"] = LaunchConfig(**launch)
@@ -262,22 +247,18 @@ class RunConfig:
         Two configs share a key iff :meth:`to_dict` agrees on every field
         that can change the result — the numerics knobs (mode, tile
         count, exclusion zone, sort strategy, 1-d fast path) and the
-        performance-model knobs.  ``row_block`` and ``parallel_workers``
-        are excluded: row-blocked execution and parallel tile dispatch
-        are bit-exact and cost-identical, so cached results are shared across those
-        knobs.  ``precalc_strategy``, ``backend`` and ``symmetric_tiles``
-        *are* included — the FFT seeds, the tensor-core main loop and the
-        mirrored triangular grid are not bit-identical.
+        performance-model knobs.  ``parallel_workers`` and
+        ``retry_policy`` are excluded: parallel tile dispatch and retry
+        pacing are bit-exact and cost-identical, so cached results are
+        shared across those knobs.  ``precalc_strategy``, ``backend`` and
+        ``symmetric_tiles`` *are* included — the FFT seeds, the
+        tensor-core main loop and the mirrored triangular grid are not
+        bit-identical.
         """
         fields = {
             k: v
             for k, v in self.to_dict().items()
-            if k
-            not in (
-                "row_block",
-                "parallel_workers",
-                "retry_policy",
-            )
+            if k not in ("parallel_workers", "retry_policy")
         }
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -7,8 +7,7 @@ input", so arbitrarily large problems fit in device memory, and it
 tiles".  This module turns both arguments into a planner: given the
 problem size, precision mode, device and an optional error target, it
 returns the smallest tile count that satisfies the memory bound and the
-Section V-B error bound.  :func:`row_block_for` derives the main loop's
-host block from a tile's shape.
+Section V-B error bound.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ __all__ = [
     "tile_memory_bytes",
     "plan_tiles",
     "tile_edges",
-    "row_block_for",
 ]
-
-#: Host cache budget for the main loop's live block workspace.
-ROW_BLOCK_WORKSPACE_BYTES = 8 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -83,24 +78,6 @@ def tile_edges(n_r_seg: int, n_q_seg: int, n_tiles: int) -> tuple[int, int]:
         math.ceil(n_r_seg / min(g_r, n_r_seg)),
         math.ceil(n_q_seg / min(g_q, n_q_seg)),
     )
-
-
-def row_block_for(
-    n_rows: int, n_cols: int, d: int, mode: "PrecisionMode | str"
-) -> int:
-    """Main-loop rows per super-step for one ``n_rows x n_cols`` tile.
-
-    The largest of 1, 8, 16, 32, 64 and 128 whose four live ``(b,
-    n_cols, d)`` block planes fit :data:`ROW_BLOCK_WORKSPACE_BYTES` of
-    host cache, clipped to the tile's rows: fewer super-steps until the
-    workspace spills.  ``row_block`` is outside ``RunConfig.cache_key()``
-    and bit-exact at every value, so the choice only moves host time.
-    """
-    itemsize = policy_for(mode).itemsize
-    for block in (128, 64, 32, 16, 8):
-        if 4 * block * n_cols * d * itemsize <= ROW_BLOCK_WORKSPACE_BYTES:
-            return max(1, min(block, n_rows))
-    return 1
 
 
 def plan_tiles(

@@ -53,7 +53,6 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..core.config import RunConfig
 from ..gpu.kernel import KernelCost, LaunchConfig
 from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
@@ -81,6 +80,8 @@ __all__ = [
     "workspace_bytes",
     "KERNEL_ORDER",
     "TILE_BATCH_ELEMENTS",
+    "SUPER_STEP_ELEMENTS",
+    "super_step_rows",
 ]
 
 KERNEL_ORDER = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_prof")
@@ -98,6 +99,22 @@ KERNEL_ORDER = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_p
 #: at 2048 the 100-tile benchmark jobs' peak RSS grew 13% over one-tile
 #: dispatch, at 512 under 5%.
 TILE_BATCH_ELEMENTS = 512
+
+#: Elements of one main-loop super-step, ``planes * block * width``:
+#: :func:`super_step_rows` sizes every vector-path block from it.
+#: Measured on a shared 2-core x86 host, one and two threads: 512-wide,
+#: d = 8 tiles run fastest at 32 rows (this budget) and 1.2-1.5x slower
+#: at 128, while 384-wide, d = 3 tiles run 3-11% faster at 64-128 rows
+#: than at 32 — the element count of a step decides, not its row count.
+SUPER_STEP_ELEMENTS = 1 << 17
+
+
+def super_step_rows(steps: int, width: int, planes: int) -> int:
+    """Rows (columns, when transposed) per main-loop super-step: as many
+    as keep the ``(planes, block, width)`` block — ``planes = d * T``
+    for a stack of ``T`` tiles — within :data:`SUPER_STEP_ELEMENTS`, at
+    least one and at most the ``steps`` the loop takes."""
+    return max(1, min(steps, SUPER_STEP_ELEMENTS // (planes * width)))
 
 
 #: Workspace row planes the main loop keeps live, priced in half-plane
@@ -204,19 +221,15 @@ class TileOutput:
 
 
 def _runs_transposed(
-    n_r_seg: int, n_q_seg: int, row_block: int, tensor_core: bool, mirror: bool
+    n_r_seg: int, n_q_seg: int, tensor_core: bool, mirror: bool
 ) -> bool:
-    """The main loop's orientation rule: a tall tile runs along its short
-    side — super-steps over query columns, each panel reduced row-wise —
-    which takes fewer super-steps whenever ``ceil(n_q / B) < ceil(n_r /
-    B)``.  The shape alone decides; the output is bit-identical either
-    way.  Mirrored tiles keep the row-major panels their second,
-    row-wise reduce needs, and the panel kernel is row-major by design."""
-    return (
-        row_block > 1
-        and not (tensor_core or mirror)
-        and -(-n_q_seg // row_block) < -(-n_r_seg // row_block)
-    )
+    """The main loop's orientation rule: a tall tile (``n_q < n_r``) runs
+    along its short side — super-steps over query columns, each panel
+    reduced row-wise.  The shape alone decides; the output is
+    bit-identical either way.  Mirrored tiles keep the row-major panels
+    their second, row-wise reduce needs, and the panel kernel is
+    row-major by design."""
+    return not (tensor_core or mirror) and n_q_seg < n_r_seg
 
 
 def run_tile(
@@ -230,7 +243,6 @@ def run_tile(
     exclusion_zone: int | None = None,
     sort_strategy: str = "bitonic",
     fast_path_1d: bool = True,
-    row_block: int = RunConfig.row_block,
     workspace: "WorkspacePool | None" = None,
     precalc=None,
     main_loop: str = "vector",
@@ -246,18 +258,18 @@ def run_tile(
     cooperative bitonic kernel or the batch-based ablation alternative;
     ``fast_path_1d`` skips the sort/scan entirely for d == 1 (identity).
 
-    The main loop runs in super-steps of ``row_block`` reference rows
-    (default: :attr:`~repro.core.config.RunConfig.row_block`; ``1`` is a
-    block of one row): ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
+    The main loop runs in super-steps of ``B`` reference rows, ``B``
+    from :func:`super_step_rows` (one element budget for every tile
+    shape and stack): ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
     workspace (sequential recurrence, no per-row temporaries), the
     column-independent sort/scan runs once per block on the reshaped
     ``(d, B*n_q)`` plane and the update reduces the block before one
     merge into the running profile.  Output, kernel costs and therefore
     modelled timings are bit-for-bit identical for every block size;
     the per-row kernel methods are the test oracle only.  A tall tile —
-    ``ceil(n_q_seg / B) < ceil(n_r_seg / B)`` — runs the same loop
-    transposed: super-steps of ``B`` query columns against every
-    reference row, each panel reduced row-wise, with the precalc roles
+    ``n_q_seg < n_r_seg`` — runs the same loop transposed: super-steps
+    of ``B`` query columns against every reference row, each panel
+    reduced row-wise, with the precalc roles
     swapped (:meth:`~repro.kernels.precalc.PrecalcResult.transposed`)
     and the rounded operations kept in row-major order, so output and
     costs are again bit-identical; costs are charged once for the
@@ -358,7 +370,7 @@ def run_tile(
     pre = PrecalcResult.stacked(results)
     row_offsets = np.asarray(row_offset, dtype=INDEX_DTYPE)
     col_offsets = np.asarray(col_offset, dtype=INDEX_DTYPE)
-    transposed = _runs_transposed(n_r_seg, n_q_seg, row_block, tensor_core, mirror)
+    transposed = _runs_transposed(n_r_seg, n_q_seg, tensor_core, mirror)
     if transposed:
         dist.bind(pre.transposed(), transposed=True, tiles=n_tiles)
         steps, width = n_q_seg, n_r_seg
@@ -370,15 +382,15 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
                     tiles=n_tiles)
 
-    # The tensor-core panel height is numerics-visible (FP16 store at each
-    # panel boundary), so that path ignores the cache-key-excluded
-    # row_block and runs fixed TC_PANEL_ROWS panels.
-    block = max(1, min(TC_PANEL_ROWS if tensor_core else row_block, steps))
     if tensor_core:
-        # The panel kernel keeps its QT panel in its own FP32
-        # accumulator scratch: no compute-dtype workspace to lease.
+        # The panel height is numerics-visible (FP16 store at each panel
+        # boundary), so that path runs fixed TC_PANEL_ROWS panels.  The
+        # panel kernel keeps its QT panel in its own FP32 accumulator
+        # scratch: no compute-dtype workspace to lease.
+        block = max(1, min(TC_PANEL_ROWS, steps))
         lease = nullcontext()
     else:
+        block = super_step_rows(steps, width, d * n_tiles)
         pool = workspace if workspace is not None else WorkspacePool()
         lease = pool.lease((d * n_tiles, block, width), policy.compute)
     across = _cached_arange(width) + width_offsets[:, None]  # (T, width)
@@ -555,9 +567,7 @@ class NumericBackend:
         if tensor_core or spec.config.sort_strategy == "batch":
             return 1
         mirror = getattr(tile, "mirror", False)
-        transposed = _runs_transposed(
-            tile.n_rows, tile.n_cols, plan.row_block, tensor_core, mirror
-        )
+        transposed = _runs_transposed(tile.n_rows, tile.n_cols, tensor_core, mirror)
         width = tile.n_rows if transposed else tile.n_cols
         return max(1, TILE_BATCH_ELEMENTS // (spec.d * width))
 
@@ -665,7 +675,6 @@ class NumericBackend:
             exclusion_zone=spec.exclusion_zone,
             sort_strategy=config.sort_strategy,
             fast_path_1d=config.fast_path_1d,
-            row_block=plan.row_block,
             workspace=self._workspace_pool(),
             precalc=prepared,
             main_loop=main_loop,

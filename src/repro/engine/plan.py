@@ -171,15 +171,6 @@ class JobSpec:
     def policy(self) -> PrecisionPolicy:
         return self.config.policy
 
-    @property
-    def row_block(self) -> int:
-        """Main-loop rows per super-step (``RunConfig.row_block``).
-
-        Bit-exact for any value; ``run_tile`` clamps it to the tile's row
-        count, so one knob serves every tile geometry of the plan.
-        """
-        return self.config.row_block
-
     def escalated(self, mode) -> "JobSpec":
         """A copy of this spec running at ``mode`` (precision escalation).
 
@@ -315,11 +306,6 @@ class ExecutionPlan:
     @property
     def n_tiles(self) -> int:
         return len(self.tiles)
-
-    @property
-    def row_block(self) -> int:
-        """Main-loop rows per super-step, as threaded into the backend."""
-        return self.spec.row_block
 
     def static_gpu_of(self, tile: Tile) -> int:
         """The statically assigned GPU of ``tile`` (by position)."""

@@ -77,7 +77,7 @@ __all__ = ["TcGemmKernel", "TC_PANEL_ROWS"]
 #: Panel height of the tensor-core main loop: reference rows per chained-
 #: GEMM super-step.  The panel boundary is where the FP32 accumulator is
 #: stored back to FP16, so the height is part of the numerics and is
-#: fixed here rather than taken from the host knob ``row_block``.
+#: fixed here rather than derived from the host's super-step budget.
 TC_PANEL_ROWS = 32
 
 #: Flops of one dense 16x16x16 MMA (2*m*n*k).

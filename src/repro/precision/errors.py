@@ -75,7 +75,7 @@ def streaming_qt_error_bound(
 
 
 def tc_gemm_error_bound(
-    rows: int, m: int, mode: PrecisionMode | str, row_block: int | None = None
+    rows: int, m: int, mode: PrecisionMode | str, panel_rows: int | None = None
 ) -> float:
     """Relative error bound for QT on the tensor-core main loop.
 
@@ -100,14 +100,14 @@ def tc_gemm_error_bound(
     (FP32 seed dot products; Kahan-compensated for FP16C).  Only the
     FP16-storage wide-precalc modes (``TENSOR_CORE_MODES``) are valid —
     the bound is meaningless for policies the tensor-core path refuses.
-    ``row_block`` is the panel height; it defaults to the height the
+    ``panel_rows`` is the panel height; it defaults to the height the
     main loop runs, :data:`~repro.kernels.tc_gemm.TC_PANEL_ROWS`.
     """
     from ..kernels.tc_gemm import TC_PANEL_ROWS
     from .modes import TENSOR_CORE_MODES
 
-    if row_block is None:
-        row_block = TC_PANEL_ROWS
+    if panel_rows is None:
+        panel_rows = TC_PANEL_ROWS
     policy = policy_for(mode)
     if policy.mode not in TENSOR_CORE_MODES:
         eligible = ", ".join(m_.value for m_ in TENSOR_CORE_MODES)
@@ -117,14 +117,14 @@ def tc_gemm_error_bound(
         )
     if rows < 0:
         raise ValueError(f"rows must be non-negative, got {rows}")
-    if row_block < 1:
-        raise ValueError(f"row_block must be >= 1, got {row_block}")
+    if panel_rows < 1:
+        raise ValueError(f"panel_rows must be >= 1, got {panel_rows}")
     eps16 = MACHINE_EPS[np.dtype(np.float16)]
     eps32 = MACHINE_EPS[np.dtype(np.float32)]
     precalc_part = dot_product_error_bound(m, policy.precalc_eps)
     if policy.compensated:
         precalc_part = 2.0 * policy.precalc_eps
-    n_blocks = math.ceil(rows / row_block) if rows else 0
+    n_blocks = math.ceil(rows / panel_rows) if rows else 0
     operand_part = (2.0 + n_blocks + 1.0) * eps16
     accum_part = dot_product_error_bound(2 * rows, eps32)
     return precalc_part + operand_part + accum_part

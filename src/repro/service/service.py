@@ -40,7 +40,7 @@ from ..cluster import (
 )
 from ..core.anytime import AnytimeState
 from ..core.config import RunConfig, default_exclusion_zone
-from ..core.planner import plan_tiles, row_block_for, tile_edges
+from ..core.planner import plan_tiles
 from ..core.result import MatrixProfileResult
 from ..engine.accumulate import merge_time
 from ..engine.plan import JobSpec
@@ -384,14 +384,6 @@ class MatrixProfileService:
             exclusion_zone=request.exclusion_zone,
         )
         config = config.with_(n_tiles=self._plan_tiles(job, config))
-        # Only the cache-key-excluded host block moves: mode is the
-        # admission decision's and tiling stays with `_plan_tiles`, which
-        # owns it (OOM recovery bumps it reactively).  With jobs in
-        # flight on both workers, the derived block gave ~25% more
-        # service_mixed throughput than the default 32 on a 2-core host.
-        config = config.with_(row_block=row_block_for(
-            *tile_edges(n_r_seg, n_q_seg, config.n_tiles), d, decision.effective
-        ))
 
         if self.cluster_dispatcher is not None:
             self._autoscale()

@@ -67,13 +67,11 @@ class TenantPolicy:
     #: :class:`~repro.streams.sketch.SketchMonitor`).
     sketch_rolling: int | None = None
     exclusion_zone: int | None = None
-    n_tiles: int = 1
-    row_block: int = 32
     #: Error budget: when set, each band's mode comes from the
     #: error-budget planner (:class:`~repro.autotune.AutoTuner`) — the
     #: cheapest mode whose Section V-B bound stays inside the budget —
     #: combined with admission shedding by taking the one further down
-    #: the downgrade ladder.  Bands keep ``row_block``.
+    #: the downgrade ladder.
     target_error: float | None = None
 
     def __post_init__(self):
@@ -98,7 +96,6 @@ class TenantPolicy:
         return RunConfig(
             mode=self.mode,
             exclusion_zone=self.exclusion_zone,
-            row_block=self.row_block,
         )
 
 

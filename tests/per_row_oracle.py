@@ -128,14 +128,13 @@ def per_row_tile(
     exclusion_zone=None,
     sort_strategy="bitonic",
     fast_path_1d=True,
-    row_block=None,
     workspace=None,
     precalc=None,
     main_loop="vector",
     mirror=False,
 ) -> TileOutput:
     """One tile, one reference row at a time; drop-in for ``run_tile``
-    (``row_block`` and ``workspace`` are accepted and ignored).  A
+    (``workspace`` is accepted and ignored).  A
     ``(T, d, len)`` stack runs tile by tile and returns one output per
     tile, like ``run_tile``'s tile axis."""
     if tr_dev.ndim == 3:

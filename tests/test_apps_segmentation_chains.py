@@ -17,6 +17,7 @@ from repro.apps.segmentation import (
     segment_regimes,
 )
 from repro.core.config import RunConfig
+from repro.engine import backends
 
 from .per_row_oracle import per_row_left_right
 
@@ -124,13 +125,17 @@ class TestLeftRightProfile:
         assert lr.right_index[-1] == -1
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_matches_per_row_oracle(self, mode):
+    def test_matches_per_row_oracle(self, mode, monkeypatch):
         """The row-blocked left/right merges == per-row ``masked_run``
-        merges, bit for bit, for every k and a block size that does not
-        divide the segment count."""
+        merges, bit for bit, for every k at the default super-step, at
+        blocks of one row, at a block size that does not divide the
+        segment count and at one block for the whole series."""
         series = np.random.default_rng(3).normal(size=(140, 3)).cumsum(axis=0)
         m = 12
-        for config in (RunConfig(mode=mode), RunConfig(mode=mode, row_block=7)):
+        config = RunConfig(mode=mode)
+        n_seg = 140 - m + 1
+        for budget in (backends.SUPER_STEP_ELEMENTS, 0, 7 * 3 * n_seg, 1 << 40):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
             for k in (1, 2, 3):
                 got = chains.left_right_profile(series, m, config, k=k)
                 lp, li, rp, ri = per_row_left_right(series, m, config, k=k)

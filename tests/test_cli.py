@@ -94,7 +94,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "autotune report" in out
         assert "chosen:" in out
-        assert "row_block" in out
+        assert "tile(s)" in out
 
     def test_profile_auto_flag(self, tmp_path, capsys, rng):
         csv = tmp_path / "ts.csv"

@@ -1,12 +1,15 @@
 """Unit tests for RunConfig, MatrixProfileResult and the public API."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro import matrix_profile
-from repro.core.config import RunConfig, default_exclusion_zone
+from repro.core.config import RetryPolicy, RunConfig, default_exclusion_zone
 from repro.core.result import MatrixProfileResult
 from repro.gpu.device import A100, V100
+from repro.gpu.kernel import LaunchConfig
 from repro.precision.modes import PrecisionMode
 
 
@@ -91,6 +94,70 @@ class TestRunConfigSerialisation:
     def test_cache_key_round_trips_through_dict(self):
         cfg = RunConfig(mode="FP16", n_tiles=16)
         assert RunConfig.from_dict(cfg.to_dict()).cache_key() == cfg.cache_key()
+
+
+#: ``cache_key()`` digests computed by the release whose ``RunConfig``
+#: still had the host-only ``row_block`` field (default 32).  Removing a
+#: field that ``cache_key()`` excluded must not move any of them:
+#: content-addressed caches written before stay valid.
+PINNED_KEYS = [
+    ({}, "7963fc1c183412ea"),
+    ({"mode": "FP32"}, "3f580052308babc1"),
+    ({"mode": "FP16", "n_tiles": 16, "n_gpus": 2}, "06ddc0e590f3b4a4"),
+    ({"mode": "Mixed", "backend": "tensor_core"}, "e1c4c4195dd1c781"),
+    ({"mode": "FP16C", "backend": "tensor_core", "device": "V100"}, "7825dfb0315aa7f8"),
+    ({"mode": "FP64", "n_tiles": 9, "symmetric_tiles": True}, "1b0ef0b591bfb0b6"),
+    ({"mode": "FP32", "precalc_strategy": "fft", "n_tiles": 4}, "e726d483fb508f27"),
+    ({"mode": "FP16", "sort_strategy": "batch", "fast_path_1d": False}, "14fd6d1ccaf6cf14"),
+    ({"exclusion_zone": 5, "n_streams": 4}, "93b5f79ccdc8b700"),
+    # Digested there with row_block=7 as well: host knobs never entered it.
+    ({"mode": "Mixed", "n_tiles": 4, "parallel_workers": 3,
+      "retry_policy": RetryPolicy()}, "5c09e5ed716eeddf"),
+]
+
+#: A value differing from the default for every ``RunConfig`` field.
+#: A new field needs an entry here — and a deliberate decision whether
+#: it enters ``cache_key()``.
+FIELD_CHANGES = {
+    "mode": "FP32",
+    "device": "V100",
+    "launch": LaunchConfig(grid=32, block=256),
+    "n_tiles": 4,
+    "n_gpus": 2,
+    "n_streams": 4,
+    "exclusion_zone": 3,
+    "sort_strategy": "batch",
+    "fast_path_1d": False,
+    "precalc_strategy": "fft",
+    "backend": "tensor_core",
+    "symmetric_tiles": True,
+    "parallel_workers": 3,
+    "retry_policy": RetryPolicy(base_delay=0.1),
+}
+
+
+class TestCacheKeyContract:
+    @pytest.mark.parametrize("changes, key", PINNED_KEYS)
+    def test_digest_pinned(self, changes, key):
+        assert RunConfig(**changes).cache_key() == key
+
+    def test_excludes_exactly_the_host_knobs(self):
+        assert set(FIELD_CHANGES) == {f.name for f in fields(RunConfig)}
+        base = RunConfig()
+        excluded = {
+            name for name, value in FIELD_CHANGES.items()
+            if base.with_(**{name: value}).cache_key() == base.cache_key()
+        }
+        assert excluded == {"parallel_workers", "retry_policy"}
+
+    def test_from_dict_drops_retired_keys(self):
+        cfg = RunConfig(mode="FP16", n_tiles=4)
+        data = {**cfg.to_dict(), "row_block": 8, "amortize_precalc": False}
+        restored = RunConfig.from_dict(data)
+        assert restored == cfg
+        assert restored.cache_key() == cfg.cache_key()
+        with pytest.raises(TypeError):
+            RunConfig.from_dict({**data, "unknown_knob": 1})
 
 
 class TestMatrixProfileResult:

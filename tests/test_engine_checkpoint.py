@@ -8,6 +8,8 @@ idempotent).
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.engine import JobSpec, RunJournal, TileObserver, resume_plan
 from repro.engine.checkpoint import JOURNAL_VERSION
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class Counter(TileObserver):
@@ -193,6 +197,21 @@ class TestKillAndResume:
         assert np.array_equal(resumed.profile.view(np.uint8),
                               uninterrupted.profile.view(np.uint8))
         assert np.array_equal(resumed.index, uninterrupted.index)
+
+    def test_journal_from_row_block_release_resumes(self, tmp_path):
+        """A journal written by the release whose ``RunConfig`` still had
+        ``row_block`` (killed after 4 of 9 FP16 tiles; its ``meta.json``
+        config carries ``"row_block": 8``) resumes to that release's
+        uninterrupted profile and index, bit for bit."""
+        path = tmp_path / "journal"
+        shutil.copytree(GOLDEN / "journal_row_block", path)
+        assert RunJournal.open(path).meta()["config"]["row_block"] == 8
+        resumed = resume_plan(path)
+        assert resumed.resumed_tiles == 4
+        expected = np.load(path / "expected.npz")
+        assert np.array_equal(resumed.profile.view(np.uint8),
+                              expected["profile"].view(np.uint8))
+        assert np.array_equal(resumed.index, expected["index"])
 
     def test_resume_is_itself_resumable(self, tmp_path, config):
         series = _series()

@@ -1,17 +1,18 @@
 """Row-blocked kernel execution: bit-identity, workspaces, parallel dispatch.
 
-The row-blocked main loop (``RunConfig.row_block``) and the parallel
-tile dispatcher (``execute_plan(parallel_workers=...)``) are pure
-performance features: every test here pins the contract that they change
-*nothing* observable — profiles, indices, per-kernel costs and the
-modelled timeline are bit-for-bit those of the per-row oracle
-(``tests/per_row_oracle.py``) and of serial execution, for every
-precision mode, dimensionality, block size (a block of one row
-included), join type and sort strategy, including the degenerate inputs
-that force the half-precision fast paths onto their scalar fallbacks.
+The row-blocked main loop (super-steps sized by
+``backends.SUPER_STEP_ELEMENTS``) and the parallel tile dispatcher
+(``execute_plan(parallel_workers=...)``) are pure performance features:
+every test here pins the contract that they change *nothing* observable
+— profiles, indices, per-kernel costs and the modelled timeline are
+bit-for-bit those of the per-row oracle (``tests/per_row_oracle.py``)
+and of serial execution, for every precision mode, dimensionality, block
+size (a block of one row and the whole tile included; the tests force
+them by patching the budget), join type and sort strategy, including the
+degenerate inputs that force the half-precision fast paths onto their
+scalar fallbacks.
 """
 
-import inspect
 import sys
 import threading
 import time
@@ -27,7 +28,8 @@ from repro.engine import (
     ProfileAccumulator,
     execute_plan,
 )
-from repro.engine.backends import WorkspacePool, run_tile
+from repro.engine import backends
+from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
 from repro.engine.dispatch import TransientDeviceError
 from repro.engine.health import HealthPolicy
 from repro.gpu.memory import DeviceOutOfMemoryError
@@ -43,14 +45,22 @@ from repro.kernels.layout import to_device_layout
 from .per_row_oracle import per_row_engine, per_row_tile
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
+WHOLE = 1 << 40  # a super-step budget no test tile fills: one block per tile
 
 
-def _run(tr, tq, m, cfg, row_block, strategy="bitonic", ez=None):
-    """``run_tile`` at ``row_block``; ``None`` runs the per-row oracle."""
-    tile = per_row_tile if row_block is None else run_tile
+def _budget(monkeypatch, rows, planes, width):
+    """Patch the super-step budget to ``rows`` rows of a ``(planes,
+    width)`` tile."""
+    monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", rows * planes * width)
+
+
+def _run(tr, tq, m, cfg, blocked=True, strategy="bitonic", ez=None):
+    """``run_tile`` under the patched budget; ``blocked=False`` runs the
+    per-row oracle."""
+    tile = run_tile if blocked else per_row_tile
     out = tile(
         tr, tq, m, cfg.policy, cfg.launch,
-        exclusion_zone=ez, sort_strategy=strategy, row_block=row_block,
+        exclusion_zone=ez, sort_strategy=strategy,
     )
     costs = {k: vars(v).copy() for k, v in out.costs.items()}
     return out.profile, out.indices, costs
@@ -69,22 +79,24 @@ class TestKernelBitIdentity:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
-    def test_blocked_matches_per_row(self, rng, mode, d):
+    def test_blocked_matches_per_row(self, rng, mode, d, monkeypatch):
         n, m = 64, 8
         ref = rng.normal(size=(n, d)).cumsum(axis=0)
         qry = rng.normal(size=(48, d)).cumsum(axis=0)
         cfg = RunConfig(mode=mode)
         tr = to_device_layout(ref, cfg.policy.storage)
         tq = to_device_layout(qry, cfg.policy.storage)
+        width = n - m + 1  # the self-join runs row-major, the tall AB tile transposed
         for strategy in ("bitonic", "batch"):
             for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
-                base = _run(tr, tq_used, m, cfg, None, strategy, ez)
-                for blk in (1, 7, 64, 500):  # incl. one block > n_r_seg
-                    got = _run(tr, tq_used, m, cfg, blk, strategy, ez)
+                base = _run(tr, tq_used, m, cfg, False, strategy, ez)
+                for blk in (1, 7, 64, WHOLE):  # incl. blocks > the steps
+                    _budget(monkeypatch, blk, d, width)
+                    got = _run(tr, tq_used, m, cfg, True, strategy, ez)
                     _assert_same(base, got, f"{mode} d={d} {strategy} blk={blk}")
 
     @pytest.mark.parametrize("mode", ["FP16", "FP32"])
-    def test_degenerate_inputs_hit_fallbacks_identically(self, rng, mode):
+    def test_degenerate_inputs_hit_fallbacks_identically(self, rng, mode, monkeypatch):
         """Constant windows (inf/0 normalisers -> NaN products), huge
         amplitudes (QT overflow -> inf) and tiny amplitudes (half
         subnormals) push the blocked half fast paths onto their scalar
@@ -99,12 +111,13 @@ class TestKernelBitIdentity:
         cfg = RunConfig(mode=mode)
         for ref in series:
             tr = to_device_layout(ref, cfg.policy.storage)
-            base = _run(tr, tr, m, cfg, None, ez=m // 2)
-            for blk in (1, 16, 500):
-                got = _run(tr, tr, m, cfg, blk, ez=m // 2)
+            base = _run(tr, tr, m, cfg, False, ez=m // 2)
+            for blk in (1, 16, WHOLE):
+                _budget(monkeypatch, blk, d, n - m + 1)
+                got = _run(tr, tr, m, cfg, ez=m // 2)
                 _assert_same(base, got, f"degenerate {mode} blk={blk}")
 
-    def test_dist_calc_loop_rounds_are_arithmetic(self, rng):
+    def test_dist_calc_loop_rounds_are_arithmetic(self, rng, monkeypatch):
         """The grid-stride round count is ceil(plane/threads) per logical
         row — identical for any block size (regression for the cost
         model's per-row accounting)."""
@@ -117,23 +130,23 @@ class TestKernelBitIdentity:
         n_seg = n - m + 1
         expected = n_seg * math.ceil(d * n_seg / cfg.launch.total_threads)
         for blk in (1, 13, 64):
-            out = run_tile(tr, tr, m, cfg.policy, cfg.launch,
-                           exclusion_zone=m // 2, row_block=blk)
+            _budget(monkeypatch, blk, d, n_seg)
+            out = run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2)
             assert out.costs["dist_calc"].loop_rounds == expected
 
 
 class TestEngineDefaultBlocking:
     """Blocking is on by default; the engine output must equal per-row."""
 
-    def test_default_equals_row_block_1_including_timeline(self, rng):
+    def test_default_equals_per_row_including_timeline(self, rng, monkeypatch):
         ref = rng.normal(size=(300, 3)).cumsum(axis=0)
         m = 16
-        assert RunConfig().row_block > 1  # blocking is the default
         with per_row_engine():
             r_perrow = compute_multi_tile(ref, None, m, RunConfig(mode="FP16", n_tiles=4))
-        for row_block in (RunConfig().row_block, 1):
+        for budget in (backends.SUPER_STEP_ELEMENTS, 0):  # default, blocks of one
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
             r_blocked = compute_multi_tile(
-                ref, None, m, RunConfig(mode="FP16", n_tiles=4, row_block=row_block)
+                ref, None, m, RunConfig(mode="FP16", n_tiles=4)
             )
             assert np.array_equal(
                 r_blocked.profile.view(np.uint8), r_perrow.profile.view(np.uint8)
@@ -142,20 +155,64 @@ class TestEngineDefaultBlocking:
             assert r_blocked.timeline.makespan == r_perrow.timeline.makespan
             assert vars(r_blocked.costs["dist_calc"]) == vars(r_perrow.costs["dist_calc"])
 
-    def test_run_tile_default_block_is_the_engine_default(self):
-        default = inspect.signature(run_tile).parameters["row_block"].default
-        assert default == RunConfig().row_block
 
-    def test_row_block_excluded_from_cache_key(self):
-        a = RunConfig(row_block=1)
-        b = RunConfig(row_block=64)
-        assert a.cache_key() == b.cache_key()
-        assert a.to_dict()["row_block"] == 1
-        assert b.to_dict()["row_block"] == 64
+class TestSuperStepRows:
+    """One element budget sizes every vector-path super-step."""
 
-    def test_row_block_validation(self):
-        with pytest.raises(ValueError):
-            RunConfig(row_block=0)
+    @pytest.mark.parametrize(
+        "steps, width, planes, rows",
+        [
+            # batch_kernels: 512-514-wide tiles, d = 8.
+            (512, 512, 8, 32),
+            (513, 513, 8, 31),
+            (514, 514, 8, 31),
+            # batch_kernels symmetric: 256-wide tiles, d = 8.
+            (256, 256, 8, 64),
+            # service_mixed: 337-356-wide single tiles, d = 3, and the
+            # 169-178-wide tiles of its 4-tile jobs.
+            (337, 337, 3, 129),
+            (356, 356, 3, 122),
+            (169, 169, 3, 169),
+            (178, 178, 3, 178),
+            # batch_tiles: 38/39-square tiles stacked six deep, d = 2.
+            (38, 38, 2 * 6, 38),
+            (39, 39, 2 * 6, 39),
+        ],
+    )
+    def test_benchmark_shapes(self, steps, width, planes, rows):
+        assert super_step_rows(steps, width, planes) == rows
+
+    def test_clamped_to_one_and_steps(self):
+        assert super_step_rows(5, 100, 1) == 5
+        assert super_step_rows(4096, 1 << 21, 1) == 1
+        assert super_step_rows(0, 10, 1) == 1
+
+    def test_budget_sets_the_block(self, rng, monkeypatch):
+        """run_tile steps in blocks of exactly super_step_rows rows."""
+        blocks = []
+        original = backends.DistCalcKernel.run_block
+
+        def spy(self, start, rows, out):
+            blocks.append(rows)
+            return original(self, start, rows, out)
+
+        monkeypatch.setattr(backends.DistCalcKernel, "run_block", spy)
+        d, m, n_seg = 3, 8, 40
+        cfg = RunConfig(mode="FP32")
+        tr = to_device_layout(rng.normal(size=(n_seg + m - 1, d)), cfg.policy.storage)
+        for budget, want in ((0, [1] * n_seg), (7 * d * n_seg, [7] * 5 + [5]),
+                             (WHOLE, [n_seg])):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
+            blocks.clear()
+            run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2)
+            assert blocks == want
+        # A stack of two tiles spends the same budget on d * 2 planes.
+        monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", 14 * d * n_seg)
+        blocks.clear()
+        run_tile(np.stack([tr, tr]), np.stack([tr, tr]), m, cfg.policy, cfg.launch,
+                 row_offset=[0, 0], col_offset=[0, 0], precalc=[None, None],
+                 exclusion_zone=m // 2)
+        assert blocks == [7] * 5 + [5]
 
 
 class _DelayingBackend(NumericBackend):
@@ -180,7 +237,7 @@ class TestParallelDispatch:
     @pytest.fixture
     def spec_plan(self, rng):
         ref = rng.normal(size=(230, 3)).cumsum(axis=0)
-        config = RunConfig(mode="FP16", n_tiles=9, n_gpus=3, row_block=32)
+        config = RunConfig(mode="FP16", n_tiles=9, n_gpus=3)
         spec = JobSpec.from_arrays(ref, None, 16, config)
         return spec, spec.plan()
 

@@ -195,7 +195,7 @@ class TestErrorBounds:
             implied_correlation(res.profile.astype(np.float64), m)
             - implied_correlation(ref, m)
         ))
-        bound = tc_gemm_error_bound(ref.shape[0], m, mode, row_block=cfg.row_block)
+        bound = tc_gemm_error_bound(ref.shape[0], m, mode)
         assert err <= bound
 
     @pytest.mark.parametrize("backend", ["numeric", "tensor_core"])

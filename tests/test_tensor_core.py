@@ -12,6 +12,7 @@ from repro.baselines.brute_force import znormalized_distance_matrix
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.core.single_tile import compute_single_tile
+from repro.engine import backends
 from repro.engine.backends import (
     NumericBackend,
     TensorCoreBackend,
@@ -73,14 +74,14 @@ class TestTcGemmParity:
     def test_self_join_within_bound(self, mode, seed):
         ser = _series(seed, N_SEG + M - 1)
         err, _ = _tc_corr_error(mode, ser, ser)
-        assert err <= tc_gemm_error_bound(N_SEG, M, mode, row_block=BLOCK)
+        assert err <= tc_gemm_error_bound(N_SEG, M, mode, panel_rows=BLOCK)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ab_join_within_bound(self, seed):
         ser_r = _series(seed, N_SEG + M - 1)
         ser_q = _series(seed + 100, N_SEG + M - 1)
         err, _ = _tc_corr_error("Mixed", ser_r, ser_q)
-        assert err <= tc_gemm_error_bound(N_SEG, M, "Mixed", row_block=BLOCK)
+        assert err <= tc_gemm_error_bound(N_SEG, M, "Mixed", panel_rows=BLOCK)
 
     def test_cost_record_marks_tensor_core(self):
         ser = _series(3, N_SEG + M - 1)
@@ -300,13 +301,14 @@ class TestEscalationComposition:
 
 
 # ---------------------------------------------------------------------------
-# The panel height is fixed: row_block cannot change tensor-core bytes
+# The panel height is fixed: the host super-step budget cannot change
+# tensor-core bytes
 
 
 class TestPanelHeight:
-    """``row_block`` is outside ``cache_key()``, so it must not move the
-    tensor-core output: the panel runs at ``TC_PANEL_ROWS`` whatever
-    the host block."""
+    """The vector path's super-step budget is outside ``cache_key()``, so
+    it must not move the tensor-core output: the panel runs at
+    ``TC_PANEL_ROWS`` whatever the budget."""
 
     @pytest.fixture(scope="class")
     def walks(self):
@@ -318,13 +320,13 @@ class TestPanelHeight:
 
     @pytest.mark.parametrize("mode", [m.value for m in TENSOR_CORE_MODES])
     @pytest.mark.parametrize("ab", [False, True], ids=["self", "ab"])
-    def test_row_block_is_bit_exact(self, walks, mode, ab):
+    def test_super_step_budget_is_bit_exact(self, walks, mode, ab, monkeypatch):
         ref, qry = walks[0], walks[1] if ab else None
-        outs = [
-            matrix_profile(ref, qry, m=16, mode=mode, backend="tensor_core",
-                           row_block=block)
-            for block in (32, 1, 8, 128, ref.shape[0] - 15)
-        ]
+        outs = []
+        for budget in (backends.SUPER_STEP_ELEMENTS, 0, 7 * 4 * 585, 1 << 40):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
+            outs.append(matrix_profile(ref, qry, m=16, mode=mode,
+                                       backend="tensor_core"))
         assert outs[0].backend == "tensor_core"
         for out in outs[1:]:
             np.testing.assert_array_equal(out.profile, outs[0].profile)

@@ -116,14 +116,19 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("ab", [False, True], ids=["self", "ab"])
     @pytest.mark.parametrize("mode", MODES)
-    def test_stacked_matches_per_row_oracle(self, stacks, mode, ab):
+    def test_stacked_matches_per_row_oracle(self, monkeypatch, stacks, mode, ab):
         x, y = _series(n=200), _series(n=200, seed=12)
-        config = RunConfig(mode=mode, n_tiles=9, n_gpus=2, row_block=8)
-        stacked = compute_multi_tile(x, y if ab else None, 16, config)
-        assert max(len(call) for call in stacks) > 1
+        config = RunConfig(mode=mode, n_tiles=9, n_gpus=2)
         with per_row_engine():
             oracle = compute_multi_tile(x, y if ab else None, 16, config)
-        _assert_same(stacked, oracle)
+        # Blocks of one row, of seven rows of one 62-wide d = 3 tile
+        # (fewer per stacked tile), and of the whole tile.
+        for budget in (0, 7 * 3 * 62, 1 << 40):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
+            stacks.clear()
+            stacked = compute_multi_tile(x, y if ab else None, 16, config)
+            assert max(len(call) for call in stacks) > 1
+            _assert_same(stacked, oracle)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_symmetric_mirror_tiles(self, monkeypatch, stacks, mode):

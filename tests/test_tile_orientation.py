@@ -1,15 +1,17 @@
 """Tall tiles run along their short side: the transposed blocked loop.
 
 ``run_tile`` steps a row-blocked tile over query columns instead of
-reference rows whenever that takes fewer super-steps
-(``ceil(n_q / B) < ceil(n_r / B)``).  The contract pinned here: such a
-tile is bit-identical to the per-row oracle (``tests/per_row_oracle.py``)
-— profile, index and every field of the per-kernel ``costs`` — in all
-five modes, for self- and AB-joins, both sort strategies, with and
-without the plan-level precalc cache, at every panel width around ``B``,
-under the exclusion zone and its tie-breaks, and through the engine's
-fault stack and the streaming tier.  Mirrored and tensor-core tiles keep
-the row-major loop.
+reference rows whenever the tile has fewer columns than rows
+(``n_q < n_r``).  The contract pinned here: such a tile is bit-identical
+to the per-row oracle (``tests/per_row_oracle.py``) — profile, index and
+every field of the per-kernel ``costs`` — in all five modes, for self-
+and AB-joins, both sort strategies, with and without the plan-level
+precalc cache, at every panel width around the block ``B``, under the
+exclusion zone and its tie-breaks, and through the engine's fault stack
+and the streaming tier.  Mirrored and tensor-core tiles keep the
+row-major loop.  The tests force small blocks by patching the super-step
+budget ``backends.SUPER_STEP_ELEMENTS``, so tall tiles take several
+panels.
 """
 
 from contextlib import nullcontext
@@ -21,6 +23,7 @@ from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.core.tiling import assign_tiles
 from repro.engine import HealthPolicy, JobSpec, ProfileAccumulator, RunJournal, resume_plan
+from repro.engine import backends
 from repro.engine.backends import NumericBackend, run_tile
 from repro.engine.dispatch import execute_plan
 from repro.engine.faults import FaultPlan
@@ -34,7 +37,15 @@ from repro.streams import IncrementalMatrixProfile
 from .per_row_oracle import per_row_engine, per_row_tile, per_tile_precalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
-B = 8  # row block of the blocked runs; small, so tall tiles take several panels
+B = 8  # block of the panel-width runs; small, so tall tiles take several panels
+#: A budget of seven rows of a d = 3, 56-wide tile: every tall tile of
+#: these tests steps through several super-steps.
+SMALL = 7 * 3 * 56
+
+
+@pytest.fixture
+def small_steps(monkeypatch):
+    monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", SMALL)
 
 
 def _series(n, d, seed=5):
@@ -43,6 +54,27 @@ def _series(n, d, seed=5):
     t = np.arange(n)
     base = np.stack([np.sin(2 * np.pi * t / (11 + 4 * k)) for k in range(d)], axis=1)
     return base + 0.1 * rng.normal(size=(n, d))
+
+
+@pytest.fixture
+def transposed_steps(monkeypatch):
+    """Counts super-steps of the transposed loop, per bound tile stack."""
+    steps = []
+    bind, run_block = DistCalcKernel.bind, DistCalcKernel.run_block
+
+    def spy_bind(self, pre, transposed=False, tiles=1):
+        if transposed:
+            steps.append(0)
+        return bind(self, pre, transposed=transposed, tiles=tiles)
+
+    def spy_run_block(self, start, rows, out):
+        if self.transposed:
+            steps[-1] += 1
+        return run_block(self, start, rows, out)
+
+    monkeypatch.setattr(DistCalcKernel, "bind", spy_bind)
+    monkeypatch.setattr(DistCalcKernel, "run_block", spy_run_block)
+    return steps
 
 
 @pytest.fixture
@@ -74,10 +106,11 @@ def _assert_same(got, want, label):
     assert got[3] == want[3], f"makespan {label}"
 
 
-def _tile(tr, tq, m, cfg, row_block, **kwargs):
-    """``run_tile`` at ``row_block``; ``None`` runs the per-row oracle."""
-    tile = per_row_tile if row_block is None else run_tile
-    return tile(tr, tq, m, cfg.policy, cfg.launch, row_block=row_block, **kwargs)
+def _tile(tr, tq, m, cfg, blocked=True, **kwargs):
+    """``run_tile`` under the current budget; ``blocked=False`` runs the
+    per-row oracle."""
+    tile = run_tile if blocked else per_row_tile
+    return tile(tr, tq, m, cfg.policy, cfg.launch, **kwargs)
 
 
 def _tile_result(out):
@@ -89,7 +122,7 @@ class TestEngineBitIdentity:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
-    def test_tall_tiles_match_per_row(self, mode, d, transposed_calls):
+    def test_tall_tiles_match_per_row(self, mode, d, transposed_steps, small_steps):
         m = 10
         ref = _series(120, d)
         qry = _series(30, d, seed=7)
@@ -103,10 +136,12 @@ class TestEngineBitIdentity:
                     precalc = nullcontext if amortize else per_tile_precalc
                     with precalc(), per_row_engine():
                         want = _result(compute_multi_tile(ref, query, m, cfg))
-                    before = len(transposed_calls)
+                    before = len(transposed_steps)
                     with precalc():
-                        got = _result(compute_multi_tile(ref, query, m, cfg.with_(row_block=B)))
-                    assert len(transposed_calls) > before
+                        got = _result(compute_multi_tile(ref, query, m, cfg))
+                    # Tall tiles ran transposed, over several super-steps.
+                    assert len(transposed_steps) > before
+                    assert min(transposed_steps[before:]) > 1
                     _assert_same(
                         got, want,
                         f"{mode} d={d} {'self' if query is None else 'AB'} "
@@ -149,30 +184,34 @@ class TestDistancePanels:
 class TestPanelWidths:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n_q", [1, B - 1, B, B + 1])
-    def test_widths_around_block(self, mode, n_q, transposed_calls):
-        """n_q in {1, B-1, B, B+1} against ~90 rows, with a self-join
-        exclusion zone that straddles the tile."""
+    def test_widths_around_block(self, mode, n_q, transposed_calls, monkeypatch):
+        """n_q in {1, B-1, B, B+1} against ~90 rows in blocks of ``B``
+        columns, with a self-join exclusion zone that straddles the
+        tile."""
         m, d = 8, 3
+        n_r = 97 - m + 1
+        monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", B * d * n_r)
         cfg = RunConfig(mode=mode)
         layout = to_device_layout(_series(97, d), cfg.policy.storage)
         c0 = 40
         tq = np.ascontiguousarray(layout[:, c0 : c0 + n_q + m - 1])
         kwargs = dict(col_offset=c0, exclusion_zone=m // 2)
-        want = _tile_result(_tile(layout, tq, m, cfg, None, **kwargs))
-        got = _tile_result(_tile(layout, tq, m, cfg, B, **kwargs))
-        assert transposed_calls == [(97 - m + 1, n_q)]
+        want = _tile_result(_tile(layout, tq, m, cfg, False, **kwargs))
+        got = _tile_result(_tile(layout, tq, m, cfg, **kwargs))
+        assert transposed_calls == [(n_r, n_q)]
         _assert_same(got, want, f"{mode} n_q={n_q}")
 
-    def test_equal_step_counts_keep_row_major(self, transposed_calls):
-        """Only strictly fewer super-steps flip the orientation."""
+    @pytest.mark.parametrize("n_q, transposed", [(15, True), (9, True), (16, False),
+                                                 (17, False)])
+    def test_only_fewer_columns_transpose(self, n_q, transposed, transposed_calls):
+        """Square and wide tiles stay row-major; ``n_q < n_r`` transposes."""
         m = 8
         cfg = RunConfig(mode="FP32")
         layout = to_device_layout(_series(60, 2), cfg.policy.storage)
-        # n_r = 16, n_q = 9: ceil(9/8) == ceil(16/8) == 2
-        tr = np.ascontiguousarray(layout[:, : 16 + m - 1])
-        tq = np.ascontiguousarray(layout[:, 30 : 30 + 9 + m - 1])
-        _tile(tr, tq, m, cfg, B)
-        assert transposed_calls == []
+        tr = np.ascontiguousarray(layout[:, : 16 + m - 1])  # n_r = 16
+        tq = np.ascontiguousarray(layout[:, 30 : 30 + n_q + m - 1])
+        _tile(tr, tq, m, cfg)
+        assert transposed_calls == ([(16, n_q)] if transposed else [])
 
 
 class TestExclusionAndTies:
@@ -184,8 +223,8 @@ class TestExclusionAndTies:
         tr = np.ascontiguousarray(layout[:, : 30 + m - 1])  # rows 0..29
         tq = np.ascontiguousarray(layout[:, 12 : 12 + 3 + m - 1])  # cols 12..14
         kwargs = dict(col_offset=12, exclusion_zone=15)
-        want = _tile(tr, tq, m, cfg, None, **kwargs)
-        got = _tile(tr, tq, m, cfg, B, **kwargs)
+        want = _tile(tr, tq, m, cfg, False, **kwargs)
+        got = _tile(tr, tq, m, cfg, **kwargs)
         # Column 14 is within 15 of rows 0..29, all of them.
         assert got.indices[:, 2].tolist() == [-1, -1]
         _assert_same(_tile_result(got), _tile_result(want), mode)
@@ -202,8 +241,8 @@ class TestExclusionAndTies:
         layout = to_device_layout(series, cfg.policy.storage)
         tq = np.ascontiguousarray(layout[:, 60 : 60 + 5 + m - 1])
         kwargs = dict(col_offset=60, exclusion_zone=m // 2)
-        want = _tile(layout, tq, m, cfg, None, **kwargs)
-        got = _tile(layout, tq, m, cfg, B, **kwargs)
+        want = _tile(layout, tq, m, cfg, False, **kwargs)
+        got = _tile(layout, tq, m, cfg, **kwargs)
         _assert_same(_tile_result(got), _tile_result(want), mode)
 
     def test_transposed_merge_takes_earliest_row_on_ties(self):
@@ -228,21 +267,24 @@ class TestExclusionAndTies:
         assert update.indices[1, 2] == 100
 
 
-def _cfg(**kw):
-    return RunConfig(mode="FP16", n_tiles=8, n_gpus=2, **kw)
+def _cfg():
+    return RunConfig(mode="FP16", n_tiles=8, n_gpus=2)
 
 
 class TestFaultComposition:
-    """The transposed loop under the engine's recovery machinery."""
+    """The transposed loop under the engine's recovery machinery, at the
+    per-row oracle (``None``), blocks of one row (budget 0) and small
+    blocks."""
 
-    def test_health_escalation(self):
+    def test_health_escalation(self, monkeypatch):
         series = _series(200, 3)
         runs = []
-        for rb in (None, 1, B):  # None: the per-row oracle
+        for budget in (None, 0, SMALL):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget or 0)
             plan = FaultPlan(seed=3, corrupt_rate=0.4)
-            with per_row_engine() if rb is None else nullcontext():
+            with per_row_engine() if budget is None else nullcontext():
                 res = compute_multi_tile(
-                    series, None, 16, _cfg(row_block=rb or B),
+                    series, None, 16, _cfg(),
                     health=HealthPolicy(), fault_plan=plan, max_retries=3,
                 )
             runs.append(res)
@@ -251,31 +293,31 @@ class TestFaultComposition:
             assert res.escalations == runs[0].escalations
             _assert_same(_result(res), _result(runs[0]), "escalation")
 
-    def test_oom_split(self):
+    def test_oom_split(self, monkeypatch):
         series = _series(200, 3)
         runs = []
-        for rb in (None, 1, B):  # None: the per-row oracle
+        for budget in (None, 0, SMALL):
+            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget or 0)
             plan = FaultPlan(seed=9, oom_rate=0.4)
-            with per_row_engine() if rb is None else nullcontext():
+            with per_row_engine() if budget is None else nullcontext():
                 runs.append(compute_multi_tile(
-                    series, None, 16, _cfg(row_block=rb or B), fault_plan=plan,
-                    oom_split=True,
+                    series, None, 16, _cfg(), fault_plan=plan, oom_split=True,
                 ))
         assert runs[0].split_tiles
         for res in runs[1:]:
             assert res.split_tiles == runs[0].split_tiles
             _assert_same(_result(res), _result(runs[0]), "oom split")
 
-    def test_parallel_workers(self):
+    def test_parallel_workers(self, small_steps):
         series = _series(200, 3)
         with per_row_engine():
             want = _result(compute_multi_tile(series, None, 16, _cfg()))
         got = _result(compute_multi_tile(
-            series, None, 16, _cfg(row_block=B), parallel_workers=2,
+            series, None, 16, _cfg(), parallel_workers=2,
         ))
         _assert_same(got, want, "parallel")
 
-    def test_journal_resume(self, tmp_path):
+    def test_journal_resume(self, tmp_path, small_steps):
         class KillPlan:
             corruptor = None
 
@@ -293,7 +335,7 @@ class TestFaultComposition:
         path = tmp_path / "journal"
         with pytest.raises(KeyboardInterrupt):
             compute_multi_tile(
-                series, None, 16, _cfg(row_block=B), journal=path, fault_plan=KillPlan(),
+                series, None, 16, _cfg(), journal=path, fault_plan=KillPlan(),
             )
         done = len(RunJournal.open(path).completed_records())
         resumed = resume_plan(path)
@@ -305,14 +347,15 @@ class TestFaultComposition:
 class TestStreams:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("self_join", [True, False], ids=["self", "AB"])
-    def test_equivalent_tiles_match_per_row_batch(self, mode, self_join, transposed_calls):
+    def test_equivalent_tiles_match_per_row_batch(self, mode, self_join, transposed_calls,
+                                                  small_steps):
         """A stream's tall history bands and probes run transposed; a
         per-row oracle dispatch of its equivalent tiles must agree."""
         m = 12
         series = _series(160, 2)
         reference = None if self_join else _series(140, 2, seed=11)
         inc = IncrementalMatrixProfile(
-            m, RunConfig(mode=mode, row_block=B), reference=reference,
+            m, RunConfig(mode=mode), reference=reference,
         )
         off = 0
         for step in (60, 9, 1, 30, 40, 20):
@@ -342,8 +385,8 @@ class TestRowMajorOnly:
         layout = to_device_layout(_series(90, 2), cfg.policy.storage)
         tq = np.ascontiguousarray(layout[:, 50 : 50 + 4 + m - 1])
         kwargs = dict(col_offset=50, exclusion_zone=m // 2, mirror=True)
-        want = _tile(layout, tq, m, cfg, None, **kwargs)
-        got = _tile(layout, tq, m, cfg, B, **kwargs)
+        want = _tile(layout, tq, m, cfg, False, **kwargs)
+        got = _tile(layout, tq, m, cfg, **kwargs)
         assert transposed_calls == []
         _assert_same(_tile_result(got), _tile_result(want), "mirror")
         assert np.array_equal(got.mirror_profile, want.mirror_profile)
@@ -354,6 +397,6 @@ class TestRowMajorOnly:
         cfg = RunConfig(mode="Mixed", backend="tensor_core")
         layout = to_device_layout(_series(90, 2), cfg.policy.storage)
         tq = np.ascontiguousarray(layout[:, 50 : 50 + 4 + m - 1])
-        _tile(layout, tq, m, cfg, B, col_offset=50, exclusion_zone=m // 2,
+        _tile(layout, tq, m, cfg, col_offset=50, exclusion_zone=m // 2,
               main_loop="tensor_core")
         assert transposed_calls == []
