@@ -16,10 +16,13 @@ every stage is one vectorised numpy operation across all columns, rounded
 in the mode's compute dtype, so the fan-in summation order (which on real
 hardware differs from a sequential cumsum) is reproduced bit for bit.
 Sorting is exact (comparisons don't round).  :class:`SortScanKernel`
-produces the bits of the stage-by-stage bitonic network through a
-value-exact sort and, for half precision, a float32-domain scan, and
-accounts one synchronisation per network stage.  The stage-by-stage
-bitonic network itself is the test oracle, in ``tests/per_row_oracle.py``.
+produces the bits of the stage-by-stage bitonic network through one
+value-exact compare-exchange network for every precision — Batcher's
+odd-even merge sort over float values or, for halves, uint16 radix keys,
+with ``np.sort`` only above 16 rows — and, for half precision, a
+float32-domain scan, and accounts one synchronisation per network stage.
+The stage-by-stage bitonic network itself is the test oracle, in
+``tests/per_row_oracle.py``.
 """
 
 from __future__ import annotations
@@ -60,44 +63,9 @@ def _network_stage_count(p: int) -> int:
 _U16_SIGN = np.uint16(0x8000)
 _U16_REST = np.uint16(0x7FFF)
 
-#: Column counts small enough that an odd-even transposition network
-#: (d rounds of vectorised integer min/max over the whole plane) beats
-#: ``np.sort`` along the short, strided axis.
-_NETWORK_MAX_D = 8
-
-#: Largest ``d`` the fused tensor-core path sorts with a Batcher
-#: odd-even merge network (19 comparators at d=8, versus the 28 of the
-#: transposition network); larger planes fall back to ``np.sort``.
+#: Largest ``d`` sorted by the Batcher odd-even merge network (19
+#: comparators at d=8); larger planes fall back to ``np.sort``.
 _BATCHER_MAX_D = 16
-
-
-@lru_cache(maxsize=64)
-def _transposition_pairs(d: int) -> tuple[tuple[int, int], ...]:
-    """Compare-exchange pairs of the ``d``-input odd-even transposition
-    sorting network, in execution order (d rounds, alternating parity)."""
-    return tuple(
-        (i, i + 1)
-        for rnd in range(d)
-        for i in range(rnd & 1, d - 1, 2)
-    )
-
-
-def _sort_keys_network(keys: np.ndarray) -> np.ndarray:
-    """Ascending in-place sort of ``keys`` (shape ``(d, n)``, integer)
-    along axis 0 via the odd-even transposition network — each
-    compare-exchange is two vectorised min/max over an ``n``-element
-    row, which for small ``d`` is far cheaper than ``np.sort`` striding
-    down the columns.  Any correct ascending sort of the same key
-    multiset yields the same key sequence, so the output is identical
-    to ``np.sort(keys, axis=0)``."""
-    lo = np.empty_like(keys[0])
-    hi = np.empty_like(keys[0])
-    for i, j in _transposition_pairs(keys.shape[0]):
-        np.minimum(keys[i], keys[j], out=lo)
-        np.maximum(keys[i], keys[j], out=hi)
-        keys[i] = lo
-        keys[j] = hi
-    return keys
 
 
 @lru_cache(maxsize=64)
@@ -109,8 +77,7 @@ def _batcher_pairs(d: int) -> tuple[tuple[int, int], ...]:
     wires both lie below ``d`` — the dropped wires would carry +inf
     padding, which never swaps downward, so the filtered network sorts
     any ``d`` inputs (verified exhaustively by the zero-one principle in
-    the tests).  At ``d = 8`` this is the optimal 19-comparator network,
-    versus the 28 of the odd-even transposition network above.
+    the tests).  At ``d = 8`` this is the optimal 19-comparator network.
     """
     p = 1 << (d - 1).bit_length()
     pairs: list[tuple[int, int]] = []
@@ -136,11 +103,18 @@ def _batcher_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for (i, j) in pairs if j < d)
 
 
-def _sort_f32_inplace(plane: np.ndarray) -> np.ndarray:
-    """Ascending in-place per-column sort of a NaN-free float32 plane —
-    the fused tensor-core path's sort, run directly on the FP32 distance
-    fragment with native float min/max (no radix-key transform needed).
-    Value-identical to ``np.sort(plane, axis=0)``."""
+def _sort_network_inplace(plane: np.ndarray) -> np.ndarray:
+    """Ascending in-place sort of each column of a ``(d, n)`` plane along
+    axis 0 through Batcher's network (:func:`_batcher_pairs`).
+
+    Each compare-exchange is a vectorised min/max over two whole rows,
+    which for small ``d`` is far cheaper than ``np.sort`` striding down
+    ``n`` short columns.  ``plane`` holds float32/float64 values or the
+    uint16 radix keys of halves; float columns must be NaN-free and free
+    of ``-0.0``, so that min/max and ``np.sort`` agree on every value
+    (distance planes are, by construction).  Above ``_BATCHER_MAX_D``
+    rows the plane goes to ``np.sort``.
+    """
     d = plane.shape[0]
     if d > _BATCHER_MAX_D:
         plane[...] = np.sort(plane, axis=0)
@@ -154,30 +128,25 @@ def _sort_f32_inplace(plane: np.ndarray) -> np.ndarray:
 
 
 def _sort_columns_exact(plane: np.ndarray) -> np.ndarray:
-    """Ascending per-column sort whose output *values* are identical to
-    the bitonic network's — any correct ascending sort of a NaN-free
-    column yields the same value sequence, so only the emulation
-    fidelity (stage-by-stage execution) is given up, never a bit of the
-    result.
+    """Ascending per-column sort of a copy of ``plane`` whose output
+    *values* are identical to the bitonic network's — any correct
+    ascending sort of a NaN-free column yields the same value sequence,
+    so only the emulation fidelity (stage-by-stage execution) is given
+    up, never a bit of the result.
 
-    Half precision is the point of doing this: numpy's ``float16``
-    comparisons run a scalar convert-to-float loop, so executing the
-    compare-exchange passes costs ~5x a native integer sort.  IEEE half
-    bit patterns order like their values once negative patterns are
-    flipped (the classic radix-key transform), so halves are sorted as
-    ``uint16`` keys.  Wider dtypes go straight to ``np.sort``.  Columns
-    must be NaN-free (distance planes are by construction; the network's
-    behaviour under NaN is unspecified anyway).
+    Every dtype runs :func:`_sort_network_inplace`.  numpy's ``float16``
+    comparisons run a scalar convert-to-float loop, so halves are
+    sorted as ``uint16`` keys: IEEE half bit patterns order like their
+    values once negative patterns are flipped (the classic radix-key
+    transform).  Columns must be NaN-free (distance planes are by
+    construction; the network's behaviour under NaN is unspecified
+    anyway).
     """
     if plane.dtype != np.float16:
-        return np.sort(plane, axis=0)
+        return _sort_network_inplace(plane.copy())
     u = np.ascontiguousarray(plane).view(np.uint16)
     neg = u >> np.uint16(15)
-    keys = u ^ (neg * _U16_REST + _U16_SIGN)
-    if plane.shape[0] <= _NETWORK_MAX_D:
-        keys = _sort_keys_network(keys)
-    else:
-        keys = np.sort(keys, axis=0)
+    keys = _sort_network_inplace(u ^ (neg * _U16_REST + _U16_SIGN))
     pos = keys >> np.uint16(15)
     return (keys ^ ((pos ^ np.uint16(1)) * _U16_REST + _U16_SIGN)).view(np.float16)
 
@@ -341,11 +310,11 @@ class SortScanKernel(Kernel):
         ``plane`` is treated as scratch (it is ``TcGemmKernel``'s reused
         panel) and sorted in place; the scanned inclusive averages come
         back in a reused float32 buffer of the same shape.  Saturated
-        distance planes are non-negative and NaN-free, so native float
-        min/max networks sort them exactly.
+        distance planes are non-negative and NaN-free, so the min/max
+        network sorts them exactly.
         """
         d = plane.shape[0]
-        sorted_plane = _sort_f32_inplace(plane)
+        sorted_plane = _sort_network_inplace(plane)
         out = getattr(self, "_mma_out", None)
         if out is None or out.shape != plane.shape:
             out = np.empty_like(plane)

@@ -1,12 +1,24 @@
 """Unit tests for the sort_&_incl_scan kernel (bitonic sort + fan-in scan)."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.apps.chains import left_right_profile
+from repro.core.anytime import anytime_matrix_profile
+from repro.core.api import matrix_profile
+from repro.core.config import RunConfig
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import sort_stage_count
-from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
-from repro.precision.modes import policy_for
+from repro.kernels.sort_scan import (
+    _BATCHER_MAX_D,
+    SortScanKernel,
+    _sort_columns_exact,
+    _sort_network_inplace,
+    fanin_inclusive_scan,
+)
+from repro.precision.modes import DTYPE_MAX, TENSOR_CORE_MODES, PrecisionMode, policy_for
 
 from .per_row_oracle import bitonic_sort
 
@@ -106,3 +118,140 @@ class TestSortScanKernel:
         plane = np.abs(rng.normal(size=(1, 11)))
         out = SortScanKernel(config=CFG, policy=policy_for("FP64")).run(plane)
         np.testing.assert_allclose(out, plane, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The one value-exact sorting network behind every precision
+
+MODES = [mode.value for mode in PrecisionMode]
+SORT_DTYPES = [np.float64, np.float32, np.float16]
+
+
+def _tie_heavy_plane(rng, d, dtype, n=301):
+    """Distance-like (non-negative, NaN-free) columns drawn mostly from a
+    small pool — exact zeros, the dtype's saturation value and a few
+    repeated magnitudes — so most columns hold ties."""
+    pool = np.array([0.0, DTYPE_MAX[np.dtype(dtype)], 0.5, 1.0, 3.25, 1e-3])
+    pool = pool.astype(dtype)
+    plane = pool[rng.integers(0, pool.size, size=(d, n))]
+    fresh = rng.random(size=(d, n)) < 0.25
+    plane[fresh] = (rng.standard_normal(fresh.sum()) ** 2).astype(dtype)
+    return plane
+
+
+class TestUnifiedSort:
+    @pytest.mark.parametrize("dtype", SORT_DTYPES)
+    @pytest.mark.parametrize("d", [*range(1, _BATCHER_MAX_D + 1), _BATCHER_MAX_D + 1])
+    def test_bytes_match_np_sort_and_oracle(self, rng, dtype, d):
+        plane = _tie_heavy_plane(rng, d, dtype)
+        before = plane.copy()
+        out = _sort_columns_exact(plane)
+        assert out.dtype == plane.dtype and out.shape == plane.shape
+        assert out.tobytes() == np.sort(plane, axis=0).tobytes()
+        assert out.tobytes() == bitonic_sort(plane).tobytes()
+        assert plane.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("d", [3, 8, _BATCHER_MAX_D + 1])
+    def test_run_leaves_input_unmodified(self, rng, mode, d):
+        kern = SortScanKernel(config=CFG, policy=policy_for(mode))
+        # In the compute dtype, so ``astype(copy=False)`` hands the kernel
+        # the caller's own buffer.
+        plane = _tie_heavy_plane(rng, d, kern.policy.compute)
+        plane[:, ::2] = plane[::-1, ::2]  # unsorted columns
+        before = plane.copy()
+        kern.run(plane)
+        assert plane.tobytes() == before.tobytes()
+
+
+class TestSortNetworkZeroOne:
+    @pytest.mark.parametrize("d", range(1, _BATCHER_MAX_D + 1))
+    def test_sorts_every_bit_column(self, d):
+        # Zero-one principle: a comparator network that sorts all 2^d
+        # bit columns sorts every input of d keys.
+        bits = (np.arange(2**d)[None, :] >> np.arange(d)[:, None]) & 1
+        plane = bits.astype(np.uint8)
+        _sort_network_inplace(plane)
+        assert (np.diff(plane.astype(np.int8), axis=0) >= 0).all()
+        np.testing.assert_array_equal(plane.sum(axis=0), bits.sum(axis=0))
+
+
+def _hard_inputs():
+    """The ROADMAP's numerical-edge probes, n=512, d=3."""
+    rng = np.random.default_rng(7)
+    flat = rng.standard_normal((512, 3)).cumsum(axis=0)
+    flat[:100] = flat[100]
+    return {
+        "mean4e4_sd3e3": 4e4 + 3e3 * rng.standard_normal((512, 3)),
+        "mean1e3_sd1e2": 1e3 + 1e2 * rng.standard_normal((512, 3)),
+        "flat_prefix": flat,
+    }
+
+
+class TestSortInputPrecondition:
+    """min/max agrees with ``np.sort`` value for value only on NaN-free
+    planes without ``-0.0``; every plane the kernel sorts must be one."""
+
+    @pytest.mark.parametrize("case", sorted(_hard_inputs()))
+    @pytest.mark.parametrize(
+        "mode, backend",
+        [(mode, "numeric") for mode in MODES]
+        + [(mode.value, "tensor_core") for mode in TENSOR_CORE_MODES],
+    )
+    def test_planes_are_nan_and_sign_free(self, monkeypatch, case, mode, backend):
+        seen = []
+        run = SortScanKernel.run
+
+        def spy(self, plane, *args, **kwargs):
+            seen.append((bool(np.isnan(plane).any()), bool(np.signbit(plane).any())))
+            return run(self, plane, *args, **kwargs)
+
+        monkeypatch.setattr(SortScanKernel, "run", spy)
+        res = matrix_profile(_hard_inputs()[case], m=32, mode=mode, backend=backend)
+        assert res.backend == backend
+        assert seen
+        assert not any(nan for nan, _ in seen)
+        assert not any(sign for _, sign in seen)
+
+
+class TestNoNpSortInSortScan:
+    """The sort stage runs the min/max network; ``np.sort`` is only the
+    fallback above ``_BATCHER_MAX_D`` rows."""
+
+    @pytest.fixture
+    def sort_calls(self, monkeypatch):
+        calls = []
+        real = np.sort
+
+        def counting_sort(a, *args, **kwargs):
+            calls.append((sys._getframe(1).f_globals.get("__name__"), np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        return calls
+
+    @staticmethod
+    def _from_sort_scan(calls):
+        return [shape for module, shape in calls if module == "repro.kernels.sort_scan"]
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_matrix_profile_every_mode(self, sort_calls, rng, d):
+        series = rng.standard_normal((160, d)).cumsum(axis=0)
+        for mode in MODES:
+            matrix_profile(series, m=16, mode=mode, n_tiles=2)
+        for mode in TENSOR_CORE_MODES:
+            matrix_profile(series, m=16, mode=mode, backend="tensor_core")
+        assert self._from_sort_scan(sort_calls) == []
+
+    def test_chains_and_anytime(self, sort_calls, rng):
+        series = rng.standard_normal((160, 3)).cumsum(axis=0)
+        left_right_profile(series, 16, RunConfig(mode="FP16"))
+        anytime_matrix_profile(series, None, 16, RunConfig(mode="FP32"), fraction=0.5)
+        assert self._from_sort_scan(sort_calls) == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_wide_plane_falls_back(self, sort_calls, rng, mode):
+        d = _BATCHER_MAX_D + 1
+        plane = np.abs(rng.standard_normal((d, 40)))
+        SortScanKernel(config=CFG, policy=policy_for(mode)).run(plane)
+        assert (d, 40) in self._from_sort_scan(sort_calls)
