@@ -16,8 +16,8 @@ tile list would produce — bit for bit, in all five precision modes:
   cached planes (:class:`StreamPlaneCache`, the streaming sibling of the
   PR-5 :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`);
 * the per-tile seeds are naive centred dots evaluated per output column,
-  so computing them over the band's column slice is bit-identical to the
-  full-pass-then-slice values;
+  so computing all of one dispatch's seeds in one batch and slicing them
+  per tile is bit-identical to the full-pass-then-slice values;
 * the strict-``<`` merge keeps the earliest reference row on ties, and
   the band decomposition below merges every query column's tiles in
   strictly increasing row order — the same order a batch dispatch of the
@@ -46,9 +46,11 @@ from __future__ import annotations
 import json
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.config import RunConfig, default_exclusion_zone
 from ..core.tiling import Tile, assign_tiles
@@ -73,19 +75,54 @@ from ..precision.modes import PrecisionMode
 __all__ = ["StreamPlaneCache", "IncrementalMatrixProfile", "AppendResult"]
 
 
-class _StreamRole:
+class GrowableArray:
+    """An append-only array on a capacity-doubling buffer along ``axis``:
+    n appends cost O(n) copies and O(log n) reallocations, where
+    ``np.concatenate`` per append is O(n^2).  ``shape`` is the initial
+    (empty) buffer.  Appended entries never change, so a :attr:`view`
+    (the filled prefix) stays valid.
+    """
+
+    __slots__ = ("_buf", "_axis", "size")
+
+    def __init__(self, shape, dtype, axis: int):
+        self._buf = np.empty(shape, dtype=dtype)
+        self._axis = axis
+        self.size = 0
+
+    def _span(self, start: int, stop: int) -> tuple:
+        return (slice(None),) * self._axis + (slice(start, stop),)
+
+    @property
+    def capacity(self) -> int:
+        return self._buf.shape[self._axis]
+
+    @property
+    def view(self) -> np.ndarray:
+        return self._buf[self._span(0, self.size)]
+
+    def append(self, block: np.ndarray) -> None:
+        stop = self.size + block.shape[self._axis]
+        if stop > self.capacity:
+            shape = list(self._buf.shape)
+            shape[self._axis] = max(stop, 2 * self.capacity)
+            grown = np.empty(shape, dtype=self._buf.dtype)
+            grown[self._span(0, self.size)] = self.view
+            self._buf = grown
+        self._buf[self._span(self.size, stop)] = block
+        self.size = stop
+
+
+def _stream_role(d: int, policy) -> dict:
     """One series role's growing planes in one precision mode."""
-
-    __slots__ = ("series_pd", "mu_pd", "mu", "inv", "df", "dg", "n_seg")
-
-    def __init__(self, d: int, pdtype, sdtype):
-        self.series_pd = np.empty((d, 0), dtype=pdtype)
-        self.mu_pd = np.empty((d, 0), dtype=pdtype)
-        self.mu = np.empty((d, 0), dtype=sdtype)
-        self.inv = np.empty((d, 0), dtype=sdtype)
-        self.df = np.empty((d, 0), dtype=sdtype)
-        self.dg = np.empty((d, 0), dtype=sdtype)
-        self.n_seg = 0
+    return {
+        name: GrowableArray((d, 0), dtype, axis=1)
+        for name, dtype in (
+            ("series_pd", policy.precalc), ("mu_pd", policy.precalc),
+            ("mu", policy.storage), ("inv", policy.storage),
+            ("df", policy.storage), ("dg", policy.storage),
+        )
+    }
 
 
 class _StreamModePlanes:
@@ -93,7 +130,7 @@ class _StreamModePlanes:
 
     __slots__ = ("r", "q", "pending_charge")
 
-    def __init__(self, r: _StreamRole, q: _StreamRole):
+    def __init__(self, r: dict, q: dict):
         self.r = r
         self.q = q  # aliases ``r`` for self-joins
         self.pending_charge = None  # KernelCost of un-claimed plane work
@@ -111,13 +148,14 @@ class StreamPlaneCache:
     ``df``/``dg`` from a one-window-overlap suffix
     :func:`~repro.kernels.precalc._delta_coefficients` pass — both
     bit-identical to the full-pass values because every output element is
-    a function of its own ``m`` samples only.
+    a function of its own ``m`` samples only.  The planes grow in
+    :class:`GrowableArray` buffers, so a ``landmark`` stream is linear.
 
-    Seeds are *not* cached: each stream tile's band/column-slice pair is
-    used exactly once, so :meth:`prepare` evaluates
-    :func:`~repro.kernels.precalc.seed_qt_rows` over the tile's slices
-    directly (bit-identical to slicing a full-width pass, the
-    accumulation being per-output-column).
+    The first :meth:`prepare` of a plan seeds all its tiles in one
+    :func:`~repro.kernels.precalc.seed_qt_rows` call per direction — one
+    in all for a self-join, where tile B's row seed is tile A's column
+    seed and tile B's column seed a prefix of tile A's row seed — and
+    each tile slices it (bit-identical: accumulation is per column).
 
     Planes are keyed per precision mode and derived from the *plan's*
     layouts, so health escalation and admission shedding (which dispatch
@@ -134,6 +172,10 @@ class StreamPlaneCache:
 
     def __init__(self):
         self._modes: dict[PrecisionMode, _StreamModePlanes] = {}
+        # id(plan) -> (row seeds, col seeds), each start -> (first segment
+        # covered, storage seeds); dropped when the plan is.  A self-join's
+        # row and column seeds of one start coincide: one shared dict.
+        self._seeds: dict[int, tuple[dict, dict]] = {}
         self._lock = threading.RLock()
 
     @property
@@ -144,38 +186,31 @@ class StreamPlaneCache:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _extend_role(role: _StreamRole, layout, m: int, policy) -> int:
+    def _extend_role(role: dict, layout, m: int, policy) -> int:
         """Append planes for ``layout``'s new windows; returns new segs."""
-        pdtype = policy.precalc
         sdtype = policy.storage
         n_seg = max(0, layout.shape[1] - m + 1)
-        old = role.n_seg
+        old = role["mu"].size
         if n_seg <= old:
             return 0
-        series_pd = layout.astype(pdtype, copy=False)
         # The already-cached prefix is a cast of the same layout prefix —
         # only the suffix is new (layouts grow by appending samples).
-        role.series_pd = np.concatenate(
-            [role.series_pd, series_pd[:, role.series_pd.shape[1]:]], axis=1
+        role["series_pd"].append(
+            layout[:, role["series_pd"].size:].astype(policy.precalc, copy=False)
         )
+        series_pd = role["series_pd"].view
         mu_new, inv_new = _window_stats(series_pd[:, old:], m, policy)
-        role.mu_pd = np.concatenate([role.mu_pd, mu_new], axis=1)
-        role.mu = np.concatenate([role.mu, mu_new.astype(sdtype)], axis=1)
-        role.inv = np.concatenate([role.inv, inv_new.astype(sdtype)], axis=1)
-        if old == 0:
-            df_new, dg_new = _delta_coefficients(
-                series_pd, role.mu_pd, m, pdtype
-            )
-        else:
-            # One window of overlap supplies T[i-1] and mu[i-1] for the
-            # first new window; its own (recomputed) column 0 is dropped.
-            df_loc, dg_loc = _delta_coefficients(
-                series_pd[:, old - 1:], role.mu_pd[:, old - 1:], m, pdtype
-            )
-            df_new, dg_new = df_loc[:, 1:], dg_loc[:, 1:]
-        role.df = np.concatenate([role.df, df_new.astype(sdtype)], axis=1)
-        role.dg = np.concatenate([role.dg, dg_new.astype(sdtype)], axis=1)
-        role.n_seg = n_seg
+        role["mu_pd"].append(mu_new)
+        role["mu"].append(mu_new.astype(sdtype))
+        role["inv"].append(inv_new.astype(sdtype))
+        # One window of overlap supplies T[i-1] and mu[i-1] for the first
+        # new window; its own (recomputed) column 0 is dropped.
+        lo = max(old - 1, 0)
+        df_new, dg_new = _delta_coefficients(
+            series_pd[:, lo:], role["mu_pd"].view[:, lo:], m, policy.precalc
+        )
+        role["df"].append(df_new[:, old - lo:].astype(sdtype))
+        role["dg"].append(dg_new[:, old - lo:].astype(sdtype))
         return n_seg - old
 
     def _sync(self, plan) -> _StreamModePlanes:
@@ -185,11 +220,8 @@ class StreamPlaneCache:
         self_join = plan.tq_layout is plan.tr_layout
         entry = self._modes.get(mode)
         if entry is None:
-            r = _StreamRole(spec.d, policy.precalc, policy.storage)
-            q = r if self_join else _StreamRole(
-                spec.d, policy.precalc, policy.storage
-            )
-            entry = _StreamModePlanes(r, q)
+            r = _stream_role(spec.d, policy)
+            entry = _StreamModePlanes(r, r if self_join else _stream_role(spec.d, policy))
             self._modes[mode] = entry
         new_r = self._extend_role(entry.r, plan.tr_layout, spec.m, policy)
         new_q = (
@@ -210,18 +242,38 @@ class StreamPlaneCache:
             )
         return entry
 
-    def _seed(self, fixed: _StreamRole, start: int, other: _StreamRole,
-              c0: int, c1: int, m: int, policy):
-        """Naive centred seed dot of one fixed segment vs a column slice."""
-        return seed_qt_rows(
-            fixed.series_pd,
-            [start],
-            other.series_pd[:, c0 : c1 + m - 1],
-            fixed.mu_pd,
-            other.mu_pd[:, c0:c1],
-            m,
-            policy,
-        )[0].astype(policy.storage)
+    def _ensure_seeds(self, planes: _StreamModePlanes, plan, tile) -> tuple[dict, dict]:
+        """Seed each start of ``plan``'s tiles against the union of their
+        spans: one call per direction on the plan's first tile, then one
+        per start the plan never listed (an OOM-split child's)."""
+        seeds = self._seeds.get(id(plan))
+        if seeds is None:
+            row_seeds = {}
+            seeds = (row_seeds, row_seeds if planes.q is planes.r else {})
+            self._seeds[id(plan)] = seeds
+            weakref.finalize(plan, self._seeds.pop, id(plan), None)
+        tiles = (*plan.tiles, tile)
+        rows = [(t.row_start, t.col_start, t.col_stop) for t in tiles]
+        cols = [(t.col_start, t.row_start, t.row_stop) for t in tiles]
+        r, q = planes.r, planes.q
+        batches = (
+            [(seeds[0], r, r, rows + cols)]
+            if q is r
+            else [(seeds[0], r, q, rows), (seeds[1], q, r, cols)]
+        )
+        m = plan.spec.m
+        for cache, fixed, other, needs in batches:
+            starts = sorted({start for start, _, _ in needs} - cache.keys())
+            if not starts:
+                continue
+            lo = min(a for _, a, _ in needs)
+            hi = max(b for _, _, b in needs)
+            bands = seed_qt_rows(
+                fixed["series_pd"].view, starts, other["series_pd"].view[:, lo : hi + m - 1],
+                fixed["mu_pd"].view, other["mu_pd"].view[:, lo:hi], m, plan.spec.policy,
+            ).astype(plan.spec.policy.storage)
+            cache.update((start, (lo, band)) for start, band in zip(starts, bands))
+        return seeds
 
     def prepare(self, plan, tile) -> PreparedPrecalc:
         """Assemble ``tile``'s precalculation from the growing planes."""
@@ -230,28 +282,32 @@ class StreamPlaneCache:
         m = spec.m
         with self._lock:
             planes = self._sync(plan)
+            row_seeds, col_seeds = self._ensure_seeds(planes, plan, tile)
+            r, q = planes.r, planes.q
             r0, r1 = tile.row_start, tile.row_stop
             c0, c1 = tile.col_start, tile.col_stop
-            df_r = planes.r.df[:, r0:r1].copy()
-            dg_r = planes.r.dg[:, r0:r1].copy()
+            row_lo, row_seed = row_seeds[r0]
+            col_lo, col_seed = col_seeds[c0]
+            df_r = r["df"].view[:, r0:r1].copy()
+            dg_r = r["dg"].view[:, r0:r1].copy()
             df_r[:, 0] = 0
             dg_r[:, 0] = 0
-            df_q = planes.q.df[:, c0:c1].copy()
-            dg_q = planes.q.dg[:, c0:c1].copy()
+            df_q = q["df"].view[:, c0:c1].copy()
+            dg_q = q["dg"].view[:, c0:c1].copy()
             df_q[:, 0] = 0
             dg_q[:, 0] = 0
             result = PrecalcResult(
                 m=m,
-                mu_r=planes.r.mu[:, r0:r1],
-                inv_r=planes.r.inv[:, r0:r1],
+                mu_r=r["mu"].view[:, r0:r1],
+                inv_r=r["inv"].view[:, r0:r1],
                 df_r=df_r,
                 dg_r=dg_r,
-                mu_q=planes.q.mu[:, c0:c1],
-                inv_q=planes.q.inv[:, c0:c1],
+                mu_q=q["mu"].view[:, c0:c1],
+                inv_q=q["inv"].view[:, c0:c1],
                 df_q=df_q,
                 dg_q=dg_q,
-                qt_row0=self._seed(planes.r, r0, planes.q, c0, c1, m, policy),
-                qt_col0=self._seed(planes.q, c0, planes.r, r0, r1, m, policy),
+                qt_row0=row_seed[:, c0 - row_lo : c1 - row_lo],
+                qt_col0=col_seed[:, r0 - col_lo : r1 - col_lo],
             )
             cost = seed_cost(
                 tile.n_rows,
@@ -418,11 +474,13 @@ class IncrementalMatrixProfile:
         """
         return tuple(self._tiles)
 
-    def window(self, seg: int) -> np.ndarray:
-        """The ``(d, m)`` float64 samples of stream segment ``seg``."""
-        if seg < 0 or seg >= self.n_q_seg:
-            raise IndexError(f"segment {seg} out of range 0..{self.n_q_seg - 1}")
-        return self._stream[:, seg : seg + self.m].astype(np.float64)
+    def windows(self, start: int, stop: int) -> np.ndarray:
+        """Segments ``[start, stop)`` as a zero-copy ``(B, d, m)`` view."""
+        if not 0 <= start < stop <= self.n_q_seg:
+            raise IndexError(f"segments [{start}, {stop}) outside 0..{self.n_q_seg}")
+        return sliding_window_view(
+            self._stream[:, start : stop + self.m - 1], self.m, axis=1
+        ).transpose(1, 0, 2)
 
     # ------------------------------------------------------------------
     # Ingest / cover / probe

@@ -17,10 +17,12 @@ batch service already has — reused, not reimplemented:
    backlog; observed step runtimes feed the same
    :class:`~repro.service.LoadEstimator` the batch jobs train;
 4. **gate or cover** — ungated tenants cover the new band exactly
-   (bit-identical incremental tier); gated tenants sketch-score each new
-   window and probe exact tiles only for alarmed column runs, counting
-   suppressed columns as saved work;
-5. **retention** — sliding tenants re-base in amortised chunks;
+   (bit-identical incremental tier); gated tenants sketch-score the
+   step's new windows in one batched call and probe exact tiles only for
+   alarmed column runs, counting suppressed columns as saved work;
+5. **retention** — sliding tenants re-base in amortised chunks (a gated
+   tenant's fresh monitor is primed with one batched pass over the
+   retained windows);
 6. **observability** — every step lands in per-tenant
    :class:`~repro.streams.tenant.StreamCounters` *and* the shared
    :class:`~repro.service.ServiceMetrics` stream counters that
@@ -163,7 +165,7 @@ class StreamIngestService:
     def _primed_monitor(self, policy: TenantPolicy, stream) -> SketchMonitor:
         """A fresh sketch monitor that has seen every retained window."""
         monitor = self._build_monitor(policy, d=stream.d)
-        monitor.prime(stream.window(seg) for seg in range(stream.n_q_seg))
+        monitor.prime(stream.windows(0, stream.n_q_seg))
         return monitor
 
     def _tune_band(self, entry: "_Tenant", rows: int, cols: int,
@@ -314,13 +316,12 @@ class StreamIngestService:
             session.monitor = monitor = self._build_monitor(
                 session.policy, d=stream.d
             )
-        alarms = []
-        scores = []
-        for seg in range(old_seg, new_seg):
-            score = monitor.score(stream.window(seg))
-            scores.append(score)
-            if score.alarm:
-                alarms.append(score)
+        scores = (
+            monitor.score(stream.windows(old_seg, new_seg))
+            if new_seg > old_seg
+            else ()
+        )
+        alarms = [score for score in scores if score.alarm]
         entry.scores.extend(scores)
         tiles = 0
         exact_cols = 0

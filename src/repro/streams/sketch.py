@@ -10,7 +10,7 @@ interesting is happening.
 :class:`SketchMonitor` maintains, per window, the Johnson–Lindenstrauss
 projection of the per-dimension z-normalised window (unit-normed, so the
 projected Euclidean distance estimates the z-normalised distance the
-matrix profile measures, up to the ``sqrt(2m)`` scale).  Each append is
+matrix profile measures, up to the ``sqrt(2m)`` scale).  Each window is
 scored in O(history x k): the estimated nearest-neighbour distance of
 the new window against all sketched history, shrunk by a confidence
 factor into a *lower-bound style* score.  A score above the tenant
@@ -18,6 +18,11 @@ threshold is a **discord alarm** — only then does the ingest tier admit
 an exact tile job (:meth:`~repro.streams.incremental.
 IncrementalMatrixProfile.probe`); everything else is suppressed and
 counted as saved exact work.
+
+:meth:`SketchMonitor.score` takes an ingest step's ``(B, d, m)`` window
+stack: one z-normalisation over it, one append to a capacity-doubling
+history, then each window's neighbour pass and threshold update in
+order — bit-identical to scoring the windows one at a time.
 
 The threshold can be a fixed float (sketch-distance units) or
 ``"auto"``: alarm when the score exceeds ``mean + zscore * std`` of all
@@ -36,7 +41,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .incremental import GrowableArray
+
 __all__ = ["SketchMonitor", "SketchScore"]
+
+#: Float64 elements of one z-normalised ``(windows, d, m)`` chunk.
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,7 +71,7 @@ class SketchMonitor:
     m, d:
         Window length and dimensionality of the stream.
     k:
-        Sketch width (projection dimension); O(history x k) per score.
+        Sketch width (projection dimension); O(history x k) per window.
     threshold:
         Fixed alarm threshold in sketch-distance units, or ``"auto"``
         (mean + ``zscore`` x std of past scores, warmup always alarms).
@@ -105,8 +115,17 @@ class SketchMonitor:
             raise ValueError(f"invalid sketch geometry m={m}, d={d}, k={k}")
         if not 0.0 < shrink <= 1.0:
             raise ValueError(f"shrink must be in (0, 1], got {shrink}")
-        if threshold != "auto" and not isinstance(threshold, (int, float)):
+        if threshold != "auto" and (
+            isinstance(threshold, bool)
+            or not isinstance(threshold, (int, float))
+            or math.isnan(threshold)
+        ):
+            # ``True`` reads as 1.0; ``estimate > nan`` never alarms.
             raise ValueError(f"threshold must be a float or 'auto', got {threshold!r}")
+        if warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {warmup}")
+        if exclusion is not None and exclusion < 0:
+            raise ValueError(f"exclusion must be >= 0, got {exclusion}")
         self.m = m
         self.d = d
         self.k = k
@@ -124,7 +143,7 @@ class SketchMonitor:
         if rolling is not None and rolling < 2:
             raise ValueError(f"rolling must be >= 2, got {rolling}")
         self.rolling = rolling
-        self._sketches = np.empty((0, k), dtype=np.float64)
+        self._history = GrowableArray((0, k), np.float64, axis=0)
         # Running score statistics for the auto threshold: cumulative
         # Welford, plus (when ``rolling``) the bounded recent-score
         # window the threshold is actually computed from.
@@ -139,19 +158,25 @@ class SketchMonitor:
 
     @property
     def n_windows(self) -> int:
-        return self._sketches.shape[0]
+        return self._history.size
 
-    def _sketch(self, window: np.ndarray) -> np.ndarray:
-        """Project one (d, m) window, z-normalised per dimension."""
-        w = np.asarray(window, dtype=np.float64)
-        if w.shape != (self.d, self.m):
-            raise ValueError(
-                f"window must have shape ({self.d}, {self.m}), got {w.shape}"
-            )
-        centered = w - w.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(centered, axis=1, keepdims=True)
-        z = centered / np.maximum(norms, np.finfo(np.float64).tiny)
-        return self._proj @ z.ravel()
+    def _project(self, windows) -> np.ndarray:
+        """``(B, k)`` sketches of a ``(B, d, m)`` stack, z-normalised per
+        window and dimension in chunks (reductions along contiguous m, one
+        ``proj @ z`` per window: a GEMM over the stack moves the last ulp)."""
+        shape = np.shape(windows)
+        if len(shape) != 3 or shape[1:] != (self.d, self.m):
+            raise ValueError(f"windows must be (B, {self.d}, {self.m}), got {shape}")
+        out = np.empty((shape[0], self.k), dtype=np.float64)
+        step = max(1, CHUNK_ELEMENTS // (self.d * self.m))
+        for lo in range(0, shape[0], step):
+            w = np.array(windows[lo : lo + step], dtype=np.float64, order="C")
+            centered = w - w.mean(axis=-1, keepdims=True)
+            norms = np.linalg.norm(centered, axis=-1, keepdims=True)
+            z = centered / np.maximum(norms, np.finfo(np.float64).tiny)
+            for b in range(z.shape[0]):
+                out[lo + b] = self._proj @ z[b].ravel()
+        return out
 
     def _current_threshold(self) -> float:
         if self.threshold != "auto":
@@ -179,34 +204,40 @@ class SketchMonitor:
     # ------------------------------------------------------------------
 
     def prime(self, windows) -> None:
-        """Add historical windows ((d, m) each) without scoring them."""
-        for w in windows:
-            self._sketches = np.vstack([self._sketches, self._sketch(w)])
+        """Add a ``(B, d, m)`` stack of historical windows without
+        scoring them."""
+        self._history.append(self._project(windows))
 
-    def score(self, window: np.ndarray) -> SketchScore:
-        """Score one new window against sketched history, then add it."""
-        s = self._sketch(window)
-        position = self.n_windows
-        eligible = self._sketches[: max(position - self.exclusion, 0)]
-        if eligible.shape[0] == 0:
-            # Nothing to compare against: cannot suppress what we cannot
-            # bound, so the first windows escalate.
-            estimate = float("inf")
-            alarm = True
-            threshold = self._current_threshold()
-        else:
-            nn = float(np.sqrt(((eligible - s) ** 2).sum(axis=1).min()))
-            estimate = self.shrink * nn
-            threshold = self._current_threshold()
-            in_warmup = (
-                self.threshold == "auto" and self._n_scores < self.warmup
-            )
-            alarm = in_warmup or estimate > threshold
-            self._observe(estimate)
-        self._sketches = np.vstack([self._sketches, s])
-        return SketchScore(
-            position=position,
-            estimate=estimate,
-            threshold=threshold,
-            alarm=alarm,
-        )
+    def score(self, windows) -> tuple[SketchScore, ...]:
+        """Score a ``(B, d, m)`` stack of new windows, in order, against
+        sketched history; each window joins the history it is scored
+        after (its successors outside the exclusion zone see it)."""
+        sketches = self._project(windows)
+        first = self.n_windows
+        self._history.append(sketches)
+        history = self._history.view
+        scores = []
+        for position, s in enumerate(sketches, start=first):
+            eligible = history[: max(position - self.exclusion, 0)]
+            if eligible.shape[0] == 0:
+                # Nothing to compare against: cannot suppress what we
+                # cannot bound, so the first windows escalate.
+                estimate = float("inf")
+                alarm = True
+                threshold = self._current_threshold()
+            else:
+                nn = float(np.sqrt(((eligible - s) ** 2).sum(axis=1).min()))
+                estimate = self.shrink * nn
+                threshold = self._current_threshold()
+                in_warmup = (
+                    self.threshold == "auto" and self._n_scores < self.warmup
+                )
+                alarm = in_warmup or estimate > threshold
+                self._observe(estimate)
+            scores.append(SketchScore(
+                position=position,
+                estimate=estimate,
+                threshold=threshold,
+                alarm=alarm,
+            ))
+        return tuple(scores)

@@ -1,0 +1,306 @@
+"""The stream tier's batched host paths against their per-item oracles.
+
+``SketchMonitor.score`` sketches an ingest step's whole window stack and
+searches the history in chunks; ``StreamPlaneCache.prepare`` computes a
+dispatch's seeds in one batch and slices them per tile; the planes grow
+in capacity-doubling buffers.  Each must reproduce the per-window /
+per-tile / from-scratch value bit for bit (``tests/stream_oracle.py``).
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro.core.config import RunConfig
+from repro.gpu.memory import DeviceOutOfMemoryError
+from repro.kernels.precalc import _delta_coefficients, _window_stats
+from repro.precision.modes import PrecisionMode
+from repro.streams import (
+    IncrementalMatrixProfile,
+    SketchMonitor,
+    StreamIngestService,
+    StreamPlaneCache,
+    TenantPolicy,
+)
+from repro.streams import ingest as ingest_module
+from repro.streams import sketch as sketch_module
+
+from .stream_oracle import PerWindowSketchMonitor, per_tile_seeds
+
+MODES = ("FP64", "FP32", "Mixed", "FP16", "FP16C")
+
+
+def _fingerprint(scores):
+    return [
+        (s.position, s.estimate.hex(), s.threshold.hex(), s.alarm) for s in scores
+    ]
+
+
+def _wave(rng, n, d, m, at):
+    """The e2e ``stream_ingest`` gated feed: a sine per dimension with a
+    planted noise-burst discord at ``at``."""
+    t = np.arange(n)[:, None]
+    freq = 0.005 * 10.0 ** (np.arange(d) / max(d - 1, 1))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=d)
+    wave = np.sin(2.0 * np.pi * freq * t + phase) + 0.05 * rng.standard_normal((n, d))
+    wave[at : at + m] = rng.standard_normal((m, d))
+    return wave
+
+
+def _score_in_steps(monitor, windows, prime, steps):
+    monitor.prime(windows[:prime])
+    scores = []
+    lo = prime
+    for step in itertools.cycle(steps):
+        if lo >= len(windows):
+            return scores
+        scores.extend(monitor.score(windows[lo : lo + step]))
+        lo += step
+
+
+class TestSketchOracle:
+    """Batched ``score``/``prime`` == the per-window ``np.vstack`` monitor."""
+
+    CASES = {
+        "auto-d2": (2, {}),
+        "fixed": (2, {"threshold": 0.4}),
+        "rolling": (2, {"rolling": 24}),
+        "d1": (1, {}),
+        "d3": (3, {"k": 8, "exclusion": 40}),
+        "flat": (2, {}),
+    }
+
+    @pytest.mark.parametrize("chunk", [sketch_module.CHUNK_ELEMENTS, 300, 1])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_score_sequence_bit_identical(self, rng, monkeypatch, case, chunk):
+        monkeypatch.setattr(sketch_module, "CHUNK_ELEMENTS", chunk)
+        d, kw = self.CASES[case]
+        m = 24
+        series = _wave(rng, 420, d, m, at=330)
+        if case == "flat":
+            # Constant stretches: zero centred norms hit the ``tiny`` clamp.
+            series[60:140] = 1.5
+            series[200:230, 0] = 0.0
+        # Samples contiguous along m, as the stream's layout hands them out
+        # (the old monitor's reductions depended on the window's strides).
+        windows = np.ascontiguousarray(sliding_window_view(series, m, axis=0))
+        for prime, steps in ((0, [1]), (5, [7, 32, 3]), (40, [400])):
+            got = _score_in_steps(
+                SketchMonitor(m, d, warmup=12, seed=5, **kw), windows, prime, steps
+            )
+            want = _score_in_steps(
+                PerWindowSketchMonitor(m, d, warmup=12, seed=5, **kw),
+                windows, prime, steps,
+            )
+            assert _fingerprint(got) == _fingerprint(want), (prime, steps)
+        alarms = {s.alarm for s in want}
+        assert alarms == {True, False}  # the gate both fires and suppresses
+
+    def test_empty_stack_scores_nothing(self):
+        monitor = SketchMonitor(8, 2)
+        assert monitor.score(np.empty((0, 2, 8))) == ()
+        assert monitor.n_windows == 0
+        with pytest.raises(ValueError, match=r"windows must be \(B, 2, 8\)"):
+            monitor.score(np.zeros((3, 1, 8)))
+
+
+def _run_gated(monkeypatch, monitor_cls, feed, policy, batch):
+    monkeypatch.setattr(ingest_module, "SketchMonitor", monitor_cls)
+    svc = StreamIngestService(n_gpus=1)
+    svc.register("gated", policy)
+    reports = [
+        svc.ingest("gated", feed[i : i + batch]) for i in range(0, len(feed), batch)
+    ]
+    return svc, reports
+
+
+class TestGatedTenantOracle:
+    """The service's gated tenant is byte-identical with the oracle
+    monitor standing in for the batched one."""
+
+    def test_benchmark_wave_with_sliding_reprime(self, monkeypatch):
+        m, n, batch = 32, 1024, 32
+        wave = _wave(np.random.default_rng(0), n, 2, m, at=int(0.8 * n))
+        policy = TenantPolicy(
+            m=m, mode="FP32", window="sliding", retention=256,
+            sketch_gate=True, sketch_warmup=24, sketch_seed=1,
+        )
+        runs = []
+        for cls in (SketchMonitor, PerWindowSketchMonitor):
+            svc, reports = _run_gated(monkeypatch, cls, wave, policy, batch)
+            assert isinstance(svc.tenant("gated").monitor, cls)
+            runs.append((svc, reports))
+        (new, new_reports), (old, old_reports) = runs
+        assert new.tenant("gated").counters.rebases > 0  # re-primed
+        assert _fingerprint(new.scores("gated")) == _fingerprint(old.scores("gated"))
+        assert [_fingerprint(r.alarms) for r in new_reports] == [
+            _fingerprint(r.alarms) for r in old_reports
+        ]
+        for got, want in zip(new.profile("gated"), old.profile("gated")):
+            assert got.tobytes() == want.tobytes()
+
+    def test_restore_reprimes_identically(self, monkeypatch, tmp_path):
+        m = 16
+        wave = _wave(np.random.default_rng(3), 400, 2, m, at=300)
+        policy = TenantPolicy(m=m, sketch_gate=True, sketch_warmup=10, sketch_seed=2)
+        _run_gated(monkeypatch, SketchMonitor, wave[:200], policy, 25)[0].checkpoint(
+            "gated", tmp_path / "ckpt"
+        )
+        tails = []
+        for cls in (SketchMonitor, PerWindowSketchMonitor):
+            monkeypatch.setattr(ingest_module, "SketchMonitor", cls)
+            svc = StreamIngestService(n_gpus=1)
+            session = svc.restore("gated", tmp_path / "ckpt", policy)
+            assert session.monitor.n_windows == session.stream.n_q_seg
+            for i in range(200, 400, 25):
+                svc.ingest("gated", wave[i : i + 25])
+            tails.append(_fingerprint(svc.scores("gated")))
+        assert tails[0] == tails[1]
+        assert len(tails[0]) == 200
+
+
+def _bounded(rng, n, d):
+    t = np.arange(n)[:, None]
+    return np.sin(2 * np.pi * t / (9 + 4 * np.arange(d))) + 0.2 * rng.normal(size=(n, d))
+
+
+def _other_mode(mode):
+    return "FP32" if mode in ("FP64", "FP16", "FP16C") else "FP16C"
+
+
+def _plan_tiles(calls):
+    """The tile lists of the plans ``calls`` prepared, in order."""
+    plans = []
+    for plan, _, _ in calls:
+        if not plans or plans[-1] is not plan:
+            plans.append(plan)
+    return [plan.tiles for plan in plans]
+
+
+class TestSeedOracle:
+    """Plan-batched stream seeds == per-tile one-start ``seed_qt_rows``."""
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        calls = []
+        original = StreamPlaneCache.prepare
+
+        def spy(cache, plan, tile):
+            out = original(cache, plan, tile)
+            calls.append((plan, tile, out.result))
+            return out
+
+        monkeypatch.setattr(StreamPlaneCache, "prepare", spy)
+        return calls
+
+    @staticmethod
+    def _assert_seeds(calls):
+        assert calls
+        for plan, tile, result in calls:
+            row, col = per_tile_seeds(plan, tile)
+            for got, want in ((result.qt_row0, row), (result.qt_col0, col)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), tile
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_self_join_cover(self, rng, prepared, mode):
+        series = _bounded(rng, 120, 2)
+        inc = IncrementalMatrixProfile(12, RunConfig(mode=mode))
+        for lo, hi in ((0, 40), (40, 47), (47, 120)):
+            inc.append(series[lo:hi])
+        # Every step after the first covers with both tiles B and A.
+        assert [len(t) for t in _plan_tiles(prepared)] == [1, 2, 2]
+        self._assert_seeds(prepared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ab_join(self, rng, prepared, mode):
+        inc = IncrementalMatrixProfile(
+            10, RunConfig(mode=mode), reference=_bounded(rng, 90, 3)
+        )
+        series = _bounded(rng, 70, 3)
+        for lo, hi in ((0, 30), (30, 39), (39, 70)):
+            inc.append(series[lo:hi])
+        self._assert_seeds(prepared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gated_probe(self, rng, prepared, mode):
+        series = _bounded(rng, 90, 2)
+        inc = IncrementalMatrixProfile(12, RunConfig(mode=mode))
+        inc.ingest(series[:60])
+        inc.probe(10, 20)
+        inc.ingest(series[60:])
+        inc.probe(0, 3)
+        inc.probe(70, 79)
+        self._assert_seeds(prepared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_shed_plan(self, rng, prepared, mode):
+        series = _bounded(rng, 100, 2)
+        inc = IncrementalMatrixProfile(12, RunConfig(mode=mode))
+        inc.append(series[:50])
+        inc.append(series[50:80], mode=_other_mode(mode))
+        inc.append(series[80:])
+        modes = {PrecisionMode.parse(plan.spec.config.mode) for plan, _, _ in prepared}
+        assert modes == {PrecisionMode.parse(mode), PrecisionMode.parse(_other_mode(mode))}
+        self._assert_seeds(prepared)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_oom_split_child_mid_band(self, rng, prepared, mode):
+        failed = set()
+
+        def oom_once(label, tile, gpu_id, attempt):
+            key = (tile.row_start, tile.row_stop, tile.col_start, tile.col_stop)
+            if tile.n_rows * tile.n_cols >= 300 and key not in failed:
+                failed.add(key)
+                raise DeviceOutOfMemoryError(0, 0, "gpu (injected)")
+
+        series = _bounded(rng, 90, 2)
+        inc = IncrementalMatrixProfile(
+            12, RunConfig(mode=mode), oom_split=True, failure_injector=oom_once
+        )
+        inc.append(series[:50])
+        inc.append(series[50:])
+        assert inc.tiles_split > 0
+        mid_band = [
+            tile for plan, tile, _ in prepared
+            if tile.row_start not in {t.row_start for t in plan.tiles}
+            or tile.col_start not in {t.col_start for t in plan.tiles}
+        ]
+        assert mid_band  # the one-start fallback ran
+        self._assert_seeds(prepared)
+
+
+class TestLandmarkPlaneGrowth:
+    """Planes grown by many appends == a from-scratch build, with
+    O(log n) buffer reallocations."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_many_appends_match_scratch_build(self, rng, mode):
+        m = 8
+        series = _bounded(rng, 400, 2)
+        inc = IncrementalMatrixProfile(m, RunConfig(mode=mode))
+        inc.append(series[:m])
+        capacities = []
+        for i in range(m, len(series)):
+            inc.append(series[i : i + 1])
+            role = inc._planes._modes[PrecisionMode.parse(mode)].r
+            capacities.append(role["mu"].capacity)
+        policy = inc.policy
+        layout = inc._stream.astype(policy.precalc)
+        mu, inv = _window_stats(layout, m, policy)
+        df, dg = _delta_coefficients(layout, mu, m, policy.precalc)
+        want = {
+            "series_pd": layout, "mu_pd": mu, "mu": mu.astype(policy.storage),
+            "inv": inv.astype(policy.storage), "df": df.astype(policy.storage),
+            "dg": dg.astype(policy.storage),
+        }
+        for name, expected in want.items():
+            got = role[name].view
+            assert got.dtype == expected.dtype, name
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+        n_seg = len(series) - m + 1
+        reallocations = sum(a != b for a, b in zip(capacities, capacities[1:]))
+        assert reallocations <= math.ceil(math.log2(n_seg))

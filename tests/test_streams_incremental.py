@@ -10,6 +10,7 @@ checkpoint/resume.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import matrix_profile
 from repro.core.config import RunConfig
@@ -334,11 +335,8 @@ class TestSketchGate:
         at = 360
         series = self._discord_stream(rng, n, m, at)
         monitor = SketchMonitor(m, d=1, warmup=24, seed=1)
-        alarms = []
-        for seg in range(n - m + 1):
-            score = monitor.score(series[seg : seg + m].T)
-            if score.alarm:
-                alarms.append(seg)
+        scores = monitor.score(sliding_window_view(series, m, axis=0))
+        alarms = [seg for seg, score in enumerate(scores) if score.alarm]
         n_seg = n - m + 1
         # The planted discord must alarm (recall on the top-1 discord)...
         assert any(at - m < a < at + m for a in alarms)
@@ -382,10 +380,37 @@ class TestSketchGate:
             SketchMonitor(8, 1, threshold="bogus")
         monitor = SketchMonitor(8, 1, threshold=1e9)
         monitor.prime(np.zeros((6, 1, 8)) + np.arange(8))
-        score = monitor.score(np.arange(8, dtype=float)[None, :])
+        (score,) = monitor.score(np.arange(8, dtype=float)[None, None, :])
         assert not score.alarm and score.suppressed
         with pytest.raises(ValueError, match="rolling"):
             SketchMonitor(8, 1, rolling=1)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"threshold": True}, "threshold"),
+            ({"threshold": float("nan")}, "threshold"),
+            ({"warmup": -1}, "warmup"),
+            ({"exclusion": -2}, "exclusion"),
+        ],
+    )
+    def test_rejects_meaningless_gate_settings(self, kwargs, match):
+        """``True`` would be a fixed 1.0 and ``nan`` a gate that never
+        alarms (``estimate > nan`` is always False)."""
+        with pytest.raises(ValueError, match=match):
+            SketchMonitor(8, 1, **kwargs)
+        SketchMonitor(8, 1, threshold=float("inf"), warmup=0, exclusion=0)
+
+    def test_register_rejects_meaningless_gate_settings(self):
+        svc = StreamIngestService(n_gpus=1)
+        for bad, match in (
+            ({"sketch_threshold": float("nan")}, "threshold"),
+            ({"sketch_threshold": False}, "threshold"),
+            ({"sketch_warmup": -3}, "warmup"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                svc.register("t", TenantPolicy(m=8, sketch_gate=True, **bad))
+        assert svc.tenants() == ()
 
     def test_rolling_threshold_recentres_after_drift(self, rng):
         """Regression: a drifting tenant must not poison the auto
@@ -403,11 +428,7 @@ class TestSketchGate:
 
         def run(**kw):
             mon = SketchMonitor(m, d=1, warmup=24, seed=3, **kw)
-            scores = [
-                mon.score(series[s : s + m].T)
-                for s in range(len(series) - m + 1)
-            ]
-            return mon, scores
+            return mon, mon.score(sliding_window_view(series, m, axis=0))
 
         cumulative, cum_scores = run()
         rolling, roll_scores = run(rolling=64)
