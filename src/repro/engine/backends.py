@@ -6,15 +6,14 @@ hands a :class:`~repro.engine.plan.ExecutionPlan` tile to a
 modelled :class:`~repro.gpu.perfmodel.TileTiming` and (for numeric
 backends) the tile's :class:`TileOutput`.  Two backends exist:
 
-* :class:`NumericBackend` — Pseudocode 1 for real: slice + upload the
-  device layouts, reserve the workspace and free them again, then run
-  the four kernels via :func:`run_tile`.  Allocation cleanup
-  is context-managed, so an injected failure or OOM mid-tile can no
-  longer leak pool memory the way the old hand-rolled
-  ``alloc.free()`` choreography could.  For self-join *diagonal* tiles
+* :class:`NumericBackend` — Pseudocode 1 for real: check each tile's
+  device footprint (row and column slices plus the workspace) against
+  its GPU in one allocator call, then gather the slices and run the four
+  kernels via :func:`run_tile`.  For self-join *diagonal* tiles
   (identical row/col sample ranges on a shared layout) the query slice
-  reuses the reference allocation — one upload instead of two — and the
-  saved H2D bytes are recorded on the execution.
+  reuses the reference upload — one upload instead of two, counted once
+  in the footprint — and the saved H2D bytes are recorded on the
+  execution.
 * :class:`AnalyticBackend` — no data at all: per-tile timings from the
   roofline cost model (:func:`~repro.gpu.perfmodel.single_tile_timing`),
   enabling paper-scale projections (n = 2^16 and beyond) and the
@@ -30,13 +29,28 @@ precalc restart, seeds, offsets and exclusion mask.  Outputs are
 bit-identical to one-tile calls, and costs stay per logical tile (the
 dist_calc, sort/scan and update costs of same-shape tiles are equal, so
 they are computed once and copied), so the modelled clock does not
-move.  :data:`TILE_BATCH_ELEMENTS` caps the stacked per-row plane
+move; the roofline converts each distinct cost to a timing once per
+stack.  :data:`TILE_BATCH_ELEMENTS` caps the stacked per-row plane
 (``T * d * width`` elements); a tile already that wide, the tensor-core
 main loop and the batch sort strategy run as a batch of one.  Each
-tile's device memory is uploaded, reserved and freed on its own GPU in
+tile's device footprint is reserved and released on its own GPU in
 batch order before the stacked numerics run, so out-of-memory decisions
 are those of tiles dispatched one at a time.  A single tile is a batch
 of one; there is no second path.
+
+Staging.  A tile's footprint is its row slice, its column slice (not
+for a diagonal tile, which shares the row upload) and its workspace
+(:func:`workspace_bytes`), taken in that order and released together.
+One :meth:`~repro.gpu.memory.DeviceMemory.reserve_transient` call under
+one lock acquisition checks the three cumulative sums against the
+capacity and raises the high-water mark, with no device array, copy or
+handle: the slices are gathered straight from the plan layouts into
+the stacks :func:`run_tile` reads.  Out-of-memory decisions, the
+high-water mark and a staged
+:class:`~repro.gpu.memory.DeviceOutOfMemoryError` (``requested`` is the
+part that did not fit) are those of uploading the slices and reserving
+the workspace one by one; that staging lives on as the test oracle in
+``tests/staging_oracle.py``.
 
 This module is also the home of the tile *primitive* itself
 (:func:`run_tile`, :class:`TileOutput`, :func:`tile_timing_from_output`).
@@ -46,7 +60,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
@@ -453,20 +467,30 @@ def run_tile(
 
 
 def tile_timing_from_output(
-    output: TileOutput, policy: PrecisionPolicy, device
+    output: TileOutput, policy: PrecisionPolicy, device, memo: dict | None = None
 ) -> TileTiming:
-    """Convert an executed tile's recorded costs to modelled timings."""
+    """Convert an executed tile's recorded costs to modelled timings.
+
+    ``memo`` maps ``(id(cost), id(device))`` to the cost's timing across
+    the same-shape tiles of one stack, which share their dist_calc,
+    sort/scan and update cost objects (and so their working set): each
+    distinct cost goes through the roofline once.  The caller keeps the
+    costs alive while the memo is in use."""
     d, n_q_seg = output.profile.shape
     working_set = 6.0 * n_q_seg * d * policy.itemsize
     timing = TileTiming(h2d_bytes=output.h2d_bytes, d2h_bytes=output.d2h_bytes)
     for name in KERNEL_ORDER:
         cost = output.costs[name]
-        itemsize = (
-            policy.precalc.itemsize if name == "precalculation" else policy.itemsize
-        )
-        timing.kernels[name] = kernel_time(
-            cost, device, itemsize, working_set=working_set
-        )
+        key = (id(cost), id(device))
+        kt = None if memo is None else memo.get(key)
+        if kt is None:
+            itemsize = (
+                policy.precalc.itemsize if name == "precalculation" else policy.itemsize
+            )
+            kt = kernel_time(cost, device, itemsize, working_set=working_set)
+            if memo is not None:
+                memo[key] = kt
+        timing.kernels[name] = kt
     return timing
 
 
@@ -497,8 +521,8 @@ class TileBackend(Protocol):
 
 
 class NumericBackend:
-    """Real numerics: per tile upload → reserve → free (context-managed),
-    then :func:`run_tile` over the batch.
+    """Real numerics: per tile one footprint check, then
+    :func:`run_tile` over the batch.
 
     Parameters
     ----------
@@ -579,17 +603,17 @@ class NumericBackend:
         what stopped the tile.  With equal-length sequences of tiles
         (same shape and mirror flag, at most :meth:`stack_limit`) and
         their GPUs it returns one outcome per tile, in order: the
-        tile's execution, or the :class:`DeviceOutOfMemoryError` its own
-        upload or workspace reservation raised.
+        tile's execution, or the :class:`DeviceOutOfMemoryError` its
+        footprint check raised.
 
         Every tile is staged on its own, in order, exactly as a one-tile
-        call stages it: plane-cache ``prepare``, then upload and
-        workspace reservation on its GPU — the capacity check and
-        high-water mark of its footprint — released again before the
-        next tile is staged, so a batch takes the same out-of-memory
-        decisions as tiles dispatched one at a time.  The staged tiles
-        then run as one stack through :func:`run_tile` on the uploaded
-        arrays.
+        call stages it: plane-cache ``prepare``, then one check of its
+        whole footprint on its GPU — the capacity checks and high-water
+        mark of its uploads and workspace, released again before the
+        next tile is staged — so a batch takes the same out-of-memory
+        decisions as tiles dispatched one at a time.  The staged tiles'
+        slices are then gathered into ``(T, d, len)`` stacks and run as
+        one stack through :func:`run_tile`.
         """
         if isinstance(tile, Tile):
             (outcome,) = self._run_stack(plan, [tile], [gpu])
@@ -602,9 +626,10 @@ class NumericBackend:
                main_loop: str):
         """Prepare one tile's precalc and take its device footprint.
 
-        Returns the uploaded row/column slices, the prepared precalc
-        (``None`` without a plane cache) and whether the tile is a
-        self-join diagonal tile sharing one upload."""
+        Returns the prepared precalc (``None`` without a plane cache) and
+        whether the tile is a self-join diagonal tile sharing one upload;
+        raises :class:`DeviceOutOfMemoryError` if the footprint does not
+        fit (see the module docstring)."""
         spec = plan.spec
         m = spec.m
         r0, r1 = tile.sample_range_rows(m)
@@ -619,35 +644,20 @@ class NumericBackend:
         cache = getattr(plan, "precalc_cache", None)
         if cache is not None:
             prepared = cache.prepare(plan, tile)
-        with ExitStack() as stack:
-            with self._lock:
-                tr_alloc = gpu.memory.upload(
-                    np.ascontiguousarray(plan.tr_layout[:, r0:r1]),
-                    label=f"{self._label}Tr{tile.tile_id}",
-                )
-                stack.callback(self._free, tr_alloc)
-                if shared:
-                    tq_alloc = tr_alloc
-                else:
-                    tq_alloc = gpu.memory.upload(
-                        np.ascontiguousarray(plan.tq_layout[:, c0:c1]),
-                        label=f"{self._label}Tq{tile.tile_id}",
-                    )
-                    stack.callback(self._free, tq_alloc)
-            with self._lock:
-                workspace = gpu.memory.reserve(
-                    workspace_bytes(
-                        tile.n_rows,
-                        tile.n_cols,
-                        spec.d,
-                        spec.policy,
-                        main_loop=main_loop,
-                        mirror=getattr(tile, "mirror", False),
-                    ),
-                    label=f"{self._label}ws{tile.tile_id}",
-                )
-                stack.callback(self._free, workspace)
-        return tr_alloc.array, tq_alloc.array, prepared, shared
+        parts = [spec.d * (r1 - r0) * plan.tr_layout.dtype.itemsize]
+        if not shared:
+            parts.append(spec.d * (c1 - c0) * plan.tq_layout.dtype.itemsize)
+        parts.append(workspace_bytes(
+            tile.n_rows,
+            tile.n_cols,
+            spec.d,
+            spec.policy,
+            main_loop=main_loop,
+            mirror=getattr(tile, "mirror", False),
+        ))
+        with self._lock:
+            gpu.memory.reserve_transient(parts)
+        return prepared, shared
 
     def _run_stack(self, plan: ExecutionPlan, tiles: list, gpus: list) -> list:
         spec = plan.spec
@@ -663,10 +673,21 @@ class NumericBackend:
                 outcomes[k] = exc
         if not staged:
             return outcomes
-        ks, trs, tqs, prepared, shared = zip(*staged)
+        ks, prepared, shared = zip(*staged)
+        # Gather the staged tiles' slices straight into the stacks.
+        first = tiles[ks[0]]
+        tr = np.empty((len(ks), spec.d, first.n_rows + spec.m - 1),
+                      dtype=plan.tr_layout.dtype)
+        tq = np.empty((len(ks), spec.d, first.n_cols + spec.m - 1),
+                      dtype=plan.tq_layout.dtype)
+        for t, k in enumerate(ks):
+            r0, r1 = tiles[k].sample_range_rows(spec.m)
+            c0, c1 = tiles[k].sample_range_cols(spec.m)
+            tr[t] = plan.tr_layout[:, r0:r1]
+            tq[t] = plan.tq_layout[:, c0:c1]
         outputs = run_tile(
-            np.stack(trs),
-            np.stack(tqs),
+            tr,
+            tq,
             spec.m,
             policy,
             config.launch,
@@ -678,8 +699,9 @@ class NumericBackend:
             workspace=self._workspace_pool(),
             precalc=prepared,
             main_loop=main_loop,
-            mirror=getattr(tiles[ks[0]], "mirror", False),
+            mirror=getattr(first, "mirror", False),
         )
+        timings: dict = {}
         for k, output, prep, diag in zip(ks, outputs, prepared, shared):
             saved = 0.0
             if diag and self.discount_shared_h2d:
@@ -687,17 +709,13 @@ class NumericBackend:
                 output.h2d_bytes -= saved
             outcomes[k] = TileExecution(
                 tile=tiles[k],
-                timing=tile_timing_from_output(output, policy, gpus[k].spec),
+                timing=tile_timing_from_output(output, policy, gpus[k].spec, timings),
                 output=output,
                 h2d_saved_bytes=saved,
                 mode=policy.mode,
                 precalc_saved_flops=prep.saved_flops if prep else 0.0,
             )
         return outcomes
-
-    def _free(self, alloc) -> None:
-        with self._lock:
-            alloc.free()
 
 
 class TensorCoreBackend(NumericBackend):

@@ -25,7 +25,7 @@ loop now, with the variation points made explicit:
   ``deadline_at`` is set, the coordinator places and runs one tile at a
   time, so anytime cancellation keeps per-tile granularity.  Everything
   else stays per tile: the failure injector and each tile's
-  device-memory upload/reserve/free run tile by tile in batch order, and
+  device-memory footprint check run tile by tile in batch order, and
   every tile returns its own outcome, settled (retry, split, escalation,
   health check) exactly as a lone tile's;
 * **placement** — static Pseudocode 2 round-robin by default

@@ -114,6 +114,26 @@ class DeviceMemory:
         self._live[id(handle)] = handle
         return handle
 
+    def reserve_transient(self, parts) -> None:
+        """Take and at once release a footprint allocated in ``parts``.
+
+        The capacity checks and the high-water mark are exactly those of
+        allocating each part (bytes) on top of the ones before it, in
+        order, and then freeing them all: the first part that does not
+        fit raises :class:`DeviceOutOfMemoryError` naming it, after the
+        parts before it raised the high-water mark.  No handle is
+        created and ``in_use`` is unchanged on return.
+        """
+        total = 0
+        for nbytes in parts:
+            if self.in_use + total + nbytes > self.capacity:
+                self.high_water = max(self.high_water, self.in_use + total)
+                raise DeviceOutOfMemoryError(
+                    nbytes, self.capacity - self.in_use - total, self.device.name
+                )
+            total += nbytes
+        self.high_water = max(self.high_water, self.in_use + total)
+
     def upload(self, host_array: np.ndarray, dtype=None, label: str = "") -> DeviceAllocation:
         """Copy a host array to the device (H2D), optionally converting dtype."""
         dtype = np.dtype(dtype) if dtype is not None else host_array.dtype

@@ -110,12 +110,15 @@ class GPUSimulator:
             flush_streams(gpu.streams, self.timeline)
 
     def reset_timeline(self) -> None:
-        """Clear the timeline and all engine/stream clocks (new experiment)."""
+        """Clear the timeline, all engine/stream clocks and every queued
+        op (new experiment): an op enqueued before the reset would
+        otherwise be placed into the next experiment's timeline."""
         self.timeline = Timeline()
         for gpu in self.gpus:
             gpu.queues.engine_ready = {k: 0.0 for k in gpu.queues.engine_ready}
             for stream in gpu.streams:
                 stream.ready = 0.0
+                stream.pending.clear()
             gpu._next_stream = 0
             gpu.memory.free_all()
 

@@ -18,10 +18,24 @@ This module is a small discrete-event scheduler reproducing that behaviour:
 
 Durations are supplied by the performance model; this module only does the
 scheduling arithmetic and keeps the :class:`Timeline` record.
+
+Placement (:func:`flush_streams`) is an earliest-start greedy over the
+head ops of the pending streams, ties broken by the lower stream id.  It
+keeps those heads in a lazy min-heap keyed on ``(start, stream_id)``
+instead of scanning every stream per op.  A popped entry's start is
+recomputed; if it has grown, the entry goes back with the new key.  This
+is exact: a stream's and an engine's ready times only grow (each op
+moves them to ``start + duration (+ overhead)`` from a ``start`` that is
+at least their old value), so a stored key is always a lower bound on
+that stream's true start.  The first popped entry whose key is still
+current therefore has the smallest ``(start, stream_id)`` of all — the
+scan's choice, tie-break included.  The linear scan lives on as the test
+oracle in ``tests/placement_oracle.py``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 __all__ = ["StreamOp", "Stream", "DeviceQueues", "Timeline"]
@@ -198,35 +212,40 @@ def flush_streams(streams: "list[Stream]", timeline: Timeline) -> None:
     broken by stream id).  This models the hardware scheduler's ability to
     backfill one stream's launch/sync gaps with another stream's kernels —
     the concurrency effect the paper exploits with up to 16 non-blocking
-    streams per GPU.
+    streams per GPU.  The heads sit in a lazy min-heap (see the module
+    docstring for why that is exact), so placing an op costs
+    ``O(log streams)`` plus one re-push per key that went stale.
     """
     if not streams:
         return
     device = streams[0].device
     if any(s.device is not device for s in streams):
         raise ValueError("flush_streams requires streams of a single device")
-    cursors = {s.stream_id: 0 for s in streams}
-    remaining = sum(len(s.pending) for s in streams)
-    while remaining:
-        best: Stream | None = None
-        best_start = float("inf")
-        for s in streams:
-            i = cursors[s.stream_id]
-            if i >= len(s.pending):
-                continue
-            op = s.pending[i]
-            start = max(s.ready, device.engine_ready[op.engine])
-            if start < best_start or (
-                best is not None
-                and start == best_start
-                and s.stream_id < best.stream_id
-            ):
-                best = s
-                best_start = start
-        assert best is not None
-        op = best.pending[cursors[best.stream_id]]
-        device.schedule(best, op.engine, op.label, op.busy, timeline, op.overhead)
-        cursors[best.stream_id] += 1
-        remaining -= 1
+    engine_ready = device.engine_ready
+    cursors = [0] * len(streams)
+    # (start lower bound, stream id, position in ``streams``)
+    heap = [
+        (max(s.ready, engine_ready[s.pending[0].engine]), s.stream_id, k)
+        for k, s in enumerate(streams)
+        if s.pending
+    ]
+    heapq.heapify(heap)
+    while heap:
+        key, stream_id, k = heap[0]
+        stream = streams[k]
+        op = stream.pending[cursors[k]]
+        start = max(stream.ready, engine_ready[op.engine])
+        if start > key:
+            heapq.heapreplace(heap, (start, stream_id, k))
+            continue
+        device.schedule(stream, op.engine, op.label, op.busy, timeline, op.overhead)
+        cursors[k] += 1
+        if cursors[k] < len(stream.pending):
+            nxt = stream.pending[cursors[k]]
+            heapq.heapreplace(
+                heap, (max(stream.ready, engine_ready[nxt.engine]), stream_id, k)
+            )
+        else:
+            heapq.heappop(heap)
     for s in streams:
         s.pending.clear()

@@ -421,11 +421,13 @@ class IncrementalMatrixProfile:
             self.exclusion_zone = self.config.exclusion_zone
 
         self.d = None if self._ref_layout is None else self._ref_layout.shape[0]
-        self._stream: np.ndarray | None = (
-            None
-            if self.d is None
-            else np.empty((self.d, 0), dtype=self.policy.storage)
-        )
+        # The stream layout grows in a capacity-doubling buffer; ``_stream``
+        # is its filled prefix, one view per append, so a self-join
+        # dispatch binds the same object as both layouts.
+        self._samples: GrowableArray | None = None
+        self._stream: np.ndarray | None = None
+        if self.d is not None:
+            self._start_layout(self.d)
         self.samples_ingested = 0
         self._covered = 0  # stream segments covered by exact L-step tiles
         self._next_tile_id = 0
@@ -438,6 +440,10 @@ class IncrementalMatrixProfile:
         self.escalations: dict[int, PrecisionMode] = {}
         if initial is not None:
             self.append(initial)
+
+    def _start_layout(self, d: int) -> None:
+        self._samples = GrowableArray((d, 0), self.policy.storage, axis=1)
+        self._stream = self._samples.view
 
     # ------------------------------------------------------------------
     # Geometry
@@ -498,7 +504,7 @@ class IncrementalMatrixProfile:
         )
         if self.d is None:
             self.d = arr.shape[1]
-            self._stream = np.empty((self.d, 0), dtype=self.policy.storage)
+            self._start_layout(self.d)
         elif arr.shape[1] != self.d:
             raise ValueError(
                 f"stream has d={self.d} but samples have d={arr.shape[1]}"
@@ -506,13 +512,8 @@ class IncrementalMatrixProfile:
         old = self.n_q_seg
         # Chunked casts append-equal the one-shot ``to_device_layout``
         # cast of the full host series: the cast is elementwise.
-        self._stream = np.concatenate(
-            [
-                self._stream,
-                np.ascontiguousarray(arr.T, dtype=self.policy.storage),
-            ],
-            axis=1,
-        )
+        self._samples.append(np.ascontiguousarray(arr.T, dtype=self.policy.storage))
+        self._stream = self._samples.view
         self.samples_ingested += arr.shape[0]
         return old, self.n_q_seg
 
@@ -710,7 +711,9 @@ class IncrementalMatrixProfile:
             **kwargs,
         )
         obj.d = stream.shape[0]
-        obj._stream = stream
+        obj._start_layout(obj.d)
+        obj._samples.append(stream)
+        obj._stream = obj._samples.view
         obj.exclusion_zone = meta["exclusion_zone"]
         obj.samples_ingested = meta["samples_ingested"]
         obj._covered = meta["covered"]

@@ -41,6 +41,16 @@ class TestGPUSimulator:
         assert sim.timeline.makespan == 0.0
         assert all(s.ready == 0.0 for s in gpu.streams)
 
+    def test_reset_timeline_drops_queued_ops(self):
+        # An op enqueued before the reset must not be placed into the
+        # next experiment's timeline.
+        sim = GPUSimulator("A100")
+        sim.gpus[0].streams[0].enqueue("compute", "stale:0", 1.0)
+        sim.reset_timeline()
+        sim.flush()
+        assert sim.timeline.ops == []
+        assert all(not s.pending for s in sim.gpus[0].streams)
+
     def test_memory_report(self):
         sim = GPUSimulator("V100", n_gpus=2)
         assert len(sim.memory_report()) == 2

@@ -15,7 +15,10 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.config import RunConfig
+from repro.core.tiling import assign_tiles
+from repro.engine import JobSpec, NumericBackend, ProfileAccumulator, execute_plan
 from repro.gpu.memory import DeviceOutOfMemoryError
+from repro.gpu.simulator import GPUSimulator
 from repro.kernels.precalc import _delta_coefficients, _window_stats
 from repro.precision.modes import PrecisionMode
 from repro.streams import (
@@ -304,3 +307,88 @@ class TestLandmarkPlaneGrowth:
         n_seg = len(series) - m + 1
         reallocations = sum(a != b for a, b in zip(capacities, capacities[1:]))
         assert reallocations <= math.ceil(math.log2(n_seg))
+
+
+class TestLandmarkStreamLayout:
+    """The stream layout grows in a capacity-doubling buffer: the same
+    bytes as concatenating every cast chunk, O(log n) reallocations, one
+    view per dispatch (so a self-join stays a self-join) and a
+    checkpoint that round-trips it."""
+
+    STEPS = (40, 1, 1, 7, 32, 3, 64, 1, 19, 32, 5, 90, 2, 33)
+
+    @staticmethod
+    def _batch(inc, layout):
+        """Full recompute over the stream's tiles on a contiguous layout."""
+        cfg = inc.config
+        tiles = list(inc.equivalent_tiles())
+        tr = layout if inc.self_join else inc._ref_layout
+        spec = JobSpec.from_layouts(tr, layout, inc.m, cfg, exclusion_zone=inc.exclusion_zone)
+        sim = GPUSimulator(cfg.device, cfg.n_gpus, cfg.n_streams)
+        plan = spec.plan(tiles=tiles, assignment=assign_tiles(tiles, sim.n_gpus))
+        acc = ProfileAccumulator(spec.d, inc.n_q_seg, cfg.policy)
+        execute_plan(plan, NumericBackend(), sim, accumulator=acc)
+        return acc.host_profile(), acc.host_index()
+
+    @pytest.mark.parametrize("mode", ("FP32", "FP16"))
+    @pytest.mark.parametrize("join", ("self", "ab"))
+    def test_many_appends_match_concatenation(self, rng, mode, join):
+        m = 8
+        ref = None if join == "self" else _bounded(rng, 90, 2)
+        series = _bounded(rng, sum(self.STEPS), 2)
+        inc = IncrementalMatrixProfile(m, RunConfig(mode=mode), reference=ref)
+        storage = inc.policy.storage
+        chunks, capacities, off = [], [], 0
+        for step in self.STEPS:
+            inc.append(series[off : off + step])
+            chunks.append(np.ascontiguousarray(series[off : off + step].T, dtype=storage))
+            capacities.append(inc._samples.capacity)
+            off += step
+        layout = np.concatenate(chunks, axis=1)
+        assert inc._stream.dtype == layout.dtype
+        assert inc._stream.tobytes() == layout.tobytes()
+        got, want = inc.profile(), self._batch(inc, layout)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
+        planes = inc._planes._modes[PrecisionMode.parse(mode)]
+        assert (planes.q is planes.r) == (join == "self")  # one view per dispatch
+        reallocations = sum(a != b for a, b in zip(capacities, capacities[1:]))
+        assert reallocations <= math.ceil(math.log2(off))
+
+    def test_single_sample_appends_reallocate_logarithmically(self, rng):
+        m = 8
+        series = _bounded(rng, 2000, 1)
+        inc = IncrementalMatrixProfile(m, RunConfig(mode="FP32"))
+        inc.ingest(series[:m])
+        capacities = []
+        for i in range(m, len(series)):
+            inc.ingest(series[i : i + 1])
+            capacities.append(inc._samples.capacity)
+        reallocations = sum(a != b for a, b in zip(capacities, capacities[1:]))
+        assert reallocations <= math.ceil(math.log2(len(series)))
+        assert inc._stream.tobytes() == series.T.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("join", ("self", "ab"))
+    def test_checkpoint_round_trips_the_layout(self, rng, tmp_path, join):
+        m = 8
+        ref = None if join == "self" else _bounded(rng, 70, 2)
+        series = _bounded(rng, 150, 2)
+        cfg = RunConfig(mode="FP16")
+        full = IncrementalMatrixProfile(m, cfg, reference=ref)
+        half = IncrementalMatrixProfile(m, cfg, reference=ref)
+        for start in range(0, 90, 13):
+            full.append(series[start : min(start + 13, 90)])
+            half.append(series[start : min(start + 13, 90)])
+        assert half._samples.capacity > half.n_samples  # a strided view
+        path = tmp_path / "stream.npz"
+        half.save(path)
+        resumed = IncrementalMatrixProfile.load(path)
+        assert resumed._stream.tobytes() == half._stream.tobytes()
+        for start in range(90, 150, 17):
+            full.append(series[start : start + 17])
+            resumed.append(series[start : start + 17])
+        assert resumed._stream.tobytes() == full._stream.tobytes()
+        assert resumed.profile()[0].tobytes() == full.profile()[0].tobytes()
+        assert np.array_equal(resumed.profile()[1], full.profile()[1])
+        planes = resumed._planes._modes[PrecisionMode.FP16]
+        assert (planes.q is planes.r) == (join == "self")
