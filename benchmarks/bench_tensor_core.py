@@ -90,14 +90,12 @@ def _max_corr_error(mode, tr, tq, ref_corr, tensor_core=False):
         dist = DistCalcKernel(config=LAUNCH, policy=policy)
     dist.bind(PrecalcKernel(config=LAUNCH, policy=policy).run(tr_dev, tq_dev, M))
     ws = None if tensor_core else np.empty(
-        (D, BLOCK, n_q), dtype=policy.compute
+        dist.workspace_shape(BLOCK), dtype=policy.compute
     )
     err = 0.0
     for i0 in range(0, n_r, BLOCK):
         b = min(BLOCK, n_r - i0)
-        blk = dist.run_block(i0, b, ws if ws is None else ws[:, :b]).astype(
-            np.float64
-        )
+        blk = dist.run_block(i0, b, ws).astype(np.float64)
         corr = 1.0 - blk**2 / (2.0 * M)
         err = max(err, float(np.nanmax(np.abs(corr - ref_corr[:, i0:i0 + b]))))
     return err

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import RunConfig, default_exclusion_zone
-from ..engine.backends import WorkspacePool, super_step_rows
+from ..engine.backends import super_step_rows
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.layout import to_device_layout, validate_series
 from ..kernels.precalc import PrecalcKernel
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.update import INDEX_DTYPE, UpdateKernel
+from ..kernels.workspace import WorkspacePool
 
 __all__ = ["LeftRightProfile", "left_right_profile", "anchored_chain", "unanchored_chain"]
 
@@ -73,10 +74,11 @@ def left_right_profile(
     n_seg = dev.shape[1] - m + 1
 
     precalc = PrecalcKernel(config=config.launch, policy=policy)
-    dist = DistCalcKernel(config=config.launch, policy=policy)
-    sort_scan = SortScanKernel(config=config.launch, policy=policy)
-    left = UpdateKernel(config=config.launch, policy=policy)
-    right = UpdateKernel(config=config.launch, policy=policy)
+    pool = WorkspacePool()
+    dist = DistCalcKernel(config=config.launch, policy=policy, pool=pool)
+    sort_scan = SortScanKernel(config=config.launch, policy=policy, pool=pool)
+    left = UpdateKernel(config=config.launch, policy=policy, pool=pool)
+    right = UpdateKernel(config=config.launch, policy=policy, pool=pool)
 
     pre = precalc.run(dev, dev, m)
     dist.bind(pre)
@@ -85,13 +87,11 @@ def left_right_profile(
 
     block = super_step_rows(n_seg, n_seg, d)
     cols = np.arange(n_seg)
-    with WorkspacePool().lease((d, block, n_seg), policy.compute) as qt_ws:
+    with dist.lease(block) as qt_ws:
         for i0 in range(0, n_seg, block):
             b = min(block, n_seg - i0)
-            dist_blk = dist.run_block(i0, b, qt_ws[:, :b, :])
-            averaged = sort_scan.run(
-                dist_blk.reshape(d, b * n_seg), rows=b
-            ).reshape(d, b, n_seg)
+            plane = dist.run_block(i0, b, qt_ws).reshape(d, b * n_seg)
+            averaged = sort_scan.run(plane, rows=b, out=plane).reshape(d, b, n_seg)
             rows = np.arange(i0, i0 + b)[:, None]
             # Row i is a *left* neighbour for columns after it...
             left.run_block(averaged, i0, mask=cols <= rows + zone)

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
@@ -77,6 +77,7 @@ from ..kernels.sort_scan import SortScanKernel
 from ..kernels.sort_scan_batch import BatchSortScanKernel
 from ..kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
 from ..kernels.update import INDEX_DTYPE, UpdateKernel
+from ..kernels.workspace import WorkspacePool
 from ..precision.modes import TENSOR_CORE_MODES, PrecisionMode, PrecisionPolicy
 from .plan import ExecutionPlan, Tile
 
@@ -175,37 +176,6 @@ def _cached_arange(n: int) -> np.ndarray:
     return idx
 
 
-class WorkspacePool:
-    """Reusable host-side kernel workspaces: one flat buffer per dtype.
-
-    The row-blocked main loop leases its ``(d, B, width)`` QT block
-    buffer from here, amortising the allocation across blocks, rows *and*
-    tiles executed by the same worker.  A lease is a contiguous prefix of
-    the dtype's buffer reshaped to the requested shape; the buffer grows
-    to the largest request seen, so a stream of varying tile shapes holds
-    one buffer per dtype rather than one per shape.  :meth:`lease` is a
-    context manager: the buffer returns to the pool on every exit path,
-    so an injected fault or device OOM mid-tile can neither leak the
-    buffer nor leave it checked out.  Pools are per-worker (see
-    ``NumericBackend``), so no locking is needed.
-    """
-
-    def __init__(self):
-        self._free: dict[np.dtype, np.ndarray] = {}
-
-    @contextmanager
-    def lease(self, shape: tuple[int, ...], dtype):
-        dtype = np.dtype(dtype)
-        size = math.prod(shape)
-        buf = self._free.pop(dtype, None)
-        if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=dtype)
-        try:
-            yield buf[:size].reshape(shape)
-        finally:
-            self._free[dtype] = buf
-
-
 #: Maps kernel class cost names to the paper's kernel labels.
 _KERNEL_LABELS = {
     "PrecalcKernel": "precalculation",
@@ -232,6 +202,24 @@ class TileOutput:
     #: ran with ``mirror=True``.
     mirror_profile: np.ndarray | None = None
     mirror_indices: np.ndarray | None = None
+
+
+def _exclusion_mask(across, along, zone, near, far):
+    """The ``(T, rows, width)`` exclusion mask ``|across - along| <=
+    zone`` of one super-step, written into prefixes of the flat bool
+    buffers ``near`` and ``far``; ``None`` when no entry of the step is
+    excluded (every tile's rows are more than ``zone`` from its
+    columns), so the update skips the masking pass."""
+    lo, hi = along[:, :1] - zone, along[:, -1:] + zone  # (T, 1)
+    if not ((across[:, -1:] >= lo) & (across[:, :1] <= hi)).any():
+        return None
+    shape = (*along.shape, across.shape[1])
+    size = math.prod(shape)
+    mask, below = near[:size].reshape(shape), far[:size].reshape(shape)
+    np.less_equal(across[:, None, :], (along + zone)[:, :, None], out=mask)
+    np.greater_equal(across[:, None, :], (along - zone)[:, :, None], out=below)
+    mask &= below
+    return mask
 
 
 def _runs_transposed(
@@ -274,11 +262,13 @@ def run_tile(
 
     The main loop runs in super-steps of ``B`` reference rows, ``B``
     from :func:`super_step_rows` (one element budget for every tile
-    shape and stack): ``dist_calc`` fills a leased ``(d, B, n_q)`` QT
-    workspace (sequential recurrence, no per-row temporaries), the
-    column-independent sort/scan runs once per block on the reshaped
-    ``(d, B*n_q)`` plane and the update reduces the block before one
-    merge into the running profile.  Output, kernel costs and therefore
+    shape and stack): ``dist_calc`` fills the row-major ``(B, d, n_q)``
+    QT workspace it owns (sequential recurrence, every row one
+    contiguous plane) and converts the block in place into one
+    ``(d, B, n_q)`` distance buffer; the column-independent sort/scan
+    runs in place on that buffer as one ``(d, B*n_q)`` plane, and the
+    update masks it in place and reduces the block before one merge
+    into the running profile.  Output, kernel costs and therefore
     modelled timings are bit-for-bit identical for every block size;
     the per-row kernel methods are the test oracle only.  A tall tile —
     ``n_q_seg < n_r_seg`` — runs the same loop transposed: super-steps
@@ -287,8 +277,19 @@ def run_tile(
     swapped (:meth:`~repro.kernels.precalc.PrecalcResult.transposed`)
     and the rounded operations kept in row-major order, so output and
     costs are again bit-identical; costs are charged once for the
-    logical row-major tile.  ``workspace`` is an optional
-    :class:`WorkspacePool` reused across calls.
+    logical row-major tile.
+
+    ``workspace`` is the worker's :class:`WorkspacePool`, reused across
+    calls (a private one when omitted).  Every block-sized buffer of the
+    vector path is leased from it: the QT workspace and the distance
+    buffer (:meth:`DistCalcKernel.lease`), the product buffers and the
+    half path's temporaries (``dist_calc``), the scan's stage temporary
+    (``sort_scan``), the two exclusion-mask buffers (here) and the
+    argmin's transposed keys (``update``).  Block buffers are 0.5-1 MB,
+    above glibc's mmap threshold, so allocated fresh they would be
+    mapped and page-faulted every super-step; leased, a worker
+    allocates nothing per super-step or per tile once it has run its
+    largest shape.
 
     **Tile axis.**  ``tr_dev``/``tq_dev`` may also be ``(T, d, len)``
     stacks of ``T`` same-shape tiles, with ``row_offset``/``col_offset``/
@@ -356,6 +357,7 @@ def run_tile(
             f" path (backend_for does)"
         )
 
+    pool = workspace if workspace is not None else WorkspacePool()
     if tensor_core:
         dist = TcGemmKernel(config=launch, policy=policy)
         # The fused path hands the sort stage the FP32 accumulator panel;
@@ -364,12 +366,12 @@ def run_tile(
         # knob is rejected upstream (RunConfig) for this backend.
         sort_scan = SortScanKernel(config=launch, policy=policy, mma_scan=True)
     else:
-        dist = DistCalcKernel(config=launch, policy=policy)
+        dist = DistCalcKernel(config=launch, policy=policy, pool=pool)
         if sort_strategy == "batch":
             sort_scan = BatchSortScanKernel(config=launch, policy=policy)
         else:
-            sort_scan = SortScanKernel(config=launch, policy=policy)
-    update = UpdateKernel(config=launch, policy=policy)
+            sort_scan = SortScanKernel(config=launch, policy=policy, pool=pool)
+    update = UpdateKernel(config=launch, policy=policy, pool=pool)
     skip_sort = fast_path_1d and d == 1
 
     results, precalc_costs = [], []
@@ -396,40 +398,44 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
                     tiles=n_tiles)
 
-    if tensor_core:
-        # The panel height is numerics-visible (FP16 store at each panel
-        # boundary), so that path runs fixed TC_PANEL_ROWS panels.  The
-        # panel kernel keeps its QT panel in its own FP32 accumulator
-        # scratch: no compute-dtype workspace to lease.
-        block = max(1, min(TC_PANEL_ROWS, steps))
-        lease = nullcontext()
-    else:
-        block = super_step_rows(steps, width, d * n_tiles)
-        pool = workspace if workspace is not None else WorkspacePool()
-        lease = pool.lease((d * n_tiles, block, width), policy.compute)
+    planes = d * n_tiles
     across = _cached_arange(width) + width_offsets[:, None]  # (T, width)
-    with lease as qt_ws:
+    with ExitStack() as scratch:
+        if tensor_core:
+            # The panel height is numerics-visible (FP16 store at each
+            # panel boundary), so that path runs fixed TC_PANEL_ROWS
+            # panels.  The panel kernel keeps its QT panel in its own
+            # FP32 accumulator scratch: no compute-dtype workspace.
+            block = max(1, min(TC_PANEL_ROWS, steps))
+            qt_ws = None
+        else:
+            block = super_step_rows(steps, width, planes)
+            qt_ws = scratch.enter_context(dist.lease(block))
+        if exclusion_zone is not None:
+            near = scratch.enter_context(pool.lease((n_tiles * block * width,), bool))
+            far = scratch.enter_context(pool.lease((n_tiles * block * width,), bool))
         for s0 in range(0, steps, block):
             b = min(block, steps - s0)
-            dist_blk = dist.run_block(
-                s0, b, None if qt_ws is None else qt_ws[:, :b, :]
-            )
+            dist_blk = dist.run_block(s0, b, qt_ws)
             if skip_sort:
                 avg_blk = dist_blk
             else:
                 # Dimension-major rows: the (d * T, b, width) block is the
-                # (d, T * b * width) plane of the column-wise sort/scan.
+                # (d, T * b * width) plane of the column-wise sort/scan,
+                # which the vector path sorts and scans in place.
+                plane = dist_blk.reshape(d, n_tiles * b * width)
                 avg_blk = sort_scan.run(
-                    dist_blk.reshape(d, n_tiles * b * width), rows=b,
-                    charge=not transposed, tiles=n_tiles,
+                    plane, rows=b, charge=not transposed, tiles=n_tiles,
+                    out=None if tensor_core else plane,
                 )
             mask = None
             if exclusion_zone is not None:
                 along = _cached_arange(steps)[s0 : s0 + b] + step_offsets[:, None]
-                mask = np.abs(across[:, None, :] - along[:, :, None]) <= exclusion_zone
+                mask = _exclusion_mask(across, along, exclusion_zone, near, far)
             update.run_block(avg_blk.reshape(d, n_tiles, b, width), s0,
                              row_offset=row_offsets, mask=mask,
-                             col_offset=col_offsets, transposed=transposed)
+                             col_offset=col_offsets, transposed=transposed,
+                             in_place=True)
     if transposed:
         # Costs stay in the logical row-major orientation, so the
         # modelled clock — and the service, which schedules on it —
@@ -552,9 +558,9 @@ class NumericBackend:
         self._lock = lock if lock is not None else nullcontext()
         self._label = f"{label}:" if label else ""
         self.discount_shared_h2d = discount_shared_h2d
-        # Host workspace pools are per worker thread: row-blocked tiles
-        # reuse their QT block buffer across rows and tiles without any
-        # cross-worker contention.
+        # Host workspace pools are per worker thread: the main loop
+        # reuses its block buffers across super-steps and tiles without
+        # any cross-worker contention.
         self._workspaces = threading.local()
 
     def ensure_serialised_allocator(self) -> None:

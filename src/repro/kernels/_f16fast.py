@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .workspace import WorkspacePool
+
 __all__ = [
     "round_f16_inplace",
     "round_f16_nonneg_inplace",
@@ -53,14 +55,16 @@ _OVERFLOW_LIM = np.uint32(0x477FF000)
 _GRID_C = np.float32(0.75)
 
 
-def _rne_trick_inplace(u: np.ndarray) -> None:
+def _rne_trick_inplace(u: np.ndarray, pool: WorkspacePool) -> None:
     """Round the f32 bit patterns in ``u`` (uint32 view) to half-valued
     patterns, round-to-nearest-even.  Domain: zeros, infinities and
     magnitudes in the normal half range (carry to inf handled by the
     callers); subnormal-half magnitudes and NaNs must not be present."""
-    odd = (u >> np.uint32(13)) & np.uint32(1)
-    odd += np.uint32(0x0FFF)
-    u += odd
+    with pool.lease(u.shape, np.uint32) as odd:
+        np.right_shift(u, np.uint32(13), out=odd)
+        odd &= np.uint32(1)
+        odd += np.uint32(0x0FFF)
+        u += odd
     u &= np.uint32(0xFFFFE000)
 
 
@@ -74,7 +78,7 @@ def _carry_fix_inplace(u: np.ndarray, mag_hint: int) -> None:
     np.copyto(u, (u & _SIGN_MASK) | _INF_F32, where=mag >= _CARRY_INF)
 
 
-def round_f16_nonneg_inplace(buf: np.ndarray) -> None:
+def round_f16_nonneg_inplace(buf: np.ndarray, pool: WorkspacePool | None = None) -> None:
     """In-place ``buf = buf.astype(float16).astype(float32)`` for
     non-negative, NaN-free float32 data whose values are either zero,
     exactly representable in half (e.g. sums of two subnormal-range
@@ -82,14 +86,15 @@ def round_f16_nonneg_inplace(buf: np.ndarray) -> None:
     unchanged), or in the normal/overflow half range.
 
     This is the scan-stage case: sums of sorted, saturated distances.
+    The temporary comes from ``pool`` (a private one when omitted).
     """
     u = buf.view(np.uint32)
     mag_hint = int(u.max()) if u.size else 0
-    _rne_trick_inplace(u)
+    _rne_trick_inplace(u, pool or WorkspacePool())
     _carry_fix_inplace(u, mag_hint)
 
 
-def round_f16_inplace(buf: np.ndarray) -> None:
+def round_f16_inplace(buf: np.ndarray, pool: WorkspacePool | None = None) -> None:
     """In-place ``buf = buf.astype(float16).astype(float32)`` for any
     float32 data.
 
@@ -104,38 +109,49 @@ def round_f16_inplace(buf: np.ndarray) -> None:
     flips a sign), keeping ``-0.0`` and negative underflow bit-exact.
     Only overflow-adjacent magnitudes (>= 65520, which RNE sends to inf)
     and NaNs still take the gathered scalar ``astype`` round trip, rare
-    in saturated distance data.
+    in saturated distance data.  The block-sized temporaries come from
+    ``pool`` (a private one when omitted).
     """
+    pool = pool or WorkspacePool()
     u = buf.view(np.uint32)
-    mag = u & _MAG_MASK
-    top = int(mag.max()) if mag.size else 0
-    ext_mask = ext_vals = None
-    if top >= int(_OVERFLOW_LIM):
-        ext_mask = mag >= _OVERFLOW_LIM
-        with np.errstate(over="ignore", invalid="ignore"):
-            ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
-    small = mag < _MIN_NORM16
-    has_small = bool(small.any())
-    if has_small:
-        sign_small = np.where(small, u & _SIGN_MASK, np.uint32(0))
-        # errstate: a signaling NaN elsewhere in the buffer would raise
-        # "invalid" here; NaN entries are patched by the ext gather.
-        with np.errstate(invalid="ignore"):
-            grid = buf + _GRID_C
-            grid -= _GRID_C
-    _rne_trick_inplace(u)
-    if has_small:
-        np.copyto(buf, grid, where=small)
-        u |= sign_small
+    with pool.lease(buf.shape, np.uint32) as mag, \
+            pool.lease(buf.shape, np.bool_) as small:
+        np.bitwise_and(u, _MAG_MASK, out=mag)
+        top = int(mag.max()) if mag.size else 0
+        ext_mask = ext_vals = None
+        if top >= int(_OVERFLOW_LIM):
+            ext_mask = mag >= _OVERFLOW_LIM
+            with np.errstate(over="ignore", invalid="ignore"):
+                ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
+        np.less(mag, _MIN_NORM16, out=small)
+        if not small.any():
+            _rne_trick_inplace(u, pool)
+        else:
+            with pool.lease(buf.shape, np.float32) as grid:
+                # errstate: a signaling NaN elsewhere in the buffer would
+                # raise "invalid" here; NaN entries are patched by the ext
+                # gather.
+                with np.errstate(invalid="ignore"):
+                    np.add(buf, _GRID_C, out=grid)
+                    grid -= _GRID_C
+                # Only the small entries are copied back, so the sign can
+                # be OR-ed into the whole grid (``mag`` is spent).
+                sign = np.bitwise_and(u, _SIGN_MASK, out=mag)
+                grid_bits = grid.view(np.uint32)
+                grid_bits |= sign
+                _rne_trick_inplace(u, pool)
+                np.copyto(buf, grid, where=small)
     if ext_mask is not None:
         buf[ext_mask] = ext_vals
 
 
-def f16_keys19(buf: np.ndarray) -> np.ndarray:
+def f16_keys19(buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The 19-bit table key (sign + exponent + 10 mantissa bits) of each
     half-valued float32 element — distinct half values give distinct
-    keys, so a 2^19 table gathers any per-value map in one pass."""
-    return buf.view(np.uint32) >> np.uint32(13)
+    keys, so a 2^19 table gathers any per-value map in one pass.
+    ``out`` may be an ``intp`` array, the index dtype ``np.take`` uses
+    without converting."""
+    return np.right_shift(buf.view(np.uint32), np.uint32(13), out=out)
 
 
 def f16_lut19(lut16: np.ndarray) -> np.ndarray:

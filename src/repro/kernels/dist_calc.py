@@ -21,6 +21,7 @@ then simply never win a nearest-neighbour slot.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ from ..precision.arithmetic import rp_fma
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_inplace
 from .precalc import PrecalcResult
+from .workspace import WorkspacePool
 
 __all__ = ["DistCalcKernel"]
 
@@ -75,10 +77,16 @@ class DistCalcKernel(Kernel):
 
     Holds the running QT plane between invocations (the diagonal-wise
     dependency of Eq. (1)); call :meth:`run` with consecutive row indices
-    ``i = 0, 1, ..., n_r_seg-1``.
+    ``i = 0, 1, ..., n_r_seg-1``, or :meth:`run_block` with consecutive
+    blocks of them.
     """
 
     policy: PrecisionPolicy = field(kw_only=True)
+    #: Where the block buffers come from (:meth:`lease`, the product
+    #: buffers, the half path's temporaries): a caller shares its
+    #: worker's pool, a kernel built alone gets its own.
+    pool: WorkspacePool = field(default_factory=WorkspacePool, kw_only=True,
+                                repr=False)
 
     def bind(
         self, pre: PrecalcResult, transposed: bool = False, tiles: int = 1
@@ -117,9 +125,36 @@ class DistCalcKernel(Kernel):
         self._inv_q = pre.inv_q.astype(dtype, copy=False)
         self._qt_col0 = pre.qt_col0.astype(dtype, copy=False)
         self._blk_ready = False  # wide mirrors built lazily by run_block
+        self._dist_buf = None  # the leased distance buffer, see lease()
+
+    def workspace_shape(self, rows: int) -> tuple[int, int, int]:
+        """Shape of the QT workspace :meth:`run_block` fills for blocks of
+        up to ``rows`` rows: row-major ``(rows, d * T, width)``, so every
+        recurrence row is one contiguous ``(d * T, width)`` plane rather
+        than ``d * T`` chunks spaced a block apart."""
+        planes, width = self._inv_q.shape
+        return (rows, planes, width)
+
+    @contextmanager
+    def lease(self, rows: int):
+        """Lease the super-step buffers for blocks of up to ``rows`` rows
+        from :attr:`pool`; yields the QT workspace
+        (:meth:`workspace_shape`).  While the lease is open,
+        :meth:`run_block` writes its distances into one leased
+        ``(d * T, rows, width)`` buffer — a contiguous prefix per block,
+        overwritten by the next block — instead of a fresh array."""
+        planes, width = self._inv_q.shape
+        dtype = self.policy.compute
+        with self.pool.lease(self.workspace_shape(rows), dtype) as qt, \
+                self.pool.lease((planes * rows * width,), dtype) as dist:
+            self._dist_buf = dist
+            try:
+                yield qt
+            finally:
+                self._dist_buf = None
 
     def _ensure_block_state(self) -> None:
-        """Build the wide-dtype operand mirrors and scratch buffers the
+        """Build the wide-dtype operand mirrors and small scratch the
         inlined block recurrence uses (see :meth:`_advance_qt_block`).
 
         ``rp_fma`` evaluates each FMA in the next-wider format and rounds
@@ -140,23 +175,11 @@ class DistCalcKernel(Kernel):
         self._inv_r_w = self._inv_r.astype(wide)
         self._inv_q_w = self._inv_q.astype(wide)
         self._blk_step_q = np.empty((d, n_q - 1), dtype=dtype)
-        self._blk_prod1 = None  # (d, rows, n_q-1) wide, grown on demand
-        self._blk_prod2 = None
+        self._blk_last = np.empty((d, n_q), dtype=dtype)  # the recurrence state
         self._blk_ready = True
 
-    def _prod_buffers(self, rows: int) -> tuple[np.ndarray, np.ndarray]:
-        """Reusable wide buffers for the hoisted a*b block products."""
-        d, n_q = self._inv_q.shape
-        if self._blk_prod1 is None or self._blk_prod1.shape[1] < rows:
-            self._blk_prod1 = np.empty((d, rows, n_q - 1), dtype=self._wide)
-            self._blk_prod2 = np.empty_like(self._blk_prod1)
-        return (
-            self._blk_prod1[:, :rows],
-            self._blk_prod2[:, :rows],
-        )
-
     def _advance_qt_block(self, i0: int, rows: int, ws: np.ndarray) -> None:
-        """Fill ``ws[:, r, :]`` with the QT planes of rows ``i0..i0+rows-1``.
+        """Fill ``ws[r]`` with the QT planes of rows ``i0..i0+rows-1``.
 
         The same sequential Eq. (1) recurrence as :meth:`_advance_qt`
         (two wide-evaluated, once-rounded FMAs per row) with the
@@ -165,48 +188,58 @@ class DistCalcKernel(Kernel):
         rounds to the destination dtype exactly like ``astype`` — and
         each FMA's ``c`` operand is added in its narrow dtype directly
         (numpy promotes it through an exact widening cast inside the
-        add), so no per-row widening passes or temporaries remain.
-        Bit-identical to the per-row path.
+        add), so no per-row widening passes or temporaries remain.  When
+        the wide dtype *is* the compute dtype (FP64) there is nothing to
+        round, and both adds write straight into the row.  Bit-identical
+        to the per-row path.
         """
         self._ensure_block_state()
+        dtype, wide = self.policy.compute, self._wide
         step_q = self._blk_step_q
+        planes, width = self._inv_q.shape
         # The previous QT row, in compute dtype: the last row of the
-        # preceding block (saved by run_block) or, within the block, a
-        # view of the row just written.
+        # preceding block (saved by run_block) or, within the block, the
+        # row just written.
         prev = self.qt
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                self.pool.lease((rows, planes, width - 1), wide) as prod1, \
+                self.pool.lease((rows, planes, width - 1), wide) as prod2:
             # The a*b products of both FMAs depend only on the row index,
             # not on the running QT state — hoist them out of the
             # sequential loop as two vectorised block multiplies
             # (element-wise, so the same wide products bit-for-bit).
-            prod1, prod2 = self._prod_buffers(rows)
+            rows_r = slice(i0, i0 + rows)
             np.multiply(
-                self._df_r_w[:, i0 : i0 + rows, None],
-                self._dg_q_w[:, None, 1:],
+                self._df_r_w[:, rows_r].T[:, :, None],
+                self._dg_q_w[None, :, 1:],
                 out=prod1,
             )
             np.multiply(
-                self._df_q_w[:, None, 1:],
-                self._dg_r_w[:, i0 : i0 + rows, None],
+                self._df_q_w[None, :, 1:],
+                self._dg_r_w[:, rows_r].T[:, :, None],
                 out=prod2,
             )
             # Column 0 never enters the recurrence of rows inside this
             # block (row r reads prev[:, :-1], i.e. the *previous* row's
             # column 0) — pre-write the whole strip in one assignment.
-            ws[:, :rows, 0] = self._qt_col0[:, i0 : i0 + rows]
+            ws[:rows, :, 0] = self._qt_col0[:, rows_r].T
             # Eq. (1) adds df_r*dg_q first; with the roles swapped that
             # product is prod2.
             first, second = (prod2, prod1) if self.transposed else (prod1, prod2)
+            fused = wide == dtype
             for r in range(rows):
-                i = i0 + r
-                row = ws[:, r, :]
-                if i == 0:
+                row = ws[r]
+                if i0 + r == 0:
                     row[...] = self.pre.qt_row0
+                elif fused:
+                    tail = row[:, 1:]
+                    np.add(first[r], prev[:, :-1], out=tail)
+                    np.add(second[r], tail, out=tail)
                 else:
-                    t = first[:, r]  # consumed once, so += in place is fine
+                    t = first[r]  # consumed once, so += in place is fine
                     np.add(t, prev[:, :-1], out=t)  # c widened in the add
                     step_q[...] = t  # single rounding of the fused a*b + c
-                    t = second[:, r]
+                    t = second[r]
                     np.add(t, step_q, out=t)  # exact widening in the add
                     row[:, 1:] = t  # single rounding of the second FMA
                 prev = row
@@ -245,37 +278,70 @@ class DistCalcKernel(Kernel):
         rows respectively)."""
         return (inv_cols, inv_rows) if self.transposed else (inv_rows, inv_cols)
 
-    def _distances_block_f16(self, qt: np.ndarray, i0: int, rows: int) -> np.ndarray:
-        """Half-precision :meth:`_distances` over a ``(d, rows, n_q)`` QT
-        block, with the two genuine binary multiplies evaluated the way
-        numpy's half ufuncs define them — float32 product (exact, both
-        operands are half-valued) followed by one RNE rounding to half —
-        but vectorised (``_f16fast``), and the unary tail collapsed into
-        a single gather (``_qt_to_dist_lut19_f16``).  Bit-identical to
-        the per-row chain; degenerate planes (half subnormals, NaNs from
-        inf * 0) divert to the scalar rounding inside
-        ``round_f16_inplace`` and still match.
+    def _distances_block_f16(
+        self, ws: np.ndarray, i0: int, rows: int, out: np.ndarray
+    ) -> None:
+        """Half-precision :meth:`_distances` of the ``(rows, d * T,
+        width)`` QT block ``ws`` into the ``(d * T, rows, width)``
+        buffer ``out``, with the two genuine binary multiplies evaluated
+        the way numpy's half ufuncs define them — float32 product (exact,
+        both operands are half-valued) followed by one RNE rounding to
+        half — but vectorised (``_f16fast``), and the unary tail
+        collapsed into a single gather (``_qt_to_dist_lut19_f16``) into
+        ``out``.  Bit-identical to the per-row chain; degenerate planes
+        (half subnormals, NaNs from inf * 0) divert to the scalar
+        rounding inside ``round_f16_inplace`` and still match.  The
+        float32 correlations, the rounding temporaries and the gather
+        keys are leased from :attr:`pool`.
         """
         self._ensure_block_state()
+        pool = self.pool
         first, second = self._normalisers(
             self._inv_r_w[:, i0 : i0 + rows, None], self._inv_q_w[:, None, :]
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            corr = qt.astype(np.float32)
-            corr *= first
-            round_f16_inplace(corr)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pool.lease(out.shape, np.float32) as corr:
+            # The layout transpose rides the first multiply.
+            np.multiply(ws.transpose(1, 0, 2), first, out=corr)
+            round_f16_inplace(corr, pool)
             corr *= second
-            round_f16_inplace(corr)
-        return np.take(_qt_to_dist_lut19_f16(self.pre.m), f16_keys19(corr))
+            round_f16_inplace(corr, pool)
+            with pool.lease(out.shape, np.intp) as keys:
+                f16_keys19(corr, out=keys)
+                np.take(_qt_to_dist_lut19_f16(self.pre.m), keys, out=out, mode="clip")
+
+    def _distances_block(
+        self, ws: np.ndarray, i0: int, rows: int, out: np.ndarray
+    ) -> None:
+        """:meth:`_distances` of the ``(rows, d * T, width)`` QT block
+        ``ws`` into the ``(d * T, rows, width)`` buffer ``out``, every
+        step a ufunc writing ``out`` in place; the layout transpose rides
+        the first multiply.  The same operations in the same order as
+        :meth:`_distances` — every ``astype`` there is a same-dtype copy
+        — and ``fmin`` against the limit is its saturation: it maps NaN
+        and ``+inf`` to the limit and keeps every finite distance (which
+        is never above the limit, nor ``-inf``)."""
+        dtype = self.policy.compute
+        first, second = self._normalisers(
+            self._inv_r[:, i0 : i0 + rows, None], self._inv_q[:, None, :]
+        )
+        limit = dtype.type(DTYPE_MAX[np.dtype(dtype)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(ws.transpose(1, 0, 2), first, out=out)
+            np.multiply(out, second, out=out)
+            np.subtract(self._one, out, out=out)
+            # Rounding can push corr slightly above 1 for perfect matches;
+            # clamp so sqrt stays real (SCAMP does the same).
+            np.maximum(out, dtype.type(0), out=out)
+            np.multiply(self._two_m, out, out=out)
+            np.sqrt(out, out=out)
+            np.fmin(out, limit, out=out)
 
     def _distances(self, qt: np.ndarray, inv_r: np.ndarray) -> np.ndarray:
-        """QT -> saturated z-normalised distances; element-wise, so the
-        result per element is independent of how many rows are batched."""
+        """One ``(d, n_q)`` QT row -> saturated z-normalised distances;
+        element-wise, the per-row reference of the block conversions."""
         dtype = self.policy.compute
-        blocked = qt.ndim == 3
-        first, second = self._normalisers(
-            inv_r, self._inv_q[:, None, :] if blocked else self._inv_q
-        )
+        first, second = self._normalisers(inv_r, self._inv_q)
         with np.errstate(over="ignore", invalid="ignore"):
             corr = ((qt * first).astype(dtype) * second).astype(dtype)
             gap = (self._one - corr).astype(dtype)
@@ -302,33 +368,42 @@ class DistCalcKernel(Kernel):
     def run_block(self, i0: int, rows: int, workspace: np.ndarray) -> np.ndarray:
         """Compute distance planes for rows ``i0 .. i0+rows-1`` at once.
 
-        ``workspace`` is a preallocated ``(d, rows, n_q)`` compute-dtype
-        buffer the sequential QT recurrence fills row by row (no per-row
-        temporaries); the QT -> distance conversion then runs once over
-        the whole block.  Every operation is element-wise, so the result
-        is bit-for-bit identical to ``rows`` consecutive :meth:`run`
-        calls, and the cost is recorded per logical row of one tile so
-        the modelled timings stay identical too (a transposed binding
-        leaves the charge to the caller, see :meth:`bind`).  Returns a
-        fresh (d, rows, n_q) distance block (``workspace`` keeps the QT
-        planes for the next block's recurrence); ``d`` counts the
-        ``d * tiles`` rows of a stacked binding.
+        ``workspace`` is a compute-dtype QT buffer of
+        :meth:`workspace_shape` for at least ``rows`` rows; the
+        sequential recurrence fills its first ``rows`` contiguous row
+        planes (no per-row temporaries), and the QT -> distance
+        conversion then runs once over the whole block.  Every operation
+        is element-wise, so the result is bit-for-bit identical to
+        ``rows`` consecutive :meth:`run` calls, and the cost is recorded
+        per logical row of one tile so the modelled timings stay
+        identical too (a transposed binding leaves the charge to the
+        caller, see :meth:`bind`).  Returns the ``(d, rows, n_q)``
+        distance block — ``d`` counts the ``d * tiles`` rows of a
+        stacked binding — in the leased buffer of an open :meth:`lease`
+        (which the caller may then overwrite in place), else in a fresh
+        array.  The product buffers of the recurrence and the half
+        path's temporaries are leased from :attr:`pool` for the call.
         """
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if i0 != 0 and self.qt is None:
             raise RuntimeError("rows must be visited in order starting at 0")
+        planes, width = self._inv_q.shape
         self._advance_qt_block(i0, rows, workspace)
         # The workspace is reused by the caller; keep the recurrence state
         # in a private copy of the last row.
-        self.qt = workspace[:, rows - 1, :].copy()
-        block = workspace[:, :rows, :]
-        if self.policy.compute == np.float16:
-            dist = self._distances_block_f16(block, i0, rows)
+        np.copyto(self._blk_last, workspace[rows - 1])
+        self.qt = self._blk_last
+        if self._dist_buf is None:
+            dist = np.empty((planes, rows, width), dtype=self.policy.compute)
         else:
-            dist = self._distances(block, self._inv_r[:, i0 : i0 + rows, None])
+            dist = self._dist_buf[: planes * rows * width].reshape(planes, rows, width)
+        if self.policy.compute == np.float16:
+            self._distances_block_f16(workspace[:rows], i0, rows, dist)
+        else:
+            self._distances_block(workspace[:rows], i0, rows, dist)
         if not self.transposed:
-            self.charge_rows(rows, dist.shape[0] // self.tiles, dist.shape[2])
+            self.charge_rows(rows, planes // self.tiles, width)
         return dist
 
     def charge_rows(self, rows: int, d: int, n_q: int) -> None:

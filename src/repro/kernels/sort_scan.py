@@ -36,6 +36,7 @@ import numpy as np
 from ..gpu.kernel import Kernel
 from ..precision.modes import PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_nonneg_inplace
+from .workspace import WorkspacePool
 
 __all__ = ["SortScanKernel", "fanin_inclusive_scan"]
 
@@ -103,7 +104,7 @@ def _batcher_pairs(d: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for (i, j) in pairs if j < d)
 
 
-def _sort_network_inplace(plane: np.ndarray) -> np.ndarray:
+def _sort_network_inplace(plane: np.ndarray, lo: np.ndarray | None = None) -> np.ndarray:
     """Ascending in-place sort of each column of a ``(d, n)`` plane along
     axis 0 through Batcher's network (:func:`_batcher_pairs`).
 
@@ -112,18 +113,47 @@ def _sort_network_inplace(plane: np.ndarray) -> np.ndarray:
     ``n`` short columns.  ``plane`` holds float32/float64 values or the
     uint16 radix keys of halves; float columns must be NaN-free and free
     of ``-0.0``, so that min/max and ``np.sort`` agree on every value
-    (distance planes are, by construction).  Above ``_BATCHER_MAX_D``
-    rows the plane goes to ``np.sort``.
+    (distance planes are, by construction).  ``lo`` is an optional
+    ``(n,)`` row temporary of the plane's dtype.  Above
+    ``_BATCHER_MAX_D`` rows the plane goes to ``np.sort``.
     """
     d = plane.shape[0]
     if d > _BATCHER_MAX_D:
         plane[...] = np.sort(plane, axis=0)
         return plane
-    lo = np.empty_like(plane[0])
+    if lo is None:
+        lo = np.empty_like(plane[0])
     for i, j in _batcher_pairs(d):
         np.minimum(plane[i], plane[j], out=lo)
         np.maximum(plane[i], plane[j], out=plane[j])
         plane[i] = lo
+    return plane
+
+
+def _sort_f16_inplace(plane: np.ndarray, pool: WorkspacePool) -> np.ndarray:
+    """Value-exact in-place per-column sort of a contiguous half plane.
+
+    numpy's ``float16`` comparisons run a scalar convert-to-float loop,
+    so halves are sorted as ``uint16`` keys: IEEE half bit patterns
+    order like their values once negative patterns are flipped (the
+    classic radix-key transform).  The flip pattern of each element is
+    built in a leased ``uint16`` temporary, whose first row then serves
+    as the network's row temporary.
+    """
+    u = plane.view(np.uint16)
+    with pool.lease(u.shape, np.uint16) as flip:
+        # Keys: negative patterns -> ~u, non-negative -> u | 0x8000.
+        np.right_shift(u, np.uint16(15), out=flip)
+        flip *= _U16_REST
+        flip += _U16_SIGN
+        u ^= flip
+        _sort_network_inplace(u, flip[0])
+        # Back: keys with the top bit set were non-negative halves.
+        np.right_shift(u, np.uint16(15), out=flip)
+        flip ^= np.uint16(1)
+        flip *= _U16_REST
+        flip += _U16_SIGN
+        u ^= flip
     return plane
 
 
@@ -134,21 +164,14 @@ def _sort_columns_exact(plane: np.ndarray) -> np.ndarray:
     so only the emulation fidelity (stage-by-stage execution) is given
     up, never a bit of the result.
 
-    Every dtype runs :func:`_sort_network_inplace`.  numpy's ``float16``
-    comparisons run a scalar convert-to-float loop, so halves are
-    sorted as ``uint16`` keys: IEEE half bit patterns order like their
-    values once negative patterns are flipped (the classic radix-key
-    transform).  Columns must be NaN-free (distance planes are by
-    construction; the network's behaviour under NaN is unspecified
-    anyway).
+    Every dtype runs :func:`_sort_network_inplace`; halves go through
+    the radix keys of :func:`_sort_f16_inplace`.  Columns must be
+    NaN-free (distance planes are by construction; the network's
+    behaviour under NaN is unspecified anyway).
     """
     if plane.dtype != np.float16:
         return _sort_network_inplace(plane.copy())
-    u = np.ascontiguousarray(plane).view(np.uint16)
-    neg = u >> np.uint16(15)
-    keys = _sort_network_inplace(u ^ (neg * _U16_REST + _U16_SIGN))
-    pos = keys >> np.uint16(15)
-    return (keys ^ ((pos ^ np.uint16(1)) * _U16_REST + _U16_SIGN)).view(np.float16)
+    return _sort_f16_inplace(plane.copy(), WorkspacePool())
 
 
 @lru_cache(maxsize=64)
@@ -186,28 +209,29 @@ def _divide_lut19_stack_f16(d: int) -> np.ndarray:
     return stack
 
 
-def _fanin_scan_f16_block(sorted16: np.ndarray) -> np.ndarray:
-    """:func:`fanin_inclusive_scan` for half precision, evaluated in
-    float32 storage with explicit half rounding after each stage.
+def _fanin_scan_inplace(plane: np.ndarray, tmp: np.ndarray, round_stage=None) -> None:
+    """:func:`fanin_inclusive_scan` in place on a float32/float64 plane:
+    the same additions in the same order, each stage's sums staged in
+    ``tmp`` (``(d - 1, n)`` or larger) and rounded to the plane's dtype.
 
-    numpy's half add *is* a float32 add followed by one RNE conversion
-    per element (scalar loop); this runs the identical pipeline with the
-    conversion vectorised (``_f16fast``), so every stage's bits match.
-    Inputs are sorted saturated distances — non-negative and NaN-free,
-    the ``round_f16_nonneg_inplace`` domain.  Returns the scanned plane
-    as half-valued float32 (gather keys via :func:`f16_keys19`).
+    Half precision runs in float32 storage: numpy's half add *is* a
+    float32 add followed by one RNE conversion per element (scalar
+    loop), so ``round_stage`` — ``round_f16_nonneg_inplace``, whose
+    domain the sorted, saturated distances are — applies that
+    conversion to each stage's sums, vectorised, and every stage's bits
+    match.  The plane then ends half-valued (gather keys via
+    :func:`f16_keys19`).
     """
-    work = sorted16.astype(np.float32)
-    d = work.shape[0]
-    tmp = np.empty_like(work[1:]) if d > 1 else None
+    d = plane.shape[0]
     offset = 1
-    while offset < d:
-        seg = tmp[: d - offset]
-        np.add(work[offset:], work[:-offset], out=seg)
-        round_f16_nonneg_inplace(seg)
-        work[offset:] = seg
-        offset *= 2
-    return work
+    with np.errstate(over="ignore", invalid="ignore"):
+        while offset < d:
+            seg = tmp[: d - offset]
+            np.add(plane[offset:], plane[:-offset], out=seg)
+            if round_stage is not None:
+                round_stage(seg)
+            plane[offset:] = seg
+            offset *= 2
 
 
 def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool = False):
@@ -229,6 +253,15 @@ def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool 
     if count_stages:
         return work, stages
     return work
+
+
+@lru_cache(maxsize=16)
+def _divide_key_offsets(d: int) -> np.ndarray:
+    """The ``(d, 1)`` column ``k << 19`` that moves row ``k``'s keys into
+    its table of :func:`_divide_lut19_stack_f16`."""
+    col = np.arange(d, dtype=np.intp)[:, None] << 19
+    col.setflags(write=False)
+    return col
 
 
 @lru_cache(maxsize=16)
@@ -257,28 +290,45 @@ class SortScanKernel(Kernel):
     #: merge.  Cost accounting is unchanged (the network/stage
     #: conventions stay, conservatively).
     mma_scan: bool = field(default=False, kw_only=True)
+    #: Where the stage temporaries come from: a caller shares its
+    #: worker's pool, a kernel built alone gets its own.
+    pool: WorkspacePool = field(default_factory=WorkspacePool, kw_only=True,
+                                repr=False)
 
     def run(
-        self, plane: np.ndarray, rows: int = 1, charge: bool = True, tiles: int = 1
+        self,
+        plane: np.ndarray,
+        rows: int = 1,
+        charge: bool = True,
+        tiles: int = 1,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
-        The sort is value-exact (:func:`_sort_columns_exact`) and the
-        half-precision scan and division run in the float32 domain with
-        per-stage rounding and a divide-by-k table, so the output is
-        bit-for-bit what the stage-by-stage bitonic sort and
-        :func:`fanin_inclusive_scan` networks produce — those remain the
-        test oracle.  Both networks are column-independent, so a
-        row-blocked caller passes ``rows`` logical distance rows side by
-        side as one ``(d, rows*n_q)`` plane.  ``rows`` only affects the
-        cost accounting, which stays per *logical* row (``rows``
-        launches, per-row loop rounds and syncs) so the modelled timings
-        do not depend on the block size.  ``tiles`` is the tile axis: a
-        stacked batch passes the blocks of ``tiles`` same-shape tiles side
-        by side, and the charge stays that of one tile's ``rows`` rows.
-        ``charge=False`` skips the accounting for a caller whose panels
-        are not logical rows; it charges with :meth:`charge_rows`.
+        The sort is value-exact (Batcher's min/max network, over radix
+        keys for halves) and the half-precision scan and division run in
+        the float32 domain with per-stage rounding and a divide-by-k
+        table, so the output is bit-for-bit what the stage-by-stage
+        bitonic sort and :func:`fanin_inclusive_scan` networks produce —
+        those remain the test oracle.  Both networks are
+        column-independent, so a row-blocked caller passes ``rows``
+        logical distance rows side by side as one ``(d, rows*n_q)``
+        plane.  ``rows`` only affects the cost accounting, which stays
+        per *logical* row (``rows`` launches, per-row loop rounds and
+        syncs) so the modelled timings do not depend on the block size.
+        ``tiles`` is the tile axis: a stacked batch passes the blocks of
+        ``tiles`` same-shape tiles side by side, and the charge stays
+        that of one tile's ``rows`` rows.  ``charge=False`` skips the
+        accounting for a caller whose panels are not logical rows; it
+        charges with :meth:`charge_rows`.
+
+        The result is written into ``out``, a contiguous compute-dtype
+        ``(d, n)`` array, or into a fresh one when ``out`` is ``None``;
+        ``plane`` itself is left untouched unless it *is* ``out``.  The
+        main loop passes its distance buffer as both, so the sort, the
+        scan and the divide run in place there, with the stage
+        temporaries leased from :attr:`pool`.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
@@ -289,18 +339,41 @@ class SortScanKernel(Kernel):
             and dtype == np.float16
         ):
             return self._run_mma(plane, rows, n_q, charge)
-        sorted_plane = _sort_columns_exact(plane.astype(dtype, copy=False))
+        if out is None:
+            out = plane.astype(dtype, copy=True)
+        elif out is not plane:
+            np.copyto(out, plane)
         if dtype == np.float16:
-            keys = f16_keys19(_fanin_scan_f16_block(sorted_plane))
-            keys += np.arange(d, dtype=np.uint32)[:, None] << np.uint32(19)
-            averaged = np.take(_divide_lut19_stack_f16(d), keys)
+            self._sort_scan_f16(out)
         else:
-            scanned = fanin_inclusive_scan(sorted_plane, dtype)
+            with self.pool.lease((max(d - 1, 1), out.shape[1]), dtype) as tmp:
+                _sort_network_inplace(out, tmp[0])
+                _fanin_scan_inplace(out, tmp)
             with np.errstate(over="ignore", invalid="ignore"):
-                averaged = (scanned / _divisor_column(d, dtype)).astype(dtype)
+                np.divide(out, _divisor_column(d, dtype), out=out)
         if charge:
             self.charge_rows(rows, d, n_q)
-        return averaged
+        return out
+
+    def _sort_scan_f16(self, plane: np.ndarray) -> None:
+        """The half-precision sort, scan and divide, in place on
+        ``plane``: the scan runs in a leased float32 copy, and the
+        divide-by-k table gathers straight back into ``plane`` through
+        leased ``intp`` keys (``np.take`` would convert narrower keys to
+        a fresh ``intp`` array)."""
+        pool = self.pool
+        d, n = plane.shape
+        _sort_f16_inplace(plane, pool)
+        with pool.lease(plane.shape, np.float32) as work, \
+                pool.lease((max(d - 1, 1), n), np.float32) as tmp:
+            np.copyto(work, plane)
+            _fanin_scan_inplace(
+                work, tmp, lambda seg: round_f16_nonneg_inplace(seg, pool)
+            )
+            with pool.lease(plane.shape, np.intp) as keys:
+                f16_keys19(work, out=keys)
+                keys += _divide_key_offsets(d)
+                np.take(_divide_lut19_stack_f16(d), keys, out=plane, mode="clip")
 
     def _run_mma(
         self, plane: np.ndarray, rows: int, n_q: int, charge: bool

@@ -83,7 +83,12 @@ class BatchSortScanKernel(Kernel):
     _moves: int = field(default=0, init=False, repr=False)
 
     def run(
-        self, plane: np.ndarray, rows: int = 1, charge: bool = True, tiles: int = 1
+        self,
+        plane: np.ndarray,
+        rows: int = 1,
+        charge: bool = True,
+        tiles: int = 1,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """One logical thread per column; column-independent, so a
         row-blocked caller may pass ``rows`` logical rows side by side as
@@ -93,7 +98,8 @@ class BatchSortScanKernel(Kernel):
         rounds need the per-logical-row split).  ``charge=False`` defers
         the accounting: the moves are kept until :meth:`charge_rows`.
         The move counts depend on each tile's data, so there is no
-        shared per-tile cost to stack: ``tiles`` must be 1."""
+        shared per-tile cost to stack: ``tiles`` must be 1.  ``out``, as
+        in :meth:`SortScanKernel.run`, receives the result when given."""
         from .sort_scan import _divisor_column
 
         if tiles != 1:
@@ -111,6 +117,9 @@ class BatchSortScanKernel(Kernel):
         self._moves += move_ops
         if charge:
             self.charge_rows(rows, d, plane.shape[1] // rows)
+        if out is not None:
+            out[...] = averaged
+            return out
         return averaged
 
     def charge_rows(self, rows: int, d: int, n_q: int) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 
 from ..gpu.kernel import Kernel
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
+from .workspace import WorkspacePool
 
 __all__ = ["UpdateKernel", "INDEX_DTYPE"]
 
@@ -37,6 +38,10 @@ class UpdateKernel(Kernel):
     """Running min/argmin merge for one tile."""
 
     policy: PrecisionPolicy = field(kw_only=True)
+    #: Where the row-axis reduce's transposed keys are leased from: a
+    #: caller shares its worker's pool, a kernel built alone gets its own.
+    pool: WorkspacePool = field(default_factory=WorkspacePool, kw_only=True,
+                                repr=False)
 
     # Mirrored outputs (symmetric self-join tiles); (re)set by allocate().
     mirror_profile = None
@@ -75,20 +80,29 @@ class UpdateKernel(Kernel):
             )
 
     @staticmethod
-    def _radix_argmin(block: np.ndarray, axis: int) -> np.ndarray:
+    def _radix_argmin(
+        block: np.ndarray, axis: int, pool: WorkspacePool | None = None
+    ) -> np.ndarray:
         """First-occurrence argmin, vectorised for the half/single planes.
 
         The planes here are saturated inclusive averages — non-negative
         and NaN-free — so their unsigned bit patterns order exactly like
         their values and an integer argmin (first minimum, same
         tie-break) returns identical indices without the scalar
-        convert-to-float comparison loops of half precision.
+        convert-to-float comparison loops of half precision.  numpy
+        reduces a middle axis by first copying the block with that axis
+        last; given a ``pool``, that copy goes into a leased buffer.
         """
         if block.dtype == np.float16:
-            return np.argmin(block.view(np.uint16), axis=axis)
-        if block.dtype == np.float32:
-            return np.argmin(block.view(np.uint32), axis=axis)
-        return np.argmin(block, axis=axis)
+            block = block.view(np.uint16)
+        elif block.dtype == np.float32:
+            block = block.view(np.uint32)
+        if pool is None or axis in (-1, block.ndim - 1):
+            return np.argmin(block, axis=axis)
+        keys = np.moveaxis(block, axis, -1)
+        with pool.lease(keys.shape, keys.dtype) as last:
+            np.copyto(last, keys)
+            return np.argmin(last, axis=-1)
 
     def _merge_rowwise(
         self,
@@ -189,6 +203,7 @@ class UpdateKernel(Kernel):
         mask: np.ndarray | None = None,
         col_offset=0,
         transposed: bool = False,
+        in_place: bool = False,
     ) -> None:
         """Merge a ``(d, rows, n_q)`` block of D'' planes for tile-local
         reference rows ``row0 .. row0+rows-1`` in one step.
@@ -216,6 +231,9 @@ class UpdateKernel(Kernel):
         ``row_offset``/``col_offset`` hold one offset per tile; every
         tile is reduced on its own, and the charge stays that of one
         tile.
+
+        ``in_place=True`` marks ``block`` as the caller's scratch: masked
+        entries are lifted in place instead of in a masked copy.
         """
         stacked = self.profile.ndim == 3
         profile, indices = self.profile, self.indices
@@ -236,32 +254,30 @@ class UpdateKernel(Kernel):
                 f"block shape {block.shape} != profile shape {self.profile.shape}"
             )
         storage = self.policy.storage
+        # Fused tensor-core path: a wide block is the FP32 accumulator
+        # fragment from the mma sort/scan (and that kernel's scratch, so
+        # masking in place is fine).  Reduce over the row axis *before*
+        # narrowing — on hardware the min-merge runs in registers and
+        # only the winning entry is stored — so the single FP16 rounding
+        # per column happens at the store below.  Ties are decided on
+        # the wide values; columns whose wide values differ only below
+        # storage precision may therefore pick a different (equally
+        # minimal after rounding) row than the storage-domain networks.
         wide_block = block.dtype.itemsize > storage.itemsize
-        if wide_block:
-            # Fused tensor-core path: the block is the FP32 accumulator
-            # fragment from the mma sort/scan (and that kernel's scratch,
-            # so masking in place is fine).  Reduce over the row axis
-            # *before* narrowing — on hardware the min-merge runs in
-            # registers and only the winning entry is stored — so the
-            # single FP16 rounding per column happens at the store below.
-            # Ties are decided on the wide values; columns whose wide
-            # values differ only below storage precision may therefore
-            # pick a different (equally minimal after rounding) row than
-            # the storage-domain networks.
-            if mask is not None:
-                limit = block.dtype.type(DTYPE_MAX[np.dtype(storage)])
-                np.copyto(block, limit, where=mask[None])
-        else:
+        if not wide_block:
             block = block.astype(storage, copy=False)
-            if mask is not None:
-                limit = storage.type(DTYPE_MAX[np.dtype(storage)])
+        if mask is not None:
+            limit = block.dtype.type(DTYPE_MAX[np.dtype(storage)])
+            if wide_block or in_place:
+                np.copyto(block, limit, where=mask[None])
+            else:
                 block = np.where(mask[None], limit, block)
         if transposed:
             self._merge_rowwise(block, profile, indices, row0, row_offset)
             return
         # First-occurrence argmin over the row axis (radix keys for the
         # half/single planes — see :meth:`_radix_argmin`).
-        best_row = self._radix_argmin(block, axis=2)  # (d, T, n_q)
+        best_row = self._radix_argmin(block, 2, self.pool)  # (d, T, n_q)
         best_val = np.take_along_axis(block, best_row[:, :, None], axis=2)[:, :, 0]
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -363,7 +363,11 @@ class IncrementalMatrixProfile:
     same knobs the service's :class:`~repro.service.scheduler.
     TileScheduler` threads into :func:`~repro.engine.dispatch.
     execute_plan`, so a stream dispatched by the ingest service shares the
-    pool's retry/escalation/split machinery.
+    pool's retry/escalation/split machinery.  ``backend`` hands over the
+    :class:`~repro.engine.backends.NumericBackend` of a stream this one
+    replaces (a sliding re-base), so its per-worker main-loop scratch is
+    reused instead of allocated again; by default the stream builds its
+    own.
     """
 
     def __init__(
@@ -382,6 +386,7 @@ class IncrementalMatrixProfile:
         placement=None,
         lock=None,
         clock=time.monotonic,
+        backend: NumericBackend | None = None,
     ):
         if m < 2:
             raise ValueError(f"segment length m must be >= 2, got {m}")
@@ -400,7 +405,10 @@ class IncrementalMatrixProfile:
         self.clock = clock
         self._placement = placement
         self._lock = lock
-        self._backend = NumericBackend(lock=lock, label="stream")
+        self._backend = (
+            backend if backend is not None
+            else NumericBackend(lock=lock, label="stream")
+        )
         self.timeline = Timeline()
 
         if self.self_join:

@@ -131,7 +131,9 @@ class StreamIngestService:
             self.ingest(tenant_id, initial)
         return session
 
-    def _build_stream(self, policy: TenantPolicy, reference) -> IncrementalMatrixProfile:
+    def _build_stream(
+        self, policy: TenantPolicy, reference, backend=None
+    ) -> IncrementalMatrixProfile:
         scheduler = self.service.scheduler
         return IncrementalMatrixProfile(
             policy.m,
@@ -146,6 +148,7 @@ class StreamIngestService:
             placement=scheduler._placement,
             lock=scheduler._lock,
             clock=scheduler.clock,
+            backend=backend,
         )
 
     def _build_monitor(self, policy: TenantPolicy, d: int) -> SketchMonitor:
@@ -354,7 +357,9 @@ class StreamIngestService:
         keep = policy.retention
         suffix = stream._stream[:, -keep:].T.astype(np.float64)
         session.base_offset += stream.n_samples - keep
-        fresh = self._build_stream(policy, entry.reference)
+        # The fresh stream inherits the outgoing one's backend, and with it
+        # the main-loop scratch its workers already hold.
+        fresh = self._build_stream(policy, entry.reference, backend=stream._backend)
         if session.gated:
             # Gated tenants re-prime the sketch state over the retained
             # suffix; the exact profile restarts (probes are on-alarm).

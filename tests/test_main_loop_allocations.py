@@ -1,0 +1,99 @@
+"""The vector main loop allocates no block-sized buffer once warm.
+
+Every block-sized buffer of a super-step — the QT workspace, the product
+buffers, the distance/scan buffer, the stage temporaries, the exclusion
+mask and the row-axis argmin keys — is leased from the worker's
+:class:`~repro.engine.backends.WorkspacePool`.  After one warm-up tile,
+a second :func:`~repro.engine.backends.run_tile` of the same shape on
+the same pool must therefore make no numpy allocation of a super-step
+block's size.  ``tracemalloc`` sees numpy's data buffers, so the peak
+traced memory above the level at the start of the call bounds the
+largest allocation the call made.  The tests raise the super-step
+budget to 2^19 elements so that a block clearly outweighs what a tile
+does allocate — its O(d * n) precalc vectors and outputs, and numpy's
+fixed-size casting buffers.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.core.config import RunConfig
+from repro.engine import backends
+from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
+from repro.kernels.layout import to_device_layout
+
+D, M = 2, 16
+BUDGET = 1 << 19
+
+#: name -> (reference rows, query columns, tiles in the stack, mirror).
+#: Every shape takes several super-steps; all but the AB tiles straddle
+#: the diagonal, so their exclusion masks are live.
+SHAPES = {
+    "row-major": (500, 600, 1, False),
+    "transposed": (600, 500, 1, False),
+    "stack": (400, 600, 3, False),
+    "mirror": (600, 600, 1, True),
+}
+
+
+def _series(n, seed=0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    waves = [np.sin(2 * np.pi * t / (13 + 5 * k)) for k in range(D)]
+    return np.stack(waves, axis=1) + 0.1 * rng.normal(size=(n, D))
+
+
+def _tile_args(shape, policy):
+    n_r, n_q, tiles, mirror = shape
+    layout = to_device_layout(_series(2 * (n_r + n_q) + M), policy.storage)
+    rows = [layout[:, 37 * t : 37 * t + n_r + M - 1] for t in range(tiles)]
+    cols = [layout[:, 50 * t : 50 * t + n_q + M - 1] for t in range(tiles)]
+    kwargs = dict(exclusion_zone=M // 4, mirror=mirror)
+    if tiles == 1:
+        return rows[0], cols[0], kwargs
+    kwargs.update(row_offset=[37 * t for t in range(tiles)],
+                  col_offset=[50 * t for t in range(tiles)],
+                  precalc=[None] * tiles)
+    return np.stack(rows), np.stack(cols), kwargs
+
+
+def _block_bytes(shape, policy):
+    """Bytes of one super-step's ``(d * T, B, width)`` block."""
+    n_r, n_q, tiles, mirror = shape
+    steps, width = (n_q, n_r) if (n_q < n_r and not mirror) else (n_r, n_q)
+    planes = D * tiles
+    block = super_step_rows(steps, width, planes)
+    assert block < steps, "the shape should take several super-steps"
+    return planes * block * width * policy.compute.itemsize
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
+def test_warm_run_tile_allocates_no_block(mode, shape, monkeypatch):
+    monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", BUDGET)
+    cfg = RunConfig(mode=mode)
+    policy = cfg.policy
+    tr, tq, kwargs = _tile_args(SHAPES[shape], policy)
+    pool = WorkspacePool()
+    want = run_tile(tr, tq, M, policy, cfg.launch, workspace=pool, **kwargs)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = run_tile(tr, tq, M, policy, cfg.launch, workspace=pool, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    block = _block_bytes(SHAPES[shape], policy)
+    assert peak < block, f"{peak} B allocated at peak, a block is {block} B"
+    # Reused scratch changes nothing: the warm tile equals the cold one.
+    if not isinstance(want, list):
+        want, got = [want], [got]
+    for a, b in zip(want, got):
+        assert np.array_equal(a.profile.view(np.uint8), b.profile.view(np.uint8))
+        assert np.array_equal(a.indices, b.indices)
+        if a.mirror_profile is not None:
+            assert np.array_equal(a.mirror_profile.view(np.uint8),
+                                  b.mirror_profile.view(np.uint8))
+            assert np.array_equal(a.mirror_indices, b.mirror_indices)

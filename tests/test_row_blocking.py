@@ -419,24 +419,59 @@ class TestWorkspacePool:
                 with pool.lease(shape, dtype) as ws:
                     assert ws.shape == shape and ws.dtype == dtype
                     assert ws.flags.c_contiguous
+        # Leases one after the other all take slot 0 of their dtype.
         assert {k: v.size for k, v in pool._free.items()} == {
-            np.dtype(np.float16): 6400, np.dtype(np.float64): 6400,
+            (np.dtype(np.float16), 0): 6400, (np.dtype(np.float64), 0): 6400,
         }
+
+    def test_nested_same_dtype_leases_are_distinct(self):
+        """A lease taken inside another of the same dtype gets its own
+        slot: distinct, non-overlapping buffers, and the same memory
+        again for the next tile's identical leases."""
+        pool = WorkspacePool()
+
+        def one_tile():
+            with pool.lease((4, 8), np.float32) as qt, \
+                    pool.lease((2, 8), np.float32) as dist:
+                with pool.lease((3, 5), np.float32) as tmp:
+                    views = (qt, dist, tmp)
+            return views
+
+        first = one_tile()
+        for a in range(3):
+            for b in range(a + 1, 3):
+                assert not np.shares_memory(first[a], first[b])
+        again = one_tile()
+        for was, now in zip(first, again):
+            assert now.__array_interface__["data"] == was.__array_interface__["data"]
+        assert sorted(slot for _, slot in pool._free) == [0, 1, 2]
+        # A sibling lease after a nested one reuses the freed slot.
+        with pool.lease((4, 8), np.float32) as qt:
+            with pool.lease((3, 5), np.float32) as sibling:
+                assert np.shares_memory(sibling, first[1])
 
     def test_stream_holds_one_buffer_per_dtype(self, rng):
         """A stream with varying batch sizes (tall bands, wide new-row
-        tiles, probes) leaves one workspace buffer per dtype behind."""
+        tiles, probes) leaves one workspace buffer per dtype and slot
+        behind: the same fixed set of main-loop buffers after every
+        append, grown in place rather than multiplied per shape."""
         from repro.streams import IncrementalMatrixProfile
 
         series = rng.normal(size=(400, 2)).cumsum(axis=0)
         inc = IncrementalMatrixProfile(16, RunConfig(mode="FP32"))
+        pool = inc._backend._workspace_pool()
+        f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+        # QT and distance buffers, the scan temporary, the two product
+        # buffers, the two exclusion-mask buffers and the argmin keys.
+        want = {(f32, 0), (f32, 1), (f32, 2), (f64, 0), (f64, 1),
+                (np.dtype(bool), 0), (np.dtype(bool), 1), (np.dtype(np.uint32), 0)}
         off = 0
         for step in (120, 7, 33, 1, 64, 19, 90, 66):
             inc.append(series[off : off + step])
             off += step
+            assert set(pool._free) == want
         inc.probe(3, 9)
-        pool = inc._backend._workspace_pool()
-        assert list(pool._free) == [np.dtype(np.float32)]
+        assert set(pool._free) == want
 
     def test_backend_pools_are_per_thread(self):
         backend = NumericBackend()

@@ -506,6 +506,29 @@ class TestIngestService:
         # same suffix appended in one step (the re-base is one batch).
         assert session.stream.profile()[0].shape[0] == session.stream.n_q_seg
 
+    @pytest.mark.parametrize("mode", ["FP32", "FP16"])
+    def test_rebase_keeps_the_tenant_backend(self, rng, mode, monkeypatch):
+        """A sliding re-base hands the outgoing stream's backend — and
+        with it the workers' main-loop scratch — to the fresh stream; the
+        profile stays byte-for-byte that of re-bases that build a new
+        backend each time."""
+        series = _series(rng, 300, 2)
+        policy = TenantPolicy(m=8, mode=mode, window="sliding", retention=64)
+        svc, own = StreamIngestService(n_gpus=1), StreamIngestService(n_gpus=1)
+        svc.register("t", policy)
+        own.register("t", policy)
+        build = StreamIngestService._build_stream
+        monkeypatch.setattr(own, "_build_stream",
+                            lambda p, ref, backend=None: build(own, p, ref))
+        backend = svc.tenant("t").stream._backend
+        for i in range(0, 300, 20):
+            svc.ingest("t", series[i : i + 20])
+            own.ingest("t", series[i : i + 20])
+            assert svc.tenant("t").stream._backend is backend
+            _assert_bit_identical(svc.profile("t"), own.profile("t"))
+        assert svc.tenant("t").counters.rebases > 0
+        assert own.tenant("t").stream._backend is not backend
+
     def test_metrics_snapshot_stream_section(self, rng):
         svc = StreamIngestService(n_gpus=1)
         svc.register("t", TenantPolicy(m=8))

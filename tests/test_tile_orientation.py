@@ -166,13 +166,13 @@ class TestDistancePanels:
         n_r, n_q = pre.n_r_seg, pre.n_q_seg
         kernel = DistCalcKernel(config=cfg.launch, policy=cfg.policy)
         kernel.bind(pre)
-        ws = np.empty((d, n_r, n_q), dtype=cfg.policy.compute)
+        ws = np.empty((n_r, d, n_q), dtype=cfg.policy.compute)
         want = kernel.run_block(0, n_r, ws)
         kernel = DistCalcKernel(config=cfg.launch, policy=cfg.policy)
         kernel.bind(pre.transposed(), transposed=True)
-        ws = np.empty((d, B, n_r), dtype=cfg.policy.compute)
+        ws = np.empty((B, d, n_r), dtype=cfg.policy.compute)
         got = np.concatenate(
-            [kernel.run_block(j0, min(B, n_q - j0), ws[:, : min(B, n_q - j0)])
+            [kernel.run_block(j0, min(B, n_q - j0), ws[: min(B, n_q - j0)])
              for j0 in range(0, n_q, B)],
             axis=1,
         )
