@@ -97,7 +97,7 @@ def _prepare_all(series, store):
         series, None, M, RunConfig(mode=MODE, n_tiles=N_TILES)
     )
     plan = spec.plan(precalc_store=store)
-    return [plan.precalc_cache.prepare(plan, t) for t in plan.tiles]
+    return [plan.precalc_cache.prepare(plan, [t]) for t in plan.tiles]
 
 
 @pytest.mark.benchmark(group="precalc_amortization")

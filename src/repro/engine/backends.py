@@ -30,13 +30,19 @@ bit-identical to one-tile calls, and costs stay per logical tile (the
 dist_calc, sort/scan and update costs of same-shape tiles are equal, so
 they are computed once and copied), so the modelled clock does not
 move; the roofline converts each distinct cost to a timing once per
-stack.  :data:`TILE_BATCH_ELEMENTS` caps the stacked per-row plane
-(``T * d * width`` elements); a tile already that wide, the tensor-core
-main loop and the batch sort strategy run as a batch of one.  Each
-tile's device footprint is reserved and released on its own GPU in
-batch order before the stacked numerics run, so out-of-memory decisions
-are those of tiles dispatched one at a time.  A single tile is a batch
-of one; there is no second path.
+stack.  A stack is sized by its scratch, not its row width:
+:meth:`NumericBackend.stack_limit` stacks tiles up to a ``T * d *
+width`` row plane of ``SUPER_STEP_ELEMENTS / 32`` elements, and
+:func:`super_step_rows` gives the stack a super-step block no larger
+than the one a tile of it uses alone, or ``SUPER_STEP_ELEMENTS / 8``
+elements if that is larger — so the stack takes more, shorter steps
+instead of holding more scratch.  A tile whose row plane is already
+that wide, the tensor-core main loop and the batch sort strategy run
+as a batch of one.  The stack's precalculation is prepared in one
+plane-cache call, then each tile's device footprint is reserved and
+released on its own GPU in batch order before the stacked numerics run,
+so out-of-memory decisions are those of tiles dispatched one at a time.
+A single tile is a batch of one; there is no second path.
 
 Staging.  A tile's footprint is its row slice, its column slice (not
 for a diagonal tile, which shares the row upload) and its workspace
@@ -94,7 +100,6 @@ __all__ = [
     "tile_timing_from_output",
     "workspace_bytes",
     "KERNEL_ORDER",
-    "TILE_BATCH_ELEMENTS",
     "SUPER_STEP_ELEMENTS",
     "super_step_rows",
 ]
@@ -102,34 +107,46 @@ __all__ = [
 KERNEL_ORDER = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_prof")
 
 
-#: Cap on a stacked tile batch's per-row plane, ``T * d * width``
-#: elements: :meth:`NumericBackend.stack_limit` stacks as many same-shape
-#: tiles as fit, and a tile whose own plane is already this wide runs as
-#: a batch of one.  Measured on a shared 2-core x86 host with stacks of
-#: 38 x 38, d = 2 tiles (FP32, FP16, Mixed): the per-tile main-loop time
-#: falls 2-3x from one tile to ~500 stacked elements, where numpy's
-#: per-call overhead stops dominating, and at most ~1.3x more up to
-#: ~2000.  Each worker's live temporaries grow by ~40 bytes per stacked
-#: block element, and a multi-worker job keeps one such set per thread:
-#: at 2048 the 100-tile benchmark jobs' peak RSS grew 13% over one-tile
-#: dispatch, at 512 under 5%.
-TILE_BATCH_ELEMENTS = 512
-
 #: Elements of one main-loop super-step, ``planes * block * width``:
-#: :func:`super_step_rows` sizes every vector-path block from it.
-#: Measured on a shared 2-core x86 host, one and two threads: 512-wide,
-#: d = 8 tiles run fastest at 32 rows (this budget) and 1.2-1.5x slower
-#: at 128, while 384-wide, d = 3 tiles run 3-11% faster at 64-128 rows
-#: than at 32 — the element count of a step decides, not its row count.
+#: :func:`super_step_rows` sizes every vector-path block from it, and
+#: the tile stacks derive from it too.  Measured on a shared 2-core x86
+#: host, one and two threads: 512-wide, d = 8 tiles run fastest at 32
+#: rows (this budget) and 1.2-1.5x slower at 128, while 384-wide, d = 3
+#: tiles run 3-11% faster at 64-128 rows than at 32 — the element count
+#: of a step decides, not its row count.
+#:
+#: Stacks.  :meth:`NumericBackend.stack_limit` stacks same-shape tiles
+#: up to a row plane ``T * d * width`` of ``SUPER_STEP_ELEMENTS // 32``
+#: (4096) elements, and a stack's block is at most the larger of the
+#: block one of its tiles uses alone and ``SUPER_STEP_ELEMENTS // 8``
+#: (2^14) elements.  Scratch is leased per block, so peak memory follows
+#: the block, not the stack width.  Measured on a shared 2-core x86 host
+#: (``benchmarks/e2e``, 15 s runs, 10 alternating pairs): 38/39-wide,
+#: d = 2 tiles stack 52-53 deep instead of 6, and ``batch_tiles``
+#: (100-tile jobs) rose 17.8 -> 24.3 ops/s with peak RSS 67.6 -> 66.7 MB;
+#: the 4-tile ``service_mixed`` jobs (531-element row planes) now stack
+#: too, 60.7 -> 77.4 ops/s.  A 4096-element plane with stacks keeping
+#: the full block budget raised ``batch_tiles`` peak RSS 10%, and a
+#: fixed 2^14 block for every stack slowed ``service_mixed`` 15%: its
+#: single tiles run best at full blocks.
 SUPER_STEP_ELEMENTS = 1 << 17
 
 
-def super_step_rows(steps: int, width: int, planes: int) -> int:
-    """Rows (columns, when transposed) per main-loop super-step: as many
-    as keep the ``(planes, block, width)`` block — ``planes = d * T``
-    for a stack of ``T`` tiles — within :data:`SUPER_STEP_ELEMENTS`, at
-    least one and at most the ``steps`` the loop takes."""
-    return max(1, min(steps, SUPER_STEP_ELEMENTS // (planes * width)))
+def super_step_rows(steps: int, width: int, planes: int, tiles: int = 1) -> int:
+    """Rows (columns, when transposed) per main-loop super-step of a
+    stack of ``tiles`` tiles of ``planes = d`` dimension rows each.
+
+    A single tile takes as many rows as keep its ``(planes, block,
+    width)`` block within :data:`SUPER_STEP_ELEMENTS`, at least one and
+    at most the ``steps`` the loop takes.  A stack spends at most the
+    larger of that block's elements and ``SUPER_STEP_ELEMENTS // 8`` on
+    its ``(planes * tiles, block, width)`` block — the same, short rows
+    for a wide stack instead of more scratch — and at least one row."""
+    alone = max(1, min(steps, SUPER_STEP_ELEMENTS // (planes * width)))
+    if tiles == 1:
+        return alone
+    budget = max(alone * planes * width, SUPER_STEP_ELEMENTS // 8)
+    return max(1, min(steps, budget // (planes * tiles * width)))
 
 
 #: Workspace row planes the main loop keeps live, priced in half-plane
@@ -262,7 +279,7 @@ def run_tile(
 
     The main loop runs in super-steps of ``B`` reference rows, ``B``
     from :func:`super_step_rows` (one element budget for every tile
-    shape and stack): ``dist_calc`` fills the row-major ``(B, d, n_q)``
+    shape, a smaller one per row for a stack): ``dist_calc`` fills the row-major ``(B, d, n_q)``
     QT workspace it owns (sequential recurrence, every row one
     contiguous plane) and converts the block in place into one
     ``(d, B, n_q)`` distance buffer; the column-independent sort/scan
@@ -292,8 +309,8 @@ def run_tile(
     largest shape.
 
     **Tile axis.**  ``tr_dev``/``tq_dev`` may also be ``(T, d, len)``
-    stacks of ``T`` same-shape tiles, with ``row_offset``/``col_offset``/
-    ``precalc`` holding one entry per tile; the call then returns one
+    stacks of ``T`` same-shape tiles, with ``row_offset``/``col_offset``
+    holding one entry per tile; the call then returns one
     :class:`TileOutput` per tile, in order.  The stack runs as one main
     loop over ``d * T`` dimension rows
     (:meth:`~repro.kernels.precalc.PrecalcResult.stacked`): one Eq. (1)
@@ -307,13 +324,13 @@ def run_tile(
     main loop and the batch sort strategy run one tile per call.
 
     ``precalc`` is an optional :class:`~repro.kernels.precalc.
-    PreparedPrecalc` assembled by the plan-level
-    :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`: its result
-    (bit-identical to running :class:`PrecalcKernel` here) is used
-    directly and its pre-computed cost stands in for the kernel's.  The
-    device uploads are unchanged either way — the tile still needs both
-    series resident for the main loop, so H2D accounting and the memory
-    footprint stay as they were.
+    PreparedPrecalc` of the whole stack, assembled by the plan-level
+    :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`: its stacked
+    result (bit-identical to running :class:`PrecalcKernel` on every
+    tile here) is used directly and its pre-computed per-tile costs
+    stand in for the kernel's.  The device uploads are unchanged either
+    way — the tile still needs both series resident for the main loop,
+    so H2D accounting and the memory footprint stay as they were.
 
     ``main_loop`` selects the main-loop execution path: ``"vector"`` (the
     paper's row-blocked recurrence) or ``"tensor_core"`` (the
@@ -337,7 +354,7 @@ def run_tile(
     single = tr_dev.ndim == 2
     if single:
         tr_dev, tq_dev = tr_dev[None], tq_dev[None]
-        row_offset, col_offset, precalc = [row_offset], [col_offset], [precalc]
+        row_offset, col_offset = [row_offset], [col_offset]
     n_tiles, d = tr_dev.shape[:2]
     n_r_seg = tr_dev.shape[2] - m + 1
     n_q_seg = tq_dev.shape[2] - m + 1
@@ -374,16 +391,15 @@ def run_tile(
     update = UpdateKernel(config=launch, policy=policy, pool=pool)
     skip_sort = fast_path_1d and d == 1
 
-    results, precalc_costs = [], []
-    for t, prepared in enumerate(precalc):
-        if prepared is None:
+    if precalc is None:
+        results, precalc_costs = [], []
+        for t in range(n_tiles):
             precalc_kernel = PrecalcKernel(config=launch, policy=policy)
             results.append(precalc_kernel.run(tr_dev[t], tq_dev[t], m))
             precalc_costs.append(precalc_kernel.cost)
-        else:
-            results.append(prepared.result)
-            precalc_costs.append(prepared.cost)
-    pre = PrecalcResult.stacked(results)
+        pre = PrecalcResult.stacked(results)
+    else:
+        pre, precalc_costs = precalc.result, precalc.costs
     row_offsets = np.asarray(row_offset, dtype=INDEX_DTYPE)
     col_offsets = np.asarray(col_offset, dtype=INDEX_DTYPE)
     transposed = _runs_transposed(n_r_seg, n_q_seg, tensor_core, mirror)
@@ -398,7 +414,6 @@ def run_tile(
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
                     tiles=n_tiles)
 
-    planes = d * n_tiles
     across = _cached_arange(width) + width_offsets[:, None]  # (T, width)
     with ExitStack() as scratch:
         if tensor_core:
@@ -409,7 +424,7 @@ def run_tile(
             block = max(1, min(TC_PANEL_ROWS, steps))
             qt_ws = None
         else:
-            block = super_step_rows(steps, width, planes)
+            block = super_step_rows(steps, width, d, n_tiles)
             qt_ws = scratch.enter_context(dist.lease(block))
         if exclusion_zone is not None:
             near = scratch.enter_context(pool.lease((n_tiles * block * width,), bool))
@@ -453,8 +468,13 @@ def run_tile(
         _KERNEL_LABELS[c.name]: replace(c, name=_KERNEL_LABELS[c.name])
         for c in (dist.cost, sort_scan.cost, update.cost)
     }
+    # Same-shape tiles share their precalc cost objects too, bar the
+    # plane-charge carrier: rename each distinct object once.
+    renamed: dict = {}
     outputs = []
     for t, precalc_cost in enumerate(precalc_costs):
+        if id(precalc_cost) not in renamed:
+            renamed[id(precalc_cost)] = replace(precalc_cost, name="precalculation")
         mirror_profile = mirror_indices = None
         if mirror:
             mirror_profile = np.ascontiguousarray(update.mirror_profile[:, t])
@@ -462,8 +482,7 @@ def run_tile(
         outputs.append(TileOutput(
             profile=np.ascontiguousarray(update.profile[:, t]),
             indices=np.ascontiguousarray(update.indices[:, t]),
-            costs={"precalculation": replace(precalc_cost, name="precalculation"),
-                   **shared},
+            costs={"precalculation": renamed[id(precalc_cost)], **shared},
             h2d_bytes=h2d_bytes,
             d2h_bytes=d2h_bytes,
             mirror_profile=mirror_profile,
@@ -535,8 +554,6 @@ class NumericBackend:
     lock:
         Context manager serialising allocator traffic (the service shares
         one GPU pool across worker threads; numerics stay outside it).
-    label:
-        Prefix for allocation labels (the service tags them per job).
     discount_shared_h2d:
         When a self-join diagonal tile reuses the reference upload for
         its query slice, also subtract the second upload from the
@@ -549,14 +566,8 @@ class NumericBackend:
     #: tensor-core subclass overrides it.
     main_loop: str = "vector"
 
-    def __init__(
-        self,
-        lock=None,
-        label: str = "",
-        discount_shared_h2d: bool = False,
-    ):
+    def __init__(self, lock=None, discount_shared_h2d: bool = False):
         self._lock = lock if lock is not None else nullcontext()
-        self._label = f"{label}:" if label else ""
         self.discount_shared_h2d = discount_shared_h2d
         # Host workspace pools are per worker thread: the main loop
         # reuses its block buffers across super-steps and tiles without
@@ -588,10 +599,10 @@ class NumericBackend:
     def stack_limit(self, plan: ExecutionPlan, tile: Tile) -> int:
         """How many tiles shaped like ``tile`` one :meth:`run` call of
         ``plan`` stacks: as many as keep the stacked per-row plane
-        ``T * d * width`` within :data:`TILE_BATCH_ELEMENTS`, and at
-        least one.  The tensor-core main loop and the batch sort
-        strategy (whose costs depend on each tile's data) run one tile
-        per call."""
+        ``T * d * width`` within ``SUPER_STEP_ELEMENTS // 32`` elements
+        (see :data:`SUPER_STEP_ELEMENTS`), and at least one.  The
+        tensor-core main loop and the batch sort strategy (whose costs
+        depend on each tile's data) run one tile per call."""
         spec = plan.spec
         tensor_core = self._main_loop(spec.policy) == "tensor_core"
         if tensor_core or spec.config.sort_strategy == "batch":
@@ -599,7 +610,7 @@ class NumericBackend:
         mirror = getattr(tile, "mirror", False)
         transposed = _runs_transposed(tile.n_rows, tile.n_cols, tensor_core, mirror)
         width = tile.n_rows if transposed else tile.n_cols
-        return max(1, TILE_BATCH_ELEMENTS // (spec.d * width))
+        return max(1, SUPER_STEP_ELEMENTS // 32 // (spec.d * width))
 
     def run(self, plan: ExecutionPlan, tile, gpu):
         """Execute one tile, or a stacked batch of same-shape tiles.
@@ -612,14 +623,19 @@ class NumericBackend:
         tile's execution, or the :class:`DeviceOutOfMemoryError` its
         footprint check raised.
 
-        Every tile is staged on its own, in order, exactly as a one-tile
-        call stages it: plane-cache ``prepare``, then one check of its
+        Staging runs in this order.  One plane-cache ``prepare`` call
+        assembles the whole batch's precalculation, taking any plane
+        charge claims in tile order (host-side, before any device
+        memory is touched).  Then every tile is staged on its own, in
+        order, exactly as a one-tile call stages it: one check of its
         whole footprint on its GPU — the capacity checks and high-water
         mark of its uploads and workspace, released again before the
         next tile is staged — so a batch takes the same out-of-memory
-        decisions as tiles dispatched one at a time.  The staged tiles'
-        slices are then gathered into ``(T, d, len)`` stacks and run as
-        one stack through :func:`run_tile`.
+        decisions as tiles dispatched one at a time.  The prepared rows
+        of tiles that ran out of memory are dropped (their claims stay
+        taken, as a one-tile call's would), and the staged tiles'
+        slices are gathered into ``(T, d, len)`` stacks and run as one
+        stack through :func:`run_tile`.
         """
         if isinstance(tile, Tile):
             (outcome,) = self._run_stack(plan, [tile], [gpu])
@@ -629,13 +645,12 @@ class NumericBackend:
         return self._run_stack(plan, list(tile), list(gpu))
 
     def _stage(self, plan: ExecutionPlan, tile: Tile, gpu: SimulatedGPU,
-               main_loop: str):
-        """Prepare one tile's precalc and take its device footprint.
+               main_loop: str) -> bool:
+        """Take one tile's device footprint.
 
-        Returns the prepared precalc (``None`` without a plane cache) and
-        whether the tile is a self-join diagonal tile sharing one upload;
-        raises :class:`DeviceOutOfMemoryError` if the footprint does not
-        fit (see the module docstring)."""
+        Returns whether the tile is a self-join diagonal tile sharing one
+        upload; raises :class:`DeviceOutOfMemoryError` if the footprint
+        does not fit (see the module docstring)."""
         spec = plan.spec
         m = spec.m
         r0, r1 = tile.sample_range_rows(m)
@@ -643,13 +658,6 @@ class NumericBackend:
         # Self-join diagonal tile: row and column slices are the same
         # samples of the same layout — upload once, bind twice.
         shared = plan.tq_layout is plan.tr_layout and (r0, r1) == (c0, c1)
-        # Amortised precalculation: assembled host-side before any device
-        # allocation, so a device OOM cannot strand a half-built plane
-        # cache and the (locked) plane build never holds device memory.
-        prepared = None
-        cache = getattr(plan, "precalc_cache", None)
-        if cache is not None:
-            prepared = cache.prepare(plan, tile)
         parts = [spec.d * (r1 - r0) * plan.tr_layout.dtype.itemsize]
         if not shared:
             parts.append(spec.d * (c1 - c0) * plan.tq_layout.dtype.itemsize)
@@ -663,23 +671,30 @@ class NumericBackend:
         ))
         with self._lock:
             gpu.memory.reserve_transient(parts)
-        return prepared, shared
+        return shared
 
     def _run_stack(self, plan: ExecutionPlan, tiles: list, gpus: list) -> list:
         spec = plan.spec
         policy = spec.policy
         config = spec.config
         main_loop = self._main_loop(policy)
+        # Amortised precalculation: assembled host-side before any device
+        # allocation, so a device OOM cannot strand a half-built plane
+        # cache and the (locked) plane build never holds device memory.
+        cache = getattr(plan, "precalc_cache", None)
+        prepared = cache.prepare(plan, tiles) if cache is not None else None
         outcomes: list = [None] * len(tiles)
-        staged = []
+        ks, shared = [], []
         for k, (tile, gpu) in enumerate(zip(tiles, gpus)):
             try:
-                staged.append((k, *self._stage(plan, tile, gpu, main_loop)))
+                shared.append(self._stage(plan, tile, gpu, main_loop))
+                ks.append(k)
             except DeviceOutOfMemoryError as exc:
                 outcomes[k] = exc
-        if not staged:
+        if not ks:
             return outcomes
-        ks, prepared, shared = zip(*staged)
+        if prepared is not None:
+            prepared = prepared.select(ks)
         # Gather the staged tiles' slices straight into the stacks.
         first = tiles[ks[0]]
         tr = np.empty((len(ks), spec.d, first.n_rows + spec.m - 1),
@@ -708,7 +723,8 @@ class NumericBackend:
             mirror=getattr(first, "mirror", False),
         )
         timings: dict = {}
-        for k, output, prep, diag in zip(ks, outputs, prepared, shared):
+        saved_flops = prepared.saved_flops if prepared is not None else [0.0] * len(ks)
+        for k, output, precalc_saved, diag in zip(ks, outputs, saved_flops, shared):
             saved = 0.0
             if diag and self.discount_shared_h2d:
                 saved = float((tiles[k].n_cols + spec.m - 1) * spec.d * policy.itemsize)
@@ -719,7 +735,7 @@ class NumericBackend:
                 output=output,
                 h2d_saved_bytes=saved,
                 mode=policy.mode,
-                precalc_saved_flops=prep.saved_flops if prep else 0.0,
+                precalc_saved_flops=precalc_saved,
             )
         return outcomes
 
@@ -747,7 +763,6 @@ def backend_for(
     config,
     *,
     lock=None,
-    label: str = "",
     discount_shared_h2d: bool = False,
 ) -> "tuple[NumericBackend, str | None]":
     """The numeric backend a :class:`~repro.core.config.RunConfig` asks
@@ -762,7 +777,7 @@ def backend_for(
     Callers surface the reason on
     :attr:`~repro.core.result.MatrixProfileResult.backend_fallback_reason`.
     """
-    kwargs = dict(lock=lock, label=label, discount_shared_h2d=discount_shared_h2d)
+    kwargs = dict(lock=lock, discount_shared_h2d=discount_shared_h2d)
     requested = getattr(config, "backend", "numeric")
     if requested != "tensor_core":
         return NumericBackend(**kwargs), None

@@ -15,13 +15,15 @@ loop now, with the variation points made explicit:
   ``on_tile_start`` — the order one-tile dispatch uses), groups it by
   the batch key ``(n_rows, n_cols, mirror, execution mode)`` and splits
   each group into ``parallel_workers`` batches of at most the backend's
-  ``stack_limit`` (:data:`~repro.engine.backends.TILE_BATCH_ELEMENTS`
-  stacked per-row plane elements ``T * d * width``; see there for how
-  the cap was measured).  An attempt runs one batch, which the numeric
-  backend runs as one stacked main loop — the host analogue of the
-  paper's concurrent streams per GPU (Pseudocode 2).  When the queue
-  head cannot be stacked — backends without ``stack_limit`` (analytic),
-  the tensor-core main loop, tiles wider than the cap — or a
+  ``stack_limit`` (a stacked per-row plane ``T * d * width`` of
+  ``SUPER_STEP_ELEMENTS // 32`` elements; see
+  :data:`~repro.engine.backends.SUPER_STEP_ELEMENTS` for how the stacks
+  were sized).  An attempt runs one batch, which the numeric backend
+  prepares in one plane-cache call and runs as one stacked main loop —
+  the host analogue of the paper's concurrent streams per GPU
+  (Pseudocode 2).  When the queue head cannot be stacked — backends
+  without ``stack_limit`` (analytic), the tensor-core main loop, tiles
+  whose row plane leaves no room for a second — or a
   ``deadline_at`` is set, the coordinator places and runs one tile at a
   time, so anytime cancellation keeps per-tile granularity.  Everything
   else stays per tile: the failure injector and each tile's

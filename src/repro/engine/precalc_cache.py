@@ -11,16 +11,17 @@ planes are elementwise slices of the full-series planes, bit for bit.
 * the full-series planes are computed **once per (series role,
   precision mode)** with the exact per-window ``_Accumulator``
   semantics of :mod:`repro.kernels.precalc` (including the Kahan FP16C
-  path), then every tile receives zero-copy ``mu``/``inv`` slices and
-  ``df``/``dg`` slice-copies with the tile-local ``df[0] = dg[0] = 0``
-  restored;
+  path); a stack of same-shape tiles then receives its slices of every
+  plane in one gather per plane, stacked the way the main loop runs
+  them, with each tile's ``df[0] = dg[0] = 0`` restored;
 * the per-tile seeds ``qt_row0``/``qt_col0`` stay per-tile semantically
   (the error-containment argument is untouched: each is still the naive
   centred dot of that tile's first row/column band) but all tiles
   sharing a band are evaluated in one vectorised
   :func:`~repro.kernels.precalc.seed_qt_rows` pass over the full other
-  series, then sliced per tile — bit-identical because every ufunc in
-  the accumulation chain is elementwise;
+  series, then gathered per stack (one gather per seed direction) —
+  bit-identical because every ufunc in the accumulation chain is
+  elementwise;
 * with ``precalc_strategy="fft"`` (opt-in, FP64/FP32 only) the seeds
   come from the MASS-style FFT correlation instead — O(n log n) but not
   bit-identical, validated against the ``precision/errors.py`` bound.
@@ -71,7 +72,6 @@ from ..kernels.precalc import (
     _window_stats,
     fft_seed_qt_rows,
     plane_cost,
-    seed_cost,
     seed_qt_rows,
 )
 from ..precision.modes import PrecisionMode
@@ -134,81 +134,48 @@ class PrecalcPlaneCache:
 
     # ------------------------------------------------------------------
 
-    def prepare(self, plan, tile) -> PreparedPrecalc:
-        """Assemble ``tile``'s precalculation from the cached planes.
+    def prepare(self, plan, tiles) -> PreparedPrecalc:
+        """Assemble the precalculation of a stack of same-shape ``tiles``
+        from the cached planes.
 
         Returns a :class:`~repro.kernels.precalc.PreparedPrecalc` whose
-        ``result`` is bit-identical to ``PrecalcKernel.run`` on the
-        tile's device slices (for the default ``"exact"`` strategy),
-        whose ``cost`` charges the tile's seed work plus — for the
-        designated carrier — the one-off plane pass, and whose
-        ``saved_flops`` records the plane work this tile did not redo.
+        ``result`` is bit-identical to stacking ``PrecalcKernel.run`` on
+        each tile's device slices (for the default ``"exact"``
+        strategy), gathered in one pass per plane and seed direction
+        (:meth:`~repro.kernels.precalc.PrecalcResult.gathered`); whose
+        ``costs`` charge each tile its seed work plus — for the
+        designated carrier — the one-off plane pass, claimed in tile
+        order; and whose ``saved_flops`` record the plane work each tile
+        did not redo.
         """
         spec = plan.spec
-        policy = spec.policy
-        m = spec.m
         mode = PrecisionMode.parse(spec.config.mode)
         with self._lock:
             planes = self._planes.get(mode)
             if planes is None:
                 planes = self._build_planes(plan)
                 self._planes[mode] = planes
-            if (
-                tile.row_start not in planes.row_seeds
-                or tile.col_start not in planes.col_seeds
-            ):
-                # An OOM-split child starting mid-band.
-                self._ensure_seeds(planes, plan, {tile.row_start}, {tile.col_start})
-
-            claimed = False
+            rows = {t.row_start for t in tiles}
+            cols = {t.col_start for t in tiles}
+            if not (rows <= planes.row_seeds.keys() and cols <= planes.col_seeds.keys()):
+                # OOM-split children starting mid-band.
+                self._ensure_seeds(planes, plan, rows, cols)
+            charges = [None] * len(tiles)
             if planes.charge is not None:
-                if mode == self._base_mode:
-                    claimed = tile.tile_id == planes.carrier
-                elif not planes.charge_claimed:
-                    planes.charge_claimed = True
-                    claimed = True
-
-            r0, r1 = tile.row_start, tile.row_stop
-            c0, c1 = tile.col_start, tile.col_stop
-            # df/dg need the tile-boundary fixup (each tile's streaming
-            # recurrence starts fresh at its own row/col 0), so those
-            # slices are copies; mu/inv are served zero-copy.
-            df_r = planes.r["df"][:, r0:r1].copy()
-            dg_r = planes.r["dg"][:, r0:r1].copy()
-            df_r[:, 0] = 0
-            dg_r[:, 0] = 0
-            df_q = planes.q["df"][:, c0:c1].copy()
-            dg_q = planes.q["dg"][:, c0:c1].copy()
-            df_q[:, 0] = 0
-            dg_q[:, 0] = 0
-            result = PrecalcResult(
-                m=m,
-                mu_r=planes.r["mu"][:, r0:r1],
-                inv_r=planes.r["inv"][:, r0:r1],
-                df_r=df_r,
-                dg_r=dg_r,
-                mu_q=planes.q["mu"][:, c0:c1],
-                inv_q=planes.q["inv"][:, c0:c1],
-                df_q=df_q,
-                dg_q=dg_q,
-                qt_row0=planes.row_seeds[r0][:, c0:c1],
-                qt_col0=planes.col_seeds[c0][:, r0:r1],
+                for k, tile in enumerate(tiles):
+                    if mode == self._base_mode:
+                        claimed = tile.tile_id == planes.carrier
+                    else:
+                        claimed = not planes.charge_claimed
+                        planes.charge_claimed = True
+                    if claimed:
+                        charges[k] = planes.charge
+            result = PrecalcResult.gathered(
+                spec.m, planes.r, planes.q, tiles,
+                [(planes.row_seeds[t.row_start], t.col_start) for t in tiles],
+                [(planes.col_seeds[t.col_start], t.row_start) for t in tiles],
             )
-            cost = seed_cost(
-                tile.n_rows,
-                tile.n_cols,
-                spec.d,
-                m,
-                tile.n_rows + m - 1,
-                tile.n_cols + m - 1,
-                policy,
-                spec.config.launch,
-            )
-            saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, policy).flops
-            if claimed:
-                cost = cost + planes.charge
-                saved -= planes.charge.flops
-            return PreparedPrecalc(result=result, cost=cost, saved_flops=saved)
+        return PreparedPrecalc.for_stack(result, spec, tiles[0], charges)
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..gpu.kernel import Kernel, KernelCost, LaunchConfig, grid_stride_chunks
+from ..gpu.kernel import Kernel, KernelCost, LaunchConfig
 from ..precision.modes import PrecisionPolicy
 
 __all__ = [
@@ -95,6 +95,71 @@ class PrecalcResult:
         return cls(
             m=results[0].m,
             **{f.name: stack(f.name) for f in fields(cls) if f.name != "m"},
+        )
+
+    @classmethod
+    def gathered(cls, m: int, r: dict, q: dict, tiles, row_seeds, col_seeds) -> "PrecalcResult":
+        """Same-shape tiles' results gathered from full-series planes,
+        in the :meth:`stacked` layout.
+
+        ``r``/``q`` map ``mu``/``inv``/``df``/``dg`` to a role's
+        ``(d, N)`` storage planes; tile ``t`` reads columns ``row_start:
+        row_stop`` of ``r`` and ``col_start:col_stop`` of ``q``.
+        ``row_seeds[t]`` is ``(band, start)``: the tile's ``qt_row0`` is
+        ``band[:, start:start + n_cols]``, and ``col_seeds`` likewise
+        for ``qt_col0``.  Each plane is one gather, and so is each seed
+        direction, over its distinct bands laid side by side.
+        ``df``/``dg`` get the tile-local ``df[0] = dg[0] = 0`` of a fresh
+        tile: column 0 of every stacked row is some tile's first column.
+        The values are those of ``stacked`` over slices of the same
+        planes, bit for bit: the gather only copies.
+        """
+        n_rows, n_cols = tiles[0].n_rows, tiles[0].n_cols
+        row_idx = np.array([t.row_start for t in tiles])[:, None] + np.arange(n_rows)
+        col_idx = np.array([t.col_start for t in tiles])[:, None] + np.arange(n_cols)
+
+        def gather(plane, idx):
+            out = plane.take(idx, axis=1)  # (d, T, len)
+            return out.reshape(-1, idx.shape[1])
+
+        def seeds(bands, n):
+            # The distinct bands side by side, so one gather serves all.
+            offsets: dict = {}
+            arrays, starts, width = [], [], 0
+            for band, start in bands:
+                offset = offsets.get(id(band))
+                if offset is None:
+                    offset = offsets[id(band)] = width
+                    arrays.append(band)
+                    width += band.shape[1]
+                starts.append(offset + start)
+            flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+            return gather(flat, np.array(starts)[:, None] + np.arange(n))
+
+        planes = {}
+        for side, role, idx in (("r", r, row_idx), ("q", q, col_idx)):
+            for name in ("mu", "inv", "df", "dg"):
+                planes[f"{name}_{side}"] = gather(role[name], idx)
+            planes[f"df_{side}"][:, 0] = 0
+            planes[f"dg_{side}"][:, 0] = 0
+        return cls(
+            m=m, **planes,
+            qt_row0=seeds(row_seeds, n_cols),
+            qt_col0=seeds(col_seeds, n_rows),
+        )
+
+    def select(self, tiles: int, keep) -> "PrecalcResult":
+        """The :meth:`stacked` result of tiles ``keep`` (positions, in
+        order) of this stack of ``tiles`` tiles."""
+        keep = list(keep)
+
+        def pick(plane):
+            d = plane.shape[0] // tiles
+            return plane.reshape(d, tiles, -1)[:, keep].reshape(d * len(keep), -1)
+
+        return PrecalcResult(
+            m=self.m,
+            **{f.name: pick(getattr(self, f.name)) for f in fields(self) if f.name != "m"},
         )
 
     def transposed(self) -> "PrecalcResult":
@@ -361,7 +426,7 @@ def seed_cost(
     flops = 2.0 * m * pre
     if policy.compensated:
         flops *= 4.0
-    rounds = len(list(grid_stride_chunks(int(pre), launch)))
+    rounds = -(-int(pre) // launch.total_threads)  # grid-stride rounds
     return KernelCost(
         name="PrecalcKernel",
         bytes_dram=float((len_r + len_q) * d) * psize + pre * psize,
@@ -397,21 +462,52 @@ def plane_cost(n_r_seg: int, n_q_seg: int, d: int, policy: PrecisionPolicy) -> K
 
 @dataclass
 class PreparedPrecalc:
-    """A tile's precalculation assembled by the plan-level plane cache.
+    """A stack of same-shape tiles' precalculation, assembled by a
+    plan-level plane cache.
 
-    ``result`` is bit-identical to what :meth:`PrecalcKernel.run` would
-    produce for the tile; ``cost`` is what the tile should be charged
-    (its seed-dot work, plus the one-off plane pass if this tile is the
-    designated charge carrier); ``saved_flops`` is the plane work this
-    tile did *not* redo.  For the charge carrier the full-series plane
-    charge is subtracted from its tile-local figure, which can make its
-    contribution negative — the sum over a whole plan is always >= 0
-    (and exactly 0 for a single-tile plan).
+    ``result`` is the :meth:`PrecalcResult.stacked` result of the tiles,
+    bit-identical to stacking what :meth:`PrecalcKernel.run` would
+    produce for each; ``costs[t]`` is what tile ``t`` should be charged
+    (its seed-dot work, plus the one-off plane pass if it is the
+    designated charge carrier); ``saved_flops[t]`` is the plane work
+    tile ``t`` did *not* redo.  For the charge carrier the full-series
+    plane charge is subtracted from its tile-local figure, which can
+    make its contribution negative — the sum over a whole plan is always
+    >= 0 (and exactly 0 for a single-tile plan).
     """
 
     result: PrecalcResult
-    cost: KernelCost
-    saved_flops: float = 0.0
+    costs: tuple
+    saved_flops: tuple
+
+    @classmethod
+    def for_stack(cls, result: PrecalcResult, spec, tile, charges) -> "PreparedPrecalc":
+        """A stack of ``tile``-shaped tiles of job ``spec``: each tile is
+        charged its seed work plus ``charges[t]``, the plane charge it
+        claimed (``None`` when it claimed none), and saves the plane
+        work of its own segments less that charge."""
+        m = spec.m
+        cost = seed_cost(
+            tile.n_rows, tile.n_cols, spec.d, m, tile.n_rows + m - 1,
+            tile.n_cols + m - 1, spec.policy, spec.config.launch,
+        )
+        saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, spec.policy).flops
+        return cls(
+            result=result,
+            costs=tuple(cost if c is None else cost + c for c in charges),
+            saved_flops=tuple(saved if c is None else saved - c.flops for c in charges),
+        )
+
+    def select(self, keep) -> "PreparedPrecalc":
+        """The tiles at positions ``keep`` (in order) of the stack."""
+        keep = list(keep)
+        if len(keep) == len(self.costs):
+            return self
+        return PreparedPrecalc(
+            result=self.result.select(len(self.costs), keep),
+            costs=tuple(self.costs[k] for k in keep),
+            saved_flops=tuple(self.saved_flops[k] for k in keep),
+        )
 
 
 @dataclass

@@ -150,7 +150,7 @@ class TileScheduler:
         accumulator = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
         report = execute_plan(
             plan,
-            NumericBackend(lock=self._lock, label=label),
+            NumericBackend(lock=self._lock),
             self.sim,
             accumulator=accumulator,
             placement=self._placement,

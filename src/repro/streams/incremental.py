@@ -67,7 +67,6 @@ from ..kernels.precalc import (
     _delta_coefficients,
     _window_stats,
     plane_cost,
-    seed_cost,
     seed_qt_rows,
 )
 from ..precision.modes import PrecisionMode
@@ -140,7 +139,7 @@ class StreamPlaneCache:
     """Incrementally extending window-statistics planes for a stream.
 
     Duck-types the :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`
-    ``prepare(plan, tile)`` contract the
+    ``prepare(plan, tiles)`` contract the
     :class:`~repro.engine.backends.NumericBackend` consumes, but instead
     of building full-series planes once, it *appends* to them as the
     plan's layouts grow between calls: new windows' ``mu``/``inv`` come
@@ -155,7 +154,8 @@ class StreamPlaneCache:
     :func:`~repro.kernels.precalc.seed_qt_rows` call per direction — one
     in all for a self-join, where tile B's row seed is tile A's column
     seed and tile B's column seed a prefix of tile A's row seed — and
-    each tile slices it (bit-identical: accumulation is per column).
+    each stack gathers its tiles' slices of it (bit-identical:
+    accumulation is per column).
 
     Planes are keyed per precision mode and derived from the *plan's*
     layouts, so health escalation and admission shedding (which dispatch
@@ -166,8 +166,8 @@ class StreamPlaneCache:
 
     Cost accounting mirrors the batch cache: tiles are charged their
     seed-dot work; plane work accrues per extension and is claimed by the
-    next prepared tile of that mode, so aggregates stay honest without a
-    plan-global carrier.
+    first tile of the next prepared stack of that mode, so aggregates
+    stay honest without a plan-global carrier.
     """
 
     def __init__(self):
@@ -242,17 +242,18 @@ class StreamPlaneCache:
             )
         return entry
 
-    def _ensure_seeds(self, planes: _StreamModePlanes, plan, tile) -> tuple[dict, dict]:
+    def _ensure_seeds(self, planes: _StreamModePlanes, plan, tiles) -> tuple[dict, dict]:
         """Seed each start of ``plan``'s tiles against the union of their
-        spans: one call per direction on the plan's first tile, then one
-        per start the plan never listed (an OOM-split child's)."""
+        spans: one call per direction on the plan's first stack, then one
+        per stack with starts the plan never listed (OOM-split
+        children's)."""
         seeds = self._seeds.get(id(plan))
         if seeds is None:
             row_seeds = {}
             seeds = (row_seeds, row_seeds if planes.q is planes.r else {})
             self._seeds[id(plan)] = seeds
             weakref.finalize(plan, self._seeds.pop, id(plan), None)
-        tiles = (*plan.tiles, tile)
+        tiles = (*plan.tiles, *tiles)
         rows = [(t.row_start, t.col_start, t.col_stop) for t in tiles]
         cols = [(t.col_start, t.row_start, t.row_stop) for t in tiles]
         r, q = planes.r, planes.q
@@ -275,56 +276,25 @@ class StreamPlaneCache:
             cache.update((start, (lo, band)) for start, band in zip(starts, bands))
         return seeds
 
-    def prepare(self, plan, tile) -> PreparedPrecalc:
-        """Assemble ``tile``'s precalculation from the growing planes."""
-        spec = plan.spec
-        policy = spec.policy
-        m = spec.m
+    def prepare(self, plan, tiles) -> PreparedPrecalc:
+        """Assemble a stack of same-shape ``tiles``' precalculation from
+        the growing planes: one gather per plane and seed direction, the
+        pending plane charge claimed by the first tile."""
         with self._lock:
             planes = self._sync(plan)
-            row_seeds, col_seeds = self._ensure_seeds(planes, plan, tile)
-            r, q = planes.r, planes.q
-            r0, r1 = tile.row_start, tile.row_stop
-            c0, c1 = tile.col_start, tile.col_stop
-            row_lo, row_seed = row_seeds[r0]
-            col_lo, col_seed = col_seeds[c0]
-            df_r = r["df"].view[:, r0:r1].copy()
-            dg_r = r["dg"].view[:, r0:r1].copy()
-            df_r[:, 0] = 0
-            dg_r[:, 0] = 0
-            df_q = q["df"].view[:, c0:c1].copy()
-            dg_q = q["dg"].view[:, c0:c1].copy()
-            df_q[:, 0] = 0
-            dg_q[:, 0] = 0
-            result = PrecalcResult(
-                m=m,
-                mu_r=r["mu"].view[:, r0:r1],
-                inv_r=r["inv"].view[:, r0:r1],
-                df_r=df_r,
-                dg_r=dg_r,
-                mu_q=q["mu"].view[:, c0:c1],
-                inv_q=q["inv"].view[:, c0:c1],
-                df_q=df_q,
-                dg_q=dg_q,
-                qt_row0=row_seed[:, c0 - row_lo : c1 - row_lo],
-                qt_col0=col_seed[:, r0 - col_lo : r1 - col_lo],
+            row_seeds, col_seeds = self._ensure_seeds(planes, plan, tiles)
+            views = [{name: role[name].view for name in ("mu", "inv", "df", "dg")}
+                     for role in (planes.r, planes.q)]
+            row_bands = [row_seeds[t.row_start] for t in tiles]
+            col_bands = [col_seeds[t.col_start] for t in tiles]
+            result = PrecalcResult.gathered(
+                plan.spec.m, *views, tiles,
+                [(band, t.col_start - lo) for (lo, band), t in zip(row_bands, tiles)],
+                [(band, t.row_start - lo) for (lo, band), t in zip(col_bands, tiles)],
             )
-            cost = seed_cost(
-                tile.n_rows,
-                tile.n_cols,
-                spec.d,
-                m,
-                tile.n_rows + m - 1,
-                tile.n_cols + m - 1,
-                policy,
-                spec.config.launch,
-            )
-            saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, policy).flops
-            if planes.pending_charge is not None:
-                cost = cost + planes.pending_charge
-                saved -= planes.pending_charge.flops
-                planes.pending_charge = None
-            return PreparedPrecalc(result=result, cost=cost, saved_flops=saved)
+            charge, planes.pending_charge = planes.pending_charge, None
+        charges = [charge] + [None] * (len(tiles) - 1)
+        return PreparedPrecalc.for_stack(result, plan.spec, tiles[0], charges)
 
 
 @dataclass
@@ -407,7 +377,7 @@ class IncrementalMatrixProfile:
         self._lock = lock
         self._backend = (
             backend if backend is not None
-            else NumericBackend(lock=lock, label="stream")
+            else NumericBackend(lock=lock)
         )
         self.timeline = Timeline()
 

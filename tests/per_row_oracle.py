@@ -136,17 +136,20 @@ def per_row_tile(
     """One tile, one reference row at a time; drop-in for ``run_tile``
     (``workspace`` is accepted and ignored).  A
     ``(T, d, len)`` stack runs tile by tile and returns one output per
-    tile, like ``run_tile``'s tile axis."""
+    tile, like ``run_tile``'s tile axis; a stack's ``precalc`` is split
+    into its tiles' rows."""
     if tr_dev.ndim == 3:
+        n_tiles = tr_dev.shape[0]
         return [
             per_row_tile(
                 tr_dev[t], tq_dev[t], m, policy, launch,
                 row_offset=row_offset[t], col_offset=col_offset[t],
                 exclusion_zone=exclusion_zone, sort_strategy=sort_strategy,
-                fast_path_1d=fast_path_1d, precalc=precalc[t],
+                fast_path_1d=fast_path_1d,
+                precalc=None if precalc is None else precalc.select([t]),
                 main_loop=main_loop, mirror=mirror,
             )
-            for t in range(tr_dev.shape[0])
+            for t in range(n_tiles)
         ]
     if main_loop != "vector":
         raise ValueError("the per-row oracle covers the vector main loop only")
@@ -158,7 +161,8 @@ def per_row_tile(
         pre = precalc_kernel.run(tr_dev, tq_dev, m)
         precalc_cost = precalc_kernel.cost
     else:
-        pre, precalc_cost = precalc.result, precalc.cost
+        (precalc_cost,) = precalc.costs
+        pre = precalc.result
     dist = DistCalcKernel(config=launch, policy=policy)
     dist.bind(pre)
     if sort_strategy == "batch":

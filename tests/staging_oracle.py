@@ -20,17 +20,13 @@ from repro.engine.backends import NumericBackend, workspace_bytes
 
 
 def upload_stage(backend: NumericBackend, plan, tile, gpu, main_loop: str):
-    """Stage ``tile`` the per-allocation way; returns ``(prepared, shared)``
-    like :meth:`NumericBackend._stage`."""
+    """Stage ``tile`` the per-allocation way; returns ``shared`` like
+    :meth:`NumericBackend._stage`."""
     spec = plan.spec
     m = spec.m
     r0, r1 = tile.sample_range_rows(m)
     c0, c1 = tile.sample_range_cols(m)
     shared = plan.tq_layout is plan.tr_layout and (r0, r1) == (c0, c1)
-    prepared = None
-    cache = getattr(plan, "precalc_cache", None)
-    if cache is not None:
-        prepared = cache.prepare(plan, tile)
 
     def release(alloc) -> None:
         with backend._lock:
@@ -40,13 +36,13 @@ def upload_stage(backend: NumericBackend, plan, tile, gpu, main_loop: str):
         with backend._lock:
             tr_alloc = gpu.memory.upload(
                 np.ascontiguousarray(plan.tr_layout[:, r0:r1]),
-                label=f"{backend._label}Tr{tile.tile_id}",
+                label=f"Tr{tile.tile_id}",
             )
             stack.callback(release, tr_alloc)
             if not shared:
                 tq_alloc = gpu.memory.upload(
                     np.ascontiguousarray(plan.tq_layout[:, c0:c1]),
-                    label=f"{backend._label}Tq{tile.tile_id}",
+                    label=f"Tq{tile.tile_id}",
                 )
                 stack.callback(release, tq_alloc)
         with backend._lock:
@@ -59,10 +55,10 @@ def upload_stage(backend: NumericBackend, plan, tile, gpu, main_loop: str):
                     main_loop=main_loop,
                     mirror=getattr(tile, "mirror", False),
                 ),
-                label=f"{backend._label}ws{tile.tile_id}",
+                label=f"ws{tile.tile_id}",
             )
             stack.callback(release, workspace)
-    return prepared, shared
+    return shared
 
 
 @contextmanager

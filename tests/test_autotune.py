@@ -258,8 +258,9 @@ class TestRowBlockFor:
     def test_service_mixed_shapes_get_128(self, monkeypatch, n_samples, m, n_tiles,
                                           mode):
         # row_block_for gave every service_mixed job 128-row blocks.  The
-        # budget gives single tiles 122-129 rows and runs each tile of a
-        # 4-tile job in one super-step, in every mode.
+        # budget gives single tiles 122-129 rows, and a 4-tile job's
+        # stack at most the block one of its tiles takes alone — the
+        # whole tile in one super-step — spread over its tiles.
         steps = []
         original = backends.super_step_rows
 
@@ -272,13 +273,14 @@ class TestRowBlockFor:
             JobRequest(reference=_series(n_samples, 3), m=m, mode=mode,
                        n_tiles=n_tiles))
         assert steps
-        for tile_rows, width, planes, rows in steps:
+        for tile_rows, width, planes, tiles, rows in steps:
             assert planes == 3
-            assert rows * planes * width <= backends.SUPER_STEP_ELEMENTS
+            assert rows * planes * tiles * width <= backends.SUPER_STEP_ELEMENTS
             if n_tiles == 1:
-                assert abs(rows - 128) <= 128 // 16
+                assert tiles == 1 and abs(rows - 128) <= 128 // 16
             else:
-                assert rows == tile_rows > 128
+                assert tile_rows > 128
+                assert rows == max(1, tile_rows // tiles)
 
     def test_spill_budget(self):
         # 4 planes x 8 rows x 4096 cols = 2**17 elements: a wide tile's

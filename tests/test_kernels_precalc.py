@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gpu.kernel import LaunchConfig
+from repro.gpu.kernel import LaunchConfig, grid_stride_chunks
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel, naive_qt_row
+from repro.kernels.precalc import PrecalcKernel, naive_qt_row, seed_cost
 from repro.precision.modes import policy_for
 
 CFG = LaunchConfig(grid=4, block=64)
@@ -160,6 +160,15 @@ class TestPrecalcCost:
         k_cp = PrecalcKernel(config=CFG, policy=policy_for("FP16C"))
         k_cp.run(tr16, tq16, 8)
         assert k_cp.cost.flops == pytest.approx(4 * k_mx.cost.flops)
+
+    @pytest.mark.parametrize("launch", [LaunchConfig(grid=2, block=4), CFG])
+    def test_seed_rounds_are_grid_stride_chunks(self, launch):
+        """``seed_cost`` counts rounds by ceiling division; a grid-stride
+        walk over the same items takes as many chunks."""
+        step = launch.total_threads
+        for n_items in (0, 1, step - 1, step, step + 1):
+            cost = seed_cost(n_items, 0, 1, 8, n_items + 7, 7, policy_for("FP32"), launch)
+            assert cost.loop_rounds == len(list(grid_stride_chunks(n_items, launch)))
 
 
 class TestNaiveQtRow:

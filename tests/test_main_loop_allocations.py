@@ -6,7 +6,9 @@ mask and the row-axis argmin keys — is leased from the worker's
 :class:`~repro.engine.backends.WorkspacePool`.  After one warm-up tile,
 a second :func:`~repro.engine.backends.run_tile` of the same shape on
 the same pool must therefore make no numpy allocation of a super-step
-block's size.  ``tracemalloc`` sees numpy's data buffers, so the peak
+block's size — for one tile and for a stack of 50, whose short blocks
+(:func:`~repro.engine.backends.super_step_rows`) lease the same
+buffers every step.  ``tracemalloc`` sees numpy's data buffers, so the peak
 traced memory above the level at the start of the call bounds the
 largest allocation the call made.  The tests raise the super-step
 budget to 2^19 elements so that a block clearly outweighs what a tile
@@ -23,6 +25,7 @@ from repro.core.config import RunConfig
 from repro.engine import backends
 from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
 from repro.kernels.layout import to_device_layout
+from repro.kernels.precalc import PrecalcKernel, PrecalcResult, PreparedPrecalc
 
 D, M = 2, 16
 BUDGET = 1 << 19
@@ -36,6 +39,13 @@ SHAPES = {
     "stack": (400, 600, 3, False),
     "mirror": (600, 600, 1, True),
 }
+#: A stack of 50 tiles, like a many-tile job's: its block is the
+#: ``WIDE_STACK_BUDGET // 8`` floor, below the stack's whole plane.  Its
+#: precalc comes prepared, as the plane cache hands it to the backend;
+#: the tiles are wide enough that the stack's remaining O(T * d * n)
+#: vectors (~40 bytes per plane column) weigh well under a block.
+WIDE_STACK = (150, 160, 50, False)
+WIDE_STACK_BUDGET = 1 << 24
 
 
 def _series(n, seed=0):
@@ -47,15 +57,15 @@ def _series(n, seed=0):
 
 def _tile_args(shape, policy):
     n_r, n_q, tiles, mirror = shape
-    layout = to_device_layout(_series(2 * (n_r + n_q) + M), policy.storage)
+    n = max(2 * (n_r + n_q), 50 * tiles + n_r + n_q) + M
+    layout = to_device_layout(_series(n), policy.storage)
     rows = [layout[:, 37 * t : 37 * t + n_r + M - 1] for t in range(tiles)]
     cols = [layout[:, 50 * t : 50 * t + n_q + M - 1] for t in range(tiles)]
     kwargs = dict(exclusion_zone=M // 4, mirror=mirror)
     if tiles == 1:
         return rows[0], cols[0], kwargs
     kwargs.update(row_offset=[37 * t for t in range(tiles)],
-                  col_offset=[50 * t for t in range(tiles)],
-                  precalc=[None] * tiles)
+                  col_offset=[50 * t for t in range(tiles)])
     return np.stack(rows), np.stack(cols), kwargs
 
 
@@ -63,19 +73,44 @@ def _block_bytes(shape, policy):
     """Bytes of one super-step's ``(d * T, B, width)`` block."""
     n_r, n_q, tiles, mirror = shape
     steps, width = (n_q, n_r) if (n_q < n_r and not mirror) else (n_r, n_q)
-    planes = D * tiles
-    block = super_step_rows(steps, width, planes)
+    block = super_step_rows(steps, width, D, tiles)
     assert block < steps, "the shape should take several super-steps"
-    return planes * block * width * policy.compute.itemsize
+    return D * tiles * block * width * policy.compute.itemsize
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
 def test_warm_run_tile_allocates_no_block(mode, shape, monkeypatch):
     monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", BUDGET)
+    _assert_warm_tile_allocates_no_block(mode, SHAPES[shape])
+
+
+@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
+def test_warm_wide_stack_allocates_no_block(mode, monkeypatch):
+    monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", WIDE_STACK_BUDGET)
+    n_r, n_q, tiles, _ = WIDE_STACK
+    block = super_step_rows(n_r, n_q, D, tiles)
+    assert D * tiles * block * n_q <= WIDE_STACK_BUDGET // 8 < D * tiles * n_r * n_q
+    _assert_warm_tile_allocates_no_block(mode, WIDE_STACK, prepared=True)
+
+
+def _prepared(tr, tq, policy, launch):
+    """The stack's precalc as a plane cache hands it over."""
+    results, costs = [], []
+    for t in range(tr.shape[0]):
+        kernel = PrecalcKernel(config=launch, policy=policy)
+        results.append(kernel.run(tr[t], tq[t], M))
+        costs.append(kernel.cost)
+    return PreparedPrecalc(PrecalcResult.stacked(results), tuple(costs),
+                           (0.0,) * len(costs))
+
+
+def _assert_warm_tile_allocates_no_block(mode, shape, prepared=False):
     cfg = RunConfig(mode=mode)
     policy = cfg.policy
-    tr, tq, kwargs = _tile_args(SHAPES[shape], policy)
+    tr, tq, kwargs = _tile_args(shape, policy)
+    if prepared:
+        kwargs["precalc"] = _prepared(tr, tq, policy, cfg.launch)
     pool = WorkspacePool()
     want = run_tile(tr, tq, M, policy, cfg.launch, workspace=pool, **kwargs)
     tracemalloc.start()
@@ -85,7 +120,7 @@ def test_warm_run_tile_allocates_no_block(mode, shape, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    block = _block_bytes(SHAPES[shape], policy)
+    block = _block_bytes(shape, policy)
     assert peak < block, f"{peak} B allocated at peak, a block is {block} B"
     # Reused scratch changes nothing: the warm tile equals the cold one.
     if not isinstance(want, list):

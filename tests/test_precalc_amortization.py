@@ -87,7 +87,7 @@ class TestPlaneBitIdentity:
         assert cache is not None
         assert cache.modes_built == ()  # lazy until the first prepare
         for tile in plan.tiles:
-            prepared = cache.prepare(plan, tile)
+            prepared = cache.prepare(plan, [tile])
             expected, _ = _reference_precalc(plan, tile)
             _assert_results_identical(
                 prepared.result, expected,
@@ -104,7 +104,7 @@ class TestPlaneBitIdentity:
         next_id = max(t.tile_id for t in plan.tiles) + 1
         child = Tile(next_id, mid, parent.row_stop,
                      parent.col_start, parent.col_stop)
-        prepared = plan.precalc_cache.prepare(plan, child)
+        prepared = plan.precalc_cache.prepare(plan, [child])
         expected, _ = _reference_precalc(plan, child)
         _assert_results_identical(prepared.result, expected, "split child")
         # A split child can never be the plan's min tile_id, so it never
@@ -114,7 +114,7 @@ class TestPlaneBitIdentity:
             child.n_rows + spec.m - 1, child.n_cols + spec.m - 1,
             spec.policy, spec.config.launch,
         )
-        assert prepared.cost.flops == seed_only.flops
+        assert prepared.costs[0].flops == seed_only.flops
 
 
 class TestFullProfileEquality:
@@ -151,10 +151,10 @@ class TestCostAccounting:
         and saves nothing."""
         spec, plan = _spec_plan(rng, "FP32", True, 1)
         (tile,) = plan.tiles
-        prepared = plan.precalc_cache.prepare(plan, tile)
+        prepared = plan.precalc_cache.prepare(plan, [tile])
         _, expected_cost = _reference_precalc(plan, tile)
-        assert vars(prepared.cost) == vars(expected_cost)
-        assert prepared.saved_flops == 0.0
+        assert vars(prepared.costs[0]) == vars(expected_cost)
+        assert prepared.saved_flops[0] == 0.0
 
     def test_single_tile_result_saved_flops_zero(self, rng):
         from repro.core.single_tile import compute_single_tile
@@ -171,7 +171,7 @@ class TestCostAccounting:
         min_id = min(t.tile_id for t in plan.tiles)
         total_saved = 0.0
         for tile in plan.tiles:
-            prepared = plan.precalc_cache.prepare(plan, tile)
+            prepared = plan.precalc_cache.prepare(plan, [tile])
             seed = seed_cost(
                 tile.n_rows, tile.n_cols, spec.d, spec.m,
                 tile.n_rows + spec.m - 1, tile.n_cols + spec.m - 1,
@@ -181,16 +181,16 @@ class TestCostAccounting:
             if tile.tile_id == min_id:
                 # The deterministic carrier: charged the full plane pass,
                 # idempotently on every (re-)execution.
-                assert prepared.cost.flops == seed.flops + full_plane.flops
-                assert prepared.saved_flops == (
+                assert prepared.costs[0].flops == seed.flops + full_plane.flops
+                assert prepared.saved_flops[0] == (
                     tile_plane.flops - full_plane.flops
                 )
-                again = plan.precalc_cache.prepare(plan, tile)
-                assert vars(again.cost) == vars(prepared.cost)
+                again = plan.precalc_cache.prepare(plan, [tile])
+                assert vars(again.costs[0]) == vars(prepared.costs[0])
             else:
-                assert prepared.cost.flops == seed.flops
-                assert prepared.saved_flops == tile_plane.flops
-            total_saved += prepared.saved_flops
+                assert prepared.costs[0].flops == seed.flops
+                assert prepared.saved_flops[0] == tile_plane.flops
+            total_saved += prepared.saved_flops[0]
         assert total_saved > 0.0
 
     def test_multi_tile_result_reports_total_savings(self, rng):
@@ -212,12 +212,12 @@ class TestEscalation:
     def test_escalated_plan_shares_cache_and_builds_on_demand(self, rng):
         spec, plan = _spec_plan(rng, "FP16", False, 4)
         cache = plan.precalc_cache
-        cache.prepare(plan, plan.tiles[0])
+        cache.prepare(plan, [plan.tiles[0]])
         assert cache.modes_built == (PrecisionMode.FP16,)
 
         esc = plan.escalated("FP32")
         assert esc.precalc_cache is cache
-        prepared = cache.prepare(esc, esc.tiles[1])
+        prepared = cache.prepare(esc, [esc.tiles[1]])
         assert set(cache.modes_built) == {PrecisionMode.FP16, PrecisionMode.FP32}
         expected, _ = _reference_precalc(esc, esc.tiles[1])
         _assert_results_identical(prepared.result, expected, "escalated tile")
@@ -237,11 +237,11 @@ class TestEscalation:
         # Escalated modes have no planned carrier: the first tile to
         # build the planes claims the charge, later tiles never do —
         # including tile 0, which would have been the base-mode carrier.
-        first = plan.precalc_cache.prepare(esc, esc.tiles[2])
-        assert first.cost.flops > seed_flops(esc.tiles[2])
+        first = plan.precalc_cache.prepare(esc, [esc.tiles[2]])
+        assert first.costs[0].flops > seed_flops(esc.tiles[2])
         for tile in (esc.tiles[0], esc.tiles[2]):
-            later = plan.precalc_cache.prepare(esc, tile)
-            assert later.cost.flops == seed_flops(tile)
+            later = plan.precalc_cache.prepare(esc, [tile])
+            assert later.costs[0].flops == seed_flops(tile)
 
 
 class TestFFTStrategy:
@@ -309,13 +309,13 @@ class TestStatsStore:
 
         spec1 = JobSpec.from_arrays(ref, None, 12, cfg)
         plan1 = spec1.plan(precalc_store=store)
-        first = [plan1.precalc_cache.prepare(plan1, t) for t in plan1.tiles]
+        first = [plan1.precalc_cache.prepare(plan1, [t]) for t in plan1.tiles]
         assert store.misses == 1 and store.hits == 0  # one role (self-join)
         assert len(store) == 1
 
         spec2 = JobSpec.from_arrays(ref, None, 12, cfg)
         plan2 = spec2.plan(precalc_store=store)
-        second = [plan2.precalc_cache.prepare(plan2, t) for t in plan2.tiles]
+        second = [plan2.precalc_cache.prepare(plan2, [t]) for t in plan2.tiles]
         assert store.hits == 1
 
         policy = spec2.policy
@@ -328,8 +328,8 @@ class TestStatsStore:
                 tile.n_rows + spec2.m - 1, tile.n_cols + spec2.m - 1,
                 policy, spec2.config.launch,
             )
-            assert prep2.cost.flops == seed.flops
-            assert prep2.saved_flops == plane_cost(
+            assert prep2.costs[0].flops == seed.flops
+            assert prep2.saved_flops[0] == plane_cost(
                 tile.n_rows, tile.n_cols, spec2.d, policy
             ).flops
 
@@ -342,11 +342,11 @@ class TestStatsStore:
 
         spec1 = JobSpec.from_arrays(ref, None, 12, cfg)
         plan1 = spec1.plan(precalc_store=store)
-        plan1.precalc_cache.prepare(plan1, plan1.tiles[0])
+        plan1.precalc_cache.prepare(plan1, [plan1.tiles[0]])
 
         spec2 = JobSpec.from_arrays(ref, qry, 12, cfg)
         plan2 = spec2.plan(precalc_store=store)
-        carrier = plan2.precalc_cache.prepare(plan2, plan2.tiles[0])
+        carrier = plan2.precalc_cache.prepare(plan2, [plan2.tiles[0]])
         assert store.hits == 1  # the reference role
         policy = spec2.policy
         tile = plan2.tiles[0]
@@ -356,7 +356,7 @@ class TestStatsStore:
             policy, spec2.config.launch,
         )
         missing = plane_cost(0, spec2.n_q_seg, spec2.d, policy)
-        assert carrier.cost.flops == seed.flops + missing.flops
+        assert carrier.costs[0].flops == seed.flops + missing.flops
 
     def test_keying_separates_m_mode_and_series(self, rng):
         store = PrecalcStatsCache()
@@ -365,7 +365,7 @@ class TestStatsStore:
         for mode, m in (("FP32", 12), ("FP32", 10), ("FP64", 12)):
             spec = JobSpec.from_arrays(ref, None, m, RunConfig(mode=mode))
             plan = spec.plan(precalc_store=store)
-            plan.precalc_cache.prepare(plan, plan.tiles[0])
+            plan.precalc_cache.prepare(plan, [plan.tiles[0]])
         assert len(store) == 3 and store.hits == 0
 
     def test_lru_eviction_and_counters(self):

@@ -210,7 +210,7 @@ class TestSuperStepRows:
         monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", 14 * d * n_seg)
         blocks.clear()
         run_tile(np.stack([tr, tr]), np.stack([tr, tr]), m, cfg.policy, cfg.launch,
-                 row_offset=[0, 0], col_offset=[0, 0], precalc=[None, None],
+                 row_offset=[0, 0], col_offset=[0, 0],
                  exclusion_zone=m // 2)
         assert blocks == [7] * 5 + [5]
 

@@ -191,9 +191,10 @@ class TestSeedOracle:
         calls = []
         original = StreamPlaneCache.prepare
 
-        def spy(cache, plan, tile):
-            out = original(cache, plan, tile)
-            calls.append((plan, tile, out.result))
+        def spy(cache, plan, tiles):
+            out = original(cache, plan, tiles)
+            for k, tile in enumerate(tiles):
+                calls.append((plan, tile, out.result.select(len(tiles), [k])))
             return out
 
         monkeypatch.setattr(StreamPlaneCache, "prepare", spy)

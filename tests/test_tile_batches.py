@@ -3,7 +3,7 @@
 The dispatcher groups queued tiles by ``(n_rows, n_cols, mirror, mode)``
 and the numeric backend runs each group as one stacked main loop over a
 tile axis.  Every test here compares a stacked dispatch with the same
-plan run in batches of one tile (the cap constant patched to zero) or
+plan run in batches of one tile (``stack_limit`` patched to one) or
 with the per-row oracle, and asserts that profile, index, every kernel
 cost, the modelled time and the merge time are bit-identical — with
 retries, OOM splits, health escalations and a journaled crash hitting
@@ -67,15 +67,16 @@ def stacks(monkeypatch):
 
 @pytest.fixture
 def wide_cap(monkeypatch):
-    """A cap wide enough that each same-shape group is one batch, so the
-    batch layout the tests describe does not depend on the default."""
-    monkeypatch.setattr(backends, "TILE_BATCH_ELEMENTS", 4096)
+    """A stack cap wide enough that each same-shape group is one batch,
+    so the batch layout the tests describe does not depend on the
+    default."""
+    monkeypatch.setattr(NumericBackend, "stack_limit", lambda self, plan, tile: 64)
 
 
 @contextmanager
 def batches_of_one(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(backends, "TILE_BATCH_ELEMENTS", 0)
+        patch.setattr(NumericBackend, "stack_limit", lambda self, plan, tile: 1)
         yield
 
 
@@ -122,7 +123,10 @@ class TestBitIdentity:
         with per_row_engine():
             oracle = compute_multi_tile(x, y if ab else None, 16, config)
         # Blocks of one row, of seven rows of one 62-wide d = 3 tile
-        # (fewer per stacked tile), and of the whole tile.
+        # (fewer per stacked tile), and of the whole tile.  The stack cap
+        # derives from the budget too; the wide cap keeps the small
+        # budgets stacking.
+        monkeypatch.setattr(NumericBackend, "stack_limit", lambda self, plan, tile: 64)
         for budget in (0, 7 * 3 * 62, 1 << 40):
             monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
             stacks.clear()
@@ -172,16 +176,17 @@ class TestBitIdentity:
 class TestBatchFormation:
     def test_cap_sizes_the_stack(self):
         backend = NumericBackend()
+        cap = backends.SUPER_STEP_ELEMENTS // 32
         big = JobSpec.from_arrays(_series(n=2000, d=8), None, 32, RunConfig())
         plan = big.plan(n_tiles=4)
-        # A 985-column, d=8 tile is already wider than the cap.
-        assert 8 * plan.tiles[0].n_cols > backends.TILE_BATCH_ELEMENTS
+        # A 985-column, d=8 tile leaves no room for a second in the cap.
+        assert 2 * 8 * plan.tiles[0].n_cols > cap
         assert backend.stack_limit(plan, plan.tiles[0]) == 1
         small = JobSpec.from_arrays(_series(n=400, d=2), None, 16, RunConfig())
         plan = small.plan(n_tiles=100)
         width = plan.tiles[0].n_cols
         limit = backend.stack_limit(plan, plan.tiles[0])
-        assert limit == backends.TILE_BATCH_ELEMENTS // (2 * width) > 1
+        assert limit == cap // (2 * width) > 1
 
     def test_tensor_core_and_batch_sort_run_alone(self):
         x = _series()
