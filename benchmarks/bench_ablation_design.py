@@ -74,6 +74,7 @@ def test_ablation_sort_strategy_executed(benchmark):
     compare recorded-cost-derived busy times plus result equality."""
     from repro.core.config import RunConfig
     from repro.engine.backends import run_tile, tile_timing_from_output
+    from repro.engine.plan import JobSpec
     from repro.kernels.layout import to_device_layout
     from repro.precision import policy_for
 
@@ -83,9 +84,11 @@ def test_ablation_sort_strategy_executed(benchmark):
     dev = to_device_layout(series, policy.storage)
     cfg = RunConfig()
 
-    coop = run_tile(dev, dev, 32, policy, cfg.launch, exclusion_zone=8)
+    precalc = JobSpec.from_layouts(dev, dev, 32, cfg).whole_grid_precalc()
+    coop = run_tile(dev, dev, 32, policy, cfg.launch, exclusion_zone=8, precalc=precalc)
     batch = run_tile(
-        dev, dev, 32, policy, cfg.launch, exclusion_zone=8, sort_strategy="batch"
+        dev, dev, 32, policy, cfg.launch, exclusion_zone=8, sort_strategy="batch",
+        precalc=precalc,
     )
     t_coop = tile_timing_from_output(coop, policy, A100).kernels["sort_&_incl_scan"]
     t_batch = tile_timing_from_output(batch, policy, A100).kernels["sort_&_incl_scan"]
@@ -105,8 +108,11 @@ def test_ablation_sort_strategy_executed(benchmark):
     emit("ablation_sort_strategy_executed", table)
 
     benchmark.pedantic(
-        lambda: run_tile(dev[:, :200], dev[:, :200], 32, policy, cfg.launch,
-                         sort_strategy="batch"),
+        lambda: run_tile(
+            dev[:, :200], dev[:, :200], 32, policy, cfg.launch, sort_strategy="batch",
+            precalc=JobSpec.from_layouts(dev[:, :200], dev[:, :200], 32, cfg)
+            .whole_grid_precalc(),
+        ),
         rounds=1,
         iterations=1,
     )

@@ -44,6 +44,7 @@ def test_memory_footprint(benchmark):
         # Executed run against the tracking allocator.
         from repro.kernels.layout import to_device_layout
         from repro.engine.backends import run_tile
+        from repro.engine.plan import JobSpec
         from repro.precision import policy_for
 
         policy = policy_for(mode)
@@ -51,7 +52,9 @@ def test_memory_footprint(benchmark):
         gpu = sim.gpus[0]
         tr = gpu.memory.upload(to_device_layout(ref, policy.storage))
         tq = gpu.memory.upload(to_device_layout(qry, policy.storage))
-        run_tile(tr.array, tq.array, 64, policy, RunConfig(mode=mode).launch)
+        cfg = RunConfig(mode=mode)
+        precalc = JobSpec.from_layouts(tr.array, tq.array, 64, cfg).whole_grid_precalc()
+        run_tile(tr.array, tq.array, 64, policy, cfg.launch, precalc=precalc)
         hw = gpu.memory.report()["high_water"]
         high_water[mode] = hw
         gpu.memory.free_all()

@@ -16,9 +16,9 @@ dominates the O(tile²·d) main loop):
 
 1. **End-to-end engine** — a many-tile long-window self-join through
    :func:`~repro.core.multi_tile.compute_multi_tile` (amortised) vs the
-   same engine run over a plan whose ``precalc_cache`` is ``None`` (the
-   historical per-tile restart, kept as the test oracle).  Acceptance:
-   >= 2x at full scale.
+   same engine run over a plan whose plane cache is the test oracle's
+   per-tile fake (``tests/precalc_oracle.PerTileCache``: the historical
+   per-tile restart).  Acceptance: >= 2x at full scale.
 2. **Cross-job stats store** — the same plan prepared against a cold vs
    a warm :class:`~repro.service.PrecalcStatsCache`: a warm store skips
    the statistics pass entirely and only pays the seed batching.
@@ -47,6 +47,7 @@ from repro.reporting import format_table
 from repro.service import PrecalcStatsCache
 
 from _harness import emit
+from tests.precalc_oracle import PerTileCache
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
@@ -81,11 +82,11 @@ def _timed(fn, repeats=REPEATS):
 
 
 def _per_tile_run(series, cfg):
-    """The engine over a plan without a precalc cache: every tile runs
-    ``PrecalcKernel`` on its own slices."""
+    """The engine over a plan with the per-tile fake cache: every tile
+    runs ``PrecalcKernel`` on its own slices."""
     spec = JobSpec.from_arrays(series, None, M, cfg)
     plan = spec.plan()
-    plan.precalc_cache = None
+    plan.precalc_cache = PerTileCache()
     sim = GPUSimulator(cfg.device, cfg.n_gpus, cfg.n_streams)
     acc = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
     execute_plan(plan, NumericBackend(discount_shared_h2d=True), sim, accumulator=acc)

@@ -47,6 +47,7 @@ from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.engine import backends
 from repro.engine.backends import run_tile, super_step_rows
+from repro.engine.plan import JobSpec
 from repro.kernels.layout import to_device_layout
 from repro.reporting import format_table
 
@@ -104,7 +105,9 @@ def _time_tile(mode):
     tr = to_device_layout(ref, cfg.policy.storage)
 
     def run():
-        return run_tile(tr, tr, M, cfg.policy, cfg.launch, exclusion_zone=M // 4)
+        precalc = JobSpec.from_layouts(tr, tr, M, cfg).whole_grid_precalc()
+        return run_tile(tr, tr, M, cfg.policy, cfg.launch, exclusion_zone=M // 4,
+                        precalc=precalc)
     out, best = _timed(run)
     return out, best
 

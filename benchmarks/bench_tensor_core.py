@@ -37,11 +37,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.brute_force import znormalized_distance_matrix
+from repro.core.config import RunConfig
 from repro.engine.backends import WorkspacePool, run_tile
+from repro.engine.plan import JobSpec
 from repro.gpu.occupancy import launch_for_full_occupancy
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel
 from repro.kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
 from repro.precision.errors import tc_gemm_error_bound
 from repro.precision.modes import policy_for
@@ -88,7 +89,8 @@ def _max_corr_error(mode, tr, tq, ref_corr, tensor_core=False):
         dist = TcGemmKernel(config=LAUNCH, policy=policy)
     else:
         dist = DistCalcKernel(config=LAUNCH, policy=policy)
-    dist.bind(PrecalcKernel(config=LAUNCH, policy=policy).run(tr_dev, tq_dev, M))
+    config = RunConfig(mode=mode, launch=LAUNCH)
+    dist.bind(JobSpec.from_layouts(tr_dev, tq_dev, M, config).whole_grid_precalc().result)
     ws = None if tensor_core else np.empty(
         dist.workspace_shape(BLOCK), dtype=policy.compute
     )
@@ -102,7 +104,8 @@ def _max_corr_error(mode, tr, tq, ref_corr, tensor_core=False):
 
 
 def _time_tile(main_loop):
-    policy = policy_for("Mixed")
+    config = RunConfig(mode="Mixed", launch=LAUNCH)
+    policy = config.policy
     tr = to_device_layout(_series(SEEDS[0], N_SEG + M - 1), policy.storage)
     pool = WorkspacePool()
 
@@ -111,6 +114,7 @@ def _time_tile(main_loop):
         start = time.perf_counter()
         out = run_tile(
             tr, tr, M, policy, LAUNCH,
+            precalc=JobSpec.from_layouts(tr, tr, M, config).whole_grid_precalc(),
             exclusion_zone=EZ, workspace=pool,
             main_loop=main_loop,
         )

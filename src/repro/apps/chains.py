@@ -20,9 +20,9 @@ import numpy as np
 
 from ..core.config import RunConfig, default_exclusion_zone
 from ..engine.backends import super_step_rows
+from ..engine.plan import JobSpec
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.layout import to_device_layout, validate_series
-from ..kernels.precalc import PrecalcKernel
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.update import INDEX_DTYPE, UpdateKernel
 from ..kernels.workspace import WorkspacePool
@@ -73,15 +73,13 @@ def left_right_profile(
         raise ValueError(f"k must be in [1, {d}], got {k}")
     n_seg = dev.shape[1] - m + 1
 
-    precalc = PrecalcKernel(config=config.launch, policy=policy)
     pool = WorkspacePool()
     dist = DistCalcKernel(config=config.launch, policy=policy, pool=pool)
     sort_scan = SortScanKernel(config=config.launch, policy=policy, pool=pool)
     left = UpdateKernel(config=config.launch, policy=policy, pool=pool)
     right = UpdateKernel(config=config.launch, policy=policy, pool=pool)
 
-    pre = precalc.run(dev, dev, m)
-    dist.bind(pre)
+    dist.bind(JobSpec.from_layouts(dev, dev, m, config).whole_grid_precalc().result)
     left.allocate(d, n_seg)
     right.allocate(d, n_seg)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.plan import JobSpec
-from ..kernels.precalc import PrecalcKernel
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.update import UpdateKernel
 from ..precision.modes import DTYPE_MAX
@@ -68,7 +67,7 @@ def anytime_matrix_profile(
     spec = JobSpec.from_arrays(reference, query, m, config)
     zone = spec.exclusion_zone
     tr, tq = spec.layouts()
-    pre = PrecalcKernel(config=config.launch, policy=policy).run(tr, tq, m)
+    pre = spec.whole_grid_precalc().result
     d, n_r_seg, n_q_seg = pre.d, pre.n_r_seg, pre.n_q_seg
 
     # Centred query windows for per-row naive evaluation: (d, n_q_seg, m).

@@ -23,7 +23,6 @@ import numpy as np
 
 from ..engine.plan import JobSpec
 from ..gpu.kernel import LaunchConfig
-from ..kernels.precalc import PrecalcKernel
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.update import INDEX_DTYPE
 from ..precision.arithmetic import rp_fma
@@ -79,9 +78,8 @@ def diagonal_matrix_profile(
     # ValueErrors as every other entry point (previously a bespoke message).
     spec = JobSpec.from_arrays(reference, query, m, config)
     zone = spec.exclusion_zone
-    tr, tq = spec.layouts()
     launch: LaunchConfig = config.launch
-    pre = PrecalcKernel(config=launch, policy=policy).run(tr, tq, m)
+    pre = spec.whole_grid_precalc().result
     d, n_r_seg, n_q_seg = pre.d, pre.n_r_seg, pre.n_q_seg
 
     df_r = pre.df_r.astype(dtype, copy=False)

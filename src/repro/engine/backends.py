@@ -78,7 +78,7 @@ from ..gpu.memory import DeviceOutOfMemoryError
 from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
 from ..gpu.simulator import SimulatedGPU
 from ..kernels.dist_calc import DistCalcKernel
-from ..kernels.precalc import PrecalcKernel, PrecalcResult
+from ..kernels.precalc import PreparedPrecalc
 from ..kernels.sort_scan import SortScanKernel
 from ..kernels.sort_scan_batch import BatchSortScanKernel
 from ..kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
@@ -257,13 +257,14 @@ def run_tile(
     m: int,
     policy: PrecisionPolicy,
     launch: LaunchConfig,
+    *,
+    precalc: PreparedPrecalc,
     row_offset=0,
     col_offset=0,
     exclusion_zone: int | None = None,
     sort_strategy: str = "bitonic",
     fast_path_1d: bool = True,
     workspace: "WorkspacePool | None" = None,
-    precalc=None,
     main_loop: str = "vector",
     mirror: bool = False,
 ) -> "TileOutput | list[TileOutput]":
@@ -312,8 +313,8 @@ def run_tile(
     stacks of ``T`` same-shape tiles, with ``row_offset``/``col_offset``
     holding one entry per tile; the call then returns one
     :class:`TileOutput` per tile, in order.  The stack runs as one main
-    loop over ``d * T`` dimension rows
-    (:meth:`~repro.kernels.precalc.PrecalcResult.stacked`): one Eq. (1)
+    loop over ``d * T`` dimension rows (the stacked
+    :class:`~repro.kernels.precalc.PrecalcResult` layout): one Eq. (1)
     recurrence per super-step, one sort/scan over the stacked panel and
     one update that reduces every tile on its own.  Each tile keeps its
     own precalc restart, seeds, offsets and exclusion mask, so each
@@ -323,14 +324,14 @@ def run_tile(
     own precalc cost.  A 2-D call is a stack of one.  The tensor-core
     main loop and the batch sort strategy run one tile per call.
 
-    ``precalc`` is an optional :class:`~repro.kernels.precalc.
-    PreparedPrecalc` of the whole stack, assembled by the plan-level
-    :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`: its stacked
-    result (bit-identical to running :class:`PrecalcKernel` on every
-    tile here) is used directly and its pre-computed per-tile costs
-    stand in for the kernel's.  The device uploads are unchanged either
-    way — the tile still needs both series resident for the main loop,
-    so H2D accounting and the memory footprint stay as they were.
+    ``precalc`` is the :class:`~repro.kernels.precalc.PreparedPrecalc`
+    of the whole stack, assembled by the plan's
+    :class:`~repro.engine.precalc_cache.PlaneCache` (a caller outside a
+    plan takes it from :meth:`~repro.engine.plan.JobSpec.
+    whole_grid_precalc`): its stacked result is bound directly and its
+    per-tile costs are each tile's precalculation cost.  The tile still
+    needs both series resident for the main loop, so H2D accounting and
+    the memory footprint count both uploads.
 
     ``main_loop`` selects the main-loop execution path: ``"vector"`` (the
     paper's row-blocked recurrence) or ``"tensor_core"`` (the
@@ -391,15 +392,7 @@ def run_tile(
     update = UpdateKernel(config=launch, policy=policy, pool=pool)
     skip_sort = fast_path_1d and d == 1
 
-    if precalc is None:
-        results, precalc_costs = [], []
-        for t in range(n_tiles):
-            precalc_kernel = PrecalcKernel(config=launch, policy=policy)
-            results.append(precalc_kernel.run(tr_dev[t], tq_dev[t], m))
-            precalc_costs.append(precalc_kernel.cost)
-        pre = PrecalcResult.stacked(results)
-    else:
-        pre, precalc_costs = precalc.result, precalc.costs
+    pre, precalc_costs = precalc.result, precalc.costs
     row_offsets = np.asarray(row_offset, dtype=INDEX_DTYPE)
     col_offsets = np.asarray(col_offset, dtype=INDEX_DTYPE)
     transposed = _runs_transposed(n_r_seg, n_q_seg, tensor_core, mirror)
@@ -681,8 +674,7 @@ class NumericBackend:
         # Amortised precalculation: assembled host-side before any device
         # allocation, so a device OOM cannot strand a half-built plane
         # cache and the (locked) plane build never holds device memory.
-        cache = getattr(plan, "precalc_cache", None)
-        prepared = cache.prepare(plan, tiles) if cache is not None else None
+        prepared = plan.precalc_cache.prepare(plan, tiles)
         outcomes: list = [None] * len(tiles)
         ks, shared = [], []
         for k, (tile, gpu) in enumerate(zip(tiles, gpus)):
@@ -693,8 +685,7 @@ class NumericBackend:
                 outcomes[k] = exc
         if not ks:
             return outcomes
-        if prepared is not None:
-            prepared = prepared.select(ks)
+        prepared = prepared.select(ks)
         # Gather the staged tiles' slices straight into the stacks.
         first = tiles[ks[0]]
         tr = np.empty((len(ks), spec.d, first.n_rows + spec.m - 1),
@@ -723,8 +714,7 @@ class NumericBackend:
             mirror=getattr(first, "mirror", False),
         )
         timings: dict = {}
-        saved_flops = prepared.saved_flops if prepared is not None else [0.0] * len(ks)
-        for k, output, precalc_saved, diag in zip(ks, outputs, saved_flops, shared):
+        for k, output, precalc_saved, diag in zip(ks, outputs, prepared.saved_flops, shared):
             saved = 0.0
             if diag and self.discount_shared_h2d:
                 saved = float((tiles[k].n_cols + spec.m - 1) * spec.d * policy.itemsize)

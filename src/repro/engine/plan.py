@@ -33,10 +33,16 @@ from ..core.tiling import (
     compute_tile_list,
 )
 from ..kernels.layout import to_device_layout, validate_series
+from ..kernels.precalc import PreparedPrecalc
 from ..precision.modes import PrecisionPolicy
 from .precalc_cache import PrecalcPlaneCache
 
 __all__ = ["JobSpec", "ExecutionPlan"]
+
+
+def _check_window(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"segment length m must be >= 2, got {m}")
 
 
 @dataclass
@@ -92,6 +98,7 @@ class JobSpec:
         zone = config.exclusion_zone
         if self_join and zone is None:
             zone = default_exclusion_zone(m)
+        _check_window(m)
         n_r_seg = reference.shape[0] - m + 1
         n_q_seg = query_arr.shape[0] - m + 1
         if n_r_seg < 1 or n_q_seg < 1:
@@ -120,6 +127,7 @@ class JobSpec:
         """Adopt device-layout ``(d, n)`` series already in the storage
         dtype (``tq_layout is tr_layout`` marks a self-join).  The caller
         has validated the host series; the zone is taken as given."""
+        _check_window(m)
         n_r_seg = tr_layout.shape[1] - m + 1
         n_q_seg = tq_layout.shape[1] - m + 1
         if n_r_seg < 1 or n_q_seg < 1:
@@ -249,12 +257,12 @@ class JobSpec:
         cache itself is created empty and populates lazily on the first
         numeric tile execution, so planning stays cheap.
         """
-        if self.config.symmetric_tiles and not self.self_join:
-            raise ValueError(
-                "symmetric_tiles exploits self-join symmetry "
-                "(D(i, j) = D(j, i)); AB-joins have no mirrored twin"
-            )
         if tiles is None:
+            if self.config.symmetric_tiles and not self.self_join:
+                raise ValueError(
+                    "symmetric_tiles exploits self-join symmetry "
+                    "(D(i, j) = D(j, i)); AB-joins have no mirrored twin"
+                )
             n_tiles = n_tiles if n_tiles is not None else self.config.n_tiles
             if self.config.symmetric_tiles:
                 tiles = compute_symmetric_tile_list(self.n_r_seg, n_tiles)
@@ -279,6 +287,16 @@ class JobSpec:
             precalc_cache=precalc_cache,
         )
 
+    def whole_grid_precalc(self) -> PreparedPrecalc:
+        """The precalculation of one tile over the whole grid, prepared by
+        the plane cache of a one-tile plan: the full-series planes and
+        segment 0's seeds, costed as that tile's (its seed work plus both
+        roles' planes).  For callers that run their own main loop over
+        the whole grid — the diagonal, anytime and chain paths."""
+        tile = Tile(0, 0, self.n_r_seg, 0, self.n_q_seg)
+        plan = self.plan(tiles=[tile], assignment=[0])
+        return plan.precalc_cache.prepare(plan, [tile])
+
 
 @dataclass
 class ExecutionPlan:
@@ -295,11 +313,9 @@ class ExecutionPlan:
     assignment: list[int]
     tr_layout: np.ndarray | None = None
     tq_layout: np.ndarray | None = None
-    #: Plan-level amortised precalculation (None for modeled plans;
-    #: setting it to None makes every tile run :class:`~repro.kernels.
-    #: precalc.PrecalcKernel` itself, the test oracle); escalated plans
-    #: share their parent's instance so escalation populates new mode
-    #: planes in the same cache.
+    #: The plan's plane cache (None only for modeled plans); escalated
+    #: plans share their parent's instance so escalation populates new
+    #: mode planes in the same cache.
     precalc_cache: "PrecalcPlaneCache | None" = None
     _escalated: dict = field(default_factory=dict, repr=False)
 

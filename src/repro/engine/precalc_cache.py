@@ -1,50 +1,62 @@
-"""Plan-level amortisation of the precalculation kernel.
+"""One plane cache for batch plans and streams.
 
 The tiling scheme restarts ``precalculation`` per tile to bound error
 propagation (Section IV) — but only the *seed* QT dot products carry
 that role.  The windowed means ``mu``, inverse norms ``inv`` and the
 streaming coefficients ``df``/``dg`` are strictly window-local: each
 output element is a function of its own ``m`` samples, so a tile's
-planes are elementwise slices of the full-series planes, bit for bit.
-:class:`PrecalcPlaneCache` exploits that:
+planes are elementwise slices of the full-series planes, bit for bit,
+and a batch series is a stream that arrived in one append.
+:class:`PlaneCache` exploits that for both:
 
-* the full-series planes are computed **once per (series role,
-  precision mode)** with the exact per-window ``_Accumulator``
-  semantics of :mod:`repro.kernels.precalc` (including the Kahan FP16C
-  path); a stack of same-shape tiles then receives its slices of every
-  plane in one gather per plane, stacked the way the main loop runs
-  them, with each tile's ``df[0] = dg[0] = 0`` restored;
-* the per-tile seeds ``qt_row0``/``qt_col0`` stay per-tile semantically
-  (the error-containment argument is untouched: each is still the naive
-  centred dot of that tile's first row/column band) but all tiles
-  sharing a band are evaluated in one vectorised
-  :func:`~repro.kernels.precalc.seed_qt_rows` pass over the full other
-  series, then gathered per stack (one gather per seed direction) —
-  bit-identical because every ufunc in the accumulation chain is
-  elementwise;
-* with ``precalc_strategy="fft"`` (opt-in, FP64/FP32 only) the seeds
-  come from the MASS-style FFT correlation instead — O(n log n) but not
+* **one extension routine.**  Each (precision mode, series role) keeps
+  growable planes (:class:`GrowableArray`).  When a plan's layout is
+  longer than the planes, the new windows' ``mu``/``inv`` come from a
+  suffix pass with the exact per-window ``_Accumulator`` semantics of
+  :mod:`repro.kernels.precalc` (Kahan for FP16C), and ``df``/``dg`` from
+  a suffix pass with one window of overlap (``T[i-1]`` and ``mu[i-1]``
+  of the first new window).  A batch plan is an extension from 0.
+* **one seed routine.**  The per-tile seeds ``qt_row0``/``qt_col0`` stay
+  per-tile semantically (each is still the naive centred dot of that
+  tile's first row/column band, so the error-containment argument is
+  untouched), but they are keyed per plan and computed for every band
+  start the plan lists in one :func:`~repro.kernels.precalc.seed_qt_rows`
+  call per direction — one in all for a self-join, whose row and column
+  seeds of a start coincide — over the union span of the plan's tiles.
+  Each output column is accumulated on its own, so the span never
+  changes a bit.  Starts the plan never listed (OOM-split children) are
+  seeded on demand the same way.  Seeds are dropped with their plan.
+* with ``precalc_strategy="fft"`` (opt-in, FP64/FP32 only) the seeds come
+  from the MASS-style FFT correlation instead — O(n log n) but not
   bit-identical, validated against the ``precision/errors.py`` bound.
+  FFT seeds are always taken against the *whole* other series (the FFT
+  length follows the series, not the tiles), so a plan's bytes do not
+  depend on which tiles it lists.
 
-Population is *lazy*: building the cache at plan time costs nothing, the
-planes and seeds materialise on the first :meth:`prepare` call (plans
-built for analytic modelling or the anytime paths never pay).  Precision
-escalation lands here naturally — an escalated plan shares the cache
-object and the first escalated tile populates that mode's planes on
-demand.  All state is guarded by one re-entrant lock, so parallel tile
-workers share a single plane build.
+A stack of same-shape tiles then receives its slices of every plane and
+seed in one gather each (:meth:`~repro.kernels.precalc.PrecalcResult.
+gathered`), with each tile's ``df[0] = dg[0] = 0`` restored.
 
-Cost accounting stays honest: each tile is charged only its seed-dot
-work (:func:`~repro.kernels.precalc.seed_cost`); the one-off plane pass
-(:func:`~repro.kernels.precalc.plane_cost` over the full series — both
-roles, matching the historical per-tile formula) is carried by exactly
-one deterministic tile per mode, so serial, parallel and resumed runs
-agree bit-for-bit:
+Population is lazy: planes and seeds materialise on the first
+:meth:`PlaneCache.prepare`, so plans built for analytic modelling never
+pay.  Precision escalation lands here naturally — an escalated plan
+shares its parent's cache and its first prepare builds that mode's
+planes from the escalated layouts.  All state is guarded by one
+re-entrant lock, so parallel tile workers share a single build.
 
-* base mode: the tile with the smallest planned ``tile_id`` claims the
-  charge every time it executes (idempotent across retries — discarded
-  attempts discard their costs too);
-* escalated modes: the first tile to build the planes claims it.
+Cost accounting: each tile is charged its seed-dot work
+(:func:`~repro.kernels.precalc.seed_cost`); the plane work
+(:func:`~repro.kernels.precalc.plane_cost` over the new windows, both
+roles even on self-joins, matching the historical per-tile formula) is
+charged by one of two rules:
+
+* **carrier** — a cache built with a ``base_mode`` (every
+  ``JobSpec.plan``) gives the base mode's plane charge to the smallest
+  planned ``tile_id`` every time that tile executes, so serial, parallel,
+  retried and resumed runs agree bit for bit;
+* **pending** — in every other case (escalated batch modes, every
+  stream mode) plane work accrues as a pending charge that the first
+  tile of the next prepared stack of that mode claims, once.
 
 If a fault path permanently discards the claiming attempt (escalation
 away from the charged mode, an OOM split of the carrier), the plane
@@ -52,19 +64,23 @@ charge vanishes from the aggregates with it — consistent with how every
 other cost of a discarded attempt is dropped.
 
 A cross-job ``store`` (the service's content-addressed stats cache) can
-be plugged in: entries are keyed on the series-layout digest plus shape,
-dtype, ``m`` and mode, and hold the stats planes only (seeds depend on
-the tiling).  The planes are strategy-independent, so jobs differing
-only in ``precalc_strategy`` share them — by design.  A store hit skips
-the plane pass entirely and nobody carries the charge.
+be plugged in.  It is consulted only when a role is built from empty:
+entries are keyed on the series-layout digest plus shape, dtype, ``m``
+and mode, and hold the stats planes only (seeds depend on the tiling).
+Entries are never written after they are stored.  The planes are
+strategy-independent, so jobs differing only in ``precalc_strategy``
+share them — by design.  A store hit skips the plane pass and charges
+nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 
-from ..gpu.kernel import KernelCost
+import numpy as np
+
 from ..kernels.precalc import (
     PrecalcResult,
     PreparedPrecalc,
@@ -76,226 +92,259 @@ from ..kernels.precalc import (
 )
 from ..precision.modes import PrecisionMode
 
-__all__ = ["PrecalcPlaneCache"]
+__all__ = ["GrowableArray", "PlaneCache", "PrecalcPlaneCache"]
+
+
+class GrowableArray:
+    """An append-only array on a capacity-doubling buffer along ``axis``:
+    n appends cost O(n) copies and O(log n) reallocations, where
+    ``np.concatenate`` per append is O(n^2).  ``shape`` is the initial
+    (empty) buffer.  Appended entries never change, so a :attr:`view`
+    (the filled prefix) stays valid.
+    """
+
+    __slots__ = ("_buf", "_axis", "size")
+
+    def __init__(self, shape, dtype, axis: int):
+        self._buf = np.empty(shape, dtype=dtype)
+        self._axis = axis
+        self.size = 0
+
+    def _span(self, start: int, stop: int) -> tuple:
+        return (slice(None),) * self._axis + (slice(start, stop),)
+
+    @property
+    def capacity(self) -> int:
+        return self._buf.shape[self._axis]
+
+    @property
+    def view(self) -> np.ndarray:
+        return self._buf[self._span(0, self.size)]
+
+    def append(self, block: np.ndarray) -> None:
+        stop = self.size + block.shape[self._axis]
+        if stop > self.capacity:
+            shape = list(self._buf.shape)
+            shape[self._axis] = max(stop, 2 * self.capacity)
+            grown = np.empty(shape, dtype=self._buf.dtype)
+            grown[self._span(0, self.size)] = self.view
+            self._buf = grown
+        self._buf[self._span(self.size, stop)] = block
+        self.size = stop
+
+
+#: A role's planes: the precalc-dtype series and mean (seed-dot inputs)
+#: and the storage-dtype planes the main loop reads.
+_PLANES = ("series_pd", "mu_pd", "mu", "inv", "df", "dg")
+
+
+def _role(d: int, policy) -> dict:
+    """One series role's empty planes in one precision mode."""
+    return {
+        name: GrowableArray(
+            (d, 0), policy.precalc if name.endswith("_pd") else policy.storage, axis=1
+        )
+        for name in _PLANES
+    }
 
 
 class _ModePlanes:
-    """One precision mode's full-series planes and per-band seeds."""
+    """One precision mode's role planes and plane charges."""
 
-    __slots__ = (
-        "tr_pd",
-        "tq_pd",
-        "r",
-        "q",
-        "row_seeds",
-        "col_seeds",
-        "charge",
-        "charge_claimed",
-        "carrier",
-    )
+    __slots__ = ("r", "q", "charge", "pending", "carrier")
 
-    def __init__(self, tr_pd, tq_pd, r, q, charge, carrier):
-        self.tr_pd = tr_pd
-        self.tq_pd = tq_pd  # aliases tr_pd for self-joins
-        self.r = r  # role entry: mu_pd + storage-dtype mu/inv/df/dg
-        self.q = q  # the same entry object for self-joins
-        self.row_seeds: dict = {}  # band start -> (d, n_q_seg) storage seeds
-        # One dict serves both directions on self-joins: the row seed of
-        # band s and the col seed of band s are the same function of the
-        # same inputs there.
-        self.col_seeds: dict = self.row_seeds if q is r else {}
-        self.charge: KernelCost | None = charge  # None when served from store
-        self.charge_claimed = False
-        self.carrier = carrier  # smallest planned tile id: the base-mode carrier
+    def __init__(self, r: dict, q: dict, carrier: int):
+        self.r = r
+        self.q = q  # aliases ``r`` for self-joins
+        self.charge = None  # KernelCost of all plane work (the carrier's)
+        self.pending = None  # KernelCost of plane work not yet claimed
+        self.carrier = carrier  # smallest planned tile id
 
 
-class PrecalcPlaneCache:
-    """Shares window-statistics planes and batched seeds across a plan's
-    tiles (and, through ``store``, across jobs on the same series).
+class PlaneCache:
+    """Window-statistics planes and per-plan seeds shared by the tiles of
+    a plan, of its escalations and — on a stream — of every later step.
 
-    Attach one instance per :class:`~repro.engine.plan.ExecutionPlan`
-    (done by ``JobSpec.plan``); escalated plans share their parent's
-    instance.  ``store`` is any mapping-like object with ``get(key)`` /
+    ``store`` is any mapping-like object with ``get(key)`` /
     ``put(key, entry)`` — the service provides its
-    :class:`~repro.service.cache.PrecalcStatsCache`.
+    :class:`~repro.service.cache.PrecalcStatsCache`.  ``base_mode``
+    selects the carrier charge rule for that mode (see the module
+    docstring); ``None`` keeps the pending rule for every mode.
     """
 
-    def __init__(self, store=None, base_mode=PrecisionMode.FP64):
+    def __init__(self, store=None, base_mode=None):
         self._store = store
-        self._base_mode = PrecisionMode.parse(base_mode)
-        self._planes: dict = {}
+        self._base_mode = None if base_mode is None else PrecisionMode.parse(base_mode)
+        self._modes: dict[PrecisionMode, _ModePlanes] = {}
+        # id(plan) -> (row seeds, col seeds), each band start -> (first
+        # segment covered, storage seeds); dropped when the plan is.  A
+        # self-join's row and column seeds of one start coincide: one
+        # shared dict.
+        self._seeds: dict[int, tuple[dict, dict]] = {}
         self._lock = threading.RLock()
 
     @property
     def modes_built(self) -> tuple:
         """Precision modes whose planes have materialised (tests/metrics)."""
         with self._lock:
-            return tuple(self._planes)
+            return tuple(self._modes)
 
     # ------------------------------------------------------------------
 
     def prepare(self, plan, tiles) -> PreparedPrecalc:
         """Assemble the precalculation of a stack of same-shape ``tiles``
-        from the cached planes.
+        of ``plan``.
 
         Returns a :class:`~repro.kernels.precalc.PreparedPrecalc` whose
-        ``result`` is bit-identical to stacking ``PrecalcKernel.run`` on
-        each tile's device slices (for the default ``"exact"``
-        strategy), gathered in one pass per plane and seed direction
-        (:meth:`~repro.kernels.precalc.PrecalcResult.gathered`); whose
-        ``costs`` charge each tile its seed work plus — for the
-        designated carrier — the one-off plane pass, claimed in tile
-        order; and whose ``saved_flops`` record the plane work each tile
-        did not redo.
+        ``result`` is bit-identical to running the per-tile
+        precalculation on each tile's device slices and stacking (for the
+        default ``"exact"`` strategy), gathered in one pass per plane and
+        seed direction; whose ``costs`` charge each tile its seed work
+        plus any plane charge it claims (in tile order); and whose
+        ``saved_flops`` record the plane work each tile did not redo.
         """
         spec = plan.spec
-        mode = PrecisionMode.parse(spec.config.mode)
         with self._lock:
-            planes = self._planes.get(mode)
-            if planes is None:
-                planes = self._build_planes(plan)
-                self._planes[mode] = planes
-            rows = {t.row_start for t in tiles}
-            cols = {t.col_start for t in tiles}
-            if not (rows <= planes.row_seeds.keys() and cols <= planes.col_seeds.keys()):
-                # OOM-split children starting mid-band.
-                self._ensure_seeds(planes, plan, rows, cols)
-            charges = [None] * len(tiles)
-            if planes.charge is not None:
-                for k, tile in enumerate(tiles):
-                    if mode == self._base_mode:
-                        claimed = tile.tile_id == planes.carrier
-                    else:
-                        claimed = not planes.charge_claimed
-                        planes.charge_claimed = True
-                    if claimed:
-                        charges[k] = planes.charge
+            mode, planes = self._extend(plan)
+            row_seeds, col_seeds = self._seeds_for(planes, plan, tiles)
+            views = [{name: role[name].view for name in ("mu", "inv", "df", "dg")}
+                     for role in (planes.r, planes.q)]
+            row_bands = [row_seeds[t.row_start] for t in tiles]
+            col_bands = [col_seeds[t.col_start] for t in tiles]
             result = PrecalcResult.gathered(
-                spec.m, planes.r, planes.q, tiles,
-                [(planes.row_seeds[t.row_start], t.col_start) for t in tiles],
-                [(planes.col_seeds[t.col_start], t.row_start) for t in tiles],
+                spec.m, *views, tiles,
+                [(band, t.col_start - lo) for (lo, band), t in zip(row_bands, tiles)],
+                [(band, t.row_start - lo) for (lo, band), t in zip(col_bands, tiles)],
             )
+            charges = self._claim(mode, planes, tiles)
         return PreparedPrecalc.for_stack(result, spec, tiles[0], charges)
 
     # ------------------------------------------------------------------
 
-    def _store_key(self, layout, spec):
-        digest = hashlib.sha256(layout.tobytes()).hexdigest()
+    def _claim(self, mode, planes: _ModePlanes, tiles) -> list:
+        """Each tile's plane charge (``None`` for none), by the carrier
+        rule in the base mode and the pending rule otherwise."""
+        if mode == self._base_mode:
+            return [planes.charge if t.tile_id == planes.carrier else None for t in tiles]
+        charges = [planes.pending] + [None] * (len(tiles) - 1)
+        planes.pending = None
+        return charges
+
+    def _extend(self, plan) -> tuple[PrecisionMode, _ModePlanes]:
+        """``plan``'s mode planes, extended to the plan's layouts; the new
+        plane work joins the mode's charges."""
+        spec = plan.spec
         mode = PrecisionMode.parse(spec.config.mode)
-        return (digest, layout.shape, str(layout.dtype), spec.m, mode.value)
+        planes = self._modes.get(mode)
+        if planes is None:
+            r = _role(spec.d, spec.policy)
+            q = r if plan.tq_layout is plan.tr_layout else _role(spec.d, spec.policy)
+            planes = _ModePlanes(r, q, carrier=min(t.tile_id for t in plan.tiles))
+            self._modes[mode] = planes
+        new_r = self._extend_role(planes.r, plan.tr_layout, spec)
+        new_q = new_r if planes.q is planes.r else self._extend_role(planes.q, plan.tq_layout, spec)
+        if new_r or new_q:
+            charge = plane_cost(new_r, new_q, spec.d, spec.policy)
+            planes.charge = charge if planes.charge is None else planes.charge + charge
+            planes.pending = charge if planes.pending is None else planes.pending + charge
+        return mode, planes
 
-    @staticmethod
-    def _build_role(series_pd, m, policy, pdtype, sdtype) -> dict:
-        """One series role's planes, exactly as ``PrecalcKernel.run``
-        computes them over the full series."""
-        mu_pd, inv_pd = _window_stats(series_pd, m, policy)
-        df_pd, dg_pd = _delta_coefficients(series_pd, mu_pd, m, pdtype)
-        return {
-            "mu_pd": mu_pd,  # precalc-dtype mean plane: seed-dot input
-            "mu": mu_pd.astype(sdtype),
-            "inv": inv_pd.astype(sdtype),
-            "df": df_pd.astype(sdtype),
-            "dg": dg_pd.astype(sdtype),
-        }
+    def _extend_role(self, role: dict, layout, spec) -> int:
+        """Append the planes of ``layout``'s windows past the cached ones.
 
-    def _build_planes(self, plan) -> _ModePlanes:
-        spec = plan.spec
-        policy = spec.policy
-        m = spec.m
-        pdtype = policy.precalc
-        sdtype = policy.storage
-        self_join = plan.tq_layout is plan.tr_layout
-        tr_pd = plan.tr_layout.astype(pdtype, copy=False)
-        tq_pd = tr_pd if self_join else plan.tq_layout.astype(pdtype, copy=False)
-
-        def fetch(layout, series_pd):
-            key = self._store_key(layout, spec) if self._store is not None else None
-            entry = self._store.get(key) if self._store is not None else None
-            if entry is not None:
-                return entry, False
-            entry = self._build_role(series_pd, m, policy, pdtype, sdtype)
-            if self._store is not None:
+        Returns how many windows were computed: 0 when none are new or
+        the store served them (only a role built from empty asks it)."""
+        m, policy = spec.m, spec.policy
+        n_seg = max(0, layout.shape[1] - m + 1)
+        old = role["mu"].size
+        if n_seg <= old:
+            return 0
+        series = role["series_pd"]
+        # The cached prefix is a cast of the same layout prefix — layouts
+        # grow by appending samples — so only the suffix is new.
+        series.append(layout[:, series.size:].astype(policy.precalc, copy=False))
+        key = entry = None
+        if old == 0 and self._store is not None:
+            digest = hashlib.sha256(layout.tobytes()).hexdigest()
+            key = (digest, layout.shape, str(layout.dtype), m, policy.mode.value)
+            entry = self._store.get(key)
+        if entry is not None:
+            role["mu_pd"].append(entry["mu_pd"])
+            computed = 0
+        else:
+            sdtype = policy.storage
+            series_pd = series.view
+            mu_pd, inv = _window_stats(series_pd[:, old:], m, policy)
+            role["mu_pd"].append(mu_pd)
+            # One window of overlap supplies T[i-1] and mu[i-1] for the
+            # first new window; its own (recomputed) column 0 is dropped.
+            lo = max(old - 1, 0)
+            df, dg = _delta_coefficients(
+                series_pd[:, lo:], role["mu_pd"].view[:, lo:], m, policy.precalc
+            )
+            entry = {
+                "mu_pd": mu_pd,
+                "mu": mu_pd.astype(sdtype),
+                "inv": inv.astype(sdtype),
+                "df": df[:, old - lo:].astype(sdtype),
+                "dg": dg[:, old - lo:].astype(sdtype),
+            }
+            if key is not None:
                 self._store.put(key, entry)
-            return entry, True
+            computed = n_seg - old
+        for name in ("mu", "inv", "df", "dg"):
+            role[name].append(entry[name])
+        return computed
 
-        r_entry, miss_r = fetch(plan.tr_layout, tr_pd)
-        if self_join:
-            q_entry, miss_q = r_entry, miss_r
-        else:
-            q_entry, miss_q = fetch(plan.tq_layout, tq_pd)
+    def _seeds_for(self, planes: _ModePlanes, plan, tiles) -> tuple[dict, dict]:
+        """``plan``'s seed dicts, holding every band start of ``tiles``.
 
-        # Historical per-tile accounting charges both roles even on
-        # self-joins (where one pass serves both); keep that so a
-        # single-tile plan reproduces the old precalc cost exactly.
-        if self_join:
-            charge = (
-                plane_cost(spec.n_r_seg, spec.n_q_seg, spec.d, policy)
-                if miss_r
-                else None
-            )
-        elif miss_r or miss_q:
-            charge = plane_cost(
-                spec.n_r_seg if miss_r else 0,
-                spec.n_q_seg if miss_q else 0,
-                spec.d,
-                policy,
-            )
-        else:
-            charge = None
-        planes = _ModePlanes(
-            tr_pd, tq_pd, r_entry, q_entry, charge,
-            carrier=min(t.tile_id for t in plan.tiles),
-        )
-        # Every planned band's seeds in one batch per direction.
-        self._ensure_seeds(
-            planes, plan,
-            {t.row_start for t in plan.tiles},
-            {t.col_start for t in plan.tiles},
-        )
-        return planes
-
-    def _ensure_seeds(
-        self, planes: _ModePlanes, plan, row_needed: set, col_needed: set
-    ) -> None:
-        """Batch-compute the seed bands among ``row_needed``/``col_needed``
-        not built yet: the planned bands once per mode, then only the
-        mid-band starts OOM splits create after planning.  Each band's
-        seed is element-wise in its inputs, so how bands are batched
-        never changes a bit."""
+        Missing starts are seeded against the union span of the plan's
+        tiles and ``tiles``: on the plan's first stack that is every
+        start it lists, later only the starts of OOM-split children."""
+        seeds = self._seeds.get(id(plan))
+        if seeds is None:
+            row_seeds = {}
+            seeds = (row_seeds, row_seeds if planes.q is planes.r else {})
+            self._seeds[id(plan)] = seeds
+            weakref.finalize(plan, self._seeds.pop, id(plan), None)
+        row_seeds, col_seeds = seeds
+        if all(t.row_start in row_seeds and t.col_start in col_seeds for t in tiles):
+            return seeds
         spec = plan.spec
-        policy = spec.policy
-        m = spec.m
-        sdtype = policy.storage
-        strategy = getattr(spec.config, "precalc_strategy", "exact")
-        seeds_fn = fft_seed_qt_rows if strategy == "fft" else seed_qt_rows
+        m, policy = spec.m, spec.policy
+        fft = spec.config.precalc_strategy == "fft"
+        every = (*plan.tiles, *tiles)
+        rows = [(t.row_start, t.col_start, t.col_stop) for t in every]
+        cols = [(t.col_start, t.row_start, t.row_stop) for t in every]
+        r, q = planes.r, planes.q
+        batches = (
+            [(row_seeds, r, r, rows + cols)]
+            if q is r
+            else [(row_seeds, r, q, rows), (col_seeds, q, r, cols)]
+        )
+        for cache, fixed, other, needs in batches:
+            starts = sorted({start for start, _, _ in needs} - cache.keys())
+            if not starts:
+                continue
+            if fft:
+                lo, hi = 0, other["mu"].size
+            else:
+                lo = min(a for _, a, _ in needs)
+                hi = max(b for _, _, b in needs)
+            bands = (fft_seed_qt_rows if fft else seed_qt_rows)(
+                fixed["series_pd"].view, starts, other["series_pd"].view[:, lo : hi + m - 1],
+                fixed["mu_pd"].view, other["mu_pd"].view[:, lo:hi], m, policy,
+            ).astype(policy.storage)
+            cache.update((start, (lo, band)) for start, band in zip(starts, bands))
+        return seeds
 
-        if planes.col_seeds is planes.row_seeds:  # self-join: one direction
-            row_needed = row_needed | col_needed
-            col_needed = set()
 
-        rows_missing = sorted(row_needed - planes.row_seeds.keys())
-        if rows_missing:
-            batch = seeds_fn(
-                planes.tr_pd,
-                rows_missing,
-                planes.tq_pd,
-                planes.r["mu_pd"],
-                planes.q["mu_pd"],
-                m,
-                policy,
-            ).astype(sdtype)
-            for i, s in enumerate(rows_missing):
-                planes.row_seeds[s] = batch[i]
-        cols_missing = sorted(col_needed - planes.col_seeds.keys())
-        if cols_missing:
-            batch = seeds_fn(
-                planes.tq_pd,
-                cols_missing,
-                planes.tr_pd,
-                planes.q["mu_pd"],
-                planes.r["mu_pd"],
-                m,
-                policy,
-            ).astype(sdtype)
-            for i, s in enumerate(cols_missing):
-                planes.col_seeds[s] = batch[i]
+class PrecalcPlaneCache(PlaneCache):
+    """The plane cache of a batch plan (``JobSpec.plan`` attaches one per
+    :class:`~repro.engine.plan.ExecutionPlan`, with the job's mode as
+    ``base_mode``; escalated plans share their parent's instance)."""
+
+    # Owned, not inherited, so a tracer wrapping this name by class
+    # times batch prepares only.
+    prepare = PlaneCache.prepare

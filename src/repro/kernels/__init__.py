@@ -3,7 +3,7 @@ the requested precision while recording hardware-cost counters."""
 
 from .dist_calc import DistCalcKernel
 from .layout import to_device_layout, to_host_layout, validate_series
-from .precalc import PrecalcKernel, PrecalcResult, naive_qt_row
+from .precalc import PrecalcResult
 from .sort_scan import SortScanKernel, fanin_inclusive_scan
 from .sort_scan_batch import (
     BatchSortScanKernel,
@@ -14,9 +14,7 @@ from .update import INDEX_DTYPE, UpdateKernel
 
 __all__ = [
     "DistCalcKernel",
-    "PrecalcKernel",
     "PrecalcResult",
-    "naive_qt_row",
     "SortScanKernel",
     "BatchSortScanKernel",
     "fanin_inclusive_scan",

@@ -168,12 +168,14 @@ class DistCalcKernel(Kernel):
         wide = np.dtype(np.float32) if dtype == np.float16 else np.dtype(np.float64)
         d, n_q = self._inv_q.shape
         self._wide = wide
-        self._df_r_w = self._df_r.astype(wide)
-        self._dg_r_w = self._dg_r.astype(wide)
-        self._df_q_w = self._df_q.astype(wide)
-        self._dg_q_w = self._dg_q.astype(wide)
-        self._inv_r_w = self._inv_r.astype(wide)
-        self._inv_q_w = self._inv_q.astype(wide)
+        # The mirrors are only read, so at FP64 (wide == compute) they
+        # alias the bound vectors instead of copying them.
+        self._df_r_w = self._df_r.astype(wide, copy=False)
+        self._dg_r_w = self._dg_r.astype(wide, copy=False)
+        self._df_q_w = self._df_q.astype(wide, copy=False)
+        self._dg_q_w = self._dg_q.astype(wide, copy=False)
+        self._inv_r_w = self._inv_r.astype(wide, copy=False)
+        self._inv_q_w = self._inv_q.astype(wide, copy=False)
         self._blk_step_q = np.empty((d, n_q - 1), dtype=dtype)
         self._blk_last = np.empty((d, n_q), dtype=dtype)  # the recurrence state
         self._blk_ready = True

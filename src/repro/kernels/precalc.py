@@ -1,7 +1,7 @@
 """The ``precalculation`` kernel (Pseudocode 1, line 2).
 
-Prepares, in a single pass over the two input series, everything the main
-iteration loop needs (Section II-B / III-A):
+The numerics of everything the main iteration loop needs before its
+first row (Section II-B / III-A):
 
 * windowed means ``mu`` and inverse centred norms ``inv = 1/||T_i - mu_i||``
   (the paper's ``dr^-1`` / ``dq^-1`` up to the constant ``m`` folded in),
@@ -14,27 +14,30 @@ paper describes ("this kernel computes the variables df, dg, ... using
 cumulative summations").  In FP16 those running sums are where the severe
 cancellation originates; the Mixed mode lifts them to FP32, and FP16C
 additionally applies Kahan compensation (Section III-C).
+
+The routines here compute whole planes and batches of seeds; the one
+plane cache that assembles a stack of tiles' precalculation from them —
+for batch plans and streams alike — is
+:class:`~repro.engine.precalc_cache.PlaneCache`.  :func:`seed_cost` and
+:func:`plane_cost` are the modelled charge of that work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..gpu.kernel import Kernel, KernelCost, LaunchConfig
+from ..gpu.kernel import KernelCost, LaunchConfig
 from ..precision.modes import PrecisionPolicy
 
 __all__ = [
     "PrecalcResult",
-    "PrecalcKernel",
     "PreparedPrecalc",
     "seed_qt_rows",
     "fft_seed_qt_rows",
     "seed_cost",
     "plane_cost",
-    "naive_qt_row",
 ]
 
 
@@ -47,6 +50,13 @@ class PrecalcResult:
     every query segment) and ``qt_col0`` is ``(d, n_r_seg)`` (every reference
     segment with query segment 0).  Storage dtype follows the precision
     policy; the main loop never needs the wider precalc dtype again.
+
+    A stack of ``T`` same-shape tiles is one result over ``d * T`` rows:
+    row ``k * T + t`` is dimension ``k`` of tile ``t``.  Every main-loop
+    operation is element-wise per dimension row, so the stack runs each
+    tile's own recurrence from its own seeds; the dimension-major order
+    lets a ``(d * T, rows, n)`` distance block reshape to the
+    ``(d, T * rows * n)`` sort/scan plane without a copy.
     """
 
     m: int
@@ -74,33 +84,9 @@ class PrecalcResult:
         return self.mu_r.shape[0]
 
     @classmethod
-    def stacked(cls, results: "Sequence[PrecalcResult]") -> "PrecalcResult":
-        """Same-shape tiles' results as one result over ``d * T`` rows.
-
-        Row ``k * T + t`` is dimension ``k`` of tile ``t``.  Every
-        main-loop operation is element-wise per dimension row, so the
-        stack runs each tile's own recurrence from its own seeds; the
-        dimension-major order lets a ``(d * T, rows, n)`` distance block
-        reshape to the ``(d, T * rows * n)`` sort/scan plane without a
-        copy.  A single result is returned as is.
-        """
-        if len(results) == 1:
-            return results[0]
-
-        def stack(name):
-            arrays = [getattr(r, name) for r in results]
-            d, n = arrays[0].shape
-            return np.stack(arrays, axis=1).reshape(d * len(arrays), n)
-
-        return cls(
-            m=results[0].m,
-            **{f.name: stack(f.name) for f in fields(cls) if f.name != "m"},
-        )
-
-    @classmethod
     def gathered(cls, m: int, r: dict, q: dict, tiles, row_seeds, col_seeds) -> "PrecalcResult":
         """Same-shape tiles' results gathered from full-series planes,
-        in the :meth:`stacked` layout.
+        in the stacked layout (see the class docstring).
 
         ``r``/``q`` map ``mu``/``inv``/``df``/``dg`` to a role's
         ``(d, N)`` storage planes; tile ``t`` reads columns ``row_start:
@@ -111,8 +97,8 @@ class PrecalcResult:
         direction, over its distinct bands laid side by side.
         ``df``/``dg`` get the tile-local ``df[0] = dg[0] = 0`` of a fresh
         tile: column 0 of every stacked row is some tile's first column.
-        The values are those of ``stacked`` over slices of the same
-        planes, bit for bit: the gather only copies.
+        The values are those of each tile's slices of the same planes,
+        bit for bit: the gather only copies.
         """
         n_rows, n_cols = tiles[0].n_rows, tiles[0].n_cols
         row_idx = np.array([t.row_start for t in tiles])[:, None] + np.arange(n_rows)
@@ -149,8 +135,8 @@ class PrecalcResult:
         )
 
     def select(self, tiles: int, keep) -> "PrecalcResult":
-        """The :meth:`stacked` result of tiles ``keep`` (positions, in
-        order) of this stack of ``tiles`` tiles."""
+        """The stacked result of tiles ``keep`` (positions, in order) of
+        this stack of ``tiles`` tiles."""
         keep = list(keep)
 
         def pick(plane):
@@ -287,41 +273,6 @@ def _delta_coefficients(
     return df, dg
 
 
-def _centered_dot_against(
-    fixed_seg: np.ndarray,
-    fixed_mu: np.ndarray,
-    series: np.ndarray,
-    mu: np.ndarray,
-    m: int,
-    policy: PrecisionPolicy,
-) -> np.ndarray:
-    """Naive centred dot products of one fixed segment against all segments.
-
-    ``out[k, j] = sum_t (fixed[k, t] - fixed_mu[k]) * (series[k, j+t] - mu[k, j])``
-
-    Accumulated sequentially over ``t`` in the precalc dtype (one rounded
-    FMA per step), with optional Kahan compensation — this is the "naive
-    (non-streaming) dot product formulation" of Section III-A, one thread
-    per output element on the device.
-    """
-    dtype = policy.precalc
-    d, n_seg = mu.shape
-    acc = _Accumulator((d, n_seg), dtype, policy.compensated)
-    fixed_centered = (fixed_seg - fixed_mu[:, None]).astype(dtype, copy=False)
-    # Hoisted column views + reused scratch buffers: the per-iteration
-    # subtract/multiply are the same ufuncs on the same values as the
-    # temporaries they replace — bit-identical, just allocation-free.
-    cols = [fixed_centered[:, t : t + 1] for t in range(m)]
-    diff = np.empty((d, n_seg), dtype=dtype)
-    term = np.empty((d, n_seg), dtype=dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(m):
-            np.subtract(series[:, t : t + n_seg], mu, out=diff)
-            np.multiply(cols[t], diff, out=term)
-            acc.add(term)
-    return acc.value
-
-
 def seed_qt_rows(
     series_fixed: np.ndarray,
     starts: "list[int] | tuple[int, ...]",
@@ -336,11 +287,14 @@ def seed_qt_rows(
 
     ``out[b, k, j] = sum_t (fixed[b, k, t] - fixed_mu[b, k]) *
     (other[k, j+t] - mu_other[k, j])`` where ``fixed[b] =
-    series_fixed[:, starts[b]:starts[b]+m]``.  Each band ``b`` undergoes the
-    exact elementwise subtract/multiply/(Kahan-)add sequence of
-    :func:`_centered_dot_against`, so every slice ``out[b]`` is bit-identical
-    to the per-tile seed — the batching only amortises the Python-level
-    length-``m`` loop across all tiles sharing a reference band.
+    series_fixed[:, starts[b]:starts[b]+m]``, accumulated sequentially over
+    ``t`` in the precalc dtype (one rounded FMA per step, with optional
+    Kahan compensation) — the "naive (non-streaming) dot product
+    formulation" of Section III-A, one thread per output element on the
+    device.  Every ufunc is elementwise, so each ``out[b]`` is bit-identical
+    to a one-start pass and each output column to a pass over any span of
+    ``series_other`` that holds it — the batching only amortises the
+    Python-level length-``m`` loop across all tiles sharing a band.
     """
     dtype = policy.precalc
     d, n_seg = mu_other.shape
@@ -465,9 +419,9 @@ class PreparedPrecalc:
     """A stack of same-shape tiles' precalculation, assembled by a
     plan-level plane cache.
 
-    ``result`` is the :meth:`PrecalcResult.stacked` result of the tiles,
-    bit-identical to stacking what :meth:`PrecalcKernel.run` would
-    produce for each; ``costs[t]`` is what tile ``t`` should be charged
+    ``result`` is the stacked :class:`PrecalcResult` of the tiles,
+    bit-identical to stacking each tile's own precalculation;
+    ``costs[t]`` is what tile ``t`` should be charged
     (its seed-dot work, plus the one-off plane pass if it is the
     designated charge carrier); ``saved_flops[t]`` is the plane work
     tile ``t`` did *not* redo.  For the charge carrier the full-series
@@ -508,126 +462,3 @@ class PreparedPrecalc:
             costs=tuple(self.costs[k] for k in keep),
             saved_flops=tuple(self.saved_flops[k] for k in keep),
         )
-
-
-@dataclass
-class PrecalcKernel(Kernel):
-    """Executes the precalculation for one tile and records its cost."""
-
-    policy: PrecisionPolicy = field(kw_only=True)
-
-    def run(self, tr_dev: np.ndarray, tq_dev: np.ndarray, m: int) -> PrecalcResult:
-        """``tr_dev``/``tq_dev`` are (d, len) device arrays in storage dtype."""
-        if tr_dev.ndim != 2 or tq_dev.ndim != 2:
-            raise ValueError("device series must be 2-d (d, n)")
-        if tr_dev.shape[0] != tq_dev.shape[0]:
-            raise ValueError(
-                f"dimensionality mismatch: {tr_dev.shape[0]} vs {tq_dev.shape[0]}"
-            )
-        if m < 2:
-            raise ValueError(f"segment length m must be >= 2, got {m}")
-        if m > min(tr_dev.shape[1], tq_dev.shape[1]):
-            raise ValueError(
-                f"m={m} exceeds series lengths {tr_dev.shape[1]}, {tq_dev.shape[1]}"
-            )
-        policy = self.policy
-        pdtype = policy.precalc
-        sdtype = policy.storage
-
-        # Diagonal self-join tiles hand in the *same* device array for
-        # both roles (the backend shares the upload).  Every q-side
-        # quantity is then the same function of the same input as its
-        # r-side twin — including qt_col0, whose arguments become exactly
-        # qt_row0's — so computing them once is bit-identical.
-        same = tq_dev is tr_dev
-
-        tr = tr_dev.astype(pdtype, copy=False)
-        tq = tr if same else tq_dev.astype(pdtype, copy=False)
-
-        mu_r, inv_r = _window_stats(tr, m, policy)
-        mu_q, inv_q = (mu_r, inv_r) if same else _window_stats(tq, m, policy)
-        df_r, dg_r = _delta_coefficients(tr, mu_r, m, pdtype)
-        df_q, dg_q = (
-            (df_r, dg_r) if same else _delta_coefficients(tq, mu_q, m, pdtype)
-        )
-
-        qt_row0 = _centered_dot_against(tr[:, :m], mu_r[:, 0], tq, mu_q, m, policy)
-        qt_col0 = (
-            qt_row0
-            if same
-            else _centered_dot_against(tq[:, :m], mu_q[:, 0], tr, mu_r, m, policy)
-        )
-
-        result = PrecalcResult(
-            m=m,
-            mu_r=mu_r.astype(sdtype),
-            inv_r=inv_r.astype(sdtype),
-            df_r=df_r.astype(sdtype),
-            dg_r=dg_r.astype(sdtype),
-            mu_q=mu_q.astype(sdtype),
-            inv_q=inv_q.astype(sdtype),
-            df_q=df_q.astype(sdtype),
-            dg_q=dg_q.astype(sdtype),
-            qt_row0=qt_row0.astype(sdtype),
-            qt_col0=qt_col0.astype(sdtype),
-        )
-        self._record_cost(result, tr_dev, tq_dev, m)
-        return result
-
-    def _record_cost(
-        self,
-        result: PrecalcResult,
-        tr_dev: np.ndarray,
-        tq_dev: np.ndarray,
-        m: int,
-    ) -> None:
-        """Cost per the conventions in ``repro.gpu.perfmodel``.
-
-        Decomposed into the per-tile seed-dot work plus the window-plane
-        pass so the amortisation layer can charge each part separately;
-        the sum is the historical per-tile formula, field by field.
-        """
-        total = seed_cost(
-            result.n_r_seg,
-            result.n_q_seg,
-            result.d,
-            m,
-            tr_dev.shape[1],
-            tq_dev.shape[1],
-            self.policy,
-            self.config,
-        ) + plane_cost(result.n_r_seg, result.n_q_seg, result.d, self.policy)
-        self._account(
-            bytes_dram=total.bytes_dram,
-            bytes_l2=total.bytes_l2,
-            flops=total.flops,
-            launches=total.launches,
-            loop_rounds=total.loop_rounds,
-        )
-
-
-def naive_qt_row(
-    tr_dev: np.ndarray,
-    tq_dev: np.ndarray,
-    m: int,
-    row: int,
-    policy: PrecisionPolicy,
-) -> np.ndarray:
-    """Reference helper: centred QT of reference segment ``row`` against all
-    query segments, computed naively in the precalc precision.
-
-    Used by tests to validate the streaming recurrence against direct
-    evaluation at arbitrary rows.
-    """
-    pdtype = policy.precalc
-    # Share the self-join stats exactly as PrecalcKernel.run does — the
-    # second _window_stats pass was pure recomputation when both roles
-    # alias the same device array.
-    same = tq_dev is tr_dev
-    tr = tr_dev.astype(pdtype, copy=False)
-    tq = tr if same else tq_dev.astype(pdtype, copy=False)
-    mu_r, _ = _window_stats(tr, m, policy)
-    mu_q = mu_r if same else _window_stats(tq, m, policy)[0]
-    return _centered_dot_against(
-        tr[:, row : row + m], mu_r[:, row], tq, mu_q, m, policy
-    )

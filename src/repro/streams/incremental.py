@@ -7,17 +7,20 @@ when ``k`` new samples arrive, the segment grid grows by ``k`` rows/
 columns and the only uncovered region is an L-shaped band.  Covering the
 band with ordinary engine tiles and min/argmin-merging them into the
 running accumulator yields the profile a full recompute over the same
-tile list would produce — bit for bit, in all five precision modes:
+tile list would produce — bit for bit, in all five precision modes
+(with the default exact seeds):
 
 * the window-statistics planes ``mu``/``inv``/``df``/``dg`` are strictly
   window-local, so the new windows' entries are computed from the suffix
-  of the series with the exact per-window ``_Accumulator`` (Kahan for
-  FP16C) semantics of :mod:`repro.kernels.precalc` and appended to the
-  cached planes (:class:`StreamPlaneCache`, the streaming sibling of the
-  PR-5 :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`);
+  of the series and appended to the cached planes — the extension
+  routine of the one plane cache batch plans use too
+  (:class:`~repro.engine.precalc_cache.PlaneCache`; a batch plan is an
+  extension from 0), held here as a :class:`StreamPlaneCache`;
 * the per-tile seeds are naive centred dots evaluated per output column,
   so computing all of one dispatch's seeds in one batch and slicing them
-  per tile is bit-identical to the full-pass-then-slice values;
+  per tile is bit-identical to the full-pass-then-slice values (with
+  ``precalc_strategy="fft"`` they come from the FFT correlation against
+  the whole current series instead, as in a batch plan);
 * the strict-``<`` merge keeps the earliest reference row on ties, and
   the band decomposition below merges every query column's tiles in
   strictly increasing row order — the same order a batch dispatch of the
@@ -44,9 +47,7 @@ join types and append schedules.
 from __future__ import annotations
 
 import json
-import threading
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,243 +59,23 @@ from ..engine.accumulate import ProfileAccumulator
 from ..engine.backends import NumericBackend
 from ..engine.dispatch import DispatchReport, execute_plan
 from ..engine.plan import JobSpec
+from ..engine.precalc_cache import GrowableArray, PlaneCache
 from ..gpu.simulator import GPUSimulator
 from ..gpu.stream import Timeline
 from ..kernels.layout import to_device_layout, validate_series, validate_stream_samples
-from ..kernels.precalc import (
-    PrecalcResult,
-    PreparedPrecalc,
-    _delta_coefficients,
-    _window_stats,
-    plane_cost,
-    seed_qt_rows,
-)
 from ..precision.modes import PrecisionMode
 
 __all__ = ["StreamPlaneCache", "IncrementalMatrixProfile", "AppendResult"]
 
 
-class GrowableArray:
-    """An append-only array on a capacity-doubling buffer along ``axis``:
-    n appends cost O(n) copies and O(log n) reallocations, where
-    ``np.concatenate`` per append is O(n^2).  ``shape`` is the initial
-    (empty) buffer.  Appended entries never change, so a :attr:`view`
-    (the filled prefix) stays valid.
-    """
+class StreamPlaneCache(PlaneCache):
+    """The plane cache of a stream: the planes grow with the stream's
+    layouts, and with no base mode every mode's plane work is claimed
+    by the first tile of the next prepared stack."""
 
-    __slots__ = ("_buf", "_axis", "size")
-
-    def __init__(self, shape, dtype, axis: int):
-        self._buf = np.empty(shape, dtype=dtype)
-        self._axis = axis
-        self.size = 0
-
-    def _span(self, start: int, stop: int) -> tuple:
-        return (slice(None),) * self._axis + (slice(start, stop),)
-
-    @property
-    def capacity(self) -> int:
-        return self._buf.shape[self._axis]
-
-    @property
-    def view(self) -> np.ndarray:
-        return self._buf[self._span(0, self.size)]
-
-    def append(self, block: np.ndarray) -> None:
-        stop = self.size + block.shape[self._axis]
-        if stop > self.capacity:
-            shape = list(self._buf.shape)
-            shape[self._axis] = max(stop, 2 * self.capacity)
-            grown = np.empty(shape, dtype=self._buf.dtype)
-            grown[self._span(0, self.size)] = self.view
-            self._buf = grown
-        self._buf[self._span(self.size, stop)] = block
-        self.size = stop
-
-
-def _stream_role(d: int, policy) -> dict:
-    """One series role's growing planes in one precision mode."""
-    return {
-        name: GrowableArray((d, 0), dtype, axis=1)
-        for name, dtype in (
-            ("series_pd", policy.precalc), ("mu_pd", policy.precalc),
-            ("mu", policy.storage), ("inv", policy.storage),
-            ("df", policy.storage), ("dg", policy.storage),
-        )
-    }
-
-
-class _StreamModePlanes:
-    """Per-mode pair of role entries plus the pending plane charge."""
-
-    __slots__ = ("r", "q", "pending_charge")
-
-    def __init__(self, r: dict, q: dict):
-        self.r = r
-        self.q = q  # aliases ``r`` for self-joins
-        self.pending_charge = None  # KernelCost of un-claimed plane work
-
-
-class StreamPlaneCache:
-    """Incrementally extending window-statistics planes for a stream.
-
-    Duck-types the :class:`~repro.engine.precalc_cache.PrecalcPlaneCache`
-    ``prepare(plan, tiles)`` contract the
-    :class:`~repro.engine.backends.NumericBackend` consumes, but instead
-    of building full-series planes once, it *appends* to them as the
-    plan's layouts grow between calls: new windows' ``mu``/``inv`` come
-    from a suffix :func:`~repro.kernels.precalc._window_stats` pass and
-    ``df``/``dg`` from a one-window-overlap suffix
-    :func:`~repro.kernels.precalc._delta_coefficients` pass — both
-    bit-identical to the full-pass values because every output element is
-    a function of its own ``m`` samples only.  The planes grow in
-    :class:`GrowableArray` buffers, so a ``landmark`` stream is linear.
-
-    The first :meth:`prepare` of a plan seeds all its tiles in one
-    :func:`~repro.kernels.precalc.seed_qt_rows` call per direction — one
-    in all for a self-join, where tile B's row seed is tile A's column
-    seed and tile B's column seed a prefix of tile A's row seed — and
-    each stack gathers its tiles' slices of it (bit-identical:
-    accumulation is per column).
-
-    Planes are keyed per precision mode and derived from the *plan's*
-    layouts, so health escalation and admission shedding (which dispatch
-    the same tiles through :meth:`ExecutionPlan.escalated`) lazily grow a
-    consistent per-mode copy — escalated layouts are deterministic casts
-    of the base layouts, so suffix extension of an escalated mode's
-    planes matches a from-scratch build.
-
-    Cost accounting mirrors the batch cache: tiles are charged their
-    seed-dot work; plane work accrues per extension and is claimed by the
-    first tile of the next prepared stack of that mode, so aggregates
-    stay honest without a plan-global carrier.
-    """
-
-    def __init__(self):
-        self._modes: dict[PrecisionMode, _StreamModePlanes] = {}
-        # id(plan) -> (row seeds, col seeds), each start -> (first segment
-        # covered, storage seeds); dropped when the plan is.  A self-join's
-        # row and column seeds of one start coincide: one shared dict.
-        self._seeds: dict[int, tuple[dict, dict]] = {}
-        self._lock = threading.RLock()
-
-    @property
-    def modes_built(self) -> tuple:
-        with self._lock:
-            return tuple(self._modes)
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _extend_role(role: dict, layout, m: int, policy) -> int:
-        """Append planes for ``layout``'s new windows; returns new segs."""
-        sdtype = policy.storage
-        n_seg = max(0, layout.shape[1] - m + 1)
-        old = role["mu"].size
-        if n_seg <= old:
-            return 0
-        # The already-cached prefix is a cast of the same layout prefix —
-        # only the suffix is new (layouts grow by appending samples).
-        role["series_pd"].append(
-            layout[:, role["series_pd"].size:].astype(policy.precalc, copy=False)
-        )
-        series_pd = role["series_pd"].view
-        mu_new, inv_new = _window_stats(series_pd[:, old:], m, policy)
-        role["mu_pd"].append(mu_new)
-        role["mu"].append(mu_new.astype(sdtype))
-        role["inv"].append(inv_new.astype(sdtype))
-        # One window of overlap supplies T[i-1] and mu[i-1] for the first
-        # new window; its own (recomputed) column 0 is dropped.
-        lo = max(old - 1, 0)
-        df_new, dg_new = _delta_coefficients(
-            series_pd[:, lo:], role["mu_pd"].view[:, lo:], m, policy.precalc
-        )
-        role["df"].append(df_new[:, old - lo:].astype(sdtype))
-        role["dg"].append(dg_new[:, old - lo:].astype(sdtype))
-        return n_seg - old
-
-    def _sync(self, plan) -> _StreamModePlanes:
-        spec = plan.spec
-        policy = spec.policy
-        mode = PrecisionMode.parse(spec.config.mode)
-        self_join = plan.tq_layout is plan.tr_layout
-        entry = self._modes.get(mode)
-        if entry is None:
-            r = _stream_role(spec.d, policy)
-            entry = _StreamModePlanes(r, r if self_join else _stream_role(spec.d, policy))
-            self._modes[mode] = entry
-        new_r = self._extend_role(entry.r, plan.tr_layout, spec.m, policy)
-        new_q = (
-            new_r
-            if entry.q is entry.r
-            else self._extend_role(entry.q, plan.tq_layout, spec.m, policy)
-        )
-        if new_r or new_q:
-            # Self-joins charge both roles, matching the batch cache's
-            # historical per-tile accounting convention.
-            charge = plane_cost(
-                new_r, new_r if entry.q is entry.r else new_q, spec.d, policy
-            )
-            entry.pending_charge = (
-                charge
-                if entry.pending_charge is None
-                else entry.pending_charge + charge
-            )
-        return entry
-
-    def _ensure_seeds(self, planes: _StreamModePlanes, plan, tiles) -> tuple[dict, dict]:
-        """Seed each start of ``plan``'s tiles against the union of their
-        spans: one call per direction on the plan's first stack, then one
-        per stack with starts the plan never listed (OOM-split
-        children's)."""
-        seeds = self._seeds.get(id(plan))
-        if seeds is None:
-            row_seeds = {}
-            seeds = (row_seeds, row_seeds if planes.q is planes.r else {})
-            self._seeds[id(plan)] = seeds
-            weakref.finalize(plan, self._seeds.pop, id(plan), None)
-        tiles = (*plan.tiles, *tiles)
-        rows = [(t.row_start, t.col_start, t.col_stop) for t in tiles]
-        cols = [(t.col_start, t.row_start, t.row_stop) for t in tiles]
-        r, q = planes.r, planes.q
-        batches = (
-            [(seeds[0], r, r, rows + cols)]
-            if q is r
-            else [(seeds[0], r, q, rows), (seeds[1], q, r, cols)]
-        )
-        m = plan.spec.m
-        for cache, fixed, other, needs in batches:
-            starts = sorted({start for start, _, _ in needs} - cache.keys())
-            if not starts:
-                continue
-            lo = min(a for _, a, _ in needs)
-            hi = max(b for _, _, b in needs)
-            bands = seed_qt_rows(
-                fixed["series_pd"].view, starts, other["series_pd"].view[:, lo : hi + m - 1],
-                fixed["mu_pd"].view, other["mu_pd"].view[:, lo:hi], m, plan.spec.policy,
-            ).astype(plan.spec.policy.storage)
-            cache.update((start, (lo, band)) for start, band in zip(starts, bands))
-        return seeds
-
-    def prepare(self, plan, tiles) -> PreparedPrecalc:
-        """Assemble a stack of same-shape ``tiles``' precalculation from
-        the growing planes: one gather per plane and seed direction, the
-        pending plane charge claimed by the first tile."""
-        with self._lock:
-            planes = self._sync(plan)
-            row_seeds, col_seeds = self._ensure_seeds(planes, plan, tiles)
-            views = [{name: role[name].view for name in ("mu", "inv", "df", "dg")}
-                     for role in (planes.r, planes.q)]
-            row_bands = [row_seeds[t.row_start] for t in tiles]
-            col_bands = [col_seeds[t.col_start] for t in tiles]
-            result = PrecalcResult.gathered(
-                plan.spec.m, *views, tiles,
-                [(band, t.col_start - lo) for (lo, band), t in zip(row_bands, tiles)],
-                [(band, t.row_start - lo) for (lo, band), t in zip(col_bands, tiles)],
-            )
-            charge, planes.pending_charge = planes.pending_charge, None
-        charges = [charge] + [None] * (len(tiles) - 1)
-        return PreparedPrecalc.for_stack(result, plan.spec, tiles[0], charges)
+    # Owned, not inherited, so a tracer wrapping this name by class
+    # times stream prepares only.
+    prepare = PlaneCache.prepare
 
 
 @dataclass

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incremental import GrowableArray
+from ..engine.precalc_cache import GrowableArray
 
 __all__ = ["SketchMonitor", "SketchScore"]
 

@@ -3,7 +3,7 @@
 Every caller under ``src/`` runs Pseudocode 1 through one row-blocked
 loop (:func:`repro.engine.backends.run_tile` and the block kernels).
 This module chains the per-row kernel methods the way the pseudocode
-reads — ``PrecalcKernel.run``, then for every reference row
+reads — the tile's prepared precalc, then for every reference row
 ``DistCalcKernel.run(i)``, the stage-by-stage :func:`bitonic_sort`
 (defined here) / ``fanin_inclusive_scan`` networks (or ``BatchSortScanKernel`` for the
 batch strategy) and ``UpdateKernel.run`` / ``masked_run`` — and charges
@@ -27,11 +27,12 @@ from repro.engine import plan as plan_module
 from repro.engine.backends import TileOutput
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout, validate_series
-from repro.kernels.precalc import PrecalcKernel
 from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
 from repro.kernels.sort_scan_batch import BatchSortScanKernel
 from repro.kernels.update import INDEX_DTYPE, UpdateKernel
 from repro.precision.modes import DTYPE_MAX
+
+from .precalc_oracle import PerTileCache, PrecalcKernel
 
 
 @lru_cache(maxsize=64)
@@ -123,13 +124,14 @@ def per_row_tile(
     m,
     policy,
     launch,
+    *,
+    precalc,
     row_offset=0,
     col_offset=0,
     exclusion_zone=None,
     sort_strategy="bitonic",
     fast_path_1d=True,
     workspace=None,
-    precalc=None,
     main_loop="vector",
     mirror=False,
 ) -> TileOutput:
@@ -146,7 +148,7 @@ def per_row_tile(
                 row_offset=row_offset[t], col_offset=col_offset[t],
                 exclusion_zone=exclusion_zone, sort_strategy=sort_strategy,
                 fast_path_1d=fast_path_1d,
-                precalc=None if precalc is None else precalc.select([t]),
+                precalc=precalc.select([t]),
                 main_loop=main_loop, mirror=mirror,
             )
             for t in range(n_tiles)
@@ -156,13 +158,8 @@ def per_row_tile(
     d = tr_dev.shape[0]
     n_r_seg = tr_dev.shape[1] - m + 1
     n_q_seg = tq_dev.shape[1] - m + 1
-    if precalc is None:
-        precalc_kernel = PrecalcKernel(config=launch, policy=policy)
-        pre = precalc_kernel.run(tr_dev, tq_dev, m)
-        precalc_cost = precalc_kernel.cost
-    else:
-        (precalc_cost,) = precalc.costs
-        pre = precalc.result
+    (precalc_cost,) = precalc.costs
+    pre = precalc.result
     dist = DistCalcKernel(config=launch, policy=policy)
     dist.bind(pre)
     if sort_strategy == "batch":
@@ -219,11 +216,12 @@ def per_row_engine():
 
 @contextmanager
 def per_tile_precalc():
-    """Plans built while the block is active get ``precalc_cache=None``,
-    so every tile runs ``PrecalcKernel`` on its own slices instead of
-    slicing the plan-level planes."""
+    """Plans built while the block is active get a
+    :class:`~tests.precalc_oracle.PerTileCache`, so every tile runs
+    ``PrecalcKernel`` on its own slices instead of slicing the
+    plan-level planes."""
     original = plan_module.PrecalcPlaneCache
-    plan_module.PrecalcPlaneCache = lambda **_: None
+    plan_module.PrecalcPlaneCache = lambda **_: PerTileCache()
     try:
         yield
     finally:

@@ -11,6 +11,8 @@ from repro.gpu.kernel import LaunchConfig
 from repro.kernels.layout import to_device_layout
 from repro.precision.modes import PrecisionMode, policy_for
 
+from .precalc_oracle import kernel_precalc
+
 CFG = LaunchConfig(grid=4, block=64)
 
 
@@ -80,13 +82,11 @@ class TestRunTile:
         qry = rng.normal(size=(50, 1)).cumsum(axis=0)
         m = 8
         policy = policy_for("FP64")
+        tr = to_device_layout(ref, policy.storage)
+        tq = to_device_layout(qry, policy.storage)
         out = run_tile(
-            to_device_layout(ref, policy.storage),
-            to_device_layout(qry, policy.storage),
-            m,
-            policy,
-            CFG,
-            row_offset=1000,
+            tr, tq, m, policy, CFG, row_offset=1000,
+            precalc=kernel_precalc(tr, tq, m, policy, CFG),
         )
         assert np.all(out.indices >= 1000)
 
@@ -96,7 +96,8 @@ class TestRunTile:
         policy = policy_for("FP64")
         dev = to_device_layout(series, policy.storage)
         m = 8
-        out = run_tile(dev, dev, m, policy, CFG, exclusion_zone=2)
+        out = run_tile(dev, dev, m, policy, CFG, exclusion_zone=2,
+                       precalc=kernel_precalc(dev, dev, m, policy, CFG))
         n_seg = dev.shape[1] - m + 1
         for j in range(n_seg):
             if out.indices[0, j] >= 0:
@@ -106,7 +107,8 @@ class TestRunTile:
         ref = rng.normal(size=(60, 2))
         policy = policy_for("FP16")
         dev = to_device_layout(ref, policy.storage)
-        out = run_tile(dev, dev, 8, policy, CFG)
+        out = run_tile(dev, dev, 8, policy, CFG,
+                       precalc=kernel_precalc(dev, dev, 8, policy, CFG))
         assert out.h2d_bytes == 2 * 60 * 2 * 2  # both series, fp16
         n_seg = 53
         assert out.d2h_bytes == n_seg * 2 * (2 + 8)  # P (fp16) + I (int64)
@@ -115,4 +117,5 @@ class TestRunTile:
         policy = policy_for("FP64")
         dev = to_device_layout(rng.normal(size=(10, 1)), policy.storage)
         with pytest.raises(ValueError):
-            run_tile(dev, dev, 11, policy, CFG)
+            # The geometry is checked before the precalculation is read.
+            run_tile(dev, dev, 11, policy, CFG, precalc=None)

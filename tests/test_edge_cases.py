@@ -55,6 +55,10 @@ class TestMinimalSizes:
         with pytest.raises(ValueError):
             matrix_profile(rng.normal(size=(10, 1)), m=20)
 
+    def test_m_below_two_rejected(self, rng):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            matrix_profile(rng.normal(size=(10, 1)), m=1)
+
 
 class TestDegenerateData:
     def test_constant_series_does_not_crash(self):

@@ -12,8 +12,9 @@ from repro.core.multi_tile import compute_multi_tile
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import single_tile_costs
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import naive_qt_row
 from repro.precision.modes import policy_for
+
+from .precalc_oracle import PrecalcKernel, naive_qt_row
 
 
 class TestThreeWayAgreement:
@@ -53,7 +54,6 @@ class TestStreamingVsNaive:
         # Validates the diagonal recurrence against direct dot products at
         # rows far from the restart point, in FP64.
         from repro.kernels.dist_calc import DistCalcKernel
-        from repro.kernels.precalc import PrecalcKernel
 
         ref = rng.normal(size=(150, 2)).cumsum(axis=0)
         qry = rng.normal(size=(130, 2)).cumsum(axis=0)

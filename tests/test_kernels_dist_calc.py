@@ -7,8 +7,9 @@ from repro.baselines.brute_force import znormalized_distance_matrix
 from repro.gpu.kernel import LaunchConfig
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel
 from repro.precision.modes import policy_for
+
+from .precalc_oracle import PrecalcKernel
 
 CFG = LaunchConfig(grid=4, block=64)
 

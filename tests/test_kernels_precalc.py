@@ -5,8 +5,10 @@ import pytest
 
 from repro.gpu.kernel import LaunchConfig, grid_stride_chunks
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel, naive_qt_row, seed_cost
+from repro.kernels.precalc import seed_cost
 from repro.precision.modes import policy_for
+
+from .precalc_oracle import PrecalcKernel, naive_qt_row
 
 CFG = LaunchConfig(grid=4, block=64)
 

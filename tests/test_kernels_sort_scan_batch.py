@@ -15,6 +15,8 @@ from repro.kernels.sort_scan_batch import (
 )
 from repro.precision.modes import policy_for
 
+from .precalc_oracle import kernel_precalc
+
 CFG = LaunchConfig(grid=4, block=64)
 
 
@@ -104,10 +106,12 @@ class TestRunConfigIntegration:
         policy = policy_for("FP64")
         dev = to_device_layout(ref, policy.storage)
         cfg = RunConfig()
-        coop = run_tile(dev, dev, 16, policy, cfg.launch, exclusion_zone=4)
+        precalc = kernel_precalc(dev, dev, 16, policy, cfg.launch)
+        coop = run_tile(dev, dev, 16, policy, cfg.launch, exclusion_zone=4,
+                        precalc=precalc)
         batch = run_tile(
             dev, dev, 16, policy, cfg.launch, exclusion_zone=4,
-            sort_strategy="batch",
+            sort_strategy="batch", precalc=precalc,
         )
         t_coop = tile_timing_from_output(coop, policy, A100)
         t_batch = tile_timing_from_output(batch, policy, A100)

@@ -12,8 +12,9 @@ buffers every step.  ``tracemalloc`` sees numpy's data buffers, so the peak
 traced memory above the level at the start of the call bounds the
 largest allocation the call made.  The tests raise the super-step
 budget to 2^19 elements so that a block clearly outweighs what a tile
-does allocate — its O(d * n) precalc vectors and outputs, and numpy's
-fixed-size casting buffers.
+does allocate — its O(d * n) vectors and outputs, and numpy's
+fixed-size casting buffers.  Every call gets its precalc prepared, as
+the plane cache hands it to the backend.
 """
 
 import tracemalloc
@@ -25,7 +26,8 @@ from repro.core.config import RunConfig
 from repro.engine import backends
 from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel, PrecalcResult, PreparedPrecalc
+
+from .precalc_oracle import kernel_precalc
 
 D, M = 2, 16
 BUDGET = 1 << 19
@@ -40,12 +42,15 @@ SHAPES = {
     "mirror": (600, 600, 1, True),
 }
 #: A stack of 50 tiles, like a many-tile job's: its block is the
-#: ``WIDE_STACK_BUDGET // 8`` floor, below the stack's whole plane.  Its
-#: precalc comes prepared, as the plane cache hands it to the backend;
-#: the tiles are wide enough that the stack's remaining O(T * d * n)
-#: vectors (~40 bytes per plane column) weigh well under a block.
+#: ``WIDE_STACK_BUDGET // 8`` floor, below the stack's whole plane.  The
+#: tiles are wide enough that the stack's remaining O(T * d * n) vectors
+#: (~40 bytes per plane column) weigh well under a block.
 WIDE_STACK = (150, 160, 50, False)
 WIDE_STACK_BUDGET = 1 << 24
+#: The warm wide stack's peak at FP64, in bytes: 1.97 MB when dist_calc
+#: copied its six per-row vectors into wide mirrors on every call,
+#: 1.23 MB now that the mirrors alias them (wide == compute at FP64).
+FP64_WIDE_STACK_PEAK = 1_500_000
 
 
 def _series(n, seed=0):
@@ -91,26 +96,20 @@ def test_warm_wide_stack_allocates_no_block(mode, monkeypatch):
     n_r, n_q, tiles, _ = WIDE_STACK
     block = super_step_rows(n_r, n_q, D, tiles)
     assert D * tiles * block * n_q <= WIDE_STACK_BUDGET // 8 < D * tiles * n_r * n_q
-    _assert_warm_tile_allocates_no_block(mode, WIDE_STACK, prepared=True)
+    _assert_warm_tile_allocates_no_block(mode, WIDE_STACK)
 
 
-def _prepared(tr, tq, policy, launch):
-    """The stack's precalc as a plane cache hands it over."""
-    results, costs = [], []
-    for t in range(tr.shape[0]):
-        kernel = PrecalcKernel(config=launch, policy=policy)
-        results.append(kernel.run(tr[t], tq[t], M))
-        costs.append(kernel.cost)
-    return PreparedPrecalc(PrecalcResult.stacked(results), tuple(costs),
-                           (0.0,) * len(costs))
+def test_warm_fp64_stack_copies_no_per_row_vector(monkeypatch):
+    monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", WIDE_STACK_BUDGET)
+    peak = _assert_warm_tile_allocates_no_block("FP64", WIDE_STACK)
+    assert peak < FP64_WIDE_STACK_PEAK, f"{peak} B allocated at peak"
 
 
-def _assert_warm_tile_allocates_no_block(mode, shape, prepared=False):
+def _assert_warm_tile_allocates_no_block(mode, shape):
     cfg = RunConfig(mode=mode)
     policy = cfg.policy
     tr, tq, kwargs = _tile_args(shape, policy)
-    if prepared:
-        kwargs["precalc"] = _prepared(tr, tq, policy, cfg.launch)
+    kwargs["precalc"] = kernel_precalc(tr, tq, M, policy, cfg.launch)
     pool = WorkspacePool()
     want = run_tile(tr, tq, M, policy, cfg.launch, workspace=pool, **kwargs)
     tracemalloc.start()
@@ -132,3 +131,4 @@ def _assert_warm_tile_allocates_no_block(mode, shape, prepared=False):
             assert np.array_equal(a.mirror_profile.view(np.uint8),
                                   b.mirror_profile.view(np.uint8))
             assert np.array_equal(a.mirror_indices, b.mirror_indices)
+    return peak

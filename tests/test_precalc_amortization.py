@@ -5,8 +5,8 @@ path: every tile's precalculation assembled from the plan-level plane
 cache must be *bit-identical* to what ``PrecalcKernel.run`` produces on
 that tile's device slices, for every precision mode (including the Kahan
 FP16C path), join type and tile geometry.  End to end, the reference is
-a plan whose ``precalc_cache`` is ``None`` (every tile runs the kernel
-itself).  There is no knob to turn the cache off.  The opt-in FFT seed strategy
+plans whose plane cache is the oracle's per-tile fake (every tile runs
+the kernel itself).  There is no knob to turn the cache off.  The opt-in FFT seed strategy
 is the one deliberate numerical deviation and is pinned against the
 ``precision/errors.py`` dot-product bound instead.  Cost accounting is
 pinned too: seed work per tile, the one-off plane pass on exactly one
@@ -23,9 +23,7 @@ from repro.engine import JobSpec
 from repro.gpu.kernel import KernelCost
 from repro.kernels.layout import to_device_layout
 from repro.kernels.precalc import (
-    PrecalcKernel,
     fft_seed_qt_rows,
-    naive_qt_row,
     plane_cost,
     seed_cost,
     seed_qt_rows,
@@ -36,6 +34,7 @@ from repro.reporting import render_precalc_savings
 from repro.service import PrecalcStatsCache
 
 from .per_row_oracle import per_tile_precalc
+from .precalc_oracle import PrecalcKernel, naive_qt_row
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
@@ -285,6 +284,21 @@ class TestFFTStrategy:
         np.testing.assert_allclose(
             fft.profile, exact.profile, rtol=1e-8, atol=1e-10
         )
+
+    @pytest.mark.parametrize("ab", [False, True])
+    def test_fft_seeds_span_the_whole_series(self, rng, ab):
+        """FFT seeds do not depend on the tiles a plan lists: a one-tile
+        subplan (as a cluster node plans it) gets the full plan's bytes."""
+        ref = rng.normal(size=(150, 2)).cumsum(axis=0)
+        qry = rng.normal(size=(130, 2)).cumsum(axis=0) if ab else None
+        cfg = RunConfig(mode="FP64", n_tiles=6, precalc_strategy="fft")
+        spec = JobSpec.from_arrays(ref, qry, 12, cfg)
+        full = spec.plan()
+        tile = full.tiles[-1]
+        sub = spec.plan(tiles=[tile], assignment=[0])
+        got = sub.precalc_cache.prepare(sub, [tile]).result
+        want = full.precalc_cache.prepare(full, [tile]).result
+        _assert_results_identical(got, want, "subplan")
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError, match="precalc_strategy"):

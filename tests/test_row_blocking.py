@@ -43,6 +43,7 @@ from repro.kernels._f16fast import (
 from repro.kernels.layout import to_device_layout
 
 from .per_row_oracle import per_row_engine, per_row_tile
+from .precalc_oracle import kernel_precalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 WHOLE = 1 << 40  # a super-step budget no test tile fills: one block per tile
@@ -61,6 +62,7 @@ def _run(tr, tq, m, cfg, blocked=True, strategy="bitonic", ez=None):
     out = tile(
         tr, tq, m, cfg.policy, cfg.launch,
         exclusion_zone=ez, sort_strategy=strategy,
+        precalc=kernel_precalc(tr, tq, m, cfg.policy, cfg.launch),
     )
     costs = {k: vars(v).copy() for k, v in out.costs.items()}
     return out.profile, out.indices, costs
@@ -129,9 +131,11 @@ class TestKernelBitIdentity:
         tr = to_device_layout(ref, cfg.policy.storage)
         n_seg = n - m + 1
         expected = n_seg * math.ceil(d * n_seg / cfg.launch.total_threads)
+        precalc = kernel_precalc(tr, tr, m, cfg.policy, cfg.launch)
         for blk in (1, 13, 64):
             _budget(monkeypatch, blk, d, n_seg)
-            out = run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2)
+            out = run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2,
+                           precalc=precalc)
             assert out.costs["dist_calc"].loop_rounds == expected
 
 
@@ -200,18 +204,22 @@ class TestSuperStepRows:
         d, m, n_seg = 3, 8, 40
         cfg = RunConfig(mode="FP32")
         tr = to_device_layout(rng.normal(size=(n_seg + m - 1, d)), cfg.policy.storage)
+        precalc = kernel_precalc(tr, tr, m, cfg.policy, cfg.launch)
         for budget, want in ((0, [1] * n_seg), (7 * d * n_seg, [7] * 5 + [5]),
                              (WHOLE, [n_seg])):
             monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", budget)
             blocks.clear()
-            run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2)
+            run_tile(tr, tr, m, cfg.policy, cfg.launch, exclusion_zone=m // 2,
+                     precalc=precalc)
             assert blocks == want
         # A stack of two tiles spends the same budget on d * 2 planes.
         monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", 14 * d * n_seg)
         blocks.clear()
-        run_tile(np.stack([tr, tr]), np.stack([tr, tr]), m, cfg.policy, cfg.launch,
+        stack = np.stack([tr, tr])
+        run_tile(stack, stack, m, cfg.policy, cfg.launch,
                  row_offset=[0, 0], col_offset=[0, 0],
-                 exclusion_zone=m // 2)
+                 exclusion_zone=m // 2,
+                 precalc=kernel_precalc(stack, stack, m, cfg.policy, cfg.launch))
         assert blocks == [7] * 5 + [5]
 
 

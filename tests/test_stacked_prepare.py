@@ -87,8 +87,8 @@ def _prepare_both(got_plan, want_plan, stack_ids):
 def _claim_state(plan):
     cache = plan.precalc_cache
     return {
-        mode: (planes.charge_claimed, planes.charge is None)
-        for mode, planes in cache._planes.items()
+        mode: (planes.pending is None, planes.charge is None)
+        for mode, planes in cache._modes.items()
     }
 
 

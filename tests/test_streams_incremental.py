@@ -13,6 +13,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import matrix_profile
+from repro.baselines.brute_force import brute_force_mdmp
 from repro.core.config import RunConfig
 from repro.core.tiling import assign_tiles
 from repro.engine.accumulate import ProfileAccumulator
@@ -21,13 +22,20 @@ from repro.engine.dispatch import execute_plan
 from repro.engine.plan import JobSpec
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.layout import validate_stream_samples
-from repro.precision.errors import implied_correlation, streaming_qt_error_bound
+from repro.precision.errors import (
+    dot_product_error_bound,
+    implied_correlation,
+    streaming_qt_error_bound,
+)
 from repro.streams import (
     IncrementalMatrixProfile,
     SketchMonitor,
     StreamIngestService,
+    StreamPlaneCache,
     TenantPolicy,
 )
+
+from .precalc_oracle import PerTileCache
 
 MODES = ("FP64", "FP32", "Mixed", "FP16", "FP16C")
 
@@ -93,12 +101,12 @@ class TestIncrementalBitIdentity:
 
     @pytest.mark.parametrize("mode", ("FP64", "FP16C"))
     def test_plane_cache_matches_uncached(self, rng, mode):
-        """A stream without a plane cache recomputes planes per tile;
-        the stream cache must not perturb a single bit."""
+        """A stream whose plane cache recomputes planes per tile (the
+        oracle's fake); the stream cache must not perturb a single bit."""
         series = _series(rng, 90, 2)
         a = IncrementalMatrixProfile(12, RunConfig(mode=mode))
         b = IncrementalMatrixProfile(12, RunConfig(mode=mode))
-        b._planes = None  # every band plan then has precalc_cache=None
+        b._planes = PerTileCache()  # every band tile runs the kernel itself
         off = 0
         for step in (40, 1, 49):
             a.append(series[off : off + step])
@@ -173,6 +181,79 @@ class TestIncrementalBitIdentity:
         inc.save(path)
         with pytest.raises(ValueError, match="storage dtype"):
             IncrementalMatrixProfile.load(path, RunConfig(mode="FP64"))
+
+
+def _stream(rng, join, config, m=12, steps=(40, 7, 1, 52)):
+    """A stream of bounded data appended in ``steps``, and its series."""
+    def bounded(n):
+        t = np.arange(n)[:, None]
+        return np.sin(2 * np.pi * t / (13 + 5 * np.arange(2))) + 0.3 * rng.normal(size=(n, 2))
+
+    series, ref = bounded(sum(steps)), bounded(70) if join == "ab" else None
+    inc = IncrementalMatrixProfile(m, config, reference=ref)
+    for end, step in zip(np.cumsum(steps), steps):
+        inc.append(series[end - step : end])
+    return inc, series, ref
+
+
+class TestPrecalcStrategy:
+    """Streams honour ``precalc_strategy``: exact seeds by default, FFT
+    seeds (against the whole current series) inside the dot-product bound
+    of ``precision/errors.py`` against FP64 brute force."""
+
+    @pytest.mark.parametrize("join", ["self", "ab"])
+    def test_exact_is_the_default(self, join):
+        runs = [
+            _stream(np.random.default_rng(5), join, config)[0]
+            for config in (RunConfig(), RunConfig(precalc_strategy="exact"))
+        ]
+        _assert_bit_identical(runs[0].profile(), runs[1].profile())
+        _assert_bit_identical(runs[0].profile(), _batch_profile(runs[0], runs[0].config))
+
+    @pytest.mark.parametrize("join", ["self", "ab"])
+    @pytest.mark.parametrize("mode", ["FP64", "FP32"])
+    def test_fft_seeds_within_dot_product_bound(self, monkeypatch, mode, join):
+        prepared = []
+        original = StreamPlaneCache.prepare
+
+        def spy(cache, plan, tiles):
+            out = original(cache, plan, tiles)
+            prepared.extend((plan, t, out.result.select(len(tiles), [k]))
+                            for k, t in enumerate(tiles))
+            return out
+
+        monkeypatch.setattr(StreamPlaneCache, "prepare", spy)
+        config = RunConfig(mode=mode, precalc_strategy="fft")
+        m = 12
+        fft, series, _ = _stream(np.random.default_rng(5), join, config, m)
+        monkeypatch.undo()
+        exact = _stream(np.random.default_rng(5), join, RunConfig(mode=mode), m)[0]
+        assert fft.profile()[0].tobytes() != exact.profile()[0].tobytes()
+        # The longest series a seed pass transformed bounds the FFT length.
+        nfft = 1 << (len(series) + m - 2).bit_length()
+        gamma = dot_product_error_bound(nfft, config.policy.eps)
+        for plan, tile, result in prepared:
+            # FP64 brute force on the stream's own storage-dtype samples.
+            r, q = (sliding_window_view(x.astype(np.float64), m, axis=1)
+                    for x in (plan.tr_layout, plan.tq_layout))
+            r, q = r - r.mean(axis=2, keepdims=True), q - q.mean(axis=2, keepdims=True)
+            for got, fixed, others in (
+                (result.qt_row0, r[:, tile.row_start], q[:, tile.col_start : tile.col_stop]),
+                (result.qt_col0, q[:, tile.col_start], r[:, tile.row_start : tile.row_stop]),
+            ):
+                want = np.einsum("kt,kjt->kj", fixed, others)
+                scale = np.linalg.norm(fixed, axis=1)[:, None] * np.linalg.norm(others, axis=2)
+                assert np.all(np.abs(got.astype(np.float64) - want) <= gamma * scale)
+
+    @pytest.mark.parametrize("join", ["self", "ab"])
+    def test_fft_profile_matches_brute_force(self, rng, join):
+        config = RunConfig(precalc_strategy="fft")
+        inc, series, ref = _stream(rng, join, config)
+        if ref is None:
+            want, _ = brute_force_mdmp(series, None, 12, exclusion_zone=inc.exclusion_zone)
+        else:
+            want, _ = brute_force_mdmp(ref, series, 12)
+        np.testing.assert_allclose(inc.profile()[0], want, rtol=1e-8, atol=1e-10)
 
 
 class TestABJoinStream:

@@ -24,12 +24,13 @@ from repro.engine.health import HealthPolicy
 from repro.gpu.device import SKYLAKE16
 from repro.gpu.occupancy import launch_for_full_occupancy
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel
 from repro.kernels.sort_scan import _batcher_pairs
 from repro.kernels.tc_gemm import TcGemmKernel
 from repro.kernels.update import UpdateKernel
 from repro.precision.errors import tc_gemm_error_bound
 from repro.precision.modes import TENSOR_CORE_MODES, PrecisionMode, policy_for
+
+from .precalc_oracle import PrecalcKernel, kernel_precalc
 
 N_SEG = 96
 D = 4
@@ -223,7 +224,8 @@ class TestBackendRouting:
         policy = policy_for("FP32")
         tr = to_device_layout(_series(0, 64 + M - 1), policy.storage)
         with pytest.raises(ValueError, match="tensor-core main loop"):
-            run_tile(tr, tr, M, policy, LAUNCH, main_loop="tensor_core")
+            run_tile(tr, tr, M, policy, LAUNCH, main_loop="tensor_core",
+                     precalc=kernel_precalc(tr, tr, M, policy, LAUNCH))
 
     def test_single_tile_records_backend(self):
         ser = _series(5, 120)

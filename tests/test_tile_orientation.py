@@ -30,11 +30,12 @@ from repro.engine.faults import FaultPlan
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import PrecalcKernel, PrecalcResult
+from repro.kernels.precalc import PrecalcResult
 from repro.kernels.update import UpdateKernel
 from repro.streams import IncrementalMatrixProfile
 
 from .per_row_oracle import per_row_engine, per_row_tile, per_tile_precalc
+from .precalc_oracle import PrecalcKernel, kernel_precalc
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 B = 8  # block of the panel-width runs; small, so tall tiles take several panels
@@ -110,7 +111,8 @@ def _tile(tr, tq, m, cfg, blocked=True, **kwargs):
     """``run_tile`` under the current budget; ``blocked=False`` runs the
     per-row oracle."""
     tile = run_tile if blocked else per_row_tile
-    return tile(tr, tq, m, cfg.policy, cfg.launch, **kwargs)
+    precalc = kernel_precalc(tr, tq, m, cfg.policy, cfg.launch)
+    return tile(tr, tq, m, cfg.policy, cfg.launch, precalc=precalc, **kwargs)
 
 
 def _tile_result(out):
