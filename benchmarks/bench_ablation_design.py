@@ -70,13 +70,15 @@ def test_ablation_sort_strategy(benchmark):
 @pytest.mark.benchmark(group="ablation")
 def test_ablation_sort_strategy_executed(benchmark):
     """Executed twin of the analytic sort ablation: run the real batch
-    kernel (repro.kernels.sort_scan_batch) against the cooperative one and
-    compare recorded-cost-derived busy times plus result equality."""
+    kernel (``tests/sort_scan_batch.py``, row by row through the per-row
+    oracle) against the cooperative one of the main loop and compare
+    recorded-cost-derived busy times plus result equality."""
     from repro.core.config import RunConfig
     from repro.engine.backends import run_tile, tile_timing_from_output
     from repro.engine.plan import JobSpec
     from repro.kernels.layout import to_device_layout
     from repro.precision import policy_for
+    from tests.per_row_oracle import per_row_tile
 
     rng = np.random.default_rng(2)
     series = rng.normal(size=(600, 16))
@@ -86,7 +88,7 @@ def test_ablation_sort_strategy_executed(benchmark):
 
     precalc = JobSpec.from_layouts(dev, dev, 32, cfg).whole_grid_precalc()
     coop = run_tile(dev, dev, 32, policy, cfg.launch, exclusion_zone=8, precalc=precalc)
-    batch = run_tile(
+    batch = per_row_tile(
         dev, dev, 32, policy, cfg.launch, exclusion_zone=8, sort_strategy="batch",
         precalc=precalc,
     )
@@ -108,7 +110,7 @@ def test_ablation_sort_strategy_executed(benchmark):
     emit("ablation_sort_strategy_executed", table)
 
     benchmark.pedantic(
-        lambda: run_tile(
+        lambda: per_row_tile(
             dev[:, :200], dev[:, :200], 32, policy, cfg.launch, sort_strategy="batch",
             precalc=JobSpec.from_layouts(dev[:, :200], dev[:, :200], 32, cfg)
             .whole_grid_precalc(),

@@ -13,8 +13,6 @@ machine consumption, ``BENCH_autotuner.json`` at the repo root (full
 runs only).  ``REPRO_BENCH_SMOKE=1`` shrinks the grid for CI smoke runs.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -26,9 +24,8 @@ from repro.core.api import matrix_profile
 from repro.precision.errors import implied_correlation
 from repro.reporting import format_table
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: The error-target tier: one self-join, requested FP16 with 16 tiles
 #: (so the triangular layout competes), swept over targets.
@@ -85,8 +82,7 @@ def _error_tier(record):
 def test_autotuner_error_tier(benchmark):
     record = {"smoke": SMOKE, "error_tier": []}
     emit("autotuner", _error_tier(record))
-    if not SMOKE:
-        JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     n_seg, d, m = TIER_SHAPE
     series = _series(n_seg, d, m, seed=7)

@@ -17,7 +17,6 @@ Two claims about the engine's recovery machinery (`repro.engine.health`,
 ``REPRO_BENCH_SMOKE=1`` shrinks the problem for CI smoke runs.
 """
 
-import os
 import time
 
 import numpy as np
@@ -30,9 +29,8 @@ from repro.engine.faults import FaultPlan
 from repro.engine.health import HealthPolicy
 from repro.reporting import format_table
 
-from _harness import emit
+from _harness import SMOKE, emit
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N = 384 if SMOKE else 1024
 D = 3 if SMOKE else 6
 M = 32

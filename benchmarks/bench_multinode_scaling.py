@@ -28,9 +28,7 @@ Results are archived to ``benchmarks/results/multinode_scaling.txt`` and
 shrinks the fleet curve for CI smoke runs.
 """
 
-import json
 import math
-import os
 from pathlib import Path
 
 import pytest
@@ -40,9 +38,8 @@ from repro.core.config import RunConfig
 from repro.engine.plan import JobSpec
 from repro.reporting import format_table
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: Weak-scaling base problem: n segments at one node (paper scale).
 BASE_N = 2**14 if SMOKE else 2**16
@@ -170,7 +167,7 @@ def test_multinode_weak_scaling_and_storm(benchmark):
     }
 
     emit("multinode_scaling", scaling_table + "\n\n" + storm_table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(
         lambda: _run(ClusterSpec(n_nodes=2, gpus_per_node=GPUS_PER_NODE)),

@@ -31,8 +31,6 @@ and ``BENCH_precalc_amortization.json`` at the repo root.
 floor for CI smoke runs.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -46,10 +44,9 @@ from repro.gpu.simulator import GPUSimulator
 from repro.reporting import format_table
 from repro.service import PrecalcStatsCache
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 from tests.precalc_oracle import PerTileCache
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: Precalc-bound reference config: tile edges comparable to the window
 #: length, so the per-tile statistics restart is the dominant cost.
@@ -173,7 +170,7 @@ def test_precalc_amortization_speedup(benchmark):
         f"{N_TILES} tiles (best of {REPEATS})",
     )
     emit("precalc_amortization", table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(
         lambda: compute_multi_tile(series, None, M, RunConfig(**cfg)),

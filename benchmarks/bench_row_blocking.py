@@ -34,7 +34,6 @@ runs only).  ``REPRO_BENCH_SMOKE=1`` shrinks the problem and relaxes the
 speedup floor for CI smoke runs.
 """
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -51,9 +50,8 @@ from repro.engine.plan import JobSpec
 from repro.kernels.layout import to_device_layout
 from repro.reporting import format_table
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: The reference config of the acceptance criterion: one multi-dim FP16
 #: tile.  n_seg = 256 reference segments (n = n_seg + m - 1 samples).
@@ -180,8 +178,7 @@ def test_row_blocking_speedup(benchmark):
         f"m={M} (block={BLOCK}, best of {REPEATS})",
     )
     emit("row_blocking", table)
-    if not SMOKE:
-        JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(lambda: _time_tile("FP16"), rounds=1, iterations=1)
 

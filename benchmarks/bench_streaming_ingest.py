@@ -24,8 +24,6 @@ Results are archived to ``benchmarks/results/streaming_ingest.txt`` and
 shrinks the problem and relaxes the speedup floor for CI smoke runs.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -37,9 +35,8 @@ from repro.core.multi_tile import compute_multi_tile
 from repro.reporting import format_table
 from repro.streams import IncrementalMatrixProfile, StreamIngestService, TenantPolicy
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 M = 32 if SMOKE else 64
 D = 2
@@ -171,7 +168,7 @@ def test_streaming_ingest_speedup(benchmark):
         f"(best of {REPEATS})",
     )
     emit("streaming_ingest", table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(
         lambda: _grown_stream(series, HISTORIES[0]).append(

@@ -27,8 +27,6 @@ speedup floor for CI smoke runs (tiny tiles leave the per-tile mirror
 reduce overhead unamortised).
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -44,9 +42,8 @@ from repro.precision.errors import (
 )
 from repro.reporting import format_table
 
-from _harness import emit
+from _harness import SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: The reference job of the acceptance criterion: a 64-tile self-join,
 #: n_seg = 8192 segments, d = 8, m = 32 on the A100 preset.
@@ -146,7 +143,7 @@ def test_symmetric_tiles_speedup_and_accuracy(benchmark):
         f"m={M}, 64-tile request (A100 launch, best of {REPEATS})",
     )
     emit("symmetric_tiles", table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(
         lambda: _run(series, "numeric", "FP32", symmetric=True),

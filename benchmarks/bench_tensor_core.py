@@ -28,8 +28,6 @@ machine consumption, ``BENCH_tensor_core.json`` at the repo root.
 floor for CI smoke runs.
 """
 
-import json
-import os
 import time
 from pathlib import Path
 
@@ -48,9 +46,8 @@ from repro.precision.errors import tc_gemm_error_bound
 from repro.precision.modes import policy_for
 from repro.reporting import format_table
 
-from _harness import MODES, emit
+from _harness import MODES, SMOKE, emit, write_record
 
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: The reference config of the acceptance criterion: one Mixed tile on
 #: the A100 preset.  n_seg = 256 reference segments, d = 8, m = 32.
@@ -194,7 +191,7 @@ def test_tensor_core_speedup_and_parity(benchmark):
         f"m={M} (A100 launch, best of {REPEATS})",
     )
     emit("tensor_core", table)
-    JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    write_record(JSON_PATH, record)
 
     benchmark.pedantic(lambda: _time_tile("tensor_core"), rounds=1,
                        iterations=1)

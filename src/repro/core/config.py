@@ -18,6 +18,11 @@ from ..precision.modes import PrecisionMode, PrecisionPolicy, policy_for
 
 __all__ = ["RunConfig", "RetryPolicy", "default_exclusion_zone"]
 
+#: Retired numerics knobs at the one value the main loop computes (the
+#: bitonic sort/scan, skipped at d = 1).  They entered ``cache_key()``,
+#: which hashes them as constants; ``from_dict`` accepts only these.
+_RETIRED_NUMERICS = {"sort_strategy": "bitonic", "fast_path_1d": True}
+
 
 def default_exclusion_zone(m: int) -> int:
     """STUMPY's convention for self-join trivial-match exclusion: ceil(m/4)."""
@@ -99,12 +104,6 @@ class RunConfig:
     n_gpus: int = 1
     n_streams: int | None = None
     exclusion_zone: int | None = None  # None => default for self-joins
-    #: "bitonic" (the paper's cooperative kernel) or "batch" (the rejected
-    #: one-thread-per-sort alternative, kept as an executable ablation).
-    sort_strategy: str = "bitonic"
-    #: Skip the sort/scan kernel entirely when d == 1 (it is the identity
-    #: there) — the fast path the turbine case study (d=1) benefits from.
-    fast_path_1d: bool = True
     #: How the plan-level precalc cache evaluates the seed QT dot products:
     #: ``"exact"`` (the paper's sequential naive dot, bit-identical to
     #: per-tile precalculation) or ``"fft"`` (MASS-style sliding dot
@@ -158,20 +157,10 @@ class RunConfig:
             raise ValueError(f"n_tiles must be >= 1, got {self.n_tiles}")
         if self.n_gpus < 1:
             raise ValueError(f"n_gpus must be >= 1, got {self.n_gpus}")
-        if self.sort_strategy not in ("bitonic", "batch"):
-            raise ValueError(
-                f"sort_strategy must be 'bitonic' or 'batch', got "
-                f"{self.sort_strategy!r}"
-            )
         if self.backend not in ("numeric", "tensor_core"):
             raise ValueError(
                 f"backend must be 'numeric' or 'tensor_core', got "
                 f"{self.backend!r}"
-            )
-        if self.backend == "tensor_core" and self.sort_strategy == "batch":
-            raise ValueError(
-                "backend='tensor_core' fuses its own sort/scan (mma_scan); "
-                "the batch sort ablation has no wide-panel path"
             )
         if self.parallel_workers < 1:
             raise ValueError(
@@ -213,8 +202,6 @@ class RunConfig:
             "n_gpus": self.n_gpus,
             "n_streams": self.n_streams,
             "exclusion_zone": self.exclusion_zone,
-            "sort_strategy": self.sort_strategy,
-            "fast_path_1d": self.fast_path_1d,
             "backend": self.backend,
             "symmetric_tiles": self.symmetric_tiles,
             "precalc_strategy": self.precalc_strategy,
@@ -233,6 +220,14 @@ class RunConfig:
         # carry them.  Any other unknown key still fails loudly.
         for retired in ("amortize_precalc", "row_block"):
             data.pop(retired, None)
+        # A retired numerics knob at another value means a removed path
+        # computed the journal: it cannot resume.
+        for knob, value in _RETIRED_NUMERICS.items():
+            if knob in data and data.pop(knob) != value:
+                raise ValueError(
+                    f"{knob} was retired; only {knob}={value!r} is computed"
+                    f" (the other value ran a removed main-loop path)"
+                )
         launch = data.get("launch")
         if isinstance(launch, dict):
             data["launch"] = LaunchConfig(**launch)
@@ -246,19 +241,23 @@ class RunConfig:
 
         Two configs share a key iff :meth:`to_dict` agrees on every field
         that can change the result — the numerics knobs (mode, tile
-        count, exclusion zone, sort strategy, 1-d fast path) and the
-        performance-model knobs.  ``parallel_workers`` and
-        ``retry_policy`` are excluded: parallel tile dispatch and retry
-        pacing are bit-exact and cost-identical, so cached results are
-        shared across those knobs.  ``precalc_strategy``, ``backend`` and
-        ``symmetric_tiles`` *are* included — the FFT seeds, the
-        tensor-core main loop and the mirrored triangular grid are not
-        bit-identical.
+        count, exclusion zone) and the performance-model knobs.
+        ``parallel_workers`` and ``retry_policy`` are excluded: parallel
+        tile dispatch and retry pacing are bit-exact and cost-identical,
+        so cached results are shared across those knobs.
+        ``precalc_strategy``, ``backend`` and ``symmetric_tiles`` *are*
+        included — the FFT seeds, the tensor-core main loop and the
+        mirrored triangular grid are not bit-identical.  The retired
+        knobs enter as the constants ``_RETIRED_NUMERICS``, so digests
+        (and caches) of every config that can still be built hold.
         """
         fields = {
-            k: v
-            for k, v in self.to_dict().items()
-            if k not in ("parallel_workers", "retry_policy")
+            **_RETIRED_NUMERICS,
+            **{
+                k: v
+                for k, v in self.to_dict().items()
+                if k not in ("parallel_workers", "retry_policy")
+            },
         }
         payload = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]

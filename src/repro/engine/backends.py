@@ -32,16 +32,17 @@ they are computed once and copied), so the modelled clock does not
 move; the roofline converts each distinct cost to a timing once per
 stack.  A stack is sized by its scratch, not its row width:
 :meth:`NumericBackend.stack_limit` stacks tiles up to a ``T * d *
-width`` row plane of ``SUPER_STEP_ELEMENTS / 32`` elements, and
-:func:`super_step_rows` gives the stack a super-step block no larger
-than the one a tile of it uses alone, or ``SUPER_STEP_ELEMENTS / 8``
-elements if that is larger — so the stack takes more, shorter steps
-instead of holding more scratch.  A tile whose row plane is already
-that wide, the tensor-core main loop and the batch sort strategy run
-as a batch of one.  The stack's precalculation is prepared in one
-plane-cache call, then each tile's device footprint is reserved and
-released on its own GPU in batch order before the stacked numerics run,
-so out-of-memory decisions are those of tiles dispatched one at a time.
+width`` row plane of ``SUPER_STEP_ELEMENTS / 32`` elements — one rule
+for both main loops — and :func:`super_step_rows` gives a vector-path
+stack a super-step block no larger than the one a tile of it uses
+alone, or ``SUPER_STEP_ELEMENTS / 8`` elements if that is larger — so
+the stack takes more, shorter steps instead of holding more scratch
+(the tensor-core loop keeps its fixed ``TC_PANEL_ROWS`` panels).  A
+tile whose row plane is already that wide runs as a batch of one.  The
+stack's precalculation is prepared in one plane-cache call, then each
+tile's device footprint is reserved and released on its own GPU in
+batch order before the stacked numerics run, so out-of-memory decisions
+are those of tiles dispatched one at a time.
 A single tile is a batch of one; there is no second path.
 
 Staging.  A tile's footprint is its row slice, its column slice (not
@@ -80,7 +81,6 @@ from ..gpu.simulator import SimulatedGPU
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.precalc import PreparedPrecalc
 from ..kernels.sort_scan import SortScanKernel
-from ..kernels.sort_scan_batch import BatchSortScanKernel
 from ..kernels.tc_gemm import TC_PANEL_ROWS, TcGemmKernel
 from ..kernels.update import INDEX_DTYPE, UpdateKernel
 from ..kernels.workspace import WorkspacePool
@@ -199,7 +199,6 @@ _KERNEL_LABELS = {
     "DistCalcKernel": "dist_calc",
     "TcGemmKernel": "dist_calc",
     "SortScanKernel": "sort_&_incl_scan",
-    "BatchSortScanKernel": "sort_&_incl_scan",
     "UpdateKernel": "update_mat_prof",
 }
 
@@ -262,8 +261,6 @@ def run_tile(
     row_offset=0,
     col_offset=0,
     exclusion_zone: int | None = None,
-    sort_strategy: str = "bitonic",
-    fast_path_1d: bool = True,
     workspace: "WorkspacePool | None" = None,
     main_loop: str = "vector",
     mirror: bool = False,
@@ -274,9 +271,9 @@ def run_tile(
     dtype.  ``row_offset``/``col_offset`` locate the tile inside the global
     distance matrix (indices recorded in the output are global).
     ``exclusion_zone`` (for self-joins) suppresses matches with
-    ``|global_row - global_col| <= zone``.  ``sort_strategy`` selects the
-    cooperative bitonic kernel or the batch-based ablation alternative;
-    ``fast_path_1d`` skips the sort/scan entirely for d == 1 (identity).
+    ``|global_row - global_col| <= zone``.  The sort/scan is the
+    cooperative bitonic kernel, skipped at d == 1, where it is the
+    identity.
 
     The main loop runs in super-steps of ``B`` reference rows, ``B``
     from :func:`super_step_rows` (one element budget for every tile
@@ -298,14 +295,16 @@ def run_tile(
     logical row-major tile.
 
     ``workspace`` is the worker's :class:`WorkspacePool`, reused across
-    calls (a private one when omitted).  Every block-sized buffer of the
-    vector path is leased from it: the QT workspace and the distance
-    buffer (:meth:`DistCalcKernel.lease`), the product buffers and the
-    half path's temporaries (``dist_calc``), the scan's stage temporary
-    (``sort_scan``), the two exclusion-mask buffers (here) and the
-    argmin's transposed keys (``update``).  Block buffers are 0.5-1 MB,
-    above glibc's mmap threshold, so allocated fresh they would be
-    mapped and page-faulted every super-step; leased, a worker
+    calls (a private one when omitted).  Every block-sized buffer of
+    either main loop is leased from it: the QT workspace and the distance
+    buffer (:meth:`DistCalcKernel.lease`) or the tensor-core panel
+    buffers (:meth:`TcGemmKernel.lease`) and the fused scan's output
+    (here), the product buffers and the half path's temporaries
+    (``dist_calc``) or the operand quantiser's (``tc_gemm``), the scan's
+    stage temporary (``sort_scan``), the two exclusion-mask buffers
+    (here) and the argmin's transposed keys (``update``).  Block buffers
+    are 0.5-1 MB, above glibc's mmap threshold, so allocated fresh they
+    would be mapped and page-faulted every super-step; leased, a worker
     allocates nothing per super-step or per tile once it has run its
     largest shape.
 
@@ -321,8 +320,8 @@ def run_tile(
     output is bit-identical to running that tile alone.  The dist_calc,
     sort/scan and update costs of same-shape tiles are equal, so they
     are computed once and copied to every output; each tile keeps its
-    own precalc cost.  A 2-D call is a stack of one.  The tensor-core
-    main loop and the batch sort strategy run one tile per call.
+    own precalc cost.  A 2-D call is a stack of one, on either main
+    loop.
 
     ``precalc`` is the :class:`~repro.kernels.precalc.PreparedPrecalc`
     of the whole stack, assembled by the plan's
@@ -376,21 +375,14 @@ def run_tile(
         )
 
     pool = workspace if workspace is not None else WorkspacePool()
-    if tensor_core:
-        dist = TcGemmKernel(config=launch, policy=policy)
-        # The fused path hands the sort stage the FP32 accumulator panel;
-        # mma_scan consumes it without intermediate half roundings.  The
-        # batch-sort ablation has no wide-panel path, so the strategy
-        # knob is rejected upstream (RunConfig) for this backend.
-        sort_scan = SortScanKernel(config=launch, policy=policy, mma_scan=True)
-    else:
-        dist = DistCalcKernel(config=launch, policy=policy, pool=pool)
-        if sort_strategy == "batch":
-            sort_scan = BatchSortScanKernel(config=launch, policy=policy)
-        else:
-            sort_scan = SortScanKernel(config=launch, policy=policy, pool=pool)
+    kernel = TcGemmKernel if tensor_core else DistCalcKernel
+    dist = kernel(config=launch, policy=policy, pool=pool)
+    # The tensor-core path hands the sort stage the FP32 accumulator
+    # panel; mma_scan consumes it without intermediate half roundings.
+    sort_scan = SortScanKernel(config=launch, policy=policy, pool=pool,
+                               mma_scan=tensor_core)
     update = UpdateKernel(config=launch, policy=policy, pool=pool)
-    skip_sort = fast_path_1d and d == 1
+    skip_sort = d == 1  # the sort/scan of one value is the identity
 
     pre, precalc_costs = precalc.result, precalc.costs
     row_offsets = np.asarray(row_offset, dtype=INDEX_DTYPE)
@@ -409,16 +401,19 @@ def run_tile(
 
     across = _cached_arange(width) + width_offsets[:, None]  # (T, width)
     with ExitStack() as scratch:
+        # The panel height is numerics-visible (FP16 store at each panel
+        # boundary), so the tensor-core loop runs fixed TC_PANEL_ROWS
+        # panels whatever the stack.
         if tensor_core:
-            # The panel height is numerics-visible (FP16 store at each
-            # panel boundary), so that path runs fixed TC_PANEL_ROWS
-            # panels.  The panel kernel keeps its QT panel in its own
-            # FP32 accumulator scratch: no compute-dtype workspace.
             block = max(1, min(TC_PANEL_ROWS, steps))
-            qt_ws = None
         else:
             block = super_step_rows(steps, width, d, n_tiles)
-            qt_ws = scratch.enter_context(dist.lease(block))
+        qt_ws = scratch.enter_context(dist.lease(block))
+        if tensor_core and not skip_sort:
+            # mma_scan's inclusive averages: a matmul cannot scan the
+            # panel in place.
+            averages = scratch.enter_context(
+                pool.lease((d * n_tiles * block * width,), np.float32))
         if exclusion_zone is not None:
             near = scratch.enter_context(pool.lease((n_tiles * block * width,), bool))
             far = scratch.enter_context(pool.lease((n_tiles * block * width,), bool))
@@ -432,9 +427,11 @@ def run_tile(
                 # (d, T * b * width) plane of the column-wise sort/scan,
                 # which the vector path sorts and scans in place.
                 plane = dist_blk.reshape(d, n_tiles * b * width)
+                out = plane
+                if tensor_core:
+                    out = averages[: plane.size].reshape(plane.shape)
                 avg_blk = sort_scan.run(
-                    plane, rows=b, charge=not transposed, tiles=n_tiles,
-                    out=None if tensor_core else plane,
+                    plane, rows=b, charge=not transposed, tiles=n_tiles, out=out,
                 )
             mask = None
             if exclusion_zone is not None:
@@ -593,13 +590,11 @@ class NumericBackend:
         """How many tiles shaped like ``tile`` one :meth:`run` call of
         ``plan`` stacks: as many as keep the stacked per-row plane
         ``T * d * width`` within ``SUPER_STEP_ELEMENTS // 32`` elements
-        (see :data:`SUPER_STEP_ELEMENTS`), and at least one.  The
-        tensor-core main loop and the batch sort strategy (whose costs
-        depend on each tile's data) run one tile per call."""
+        (see :data:`SUPER_STEP_ELEMENTS`), and at least one.  One rule
+        for every tile, on either main loop; ``width`` is the side the
+        loop runs across (the rows of a transposed tile)."""
         spec = plan.spec
         tensor_core = self._main_loop(spec.policy) == "tensor_core"
-        if tensor_core or spec.config.sort_strategy == "batch":
-            return 1
         mirror = getattr(tile, "mirror", False)
         transposed = _runs_transposed(tile.n_rows, tile.n_cols, tensor_core, mirror)
         width = tile.n_rows if transposed else tile.n_cols
@@ -706,8 +701,6 @@ class NumericBackend:
             row_offset=[tiles[k].row_start for k in ks],
             col_offset=[tiles[k].col_start for k in ks],
             exclusion_zone=spec.exclusion_zone,
-            sort_strategy=config.sort_strategy,
-            fast_path_1d=config.fast_path_1d,
             workspace=self._workspace_pool(),
             precalc=prepared,
             main_loop=main_loop,

@@ -22,8 +22,8 @@ loop now, with the variation points made explicit:
   prepares in one plane-cache call and runs as one stacked main loop —
   the host analogue of the paper's concurrent streams per GPU
   (Pseudocode 2).  When the queue head cannot be stacked — backends
-  without ``stack_limit`` (analytic), the tensor-core main loop, tiles
-  whose row plane leaves no room for a second — or a
+  without ``stack_limit`` (analytic) or tiles whose row plane leaves
+  no room for a second, on either main loop — or a
   ``deadline_at`` is set, the coordinator places and runs one tile at a
   time, so anytime cancellation keeps per-tile granularity.  Everything
   else stays per tile: the failure injector and each tile's

@@ -5,21 +5,13 @@ from .dist_calc import DistCalcKernel
 from .layout import to_device_layout, to_host_layout, validate_series
 from .precalc import PrecalcResult
 from .sort_scan import SortScanKernel, fanin_inclusive_scan
-from .sort_scan_batch import (
-    BatchSortScanKernel,
-    insertion_sort_columns,
-    sequential_inclusive_scan,
-)
 from .update import INDEX_DTYPE, UpdateKernel
 
 __all__ = [
     "DistCalcKernel",
     "PrecalcResult",
     "SortScanKernel",
-    "BatchSortScanKernel",
     "fanin_inclusive_scan",
-    "insertion_sort_columns",
-    "sequential_inclusive_scan",
     "UpdateKernel",
     "INDEX_DTYPE",
     "to_device_layout",

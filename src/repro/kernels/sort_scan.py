@@ -326,9 +326,10 @@ class SortScanKernel(Kernel):
         The result is written into ``out``, a contiguous compute-dtype
         ``(d, n)`` array, or into a fresh one when ``out`` is ``None``;
         ``plane`` itself is left untouched unless it *is* ``out``.  The
-        main loop passes its distance buffer as both, so the sort, the
-        scan and the divide run in place there, with the stage
-        temporaries leased from :attr:`pool`.
+        vector main loop passes its distance buffer as both, so the sort,
+        the scan and the divide run in place there, with the stage
+        temporaries leased from :attr:`pool`; the tensor-core loop passes
+        a leased float32 ``out`` beside its panel (see :meth:`_run_mma`).
         """
         dtype = self.policy.compute
         d = plane.shape[0]
@@ -338,7 +339,7 @@ class SortScanKernel(Kernel):
             and plane.dtype == np.float32
             and dtype == np.float16
         ):
-            return self._run_mma(plane, rows, n_q, charge)
+            return self._run_mma(plane, rows, n_q, charge, out)
         if out is None:
             out = plane.astype(dtype, copy=True)
         elif out is not plane:
@@ -376,23 +377,24 @@ class SortScanKernel(Kernel):
                 np.take(_divide_lut19_stack_f16(d), keys, out=plane, mode="clip")
 
     def _run_mma(
-        self, plane: np.ndarray, rows: int, n_q: int, charge: bool
+        self, plane: np.ndarray, rows: int, n_q: int, charge: bool,
+        out: np.ndarray | None,
     ) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.
 
-        ``plane`` is treated as scratch (it is ``TcGemmKernel``'s reused
-        panel) and sorted in place; the scanned inclusive averages come
-        back in a reused float32 buffer of the same shape.  Saturated
-        distance planes are non-negative and NaN-free, so the min/max
-        network sorts them exactly.
+        ``plane`` is treated as scratch (it is ``TcGemmKernel``'s panel)
+        and sorted in place; the scanned inclusive averages land in
+        ``out`` — a float32 array of the plane's shape that is not the
+        plane (the scan is a matmul), or a fresh one when ``None``; its
+        first row serves as the network's row temporary before the scan
+        overwrites it.  Saturated distance planes are non-negative and
+        NaN-free, so the min/max network sorts them exactly.
         """
         d = plane.shape[0]
-        sorted_plane = _sort_network_inplace(plane)
-        out = getattr(self, "_mma_out", None)
-        if out is None or out.shape != plane.shape:
+        if out is None:
             out = np.empty_like(plane)
-            self._mma_out = out
-        np.matmul(_scan_tri_f32(d), sorted_plane, out=out)
+        _sort_network_inplace(plane, out[0])
+        np.matmul(_scan_tri_f32(d), plane, out=out)
         np.divide(out, _divisor_column(d, np.dtype(np.float32)), out=out)
         if charge:
             self.charge_rows(rows, d, n_q)

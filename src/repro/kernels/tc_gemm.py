@@ -26,7 +26,7 @@ Precision Euclidean Distance Using Tensor Cores*) and Navarro et al.
 
 3. **Chained-MMA prefix sum.**  The column prefix over ``t`` is a matmul
    with the lower-triangular all-ones matrix, evaluated in chained
-   ``mma_k``-row chunks whose running carry lives in the FP32 accumulator
+   ``MMA_K``-row chunks whose running carry lives in the FP32 accumulator
    fragment (Navarro's chained-reduction trick).  To enter the chain each
    update term is first demoted to FP16 — the *per-operation operand
    rounding* of WMMA semantics — but every addition thereafter rounds in
@@ -52,6 +52,10 @@ Precision Euclidean Distance Using Tensor Cores*) and Navarro et al.
    charging storage-dtype planes (the modelled device still moves FP16;
    register-file conversions are free on hardware).
 
+Every step is batched over the leading plane axis, so a stack of tiles
+runs its ``d * T`` planes side by side on the vector path's stacked,
+leased main loop, each bit-identical to its tile run alone.
+
 Only the FP16-storage wide-precalc modes (Mixed, FP16C) are eligible —
 see ``precision.modes.TENSOR_CORE_MODES``; the backend falls back to the
 vector path for everything else.  The result is numerically *different*
@@ -62,7 +66,8 @@ rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import ExitStack, contextmanager
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,13 +77,17 @@ from ..precision.modes import DTYPE_MAX, TENSOR_CORE_MODES
 from .dist_calc import DistCalcKernel
 from .precalc import PrecalcResult
 
-__all__ = ["TcGemmKernel", "TC_PANEL_ROWS"]
+__all__ = ["TcGemmKernel", "TC_PANEL_ROWS", "MMA_K"]
 
 #: Panel height of the tensor-core main loop: reference rows per chained-
 #: GEMM super-step.  The panel boundary is where the FP32 accumulator is
 #: stored back to FP16, so the height is part of the numerics and is
 #: fixed here rather than derived from the host's super-step budget.
 TC_PANEL_ROWS = 32
+
+#: Chunk height of the chained prefix — the ``k`` of the device's MMA
+#: fragment shape (16 on every shipping NVIDIA part).
+MMA_K = 16
 
 #: Flops of one dense 16x16x16 MMA (2*m*n*k).
 _MMA_FLOPS = 2 * 16 * 16 * 16
@@ -137,39 +146,31 @@ def _corner_indices(T: int, n_q: int, pad_w: int):
 class TcGemmKernel(DistCalcKernel):
     """Packed-panel tensor-core execution of the ``dist_calc`` main loop.
 
-    Reuses the parent's operand binding and cost-plane conventions but
-    replaces the sequential per-row recurrence of :meth:`run_block` with
-    the sheared chained-GEMM panel described in the module docstring.
-    :meth:`run_block` returns the distance block as *float32* (the fused
-    epilogue's accumulator contents); pair it with
-    ``SortScanKernel(mma_scan=True)`` and the stock ``UpdateKernel``,
-    which reduce the wide panel before the single FP16 store.
+    Reuses the parent's operand binding, tile axis and cost-plane
+    conventions but replaces the sequential per-row recurrence of
+    :meth:`run_block` with the sheared chained-GEMM panel described in
+    the module docstring.  :meth:`run_block` returns the distance block
+    as *float32* (the fused epilogue's accumulator contents); pair it
+    with ``SortScanKernel(mma_scan=True)`` and the stock
+    ``UpdateKernel``, which reduce the wide panel before the single FP16
+    store.
     """
-
-    #: Chunk height of the chained prefix — the ``k`` of the device's MMA
-    #: fragment shape (16 on every shipping NVIDIA part).
-    mma_k: int = field(default=16, kw_only=True)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.mma_k < 1:
-            raise ValueError(f"mma_k must be >= 1, got {self.mma_k}")
         self.cost.tensor_core = True
-        self._tc_round = None  # quantiser scratch; usable before bind()
 
     def bind(self, pre: PrecalcResult, tiles: int = 1) -> None:
-        if tiles != 1:
-            raise ValueError("the tensor-core main loop runs one tile at a time")
+        """:meth:`DistCalcKernel.bind` for the row-major panel walk (it
+        never runs transposed), one tile or a stack of ``tiles``."""
         if self.policy.mode not in TENSOR_CORE_MODES:
             eligible = ", ".join(m.value for m in TENSOR_CORE_MODES)
             raise ValueError(
                 f"tensor-core main loop requires an FP16-storage wide-precalc"
                 f" mode ({eligible}), got {self.policy.mode.value}"
             )
-        super().bind(pre)
-        self._tc_buffers: dict[tuple[str, int], np.ndarray] = {}
-        self._tc_B = None  # (d, 2, W) rank-2 update right operand
-        self._tc_round = None  # quantiser scratch, per panel shape
+        super().bind(pre, tiles=tiles)
+        self._scratch = None  # the panel buffers of an open lease()
 
     def _ensure_block_state(self) -> None:
         if self._blk_ready:
@@ -181,30 +182,49 @@ class TcGemmKernel(DistCalcKernel):
         self._two_m_w = np.float32(2 * self.pre.m)
         self._inv_r_2m = (self._inv_r_w * self._two_m_w).astype(np.float32)
 
-    def _tc_buf(self, kind: str, T: int, cols: int) -> np.ndarray:
-        """Per-(kind, block-height) float32 scratch panel.  Contents are
-        fully overwritten by each use; nothing relies on stale state."""
-        buf = self._tc_buffers.get((kind, T))
-        if buf is None:
-            d = self._inv_q.shape[0]
-            buf = np.empty((d, T, cols), dtype=np.float32)
-            self._tc_buffers[(kind, T)] = buf
-        return buf
-
-    def _tc_operands(self, T: int) -> tuple[np.ndarray, np.ndarray]:
-        """The per-block left operand ``A`` and the tile-wide right
-        operand ``B`` of the rank-2 update GEMM, with ``B`` zero-padded
-        so the batched matmul writes the sheared panel's zero border
-        directly (column 0 and the ``T`` wrap-around columns)."""
-        d, n_q = self._inv_q.shape
-        W = n_q + T
-        if self._tc_B is None or self._tc_B.shape[2] < W:
-            B = np.zeros((d, 2, W), dtype=np.float32)
+    @contextmanager
+    def lease(self, rows: int):
+        """Lease the float32 panels for panels of up to ``rows`` rows from
+        :attr:`pool` while open; yields ``None`` (the QT lives in the
+        accumulator panels, not a workspace).  :meth:`run_block` then
+        returns its distances in the leased ``"out"`` panel.  The rank-2
+        GEMM's right operand is written once here, zero-padded so the
+        batched matmul emits the sheared panel's zero border (column 0
+        and the wrap-around columns) for free."""
+        self._ensure_block_state()
+        planes, n_q = self._inv_q.shape
+        width = n_q + rows
+        sizes = {
+            "B": 2 * width,
+            "A": rows * 2,
+            "pad": rows * width,
+            "cornerW": rows * rows,
+            "scanS": rows * ((rows - 1) + (n_q - 1)),
+            "scanP": rows * rows,
+            "chunk": min(MMA_K, rows) * (n_q - 1),
+            "out": rows * n_q,
+        }
+        with ExitStack() as stack:
+            bufs = {
+                kind: stack.enter_context(self.pool.lease((planes * size,), np.float32))
+                for kind, size in sizes.items()
+            }
+            B = bufs["B"].reshape(planes, 2, width)
+            B.fill(0.0)
             B[:, 0, 1:n_q] = self._dg_q_w[:, 1:]
             B[:, 1, 1:n_q] = self._df_q_w[:, 1:]
-            self._tc_B = B
-        A = self._tc_buf("A", T, 2)
-        return A, self._tc_B[:, :, :W]
+            bufs["B"] = B
+            self._scratch = bufs
+            try:
+                yield None
+            finally:
+                self._scratch = None
+
+    def _buf(self, kind: str, T: int, cols: int) -> np.ndarray:
+        """The leased ``(d * tiles, T, cols)`` float32 panel ``kind``: a
+        contiguous prefix of its buffer, fully overwritten by each use."""
+        planes = self._inv_q.shape[0]
+        return self._scratch[kind][: planes * T * cols].reshape(planes, T, cols)
 
     def _quantise_f16(self, buf: np.ndarray) -> None:
         """In-place float32 -> FP16-valued float32 quantisation (RNE) —
@@ -219,61 +239,60 @@ class TcGemmKernel(DistCalcKernel):
         ``_f16fast.round_f16_inplace``, whose cost explodes as soon as a
         single update term lands below 2^-14 (common for df*dg products).
         Overflow/NaN/inf entries take a gathered scalar fallback, rare by
-        the same magnitude argument.
+        the same magnitude argument.  The four temporaries are leased
+        from :attr:`pool` per call, like the half path's rounding
+        temporaries.
         """
-        scratch = self._tc_round
-        if scratch is None or scratch[0].shape != buf.shape:
-            scratch = (
-                np.empty(buf.shape, dtype=np.uint32),
-                np.empty(buf.shape, dtype=np.uint32),
-                np.empty(buf.shape, dtype=np.float32),
-                np.empty(buf.shape, dtype=bool),
-            )
-            self._tc_round = scratch
-        mag, gbuf, tmp32, small = scratch
-        v = buf.view(np.uint32)
-        np.bitwise_and(v, _MAG_MASK, out=mag)
-        top = mag.max()
-        ext_mask = ext_vals = None
-        if top >= _OVERFLOW_LIM:
-            ext_mask = mag >= _OVERFLOW_LIM
-            with np.errstate(over="ignore"):
-                ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
-        np.less(mag, _SUBNORMAL_LIM, out=small)
-        has_small = bool(small.any())
-        if has_small:
-            np.add(buf, _GRID_C, out=tmp32)
-            np.subtract(tmp32, _GRID_C, out=tmp32)
-        # RNE bit trick for the normal range, in place.
-        np.right_shift(v, np.uint32(13), out=gbuf)
-        np.bitwise_and(gbuf, np.uint32(1), out=gbuf)
-        np.add(gbuf, v, out=gbuf)
-        np.add(gbuf, np.uint32(0x0FFF), out=gbuf)
-        np.bitwise_and(gbuf, np.uint32(0xFFFFE000), out=v)
-        if has_small:
-            np.copyto(buf, tmp32, where=small)
-        if ext_mask is not None:
-            buf[ext_mask] = ext_vals
+        pool = self.pool
+        with pool.lease(buf.shape, np.uint32) as mag, \
+                pool.lease(buf.shape, np.uint32) as gbuf, \
+                pool.lease(buf.shape, np.float32) as tmp32, \
+                pool.lease(buf.shape, bool) as small:
+            v = buf.view(np.uint32)
+            np.bitwise_and(v, _MAG_MASK, out=mag)
+            top = mag.max()
+            ext_mask = ext_vals = None
+            if top >= _OVERFLOW_LIM:
+                ext_mask = mag >= _OVERFLOW_LIM
+                with np.errstate(over="ignore"):
+                    ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
+            np.less(mag, _SUBNORMAL_LIM, out=small)
+            has_small = bool(small.any())
+            if has_small:
+                np.add(buf, _GRID_C, out=tmp32)
+                np.subtract(tmp32, _GRID_C, out=tmp32)
+            # RNE bit trick for the normal range, in place.
+            np.right_shift(v, np.uint32(13), out=gbuf)
+            np.bitwise_and(gbuf, np.uint32(1), out=gbuf)
+            np.add(gbuf, v, out=gbuf)
+            np.add(gbuf, np.uint32(0x0FFF), out=gbuf)
+            np.bitwise_and(gbuf, np.uint32(0xFFFFE000), out=v)
+            if has_small:
+                np.copyto(buf, tmp32, where=small)
+            if ext_mask is not None:
+                buf[ext_mask] = ext_vals
 
-    def _panel(self, i_start: int, T: int, base_f16: np.ndarray) -> np.ndarray:
-        """QT planes of rows ``i_start .. i_start+T-1`` given the previous
-        row ``base_f16`` — returned as a reused (d, T, n_q) float32 panel
-        (the FP32 accumulator contents)."""
+    def _panel(
+        self, i_start: int, T: int, base_f16: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Write the QT planes of rows ``i_start .. i_start+T-1``, given
+        the previous row ``base_f16``, into the ``(d * tiles, T, n_q)``
+        float32 panel ``out`` (the FP32 accumulator contents)."""
         d, n_q = self._inv_q.shape
-        out = self._tc_buf("out", T, n_q)
         if n_q == 1:
             out[:, :, 0] = self._qt_col0_w[:, i_start : i_start + T]
-            return out
+            return
 
         # Rank-2 update GEMM: exact FP16xFP16 products accumulated in
         # FP32, then one demotion to FP16 — the operand quantisation
         # feeding the prefix chain's MMA fragments.  The zero-padded
         # right operand makes the matmul emit the sheared panel's zero
         # border for free.
-        A, B = self._tc_operands(T)
+        A = self._buf("A", T, 2)
         A[:, :, 0] = self._df_r_w[:, i_start : i_start + T]
         A[:, :, 1] = self._dg_r_w[:, i_start : i_start + T]
-        pad = self._tc_buf("pad", T, n_q + T)
+        B = self._scratch["B"][:, :, : n_q + T]
+        pad = self._buf("pad", T, n_q + T)
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(A, B, out=pad)
             self._quantise_f16(pad)
@@ -285,24 +304,23 @@ class TcGemmKernel(DistCalcKernel):
             pad[:, :, 1:], shape=(d, T, n_q - 1), strides=(sd, sr + sc, sc)
         )
         idx_w, idx_corner, mask_corner = _corner_indices(T, n_q, n_q + T)
-        cornerW = self._tc_buf("cornerW", T, T)
+        cornerW = self._buf("cornerW", T, T)
         np.take(pad.reshape(d, -1), idx_w, axis=1, out=cornerW.reshape(d, -1))
 
-        # Chained-MMA prefix: mma_k-row chunks, FP32 carry in the
+        # Chained-MMA prefix: MMA_K-row chunks, FP32 carry in the
         # accumulator fragment.  The base QT row (main diagonals) and the
         # qt_col0 entries (corner diagonals) seed the carries.  The scan
         # buffer carries T-1 left-padding columns so the un-shear below
         # is a strided copy instead of a gather.
-        SB = self._tc_buf("scanS", T, (T - 1) + (n_q - 1))
+        SB = self._buf("scanS", T, (T - 1) + (n_q - 1))
         real = SB[:, :, T - 1 :]
-        scanP = self._tc_buf("scanP", T, T)
-        tmpc = self._tc_buf("chunk", min(self.mma_k, T), n_q - 1)
+        scanP = self._buf("scanP", T, T)
+        tmpc = self._buf("chunk", min(MMA_K, T), n_q - 1)
         carry_s = base_f16.astype(np.float32)[:, None, : n_q - 1]
         carry_p = self._qt_col0_w[:, None, i_start : i_start + T]
-        mk = self.mma_k
         with np.errstate(over="ignore", invalid="ignore"):
-            for c0 in range(0, T, mk):
-                r = min(mk, T - c0)
+            for c0 in range(0, T, MMA_K):
+                r = min(MMA_K, T - c0)
                 tri = _ltri_f32(r)
                 chunk = tmpc[:, :r]
                 np.matmul(tri, main_v[:, c0 : c0 + r], out=chunk)
@@ -324,31 +342,35 @@ class TcGemmKernel(DistCalcKernel):
         )
         np.copyto(out[:, :, 1:], un_v)
         cj = min(T, n_q)
-        corner_vals = np.take(scanP.reshape(d, -1), idx_corner, axis=1)
-        np.copyto(out[:, :, :cj], corner_vals.reshape(d, T, cj), where=mask_corner)
+        corner_vals = self._buf("cornerW", T, cj)  # the shear is consumed
+        np.take(scanP.reshape(d, -1), idx_corner, axis=1, out=corner_vals.reshape(d, -1))
+        np.copyto(out[:, :, :cj], corner_vals, where=mask_corner)
         out[:, :, 0] = self._qt_col0_w[:, i_start : i_start + T]
-        return out
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray | None) -> np.ndarray:
         """Tensor-core super-step: one packed-panel launch for ``rows``
         reference rows.  ``workspace`` (the vector path's QT block buffer)
         is unused — the panel lives in the FP32 accumulator scratch and
         only the block-boundary row is demoted to FP16 storage.  Returns
-        the (d, rows, n_q) *float32* distance block (see the module
-        docstring on the fused epilogue)."""
+        the ``(d, rows, n_q)`` *float32* distance block (see the module
+        docstring on the fused epilogue) — ``d`` counting the ``d *
+        tiles`` rows of a stacked binding — in the leased buffer of an
+        open :meth:`lease`, else in a fresh array."""
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         if i0 != 0 and self.qt is None:
             raise RuntimeError("rows must be visited in order starting at 0")
-        self._ensure_block_state()
-        d, n_q = self._inv_q.shape
+        if self._scratch is None:
+            with self.lease(rows):
+                return self.run_block(i0, rows, workspace).copy()
+        n_q = self._inv_q.shape[1]
+        out_w = self._buf("out", rows, n_q)
         if i0 == 0:
-            out_w = self._tc_buf("out0", rows, n_q)
             out_w[:, 0] = self.pre.qt_row0
             if rows > 1:
-                out_w[:, 1:] = self._panel(1, rows - 1, self.pre.qt_row0)
+                self._panel(1, rows - 1, self.pre.qt_row0, out_w[:, 1:])
         else:
-            out_w = self._panel(i0, rows, self.qt)
+            self._panel(i0, rows, self.qt, out_w)
         with np.errstate(over="ignore", invalid="ignore"):
             # Block-boundary FP16 store: the only narrow QT rounding per
             # chain.
@@ -376,12 +398,13 @@ class TcGemmKernel(DistCalcKernel):
         streams and the distance write are unchanged, still priced at the
         FP16 storage width); what moves is the arithmetic — priced on the
         tensor-core unit via the cost's ``tensor_core`` flag — and the
-        launch count, now one per panel instead of one per row.
+        launch count, now one per panel instead of one per row.  The
+        charge is one tile's: the tiles of a stack cost the same.
         """
-        d = self._inv_q.shape[0]
+        d = self._inv_q.shape[0] // self.tiles
         elems = float(d * n_q)
         size = self.policy.storage.itemsize
-        chunks = -(-rows // self.mma_k)
+        chunks = -(-rows // MMA_K)
         frag_rows = -(-rows // 16)
         mmas_update = frag_rows * (-(-n_q // 16))  # k=2 rank-2 update
         mmas_scan = chunks * (

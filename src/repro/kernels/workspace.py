@@ -1,4 +1,4 @@
-"""Host-side scratch for the vector main loop."""
+"""Host-side scratch for the main loop."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ __all__ = ["WorkspacePool"]
 class WorkspacePool:
     """Reusable host-side kernel scratch, keyed by ``(dtype, slot)``.
 
-    Every block-sized buffer of the vector main loop — the QT workspace,
-    the product buffers, the distance/scan buffer and the stage
-    temporaries — is leased from here, so a worker allocates nothing per
+    Every block-sized buffer of the main loop — the QT workspace or the
+    tensor-core panels, the product buffers, the distance/scan buffer
+    and the stage temporaries — is leased from here, so a worker allocates nothing per
     super-step or per tile once it has run its largest shape.  Block
     buffers are 0.5-1 MB, above glibc's mmap threshold: allocated fresh,
     each one is mapped and page-faulted anew every super-step.

@@ -5,9 +5,11 @@ loop (:func:`repro.engine.backends.run_tile` and the block kernels).
 This module chains the per-row kernel methods the way the pseudocode
 reads — the tile's prepared precalc, then for every reference row
 ``DistCalcKernel.run(i)``, the stage-by-stage :func:`bitonic_sort`
-(defined here) / ``fanin_inclusive_scan`` networks (or ``BatchSortScanKernel`` for the
-batch strategy) and ``UpdateKernel.run`` / ``masked_run`` — and charges
-every kernel per row.  None of it goes through the blocked loop, so the
+(defined here) / ``fanin_inclusive_scan`` networks (skipped at d = 1)
+and ``UpdateKernel.run`` / ``masked_run`` — and charges every kernel per
+row.  ``per_row_tile(..., sort_strategy="batch")`` swaps in the
+rejected batch sort (``tests/sort_scan_batch.py``), the design
+ablation of ``benchmarks/bench_ablation_design.py``.  None of it goes through the blocked loop, so the
 suites compare the blocked loop (any block size, either orientation)
 against it bit for bit: profile, index, mirror outputs and every kernel
 cost.
@@ -28,11 +30,11 @@ from repro.engine.backends import TileOutput
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout, validate_series
 from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
-from repro.kernels.sort_scan_batch import BatchSortScanKernel
 from repro.kernels.update import INDEX_DTYPE, UpdateKernel
 from repro.precision.modes import DTYPE_MAX
 
 from .precalc_oracle import PerTileCache, PrecalcKernel
+from .sort_scan_batch import BatchSortScanKernel
 
 
 @lru_cache(maxsize=64)
@@ -130,13 +132,14 @@ def per_row_tile(
     col_offset=0,
     exclusion_zone=None,
     sort_strategy="bitonic",
-    fast_path_1d=True,
     workspace=None,
     main_loop="vector",
     mirror=False,
 ) -> TileOutput:
     """One tile, one reference row at a time; drop-in for ``run_tile``
-    (``workspace`` is accepted and ignored).  A
+    (``workspace`` is accepted and ignored).  ``sort_strategy="batch"``
+    sorts and scans each row with :class:`BatchSortScanKernel` instead
+    of the cooperative networks.  A
     ``(T, d, len)`` stack runs tile by tile and returns one output per
     tile, like ``run_tile``'s tile axis; a stack's ``precalc`` is split
     into its tiles' rows."""
@@ -147,7 +150,6 @@ def per_row_tile(
                 tr_dev[t], tq_dev[t], m, policy, launch,
                 row_offset=row_offset[t], col_offset=col_offset[t],
                 exclusion_zone=exclusion_zone, sort_strategy=sort_strategy,
-                fast_path_1d=fast_path_1d,
                 precalc=precalc.select([t]),
                 main_loop=main_loop, mirror=mirror,
             )
@@ -168,7 +170,7 @@ def per_row_tile(
         sort_scan = SortScanKernel(config=launch, policy=policy)
     update = UpdateKernel(config=launch, policy=policy)
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None)
-    skip_sort = fast_path_1d and d == 1
+    skip_sort = d == 1
     cols_global = np.arange(n_q_seg) + col_offset
     for i in range(n_r_seg):
         plane = dist.run(i)

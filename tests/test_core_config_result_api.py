@@ -49,7 +49,7 @@ class TestRunConfigSerialisation:
     def test_to_dict_round_trip(self):
         cfg = RunConfig(
             mode="FP16", device="V100", n_tiles=8, n_gpus=2, n_streams=4,
-            exclusion_zone=7, sort_strategy="batch", fast_path_1d=False,
+            exclusion_zone=7,
         )
         restored = RunConfig.from_dict(cfg.to_dict())
         assert restored == cfg
@@ -80,8 +80,6 @@ class TestRunConfigSerialisation:
             {"mode": "FP32"},
             {"n_tiles": 2},
             {"exclusion_zone": 3},
-            {"sort_strategy": "batch"},
-            {"fast_path_1d": False},
             {"device": "V100"},
         ],
     )
@@ -108,7 +106,9 @@ PINNED_KEYS = [
     ({"mode": "FP16C", "backend": "tensor_core", "device": "V100"}, "7825dfb0315aa7f8"),
     ({"mode": "FP64", "n_tiles": 9, "symmetric_tiles": True}, "1b0ef0b591bfb0b6"),
     ({"mode": "FP32", "precalc_strategy": "fft", "n_tiles": 4}, "e726d483fb508f27"),
-    ({"mode": "FP16", "sort_strategy": "batch", "fast_path_1d": False}, "14fd6d1ccaf6cf14"),
+    # Digested there with sort_strategy="bitonic" and fast_path_1d=True,
+    # the values cache_key() now hashes as constants.
+    ({"mode": "FP16"}, "bf9e1d90658ec97b"),
     ({"exclusion_zone": 5, "n_streams": 4}, "93b5f79ccdc8b700"),
     # Digested there with row_block=7 as well: host knobs never entered it.
     ({"mode": "Mixed", "n_tiles": 4, "parallel_workers": 3,
@@ -126,8 +126,6 @@ FIELD_CHANGES = {
     "n_gpus": 2,
     "n_streams": 4,
     "exclusion_zone": 3,
-    "sort_strategy": "batch",
-    "fast_path_1d": False,
     "precalc_strategy": "fft",
     "backend": "tensor_core",
     "symmetric_tiles": True,
@@ -158,6 +156,23 @@ class TestCacheKeyContract:
         assert restored.cache_key() == cfg.cache_key()
         with pytest.raises(TypeError):
             RunConfig.from_dict({**data, "unknown_knob": 1})
+
+    def test_from_dict_accepts_retired_numerics_at_their_values(self):
+        cfg = RunConfig(mode="FP16", n_tiles=4)
+        data = {**cfg.to_dict(), "sort_strategy": "bitonic", "fast_path_1d": True}
+        restored = RunConfig.from_dict(data)
+        assert restored == cfg
+        assert restored.cache_key() == cfg.cache_key()
+
+    @pytest.mark.parametrize(
+        "knob, value", [("sort_strategy", "batch"), ("fast_path_1d", False)]
+    )
+    def test_from_dict_rejects_retired_numerics_elsewhere(self, knob, value):
+        # Such a config was computed by a removed path: its results
+        # cannot be reproduced, so it is not silently dropped.
+        data = {**RunConfig().to_dict(), knob: value}
+        with pytest.raises(ValueError, match=knob):
+            RunConfig.from_dict(data)
 
 
 class TestMatrixProfileResult:

@@ -213,6 +213,27 @@ class TestKillAndResume:
                               expected["profile"].view(np.uint8))
         assert np.array_equal(resumed.index, expected["index"])
 
+    @pytest.mark.parametrize(
+        "knob, value", [("sort_strategy", "batch"), ("fast_path_1d", False)]
+    )
+    def test_journal_from_a_removed_main_loop_path_is_refused(
+        self, tmp_path, knob, value
+    ):
+        """The golden journal carries the retired numerics knobs at the
+        values the main loop still computes; at any other value it was
+        computed by a removed path, so resuming it raises instead of
+        mixing its committed tiles with tiles of another path."""
+        path = tmp_path / "journal"
+        shutil.copytree(GOLDEN / "journal_row_block", path)
+        meta_path = path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert (meta["config"]["sort_strategy"], meta["config"]["fast_path_1d"]) == (
+            "bitonic", True)
+        meta["config"][knob] = value
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=knob):
+            resume_plan(path)
+
     def test_resume_is_itself_resumable(self, tmp_path, config):
         series = _series()
         uninterrupted = compute_multi_tile(series, None, 16, config)

@@ -1,21 +1,27 @@
-"""Unit tests for the batch-based sort/scan alternative and the related
-RunConfig strategy/fast-path knobs."""
+"""Unit tests for the batch-based sort/scan ablation
+(``tests/sort_scan_batch.py``) and for the two design choices it and the
+retired ``RunConfig`` knobs once switched: the cooperative sort, and its
+skip at d = 1."""
 
 import numpy as np
 import pytest
 
-from repro import matrix_profile
 from repro.core.config import RunConfig
+from repro.core.single_tile import compute_single_tile
+from repro.engine.backends import run_tile, tile_timing_from_output
+from repro.gpu.device import A100
 from repro.gpu.kernel import LaunchConfig
+from repro.kernels.layout import to_device_layout
 from repro.kernels.sort_scan import SortScanKernel
-from repro.kernels.sort_scan_batch import (
+from repro.precision.modes import DTYPE_MAX, TENSOR_CORE_MODES, policy_for
+
+from .per_row_oracle import per_row_tile
+from .precalc_oracle import kernel_precalc
+from .sort_scan_batch import (
     BatchSortScanKernel,
     insertion_sort_columns,
     sequential_inclusive_scan,
 )
-from repro.precision.modes import policy_for
-
-from .precalc_oracle import kernel_precalc
 
 CFG = LaunchConfig(grid=4, block=64)
 
@@ -82,26 +88,25 @@ class TestBatchKernel:
 
 
 class TestRunConfigIntegration:
-    def test_batch_strategy_identical_results_fp64(self, rng):
-        ref = rng.normal(size=(200, 4))
-        qry = rng.normal(size=(180, 4))
-        a = matrix_profile(ref, qry, m=16, mode="FP64")
-        b_cfg = RunConfig(mode="FP64", sort_strategy="batch")
-        from repro.core.single_tile import compute_single_tile
+    """The ablation runs through the per-row oracle, and the d = 1 skip
+    is unconditional; the retired knobs resume only at their values."""
 
-        b = compute_single_tile(ref, qry, 16, b_cfg)
+    def test_batch_strategy_identical_results_fp64(self, rng):
+        policy = policy_for("FP64")
+        cfg = RunConfig()
+        tr = to_device_layout(rng.normal(size=(200, 4)), policy.storage)
+        tq = to_device_layout(rng.normal(size=(180, 4)), policy.storage)
+        precalc = kernel_precalc(tr, tq, 16, policy, cfg.launch)
+        a = run_tile(tr, tq, 16, policy, cfg.launch, precalc=precalc)
+        b = per_row_tile(tr, tq, 16, policy, cfg.launch, precalc=precalc,
+                         sort_strategy="batch")
         np.testing.assert_allclose(a.profile, b.profile, atol=1e-12)
-        np.testing.assert_array_equal(a.index, b.index)
+        np.testing.assert_array_equal(a.indices, b.indices)
 
     def test_batch_strategy_models_slower(self, rng):
         # Compare the *busy* (throughput) term: at tiny test sizes the
         # per-row launch overhead — identical for both strategies —
         # otherwise swamps the difference.
-        from repro.engine.backends import run_tile, tile_timing_from_output
-        from repro.kernels.layout import to_device_layout
-        from repro.precision import policy_for
-        from repro.gpu.device import A100
-
         ref = rng.normal(size=(300, 8))
         policy = policy_for("FP64")
         dev = to_device_layout(ref, policy.storage)
@@ -109,7 +114,7 @@ class TestRunConfigIntegration:
         precalc = kernel_precalc(dev, dev, 16, policy, cfg.launch)
         coop = run_tile(dev, dev, 16, policy, cfg.launch, exclusion_zone=4,
                         precalc=precalc)
-        batch = run_tile(
+        batch = per_row_tile(
             dev, dev, 16, policy, cfg.launch, exclusion_zone=4,
             sort_strategy="batch", precalc=precalc,
         )
@@ -122,30 +127,43 @@ class TestRunConfigIntegration:
 
     def test_invalid_strategy(self):
         with pytest.raises(ValueError, match="sort_strategy"):
-            RunConfig(sort_strategy="quick")
+            RunConfig.from_dict({**RunConfig().to_dict(), "sort_strategy": "quick"})
 
-    def test_1d_fast_path_identical(self, rng):
-        from repro.core.single_tile import compute_single_tile
-
-        x = rng.normal(size=(400, 1)).cumsum(axis=0)
-        fast = compute_single_tile(x, None, 16, RunConfig(fast_path_1d=True))
-        full = compute_single_tile(x, None, 16, RunConfig(fast_path_1d=False))
-        np.testing.assert_allclose(fast.profile, full.profile, atol=1e-12)
-        np.testing.assert_array_equal(fast.index, full.index)
+    def test_1d_fast_path_identical(self):
+        """Why run_tile skips the sort/scan at d = 1: on a ``(1, n)``
+        plane it is the identity, bit for bit, in every mode and on the
+        fused tensor-core scan."""
+        for mode in ("FP64", "FP32", "FP16", "Mixed", "FP16C"):
+            policy = policy_for(mode)
+            dtype = policy.compute
+            wide = [np.dtype(dtype)]
+            if policy.mode in TENSOR_CORE_MODES:
+                wide.append(np.dtype(np.float32))  # the mma_scan panel
+            for plane_dtype in wide:
+                rng = np.random.default_rng(0)
+                values = np.concatenate([
+                    np.abs(rng.normal(size=64)) * 8,
+                    np.abs(rng.normal(size=16)) * 2.0**-20,
+                    [0.0, 1.0, float(DTYPE_MAX[np.dtype(dtype)])],
+                ])
+                # Distances as the main loop hands them over: saturated
+                # values of the storage precision.
+                plane = values.astype(dtype).astype(plane_dtype)[None, :]
+                kernel = SortScanKernel(
+                    config=CFG, policy=policy,
+                    mma_scan=plane_dtype == np.float32 and dtype == np.float16,
+                )
+                got = kernel.run(plane.copy())
+                assert got.dtype == plane.dtype, (mode, plane_dtype)
+                assert got.tobytes() == plane.tobytes(), (mode, plane_dtype)
 
     def test_1d_fast_path_cheaper(self, rng):
-        from repro.core.single_tile import compute_single_tile
-
         x = rng.normal(size=(400, 1)).cumsum(axis=0)
-        fast = compute_single_tile(x, None, 16, RunConfig(fast_path_1d=True))
-        full = compute_single_tile(x, None, 16, RunConfig(fast_path_1d=False))
-        assert fast.costs["sort_&_incl_scan"].launches == 0
-        assert full.costs["sort_&_incl_scan"].launches > 0
-        assert fast.modeled_time <= full.modeled_time
+        r = compute_single_tile(x, None, 16, RunConfig())
+        assert r.costs["sort_&_incl_scan"].launches == 0
+        assert r.costs["sort_&_incl_scan"].flops == 0
 
     def test_fast_path_not_applied_above_1d(self, rng):
-        from repro.core.single_tile import compute_single_tile
-
         x = rng.normal(size=(200, 3))
-        r = compute_single_tile(x, None, 16, RunConfig(fast_path_1d=True))
+        r = compute_single_tile(x, None, 16, RunConfig())
         assert r.costs["sort_&_incl_scan"].launches > 0

@@ -1,4 +1,4 @@
-"""The vector main loop allocates no block-sized buffer once warm.
+"""The main loop allocates no block-sized buffer once warm.
 
 Every block-sized buffer of a super-step — the QT workspace, the product
 buffers, the distance/scan buffer, the stage temporaries, the exclusion
@@ -15,6 +15,13 @@ budget to 2^19 elements so that a block clearly outweighs what a tile
 does allocate — its O(d * n) vectors and outputs, and numpy's
 fixed-size casting buffers.  Every call gets its precalc prepared, as
 the plane cache hands it to the backend.
+
+The tensor-core loop leases its panel buffers, the fused scan's output
+and the operand quantiser's temporaries from the same pool, so a warm
+one-tile and stacked tensor-core run allocate no block either: no
+float32 ``(d * T, TC_PANEL_ROWS, width)`` panel.  Its panel height is
+fixed whatever the budget, so its shapes are wide instead, for the same
+margin over the per-tile vectors and numpy's buffers.
 """
 
 import tracemalloc
@@ -26,6 +33,7 @@ from repro.core.config import RunConfig
 from repro.engine import backends
 from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
 from repro.kernels.layout import to_device_layout
+from repro.kernels.tc_gemm import TC_PANEL_ROWS
 
 from .precalc_oracle import kernel_precalc
 
@@ -40,6 +48,11 @@ SHAPES = {
     "transposed": (600, 500, 1, False),
     "stack": (400, 600, 3, False),
     "mirror": (600, 600, 1, True),
+}
+#: Tensor-core shapes, one tile and a stack, each over several panels.
+TC_SHAPES = {
+    "tile": (300, 2400, 1, False),
+    "stack": (200, 1200, 3, False),
 }
 #: A stack of 50 tiles, like a many-tile job's: its block is the
 #: ``WIDE_STACK_BUDGET // 8`` floor, below the stack's whole plane.  The
@@ -74,13 +87,18 @@ def _tile_args(shape, policy):
     return np.stack(rows), np.stack(cols), kwargs
 
 
-def _block_bytes(shape, policy):
-    """Bytes of one super-step's ``(d * T, B, width)`` block."""
+def _block_bytes(shape, policy, main_loop="vector"):
+    """Bytes of one super-step's ``(d * T, B, width)`` block: in the
+    compute dtype, or the tensor-core loop's float32 panel."""
     n_r, n_q, tiles, mirror = shape
-    steps, width = (n_q, n_r) if (n_q < n_r and not mirror) else (n_r, n_q)
-    block = super_step_rows(steps, width, D, tiles)
+    if main_loop == "tensor_core":
+        steps, width, block, itemsize = n_r, n_q, TC_PANEL_ROWS, 4
+    else:
+        steps, width = (n_q, n_r) if (n_q < n_r and not mirror) else (n_r, n_q)
+        block = super_step_rows(steps, width, D, tiles)
+        itemsize = policy.compute.itemsize
     assert block < steps, "the shape should take several super-steps"
-    return D * tiles * block * width * policy.compute.itemsize
+    return D * tiles * block * width * itemsize
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -105,11 +123,18 @@ def test_warm_fp64_stack_copies_no_per_row_vector(monkeypatch):
     assert peak < FP64_WIDE_STACK_PEAK, f"{peak} B allocated at peak"
 
 
-def _assert_warm_tile_allocates_no_block(mode, shape):
+@pytest.mark.parametrize("shape", sorted(TC_SHAPES))
+@pytest.mark.parametrize("mode", ["Mixed", "FP16C"])
+def test_warm_tensor_core_tile_allocates_no_block(mode, shape):
+    _assert_warm_tile_allocates_no_block(mode, TC_SHAPES[shape], "tensor_core")
+
+
+def _assert_warm_tile_allocates_no_block(mode, shape, main_loop="vector"):
     cfg = RunConfig(mode=mode)
     policy = cfg.policy
     tr, tq, kwargs = _tile_args(shape, policy)
     kwargs["precalc"] = kernel_precalc(tr, tq, M, policy, cfg.launch)
+    kwargs["main_loop"] = main_loop
     pool = WorkspacePool()
     want = run_tile(tr, tq, M, policy, cfg.launch, workspace=pool, **kwargs)
     tracemalloc.start()
@@ -119,7 +144,7 @@ def _assert_warm_tile_allocates_no_block(mode, shape):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    block = _block_bytes(shape, policy)
+    block = _block_bytes(shape, policy, main_loop)
     assert peak < block, f"{peak} B allocated at peak, a block is {block} B"
     # Reused scratch changes nothing: the warm tile equals the cold one.
     if not isinstance(want, list):

@@ -55,13 +55,13 @@ def _budget(monkeypatch, rows, planes, width):
     monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", rows * planes * width)
 
 
-def _run(tr, tq, m, cfg, blocked=True, strategy="bitonic", ez=None):
+def _run(tr, tq, m, cfg, blocked=True, ez=None):
     """``run_tile`` under the patched budget; ``blocked=False`` runs the
     per-row oracle."""
     tile = run_tile if blocked else per_row_tile
     out = tile(
         tr, tq, m, cfg.policy, cfg.launch,
-        exclusion_zone=ez, sort_strategy=strategy,
+        exclusion_zone=ez,
         precalc=kernel_precalc(tr, tq, m, cfg.policy, cfg.launch),
     )
     costs = {k: vars(v).copy() for k, v in out.costs.items()}
@@ -89,13 +89,12 @@ class TestKernelBitIdentity:
         tr = to_device_layout(ref, cfg.policy.storage)
         tq = to_device_layout(qry, cfg.policy.storage)
         width = n - m + 1  # the self-join runs row-major, the tall AB tile transposed
-        for strategy in ("bitonic", "batch"):
-            for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
-                base = _run(tr, tq_used, m, cfg, False, strategy, ez)
-                for blk in (1, 7, 64, WHOLE):  # incl. blocks > the steps
-                    _budget(monkeypatch, blk, d, width)
-                    got = _run(tr, tq_used, m, cfg, True, strategy, ez)
-                    _assert_same(base, got, f"{mode} d={d} {strategy} blk={blk}")
+        for tq_used, ez in ((tr, m // 2), (tq, None)):  # self- and AB-join
+            base = _run(tr, tq_used, m, cfg, False, ez)
+            for blk in (1, 7, 64, WHOLE):  # incl. blocks > the steps
+                _budget(monkeypatch, blk, d, width)
+                got = _run(tr, tq_used, m, cfg, True, ez)
+                _assert_same(base, got, f"{mode} d={d} blk={blk}")
 
     @pytest.mark.parametrize("mode", ["FP16", "FP32"])
     def test_degenerate_inputs_hit_fallbacks_identically(self, rng, mode, monkeypatch):

@@ -276,11 +276,6 @@ class TestRunConfigBackend:
         with pytest.raises(ValueError, match="backend"):
             RunConfig(backend="wmma")
 
-    def test_batch_sort_incompatible(self):
-        with pytest.raises(ValueError, match="mma_scan"):
-            RunConfig(mode="Mixed", backend="tensor_core",
-                      sort_strategy="batch")
-
 
 class TestEscalationComposition:
     def test_escalated_tile_leaves_tc_path(self):

@@ -35,10 +35,13 @@ from repro.engine import backends
 from repro.engine.backends import TensorCoreBackend
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
+from repro.gpu.tracing import export_chrome_trace
+from repro.precision.modes import PrecisionMode
 
 from .per_row_oracle import per_row_engine
 
 MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
+TC_MODES = ("Mixed", "FP16C")
 
 
 def _series(n=300, d=3, seed=11):
@@ -173,6 +176,54 @@ class TestBitIdentity:
         _assert_same(*_both(monkeypatch, stacks, run))
 
 
+class TestTensorCoreStacks:
+    """The tensor-core main loop stacks like the vector loop: stacked
+    dispatch equals batches of one down to every timeline op and the
+    Chrome trace."""
+
+    def _assert_same_trace(self, got, want, tmp_path):
+        _assert_same(got, want)
+        assert got.backend == want.backend == "tensor_core"
+        assert got.timeline.ops == want.timeline.ops
+        paths = [export_chrome_trace(r, tmp_path / name)
+                 for r, name in ((got, "got.json"), (want, "want.json"))]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("ab", [False, True], ids=["self", "ab"])
+    @pytest.mark.parametrize("mode", TC_MODES)
+    def test_stacked_matches_batches_of_one(self, monkeypatch, stacks, tmp_path,
+                                            mode, ab, d):
+        x, y = _series(d=d), _series(d=d, seed=12)
+        config = RunConfig(mode=mode, n_tiles=16, n_gpus=2, backend="tensor_core")
+        run = lambda: compute_multi_tile(x, y if ab else None, 16, config)
+        self._assert_same_trace(*_both(monkeypatch, stacks, run), tmp_path)
+
+    @pytest.mark.parametrize("mode", TC_MODES)
+    def test_symmetric_mirror_tiles(self, monkeypatch, stacks, tmp_path, mode):
+        config = RunConfig(mode=mode, n_tiles=16, backend="tensor_core",
+                           symmetric_tiles=True)
+        run = lambda: compute_multi_tile(_series(), None, 16, config)
+        self._assert_same_trace(*_both(monkeypatch, stacks, run), tmp_path)
+
+    @pytest.mark.parametrize("mode", TC_MODES)
+    def test_escalation_takes_the_vector_path(self, monkeypatch, stacks, tmp_path,
+                                              mode):
+        config = RunConfig(mode=mode, n_tiles=16, n_gpus=2, backend="tensor_core")
+        target = _target(config)
+
+        def run():
+            faults = _TileFaults(target, corrupt=True, attempts=None)
+            result = compute_multi_tile(
+                _series(), None, 16, config, fault_plan=faults,
+                health=HealthPolicy(),
+            )
+            assert result.escalations == {target.tile_id: PrecisionMode.FP32}
+            return result
+
+        self._assert_same_trace(*_both(monkeypatch, stacks, run), tmp_path)
+
+
 class TestBatchFormation:
     def test_cap_sizes_the_stack(self):
         backend = NumericBackend()
@@ -188,14 +239,15 @@ class TestBatchFormation:
         limit = backend.stack_limit(plan, plan.tiles[0])
         assert limit == cap // (2 * width) > 1
 
-    def test_tensor_core_and_batch_sort_run_alone(self):
-        x = _series()
-        tc = JobSpec.from_arrays(x, None, 16, RunConfig(mode="FP16C")).plan(n_tiles=16)
-        assert TensorCoreBackend().stack_limit(tc, tc.tiles[5]) == 1
-        batch = JobSpec.from_arrays(
-            x, None, 16, RunConfig(mode="FP32", sort_strategy="batch")
-        ).plan(n_tiles=16)
-        assert NumericBackend().stack_limit(batch, batch.tiles[5]) == 1
+    def test_small_tensor_core_tiles_stack(self):
+        # One rule for both main loops: a 71 x 71, d = 3 tile stacks as
+        # deep on the tensor-core loop as on the vector loop.
+        config = RunConfig(mode="FP16C", backend="tensor_core")
+        plan = JobSpec.from_arrays(_series(), None, 16, config).plan(n_tiles=16)
+        tile = plan.tiles[5]
+        cap = backends.SUPER_STEP_ELEMENTS // 32 // (3 * tile.n_cols)
+        assert TensorCoreBackend().stack_limit(plan, tile) == cap > 1
+        assert NumericBackend().stack_limit(plan, tile) == cap
 
     def test_deadline_runs_batches_of_one(self, stacks):
         spec = JobSpec.from_arrays(_series(), None, 16, RunConfig(n_tiles=16))

@@ -132,23 +132,22 @@ class TestEngineBitIdentity:
         # of them); AB join: one 111x21 tile.
         joins = ((None, 8), (qry, 1))
         for query, n_tiles in joins:
-            for strategy in ("bitonic", "batch"):
-                for amortize in (True, False):
-                    cfg = RunConfig(mode=mode, n_tiles=n_tiles, sort_strategy=strategy)
-                    precalc = nullcontext if amortize else per_tile_precalc
-                    with precalc(), per_row_engine():
-                        want = _result(compute_multi_tile(ref, query, m, cfg))
-                    before = len(transposed_steps)
-                    with precalc():
-                        got = _result(compute_multi_tile(ref, query, m, cfg))
-                    # Tall tiles ran transposed, over several super-steps.
-                    assert len(transposed_steps) > before
-                    assert min(transposed_steps[before:]) > 1
-                    _assert_same(
-                        got, want,
-                        f"{mode} d={d} {'self' if query is None else 'AB'} "
-                        f"{strategy} amortize={amortize}",
-                    )
+            for amortize in (True, False):
+                cfg = RunConfig(mode=mode, n_tiles=n_tiles)
+                precalc = nullcontext if amortize else per_tile_precalc
+                with precalc(), per_row_engine():
+                    want = _result(compute_multi_tile(ref, query, m, cfg))
+                before = len(transposed_steps)
+                with precalc():
+                    got = _result(compute_multi_tile(ref, query, m, cfg))
+                # Tall tiles ran transposed, over several super-steps.
+                assert len(transposed_steps) > before
+                assert min(transposed_steps[before:]) > 1
+                _assert_same(
+                    got, want,
+                    f"{mode} d={d} {'self' if query is None else 'AB'} "
+                    f"amortize={amortize}",
+                )
 
 class TestDistancePanels:
     @pytest.mark.parametrize("mode", MODES)
