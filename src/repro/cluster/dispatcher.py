@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from ..core.config import RetryPolicy, RunConfig
 from ..core.result import MatrixProfileResult
 from ..engine.accumulate import ProfileAccumulator, merge_time
-from ..engine.backends import AnalyticBackend, NumericBackend
+from ..engine.backends import AnalyticBackend, backend_for
 from ..engine.checkpoint import RunJournal
 from ..engine.dispatch import TileRetryExhaustedError, execute_plan
 from ..engine.plan import JobSpec
@@ -96,6 +96,10 @@ class ClusterRunResult:
     timeline: Timeline = field(default_factory=Timeline)
     merge_elements: int = 0
     escalations: dict = field(default_factory=dict)
+    #: main loop the nodes ran and why a tensor-core request fell back
+    #: (see :class:`~repro.core.result.MatrixProfileResult`).
+    backend: str = "numeric"
+    backend_fallback_reason: str | None = None
 
     @property
     def dropped_tiles(self) -> int:
@@ -140,6 +144,8 @@ class ClusterRunResult:
             costs=self.costs,
             escalations=dict(self.escalations),
             resumed_tiles=self.tiles_restored,
+            backend=self.backend,
+            backend_fallback_reason=self.backend_fallback_reason,
         )
 
 
@@ -278,12 +284,7 @@ class ClusterDispatcher:
         if journal is not None:
             done_keys = frozenset(journal.completed_keys())
             journal.restore(accumulator)
-            base_mode = PrecisionMode.parse(spec.config.mode)
-            for rec in journal.completed_records():
-                if rec["mode"] is not None:
-                    mode = PrecisionMode.parse(rec["mode"])
-                    if mode != base_mode:
-                        result.escalations[rec["tile_id"]] = mode
+            result.escalations = journal.escalations()
 
         pending = [t for t in plan.tiles if RunJournal.key(t) not in done_keys]
         result.tiles_restored = len(plan.tiles) - len(pending)
@@ -306,16 +307,13 @@ class ClusterDispatcher:
         )
         result.broadcast_time = cluster_broadcast_time(input_bytes, topology)
 
-        backend = (
-            NumericBackend(discount_shared_h2d=True)
-            if numeric
-            else AnalyticBackend()
-        )
-        if self.fault_plan is not None:
-            injector = self.fault_plan.injector
-            corruptor = self.fault_plan.corruptor
+        if numeric:
+            backend, result.backend_fallback_reason = backend_for(
+                spec.config, discount_shared_h2d=True
+            )
         else:
-            injector = corruptor = None
+            backend = AnalyticBackend()
+        result.backend = backend.name
 
         # planned tile id -> its executions (split children included), in
         # the node's commit order.
@@ -381,8 +379,8 @@ class ClusterDispatcher:
                     sim,
                     keep_executions=True,
                     max_retries=self.max_retries,
-                    failure_injector=injector,
-                    corruptor=corruptor,
+                    failure_injector=getattr(self.fault_plan, "injector", None),
+                    corruptor=getattr(self.fault_plan, "corruptor", None),
                     health=self.health,
                     oom_split=self.oom_split,
                     label=f"node{node}",

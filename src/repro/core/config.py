@@ -118,9 +118,10 @@ class RunConfig:
     #: :mod:`repro.kernels.tc_gemm`).  The tensor-core path only exists
     #: for the FP16-storage wide-precalc modes (Mixed, FP16C) on devices
     #: with tensor cores; other configurations fall back to the numeric
-    #: backend with the reason recorded on the result.  The two paths are
-    #: *not* bit-identical (FP32 accumulation is the point), so this
-    #: knob enters ``cache_key()``.
+    #: backend with the reason recorded on the result.  Every tier honours
+    #: it (service requests run numeric: ``JobRequest`` has no backend
+    #: field).  The two paths are *not* bit-identical (FP32 accumulation
+    #: is the point), so this knob enters ``cache_key()``.
     backend: str = "numeric"
     #: Exploit self-join symmetry (D(i, j) = D(j, i)): plan only diagonal
     #: + upper-triangular tiles and consume each off-diagonal distance

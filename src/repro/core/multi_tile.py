@@ -6,17 +6,16 @@ crucial property that **each tile restarts the precalculation**, bounding
 the streaming-error propagation of Eq. (1) — and the per-tile profiles are
 merged on the CPU with min/argmin.
 
-Both entry points are thin adapters over the execution engine
-(:mod:`repro.engine`): the spec/plan layer owns validation and tiling,
-:func:`~repro.engine.dispatch.execute_plan` runs the loop, and the
-:class:`~repro.engine.accumulate.ProfileAccumulator` owns the merge.
+Every whole-job run — these two and
+:func:`~repro.engine.checkpoint.resume_plan` — builds a spec and a plan
+and hands them to one runner, :func:`_run_plan`:
 
-* :func:`compute_multi_tile` — executes the tiles numerically
-  (:class:`~repro.engine.backends.NumericBackend`) and builds the
-  modelled timeline from the recorded kernel costs (accuracy + shape
-  experiments at feasible scales).  Self-join diagonal tiles share one
-  upload for their identical row/col slices; the saved H2D traffic is
-  reported on the result.
+* :func:`compute_multi_tile` — executes the tiles numerically on the
+  backend the config names (:func:`~repro.engine.backends.backend_for`)
+  and builds the modelled timeline from the recorded kernel costs
+  (accuracy + shape experiments at feasible scales).  Self-join diagonal
+  tiles share one upload for their identical row/col slices; the saved
+  H2D traffic is reported on the result.
 * :func:`model_multi_tile` — analytic-only
   (:class:`~repro.engine.backends.AnalyticBackend`): schedules per-tile
   timings from the roofline cost model without touching data, enabling
@@ -28,16 +27,84 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.accumulate import ProfileAccumulator, merge_tile_outputs
-from ..engine.backends import AnalyticBackend, TensorCoreBackend, backend_for
+from ..engine.backends import AnalyticBackend, backend_for
 from ..engine.checkpoint import RunJournal
 from ..engine.dispatch import RoundRobinPlacement, execute_plan
-from ..engine.plan import JobSpec
+from ..engine.plan import ExecutionPlan, JobSpec
 from ..gpu.simulator import GPUSimulator
-from ..kernels.update import INDEX_DTYPE
 from .config import RunConfig
 from .result import MatrixProfileResult
 
 __all__ = ["compute_multi_tile", "model_multi_tile", "merge_tile_outputs"]
+
+
+def _run_plan(
+    spec: JobSpec,
+    plan: ExecutionPlan,
+    *,
+    journal: RunJournal | None = None,
+    health=None,
+    fault_plan=None,
+    max_retries: int = 0,
+    oom_split: bool = False,
+    observers=(),
+    parallel_workers: int = 1,
+) -> MatrixProfileResult:
+    """Run ``plan`` on a fresh simulator and the backend ``spec.config``
+    names (analytic for a modeled spec, which returns an empty profile).
+    A ``journal`` is resumed: its snapshot and escalations are restored
+    and its tiles skipped (a no-op for a fresh journal)."""
+    config = spec.config
+    modeled = spec.is_modeled
+    if modeled:
+        backend, fallback_reason = AnalyticBackend(), None
+    else:
+        backend, fallback_reason = backend_for(config, discount_shared_h2d=True)
+    sim = GPUSimulator(config.device, config.n_gpus, config.n_streams)
+    accumulator = ProfileAccumulator(
+        spec.d, spec.n_q_seg, spec.policy, materialize=not modeled
+    )
+    escalations = {}
+    if journal is not None:
+        journal.restore(accumulator)
+        escalations = journal.escalations()
+    # Retries need a placement that can move a tile off the failing GPU
+    # (a journaled static assignment is only a preference).
+    placement = RoundRobinPlacement(config.n_gpus) if max_retries > 0 else None
+    report = execute_plan(
+        plan,
+        backend,
+        sim,
+        accumulator=accumulator,
+        placement=placement,
+        observers=observers,
+        max_retries=max_retries,
+        failure_injector=getattr(fault_plan, "injector", None),
+        health=health,
+        corruptor=getattr(fault_plan, "corruptor", None),
+        oom_split=oom_split,
+        journal=journal,
+        parallel_workers=parallel_workers,
+    )
+    escalations.update(report.escalations)
+    return MatrixProfileResult(
+        profile=accumulator.host_profile(),
+        index=accumulator.host_index(),
+        mode=spec.policy.mode,
+        m=spec.m,
+        n_tiles=report.tiles_total,
+        n_gpus=config.n_gpus,
+        timeline=sim.timeline,
+        merge_time=accumulator.merge_time(report.tiles_total),
+        costs=accumulator.costs,
+        h2d_saved_bytes=accumulator.h2d_saved_bytes,
+        precalc_saved_flops=accumulator.precalc_saved_flops,
+        escalations=escalations,
+        split_tiles=dict(report.splits),
+        resumed_tiles=report.tiles_restored,
+        backend=backend.name,
+        backend_fallback_reason=fallback_reason,
+    )
 
 
 def compute_multi_tile(
@@ -71,7 +138,8 @@ def compute_multi_tile(
       to a different GPU);
     * ``oom_split`` — split a tile on device OOM instead of raising;
     * ``journal`` — a :class:`~repro.engine.checkpoint.RunJournal` (or a
-      directory path to create one) checkpointing completed tiles for
+      directory path to create one) checkpointing completed tiles; a
+      journal holding tiles is resumed, as by
       :func:`~repro.engine.checkpoint.resume_plan`;
     * ``parallel_workers`` — host threads executing independent tiles
       concurrently (results merge in plan order, so the output is
@@ -80,61 +148,22 @@ def compute_multi_tile(
       knob without every caller threading it through.
     """
     config = config or RunConfig()
-    if parallel_workers is None:
-        parallel_workers = config.parallel_workers
     spec = JobSpec.from_arrays(reference, query, m, config)
     plan = spec.plan()
-    failure_injector = corruptor = None
-    if fault_plan is not None:
-        failure_injector = fault_plan.injector
-        corruptor = fault_plan.corruptor
-    journal_obj = None
-    if journal is not None:
-        journal_obj = (
-            journal
-            if isinstance(journal, RunJournal)
-            else RunJournal.create(journal, spec, plan)
-        )
-    placement = (
-        RoundRobinPlacement(config.n_gpus) if max_retries > 0 else None
-    )
-    sim = GPUSimulator(config.device, config.n_gpus, config.n_streams)
-    accumulator = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
-    backend, fallback_reason = backend_for(config, discount_shared_h2d=True)
-    report = execute_plan(
+    if journal is not None and not isinstance(journal, RunJournal):
+        journal = RunJournal.create(journal, spec, plan)
+    return _run_plan(
+        spec,
         plan,
-        backend,
-        sim,
-        accumulator=accumulator,
-        placement=placement,
-        observers=observers,
-        max_retries=max_retries,
-        failure_injector=failure_injector,
+        journal=journal,
         health=health,
-        corruptor=corruptor,
+        fault_plan=fault_plan,
+        max_retries=max_retries,
         oom_split=oom_split,
-        journal=journal_obj,
-        parallel_workers=parallel_workers,
-    )
-    return MatrixProfileResult(
-        profile=accumulator.host_profile(),
-        index=accumulator.host_index(),
-        mode=spec.policy.mode,
-        m=m,
-        n_tiles=report.tiles_total,
-        n_gpus=config.n_gpus,
-        timeline=sim.timeline,
-        merge_time=accumulator.merge_time(report.tiles_total),
-        costs=accumulator.costs,
-        h2d_saved_bytes=accumulator.h2d_saved_bytes,
-        precalc_saved_flops=accumulator.precalc_saved_flops,
-        escalations=dict(report.escalations),
-        split_tiles=dict(report.splits),
-        resumed_tiles=report.tiles_restored,
-        backend=(
-            "tensor_core" if isinstance(backend, TensorCoreBackend) else "numeric"
+        observers=observers,
+        parallel_workers=(
+            config.parallel_workers if parallel_workers is None else parallel_workers
         ),
-        backend_fallback_reason=fallback_reason,
     )
 
 
@@ -156,17 +185,4 @@ def model_multi_tile(
     config = config or RunConfig()
     n_q_seg = n_q_seg if n_q_seg is not None else n_seg
     spec = JobSpec.modeled(n_seg, n_q_seg, d, m, config)
-    plan = spec.plan()
-    sim = GPUSimulator(config.device, config.n_gpus, config.n_streams)
-    accumulator = ProfileAccumulator(d, n_q_seg, spec.policy, materialize=False)
-    execute_plan(plan, AnalyticBackend(), sim, accumulator=accumulator)
-    return MatrixProfileResult(
-        profile=np.empty((0, d)),
-        index=np.empty((0, d), dtype=INDEX_DTYPE),
-        mode=spec.policy.mode,
-        m=m,
-        n_tiles=plan.n_tiles,
-        n_gpus=config.n_gpus,
-        timeline=sim.timeline,
-        merge_time=accumulator.merge_time(plan.n_tiles),
-    )
+    return _run_plan(spec, spec.plan())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.backends import TensorCoreBackend, backend_for
+from ..engine.backends import backend_for
 from ..engine.dispatch import execute_plan
 from ..engine.plan import JobSpec
 from ..gpu.simulator import GPUSimulator
@@ -55,8 +55,6 @@ def compute_single_tile(
         # Exactly 0.0 by construction: the lone tile carries the full
         # plane charge, so nothing was amortised away.
         precalc_saved_flops=report.executions[0].precalc_saved_flops,
-        backend=(
-            "tensor_core" if isinstance(backend, TensorCoreBackend) else "numeric"
-        ),
+        backend=backend.name,
         backend_fallback_reason=fallback_reason,
     )

@@ -241,9 +241,14 @@ class ProfileAccumulator:
         return merge_time(self.merge_elements, dispatch_count)
 
     def host_profile(self) -> np.ndarray:
-        """The (n_q_seg, d) float64 time-major profile for results."""
+        """The (n_q_seg, d) float64 time-major profile for results
+        (``(0, d)`` for an analytic run)."""
+        if self.profile is None:
+            return np.empty((0, self.d))
         return np.ascontiguousarray(self.profile.T.astype(np.float64))
 
     def host_index(self) -> np.ndarray:
         """The (n_q_seg, d) int64 time-major index for results."""
+        if self.index is None:
+            return np.empty((0, self.d), dtype=INDEX_DTYPE)
         return np.ascontiguousarray(self.index.T)

@@ -555,6 +555,8 @@ class NumericBackend:
     #: Main-loop execution path handed to :func:`run_tile`; the
     #: tensor-core subclass overrides it.
     main_loop: str = "vector"
+    #: The :attr:`~repro.core.result.MatrixProfileResult.backend` it reports.
+    name: str = "numeric"
 
     def __init__(self, lock=None, discount_shared_h2d: bool = False):
         self._lock = lock if lock is not None else nullcontext()
@@ -740,6 +742,7 @@ class TensorCoreBackend(NumericBackend):
     """
 
     main_loop = "tensor_core"
+    name = "tensor_core"
 
 
 def backend_for(
@@ -785,6 +788,8 @@ class AnalyticBackend:
     tile's dimensions and the precision policy fully determine the
     modelled cost, so paper-scale problems plan in microseconds.
     """
+
+    name = "numeric"  # it prices the vector loop
 
     def run(self, plan: ExecutionPlan, tile: Tile, gpu: SimulatedGPU) -> TileExecution:
         spec = plan.spec

@@ -4,9 +4,12 @@ Long mining runs (the paper's n=2^18 genome study) used to restart from
 zero when killed.  A :class:`RunJournal` makes a multi-tile dispatch
 resumable: :func:`~repro.engine.dispatch.execute_plan` records every
 completed tile into it, and :func:`resume_plan` rebuilds the spec/plan
-from the journal, restores the accumulator, and re-dispatches *only* the
-tiles the journal does not hold — producing a profile bit-identical to
-an uninterrupted run.
+from the journal and hands both to the one whole-job runner, which
+restores the accumulator and re-dispatches *only* the tiles the journal
+does not hold — producing a profile bit-identical to an uninterrupted
+run.  The runner resumes any journal it is handed the same way, so an
+open journal passed to :func:`~repro.core.api.matrix_profile` continues
+the run too.
 
 Journal directory layout::
 
@@ -43,10 +46,8 @@ import numpy as np
 from ..core.config import RunConfig
 from ..core.result import MatrixProfileResult
 from ..core.tiling import Tile
-from ..gpu.simulator import GPUSimulator
 from ..precision.modes import PrecisionMode
 from .accumulate import ProfileAccumulator
-from .backends import NumericBackend
 from .plan import ExecutionPlan, JobSpec
 
 __all__ = ["RunJournal", "resume_plan", "tile_key"]
@@ -158,6 +159,16 @@ class RunJournal:
             if line.strip()
         ]
 
+    def escalations(self) -> dict[int, PrecisionMode]:
+        """Tile id -> mode of every journaled tile that finally executed
+        off the journaled config's mode (an interrupted run's escalations)."""
+        base = self.meta()["config"]["mode"]
+        return {
+            r["tile_id"]: PrecisionMode.parse(r["mode"])
+            for r in self.completed_records()
+            if r["mode"] not in (None, base)
+        }
+
     def completed_keys(self) -> set[tuple[int, int, int, int]]:
         """Geometry keys of every journaled tile."""
         return {
@@ -245,67 +256,29 @@ def resume_plan(
     health=None,
     fault_plan=None,
     oom_split: bool = False,
-    failure_injector=None,
-    corruptor=None,
 ) -> MatrixProfileResult:
     """Continue a journaled run, recomputing zero journaled tiles.
 
-    Rebuilds the spec/plan from the journal, restores the accumulator
-    snapshot, and dispatches only the missing tiles (journaling them as
-    they complete, so resume itself is resumable).  The returned profile,
-    index, costs and merge time are bit-identical to an uninterrupted
-    run; the timeline covers only the resumed portion.
+    Rebuilds the spec/plan from the journal and runs them through the
+    runner behind :func:`~repro.core.multi_tile.compute_multi_tile`,
+    which resumes any journal it is handed: it restores the accumulator
+    snapshot and the journaled escalations, then dispatches only the
+    missing tiles on the backend the journaled config names (journaling
+    them as they complete, so resume itself is resumable).  The returned
+    profile, index, costs and merge time are bit-identical to an
+    uninterrupted run; the timeline covers only the resumed portion.
     """
-    from .dispatch import RoundRobinPlacement, execute_plan
+    from ..core.multi_tile import _run_plan
 
     journal = RunJournal.open(path)
     spec, plan = journal.rebuild()
-    config = spec.config
-    if fault_plan is not None:
-        failure_injector = failure_injector or fault_plan.injector
-        corruptor = corruptor or fault_plan.corruptor
-    # Retries need a placement that can move a tile off the failing GPU
-    # (mirrors compute_multi_tile; the journaled static assignment is
-    # only a preference, not part of the numerical contract).
-    placement = RoundRobinPlacement(config.n_gpus) if max_retries > 0 else None
-    sim = GPUSimulator(config.device, config.n_gpus, config.n_streams)
-    accumulator = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
-    journal.restore(accumulator)
-    base_mode = PrecisionMode.parse(config.mode)
-    # Escalations the interrupted run already journaled.
-    escalations = {
-        r["tile_id"]: PrecisionMode.parse(r["mode"])
-        for r in journal.completed_records()
-        if r["mode"] is not None and PrecisionMode.parse(r["mode"]) != base_mode
-    }
-    report = execute_plan(
+    return _run_plan(
+        spec,
         plan,
-        NumericBackend(discount_shared_h2d=True),
-        sim,
-        accumulator=accumulator,
-        placement=placement,
-        observers=observers,
-        max_retries=max_retries,
-        health=health,
-        oom_split=oom_split,
-        failure_injector=failure_injector,
-        corruptor=corruptor,
         journal=journal,
-    )
-    escalations.update(report.escalations)
-    return MatrixProfileResult(
-        profile=accumulator.host_profile(),
-        index=accumulator.host_index(),
-        mode=spec.policy.mode,
-        m=spec.m,
-        n_tiles=report.tiles_total,
-        n_gpus=config.n_gpus,
-        timeline=sim.timeline,
-        merge_time=accumulator.merge_time(report.tiles_total),
-        costs=accumulator.costs,
-        h2d_saved_bytes=accumulator.h2d_saved_bytes,
-        precalc_saved_flops=accumulator.precalc_saved_flops,
-        escalations=escalations,
-        split_tiles=dict(report.splits),
-        resumed_tiles=report.tiles_restored,
+        health=health,
+        fault_plan=fault_plan,
+        max_retries=max_retries,
+        oom_split=oom_split,
+        observers=observers,
     )

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..core.config import RunConfig
 from ..engine.accumulate import ProfileAccumulator
-from ..engine.backends import NumericBackend
+from ..engine.backends import backend_for
 from ..engine.dispatch import (  # noqa: F401 - re-exported API
     RoundRobinPlacement,
     TileRetryExhaustedError,
@@ -150,7 +150,7 @@ class TileScheduler:
         accumulator = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
         report = execute_plan(
             plan,
-            NumericBackend(lock=self._lock),
+            backend_for(config, lock=self._lock)[0],
             self.sim,
             accumulator=accumulator,
             placement=self._placement,

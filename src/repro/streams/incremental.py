@@ -56,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..core.config import RunConfig, default_exclusion_zone
 from ..core.tiling import Tile, assign_tiles
 from ..engine.accumulate import ProfileAccumulator
-from ..engine.backends import NumericBackend
+from ..engine.backends import NumericBackend, backend_for
 from ..engine.dispatch import DispatchReport, execute_plan
 from ..engine.plan import JobSpec
 from ..engine.precalc_cache import GrowableArray, PlaneCache
@@ -117,8 +117,9 @@ class IncrementalMatrixProfile:
     pool's retry/escalation/split machinery.  ``backend`` hands over the
     :class:`~repro.engine.backends.NumericBackend` of a stream this one
     replaces (a sliding re-base), so its per-worker main-loop scratch is
-    reused instead of allocated again; by default the stream builds its
-    own.
+    reused instead of allocated again; by default the stream builds the
+    one ``config.backend`` names (:func:`~repro.engine.backends.
+    backend_for`).
     """
 
     def __init__(
@@ -158,7 +159,7 @@ class IncrementalMatrixProfile:
         self._lock = lock
         self._backend = (
             backend if backend is not None
-            else NumericBackend(lock=lock)
+            else backend_for(self.config, lock=lock)[0]
         )
         self.timeline = Timeline()
 

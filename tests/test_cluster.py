@@ -470,6 +470,66 @@ class TestCoordinatorCrashResume:
             resume_cluster(tmp_path / "j")
 
 
+class TestClusterBackend:
+    """Nodes run the backend the job's config names, so a tensor-core
+    cluster run matches the single-node tensor-core run bit for bit."""
+
+    def _spec(self):
+        config = RunConfig(mode="Mixed", backend="tensor_core")
+        return JobSpec.from_arrays(_series(n=260, d=3), None, 24, config)
+
+    def _single_node(self, spec):
+        from repro import matrix_profile
+
+        return matrix_profile(
+            spec.reference, m=spec.m, mode="Mixed", backend="tensor_core",
+            n_tiles=8,
+        )
+
+    def test_tensor_core_cluster_matches_single_node(self):
+        spec = self._spec()
+        single = self._single_node(spec)
+        assert single.backend == "tensor_core"
+        run = ClusterDispatcher(ClusterSpec(n_nodes=2, gpus_per_node=1)).run(
+            spec, n_tiles=8
+        )
+        result = run.to_result(spec)
+        assert result.n_tiles == single.n_tiles
+        np.testing.assert_array_equal(result.profile.view(np.uint8),
+                                      single.profile.view(np.uint8))
+        np.testing.assert_array_equal(result.index, single.index)
+        assert result.backend == "tensor_core"
+        assert result.backend_fallback_reason is None
+
+    def test_tensor_core_cluster_resume_matches_single_node(self, tmp_path):
+        spec = self._spec()
+        single = self._single_node(spec)
+        cluster = ClusterSpec(n_nodes=2, gpus_per_node=1)
+        path = tmp_path / "journal"
+        journal = RunJournal.create(
+            path, spec, spec.plan(n_tiles=8),
+            extra={"cluster": cluster.to_dict()},
+        )
+        real_record = journal.record
+        calls = {"n": 0}
+
+        def crashing_record(execution, accumulator):
+            if calls["n"] >= 3:
+                raise KeyboardInterrupt("coordinator dies")
+            calls["n"] += 1
+            real_record(execution, accumulator)
+
+        journal.record = crashing_record
+        with pytest.raises(KeyboardInterrupt):
+            ClusterDispatcher(cluster).run(spec, n_tiles=8, journal=journal)
+        resumed = resume_cluster(path)
+        assert resumed.tiles_restored == 3
+        np.testing.assert_array_equal(resumed.profile.view(np.uint8),
+                                      single.profile.view(np.uint8))
+        np.testing.assert_array_equal(resumed.index, single.index)
+        assert resumed.backend == "tensor_core"
+
+
 class TestElasticity:
     def test_quota_validation_and_check(self):
         with pytest.raises(ValueError, match="max_pending"):

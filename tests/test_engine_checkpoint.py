@@ -294,3 +294,51 @@ class TestKillAndResume:
         assert resumed.escalations == {
             tid: PrecisionMode.MIXED for tid in range(first.n_tiles)
         }
+
+
+class TestResumeRunsTheJournaledBackend:
+    """Resume runs the backend the journaled config names, and a journal
+    handed to a run is resumed wherever it is handed in."""
+
+    def _interrupted(self, tmp_path, config, series):
+        path = tmp_path / "journal"
+        with pytest.raises(KeyboardInterrupt):
+            compute_multi_tile(
+                series, None, 16, config, journal=path, fault_plan=KillPlan(2),
+            )
+        assert len(RunJournal.open(path).completed_records()) == 2
+        return path
+
+    def test_tensor_core_resume_is_bit_identical(self, tmp_path):
+        config = RunConfig(
+            mode="Mixed", backend="tensor_core", n_tiles=4, n_gpus=2
+        )
+        series = _series(n=300, d=3)
+        uninterrupted = compute_multi_tile(series, None, 16, config)
+        assert uninterrupted.backend == "tensor_core"
+        resumed = resume_plan(self._interrupted(tmp_path, config, series))
+        assert resumed.resumed_tiles == 2
+        assert np.array_equal(resumed.profile.view(np.uint8),
+                              uninterrupted.profile.view(np.uint8))
+        assert np.array_equal(resumed.index, uninterrupted.index)
+        assert resumed.backend == "tensor_core"
+        assert resumed.backend_fallback_reason is None
+
+    def test_open_journal_handed_to_matrix_profile_is_resumed(self, tmp_path):
+        from repro import matrix_profile
+
+        config = RunConfig(mode="FP32", n_tiles=4, n_gpus=2)
+        series = _series(n=300, d=3)
+        uninterrupted = compute_multi_tile(series, None, 16, config)
+        path = self._interrupted(tmp_path, config, series)
+        counter = Counter()
+        resumed = matrix_profile(
+            series, m=16, mode="FP32", n_tiles=4, n_gpus=2,
+            journal=RunJournal.open(path), observers=(counter,),
+        )
+        assert sorted(counter.started) == [2, 3]
+        assert resumed.resumed_tiles == 2
+        assert np.array_equal(resumed.profile.view(np.uint8),
+                              uninterrupted.profile.view(np.uint8))
+        assert np.array_equal(resumed.index, uninterrupted.index)
+        assert resumed.merge_time == uninterrupted.merge_time

@@ -17,7 +17,7 @@ from repro.baselines.brute_force import brute_force_mdmp
 from repro.core.config import RunConfig
 from repro.core.tiling import assign_tiles
 from repro.engine.accumulate import ProfileAccumulator
-from repro.engine.backends import NumericBackend
+from repro.engine.backends import NumericBackend, TensorCoreBackend
 from repro.engine.dispatch import execute_plan
 from repro.engine.plan import JobSpec
 from repro.gpu.simulator import GPUSimulator
@@ -194,6 +194,26 @@ def _stream(rng, join, config, m=12, steps=(40, 7, 1, 52)):
     for end, step in zip(np.cumsum(steps), steps):
         inc.append(series[end - step : end])
     return inc, series, ref
+
+
+class TestStreamBackend:
+    """A stream builds the backend its config names."""
+
+    def _profile(self, config, series, backend=None):
+        inc = IncrementalMatrixProfile(12, config, backend=backend)
+        for start in range(0, len(series), 30):
+            inc.append(series[start : start + 30])
+        return inc.profile()
+
+    def test_config_backend_selects_tensor_core(self, rng):
+        series = _series(rng, 150, 3)
+        tc = RunConfig(mode="Mixed", backend="tensor_core")
+        from_config = self._profile(tc, series)
+        handed = self._profile(RunConfig(mode="Mixed"), series, TensorCoreBackend())
+        vector = self._profile(RunConfig(mode="Mixed"), series)
+        _assert_bit_identical(from_config, handed)
+        assert not np.array_equal(from_config[0].view(np.uint8),
+                                  vector[0].view(np.uint8))
 
 
 class TestPrecalcStrategy:
