@@ -96,6 +96,11 @@ class ClusterRunResult:
     timeline: Timeline = field(default_factory=Timeline)
     merge_elements: int = 0
     escalations: dict = field(default_factory=dict)
+    h2d_saved_bytes: float = 0.0
+    precalc_saved_flops: float = 0.0
+    #: planned tile id -> split children, in the numbering of the node
+    #: that split it (see :class:`~repro.core.result.MatrixProfileResult`).
+    split_tiles: dict = field(default_factory=dict)
     #: main loop the nodes ran and why a tensor-core request fell back
     #: (see :class:`~repro.core.result.MatrixProfileResult`).
     backend: str = "numeric"
@@ -142,7 +147,10 @@ class ClusterRunResult:
             timeline=self.timeline,
             merge_time=self.merge_time,
             costs=self.costs,
+            h2d_saved_bytes=self.h2d_saved_bytes,
+            precalc_saved_flops=self.precalc_saved_flops,
             escalations=dict(self.escalations),
+            split_tiles=dict(self.split_tiles),
             resumed_tiles=self.tiles_restored,
             backend=self.backend,
             backend_fallback_reason=self.backend_fallback_reason,
@@ -386,6 +394,7 @@ class ClusterDispatcher:
                     label=f"node{node}",
                 )
                 result.escalations.update(report.escalations)
+                result.split_tiles.update(report.splits)
                 # A node numbers split children from its own max tile id,
                 # so file each execution under its planned root tile.
                 parent = {c: p for p, cs in report.splits.items() for c in cs}
@@ -472,6 +481,8 @@ class ClusterDispatcher:
         )
         result.merge_elements = accumulator.merge_elements
         result.costs = dict(accumulator.costs)
+        result.h2d_saved_bytes = accumulator.h2d_saved_bytes
+        result.precalc_saved_flops = accumulator.precalc_saved_flops
         if numeric:
             result.profile = accumulator.host_profile()
             result.index = accumulator.host_index()

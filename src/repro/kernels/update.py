@@ -33,6 +33,24 @@ def _per_tile(offset) -> np.ndarray:
     return np.asarray(offset, dtype=INDEX_DTYPE).reshape(-1, 1)
 
 
+def _take_along(block: np.ndarray, best: np.ndarray, axis: int) -> np.ndarray:
+    """``block``'s entries at positions ``best`` along ``axis`` — what
+    ``np.take_along_axis(block, best[..., None], axis)`` returns with the
+    axis dropped — by one flat ``np.take``.  The flat index is built in
+    place, one small offset vector per other axis, so nothing of the
+    index's size is allocated but the index itself (and numpy's bounded
+    ufunc buffer) — not ``take_along_axis``'s broadcast index grids."""
+    block = np.ascontiguousarray(block)
+    steps = [stride // block.itemsize for stride in block.strides]
+    flat = best * steps[axis]
+    for ax, (n, step) in enumerate(zip(block.shape, steps)):
+        if ax != axis and n > 1:
+            shape = [1] * best.ndim
+            shape[ax if ax < axis else ax - 1] = n
+            flat += np.arange(0, n * step, step).reshape(shape)
+    return np.take(block.reshape(-1), flat)
+
+
 @dataclass
 class UpdateKernel(Kernel):
     """Running min/argmin merge for one tile."""
@@ -128,18 +146,16 @@ class UpdateKernel(Kernel):
         """
         rows = block.shape[2]
         best = self._radix_argmin(block, axis=3)  # (d, T, rows)
-        best_val = np.take_along_axis(block, best[..., None], axis=3)[..., 0]
+        best_val = _take_along(block, best, 3)
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):
                 best_val = best_val.astype(self.policy.storage)
         target = profile[:, :, row0 : row0 + rows]
         improved = best_val < target
         np.copyto(target, best_val, where=improved)
-        np.copyto(
-            indices[:, :, row0 : row0 + rows],
-            best.astype(INDEX_DTYPE) + _per_tile(index_offset),
-            where=improved,
-        )
+        best = best.astype(INDEX_DTYPE, copy=False)
+        best += _per_tile(index_offset)
+        np.copyto(indices[:, :, row0 : row0 + rows], best, where=improved)
 
     def run(
         self,
@@ -278,17 +294,15 @@ class UpdateKernel(Kernel):
         # First-occurrence argmin over the row axis (radix keys for the
         # half/single planes — see :meth:`_radix_argmin`).
         best_row = self._radix_argmin(block, 2, self.pool)  # (d, T, n_q)
-        best_val = np.take_along_axis(block, best_row[:, :, None], axis=2)[:, :, 0]
+        best_val = _take_along(block, best_row, 2)
         if wide_block:
             with np.errstate(over="ignore", invalid="ignore"):
                 best_val = best_val.astype(storage)
         improved = best_val < profile
         np.copyto(profile, best_val, where=improved)
-        np.copyto(
-            indices,
-            best_row.astype(INDEX_DTYPE) + _per_tile(row_offset) + INDEX_DTYPE.type(row0),
-            where=improved,
-        )
+        best_row = best_row.astype(INDEX_DTYPE, copy=False)
+        best_row += _per_tile(row_offset) + INDEX_DTYPE.type(row0)
+        np.copyto(indices, best_row, where=improved)
         if mirror_profile is not None:
             self._merge_rowwise(
                 block, mirror_profile, mirror_indices, row0,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,10 @@ from .sketch import SketchMonitor, SketchScore
 from .tenant import StreamCounters, TenantPolicy, TenantStream
 
 __all__ = ["StreamIngestService", "IngestReport"]
+
+#: Sketch scores a gated tenant keeps for :meth:`StreamIngestService.
+#: scores`: an always-on tenant must not grow a list per window forever.
+SCORE_HISTORY = 4096
 
 
 @dataclass
@@ -76,7 +81,7 @@ class IngestReport:
 class _Tenant:
     session: TenantStream
     reference: np.ndarray | None = None  # kept for sliding re-bases
-    scores: list = field(default_factory=list)
+    scores: deque = field(default_factory=lambda: deque(maxlen=SCORE_HISTORY))
 
 
 class StreamIngestService:
@@ -378,7 +383,8 @@ class StreamIngestService:
         return self.tenant(tenant_id).stream.profile()
 
     def scores(self, tenant_id: str) -> tuple[SketchScore, ...]:
-        """All sketch scores a gated tenant has produced."""
+        """The most recent ``SCORE_HISTORY`` sketch scores of a gated
+        tenant, oldest first (counters and reports cover every window)."""
         entry = self._tenants.get(tenant_id)
         if entry is None:
             raise KeyError(f"unknown tenant {tenant_id!r}")

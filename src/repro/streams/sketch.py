@@ -21,8 +21,50 @@ counted as saved exact work.
 
 :meth:`SketchMonitor.score` takes an ingest step's ``(B, d, m)`` window
 stack: one z-normalisation over it, one append to a capacity-doubling
-history, then each window's neighbour pass and threshold update in
-order — bit-identical to scoring the windows one at a time.
+history, one nearest-neighbour search for all B windows, then each
+window's threshold update in order — bit-identical to scoring the
+windows one at a time.
+
+**The neighbour search is filter-and-refine.**  A window's score is the
+smallest *direct* squared distance ``((h - s) ** 2).sum()`` over its
+eligible history rows (the per-window prefix ``position - exclusion``).
+Rather than summing every row, one GEMM per step estimates every
+(window, row) distance through the expansion ``|h|^2 - 2 s.h`` (plus the
+row-constant ``|s|^2``, which cannot move a row's rank), with the
+squared history norms cached beside the history.  With ``u = 2^-53`` and
+``g(n) = n u / (1 - n u)``, the standard forward-error bounds give, for
+sketch width ``k`` and every eligible row ``h``:
+
+* direct sum: each term ``fl(fl(h_j - s_j)^2)`` is within ``g(3)`` of
+  its exact value and a k-term sum of non-negative terms adds
+  ``g(k - 1)``, so ``|D - T| <= g(k + 2) T``, ``T = |h - s|^2 <= (|s| +
+  |h|)^2``;
+* expansion: ``fl(|h|^2)`` is within ``g(k) |h|^2``, the dot product
+  within ``g(k) |s| |h|`` (any summation order, FMA or not), the scale by
+  -2 is exact and the final add costs one more ``u``, so ``|G - (T -
+  |s|^2)| <= g(k + 1) (|s| + |h|)^2``.
+
+Hence ``|G - (D - |s|^2)| <= e = (g(k + 2) + g(k + 1)) (|s| + max|h|)^2``
+for every row.  If ``j`` minimises D and ``b`` minimises G, then ``G_j
+<= G_b + 2e``, so every row within ``2e`` of the window's best estimate
+is a *candidate* and the true argmin is among them.  The code uses
+``E = 4 g(k + 2) (|s| + max|h|)^2`` — at least twice ``e``, which absorbs the
+rounding of the norms, of ``max|h|`` and of the threshold itself — plus
+an absolute ``k * tiny`` against gradual underflow.  Only candidates are
+summed the direct way (``((H[cand] - s) ** 2).sum(axis=1)``, the same
+expression and so the same numpy pairwise order per row as the full
+scan), and their minimum is the score: the bound only decides *which*
+rows are summed, never the value reported, so every
+:class:`SketchScore` is byte-identical to the full scan's.  A window
+whose sketch, eligible norms, bound or best estimate is not finite (a
+NaN window, an overflowing norm) takes the full direct scan instead.
+
+The step's ``(windows, history)`` estimate is built ``FILTER_ELEMENTS``
+float64 elements at a time (whole history rows for as many windows as
+fit, at least one window), and candidate pairs are summed in pieces of
+the same budget, so transient memory does not grow with the step; it
+grows with the history only as the full scan's ``(history, k)``
+temporaries did.
 
 The threshold can be a fixed float (sketch-distance units) or
 ``"auto"``: alarm when the score exceeds ``mean + zscore * std`` of all
@@ -47,6 +89,10 @@ __all__ = ["SketchMonitor", "SketchScore"]
 
 #: Float64 elements of one z-normalised ``(windows, d, m)`` chunk.
 CHUNK_ELEMENTS = 1 << 14
+#: Float64 elements of one ``(windows, history)`` distance estimate of
+#: the neighbour filter (and of one piece of candidate ``(pairs, k)``
+#: differences).
+FILTER_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -144,6 +190,11 @@ class SketchMonitor:
             raise ValueError(f"rolling must be >= 2, got {rolling}")
         self.rolling = rolling
         self._history = GrowableArray((0, k), np.float64, axis=0)
+        # Squared norms of the history rows, for the neighbour filter.
+        self._norms = GrowableArray((0,), np.float64, axis=0)
+        # Forward-error factor of the filter bound (module docstring).
+        u = np.finfo(np.float64).eps / 2
+        self._bound = 4 * (k + 2) * u / (1 - (k + 2) * u)
         # Running score statistics for the auto threshold: cumulative
         # Welford, plus (when ``rolling``) the bounded recent-score
         # window the threshold is actually computed from.
@@ -203,10 +254,72 @@ class SketchMonitor:
 
     # ------------------------------------------------------------------
 
+    def _append(self, sketches: np.ndarray) -> None:
+        self._history.append(sketches)
+        self._norms.append(np.einsum("ij,ij->i", sketches, sketches))
+
+    def _candidates(
+        self, s: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbour filter for windows ``s`` whose eligible prefixes
+        hold ``counts`` (ascending, >= 1) history rows: the ``(windows,
+        counts[-1])`` mask of rows whose GEMM estimate lies within 2E of
+        the window's best, and whether each window's bound held (False:
+        not finite, no candidates — take the direct scan)."""
+        history, norms = self._history.view, self._norms.view
+        top = int(counts[-1])
+        estimate = (-2.0 * s) @ history[:top].T
+        estimate += norms[:top]
+        # Rows past a window's own prefix joined in this step.
+        tail = np.arange(counts[0], top) >= counts[:, None]
+        estimate[:, counts[0] :][tail] = np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            reach = np.sqrt(np.einsum("ij,ij->i", s, s)) + np.sqrt(norms[:top].max())
+            slack = 2 * (self._bound * reach**2 + self.k * np.finfo(np.float64).tiny)
+            cut = estimate.min(axis=1) + slack
+        exact = np.isfinite(cut)
+        candidates = estimate <= cut[:, None]
+        if not exact.all():
+            candidates[~exact] = False
+        return candidates, exact
+
+    def _nearest(self, sketches: np.ndarray, first: int) -> np.ndarray:
+        """Squared nearest-neighbour distance of each of ``sketches``
+        (history positions ``first ..``) over its eligible history
+        prefix: filter by the GEMM bound, refine candidates by direct
+        sums (see the module docstring).  NaN where nothing is eligible."""
+        history = self._history.view
+        counts = np.maximum(
+            np.arange(first, first + len(sketches)) - self.exclusion, 0
+        )
+        out = np.full(len(sketches), np.nan)
+        piece = max(1, FILTER_ELEMENTS // self.k)
+        lo = int(np.searchsorted(counts, 0, side="right"))
+        while lo < len(sketches):
+            # As many windows as keep the estimate within the budget.
+            sizes = np.arange(1, len(sketches) - lo + 1) * counts[lo:]
+            hi = lo + max(1, int(np.searchsorted(sizes, FILTER_ELEMENTS, side="right")))
+            s = sketches[lo:hi]
+            candidates, exact = self._candidates(s, counts[lo:hi])
+            # One flat nonzero: the 2-D form costs ten times as much.
+            rows, cols = np.divmod(np.flatnonzero(candidates), candidates.shape[1])
+            sums = np.empty(rows.size)
+            for p in range(0, rows.size, piece):
+                diff = history[cols[p : p + piece]] - s[rows[p : p + piece]]
+                sums[p : p + piece] = (diff**2).sum(axis=1)
+            if rows.size:
+                starts = np.flatnonzero(np.diff(rows, prepend=-1))
+                out[lo + np.flatnonzero(exact)] = np.minimum.reduceat(sums, starts)
+            for b in np.flatnonzero(~exact):
+                eligible = history[: counts[lo + b]]
+                out[lo + b] = ((eligible - s[b]) ** 2).sum(axis=1).min()
+            lo = hi
+        return out
+
     def prime(self, windows) -> None:
         """Add a ``(B, d, m)`` stack of historical windows without
         scoring them."""
-        self._history.append(self._project(windows))
+        self._append(self._project(windows))
 
     def score(self, windows) -> tuple[SketchScore, ...]:
         """Score a ``(B, d, m)`` stack of new windows, in order, against
@@ -214,19 +327,17 @@ class SketchMonitor:
         after (its successors outside the exclusion zone see it)."""
         sketches = self._project(windows)
         first = self.n_windows
-        self._history.append(sketches)
-        history = self._history.view
+        self._append(sketches)
+        nearest = np.sqrt(self._nearest(sketches, first))
         scores = []
-        for position, s in enumerate(sketches, start=first):
-            eligible = history[: max(position - self.exclusion, 0)]
-            if eligible.shape[0] == 0:
+        for position, nn in enumerate(nearest.tolist(), start=first):
+            if position - self.exclusion <= 0:
                 # Nothing to compare against: cannot suppress what we
                 # cannot bound, so the first windows escalate.
                 estimate = float("inf")
                 alarm = True
                 threshold = self._current_threshold()
             else:
-                nn = float(np.sqrt(((eligible - s) ** 2).sum(axis=1).min()))
                 estimate = self.shrink * nn
                 threshold = self._current_threshold()
                 in_warmup = (

@@ -423,6 +423,39 @@ class TestClusterOOMSplit:
         assert report.splits
         np.testing.assert_array_equal(run.profile, acc.host_profile())
         np.testing.assert_array_equal(run.index, acc.host_index())
+        # Split parents are planned ids; children are numbered per node,
+        # so one node numbers them as the single-node run does.
+        split = run.to_result(spec).split_tiles
+        assert split.keys() == report.splits.keys()
+        if n_nodes == 1:
+            assert split == report.splits
+
+
+class TestClusterResultCounters:
+    """``to_result`` carries the accumulator's saved-work counters."""
+
+    def _single_node(self, spec):
+        from repro import matrix_profile
+
+        return matrix_profile(spec.reference, m=spec.m, mode="FP32", n_tiles=8)
+
+    @pytest.mark.parametrize("n_nodes", [1, 2])
+    def test_saved_work_counters(self, n_nodes):
+        spec = JobSpec.from_arrays(_series(n=260, d=2), None, 24, RunConfig(mode="FP32"))
+        single = self._single_node(spec)
+        assert single.precalc_saved_flops > 0
+        result = ClusterDispatcher(
+            ClusterSpec(n_nodes=n_nodes, gpus_per_node=1)
+        ).run(spec, n_tiles=8).to_result(spec)
+        np.testing.assert_array_equal(result.profile, single.profile)
+        assert result.h2d_saved_bytes == single.h2d_saved_bytes
+        assert result.split_tiles == single.split_tiles == {}
+        if n_nodes == 1:
+            assert result.precalc_saved_flops == single.precalc_saved_flops
+        else:
+            # Each node builds the planes its own tiles read once, so two
+            # nodes amortise less plane work than one — but not none.
+            assert 0 < result.precalc_saved_flops < single.precalc_saved_flops
 
 
 class TestCoordinatorCrashResume:

@@ -22,6 +22,12 @@ one-tile and stacked tensor-core run allocate no block either: no
 float32 ``(d * T, TC_PANEL_ROWS, width)`` panel.  Its panel height is
 fixed whatever the budget, so its shapes are wide instead, for the same
 margin over the per-tile vectors and numpy's buffers.
+
+Within a block, the update kernel's merge gathers each winning value by
+one flat ``np.take`` on an index built in place and offsets the winning
+rows in place, so a warm ``run_block`` allocates per reduced column only
+the argmin, one flat index, the winning value and its flag — not
+``np.take_along_axis``'s broadcast index grids and two index copies.
 """
 
 import tracemalloc
@@ -34,6 +40,7 @@ from repro.engine import backends
 from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
 from repro.kernels.layout import to_device_layout
 from repro.kernels.tc_gemm import TC_PANEL_ROWS
+from repro.kernels.update import UpdateKernel
 
 from .precalc_oracle import kernel_precalc
 
@@ -157,3 +164,44 @@ def _assert_warm_tile_allocates_no_block(mode, shape, main_loop="vector"):
                                   b.mirror_profile.view(np.uint8))
             assert np.array_equal(a.mirror_indices, b.mirror_indices)
     return peak
+
+
+#: (d, tiles, rows, width) of a stacked update block, reduced over rows
+#: (row-major) or over width (transposed panels), so that both reduce
+#: 7,200 columns.
+UPDATE_BLOCKS = {False: (2, 3, 64, 1200), True: (2, 3, 1200, 64)}
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
+def test_warm_update_block_allocates_no_index_grid(mode, transposed):
+    policy = RunConfig(mode=mode).policy
+    shape = UPDATE_BLOCKS[transposed]
+    d, tiles, rows, width = shape
+    block = np.random.default_rng(0).random(shape).astype(policy.storage)
+    kwargs = dict(row_offset=[0, 5, 9], transposed=transposed, in_place=True)
+    kernels = []
+    for _ in range(2):
+        kernel = UpdateKernel(RunConfig().launch, policy=policy)
+        kernel.allocate(d, rows if transposed else width, tiles=tiles)
+        kernel.run_block(block.copy(), 0, **kwargs)  # warm the offsets
+        kernels.append(kernel)
+    scratch = block.copy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kernels[1].run_block(scratch, 0, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # Per reduced column: the argmin, its flat gather index, the winning
+    # value and the improved flag; plus one ufunc buffer of indices (a
+    # broadcast add) and a fixed 16 KB.
+    columns = d * tiles * (rows if transposed else width)
+    intp = np.dtype(np.intp).itemsize
+    allowed = columns * (2 * intp + policy.storage.itemsize + 1)
+    allowed += np.getbufsize() * intp + (1 << 14)
+    assert peak < allowed, f"{peak} B allocated at peak"
+    # Twice merged, the same block leaves the same profile.
+    assert kernels[1].profile.tobytes() == kernels[0].profile.tobytes()
+    assert np.array_equal(kernels[1].indices, kernels[0].indices)

@@ -1,7 +1,8 @@
 """The stream tier's batched host paths against their per-item oracles.
 
 ``SketchMonitor.score`` sketches an ingest step's whole window stack and
-searches the history in chunks; ``StreamPlaneCache.prepare`` computes a
+searches the history with a GEMM filter and direct sums over its
+candidates; ``StreamPlaneCache.prepare`` computes a
 dispatch's seeds in one batch and slices them per tile; the planes grow
 in capacity-doubling buffers.  Each must reproduce the per-window /
 per-tile / from-scratch value bit for bit (``tests/stream_oracle.py``).
@@ -110,6 +111,105 @@ class TestSketchOracle:
             monitor.score(np.zeros((3, 1, 8)))
 
 
+def _assert_matches_oracle(windows, d, m, prime=0, steps=(32,), **kw):
+    """Batched scores == the per-window oracle's; returns the oracle's."""
+    got = _score_in_steps(SketchMonitor(m, d, **kw), windows, prime, steps)
+    want = _score_in_steps(PerWindowSketchMonitor(m, d, **kw), windows, prime, steps)
+    assert _fingerprint(got) == _fingerprint(want)
+    return want
+
+
+def _windows(series, m):
+    return np.ascontiguousarray(sliding_window_view(series, m, axis=0))
+
+
+class TestSketchFilterAdversarial:
+    """The GEMM filter never changes a score: ties, zero sketches,
+    extreme scales, same-step eligibility, every pairwise-sum branch of
+    the direct sums, non-finite windows and tight budgets."""
+
+    M = 24
+
+    @pytest.fixture(params=[sketch_module.FILTER_ELEMENTS, 50, 1])
+    def budget(self, request, monkeypatch):
+        monkeypatch.setattr(sketch_module, "FILTER_ELEMENTS", request.param)
+        return request.param
+
+    def test_repeated_and_periodic_windows(self, rng, budget):
+        period = np.sin(2 * np.pi * np.arange(12) / 12)[:, None] * [1.0, -0.5]
+        period[3] += 0.3  # not symmetric: distinct phases, equal repeats
+        series = np.tile(period, (30, 1))
+        series[200:] += 0.01 * rng.standard_normal((160, 2))
+        want = _assert_matches_oracle(_windows(series, self.M), 2, self.M, warmup=4)
+        # Exact repeats score exactly zero.
+        assert any(s.estimate == 0.0 for s in want)
+
+    def test_flat_windows_give_zero_sketches(self, rng, budget):
+        series = _wave(rng, 300, 2, self.M, at=250)
+        series[:120] = 2.0
+        series[160:200, 1] = -1.0
+        windows = _windows(series, self.M)
+        assert not SketchMonitor(self.M, 2)._project(windows[:90]).any()
+        _assert_matches_oracle(windows, 2, self.M, steps=(5, 40))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_extreme_scales(self, rng, budget, scale):
+        series = scale * _wave(rng, 300, 2, self.M, at=250)
+        _assert_matches_oracle(_windows(series, self.M), 2, self.M, prime=20)
+
+    @pytest.mark.parametrize("steps", [(1,), (40,), (200, 7)])
+    def test_same_step_eligibility(self, rng, budget, steps):
+        # Steps longer than the exclusion zone (6) score windows against
+        # windows of their own step.
+        series = _wave(rng, 320, 2, self.M, at=260)
+        _assert_matches_oracle(_windows(series, self.M), 2, self.M, steps=steps)
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 16, 33])
+    def test_sketch_widths(self, rng, budget, k):
+        series = _wave(rng, 260, 3, self.M, at=200)
+        _assert_matches_oracle(
+            _windows(series, self.M), 3, self.M, prime=10, steps=(9, 32), k=k
+        )
+
+    def test_nan_window_takes_the_direct_scan(self, rng, budget):
+        series = _wave(rng, 300, 2, self.M, at=250)
+        series[100, 0] = np.nan
+        want = _assert_matches_oracle(_windows(series, self.M), 2, self.M, steps=(16,))
+        # Once a NaN sketch is eligible every score is NaN, as the full
+        # scan's ``min`` makes it; a filter that dropped the row would not.
+        exclusion = math.ceil(self.M / 4)
+        assert all(math.isnan(s.estimate) for s in want if s.position > 100 + exclusion)
+        assert all(
+            math.isfinite(s.estimate) for s in want if exclusion < s.position < 100 - self.M
+        )
+
+    @pytest.mark.parametrize("spread", [1.0, 1e-6, 1e-9, 1e-13])
+    @pytest.mark.parametrize("k", [1, 8, 33])
+    def test_candidates_hold_the_direct_argmin(self, rng, k, spread):
+        """On random histories — near-duplicates down to the last ulps
+        included — every row attaining a window's direct minimum is a
+        candidate, and well-separated rows are filtered out."""
+        monitor = SketchMonitor(self.M, 2, k=k)
+        centre = rng.standard_normal(k)
+        history = centre + spread * rng.standard_normal((400, k))
+        history[50] = history[60]  # an exact tie
+        monitor._append(history)
+        s = np.vstack([
+            centre + spread * rng.standard_normal((12, k)),
+            history[60],
+            rng.standard_normal((3, k)),
+        ])
+        counts = np.arange(len(history) - len(s) + 1, len(history) + 1)
+        candidates, exact = monitor._candidates(s, counts)
+        assert exact.all()
+        for b, c in enumerate(counts):
+            direct = ((history[:c] - s[b]) ** 2).sum(axis=1)
+            assert candidates[b, : c][direct == direct.min()].all(), b
+            assert not candidates[b, c:].any()
+        if spread == 1.0:
+            assert candidates.sum() < 2 * len(s) + 4
+
+
 def _run_gated(monkeypatch, monitor_cls, feed, policy, batch):
     monkeypatch.setattr(ingest_module, "SketchMonitor", monitor_cls)
     svc = StreamIngestService(n_gpus=1)
@@ -163,6 +263,29 @@ class TestGatedTenantOracle:
             tails.append(_fingerprint(svc.scores("gated")))
         assert tails[0] == tails[1]
         assert len(tails[0]) == 200
+
+
+class TestScoreRing:
+    """``scores()`` keeps the last ``SCORE_HISTORY`` scores of a run."""
+
+    def test_scores_are_the_tail_of_an_unbounded_run(self, monkeypatch):
+        assert ingest_module.SCORE_HISTORY >= 4096  # a long check sees all
+        m = 16
+        wave = _wave(np.random.default_rng(4), 400, 2, m, at=330)
+        policy = TenantPolicy(m=m, sketch_gate=True, sketch_warmup=10, sketch_seed=2)
+        runs = []
+        for ring in (64, None):
+            monkeypatch.setattr(ingest_module, "SCORE_HISTORY", ring)
+            svc, reports = _run_gated(monkeypatch, SketchMonitor, wave, policy, 25)
+            runs.append((svc, reports))
+        (bounded, bounded_reports), (unbounded, unbounded_reports) = runs
+        tail = _fingerprint(unbounded.scores("gated"))
+        assert len(tail) == 400 - m + 1 > 64
+        assert _fingerprint(bounded.scores("gated")) == tail[-64:]
+        assert [_fingerprint(r.alarms) for r in bounded_reports] == [
+            _fingerprint(r.alarms) for r in unbounded_reports
+        ]
+        assert bounded.tenant("gated").counters == unbounded.tenant("gated").counters
 
 
 def _bounded(rng, n, d):
