@@ -4,6 +4,7 @@
 component reports into; :meth:`ServiceMetrics.snapshot` freezes it into a
 plain :class:`MetricsSnapshot` whose ``to_rows()`` feeds
 :func:`repro.reporting.format_table` (and the ``repro serve`` CLI).
+A counter is declared once, as a :class:`MetricsSnapshot` field.
 """
 
 from __future__ import annotations
@@ -11,13 +12,19 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass
+from collections import deque
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 
 __all__ = ["MetricsSnapshot", "ServiceMetrics", "percentile"]
 
+#: Job latencies :class:`ServiceMetrics` keeps for p50/p95: an always-on
+#: service must not grow a list per job forever.
+LATENCY_HISTORY = 1024
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (0 for an empty list).
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``values`` (0 for an empty sequence).
 
     ``q`` in [0, 100].  Nearest-rank keeps the number an actually
     observed latency, the convention service dashboards use.
@@ -152,76 +159,61 @@ class MetricsSnapshot:
         ]
 
 
+#: Snapshot fields computed at :meth:`ServiceMetrics.snapshot` time;
+#: every other field is a counter (``cluster_nodes`` is a gauge).
+_DERIVED = frozenset({
+    "jobs_in_flight", "jobs_per_second", "latency_p50", "latency_p95",
+    "cache_hit_rate", "elapsed", "stream_tenants",
+})
+
+
 class ServiceMetrics:
-    """Thread-safe accumulator of service-level counters."""
+    """Thread-safe accumulator of service-level counters.
+
+    The counters live in one dict, keyed by :class:`MetricsSnapshot`'s
+    field names, under one lock.  ``latency_p50``/``latency_p95`` are
+    nearest-rank percentiles over the last :data:`LATENCY_HISTORY` job
+    latencies (completed, partial and failed jobs), not over every job
+    ever seen.
+    """
 
     def __init__(self, clock=time.monotonic):
         self._clock = clock
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._started_at: float | None = None
-        self.jobs_submitted = 0
-        self.jobs_completed = 0
-        self.jobs_partial = 0
-        self.jobs_failed = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.stats_cache_hits = 0
-        self.stats_cache_misses = 0
-        self.precision_downgrades = 0
-        self.downgraded_jobs = 0
-        self.tile_retries = 0
-        self.tiles_executed = 0
-        self.tile_escalations = 0
-        self.tile_splits = 0
-        self.deadline_misses = 0
-        self._latencies: list[float] = []
-        self.stream_appends = 0
-        self.stream_samples = 0
-        self.stream_dropped = 0
-        self.stream_segments = 0
-        self.stream_alarms = 0
-        self.stream_suppressed_columns = 0
-        self.stream_exact_columns = 0
-        self.stream_exact_tiles = 0
-        self.stream_shed_steps = 0
-        self.stream_escalations = 0
+        self._counters = {
+            f.name: 0.0 if f.type == "float" else 0
+            for f in fields(MetricsSnapshot)
+            if f.name not in _DERIVED
+        }
+        self._latencies: deque[float] = deque(maxlen=LATENCY_HISTORY)
         self._stream_tenants: set = set()
-        self.cluster_jobs = 0
-        self.cluster_nodes = 0
-        self.node_deaths = 0
-        self.tiles_resharded = 0
-        self.recovery_seconds = 0.0
-        self.backpressure_rejections = 0
-        self.quota_rejections = 0
-        self.autoscale_events = 0
+
+    def _add(self, deltas: dict, latency: float | None = None,
+             start: bool = False) -> None:
+        """Add ``deltas`` to the counters (and ``latency`` to the window)
+        atomically; ``start`` opens the throughput window if unopened."""
+        with self._lock:
+            if start and self._started_at is None:
+                self._started_at = self._clock()
+            if latency is not None:
+                self._latencies.append(latency)
+            for name, value in deltas.items():
+                self._counters[name] += value
 
     def record_submission(self) -> None:
-        with self._lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
-            self.jobs_submitted += 1
+        self._add({"jobs_submitted": 1}, start=True)
 
     def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
+        self._add({"cache_hits" if hit else "cache_misses": 1})
 
     def record_stats_cache(self, hit: bool) -> None:
         """One window-statistics store lookup (per series role, per job)."""
-        with self._lock:
-            if hit:
-                self.stats_cache_hits += 1
-            else:
-                self.stats_cache_misses += 1
+        self._add({"stats_cache_hits" if hit else "stats_cache_misses": 1})
 
     def record_downgrade(self, steps: int) -> None:
-        if steps <= 0:
-            return
-        with self._lock:
-            self.downgraded_jobs += 1
-            self.precision_downgrades += steps
+        if steps > 0:
+            self._add({"downgraded_jobs": 1, "precision_downgrades": steps})
 
     def record_completion(
         self,
@@ -233,48 +225,26 @@ class ServiceMetrics:
         escalations: int = 0,
         splits: int = 0,
     ) -> None:
-        with self._lock:
-            if partial:
-                self.jobs_partial += 1
-            else:
-                self.jobs_completed += 1
-            self._latencies.append(latency)
-            self.tiles_executed += tiles
-            self.tile_retries += retries
-            self.tile_escalations += escalations
-            self.tile_splits += splits
-            if deadline_missed:
-                self.deadline_misses += 1
+        self._add({
+            "jobs_partial" if partial else "jobs_completed": 1,
+            "tiles_executed": tiles,
+            "tile_retries": retries,
+            "tile_escalations": escalations,
+            "tile_splits": splits,
+            "deadline_misses": int(deadline_missed),
+        }, latency=latency)
 
-    def record_stream(
-        self,
-        tenant_id: str,
-        appends: int = 0,
-        samples: int = 0,
-        dropped: int = 0,
-        segments: int = 0,
-        alarms: int = 0,
-        suppressed: int = 0,
-        exact_columns: int = 0,
-        exact_tiles: int = 0,
-        shed_steps: int = 0,
-        escalations: int = 0,
-    ) -> None:
-        """One streaming ingest step's deltas (repro.streams tier)."""
+    def record_stream(self, tenant_id: str, delta) -> None:
+        """One streaming ingest step's
+        :class:`~repro.streams.tenant.StreamCounters` delta: each field
+        adds to its ``stream_`` counter (``rebases`` stays per tenant)."""
+        deltas = {
+            f"stream_{name}": value for name, value in vars(delta).items()
+            if f"stream_{name}" in self._counters
+        }
         with self._lock:
-            if self._started_at is None:
-                self._started_at = self._clock()
             self._stream_tenants.add(tenant_id)
-            self.stream_appends += appends
-            self.stream_samples += samples
-            self.stream_dropped += dropped
-            self.stream_segments += segments
-            self.stream_alarms += alarms
-            self.stream_suppressed_columns += suppressed
-            self.stream_exact_columns += exact_columns
-            self.stream_exact_tiles += exact_tiles
-            self.stream_shed_steps += shed_steps
-            self.stream_escalations += escalations
+            self._add(deltas, start=True)
 
     def record_cluster(
         self,
@@ -285,83 +255,45 @@ class ServiceMetrics:
     ) -> None:
         """One job executed over the cluster pool."""
         with self._lock:
-            self.cluster_jobs += 1
-            self.cluster_nodes = nodes
-            self.node_deaths += deaths
-            self.tiles_resharded += resharded
-            self.recovery_seconds += recovery_seconds
+            self._counters["cluster_nodes"] = nodes
+            self._add({
+                "cluster_jobs": 1,
+                "node_deaths": deaths,
+                "tiles_resharded": resharded,
+                "recovery_seconds": recovery_seconds,
+            })
 
     def record_rejection(self, kind: str) -> None:
         """A job shed at submission: ``"backpressure"`` or ``"quota"``."""
-        with self._lock:
-            if kind == "backpressure":
-                self.backpressure_rejections += 1
-            elif kind == "quota":
-                self.quota_rejections += 1
-            else:
-                raise ValueError(f"unknown rejection kind {kind!r}")
+        if kind not in ("backpressure", "quota"):
+            raise ValueError(f"unknown rejection kind {kind!r}")
+        self._add({f"{kind}_rejections": 1})
 
     def record_autoscale(self, nodes: int) -> None:
         """The autoscaler resized the pool to ``nodes``."""
         with self._lock:
-            self.autoscale_events += 1
-            self.cluster_nodes = nodes
+            self._counters["cluster_nodes"] = nodes
+            self._add({"autoscale_events": 1})
 
     def record_failure(self, latency: float, retries: int = 0) -> None:
-        with self._lock:
-            self.jobs_failed += 1
-            self._latencies.append(latency)
-            self.tile_retries += retries
+        self._add({"jobs_failed": 1, "tile_retries": retries}, latency=latency)
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the counters into a :class:`MetricsSnapshot`."""
         with self._lock:
+            c = self._counters
             elapsed = (
                 self._clock() - self._started_at if self._started_at else 0.0
             )
-            finished = self.jobs_completed + self.jobs_partial
-            lookups = self.cache_hits + self.cache_misses
+            finished = c["jobs_completed"] + c["jobs_partial"]
+            lookups = c["cache_hits"] + c["cache_misses"]
             return MetricsSnapshot(
-                jobs_submitted=self.jobs_submitted,
-                jobs_completed=self.jobs_completed,
-                jobs_partial=self.jobs_partial,
-                jobs_failed=self.jobs_failed,
-                jobs_in_flight=self.jobs_submitted
-                - finished
-                - self.jobs_failed,
+                **c,
+                jobs_in_flight=c["jobs_submitted"] - finished - c["jobs_failed"],
                 jobs_per_second=finished / elapsed if elapsed > 0 else 0.0,
                 latency_p50=percentile(self._latencies, 50),
                 latency_p95=percentile(self._latencies, 95),
-                cache_hits=self.cache_hits,
-                cache_misses=self.cache_misses,
-                cache_hit_rate=self.cache_hits / lookups if lookups else 0.0,
-                stats_cache_hits=self.stats_cache_hits,
-                stats_cache_misses=self.stats_cache_misses,
-                precision_downgrades=self.precision_downgrades,
-                downgraded_jobs=self.downgraded_jobs,
-                tile_retries=self.tile_retries,
-                tiles_executed=self.tiles_executed,
-                tile_escalations=self.tile_escalations,
-                tile_splits=self.tile_splits,
-                deadline_misses=self.deadline_misses,
+                cache_hit_rate=c["cache_hits"] / lookups if lookups else 0.0,
                 elapsed=elapsed,
-                stream_appends=self.stream_appends,
-                stream_samples=self.stream_samples,
-                stream_dropped=self.stream_dropped,
-                stream_segments=self.stream_segments,
-                stream_alarms=self.stream_alarms,
-                stream_suppressed_columns=self.stream_suppressed_columns,
-                stream_exact_columns=self.stream_exact_columns,
-                stream_exact_tiles=self.stream_exact_tiles,
-                stream_shed_steps=self.stream_shed_steps,
-                stream_escalations=self.stream_escalations,
                 stream_tenants=len(self._stream_tenants),
-                cluster_jobs=self.cluster_jobs,
-                cluster_nodes=self.cluster_nodes,
-                node_deaths=self.node_deaths,
-                tiles_resharded=self.tiles_resharded,
-                recovery_seconds=self.recovery_seconds,
-                backpressure_rejections=self.backpressure_rejections,
-                quota_rejections=self.quota_rejections,
-                autoscale_events=self.autoscale_events,
             )

@@ -116,10 +116,6 @@ class TileScheduler:
         self._lock = threading.RLock()
         self._placement = RoundRobinPlacement(sim.n_gpus, lock=self._lock)
 
-    def _pick_gpu(self, excluded: set[int]) -> int:
-        """Next pool GPU round-robin, skipping excluded devices."""
-        return self._placement.pick(None, excluded)
-
     def execute(
         self,
         tr_layout: np.ndarray,

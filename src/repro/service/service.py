@@ -83,11 +83,11 @@ class MatrixProfileService:
     max_replans:
         How many times a job may be re-tiled (4x tiles each step) after
         device OOM before failing.
-    health_checks / health:
-        ``health_checks=True`` validates every tile's output and
-        escalates numerically sick tiles up the precision ladder
-        (:class:`~repro.engine.health.HealthPolicy`); pass ``health`` to
-        override the policy.  Escalations are recorded per job
+    health:
+        The :class:`~repro.engine.health.HealthPolicy` that validates
+        every tile's output and escalates numerically sick tiles up the
+        precision ladder (the default policy unless given); ``None``
+        turns the checks off.  Escalations are recorded per job
         (:attr:`JobOutcome.tile_escalations`) and in the metrics.
     fault_plan:
         Optional :class:`~repro.engine.faults.FaultPlan`; its injector
@@ -125,8 +125,7 @@ class MatrixProfileService:
         failure_injector=None,
         max_replans: int = 4,
         clock=time.monotonic,
-        health_checks: bool = True,
-        health: "HealthPolicy | None" = None,
+        health: "HealthPolicy | None" = HealthPolicy(),
         fault_plan=None,
         oom_tile_split: bool = False,
         cluster: "ClusterSpec | None" = None,
@@ -139,7 +138,6 @@ class MatrixProfileService:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.sim = GPUSimulator(device, n_gpus, n_streams)
-        health_policy = health or (HealthPolicy() if health_checks else None)
         corruptor = None
         if fault_plan is not None:
             corruptor = fault_plan.corruptor
@@ -162,7 +160,7 @@ class MatrixProfileService:
         self.scheduler = TileScheduler(
             self.sim, max_retries=max_retries,
             failure_injector=failure_injector, clock=clock,
-            health=health_policy, corruptor=corruptor,
+            health=health, corruptor=corruptor,
             oom_split=oom_tile_split,
             stats_cache=self.stats_cache,
         )
@@ -183,7 +181,7 @@ class MatrixProfileService:
                 cluster,
                 node_faults=node_faults,
                 fault_plan=fault_plan,
-                health=health_policy,
+                health=health,
                 max_retries=max_retries,
                 oom_split=oom_tile_split,
             )
@@ -369,7 +367,6 @@ class MatrixProfileService:
         reference, query = job.reference, self._query_of(job)
         self_join = job.query is None
         m = request.m
-        d = reference.shape[1]
         n_r_seg = reference.shape[0] - m + 1
         n_q_seg = query.shape[0] - m + 1
         zone = request.exclusion_zone
@@ -397,16 +394,14 @@ class MatrixProfileService:
         ref_digest = series_digest(reference)
         qry_digest = None if self_join else series_digest(query)
 
-        cached = self._cache_lookup(ref_digest, qry_digest, m, config)
+        key = cache_key(ref_digest, qry_digest, m, config)
+        cached = self._cache_lookup(key)
         if cached is not None:
-            self._finish_from_cache(job, decision, cached)
+            self._finish_from_cache(job, cached)
             return
 
         if self.cluster_dispatcher is not None:
-            self._execute_cluster(
-                job, decision, config, reference, m,
-                n_r_seg, n_q_seg, d, started, ref_digest, qry_digest,
-            )
+            self._execute_cluster(job, config, started, key)
             return
 
         policy = policy_for(decision.effective)
@@ -433,9 +428,10 @@ class MatrixProfileService:
                 if finer == config.n_tiles:
                     raise
                 config = config.with_(n_tiles=finer)
-                cached = self._cache_lookup(ref_digest, qry_digest, m, config)
+                key = cache_key(ref_digest, qry_digest, m, config)
+                cached = self._cache_lookup(key)
                 if cached is not None:
-                    self._finish_from_cache(job, decision, cached)
+                    self._finish_from_cache(job, cached)
                     return
 
         merge_seconds = merge_time(
@@ -455,56 +451,12 @@ class MatrixProfileService:
             escalations=dict(execution.escalations),
         )
 
-        finished = self.clock()
-        latency = finished - job.submitted_at
-        partial = execution.partial
-        deadline_missed = (
-            job.deadline_at is not None and finished > job.deadline_at
-        )
-        partial_state = None
-        if partial:
-            partial_state = AnytimeState(
-                profile=result.profile,
-                index=result.index,
-                rows_done=execution.tiles_completed,
-                rows_total=execution.tiles_total,
-            )
-        else:
-            if self.cache is not None:
-                self.cache.put(
-                    cache_key(ref_digest, qry_digest, m, config), result
-                )
-            self.estimator.observe(
-                n_r_seg, n_q_seg, d, decision.effective, finished - started
-            )
-
-        self.metrics.record_completion(
-            latency,
-            partial=partial,
-            tiles=execution.tiles_completed,
+        self._finish_run(
+            job, started, key, result,
+            execution.tiles_total, execution.tiles_completed,
             retries=execution.tile_retries,
-            deadline_missed=deadline_missed,
             escalations=len(execution.escalations),
             splits=execution.tiles_split,
-        )
-        self.admission.complete(job.job_id)
-        job.finish(
-            JobOutcome(
-                status=JobStatus.PARTIAL if partial else JobStatus.COMPLETED,
-                result=result,
-                requested_mode=decision.requested,
-                effective_mode=decision.effective,
-                downgrade_steps=decision.downgrade_steps,
-                cache_hit=False,
-                latency=latency,
-                tiles_total=execution.tiles_total,
-                tiles_completed=execution.tiles_completed,
-                tile_retries=execution.tile_retries,
-                tile_escalations=len(execution.escalations),
-                tile_splits=execution.tiles_split,
-                deadline_missed=deadline_missed,
-                partial_state=partial_state,
-            )
         )
 
     def _autoscale(self) -> None:
@@ -520,10 +472,7 @@ class MatrixProfileService:
             self.cluster_dispatcher.resize(target)
             self.metrics.record_autoscale(target)
 
-    def _execute_cluster(
-        self, job, decision, config, reference, m,
-        n_r_seg, n_q_seg, d, started, ref_digest, qry_digest,
-    ) -> None:
+    def _execute_cluster(self, job, config, started, key) -> None:
         """Run one job over the sharded node fleet.
 
         Deadline jobs run in anytime mode: if the whole fleet dies the
@@ -531,18 +480,39 @@ class MatrixProfileService:
         job finishes PARTIAL with a valid anytime state (graceful
         degradation).  Complete runs are cached exactly like pool runs.
         """
-        request = job.request
         dispatcher = self.cluster_dispatcher
-        spec = JobSpec.from_arrays(reference, job.query, m, config)
+        spec = JobSpec.from_arrays(job.reference, job.query, job.request.m, config)
         run = dispatcher.run(
             spec, n_tiles=config.n_tiles,
             anytime=job.deadline_at is not None,
         )
-        result = run.to_result(spec)
-        partial = run.dropped_tiles > 0
+        self.metrics.record_cluster(
+            nodes=dispatcher.cluster.n_nodes,
+            deaths=len(run.node_deaths),
+            resharded=run.tiles_resharded,
+            recovery_seconds=run.recovery_overhead,
+        )
+        self._finish_run(
+            job, started, key, run.to_result(spec),
+            run.tiles_total, run.tiles_completed,
+            escalations=len(run.escalations),
+        )
 
+    def _finish_run(
+        self, job, started, key, result, tiles_total, tiles_completed,
+        retries=0, escalations=0, splits=0,
+    ) -> None:
+        """The common tail of a job that ran, on the pool or the fleet.
+
+        A run that completed fewer than ``tiles_total`` tiles (deadline,
+        or the whole fleet lost) finishes PARTIAL with its anytime state;
+        a complete run is cached under ``key`` and trains the estimator.
+        Then the metrics, the admission backlog and the waiter hear of it.
+        """
+        decision = job.decision
         finished = self.clock()
         latency = finished - job.submitted_at
+        partial = tiles_completed < tiles_total
         deadline_missed = (
             job.deadline_at is not None and finished > job.deadline_at
         )
@@ -551,30 +521,28 @@ class MatrixProfileService:
             partial_state = AnytimeState(
                 profile=result.profile,
                 index=result.index,
-                rows_done=run.tiles_completed,
-                rows_total=run.tiles_total,
+                rows_done=tiles_completed,
+                rows_total=tiles_total,
             )
         else:
             if self.cache is not None:
-                self.cache.put(
-                    cache_key(ref_digest, qry_digest, m, config), result
-                )
+                self.cache.put(key, result)
+            m = job.request.m
             self.estimator.observe(
-                n_r_seg, n_q_seg, d, decision.effective, finished - started
+                job.reference.shape[0] - m + 1,
+                self._query_of(job).shape[0] - m + 1,
+                job.reference.shape[1],
+                decision.effective,
+                finished - started,
             )
-
-        self.metrics.record_cluster(
-            nodes=dispatcher.cluster.n_nodes,
-            deaths=len(run.node_deaths),
-            resharded=run.tiles_resharded,
-            recovery_seconds=run.recovery_overhead,
-        )
         self.metrics.record_completion(
             latency,
             partial=partial,
-            tiles=run.tiles_completed,
+            tiles=tiles_completed,
+            retries=retries,
             deadline_missed=deadline_missed,
-            escalations=len(run.escalations),
+            escalations=escalations,
+            splits=splits,
         )
         self.admission.complete(job.job_id)
         job.finish(
@@ -584,26 +552,26 @@ class MatrixProfileService:
                 requested_mode=decision.requested,
                 effective_mode=decision.effective,
                 downgrade_steps=decision.downgrade_steps,
-                cache_hit=False,
                 latency=latency,
-                tiles_total=run.tiles_total,
-                tiles_completed=run.tiles_completed,
-                tile_escalations=len(run.escalations),
+                tiles_total=tiles_total,
+                tiles_completed=tiles_completed,
+                tile_retries=retries,
+                tile_escalations=escalations,
+                tile_splits=splits,
                 deadline_missed=deadline_missed,
                 partial_state=partial_state,
             )
         )
 
-    def _cache_lookup(
-        self, ref_digest: str, qry_digest: str | None, m: int, config: RunConfig
-    ) -> MatrixProfileResult | None:
+    def _cache_lookup(self, key: str) -> MatrixProfileResult | None:
         if self.cache is None:
             return None
-        result = self.cache.get(cache_key(ref_digest, qry_digest, m, config))
+        result = self.cache.get(key)
         self.metrics.record_cache(hit=result is not None)
         return result
 
-    def _finish_from_cache(self, job, decision, result: MatrixProfileResult) -> None:
+    def _finish_from_cache(self, job, result: MatrixProfileResult) -> None:
+        decision = job.decision
         latency = self.clock() - job.submitted_at
         deadline_missed = (
             job.deadline_at is not None and self.clock() > job.deadline_at

@@ -23,11 +23,12 @@ batch service already has — reused, not reimplemented:
 5. **retention** — sliding tenants re-base in amortised chunks (a gated
    tenant's fresh monitor is primed with one batched pass over the
    retained windows);
-6. **observability** — every step lands in per-tenant
-   :class:`~repro.streams.tenant.StreamCounters` *and* the shared
-   :class:`~repro.service.ServiceMetrics` stream counters that
-   ``repro stream`` / :func:`repro.reporting.render_service_metrics`
-   display.
+6. **observability** — each step builds its deltas once, as a
+   :class:`~repro.streams.tenant.StreamCounters`, which is added to the
+   tenant's counters and handed to
+   :meth:`~repro.service.ServiceMetrics.record_stream` for the shared
+   stream counters that ``repro stream`` /
+   :func:`repro.reporting.render_service_metrics` display.
 
 The engine tiles dispatch over the *service's* simulated GPU pool
 (shared scheduler lock, placement cursor, health policy, fault
@@ -40,7 +41,6 @@ restore delegate to the stream's npz journal (:meth:`checkpoint` /
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -136,14 +136,10 @@ class StreamIngestService:
             self.ingest(tenant_id, initial)
         return session
 
-    def _build_stream(
-        self, policy: TenantPolicy, reference, backend=None
-    ) -> IncrementalMatrixProfile:
+    def _pool(self) -> dict:
+        """The service pool state every tenant stream dispatches over."""
         scheduler = self.service.scheduler
-        return IncrementalMatrixProfile(
-            policy.m,
-            policy.run_config(),
-            reference=reference,
+        return dict(
             sim=self.service.sim,
             max_retries=scheduler.max_retries,
             failure_injector=scheduler.failure_injector,
@@ -153,7 +149,14 @@ class StreamIngestService:
             placement=scheduler._placement,
             lock=scheduler._lock,
             clock=scheduler.clock,
-            backend=backend,
+        )
+
+    def _build_stream(
+        self, policy: TenantPolicy, reference, backend=None
+    ) -> IncrementalMatrixProfile:
+        return IncrementalMatrixProfile(
+            policy.m, policy.run_config(), reference=reference, backend=backend,
+            **self._pool(),
         )
 
     def _build_monitor(self, policy: TenantPolicy, d: int) -> SketchMonitor:
@@ -218,7 +221,6 @@ class StreamIngestService:
         session = entry.session
         policy = session.policy
         stream = session.stream
-        counters = session.counters
         started = self._clock()
 
         arr = np.asarray(samples)
@@ -249,61 +251,54 @@ class StreamIngestService:
         try:
             old_seg, new_seg = stream.ingest(arr)
             if session.gated:
-                report = self._gated_step(
+                new_segments = new_seg - old_seg
+                tiles, exact, alarms = self._gated_step(
                     entry, old_seg, new_seg, effective
                 )
             else:
                 result = stream.cover(mode=effective)
-                report = IngestReport(
-                    tenant_id=tenant_id,
-                    accepted=arr.shape[0],
-                    dropped=dropped,
-                    new_segments=result.new_segments,
-                    mode=effective,
-                    tiles=len(result.tiles),
-                    exact_columns=result.new_segments,
-                )
-            report.accepted = arr.shape[0]
-            report.dropped = dropped
-            report.shed_steps = shed_steps
+                new_segments = exact = result.new_segments
+                tiles, alarms = len(result.tiles), ()
         finally:
             if job_id is not None:
                 self.service.admission.complete(job_id)
-        report.rebased = self._maybe_rebase(entry)
-        report.elapsed = self._clock() - started
+        rebased = self._maybe_rebase(entry)
+        report = IngestReport(
+            tenant_id=tenant_id,
+            accepted=arr.shape[0],
+            dropped=dropped,
+            new_segments=new_segments,
+            mode=effective,
+            shed_steps=shed_steps,
+            tiles=tiles,
+            exact_columns=exact,
+            suppressed_columns=new_segments - exact,
+            alarms=tuple(alarms),
+            rebased=rebased,
+            elapsed=self._clock() - started,
+        )
         if policy.deadline is not None and report.exact_columns > 0:
             self.service.estimator.observe(
                 stream.n_r_seg, report.exact_columns, stream.d or 1,
                 effective, report.elapsed,
             )
 
-        # Per-tenant counters + the shared service metrics.
-        counters.appends += 1
-        counters.samples += report.accepted
-        counters.dropped += report.dropped
-        counters.segments += report.new_segments
-        counters.alarms += len(report.alarms)
-        counters.suppressed_columns += report.suppressed_columns
-        counters.exact_columns += report.exact_columns
-        counters.exact_tiles += report.tiles
-        counters.shed_steps += report.shed_steps
-        escalated = len(stream.escalations) - esc_before
-        counters.escalations += escalated
-        if report.rebased:
-            counters.rebases += 1
-        self.metrics.record_stream(
-            tenant_id,
+        # One delta for the tenant's counters and the shared service metrics.
+        delta = StreamCounters(
             appends=1,
             samples=report.accepted,
             dropped=report.dropped,
             segments=report.new_segments,
             alarms=len(report.alarms),
-            suppressed=report.suppressed_columns,
+            suppressed_columns=report.suppressed_columns,
             exact_columns=report.exact_columns,
             exact_tiles=report.tiles,
             shed_steps=report.shed_steps,
-            escalations=escalated,
+            escalations=len(stream.escalations) - esc_before,
+            rebases=int(report.rebased),
         )
+        session.counters += delta
+        self.metrics.record_stream(tenant_id, delta)
         if shed_steps:
             self.metrics.record_downgrade(shed_steps)
         return report
@@ -311,8 +306,10 @@ class StreamIngestService:
     def _gated_step(
         self, entry: _Tenant, old_seg: int, new_seg: int,
         effective: PrecisionMode,
-    ) -> IngestReport:
-        """Sketch-score the new windows; probe exact tiles on alarms."""
+    ) -> tuple[int, int, list[SketchScore]]:
+        """Sketch-score the new windows; probe exact tiles on alarms.
+
+        Returns the step's (tiles, exact columns, alarmed scores)."""
         session = entry.session
         stream = session.stream
         monitor = session.monitor
@@ -337,17 +334,7 @@ class StreamIngestService:
             result = stream.probe(c0, c1, mode=effective)
             tiles += len(result.tiles)
             exact_cols += c1 - c0
-        return IngestReport(
-            tenant_id=session.tenant_id,
-            accepted=0,  # filled by caller
-            dropped=0,
-            new_segments=new_seg - old_seg,
-            mode=effective,
-            tiles=tiles,
-            exact_columns=exact_cols,
-            suppressed_columns=(new_seg - old_seg) - exact_cols,
-            alarms=tuple(alarms),
-        )
+        return tiles, exact_cols, alarms
 
     def _maybe_rebase(self, entry: _Tenant) -> bool:
         """Amortised sliding-window re-base (see TenantPolicy)."""
@@ -412,19 +399,8 @@ class StreamIngestService:
         """
         if tenant_id in self._tenants:
             raise ValueError(f"tenant {tenant_id!r} is already registered")
-        scheduler = self.service.scheduler
         stream = IncrementalMatrixProfile.load(
-            path,
-            policy.run_config(),
-            sim=self.service.sim,
-            max_retries=scheduler.max_retries,
-            failure_injector=scheduler.failure_injector,
-            health=scheduler.health,
-            corruptor=scheduler.corruptor,
-            oom_split=scheduler.oom_split,
-            placement=scheduler._placement,
-            lock=scheduler._lock,
-            clock=scheduler.clock,
+            path, policy.run_config(), **self._pool()
         )
         session = TenantStream(
             tenant_id=tenant_id,

@@ -22,7 +22,7 @@ Two windowing policies, per the streaming literature:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..core.config import RunConfig
 from ..precision.modes import PrecisionMode
@@ -101,7 +101,14 @@ class TenantPolicy:
 
 @dataclass
 class StreamCounters:
-    """Per-tenant observability counters (mirrored into ServiceMetrics)."""
+    """Per-tenant observability counters.
+
+    One ingest step builds its deltas once, as a ``StreamCounters``;
+    the service adds it to the tenant's counters (``+=``) and hands the
+    same delta to :meth:`~repro.service.ServiceMetrics.record_stream`,
+    whose ``stream_*`` counters sum it over every tenant (``rebases``
+    is kept per tenant only).
+    """
 
     appends: int = 0  # ingest calls
     samples: int = 0  # samples accepted
@@ -119,6 +126,11 @@ class StreamCounters:
     def suppression_ratio(self) -> float:
         total = self.suppressed_columns + self.exact_columns
         return self.suppressed_columns / total if total else 0.0
+
+    def __iadd__(self, delta: "StreamCounters") -> "StreamCounters":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(delta, f.name))
+        return self
 
 
 @dataclass

@@ -84,7 +84,7 @@ class TestRoundRobinPlacement:
     def test_scheduler_pick_gpu_fallback_rotates(self):
         sim = GPUSimulator("A100", n_gpus=2)
         scheduler = TileScheduler(sim)
-        picks = {scheduler._pick_gpu({0, 1}) for _ in range(2)}
+        picks = {scheduler._placement.pick(None, {0, 1}) for _ in range(2)}
         assert picks == {0, 1}
 
     def test_rejects_empty_pool(self):

@@ -457,7 +457,7 @@ class TestServiceFaultTolerance:
         # health checks the poisoned profile completes "successfully".
         plan = FaultPlan(seed=11, corrupt_rate=1.0)
         service = make_service(
-            fault_plan=plan, health_checks=False, use_cache=False
+            fault_plan=plan, health=None, use_cache=False
         )
         outcome = service.submit_and_wait(
             JobRequest(reference=series, m=8, mode="FP16", n_tiles=4)
@@ -508,6 +508,59 @@ class TestMetricsAndReporting:
         assert percentile([], 50) == 0.0
         with pytest.raises(ValueError):
             percentile(values, 101)
+
+    def test_latency_window_is_bounded(self):
+        from repro.service import ServiceMetrics, percentile
+        from repro.service.metrics import LATENCY_HISTORY
+
+        metrics = ServiceMetrics()
+        latencies = [float(i) for i in range(3 * LATENCY_HISTORY)]
+        for latency in latencies:
+            metrics.record_completion(latency)
+        window = latencies[-LATENCY_HISTORY:]
+        assert list(metrics._latencies) == window
+        snap = metrics.snapshot()
+        assert snap.jobs_completed == len(latencies)
+        assert snap.latency_p50 == percentile(window, 50)
+        assert snap.latency_p95 == percentile(window, 95)
+        assert snap.latency_p50 != percentile(latencies, 50)
+
+    def test_concurrent_records_lose_no_update(self):
+        import sys
+        import threading
+
+        from repro.service import ServiceMetrics
+        from repro.streams import StreamCounters
+
+        metrics = ServiceMetrics()
+        n_threads, n_calls = 8, 500
+        delta = StreamCounters(appends=1, samples=3, rebases=1)
+
+        def hammer(k):
+            for _ in range(n_calls):
+                metrics.record_submission()
+                metrics.record_completion(0.5, tiles=2, retries=1)
+                metrics.record_stream(f"t{k}", delta)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k,)) for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        snap = metrics.snapshot()
+        total = n_threads * n_calls
+        assert snap.jobs_submitted == snap.jobs_completed == total
+        assert snap.tiles_executed == 2 * total and snap.tile_retries == total
+        assert snap.stream_appends == total and snap.stream_samples == 3 * total
+        assert snap.stream_tenants == n_threads and snap.jobs_in_flight == 0
 
     def test_latency_percentiles_populated(self, series):
         service = make_service()
