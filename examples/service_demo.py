@@ -10,21 +10,21 @@ behaviours:
    overwhelms the estimated capacity, and the admission controller walks
    jobs down the FP64 -> FP32 -> Mixed -> FP16 ladder instead of
    dropping any of them.
-3. **Fault recovery** — an injected transient device failure is retried
-   on a different pool GPU without corrupting the result.
+3. **Fault recovery** — injected transient device failures on a sick
+   GPU are retried on a different pool GPU without corrupting the result.
 
 Run:  python examples/service_demo.py
 """
 
 import numpy as np
 
+from repro.engine import FaultPlan
 from repro.reporting import banner, print_table, render_service_metrics
 from repro.service import (
     DOWNGRADE_LADDER,
     JobRequest,
     LoadEstimator,
     MatrixProfileService,
-    TransientDeviceError,
 )
 
 
@@ -68,12 +68,10 @@ def main() -> None:
 
     banner("3. Transient device failure: retry on another GPU")
 
-    def flaky_gpu0(label, tile, gpu_id, attempt):
-        if gpu_id == 0 and attempt == 0:
-            raise TransientDeviceError(f"injected fault on GPU {gpu_id}")
-
+    # GPU 0 is sick: every tile placed there fails and moves to GPU 1.
     resilient = MatrixProfileService(
-        device="A100", n_gpus=2, n_workers=1, failure_injector=flaky_gpu0,
+        device="A100", n_gpus=2, n_workers=1,
+        fault_plan=FaultPlan(seed=0, sick_gpus=(0,)),
     )
     outcome = resilient.submit_and_wait(
         JobRequest(reference=series, m=m, n_tiles=4)

@@ -42,7 +42,7 @@ from ..core.result import MatrixProfileResult
 from ..engine.accumulate import ProfileAccumulator, merge_time
 from ..engine.backends import AnalyticBackend, backend_for
 from ..engine.checkpoint import RunJournal
-from ..engine.dispatch import TileRetryExhaustedError, execute_plan
+from ..engine.dispatch import ExecutionPolicy, TileRetryExhaustedError, execute_plan
 from ..engine.plan import JobSpec
 from ..gpu.simulator import GPUSimulator
 from ..gpu.stream import Timeline
@@ -170,13 +170,14 @@ class ClusterDispatcher:
     heartbeat:
         Failure detector pricing crash detection; defaults to a 0.5 s /
         3-miss detector seeded from the fault plan.
-    retry_policy:
-        Backoff between recovery rounds; defaults to the job config's
-        policy (zero-delay when unset).
-    fault_plan, health, max_retries, oom_split:
-        Tile-level fault machinery, passed through to every per-node
-        :func:`execute_plan` call (PR 3's GPU storms compose with node
-        storms).
+    policy:
+        The :class:`~repro.engine.dispatch.ExecutionPolicy` of every
+        per-node :func:`execute_plan` call (tile-level GPU storms compose
+        with node storms).
+
+    Backoff between recovery rounds comes from the job config's
+    :attr:`~repro.core.config.RunConfig.retry_policy` (zero-delay when
+    unset), the same source tile retries read.
     """
 
     def __init__(
@@ -185,22 +186,14 @@ class ClusterDispatcher:
         *,
         node_faults: NodeFaultPlan | None = None,
         heartbeat: HeartbeatDetector | None = None,
-        retry_policy: RetryPolicy | None = None,
-        fault_plan=None,
-        health=None,
-        max_retries: int = 0,
-        oom_split: bool = False,
+        policy: ExecutionPolicy = ExecutionPolicy(),
     ):
         self.cluster = cluster
         self.node_faults = node_faults
         self.heartbeat = heartbeat or HeartbeatDetector(
             seed=getattr(node_faults, "seed", 0)
         )
-        self.retry_policy = retry_policy
-        self.fault_plan = fault_plan
-        self.health = health
-        self.max_retries = max_retries
-        self.oom_split = oom_split
+        self.policy = policy
         #: autoscale history: (old_size, new_size) per resize() call.
         self.resize_events: list[tuple[int, int]] = []
         #: most recent :class:`ClusterRunResult` (health reporting hook).
@@ -274,11 +267,7 @@ class ClusterDispatcher:
                 n_tiles if n_tiles is not None else 4 * cluster.total_gpus
             )
             plan = spec.plan(n_tiles=n_tiles)
-        retry_policy = (
-            self.retry_policy
-            if self.retry_policy is not None
-            else (spec.config.retry_policy or RetryPolicy())
-        )
+        retry_policy = spec.config.retry_policy or RetryPolicy()
 
         result = ClusterRunResult(
             cluster=cluster, mode=policy.mode, tiles_total=len(plan.tiles)
@@ -386,12 +375,8 @@ class ClusterDispatcher:
                     backend,
                     sim,
                     keep_executions=True,
-                    max_retries=self.max_retries,
-                    failure_injector=getattr(self.fault_plan, "injector", None),
-                    corruptor=getattr(self.fault_plan, "corruptor", None),
-                    health=self.health,
-                    oom_split=self.oom_split,
                     label=f"node{node}",
+                    policy=self.policy,
                 )
                 result.escalations.update(report.escalations)
                 result.split_tiles.update(report.splits)

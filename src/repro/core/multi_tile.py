@@ -29,7 +29,7 @@ import numpy as np
 from ..engine.accumulate import ProfileAccumulator, merge_tile_outputs
 from ..engine.backends import AnalyticBackend, backend_for
 from ..engine.checkpoint import RunJournal
-from ..engine.dispatch import RoundRobinPlacement, execute_plan
+from ..engine.dispatch import ExecutionPolicy, RoundRobinPlacement, execute_plan
 from ..engine.plan import ExecutionPlan, JobSpec
 from ..gpu.simulator import GPUSimulator
 from .config import RunConfig
@@ -43,17 +43,15 @@ def _run_plan(
     plan: ExecutionPlan,
     *,
     journal: RunJournal | None = None,
-    health=None,
-    fault_plan=None,
-    max_retries: int = 0,
-    oom_split: bool = False,
+    policy: ExecutionPolicy = ExecutionPolicy(),
     observers=(),
     parallel_workers: int = 1,
 ) -> MatrixProfileResult:
-    """Run ``plan`` on a fresh simulator and the backend ``spec.config``
-    names (analytic for a modeled spec, which returns an empty profile).
-    A ``journal`` is resumed: its snapshot and escalations are restored
-    and its tiles skipped (a no-op for a fresh journal)."""
+    """Run ``plan`` under ``policy`` on a fresh simulator and the backend
+    ``spec.config`` names (analytic for a modeled spec, which returns an
+    empty profile).  A ``journal`` is resumed: its snapshot and
+    escalations are restored and its tiles skipped (a no-op for a fresh
+    journal)."""
     config = spec.config
     modeled = spec.is_modeled
     if modeled:
@@ -70,7 +68,7 @@ def _run_plan(
         escalations = journal.escalations()
     # Retries need a placement that can move a tile off the failing GPU
     # (a journaled static assignment is only a preference).
-    placement = RoundRobinPlacement(config.n_gpus) if max_retries > 0 else None
+    placement = RoundRobinPlacement(config.n_gpus) if policy.max_retries > 0 else None
     report = execute_plan(
         plan,
         backend,
@@ -78,13 +76,9 @@ def _run_plan(
         accumulator=accumulator,
         placement=placement,
         observers=observers,
-        max_retries=max_retries,
-        failure_injector=getattr(fault_plan, "injector", None),
-        health=health,
-        corruptor=getattr(fault_plan, "corruptor", None),
-        oom_split=oom_split,
         journal=journal,
         parallel_workers=parallel_workers,
+        policy=policy,
     )
     escalations.update(report.escalations)
     return MatrixProfileResult(
@@ -126,13 +120,14 @@ def compute_multi_tile(
     ``query=None`` requests a self-join with the default exclusion zone.
 
     Fault tolerance (all opt-in; defaults leave the numerics and the
-    dispatch byte-identical to the plain path):
+    dispatch byte-identical to the plain path; the first four form the
+    run's :class:`~repro.engine.dispatch.ExecutionPolicy`):
 
     * ``health`` — a :class:`~repro.engine.health.HealthPolicy`
       validating every tile and escalating sick tiles up the precision
       ladder (recorded on :attr:`MatrixProfileResult.escalations`);
     * ``fault_plan`` — a :class:`~repro.engine.faults.FaultPlan` whose
-      injector/corruptor hooks exercise the recovery paths;
+      hooks exercise the recovery paths;
     * ``max_retries`` — per-tile retry budget for transient device
       failures (placement switches to round-robin so retries can move
       to a different GPU);
@@ -156,10 +151,12 @@ def compute_multi_tile(
         spec,
         plan,
         journal=journal,
-        health=health,
-        fault_plan=fault_plan,
-        max_retries=max_retries,
-        oom_split=oom_split,
+        policy=ExecutionPolicy(
+            health=health,
+            max_retries=max_retries,
+            fault_plan=fault_plan,
+            oom_split=oom_split,
+        ),
         observers=observers,
         parallel_workers=(
             config.parallel_workers if parallel_workers is None else parallel_workers

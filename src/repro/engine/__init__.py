@@ -12,7 +12,7 @@ CPU — and this package is that loop's one implementation:
   :class:`AnalyticBackend` (roofline timings only);
 * :mod:`repro.engine.dispatch` — :func:`execute_plan`, the loop itself:
   pluggable placement, transient-failure retry, deadline cancellation,
-  per-tile observers;
+  per-tile observers, under one :class:`ExecutionPolicy` per tier;
 * :mod:`repro.engine.accumulate` — :class:`ProfileAccumulator` over
   :func:`merge_tile_outputs` + cost and merge-time accounting;
 * :mod:`repro.engine.health` — per-tile output validation and the
@@ -44,6 +44,7 @@ from .checkpoint import RunJournal, resume_plan, tile_key
 from .dispatch import (
     CallbackObserver,
     DispatchReport,
+    ExecutionPolicy,
     RoundRobinPlacement,
     StaticPlacement,
     TileObserver,
@@ -80,6 +81,7 @@ __all__ = [
     "KERNEL_ORDER",
     "execute_plan",
     "DispatchReport",
+    "ExecutionPolicy",
     "StaticPlacement",
     "RoundRobinPlacement",
     "TilePlacement",

@@ -48,6 +48,7 @@ from ..core.result import MatrixProfileResult
 from ..core.tiling import Tile
 from ..precision.modes import PrecisionMode
 from .accumulate import ProfileAccumulator
+from .dispatch import ExecutionPolicy
 from .plan import ExecutionPlan, JobSpec
 
 __all__ = ["RunJournal", "resume_plan", "tile_key"]
@@ -276,9 +277,11 @@ def resume_plan(
         spec,
         plan,
         journal=journal,
-        health=health,
-        fault_plan=fault_plan,
-        max_retries=max_retries,
-        oom_split=oom_split,
+        policy=ExecutionPolicy(
+            health=health,
+            max_retries=max_retries,
+            fault_plan=fault_plan,
+            oom_split=oom_split,
+        ),
         observers=observers,
     )

@@ -26,7 +26,7 @@ loop now, with the variation points made explicit:
   no room for a second, on either main loop — or a
   ``deadline_at`` is set, the coordinator places and runs one tile at a
   time, so anytime cancellation keeps per-tile granularity.  Everything
-  else stays per tile: the failure injector and each tile's
+  else stays per tile: injected faults and each tile's
   device-memory footprint check run tile by tile in batch order, and
   every tile returns its own outcome, settled (retry, split, escalation,
   health check) exactly as a lone tile's;
@@ -35,8 +35,8 @@ loop now, with the variation points made explicit:
   :class:`RoundRobinPlacement` with device exclusion for
   retry-around-a-sick-GPU (the service shares one cursor pool-wide);
 * **retry** — :class:`TransientDeviceError` re-queues the tile at the
-  back of the work deque on a different device, up to ``max_retries``
-  attempts, then :class:`TileRetryExhaustedError`;
+  back of the work deque on a different device, up to the policy's
+  ``max_retries`` attempts, then :class:`TileRetryExhaustedError`;
 * **deadline / anytime cancellation** — when ``clock()`` passes
   ``deadline_at`` the queued tiles are abandoned; tiles that finished
   are committed, so the accumulator is a valid anytime upper bound;
@@ -67,17 +67,19 @@ error — does not discard the finished tiles before it: no new work is
 submitted, in-flight attempts drain, every finished tile with a smaller
 key is committed and journaled, and only then does the error propagate.
 
-Fault tolerance (all opt-in; the happy path stays bit-identical):
+Fault tolerance (all opt-in; the happy path stays bit-identical) is
+one :class:`ExecutionPolicy` a tier builds once and hands to every plan
+it runs:
 
-* **health checks / escalation** — pass a
-  :class:`~repro.engine.health.HealthPolicy` and every tile's output is
+* **health checks / escalation** — ``policy.health``, a
+  :class:`~repro.engine.health.HealthPolicy`: every tile's output is
   validated (non-finite or negative distances, implausible implied
   correlations); a sick tile re-executes one rung up the
   FP16 -> Mixed -> FP32 -> FP64 ladder until it passes or
   :class:`~repro.engine.health.TileHealthError` ends the run;
-* **OOM splitting** — with ``oom_split=True`` a tile that cannot fit is
-  quartered (halved along a 1-segment axis) and its children re-queued,
-  instead of aborting the job;
+* **OOM splitting** — with ``policy.oom_split`` a tile that cannot fit
+  is quartered (halved along a 1-segment axis) and its children
+  re-queued, instead of aborting the job;
 * **journaling** — pass a :class:`~repro.engine.checkpoint.RunJournal`
   and committed tiles are recorded (tile log + accumulator snapshot);
   a journaled dispatch skips already-completed tiles on resume.
@@ -97,7 +99,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from ..core.tiling import Tile
 from ..gpu.memory import DeviceOutOfMemoryError
@@ -118,6 +120,7 @@ __all__ = [
     "TileObserver",
     "CallbackObserver",
     "DispatchReport",
+    "ExecutionPolicy",
     "execute_plan",
 ]
 
@@ -187,15 +190,18 @@ class RoundRobinPlacement:
     returned ``self._rr % n`` without advancing).
     """
 
-    def __init__(self, n_gpus: int, lock=None):
+    def __init__(self, n_gpus: int):
         if n_gpus < 1:
             raise ValueError(f"n_gpus must be >= 1, got {n_gpus}")
         self.n_gpus = n_gpus
-        self._lock = lock if lock is not None else threading.RLock()
+        #: Guards the cursor; :func:`execute_plan` also serialises its
+        #: stream bookkeeping under it, so jobs sharing the placement
+        #: share the lock (re-entrant: the engine nests them).
+        self.lock = threading.RLock()
         self._rr = 0
 
     def pick(self, tile: Tile | None = None, excluded: set[int] = frozenset()) -> int:
-        with self._lock:
+        with self.lock:
             n = self.n_gpus
             for _ in range(n):
                 gpu_id = self._rr % n
@@ -393,6 +399,45 @@ def _retry_backoff(policy, tile, attempt, sleeper, report) -> None:
         sleeper(delay)
 
 
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """The recovery policy a tier builds once and hands to every plan it
+    runs — batch runs, the service scheduler, streams and the cluster —
+    so a rule about how tiles run attaches here, once, for every tier.
+
+    ``health`` (a :class:`~repro.engine.health.HealthPolicy`; ``None``:
+    off) validates every tile and escalates sick ones; ``max_retries``
+    bounds re-attempts after a :class:`TransientDeviceError`;
+    ``fault_plan`` is anything with either hook of a
+    :class:`~repro.engine.faults.FaultPlan`; ``oom_split`` splits a tile
+    on device OOM instead of raising; ``sleeper`` waits out the backoff
+    of ``plan.spec.config.retry_policy`` (tests pass a recorder).
+
+    Output bytes: the :attr:`BYTE_NEUTRAL` fields never change a
+    completed run's profile, index or costs.  ``health`` may (an
+    escalated tile re-runs one rung up the ladder); ``oom_split`` and
+    ``fault_plan`` decide which tiles run (split children restart the
+    precalculation; injected corruption stays unless ``health`` catches
+    it).  No field is part of ``RunConfig.cache_key()``, so a rule for
+    keying cached results on a byte-changing field belongs here.
+    """
+
+    health: HealthPolicy | None = None
+    max_retries: int = 0
+    fault_plan: object = None
+    oom_split: bool = False
+    sleeper: Callable[[float], None] = time.sleep
+
+    #: Fields that never change a completed run's output bytes or costs.
+    BYTE_NEUTRAL: ClassVar[tuple[str, ...]] = ("max_retries", "sleeper")
+    #: Fields that may (see the class docstring).
+    BYTE_CHANGING: ClassVar[tuple[str, ...]] = ("health", "oom_split", "fault_plan")
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+
+
 class _InlineExecutor:
     """``parallel_workers=1``: each attempt runs on the calling thread and
     comes back as an already-resolved future."""
@@ -417,21 +462,13 @@ def execute_plan(
     placement: "TilePlacement | None" = None,
     timeline: Timeline | None = None,
     observers: Sequence[TileObserver] = (),
-    max_retries: int = 0,
     deadline_at: float | None = None,
     clock: Callable[[], float] = time.monotonic,
-    failure_injector: Callable | None = None,
     label: str | None = None,
-    flush_per_tile: bool = False,
-    lock=None,
     keep_executions: bool = False,
-    health: HealthPolicy | None = None,
-    corruptor: Callable | None = None,
-    oom_split: bool = False,
     journal=None,
     parallel_workers: int = 1,
-    retry_policy=None,
-    sleeper: Callable[[float], None] = time.sleep,
+    policy: ExecutionPolicy = ExecutionPolicy(),
 ) -> DispatchReport:
     """Run every tile of ``plan`` on ``sim`` through ``backend``.
 
@@ -449,52 +486,49 @@ def execute_plan(
     :func:`merge_tile_outputs` — for any worker count, with or without
     faults.
 
-    ``timeline`` defaults to ``sim.timeline``; pass a fresh
-    :class:`~repro.gpu.stream.Timeline` for job-local accounting (the
-    service does).  ``flush_per_tile`` places each tile's stream ops
-    eagerly (required when several jobs share the pool); otherwise one
-    event-driven flush at the end lets streams interleave maximally.
-    ``failure_injector(label, tile, gpu_id, attempt)`` may raise
-    :class:`TransientDeviceError` before a tile allocates anything.
-    ``lock`` serialises stream bookkeeping across concurrent dispatches.
+    ``timeline`` defaults to ``sim.timeline``, with one event-driven
+    flush at the end so streams interleave maximally.  A job-local
+    :class:`~repro.gpu.stream.Timeline` (the service and streams pass
+    one, as several jobs share their pool) places each tile's stream ops
+    eagerly instead.  A shared :class:`RoundRobinPlacement` also
+    serialises stream bookkeeping under its ``lock``.
     ``keep_executions`` retains per-tile :class:`TileExecution` records
     on the report, in commit order (off by default to keep big runs
-    lean).
-
-    Fault tolerance (all opt-in, see the module docstring): ``health``
-    validates every tile output and escalates sick tiles up the precision
-    ladder; ``corruptor(label, tile, gpu_id, attempt, output)`` may
-    scribble over a base-mode tile's output *before* the health check
-    (fault injection — escalated re-executions stay clean, so recovery
-    converges); ``oom_split`` splits a tile on device OOM instead of
-    propagating; ``journal`` (a :class:`~repro.engine.checkpoint
+    lean).  ``journal`` (a :class:`~repro.engine.checkpoint
     .RunJournal`-like object) records committed tiles and skips tiles it
     already holds.
 
-    ``retry_policy`` (a :class:`~repro.core.config.RetryPolicy`; defaults
-    to ``plan.spec.config.retry_policy``) paces re-dispatch after a
-    transient failure with seeded, jittered exponential backoff — keyed
-    on tile *geometry* so schedules reproduce across renumbering, like
-    :class:`~repro.engine.faults.FaultPlan` draws.  ``sleeper`` is the
-    injectable wait primitive (tests pass a recorder; cluster simulation
-    prices delays into the modelled makespan instead of sleeping).
+    ``policy`` (an :class:`ExecutionPolicy`) is the recovery policy:
+    health checks and escalation, the retry budget, OOM splitting and
+    fault injection.  The fault plan's ``injector(label, tile, gpu_id,
+    attempt)`` may raise :class:`TransientDeviceError` (or device OOM)
+    before a tile allocates anything; its ``corruptor(label, tile,
+    gpu_id, attempt, output)`` may scribble over a base-mode tile's
+    output *before* the health check (escalated re-executions stay
+    clean, so recovery converges).  Re-dispatch after a transient
+    failure is paced by ``plan.spec.config.retry_policy`` (a
+    :class:`~repro.core.config.RetryPolicy`): seeded, jittered
+    exponential backoff keyed on tile *geometry*, so schedules reproduce
+    across renumbering like :class:`~repro.engine.faults.FaultPlan`
+    draws, waited out through ``policy.sleeper``.
 
     A deadline stops new submissions and abandons the queue; attempts
     already in flight finish and still commit.  A dispatch with
     ``deadline_at`` runs batches of one tile.  An error that ends the run
     is raised after the finished tiles before it are committed.
     """
-    if max_retries < 0:
-        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if parallel_workers < 1:
         raise ValueError(
             f"parallel_workers must be >= 1, got {parallel_workers}"
         )
-    if retry_policy is None:
-        retry_policy = getattr(plan.spec.config, "retry_policy", None)
+    health = policy.health
+    inject = getattr(policy.fault_plan, "injector", None)
+    corrupt = getattr(policy.fault_plan, "corruptor", None)
+    retry_policy = getattr(plan.spec.config, "retry_policy", None)
+    flush_per_tile = timeline is not None
     timeline = timeline if timeline is not None else sim.timeline
     placement = placement if placement is not None else StaticPlacement(plan)
-    lock = lock if lock is not None else nullcontext()
+    lock = getattr(placement, "lock", None) or nullcontext()
     tile_label = f"{label}:tile" if label else "tile"
     report = DispatchReport(tiles_total=plan.n_tiles)
     base_mode = PrecisionMode.parse(plan.spec.config.mode)
@@ -603,8 +637,8 @@ def execute_plan(
         outcomes, runnable = [], []
         for item, gpu_id in picks:
             try:
-                if failure_injector is not None:
-                    failure_injector(label, item.tile, gpu_id, item.attempt)
+                if inject is not None:
+                    inject(label, item.tile, gpu_id, item.attempt)
             except (TransientDeviceError, DeviceOutOfMemoryError) as exc:
                 outcomes.append((item, gpu_id, exc))
                 continue
@@ -629,7 +663,7 @@ def execute_plan(
         """Retry, split, escalate, fail or finish one attempted tile."""
         nonlocal next_id
         if isinstance(outcome, TransientDeviceError):
-            if item.attempt >= max_retries:
+            if item.attempt >= policy.max_retries:
                 error = TileRetryExhaustedError(
                     item.tile.tile_id, item.attempt + 1, outcome,
                     gpu_ids=tuple(item.devices),
@@ -639,7 +673,7 @@ def execute_plan(
                 return
             for obs in observers:
                 obs.on_tile_retry(item.tile, gpu_id, item.attempt, outcome)
-            _retry_backoff(retry_policy, item.tile, item.attempt, sleeper, report)
+            _retry_backoff(retry_policy, item.tile, item.attempt, policy.sleeper, report)
             item.attempt += 1
             item.excluded.add(gpu_id)
             report.tile_retries += 1
@@ -648,7 +682,7 @@ def execute_plan(
         if isinstance(outcome, DeviceOutOfMemoryError):
             children = (
                 _split_tile(item.tile, next_id, symmetric=symmetric)
-                if oom_split
+                if policy.oom_split
                 else []
             )
             if not children:  # no splitting, or a 1x1 tile
@@ -672,8 +706,8 @@ def execute_plan(
             fatal[item.key] = outcome
             return
         execution = outcome
-        if corruptor is not None and item.mode is None and execution.output is not None:
-            corruptor(label, item.tile, gpu_id, item.attempt, execution.output)
+        if corrupt is not None and item.mode is None and execution.output is not None:
+            corrupt(label, item.tile, gpu_id, item.attempt, execution.output)
         if health is not None and execution.output is not None:
             issues = health.check(execution.output, plan.spec.m)
             if issues:

@@ -20,11 +20,13 @@ kinds, matching the hazards the engine must survive:
   attempt (the route-around-a-device path; needs a placement with
   exclusion, i.e. round-robin).
 
-Wire a plan into a dispatch with ``failure_injector=plan.injector`` and
-``corruptor=plan.corruptor`` (or pass ``fault_plan=`` to
-:func:`repro.core.multi_tile.compute_multi_tile` /
-:class:`repro.service.MatrixProfileService`).  Injected events are
-recorded on :attr:`FaultPlan.events` for assertions.
+A plan reaches a dispatch as the ``fault_plan`` of an
+:class:`~repro.engine.dispatch.ExecutionPolicy` (or pass ``fault_plan=``
+to :func:`repro.core.multi_tile.compute_multi_tile` /
+:class:`repro.service.MatrixProfileService`, which build that policy);
+:func:`~repro.engine.dispatch.execute_plan` calls its two hooks below.
+Any object with either hook can stand in for a plan.  Injected events
+are recorded on :attr:`FaultPlan.events` for assertions.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def seeded_uniform(seed: int, kind: str, key: object, attempt: int = 0) -> float
     digest = hashlib.sha256(token.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
 
-#: Values the corruptor writes, cycled: silent-loss (NaN, +inf — strict-<
+#: Values a corrupt fault writes, cycled: silent-loss (NaN, +inf — strict-<
 #: merge would drop them) and merge-poisoning (negative wins every min).
 _CORRUPT_VALUES = (np.nan, np.inf, -1.0)
 
@@ -160,7 +162,7 @@ class FaultPlan:
     # The two dispatch hooks
 
     def injector(self, label, tile, gpu_id: int, attempt: int) -> None:
-        """``failure_injector`` hook: fires before any device allocation."""
+        """Injection hook: fires before any device allocation."""
         if gpu_id in self.sick_gpus:
             self._record("sick", tile, gpu_id, attempt)
             raise TransientDeviceError(f"injected sick GPU {gpu_id}")

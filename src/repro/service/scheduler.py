@@ -8,21 +8,21 @@ the service's adapter over it, contributing the pool-shared state:
 
 * **placement** — one :class:`~repro.engine.dispatch.RoundRobinPlacement`
   cursor shared by every job, so concurrent jobs interleave over the
-  pool; a ``failure_injector`` may raise
-  :class:`~repro.engine.dispatch.TransientDeviceError` for any
-  (tile, device, attempt) and the engine re-queues the tile on a
-  *different* GPU, up to ``max_retries`` attempts per tile, mirroring how
-  a real service routes around a sick device.  Device OOM
+  pool; its lock also serialises the pool's stream bookkeeping;
+* **recovery** — one :class:`~repro.engine.dispatch.ExecutionPolicy`
+  for every job.  A :class:`~repro.engine.dispatch.TransientDeviceError`
+  (injected by the policy's fault plan) re-queues the tile on a
+  *different* GPU, up to ``max_retries`` attempts per tile, mirroring
+  how a real service routes around a sick device.  Device OOM
   (:class:`~repro.gpu.memory.DeviceOutOfMemoryError`) is *not* retried —
   it propagates so the service layer can re-plan with a finer tiling,
-  the paper's own answer to memory pressure (unless the scheduler is
-  built with ``oom_split=True``, in which case the engine splits the
-  offending tile in place).
-* **numerical health** — an optional
+  the paper's own answer to memory pressure (unless the policy sets
+  ``oom_split``, in which case the engine splits the offending tile in
+  place).  The policy's optional
   :class:`~repro.engine.health.HealthPolicy` validates every tile's
-  output and escalates sick tiles up the precision ladder; escalation
-  and split counts are surfaced on :class:`JobExecution` for the
-  service metrics.
+  output and escalates sick tiles up the precision ladder; retry,
+  escalation and split counts are surfaced on :class:`JobExecution` for
+  the service metrics.
 * **deadline timeout** — when the wall clock passes ``deadline_at`` the
   remaining tiles are abandoned and the completed ones are merged
   anytime-style: untouched query columns stay at the dtype limit, so the
@@ -36,7 +36,6 @@ overlap their tiles' arithmetic.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -46,6 +45,7 @@ from ..core.config import RunConfig
 from ..engine.accumulate import ProfileAccumulator
 from ..engine.backends import backend_for
 from ..engine.dispatch import (  # noqa: F401 - re-exported API
+    ExecutionPolicy,
     RoundRobinPlacement,
     TileRetryExhaustedError,
     TransientDeviceError,
@@ -89,32 +89,21 @@ class TileScheduler:
     def __init__(
         self,
         sim: GPUSimulator,
-        max_retries: int = 2,
-        failure_injector=None,
+        policy: ExecutionPolicy = ExecutionPolicy(max_retries=2),
         clock=time.monotonic,
-        health: "HealthPolicy | None" = None,
-        corruptor=None,
-        oom_split: bool = False,
         stats_cache=None,
     ):
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.sim = sim
-        self.max_retries = max_retries
-        self.failure_injector = failure_injector
+        self.policy = policy
         self.clock = clock
-        self.health = health
-        self.corruptor = corruptor
-        self.oom_split = oom_split
         #: Optional cross-job window-statistics store
         #: (:class:`~repro.service.cache.PrecalcStatsCache`): handed to
         #: every plan so repeated jobs on the same series skip the
         #: precalc statistics pass.
         self.stats_cache = stats_cache
-        # One lock guards the allocator/stream bookkeeping AND the
-        # placement cursor (RLock: the engine nests them).
-        self._lock = threading.RLock()
-        self._placement = RoundRobinPlacement(sim.n_gpus, lock=self._lock)
+        # The placement's lock guards the allocator/stream bookkeeping
+        # AND the placement cursor.
+        self._placement = RoundRobinPlacement(sim.n_gpus)
 
     def execute(
         self,
@@ -146,21 +135,15 @@ class TileScheduler:
         accumulator = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
         report = execute_plan(
             plan,
-            backend_for(config, lock=self._lock)[0],
+            backend_for(config, lock=self._placement.lock)[0],
             self.sim,
             accumulator=accumulator,
             placement=self._placement,
             timeline=timeline,
-            max_retries=self.max_retries,
             deadline_at=deadline_at,
             clock=self.clock,
-            failure_injector=self.failure_injector,
             label=label,
-            flush_per_tile=True,
-            lock=self._lock,
-            health=self.health,
-            corruptor=self.corruptor,
-            oom_split=self.oom_split,
+            policy=self.policy,
         )
         return JobExecution(
             profile=accumulator.profile,

@@ -57,7 +57,7 @@ from ..core.config import RunConfig, default_exclusion_zone
 from ..core.tiling import Tile, assign_tiles
 from ..engine.accumulate import ProfileAccumulator
 from ..engine.backends import NumericBackend, backend_for
-from ..engine.dispatch import DispatchReport, execute_plan
+from ..engine.dispatch import DispatchReport, ExecutionPolicy, execute_plan
 from ..engine.plan import JobSpec
 from ..engine.precalc_cache import GrowableArray, PlaneCache
 from ..gpu.simulator import GPUSimulator
@@ -109,12 +109,13 @@ class IncrementalMatrixProfile:
     tenants instead use :meth:`ingest` (extend only) plus :meth:`probe`
     (exact columns on sketch alarms) — see :mod:`repro.streams.sketch`.
 
-    The engine hooks (``health``, ``failure_injector``, ``corruptor``,
-    ``oom_split``, ``max_retries``, shared ``lock``/``placement``) are the
-    same knobs the service's :class:`~repro.service.scheduler.
-    TileScheduler` threads into :func:`~repro.engine.dispatch.
-    execute_plan`, so a stream dispatched by the ingest service shares the
-    pool's retry/escalation/split machinery.  ``backend`` hands over the
+    ``policy`` is the :class:`~repro.engine.dispatch.ExecutionPolicy`
+    every step's dispatch runs under (health checks, retries, OOM
+    splits, fault injection); with the service's ``sim`` and shared
+    ``placement`` (whose lock serialises the pool's bookkeeping) a
+    stream dispatched by the ingest service runs exactly as the
+    service's :class:`~repro.service.scheduler.TileScheduler` jobs do.
+    ``backend`` hands over the
     :class:`~repro.engine.backends.NumericBackend` of a stream this one
     replaces (a sliding re-base), so its per-worker main-loop scratch is
     reused instead of allocated again; by default the stream builds the
@@ -130,13 +131,8 @@ class IncrementalMatrixProfile:
         reference: np.ndarray | None = None,
         initial: np.ndarray | None = None,
         sim: GPUSimulator | None = None,
-        max_retries: int = 0,
-        failure_injector=None,
-        health=None,
-        corruptor=None,
-        oom_split: bool = False,
+        policy: ExecutionPolicy = ExecutionPolicy(),
         placement=None,
-        lock=None,
         clock=time.monotonic,
         backend: NumericBackend | None = None,
     ):
@@ -149,17 +145,12 @@ class IncrementalMatrixProfile:
         self.sim = sim if sim is not None else GPUSimulator(
             self.config.device, self.config.n_gpus, self.config.n_streams
         )
-        self.max_retries = max_retries
-        self.failure_injector = failure_injector
-        self.health = health
-        self.corruptor = corruptor
-        self.oom_split = oom_split
+        self.execution_policy = policy
         self.clock = clock
         self._placement = placement
-        self._lock = lock
         self._backend = (
             backend if backend is not None
-            else backend_for(self.config, lock=lock)[0]
+            else backend_for(self.config, lock=getattr(placement, "lock", None))[0]
         )
         self.timeline = Timeline()
 
@@ -353,15 +344,9 @@ class IncrementalMatrixProfile:
             accumulator=self._acc,
             placement=self._placement,
             timeline=self.timeline,
-            max_retries=self.max_retries,
             clock=self.clock,
-            failure_injector=self.failure_injector,
             label="stream",
-            flush_per_tile=True,
-            lock=self._lock,
-            health=self.health,
-            corruptor=self.corruptor,
-            oom_split=self.oom_split,
+            policy=self.execution_policy,
         )
         self._tiles.extend(tiles)
         self.tile_retries += report.tile_retries

@@ -141,13 +141,8 @@ class StreamIngestService:
         scheduler = self.service.scheduler
         return dict(
             sim=self.service.sim,
-            max_retries=scheduler.max_retries,
-            failure_injector=scheduler.failure_injector,
-            health=scheduler.health,
-            corruptor=scheduler.corruptor,
-            oom_split=scheduler.oom_split,
+            policy=scheduler.policy,
             placement=scheduler._placement,
-            lock=scheduler._lock,
             clock=scheduler.clock,
         )
 

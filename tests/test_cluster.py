@@ -28,7 +28,11 @@ from repro.core.config import RetryPolicy, RunConfig
 from repro.engine.accumulate import ProfileAccumulator
 from repro.engine.backends import NumericBackend
 from repro.engine.checkpoint import RunJournal, tile_key
-from repro.engine.dispatch import TileRetryExhaustedError, execute_plan
+from repro.engine.dispatch import (
+    ExecutionPolicy,
+    TileRetryExhaustedError,
+    execute_plan,
+)
 from repro.engine.plan import JobSpec
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
@@ -45,10 +49,10 @@ def _series(n=220, d=2, seed=5):
     return base + 0.1 * rng.standard_normal((n, d))
 
 
-def _spec(join="self", mode=PrecisionMode.FP64, m=24):
+def _spec(join="self", mode=PrecisionMode.FP64, m=24, retry_policy=None):
     ref = _series(seed=5)
     qry = None if join == "self" else _series(n=200, seed=6)
-    config = RunConfig(mode=mode)
+    config = RunConfig(mode=mode, retry_policy=retry_policy)
     return JobSpec.from_arrays(ref, qry, m, config)
 
 
@@ -224,18 +228,16 @@ class TestRetryPolicy:
         from repro.engine.faults import FaultPlan
         from repro.gpu.simulator import GPUSimulator
 
-        spec = _spec()
+        spec = _spec(retry_policy=RetryPolicy(base_delay=0.01, seed=1))
         plan = spec.plan(n_tiles=4)
         slept = []
 
         fault_plan = FaultPlan(seed=3, transient_rate=0.4)
-        policy = RetryPolicy(base_delay=0.01, seed=1)
         report = execute_plan(
             plan, NumericBackend(), GPUSimulator("A100", 2),
-            max_retries=3,
-            failure_injector=fault_plan.injector,
-            retry_policy=policy,
-            sleeper=slept.append,
+            policy=ExecutionPolicy(
+                max_retries=3, fault_plan=fault_plan, sleeper=slept.append
+            ),
         )
         assert report.tile_retries > 0
         assert len(slept) == report.tile_retries
@@ -367,9 +369,9 @@ class TestRecovery:
         cluster = ClusterSpec(n_nodes=4, gpus_per_node=1)
         faults = NodeFaultPlan(seed=1, crash_nodes=(0,))
         policy = RetryPolicy(base_delay=0.5, seed=9)
-        with_backoff = ClusterDispatcher(
-            cluster, node_faults=faults, retry_policy=policy
-        ).run(_spec(), n_tiles=8)
+        with_backoff = ClusterDispatcher(cluster, node_faults=faults).run(
+            _spec(retry_policy=policy), n_tiles=8
+        )
         without = ClusterDispatcher(cluster, node_faults=faults).run(
             _spec(), n_tiles=8
         )
@@ -408,8 +410,7 @@ class TestClusterOOMSplit:
         first = tile_key(plan.tiles[0])
         run = ClusterDispatcher(
             ClusterSpec(n_nodes=n_nodes, gpus_per_node=1),
-            fault_plan=_TileOOM(first, times),
-            oom_split=True,
+            policy=ExecutionPolicy(fault_plan=_TileOOM(first, times), oom_split=True),
         ).run(spec, plan=plan)
         assert run.rounds == 1
         assert run.tiles_completed == run.tiles_total == 16
@@ -417,8 +418,8 @@ class TestClusterOOMSplit:
         acc = ProfileAccumulator(spec.d, spec.n_q_seg, spec.policy)
         report = execute_plan(
             plan, NumericBackend(), GPUSimulator(spec.config.device, 1),
-            accumulator=acc, oom_split=True,
-            failure_injector=_TileOOM(first, times).injector,
+            accumulator=acc,
+            policy=ExecutionPolicy(fault_plan=_TileOOM(first, times), oom_split=True),
         )
         assert report.splits
         np.testing.assert_array_equal(run.profile, acc.host_profile())

@@ -91,6 +91,50 @@ class TestDocsDirectory:
                 assert hasattr(apps, sym), sym
 
 
+class TestArchitectureSymbols:
+    """Every backticked ``Class.attr`` / ``Class.attr(`` in
+    docs/architecture.md names an attribute or dataclass field of a
+    ``repro`` class, so a rename in ``src/`` cannot leave the doc behind."""
+
+    REFERENCE = re.compile(r"`([A-Z]\w*)\.([A-Za-z_]\w*)")
+    FILE_SUFFIXES = {"md", "py", "json", "txt", "toml", "cff"}
+
+    @staticmethod
+    def _classes() -> dict[str, set[type]]:
+        import importlib
+        import inspect
+        import pkgutil
+
+        import repro
+
+        classes: dict[str, set[type]] = {}
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if inspect.isclass(obj) and obj.__module__.startswith("repro."):
+                    classes.setdefault(name, set()).add(obj)
+        return classes
+
+    @staticmethod
+    def _has(cls: type, attr: str) -> bool:
+        return hasattr(cls, attr) or attr in getattr(cls, "__dataclass_fields__", {})
+
+    def test_class_attribute_references_resolve(self):
+        refs = {
+            (cls, attr)
+            for cls, attr in self.REFERENCE.findall(_read("docs/architecture.md"))
+            if attr not in self.FILE_SUFFIXES  # file names such as DESIGN.md
+        }
+        assert len(refs) >= 25
+        classes = self._classes()
+        missing = sorted(
+            f"{cls}.{attr}"
+            for cls, attr in refs
+            if not any(self._has(c, attr) for c in classes.get(cls, ()))
+        )
+        assert not missing, missing
+
+
 class TestPackaging:
     def test_license_and_citation(self):
         assert (ROOT / "LICENSE").exists()

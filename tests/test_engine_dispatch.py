@@ -8,6 +8,7 @@ the cursor instead of pinning one GPU.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.engine import (
+    ExecutionPolicy,
     JobSpec,
     NumericBackend,
     ProfileAccumulator,
@@ -109,8 +111,9 @@ class TestRetry:
             accumulator=acc,
             placement=RoundRobinPlacement(sim.n_gpus),
             observers=[recorder],
-            max_retries=2,
-            failure_injector=injector,
+            policy=ExecutionPolicy(
+                max_retries=2, fault_plan=SimpleNamespace(injector=injector)
+            ),
         )
         assert report.tiles_completed == 4
         assert report.tile_retries == 1
@@ -134,8 +137,9 @@ class TestRetry:
                 sim,
                 placement=RoundRobinPlacement(sim.n_gpus),
                 observers=[recorder],
-                max_retries=1,
-                failure_injector=injector,
+                policy=ExecutionPolicy(
+                    max_retries=1, fault_plan=SimpleNamespace(injector=injector)
+                ),
             )
         assert excinfo.value.tile_id == 2
         assert excinfo.value.attempts == 2
@@ -144,9 +148,8 @@ class TestRetry:
         assert recorder.retries == [(2, recorder.retries[0][1], 0)]
 
     def test_negative_max_retries_rejected(self, plan_and_sim):
-        spec, plan, sim = plan_and_sim
         with pytest.raises(ValueError, match="max_retries"):
-            execute_plan(plan, NumericBackend(), sim, max_retries=-1)
+            ExecutionPolicy(max_retries=-1)
 
 
 class TestDeadline:
@@ -170,7 +173,7 @@ class TestDeadline:
             observers=[recorder],
             deadline_at=2.5,
             clock=clock,
-            failure_injector=tick,
+            policy=ExecutionPolicy(fault_plan=SimpleNamespace(injector=tick)),
         )
         assert report.deadline_hit
         assert report.partial

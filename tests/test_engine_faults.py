@@ -12,6 +12,7 @@ import pytest
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.engine import (
+    ExecutionPolicy,
     HealthPolicy,
     JobSpec,
     NumericBackend,
@@ -137,10 +138,9 @@ class TestFaultStorm:
             sim,
             accumulator=accumulator,
             placement=placement,
-            max_retries=3,
-            health=HealthPolicy(),
-            failure_injector=fault_plan.injector,
-            corruptor=fault_plan.corruptor,
+            policy=ExecutionPolicy(
+                health=HealthPolicy(), max_retries=3, fault_plan=fault_plan
+            ),
         )
         return report, accumulator
 

@@ -115,7 +115,7 @@ class TestWholeJobs:
         assert got == want
 
     def test_per_tile_flush_of_a_stream(self):
-        """``flush_per_tile=True`` (the service and streams) places one
+        """A job-local timeline (the service and streams) places one
         tile's ops at a time, with one stream pending."""
 
         def run():

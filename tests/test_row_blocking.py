@@ -16,6 +16,7 @@ scalar fallbacks.
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from repro.engine import (
 )
 from repro.engine import backends
 from repro.engine.backends import WorkspacePool, run_tile, super_step_rows
-from repro.engine.dispatch import TransientDeviceError
+from repro.engine.dispatch import ExecutionPolicy, TransientDeviceError
 from repro.engine.health import HealthPolicy
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
@@ -286,12 +287,11 @@ class TestParallelDispatch:
             if tile.tile_id == 5 and attempt == 0:
                 output.profile[...] = np.float16(np.nan)
 
-        kwargs = dict(
-            max_retries=2,
-            failure_injector=injector,
-            corruptor=corruptor,
+        kwargs = dict(policy=ExecutionPolicy(
             health=HealthPolicy(),
-        )
+            max_retries=2,
+            fault_plan=SimpleNamespace(injector=injector, corruptor=corruptor),
+        ))
         base = self._dispatch(spec, plan, NumericBackend(), **kwargs)
         assert base[3].tile_retries == 1
         assert base[3].escalations.keys() == {5}
@@ -325,7 +325,9 @@ class TestParallelDispatch:
         clean = self._dispatch(spec, plan, NumericBackend())
         got = self._dispatch(
             spec, plan, NumericBackend(), parallel_workers=workers,
-            max_retries=1, failure_injector=injector,
+            policy=ExecutionPolicy(
+                max_retries=1, fault_plan=SimpleNamespace(injector=injector)
+            ),
         )
         assert got[3].tile_retries == 1
         assert np.array_equal(got[0].view(np.uint8), clean[0].view(np.uint8))
@@ -343,7 +345,10 @@ class TestParallelDispatch:
 
         report = self._dispatch(
             spec, plan, NumericBackend(), parallel_workers=workers,
-            oom_split=True, keep_executions=True, failure_injector=injector,
+            keep_executions=True,
+            policy=ExecutionPolicy(
+                oom_split=True, fault_plan=SimpleNamespace(injector=injector)
+            ),
         )[3]
         children = report.splits[first.tile_id]
         assert len(children) == 4
@@ -365,7 +370,10 @@ class TestParallelDispatch:
             if tile.tile_id == 4 and attempt == 0:
                 raise TransientDeviceError("injected")
 
-        kwargs = dict(max_retries=1, oom_split=True, failure_injector=injector)
+        kwargs = dict(policy=ExecutionPolicy(
+            max_retries=1, oom_split=True,
+            fault_plan=SimpleNamespace(injector=injector),
+        ))
         base = self._dispatch(spec, plan, NumericBackend(), **kwargs)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

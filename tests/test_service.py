@@ -1,6 +1,7 @@
 """Tests for the repro.service job service subsystem."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ class TestFailureHandling:
             if attempt == 0 and tile.tile_id == 0:
                 raise TransientDeviceError(f"injected on gpu {gpu_id}")
 
-        service = make_service(failure_injector=injector)
+        service = make_service(fault_plan=SimpleNamespace(injector=injector))
         outcome = service.submit_and_wait(
             JobRequest(reference=series, m=8, n_tiles=4)
         )
@@ -321,7 +322,7 @@ class TestFailureHandling:
         def always_fail(label, tile, gpu_id, attempt):
             raise TransientDeviceError("persistent fault")
 
-        service = make_service(failure_injector=always_fail, max_retries=2)
+        service = make_service(fault_plan=SimpleNamespace(injector=always_fail), max_retries=2)
         outcome = service.submit_and_wait(JobRequest(reference=series, m=8))
         assert outcome.status is JobStatus.FAILED
         assert outcome.result is None
@@ -332,7 +333,7 @@ class TestFailureHandling:
         def always_fail(label, tile, gpu_id, attempt):
             raise TransientDeviceError("persistent fault")
 
-        service = make_service(failure_injector=always_fail)
+        service = make_service(fault_plan=SimpleNamespace(injector=always_fail))
         service.submit_and_wait(JobRequest(reference=series, m=8))
         assert service.admission.queue_depth == 0
 
@@ -373,7 +374,7 @@ class TestDeadlineExpiry:
         def tick(label, tile, gpu_id, attempt):
             clock.t += 1.0
 
-        service = make_service(clock=clock, cache=None, failure_injector=tick)
+        service = make_service(clock=clock, cache=None, fault_plan=SimpleNamespace(injector=tick))
         outcome = service.submit_and_wait(
             JobRequest(reference=series, m=8, deadline=2.5, n_tiles=4)
         )
@@ -394,7 +395,7 @@ class TestDeadlineExpiry:
         def tick(label, tile, gpu_id, attempt):
             clock.t += 1.0
 
-        service = make_service(clock=clock, failure_injector=tick)
+        service = make_service(clock=clock, fault_plan=SimpleNamespace(injector=tick))
         outcome = service.submit_and_wait(
             JobRequest(reference=series, m=8, deadline=2.5, n_tiles=4)
         )

@@ -29,6 +29,7 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -151,7 +152,7 @@ def _batch_scenarios(rng) -> dict:
         if tile.tile_id == 1 and attempt == 0:
             raise TransientDeviceError(f"{label} tile 1")
 
-    service = _make(failure_injector=flaky)
+    service = _make(fault_plan=SimpleNamespace(injector=flaky))
     outcomes = [
         service.submit_and_wait(JobRequest(reference=series, m=8)),
         service.submit_and_wait(JobRequest(reference=series, m=8)),
@@ -173,7 +174,7 @@ def _batch_scenarios(rng) -> dict:
     def tick(label, tile, gpu_id, attempt):
         clock.t += 1.0
 
-    service = _make(clock=clock, failure_injector=tick)
+    service = _make(clock=clock, fault_plan=SimpleNamespace(injector=tick))
     outcomes = [
         service.submit_and_wait(
             JobRequest(reference=series, m=8, deadline=2.5, n_tiles=4)
@@ -185,7 +186,7 @@ def _batch_scenarios(rng) -> dict:
     def always_fail(label, tile, gpu_id, attempt):
         raise TransientDeviceError("down")
 
-    service = _make(failure_injector=always_fail, max_retries=2)
+    service = _make(fault_plan=SimpleNamespace(injector=always_fail), max_retries=2)
     outcomes = [service.submit_and_wait(JobRequest(reference=series, m=8))]
     record["failed"] = _service_record(service, outcomes)
 

@@ -15,6 +15,7 @@ tiles run one at a time, so the dropped rows are checked too.
 from __future__ import annotations
 
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ import pytest
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.core.tiling import Tile
-from repro.engine import JobSpec, NumericBackend
+from repro.engine import ExecutionPolicy, JobSpec, NumericBackend
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.precalc import PrecalcResult, plane_cost
@@ -312,8 +313,10 @@ class TestStreams:
                     raise DeviceOutOfMemoryError(0, 0, "gpu (injected)")
 
             inc = IncrementalMatrixProfile(
-                M, RunConfig(mode=mode), reference=reference, oom_split=oom_split,
-                failure_injector=oom_once,
+                M, RunConfig(mode=mode), reference=reference,
+                policy=ExecutionPolicy(
+                    oom_split=oom_split, fault_plan=SimpleNamespace(injector=oom_once)
+                ),
             )
             for lo, hi in ((0, 40), (40, 72), (72, 73), (73, 160)):
                 inc.append(series[lo:hi])

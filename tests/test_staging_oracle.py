@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import RunConfig
-from repro.engine import JobSpec, NumericBackend, ProfileAccumulator, execute_plan
+from repro.engine import (
+    ExecutionPolicy,
+    JobSpec,
+    NumericBackend,
+    ProfileAccumulator,
+    execute_plan,
+)
 from repro.engine.backends import workspace_bytes
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
@@ -145,7 +151,8 @@ def test_oom_split_children_restage_like_the_oracle(kind):
             with upload_staging() if oracle else nullcontext():
                 try:
                     report = execute_plan(_plan(kind, n_tiles=1), NumericBackend(),
-                                          sim, accumulator=acc, oom_split=True)
+                                          sim, accumulator=acc,
+                                          policy=ExecutionPolicy(oom_split=True))
                 except DeviceOutOfMemoryError as exc:
                     return ("oom", exc.requested, exc.available)
             memory = sim.gpus[0].memory

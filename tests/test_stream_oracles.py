@@ -10,6 +10,7 @@ per-tile / from-scratch value bit for bit (``tests/stream_oracle.py``).
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.config import RunConfig
 from repro.core.tiling import assign_tiles
-from repro.engine import JobSpec, NumericBackend, ProfileAccumulator, execute_plan
+from repro.engine import (
+    ExecutionPolicy,
+    JobSpec,
+    NumericBackend,
+    ProfileAccumulator,
+    execute_plan,
+)
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.precalc import _delta_coefficients, _window_stats
@@ -386,7 +393,10 @@ class TestSeedOracle:
 
         series = _bounded(rng, 90, 2)
         inc = IncrementalMatrixProfile(
-            12, RunConfig(mode=mode), oom_split=True, failure_injector=oom_once
+            12, RunConfig(mode=mode),
+            policy=ExecutionPolicy(
+                oom_split=True, fault_plan=SimpleNamespace(injector=oom_once)
+            ),
         )
         inc.append(series[:50])
         inc.append(series[50:])

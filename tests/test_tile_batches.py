@@ -20,6 +20,7 @@ from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
 from repro.core.tiling import compute_tile_list
 from repro.engine import (
+    ExecutionPolicy,
     HealthPolicy,
     JobSpec,
     NumericBackend,
@@ -465,5 +466,6 @@ class TestJournal:
 
         with pytest.raises(RuntimeError, match="lost"):
             execute_plan(plan, NumericBackend(), sim, accumulator=acc,
-                         failure_injector=faults.injector, observers=[Commits()])
+                         observers=[Commits()],
+                         policy=ExecutionPolicy(fault_plan=faults))
         assert committed == list(range(9))
