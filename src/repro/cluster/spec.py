@@ -5,7 +5,7 @@ It validates every field by name (the layout-validation error contract:
 ``ValueError`` messages lead with the offending field), serialises to a
 plain dict so the :class:`~repro.engine.checkpoint.RunJournal` can stash
 it in its ``extra`` metadata, and knows how to build the inter-node
-fabric graph (:meth:`ClusterSpec.topology`).
+fabric (:meth:`ClusterSpec.topology`).
 
 Defaults describe a Raven-like partition: 4 A100s per node on a
 100 Gbit/s (12.5 GB/s effective) interconnect with 2 µs MPI latency.
@@ -74,7 +74,7 @@ class ClusterSpec:
         return get_device(self.device)
 
     def topology(self):
-        """The inter-node fabric graph (fresh copy; faults mutate it)."""
+        """The inter-node fabric (fresh copy; faults mutate it)."""
         return cluster_topology(
             self.n_nodes, self.interconnect_bandwidth, self.mpi_latency
         )

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..gpu.kernel import Kernel
 from ..precision.modes import PrecisionPolicy
-from ._f16fast import f16_keys19, f16_lut19, round_f16_nonneg_inplace
+from ._f16fast import f16_keys19, round_f16_nonneg_inplace
 from .workspace import WorkspacePool
 
 __all__ = ["SortScanKernel", "fanin_inclusive_scan"]
@@ -174,7 +174,6 @@ def _sort_columns_exact(plane: np.ndarray) -> np.ndarray:
     return _sort_f16_inplace(plane.copy(), WorkspacePool())
 
 
-@lru_cache(maxsize=64)
 def _divide_lut_f16(k: int) -> np.ndarray:
     """All 65536 half values divided by ``k`` and rounded, as one table.
 
@@ -186,27 +185,42 @@ def _divide_lut_f16(k: int) -> np.ndarray:
     """
     vals = np.arange(65536, dtype=np.uint16).view(np.float16)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = (vals / np.float16(k)).astype(np.float16)
-    out.setflags(write=False)
-    return out
+        return (vals / np.float16(k)).astype(np.float16)
 
 
-@lru_cache(maxsize=64)
-def _divide_lut19_f16(k: int) -> np.ndarray:
-    """:func:`_divide_lut_f16` re-keyed to the 19-bit float32 key space,
-    so scan results held as half-valued float32 are divided without ever
-    materialising a half array."""
-    return f16_lut19(_divide_lut_f16(k))
+#: The span of 19-bit keys (:func:`f16_keys19`) the divide tables cover.
+#: Scan sums of a sorted distance plane are non-negative, NaN-free and
+#: half-valued, so their keys are 0 (``+0``), ``103 << 10`` (2^-24, the
+#: smallest subnormal half) to ``(142 << 10) | 1023`` (65504), or
+#: ``255 << 10`` (``+inf``).  The two ends are never halves: key
+#: ``102 << 10`` is 2^-25, which rounds to ``+0``, and key ``143 << 10``
+#: is 2^16, which rounds to ``+inf`` — so a gather clipped to the span
+#: sends ``+0`` and ``+inf`` to entries holding exactly those quotients.
+_DIV_KEY_LO = 102 << 10
+_DIV_KEY_HI = 143 << 10
 
 
 @lru_cache(maxsize=16)
-def _divide_lut19_stack_f16(d: int) -> np.ndarray:
-    """The divisor tables for k = 1..d concatenated into one flat array,
-    so the whole (d, n) inclusive-average division is a single gather
-    with ``key + (k << 19)`` indices instead of d separate takes."""
-    stack = np.concatenate([_divide_lut19_f16(k + 1) for k in range(d)])
-    stack.setflags(write=False)
-    return stack
+def _divide_table_f16(d: int) -> np.ndarray:
+    """The divide-by-k tables for k = 1..d over the reachable keys
+    ``_DIV_KEY_LO`` to ``_DIV_KEY_HI``, interleaved row-minor: entry
+    ``(key - _DIV_KEY_LO) * d + k - 1`` holds the half quotient of the
+    key's value by ``k``.  One flat gather with ``key * d + row -
+    _DIV_KEY_LO * d`` indices (:func:`_divide_index_offsets`) divides a
+    whole ``(d, n)`` plane, and ``np.take(..., mode="clip")`` sends every
+    row's ``+0`` to the first entry (0 / 1) and every row's ``+inf`` to
+    the last (inf / d), with no per-row clamp.  About 84 KB per divisor.
+    """
+    keys = np.arange(_DIV_KEY_LO, _DIV_KEY_HI + 1, dtype=np.uint32)
+    with np.errstate(over="ignore"):
+        halves = (keys << np.uint32(13)).view(np.float32).astype(np.float16)
+    idx = halves.view(np.uint16)
+    table = np.empty((keys.size, d), dtype=np.float16)
+    for k in range(d):
+        table[:, k] = _divide_lut_f16(k + 1)[idx]
+    table = table.ravel()
+    table.setflags(write=False)
+    return table
 
 
 def _fanin_scan_inplace(plane: np.ndarray, tmp: np.ndarray, round_stage=None) -> None:
@@ -256,10 +270,10 @@ def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool 
 
 
 @lru_cache(maxsize=16)
-def _divide_key_offsets(d: int) -> np.ndarray:
-    """The ``(d, 1)`` column ``k << 19`` that moves row ``k``'s keys into
-    its table of :func:`_divide_lut19_stack_f16`."""
-    col = np.arange(d, dtype=np.intp)[:, None] << 19
+def _divide_index_offsets(d: int) -> np.ndarray:
+    """The ``(d, 1)`` column ``k - _DIV_KEY_LO * d`` that turns row
+    ``k``'s keys, times ``d``, into indices of :func:`_divide_table_f16`."""
+    col = np.arange(d, dtype=np.intp)[:, None] - _DIV_KEY_LO * d
     col.setflags(write=False)
     return col
 
@@ -373,8 +387,9 @@ class SortScanKernel(Kernel):
             )
             with pool.lease(plane.shape, np.intp) as keys:
                 f16_keys19(work, out=keys)
-                keys += _divide_key_offsets(d)
-                np.take(_divide_lut19_stack_f16(d), keys, out=plane, mode="clip")
+                keys *= d
+                keys += _divide_index_offsets(d)
+                np.take(_divide_table_f16(d), keys, out=plane, mode="clip")
 
     def _run_mma(
         self, plane: np.ndarray, rows: int, n_q: int, charge: bool,

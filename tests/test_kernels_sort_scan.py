@@ -11,9 +11,13 @@ from repro.core.api import matrix_profile
 from repro.core.config import RunConfig
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import sort_stage_count
+from repro.kernels._f16fast import f16_keys19
+from repro.kernels.dist_calc import _qt_to_dist_lut_f16
 from repro.kernels.sort_scan import (
     _BATCHER_MAX_D,
     SortScanKernel,
+    _divide_index_offsets,
+    _divide_table_f16,
     _sort_columns_exact,
     _sort_network_inplace,
     fanin_inclusive_scan,
@@ -174,6 +178,57 @@ class TestSortNetworkZeroOne:
         _sort_network_inplace(plane)
         assert (np.diff(plane.astype(np.int8), axis=0) >= 0).all()
         np.testing.assert_array_equal(plane.sum(axis=0), bits.sum(axis=0))
+
+
+#: Every non-negative half: +0, the subnormals, the normals up to 65504,
+#: and +inf.
+_NONNEG_F16 = np.arange(0, 0x7C01, dtype=np.uint16).view(np.float16)
+
+
+def _divided(x, k):
+    return (x / np.float16(k)).astype(np.float16)
+
+
+class TestDivideTable:
+    """The half-precision divide-by-k gather covers only the keys that
+    non-negative, NaN-free scan sums can take; on those it is exact."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 17])
+    def test_gather_exact_for_every_divisor(self, d):
+        keys = f16_keys19(_NONNEG_F16.astype(np.float32)).astype(np.intp)
+        idx = keys[None, :] * d + _divide_index_offsets(d)
+        got = np.take(_divide_table_f16(d), idx, mode="clip")
+        for k in range(1, d + 1):
+            want = _divided(_NONNEG_F16, k)
+            assert got[k - 1].tobytes() == want.tobytes(), k
+
+    @pytest.mark.parametrize("k", range(1, 18))
+    def test_kernel_divides_every_nonneg_half(self, k):
+        # One non-zero per column: after the sort (np.sort above 16 rows)
+        # the last scan row is that value, divided by k.
+        plane = np.zeros((k, _NONNEG_F16.size), dtype=np.float16)
+        plane[0] = _NONNEG_F16
+        out = SortScanKernel(config=CFG, policy=policy_for("FP16")).run(plane)
+        assert out[-1].tobytes() == _divided(_NONNEG_F16, k).tobytes()
+        assert not out[:-1].view(np.uint16).any()  # +0, not -0.0
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_table_size_per_divisor(self, d):
+        assert _divide_table_f16(d).nbytes <= 96 * 1024 * d
+
+
+class TestDistanceTablePrecondition:
+    """The divide tables cover every key a scan sum can take only while
+    the sorted distances are never NaN or ``-0.0``: the half correlation
+    -> distance table guarantees that, and saturates infinities, for
+    every input half, NaN and inf included."""
+
+    @pytest.mark.parametrize("m", [2, 16, 32, 100, 1024, 40000])
+    def test_qt_to_dist_table_is_finite_and_sign_clean(self, m):
+        table = _qt_to_dist_lut_f16(m)
+        assert table.size == 65536
+        assert np.isfinite(table).all()
+        assert not np.signbit(table).any()
 
 
 def _hard_inputs():

@@ -4,6 +4,8 @@ README promises."""
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
@@ -94,3 +96,24 @@ class TestDocstringsOnPublicCallables:
                 if not doc or len(doc.strip()) < 10:
                     undocumented.append(f"{name}.{export}")
         assert not undocumented, f"undocumented exports: {undocumented}"
+
+
+class TestImportFootprint:
+    """``import repro`` loads numpy and nothing else outside the standard
+    library: every other package stays off the import path, so a clean
+    install needs only the declared dependency."""
+
+    SCRIPT = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro\n"
+        "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+
+    def test_only_numpy_and_repro(self):
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert set(out.split()) == {"numpy", "repro"}
