@@ -11,36 +11,16 @@ reduced precision yields sub-linear speedup.
 import pytest
 
 from repro.gpu import A100
-from repro.gpu.calibration import (
-    DRAM_EFFICIENCY,
-    L1_EFFICIENCY,
-    SM_EFFICIENCY,
-    device_scale,
-)
-from repro.gpu.perfmodel import kernel_time, single_tile_costs
+from repro.gpu.calibration import DRAM_EFFICIENCY, L1_EFFICIENCY
 from repro.gpu.kernel import LaunchConfig
+from repro.gpu.perfmodel import kernel_time, single_tile_costs
+from repro.gpu.profiler import binding
 from repro.precision import policy_for
 from repro.reporting import format_table
 
 from _harness import MODES, emit
 
 KERNELS = ("dist_calc", "sort_&_incl_scan", "update_mat_prof")
-
-
-def _binding_resource(cost, device, itemsize):
-    scale = device_scale(device.name)
-    terms = {
-        "DRAM": cost.bytes_dram
-        / (DRAM_EFFICIENCY[cost.name][itemsize] * device.mem_bandwidth * scale),
-        "L2": cost.bytes_l2 / (0.7 * device.l2_bandwidth * scale),
-        "L1/TEX": cost.bytes_l1
-        / (L1_EFFICIENCY[itemsize] * device.l1_bandwidth * scale)
-        if cost.bytes_l1
-        else 0.0,
-        "SM": cost.flops / (SM_EFFICIENCY * device.peak_flops(itemsize)),
-    }
-    bound = max(terms, key=terms.get)
-    return bound, terms
 
 
 @pytest.mark.benchmark(group="util")
@@ -55,7 +35,7 @@ def test_util_resources(benchmark):
             compensated=policy.compensated,
         )
         for name in KERNELS:
-            bound, terms = _binding_resource(costs[name], A100, policy.itemsize)
+            bound = binding(costs[name], A100, policy.itemsize)
             t = kernel_time(costs[name], A100, policy.itemsize)
             dram_frac = DRAM_EFFICIENCY[name][policy.itemsize]
             l1_frac = L1_EFFICIENCY[policy.itemsize]
@@ -89,7 +69,7 @@ def test_util_resources(benchmark):
     policy = policy_for("FP64")
     costs = single_tile_costs(2**16, 2**16, 2**6, 2**6, 8, cfg)
     for name in KERNELS:
-        bound, _ = _binding_resource(costs[name], A100, 8)
+        bound = binding(costs[name], A100, 8)
         assert bound != "SM", f"{name} must be memory-bound"
-    assert _binding_resource(costs["dist_calc"], A100, 8)[0] == "DRAM"
-    assert _binding_resource(costs["sort_&_incl_scan"], A100, 8)[0] == "L1/TEX"
+    assert binding(costs["dist_calc"], A100, 8) == "DRAM"
+    assert binding(costs["sort_&_incl_scan"], A100, 8) == "L1/TEX"

@@ -89,7 +89,7 @@ def left_right_profile(
         for i0 in range(0, n_seg, block):
             b = min(block, n_seg - i0)
             plane = dist.run_block(i0, b, qt_ws).reshape(d, b * n_seg)
-            averaged = sort_scan.run(plane, rows=b, out=plane).reshape(d, b, n_seg)
+            averaged = sort_scan.run(plane, out=plane).reshape(d, b, n_seg)
             rows = np.arange(i0, i0 + b)[:, None]
             # Row i is a *left* neighbour for columns after it...
             left.run_block(averaged, i0, mask=cols <= rows + zone)

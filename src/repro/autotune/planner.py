@@ -208,7 +208,7 @@ class TuneDecision:
             )
             table.append([
                 name,
-                binding(name, cost, device, itemsize),
+                binding(cost, device, itemsize),
                 format_seconds(timing.kernels[name].busy),
                 f"{cost.flops / max(cost.bytes_dram, 1.0):.2f}",
                 f"{device.peak_flops(itemsize) / device.mem_bandwidth:.1f}",

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ..gpu.device import DeviceSpec, get_device
-from ..kernels.update import INDEX_DTYPE
+from ..gpu.perfmodel import workspace_bytes
 from ..precision.errors import streaming_qt_error_bound, tile_edge_for_target_error
 from ..precision.modes import PrecisionMode, policy_for
 from .tiling import tile_grid_shape
@@ -54,17 +54,14 @@ def tile_memory_bytes(
 ) -> int:
     """Device-memory footprint of one resident tile.
 
-    Counts what Pseudocode 1 keeps on the device: the two input slices,
-    the eight precalculated vectors, the QT and D planes, and the running
-    P/I planes.
+    Counts what Pseudocode 1 keeps on the device: the two input slices
+    plus the vector main loop's :func:`~repro.gpu.perfmodel.
+    workspace_bytes` (the eight precalculated vectors, the QT and D
+    planes, and the running P/I planes).
     """
-    policy = policy_for(mode)
-    s = policy.itemsize
+    s = policy_for(mode).itemsize
     inputs = (tile_rows + m - 1 + tile_cols + m - 1) * d * s
-    precalc = (4 * tile_rows + 4 * tile_cols) * d * s
-    planes = 2 * tile_cols * d * s  # QT + D row planes
-    outputs = tile_cols * d * (s + INDEX_DTYPE.itemsize)
-    return int(inputs + precalc + planes + outputs)
+    return inputs + workspace_bytes(tile_rows, tile_cols, d, s)
 
 
 def tile_edges(n_r_seg: int, n_q_seg: int, n_tiles: int) -> tuple[int, int]:

@@ -129,7 +129,7 @@ def diagonal_matrix_profile(
             dist = np.sqrt((two_m * gap).astype(dtype)).astype(dtype)
             dist = np.where(np.isfinite(dist), dist, limit).astype(dtype)
 
-            averaged = sort_scan.run(dist, charge=False)
+            averaged = sort_scan.run(dist)
 
             if zone is not None:
                 excluded = np.abs(cols - rows) <= zone

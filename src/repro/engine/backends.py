@@ -28,7 +28,7 @@ and one update reducing each tile on its own, every tile with its own
 precalc restart, seeds, offsets and exclusion mask.  Outputs are
 bit-identical to one-tile calls, and costs stay per logical tile (the
 dist_calc, sort/scan and update costs of same-shape tiles are equal, so
-they are computed once and copied), so the modelled clock does not
+they are charged once and shared), so the modelled clock does not
 move; the roofline converts each distinct cost to a timing once per
 stack.  A stack is sized by its scratch, not its row width:
 :meth:`NumericBackend.stack_limit` stacks tiles up to a ``T * d *
@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 import threading
 from contextlib import ExitStack, nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Protocol, runtime_checkable
 
@@ -76,7 +76,18 @@ import numpy as np
 
 from ..gpu.kernel import KernelCost, LaunchConfig
 from ..gpu.memory import DeviceOutOfMemoryError
-from ..gpu.perfmodel import TileTiming, kernel_time, single_tile_timing
+from ..gpu.perfmodel import (
+    KERNEL_ORDER,
+    TileTiming,
+    dist_calc_cost,
+    single_tile_timing,
+    sort_scan_cost,
+    tc_dist_calc_cost,
+    tile_timing,
+    transfer_bytes,
+    update_cost,
+    workspace_bytes,
+)
 from ..gpu.simulator import SimulatedGPU
 from ..kernels.dist_calc import DistCalcKernel
 from ..kernels.precalc import PreparedPrecalc
@@ -103,9 +114,6 @@ __all__ = [
     "SUPER_STEP_ELEMENTS",
     "super_step_rows",
 ]
-
-KERNEL_ORDER = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_prof")
-
 
 #: Elements of one main-loop super-step, ``planes * block * width``:
 #: :func:`super_step_rows` sizes every vector-path block from it, and
@@ -149,40 +157,6 @@ def super_step_rows(steps: int, width: int, planes: int, tiles: int = 1) -> int:
     return max(1, min(steps, budget // (planes * tiles * width)))
 
 
-#: Workspace row planes the main loop keeps live, priced in half-plane
-#: units (each plane is double-buffered in row halves by the streaming
-#: recurrence).  The vector path streams 4 — the QT and D planes, each
-#: double-buffered — while the tensor-core panel kernel holds ~3: its
-#: FP32 pad/accumulate/scan fragments cover 16-row MMA chunks rather
-#: than full row planes, so the capacity model must not charge it the
-#: vector path's footprint (it over-splits on OOM otherwise).
-WORKSPACE_HALF_PLANES = {"vector": 4, "tensor_core": 3}
-
-
-def workspace_bytes(
-    n_r_seg: int,
-    n_q_seg: int,
-    d: int,
-    policy: PrecisionPolicy,
-    main_loop: str = "vector",
-    mirror: bool = False,
-) -> int:
-    """Device footprint of a tile's intermediates beyond the raw inputs:
-    the eight precalculated vectors, the main loop's workspace planes
-    (backend-dependent — see :data:`WORKSPACE_HALF_PLANES`), and the
-    running P/I output planes (cf. ``core.planner.tile_memory_bytes``).
-    ``mirror`` adds the second, row-indexed P/I pair a symmetric
-    self-join tile writes."""
-    s = policy.itemsize
-    precalc = (4 * n_r_seg + 4 * n_q_seg) * d * s
-    half_planes = WORKSPACE_HALF_PLANES.get(main_loop, 4)
-    planes = half_planes * n_q_seg * d * s // 2
-    outputs = n_q_seg * d * (s + INDEX_DTYPE.itemsize)
-    if mirror:
-        outputs += n_r_seg * d * (s + INDEX_DTYPE.itemsize)
-    return int(precalc + planes + outputs)
-
-
 @lru_cache(maxsize=64)
 def _cached_arange(n: int) -> np.ndarray:
     """Read-only ``np.arange(n)``, cached per length — the exclusion-zone
@@ -191,16 +165,6 @@ def _cached_arange(n: int) -> np.ndarray:
     idx = np.arange(n)
     idx.setflags(write=False)
     return idx
-
-
-#: Maps kernel class cost names to the paper's kernel labels.
-_KERNEL_LABELS = {
-    "PrecalcKernel": "precalculation",
-    "DistCalcKernel": "dist_calc",
-    "TcGemmKernel": "dist_calc",
-    "SortScanKernel": "sort_&_incl_scan",
-    "UpdateKernel": "update_mat_prof",
-}
 
 
 @dataclass
@@ -265,7 +229,7 @@ def run_tile(
     main_loop: str = "vector",
     mirror: bool = False,
 ) -> "TileOutput | list[TileOutput]":
-    """Execute the kernels of one tile; pure numerics + cost accounting.
+    """Execute the kernels of one tile: the numerics, then one charge.
 
     ``tr_dev``/``tq_dev`` are (d, len) device-layout arrays in the storage
     dtype.  ``row_offset``/``col_offset`` locate the tile inside the global
@@ -283,16 +247,18 @@ def run_tile(
     ``(d, B, n_q)`` distance buffer; the column-independent sort/scan
     runs in place on that buffer as one ``(d, B*n_q)`` plane, and the
     update masks it in place and reduces the block before one merge
-    into the running profile.  Output, kernel costs and therefore
-    modelled timings are bit-for-bit identical for every block size;
-    the per-row kernel methods are the test oracle only.  A tall tile —
+    into the running profile.  The output is bit-for-bit identical for
+    every block size, and the kernels are pure numerics: after the loop
+    the tile is charged once, for the logical row-major tile, through
+    the cost functions of :mod:`repro.gpu.perfmodel`, so no cost can
+    depend on the block size or orientation.  The per-row kernel
+    methods are the test oracle only.  A tall tile —
     ``n_q_seg < n_r_seg`` — runs the same loop transposed: super-steps
     of ``B`` query columns against every reference row, each panel
     reduced row-wise, with the precalc roles
     swapped (:meth:`~repro.kernels.precalc.PrecalcResult.transposed`)
-    and the rounded operations kept in row-major order, so output and
-    costs are again bit-identical; costs are charged once for the
-    logical row-major tile.
+    and the rounded operations kept in row-major order, so the output is
+    again bit-identical.
 
     ``workspace`` is the worker's :class:`WorkspacePool`, reused across
     calls (a private one when omitted).  Every block-sized buffer of
@@ -319,7 +285,7 @@ def run_tile(
     own precalc restart, seeds, offsets and exclusion mask, so each
     output is bit-identical to running that tile alone.  The dist_calc,
     sort/scan and update costs of same-shape tiles are equal, so they
-    are computed once and copied to every output; each tile keeps its
+    are charged once and shared by every output; each tile keeps its
     own precalc cost.  A 2-D call is a stack of one, on either main
     loop.
 
@@ -389,11 +355,11 @@ def run_tile(
     col_offsets = np.asarray(col_offset, dtype=INDEX_DTYPE)
     transposed = _runs_transposed(n_r_seg, n_q_seg, tensor_core, mirror)
     if transposed:
-        dist.bind(pre.transposed(), transposed=True, tiles=n_tiles)
+        dist.bind(pre.transposed(), transposed=True)
         steps, width = n_q_seg, n_r_seg
         step_offsets, width_offsets = col_offsets, row_offsets
     else:
-        dist.bind(pre, tiles=n_tiles)
+        dist.bind(pre)
         steps, width = n_r_seg, n_q_seg
         step_offsets, width_offsets = row_offsets, col_offsets
     update.allocate(d, n_q_seg, mirror_rows=n_r_seg if mirror else None,
@@ -430,9 +396,7 @@ def run_tile(
                 out = plane
                 if tensor_core:
                     out = averages[: plane.size].reshape(plane.shape)
-                avg_blk = sort_scan.run(
-                    plane, rows=b, charge=not transposed, tiles=n_tiles, out=out,
-                )
+                avg_blk = sort_scan.run(plane, out=out)
             mask = None
             if exclusion_zone is not None:
                 along = _cached_arange(steps)[s0 : s0 + b] + step_offsets[:, None]
@@ -441,30 +405,25 @@ def run_tile(
                              row_offset=row_offsets, mask=mask,
                              col_offset=col_offsets, transposed=transposed,
                              in_place=True)
-    if transposed:
-        # Costs stay in the logical row-major orientation, so the
-        # modelled clock — and the service, which schedules on it —
-        # sees the same tile whichever way it ran.
-        for kernel in (dist, update) if skip_sort else (dist, sort_scan, update):
-            kernel.charge_rows(n_r_seg, d, n_q_seg)
-
-    itemsize = policy.itemsize
-    h2d_bytes = float((tr_dev.shape[2] + tq_dev.shape[2]) * d * itemsize)
-    d2h_bytes = float(n_q_seg * d * (itemsize + INDEX_DTYPE.itemsize))
-    if mirror:
-        # The mirrored P/I pair rides the same download.
-        d2h_bytes += float(n_r_seg * d * (itemsize + INDEX_DTYPE.itemsize))
+    # One charge for the logical row-major tile, whatever the orientation,
+    # block size and stack, so the modelled clock — and the service,
+    # which schedules on it — sees the same tile whichever way it ran.
+    # Same-shape tiles cost the same: every output shares these objects.
+    size = policy.itemsize
+    dist_cost = (
+        tc_dist_calc_cost(n_r_seg, n_q_seg, d, size, launch, block) if tensor_core
+        else dist_calc_cost(n_r_seg, n_q_seg, d, size, launch)
+    )
     shared = {
-        _KERNEL_LABELS[c.name]: replace(c, name=_KERNEL_LABELS[c.name])
-        for c in (dist.cost, sort_scan.cost, update.cost)
+        "dist_calc": dist_cost,
+        "sort_&_incl_scan": sort_scan_cost(n_r_seg, n_q_seg, d, size, launch),
+        "update_mat_prof": update_cost(n_r_seg, n_q_seg, d, size, launch, mirror),
     }
-    # Same-shape tiles share their precalc cost objects too, bar the
-    # plane-charge carrier: rename each distinct object once.
-    renamed: dict = {}
+    h2d_bytes, d2h_bytes = transfer_bytes(
+        n_r_seg, n_q_seg, d, m, size, mirror, INDEX_DTYPE.itemsize
+    )
     outputs = []
     for t, precalc_cost in enumerate(precalc_costs):
-        if id(precalc_cost) not in renamed:
-            renamed[id(precalc_cost)] = replace(precalc_cost, name="precalculation")
         mirror_profile = mirror_indices = None
         if mirror:
             mirror_profile = np.ascontiguousarray(update.mirror_profile[:, t])
@@ -472,7 +431,7 @@ def run_tile(
         outputs.append(TileOutput(
             profile=np.ascontiguousarray(update.profile[:, t]),
             indices=np.ascontiguousarray(update.indices[:, t]),
-            costs={"precalculation": renamed[id(precalc_cost)], **shared},
+            costs={"precalculation": precalc_cost, **shared},
             h2d_bytes=h2d_bytes,
             d2h_bytes=d2h_bytes,
             mirror_profile=mirror_profile,
@@ -484,29 +443,13 @@ def run_tile(
 def tile_timing_from_output(
     output: TileOutput, policy: PrecisionPolicy, device, memo: dict | None = None
 ) -> TileTiming:
-    """Convert an executed tile's recorded costs to modelled timings.
-
-    ``memo`` maps ``(id(cost), id(device))`` to the cost's timing across
-    the same-shape tiles of one stack, which share their dist_calc,
-    sort/scan and update cost objects (and so their working set): each
-    distinct cost goes through the roofline once.  The caller keeps the
-    costs alive while the memo is in use."""
+    """Convert an executed tile's recorded costs to modelled timings
+    (:func:`~repro.gpu.perfmodel.tile_timing`, ``memo`` included)."""
     d, n_q_seg = output.profile.shape
-    working_set = 6.0 * n_q_seg * d * policy.itemsize
-    timing = TileTiming(h2d_bytes=output.h2d_bytes, d2h_bytes=output.d2h_bytes)
-    for name in KERNEL_ORDER:
-        cost = output.costs[name]
-        key = (id(cost), id(device))
-        kt = None if memo is None else memo.get(key)
-        if kt is None:
-            itemsize = (
-                policy.precalc.itemsize if name == "precalculation" else policy.itemsize
-            )
-            kt = kernel_time(cost, device, itemsize, working_set=working_set)
-            if memo is not None:
-                memo[key] = kt
-        timing.kernels[name] = kt
-    return timing
+    return tile_timing(
+        output.costs, device, d, n_q_seg, policy.itemsize,
+        policy.precalc.itemsize, output.h2d_bytes, output.d2h_bytes, memo,
+    )
 
 
 @dataclass
@@ -655,7 +598,7 @@ class NumericBackend:
             tile.n_rows,
             tile.n_cols,
             spec.d,
-            spec.policy,
+            spec.policy.itemsize,
             main_loop=main_loop,
             mirror=getattr(tile, "mirror", False),
         ))

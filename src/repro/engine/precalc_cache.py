@@ -45,8 +45,8 @@ planes from the escalated layouts.  All state is guarded by one
 re-entrant lock, so parallel tile workers share a single build.
 
 Cost accounting: each tile is charged its seed-dot work
-(:func:`~repro.kernels.precalc.seed_cost`); the plane work
-(:func:`~repro.kernels.precalc.plane_cost` over the new windows, both
+(:func:`~repro.gpu.perfmodel.seed_cost`); the plane work
+(:func:`~repro.gpu.perfmodel.plane_cost` over the new windows, both
 roles even on self-joins, matching the historical per-tile formula) is
 charged by one of two rules:
 
@@ -81,13 +81,13 @@ import weakref
 
 import numpy as np
 
+from ..gpu.perfmodel import plane_cost
 from ..kernels.precalc import (
     PrecalcResult,
     PreparedPrecalc,
     _delta_coefficients,
     _window_stats,
     fft_seed_qt_rows,
-    plane_cost,
     seed_qt_rows,
 )
 from ..precision.modes import PrecisionMode
@@ -244,7 +244,9 @@ class PlaneCache:
         new_r = self._extend_role(planes.r, plan.tr_layout, spec)
         new_q = new_r if planes.q is planes.r else self._extend_role(planes.q, plan.tq_layout, spec)
         if new_r or new_q:
-            charge = plane_cost(new_r, new_q, spec.d, spec.policy)
+            policy = spec.policy
+            charge = plane_cost(new_r, new_q, spec.d, policy.precalc.itemsize,
+                                policy.compensated)
             planes.charge = charge if planes.charge is None else planes.charge + charge
             planes.pending = charge if planes.pending is None else planes.pending + charge
         return mode, planes

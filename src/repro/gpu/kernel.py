@@ -1,18 +1,16 @@
 """Kernel abstractions: launch configuration, grid-stride loops, cost counters.
 
 Every GPU kernel in this reproduction is a subclass of :class:`Kernel` that
-(1) performs the *real* numerical work with vectorised numpy in the
-requested precision and (2) reports a :class:`KernelCost` describing the
-memory traffic, arithmetic and synchronisation it would incur on hardware.
-The cost feeds the roofline performance model (``perfmodel.py``); the
-numerics feed the accuracy evaluation.  Keeping both in one object
-guarantees the modelled time always refers to the computation actually
-performed.
+performs the *real* numerical work with vectorised numpy in the requested
+precision.  A :class:`KernelCost` describes the memory traffic, arithmetic
+and synchronisation a kernel would incur on hardware; the charge formulas
+live in the roofline performance model (``perfmodel.py``), and the tile
+primitive charges the shape of the computation it actually performed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -126,9 +124,11 @@ class KernelCost:
 class Kernel:
     """Base class for the four GPU kernels.
 
-    Subclasses implement ``run(...)`` returning their numerical outputs and
-    record their hardware cost in ``self.cost``.  ``config`` is the launch
-    configuration used for the grid-stride loops.
+    Subclasses implement ``run(...)`` returning their numerical outputs;
+    the per-row methods record their hardware cost in ``self.cost`` (the
+    main-loop methods are pure numerics: ``run_tile`` charges the tile).
+    ``config`` is the launch configuration used for the grid-stride
+    loops.
     """
 
     config: LaunchConfig
@@ -141,6 +141,11 @@ class Kernel:
         """Accumulate cost fields (e.g. ``bytes_dram=...``, ``syncs=...``)."""
         for key, value in deltas.items():
             setattr(self.cost, key, getattr(self.cost, key) + value)
+
+    def _charge(self, cost: KernelCost) -> None:
+        """Add ``cost``'s counts to :attr:`cost` (the per-row methods
+        charge one row each through ``repro.gpu.perfmodel``)."""
+        self.cost = self.cost + replace(cost, name=self.cost.name)
 
     @staticmethod
     def nbytes(*arrays: np.ndarray) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from ..core.result import MatrixProfileResult
 from ..precision.modes import policy_for
 from ..reporting import format_seconds, format_table
-from . import calibration as cal
 from .device import DeviceSpec, get_device
+from .perfmodel import roofline_terms
 
 __all__ = ["KernelProfile", "binding", "profile_result", "render_report"]
 
@@ -39,21 +39,18 @@ class KernelProfile:
     syncs: int
 
 
-def binding(name: str, cost, device: DeviceSpec, itemsize: int) -> str:
+def binding(cost, device: DeviceSpec, itemsize: int) -> str:
     """The resource binding ``cost`` on ``device``: the largest of its
-    DRAM, L2, L1/TEX and SM roofline terms."""
-    scale = cal.device_scale(device.name)
-    terms = {
-        "DRAM": cost.bytes_dram
-        / (cal.dram_efficiency(name, itemsize) * device.mem_bandwidth * scale),
-        "L2": cost.bytes_l2 / (cal.L2_EFFICIENCY * device.l2_bandwidth * scale),
-        "L1/TEX": (
-            cost.bytes_l1 / (cal.l1_efficiency(itemsize) * device.l1_bandwidth * scale)
-            if cost.bytes_l1
-            else 0.0
-        ),
-        "SM": cost.flops / (cal.SM_EFFICIENCY * device.peak_flops(itemsize)),
-    }
+    DRAM, L2, L1/TEX and SM roofline terms
+    (:func:`~repro.gpu.perfmodel.roofline_terms`).
+
+    No working set is passed, so this names the *paper-scale* resource:
+    the one binding when the tile's planes do not fit in L2.  The
+    modelled clock prices executed tiles with their working set, whose
+    L2-residency bonus lowers the DRAM term, so at executed scale the
+    term that set a kernel's time can differ — a 1024 x 8, m = 32 FP64
+    run reports DRAM for dist_calc while its L2 term is the largest."""
+    terms = roofline_terms(cost, device, itemsize)
     return max(terms, key=terms.get)
 
 
@@ -88,7 +85,7 @@ def profile_result(
                 arithmetic_intensity=(
                     cost.flops / cost.bytes_dram if cost.bytes_dram else 0.0
                 ),
-                bound_by=binding(name, cost, device, itemsize),
+                bound_by=binding(cost, device, itemsize),
                 launches=cost.launches,
                 syncs=cost.syncs,
             )

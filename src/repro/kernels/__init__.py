@@ -1,5 +1,6 @@
 """The four GPU kernels of Pseudocode 1, executing real numpy arithmetic in
-the requested precision while recording hardware-cost counters."""
+the requested precision (their hardware costs are charged through
+``repro.gpu.perfmodel``)."""
 
 from .dist_calc import DistCalcKernel
 from .layout import to_device_layout, to_host_layout, validate_series

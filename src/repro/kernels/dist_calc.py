@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..gpu.kernel import Kernel
+from ..gpu.perfmodel import dist_calc_cost
 from ..precision.arithmetic import rp_fma
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 from ._f16fast import f16_keys19, f16_lut19, round_f16_inplace
@@ -88,9 +89,7 @@ class DistCalcKernel(Kernel):
     pool: WorkspacePool = field(default_factory=WorkspacePool, kw_only=True,
                                 repr=False)
 
-    def bind(
-        self, pre: PrecalcResult, transposed: bool = False, tiles: int = 1
-    ) -> None:
+    def bind(self, pre: PrecalcResult, transposed: bool = False) -> None:
         """Attach a tile's precalculation outputs and reset the recurrence.
 
         ``transposed=True`` marks ``pre`` as :meth:`PrecalcResult.
@@ -98,20 +97,15 @@ class DistCalcKernel(Kernel):
         rounded operation whose order depends on the roles — the two
         FMAs of Eq. (1) and the two normaliser multiplies — is applied
         in the row-major order, so each QT and distance element is the
-        bit pattern the row-major walk produces.  A transposed binding
-        charges nothing per block: its blocks are not logical rows, so
-        the caller charges the tile once with :meth:`charge_rows`.
+        bit pattern the row-major walk produces.
 
-        ``tiles`` is the tile axis: ``pre`` may be a :meth:`PrecalcResult.
-        stacked` result of ``tiles`` same-shape tiles, whose ``d * tiles``
-        dimension rows then run their recurrences side by side.  Costs
-        stay those of *one* tile (the tiles of a stack cost the same), so
-        the caller copies them to every tile's output.
+        ``pre`` may be the stacked result of ``T`` same-shape tiles (see
+        :class:`PrecalcResult`), whose ``d * T`` dimension rows then run
+        their recurrences side by side.
         """
         dtype = self.policy.compute
         self.pre = pre
         self.transposed = transposed
-        self.tiles = tiles
         self.qt = None  # current row's QT plane, (d, n_q_seg)
         self._two_m = dtype.type(2 * pre.m)
         self._one = dtype.type(1)
@@ -364,7 +358,9 @@ class DistCalcKernel(Kernel):
             self._advance_qt(i, qt_new, self.qt)
             self.qt = qt_new
         dist = self._distances(self.qt, self._inv_r[:, i : i + 1])
-        self.charge_rows(1, *dist.shape)
+        d, n_q = dist.shape
+        self._charge(dist_calc_cost(1, n_q, d, self.policy.itemsize,
+                                    self.config))
         return dist
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray) -> np.ndarray:
@@ -376,11 +372,9 @@ class DistCalcKernel(Kernel):
         planes (no per-row temporaries), and the QT -> distance
         conversion then runs once over the whole block.  Every operation
         is element-wise, so the result is bit-for-bit identical to
-        ``rows`` consecutive :meth:`run` calls, and the cost is recorded
-        per logical row of one tile so the modelled timings stay
-        identical too (a transposed binding leaves the charge to the
-        caller, see :meth:`bind`).  Returns the ``(d, rows, n_q)``
-        distance block — ``d`` counts the ``d * tiles`` rows of a
+        ``rows`` consecutive :meth:`run` calls.  Nothing is charged: the
+        caller charges the tile.  Returns the ``(d, rows, n_q)``
+        distance block — ``d`` counts the ``d * T`` rows of a
         stacked binding — in the leased buffer of an open :meth:`lease`
         (which the caller may then overwrite in place), else in a fresh
         array.  The product buffers of the recurrence and the half
@@ -404,22 +398,4 @@ class DistCalcKernel(Kernel):
             self._distances_block_f16(workspace[:rows], i0, rows, dist)
         else:
             self._distances_block(workspace[:rows], i0, rows, dist)
-        if not self.transposed:
-            self.charge_rows(rows, planes // self.tiles, width)
         return dist
-
-    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
-        """Charge ``rows`` logical row invocations over a ``(d, n_q)``
-        plane, per the conventions in ``repro.gpu.perfmodel``."""
-        plane_size = d * n_q
-        elems = float(plane_size)
-        size = self.policy.storage.itemsize
-        step = self.config.total_threads
-        rounds = -(-plane_size // step)  # ceil; one grid-stride round per span
-        self._account(
-            bytes_dram=rows * 3.0 * elems * size,
-            bytes_l2=rows * 6.0 * elems * size,
-            flops=rows * 8.0 * elems,
-            launches=rows,
-            loop_rounds=rows * rounds,
-        )

@@ -18,8 +18,8 @@ additionally applies Kahan compensation (Section III-C).
 The routines here compute whole planes and batches of seeds; the one
 plane cache that assembles a stack of tiles' precalculation from them —
 for batch plans and streams alike — is
-:class:`~repro.engine.precalc_cache.PlaneCache`.  :func:`seed_cost` and
-:func:`plane_cost` are the modelled charge of that work.
+:class:`~repro.engine.precalc_cache.PlaneCache`; the modelled charge of
+that work is ``repro.gpu.perfmodel.seed_cost`` and ``plane_cost``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..gpu.kernel import KernelCost, LaunchConfig
+from ..gpu.perfmodel import plane_cost, seed_cost
 from ..precision.modes import PrecisionPolicy
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "PreparedPrecalc",
     "seed_qt_rows",
     "fft_seed_qt_rows",
-    "seed_cost",
-    "plane_cost",
 ]
 
 
@@ -358,62 +356,6 @@ def fft_seed_qt_rows(
     return out.astype(dtype)
 
 
-def seed_cost(
-    n_r_seg: int,
-    n_q_seg: int,
-    d: int,
-    m: int,
-    len_r: int,
-    len_q: int,
-    policy: PrecisionPolicy,
-    launch: LaunchConfig,
-) -> KernelCost:
-    """Cost of one tile's seed-dot work: the per-tile part of precalc.
-
-    Covers reading both device series, the two length-m centred dot
-    products (2m flops per output element, L2-resident operands) and
-    writing the seed rows.  One launch; grid-stride rounds over the
-    tile's precalc elements.
-    """
-    psize = policy.precalc.itemsize
-    pre = float((n_r_seg + n_q_seg) * d)
-    flops = 2.0 * m * pre
-    if policy.compensated:
-        flops *= 4.0
-    rounds = -(-int(pre) // launch.total_threads)  # grid-stride rounds
-    return KernelCost(
-        name="PrecalcKernel",
-        bytes_dram=float((len_r + len_q) * d) * psize + pre * psize,
-        bytes_l2=2.0 * m * pre * psize,
-        flops=flops,
-        launches=1,
-        loop_rounds=rounds,
-    )
-
-
-def plane_cost(n_r_seg: int, n_q_seg: int, d: int, policy: PrecisionPolicy) -> KernelCost:
-    """Cost of the window-statistics planes (mu/inv/df/dg) for a segment
-    range: the amortisable part of precalc (8 flops + 8 bytes written per
-    precalc element, folded into the seed launch so no extra launch or
-    loop rounds).
-
-    ``seed_cost + plane_cost`` over a tile's own segments reproduces the
-    historical per-tile precalculation cost exactly, field by field.
-    """
-    psize = policy.precalc.itemsize
-    pre = float((n_r_seg + n_q_seg) * d)
-    flops = 8.0 * pre
-    if policy.compensated:
-        flops *= 4.0
-    return KernelCost(
-        name="PrecalcKernel",
-        bytes_dram=8.0 * pre * psize,
-        flops=flops,
-        launches=0,
-        loop_rounds=0,
-    )
-
-
 @dataclass
 class PreparedPrecalc:
     """A stack of same-shape tiles' precalculation, assembled by a
@@ -440,12 +382,10 @@ class PreparedPrecalc:
         charged its seed work plus ``charges[t]``, the plane charge it
         claimed (``None`` when it claimed none), and saves the plane
         work of its own segments less that charge."""
-        m = spec.m
-        cost = seed_cost(
-            tile.n_rows, tile.n_cols, spec.d, m, tile.n_rows + m - 1,
-            tile.n_cols + m - 1, spec.policy, spec.config.launch,
-        )
-        saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, spec.policy).flops
+        size, compensated = spec.policy.precalc.itemsize, spec.policy.compensated
+        cost = seed_cost(tile.n_rows, tile.n_cols, spec.d, spec.m, size,
+                         spec.config.launch, compensated)
+        saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, size, compensated).flops
         return cls(
             result=result,
             costs=tuple(cost if c is None else cost + c for c in charges),

@@ -20,14 +20,13 @@ produces the bits of the stage-by-stage bitonic network through one
 value-exact compare-exchange network for every precision — Batcher's
 odd-even merge sort over float values or, for halves, uint16 radix keys,
 with ``np.sort`` only above 16 rows — and, for half precision, a
-float32-domain scan, and accounts one synchronisation per network stage.
-The stage-by-stage bitonic network itself is the test oracle, in
-``tests/per_row_oracle.py``.
+float32-domain scan; the cost model charges the bitonic network's
+stages (``repro.gpu.perfmodel.sort_scan_cost``).  The stage-by-stage
+bitonic network itself is the test oracle, in ``tests/per_row_oracle.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -41,10 +40,6 @@ from .workspace import WorkspacePool
 __all__ = ["SortScanKernel", "fanin_inclusive_scan"]
 
 
-def _next_pow2(d: int) -> int:
-    return 1 << (d - 1).bit_length()
-
-
 @lru_cache(maxsize=64)
 def _divisor_column(d: int, dtype: np.dtype) -> np.ndarray:
     """The (d, 1) inclusive-average divisor column ``[1, 2, ..., d]`` in
@@ -52,13 +47,6 @@ def _divisor_column(d: int, dtype: np.dtype) -> np.ndarray:
     col = (np.arange(1, d + 1, dtype=np.float64)[:, None]).astype(dtype)
     col.setflags(write=False)
     return col
-
-
-def _network_stage_count(p: int) -> int:
-    """Pass count of the ``p``-input bitonic network without running it
-    (``size`` = 2..p contributes ``log2(size)`` strides)."""
-    k = (p - 1).bit_length()
-    return k * (k + 1) // 2
 
 
 _U16_SIGN = np.uint16(0x8000)
@@ -301,22 +289,15 @@ class SortScanKernel(Kernel):
     #: form of ``TcGemmKernel`` applies above that).  The inclusive
     #: average divides in float32 — no half rounding happens here at
     #: all; the single narrow store is the update kernel's profile
-    #: merge.  Cost accounting is unchanged (the network/stage
-    #: conventions stay, conservatively).
+    #: merge.  The cost model charges it as the vector sort/scan (the
+    #: network/stage conventions stay, conservatively).
     mma_scan: bool = field(default=False, kw_only=True)
     #: Where the stage temporaries come from: a caller shares its
     #: worker's pool, a kernel built alone gets its own.
     pool: WorkspacePool = field(default_factory=WorkspacePool, kw_only=True,
                                 repr=False)
 
-    def run(
-        self,
-        plane: np.ndarray,
-        rows: int = 1,
-        charge: bool = True,
-        tiles: int = 1,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def run(self, plane: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
@@ -326,16 +307,10 @@ class SortScanKernel(Kernel):
         table, so the output is bit-for-bit what the stage-by-stage
         bitonic sort and :func:`fanin_inclusive_scan` networks produce —
         those remain the test oracle.  Both networks are
-        column-independent, so a row-blocked caller passes ``rows``
-        logical distance rows side by side as one ``(d, rows*n_q)``
-        plane.  ``rows`` only affects the cost accounting, which stays
-        per *logical* row (``rows`` launches, per-row loop rounds and
-        syncs) so the modelled timings do not depend on the block size.
-        ``tiles`` is the tile axis: a stacked batch passes the blocks of
-        ``tiles`` same-shape tiles side by side, and the charge stays
-        that of one tile's ``rows`` rows.  ``charge=False`` skips the
-        accounting for a caller whose panels are not logical rows; it
-        charges with :meth:`charge_rows`.
+        column-independent, so a row-blocked caller passes a block of
+        logical distance rows — of a stack of tiles, too — side by side
+        as one ``(d, rows*n_q)`` plane.  Nothing is charged: the caller
+        charges the tile.
 
         The result is written into ``out``, a contiguous compute-dtype
         ``(d, n)`` array, or into a fresh one when ``out`` is ``None``;
@@ -347,13 +322,12 @@ class SortScanKernel(Kernel):
         """
         dtype = self.policy.compute
         d = plane.shape[0]
-        n_q = plane.shape[1] // (rows * tiles)  # one tile's logical row
         if (
             self.mma_scan
             and plane.dtype == np.float32
             and dtype == np.float16
         ):
-            return self._run_mma(plane, rows, n_q, charge, out)
+            return self._run_mma(plane, out)
         if out is None:
             out = plane.astype(dtype, copy=True)
         elif out is not plane:
@@ -366,8 +340,6 @@ class SortScanKernel(Kernel):
                 _fanin_scan_inplace(out, tmp)
             with np.errstate(over="ignore", invalid="ignore"):
                 np.divide(out, _divisor_column(d, dtype), out=out)
-        if charge:
-            self.charge_rows(rows, d, n_q)
         return out
 
     def _sort_scan_f16(self, plane: np.ndarray) -> None:
@@ -391,10 +363,7 @@ class SortScanKernel(Kernel):
                 keys += _divide_index_offsets(d)
                 np.take(_divide_table_f16(d), keys, out=plane, mode="clip")
 
-    def _run_mma(
-        self, plane: np.ndarray, rows: int, n_q: int, charge: bool,
-        out: np.ndarray | None,
-    ) -> np.ndarray:
+    def _run_mma(self, plane: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.
 
         ``plane`` is treated as scratch (it is ``TcGemmKernel``'s panel)
@@ -411,26 +380,4 @@ class SortScanKernel(Kernel):
         _sort_network_inplace(plane, out[0])
         np.matmul(_scan_tri_f32(d), plane, out=out)
         np.divide(out, _divisor_column(d, np.dtype(np.float32)), out=out)
-        if charge:
-            self.charge_rows(rows, d, n_q)
         return out
-
-    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
-        """Charge ``rows`` logical per-row invocations over a ``(d, n_q)``
-        plane, per the conventions in ``repro.gpu.perfmodel``: one
-        synchronisation per network stage — the bitonic sort's passes
-        plus the fan-in scan's ``ceil(log2 d)`` stages."""
-        p = _next_pow2(d)
-        stages = _network_stage_count(p) + max(d - 1, 0).bit_length()
-        size = self.policy.storage.itemsize
-        elems = float(d * n_q)
-        rounds = math.ceil(n_q * p / self.config.total_threads)
-        self._account(
-            bytes_dram=rows * 2.0 * elems * size,
-            bytes_l2=rows * 2.0 * elems * size,
-            bytes_l1=float(rows * stages * n_q * p * size),
-            flops=float(rows * stages * n_q * p),
-            syncs=rows * stages,
-            launches=rows,
-            loop_rounds=rows * rounds,
-        )

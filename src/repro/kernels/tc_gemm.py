@@ -48,8 +48,9 @@ Precision Euclidean Distance Using Tensor Cores*) and Navarro et al.
    remain per chain: the block-boundary QT row and (after sort/update)
    the winning profile entry.  The distance block this kernel returns is
    therefore float32 — ``SortScanKernel`` (``mma_scan``) and
-   ``UpdateKernel`` consume it in that form, and cost accounting keeps
-   charging storage-dtype planes (the modelled device still moves FP16;
+   ``UpdateKernel`` consume it in that form, and the cost model
+   (``repro.gpu.perfmodel.tc_dist_calc_cost``) keeps charging
+   storage-dtype planes (the modelled device still moves FP16;
    register-file conversions are free on hardware).
 
 Every step is batched over the leading plane axis, so a stack of tiles
@@ -73,6 +74,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from ..gpu.perfmodel import MMA_K
 from ..precision.modes import DTYPE_MAX, TENSOR_CORE_MODES
 from .dist_calc import DistCalcKernel
 from .precalc import PrecalcResult
@@ -84,13 +86,6 @@ __all__ = ["TcGemmKernel", "TC_PANEL_ROWS", "MMA_K"]
 #: stored back to FP16, so the height is part of the numerics and is
 #: fixed here rather than derived from the host's super-step budget.
 TC_PANEL_ROWS = 32
-
-#: Chunk height of the chained prefix — the ``k`` of the device's MMA
-#: fragment shape (16 on every shipping NVIDIA part).
-MMA_K = 16
-
-#: Flops of one dense 16x16x16 MMA (2*m*n*k).
-_MMA_FLOPS = 2 * 16 * 16 * 16
 
 #: FP16 saturation value used by the fused epilogue (the storage format's
 #: largest finite value, kept in float32).
@@ -146,30 +141,25 @@ def _corner_indices(T: int, n_q: int, pad_w: int):
 class TcGemmKernel(DistCalcKernel):
     """Packed-panel tensor-core execution of the ``dist_calc`` main loop.
 
-    Reuses the parent's operand binding, tile axis and cost-plane
-    conventions but replaces the sequential per-row recurrence of
-    :meth:`run_block` with the sheared chained-GEMM panel described in
-    the module docstring.  :meth:`run_block` returns the distance block
+    Reuses the parent's operand binding and tile axis but replaces the
+    sequential per-row recurrence of :meth:`run_block` with the sheared
+    chained-GEMM panel described in the module docstring.  :meth:`run_block` returns the distance block
     as *float32* (the fused epilogue's accumulator contents); pair it
     with ``SortScanKernel(mma_scan=True)`` and the stock
     ``UpdateKernel``, which reduce the wide panel before the single FP16
     store.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self.cost.tensor_core = True
-
-    def bind(self, pre: PrecalcResult, tiles: int = 1) -> None:
+    def bind(self, pre: PrecalcResult) -> None:
         """:meth:`DistCalcKernel.bind` for the row-major panel walk (it
-        never runs transposed), one tile or a stack of ``tiles``."""
+        never runs transposed), one tile or a stack."""
         if self.policy.mode not in TENSOR_CORE_MODES:
             eligible = ", ".join(m.value for m in TENSOR_CORE_MODES)
             raise ValueError(
                 f"tensor-core main loop requires an FP16-storage wide-precalc"
                 f" mode ({eligible}), got {self.policy.mode.value}"
             )
-        super().bind(pre, tiles=tiles)
+        super().bind(pre)
         self._scratch = None  # the panel buffers of an open lease()
 
     def _ensure_block_state(self) -> None:
@@ -349,12 +339,13 @@ class TcGemmKernel(DistCalcKernel):
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray | None) -> np.ndarray:
         """Tensor-core super-step: one packed-panel launch for ``rows``
-        reference rows.  ``workspace`` (the vector path's QT block buffer)
+        reference rows; nothing is charged (the caller charges the tile).
+        ``workspace`` (the vector path's QT block buffer)
         is unused — the panel lives in the FP32 accumulator scratch and
         only the block-boundary row is demoted to FP16 storage.  Returns
         the ``(d, rows, n_q)`` *float32* distance block (see the module
-        docstring on the fused epilogue) — ``d`` counting the ``d *
-        tiles`` rows of a stacked binding — in the leased buffer of an
+        docstring on the fused epilogue) — ``d`` counting the ``d * T``
+        rows of a stacked binding — in the leased buffer of an
         open :meth:`lease`, else in a fresh array."""
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
@@ -388,37 +379,4 @@ class TcGemmKernel(DistCalcKernel):
                 np.invert(fin, out=fin)
                 np.copyto(out_w, _F16_LIMIT, where=fin)
                 np.minimum(out_w, _F16_LIMIT, out=out_w)
-        self._record_cost_tc(n_q, rows)
         return out_w
-
-    def _record_cost_tc(self, n_q: int, rows: int) -> None:
-        """One super-step launch; flops in whole 16x16x16 MMA fragments.
-
-        DRAM/L2 planes keep the parent's per-row conventions (the operand
-        streams and the distance write are unchanged, still priced at the
-        FP16 storage width); what moves is the arithmetic — priced on the
-        tensor-core unit via the cost's ``tensor_core`` flag — and the
-        launch count, now one per panel instead of one per row.  The
-        charge is one tile's: the tiles of a stack cost the same.
-        """
-        d = self._inv_q.shape[0] // self.tiles
-        elems = float(d * n_q)
-        size = self.policy.storage.itemsize
-        chunks = -(-rows // MMA_K)
-        frag_rows = -(-rows // 16)
-        mmas_update = frag_rows * (-(-n_q // 16))  # k=2 rank-2 update
-        mmas_scan = chunks * (
-            -(-max(n_q - 1, 1) // 16) + -(-rows // 16)  # main + corner chains
-        )
-        flops = float(d) * (
-            mmas_update * (2.0 * 16 * 16 * 2) + mmas_scan * float(_MMA_FLOPS)
-        )
-        step = self.config.total_threads
-        self._account(
-            bytes_dram=rows * 3.0 * elems * size,
-            bytes_l2=rows * 6.0 * elems * size,
-            flops=flops,
-            syncs=chunks,
-            launches=1,
-            loop_rounds=-(-(rows * int(elems)) // step),
-        )

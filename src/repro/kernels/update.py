@@ -12,12 +12,12 @@ matching the sequential iteration order of the CPU reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..gpu.kernel import Kernel
+from ..gpu.perfmodel import update_cost
 from ..precision.modes import DTYPE_MAX, PrecisionPolicy
 from .workspace import WorkspacePool
 
@@ -183,7 +183,7 @@ class UpdateKernel(Kernel):
             self._merge_rowwise(plane[:, None, None, :],
                                 self.mirror_profile[:, None],
                                 self.mirror_indices[:, None], row, col_offset)
-        self.charge_rows(1, *plane.shape)
+        self._charge_row(plane)
 
     def masked_run(
         self,
@@ -209,7 +209,7 @@ class UpdateKernel(Kernel):
             self._merge_rowwise(lifted[:, None, None, :],
                                 self.mirror_profile[:, None],
                                 self.mirror_indices[:, None], row, col_offset)
-        self.charge_rows(1, *plane.shape)
+        self._charge_row(plane)
 
     def run_block(
         self,
@@ -232,21 +232,18 @@ class UpdateKernel(Kernel):
         ``<``.  ``mask`` is the (rows, n_q) exclusion mask (True =
         excluded); masked entries are lifted to the dtype limit, which
         can never win a strict-``<`` merge against a profile that starts
-        at that limit.  Cost is recorded per logical row.
+        at that limit.  Nothing is charged: the caller charges the tile.
 
         ``transposed=True`` takes a ``(d, cols, n_r)`` panel of tile-local
         query columns ``row0 .. row0+cols-1`` against every reference
         row (``mask`` then ``(cols, n_r)``): each column is final after
         one row-wise reduce, the earliest minimising reference row
-        winning as in the sequential merge.  Such a panel is not a set
-        of logical rows, so nothing is charged; the caller charges the
-        tile with :meth:`charge_rows`.
+        winning as in the sequential merge.
 
         With the tile axis (:meth:`allocate` with ``tiles``) the block is
         ``(d, T, rows, n)``, ``mask`` is ``(T, rows, n)`` and
         ``row_offset``/``col_offset`` hold one offset per tile; every
-        tile is reduced on its own, and the charge stays that of one
-        tile.
+        tile is reduced on its own.
 
         ``in_place=True`` marks ``block`` as the caller's scratch: masked
         entries are lifted in place instead of in a masked copy.
@@ -308,22 +305,9 @@ class UpdateKernel(Kernel):
                 block, mirror_profile, mirror_indices, row0,
                 col_offset, wide_block=wide_block,
             )
-        self.charge_rows(rows, d, n_q)
 
-    def charge_rows(self, rows: int, d: int, n_q: int) -> None:
-        """Charge ``rows`` logical per-row invocations over a ``(d, n_q)``
-        plane, per the conventions in ``repro.gpu.perfmodel``."""
-        elems = float(d * n_q)
-        size = self.policy.storage.itemsize
-        rounds = math.ceil(d * n_q / self.config.total_threads)
-        mirror = self.mirror_profile is not None
-        self._account(
-            # The mirrored row-wise reduce re-reads the plane from L2 and
-            # adds one compare per element; it stores only one winner per
-            # row, so DRAM traffic barely moves.
-            bytes_dram=rows * 2.0 * elems * size,
-            bytes_l2=rows * (6.0 if mirror else 5.0) * elems * size,
-            flops=rows * (3.0 if mirror else 2.0) * elems,
-            launches=rows,
-            loop_rounds=rows * rounds * (2 if mirror else 1),
-        )
+    def _charge_row(self, plane: np.ndarray) -> None:
+        """Charge one per-row merge of the ``(d, n_q)`` ``plane``."""
+        d, n_q = plane.shape
+        self._charge(update_cost(1, n_q, d, self.policy.itemsize,
+                                 self.config, mirror=self.mirror_profile is not None))

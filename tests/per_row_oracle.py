@@ -27,6 +27,7 @@ from repro.core.config import RunConfig, default_exclusion_zone
 from repro.engine import backends
 from repro.engine import plan as plan_module
 from repro.engine.backends import TileOutput
+from repro.gpu.perfmodel import KERNEL_ORDER, sort_scan_cost
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout, validate_series
 from repro.kernels.sort_scan import SortScanKernel, fanin_inclusive_scan
@@ -180,7 +181,7 @@ def per_row_tile(
             averaged = sort_scan.run(plane)
         else:
             averaged = inclusive_average(plane, policy.compute)
-            sort_scan.charge_rows(1, d, n_q_seg)
+            sort_scan._charge(sort_scan_cost(1, n_q_seg, d, policy.itemsize, launch))
         if exclusion_zone is None:
             update.run(averaged, i, row_offset=row_offset, col_offset=col_offset)
         else:
@@ -191,12 +192,11 @@ def per_row_tile(
     d2h_bytes = float(n_q_seg * d * (itemsize + INDEX_DTYPE.itemsize))
     if mirror:
         d2h_bytes += float(n_r_seg * d * (itemsize + INDEX_DTYPE.itemsize))
-    labels = ("precalculation", "dist_calc", "sort_&_incl_scan", "update_mat_prof")
     kernels = (precalc_cost, dist.cost, sort_scan.cost, update.cost)
     return TileOutput(
         profile=update.profile,
         indices=update.indices,
-        costs={label: replace(c, name=label) for label, c in zip(labels, kernels)},
+        costs={label: replace(c, name=label) for label, c in zip(KERNEL_ORDER, kernels)},
         h2d_bytes=float((tr_dev.shape[1] + tq_dev.shape[1]) * d * itemsize),
         d2h_bytes=d2h_bytes,
         mirror_profile=update.mirror_profile,
@@ -260,11 +260,9 @@ class PerRowSortScan(SortScanKernel):
     """``SortScanKernel`` running the stage-by-stage networks on one
     logical row per call."""
 
-    def run(self, plane, rows=1, charge=True):
-        if rows != 1:
-            raise ValueError("the per-row oracle sorts one logical row per call")
-        if charge:
-            self.charge_rows(1, *plane.shape)
+    def run(self, plane, out=None):
+        d, n_q = plane.shape
+        self._charge(sort_scan_cost(1, n_q, d, self.policy.itemsize, self.config))
         return inclusive_average(plane, self.policy.compute)
 
 

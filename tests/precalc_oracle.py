@@ -26,14 +26,13 @@ import numpy as np
 
 from repro.engine.precalc_cache import PrecalcPlaneCache
 from repro.gpu.kernel import Kernel
+from repro.gpu.perfmodel import plane_cost, seed_cost
 from repro.kernels.precalc import (
     PrecalcResult,
     PreparedPrecalc,
     _Accumulator,
     _delta_coefficients,
     _window_stats,
-    plane_cost,
-    seed_cost,
 )
 from repro.precision.modes import PrecisionPolicy
 from repro.streams import StreamPlaneCache
@@ -101,6 +100,10 @@ class PrecalcKernel(Kernel):
 
     policy: PrecisionPolicy = field(kw_only=True)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.cost.name = "precalculation"  # the label of the charges it records
+
     def run(self, tr_dev: np.ndarray, tq_dev: np.ndarray, m: int) -> PrecalcResult:
         """``tr_dev``/``tq_dev`` are (d, len) device arrays in storage dtype."""
         if tr_dev.ndim != 2 or tq_dev.ndim != 2:
@@ -131,9 +134,11 @@ class PrecalcKernel(Kernel):
         # The per-tile formula: seed work plus both roles' planes over
         # the tile's own segments.
         n_r, n_q, d = result.n_r_seg, result.n_q_seg, result.d
-        self.cost = self.cost + seed_cost(
-            n_r, n_q, d, m, tr_dev.shape[1], tq_dev.shape[1], policy, self.config,
-        ) + plane_cost(n_r, n_q, d, policy)
+        size, compensated = policy.precalc.itemsize, policy.compensated
+        self._charge(
+            seed_cost(n_r, n_q, d, m, size, self.config, compensated)
+            + plane_cost(n_r, n_q, d, size, compensated)
+        )
         return result
 
 
@@ -222,9 +227,10 @@ def per_tile_prepare(cache, plan, tile) -> PreparedPrecalc:
             charge, planes.pending = planes.pending, None
     cost = seed_cost(
         tile.n_rows, tile.n_cols, spec.d, m,
-        tile.n_rows + m - 1, tile.n_cols + m - 1, spec.policy, spec.config.launch,
+        spec.policy.precalc.itemsize, spec.config.launch, spec.policy.compensated,
     )
-    saved = plane_cost(tile.n_rows, tile.n_cols, spec.d, spec.policy).flops
+    saved = plane_cost(tile.n_rows, tile.n_cols, spec.d,
+                       spec.policy.precalc.itemsize, spec.policy.compensated).flops
     if charge is not None:
         cost = cost + charge
         saved -= charge.flops

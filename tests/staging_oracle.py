@@ -51,7 +51,7 @@ def upload_stage(backend: NumericBackend, plan, tile, gpu, main_loop: str):
                     tile.n_rows,
                     tile.n_cols,
                     spec.d,
-                    spec.policy,
+                    spec.policy.itemsize,
                     main_loop=main_loop,
                     mirror=getattr(tile, "mirror", False),
                 ),

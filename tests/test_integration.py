@@ -1,6 +1,8 @@
 """Integration tests: all implementations must agree, and the streaming
 kernel must match direct evaluation at arbitrary rows."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,19 @@ from repro.baselines.brute_force import brute_force_mdmp
 from repro.baselines.mstamp import mstamp
 from repro.core.config import RunConfig
 from repro.core.multi_tile import compute_multi_tile
+from repro.engine import JobSpec
+from repro.engine.backends import backend_for
+from repro.engine.dispatch import execute_plan
 from repro.gpu.kernel import LaunchConfig
-from repro.gpu.perfmodel import single_tile_costs
+from repro.gpu.perfmodel import (
+    dist_calc_cost,
+    single_tile_costs,
+    sort_scan_cost,
+    tc_dist_calc_cost,
+    update_cost,
+)
+from repro.gpu.simulator import GPUSimulator
+from repro.kernels.tc_gemm import TC_PANEL_ROWS
 from repro.kernels.layout import to_device_layout
 from repro.precision.modes import policy_for
 
@@ -72,41 +85,91 @@ class TestStreamingVsNaive:
                 np.testing.assert_allclose(dk.qt, direct, rtol=1e-6, atol=1e-8)
 
 
-class TestAnalyticCostsMatchExecution:
-    """The perfmodel's analytic formulas must agree with the costs the
-    executed kernels record (keeps paper-scale projections honest)."""
+MODES = ("FP64", "FP32", "FP16", "Mixed", "FP16C")
 
-    @pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16", "Mixed", "FP16C"])
+
+def _executions(ref, m, cfg, n_tiles):
+    """Every tile execution of a self-join of ``ref`` in ``n_tiles`` tiles."""
+    plan = JobSpec.from_arrays(ref, None, m, cfg).plan(n_tiles=n_tiles, n_gpus=1)
+    backend, _ = backend_for(cfg)
+    report = execute_plan(plan, backend, GPUSimulator(cfg.device), keep_executions=True)
+    return report.executions
+
+
+class TestAnalyticCostsMatchExecution:
+    """One cost model: an executed tile records exactly what
+    ``repro.gpu.perfmodel`` charges for its shape (keeps paper-scale
+    projections honest)."""
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_recorded_equals_analytic(self, rng, mode):
-        ref = rng.normal(size=(90, 5))
-        qry = rng.normal(size=(70, 5))
+        """Every field of every kernel's cost, ``==``: d in {1, 2, 3, 5,
+        8, 17}, a wide tile and a tall (transposed) tile."""
         m = 8
         cfg = RunConfig(mode=mode)
-        result = compute_multi_tile(ref, qry, m, cfg)
-        policy = policy_for(mode)
-        analytic = single_tile_costs(
-            90 - m + 1,
-            70 - m + 1,
-            5,
-            m,
-            policy.itemsize,
-            cfg.launch,
-            precalc_itemsize=policy.precalc.itemsize,
-            compensated=policy.compensated,
-        )
-        for name in ("dist_calc", "sort_&_incl_scan", "update_mat_prof"):
-            got = result.costs[name]
-            want = analytic[name]
-            assert got.bytes_dram == pytest.approx(want.bytes_dram, rel=1e-9), name
-            assert got.bytes_l1 == pytest.approx(want.bytes_l1, rel=1e-9), name
-            assert got.flops == pytest.approx(want.flops, rel=1e-9), name
-            assert got.syncs == want.syncs, name
-            assert got.launches == want.launches, name
-        # Precalculation: same formulas by construction.
-        got = result.costs["precalculation"]
-        want = analytic["precalculation"]
-        assert got.flops == pytest.approx(want.flops, rel=1e-9)
-        assert got.bytes_dram == pytest.approx(want.bytes_dram, rel=1e-9)
+        policy = cfg.policy
+        for d in (1, 2, 3, 5, 8, 17):
+            for n_ref, n_qry in ((40, 70), (70, 40)):
+                ref = rng.normal(size=(n_ref, d))
+                qry = rng.normal(size=(n_qry, d))
+                got = compute_multi_tile(ref, qry, m, cfg).costs
+                want = single_tile_costs(
+                    n_ref - m + 1, n_qry - m + 1, d, m, policy.itemsize, cfg.launch,
+                    precalc_itemsize=policy.precalc.itemsize,
+                    compensated=policy.compensated,
+                )
+                assert got == want, (d, n_ref, n_qry)
+
+    def test_stacked_tiles_carry_their_own_shape(self, rng):
+        """Tiles that ran as one stack (T > 1, sharing one charge) each
+        carry the main-loop costs of their own shape."""
+        d, m = 3, 8
+        cfg = RunConfig(mode="FP32")
+        executions = _executions(rng.normal(size=(90, d)), m, cfg, 16)
+        stacks = Counter(id(ex.output.costs["dist_calc"]) for ex in executions)
+        assert max(stacks.values()) > 1
+        assert len({(ex.tile.n_rows, ex.tile.n_cols) for ex in executions}) > 1
+        size, launch = cfg.policy.itemsize, cfg.launch
+        for ex in executions:
+            shape = (ex.tile.n_rows, ex.tile.n_cols, d, size, launch)
+            costs = ex.output.costs
+            assert costs["dist_calc"] == dist_calc_cost(*shape)
+            assert costs["sort_&_incl_scan"] == sort_scan_cost(*shape)
+            assert costs["update_mat_prof"] == update_cost(*shape)
+
+    def test_mirrored_tile_charges_the_mirror_term(self, rng):
+        d, m = 2, 8
+        cfg = RunConfig(mode="FP64", symmetric_tiles=True)
+        executions = _executions(rng.normal(size=(90, d)), m, cfg, 4)
+        assert {ex.tile.mirror for ex in executions} == {False, True}
+        for ex in executions:
+            shape = (ex.tile.n_rows, ex.tile.n_cols, d, cfg.policy.itemsize, cfg.launch)
+            want = update_cost(*shape, mirror=ex.tile.mirror)
+            assert ex.output.costs["update_mat_prof"] == want
+        mirrored, plain = update_cost(*shape, mirror=True), update_cost(*shape)
+        assert mirrored.bytes_dram == plain.bytes_dram
+        assert mirrored.bytes_l2 > plain.bytes_l2 and mirrored.flops > plain.flops
+        assert mirrored.loop_rounds == 2 * plain.loop_rounds
+
+    @pytest.mark.parametrize("mode", ["Mixed", "FP16C"])
+    def test_tensor_core_remainder_panel(self, rng, mode):
+        """100 rows run as three full panels plus a 4-row remainder; the
+        panel charge is not linear in rows, so the tile is charged per
+        panel height."""
+        d, m = 3, 8
+        cfg = RunConfig(mode=mode, backend="tensor_core")
+        n_seg = 3 * TC_PANEL_ROWS + 4
+        result = compute_multi_tile(rng.normal(size=(n_seg + m - 1, d)), None, m, cfg)
+        assert result.backend == "tensor_core"
+        size, launch = cfg.policy.itemsize, cfg.launch
+        got = result.costs["dist_calc"]
+        assert got == tc_dist_calc_cost(n_seg, n_seg, d, size, launch, TC_PANEL_ROWS)
+        full = tc_dist_calc_cost(3 * TC_PANEL_ROWS, n_seg, d, size, launch, TC_PANEL_ROWS)
+        rest = tc_dist_calc_cost(4, n_seg, d, size, launch, TC_PANEL_ROWS)
+        assert got == full + rest
+        assert got.tensor_core and got.launches == 4
+        assert result.costs["sort_&_incl_scan"] == sort_scan_cost(n_seg, n_seg, d, size, launch)
+        assert result.costs["update_mat_prof"] == update_cost(n_seg, n_seg, d, size, launch)
 
 
 class TestEndToEndScenario:

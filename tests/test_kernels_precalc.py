@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gpu.kernel import LaunchConfig, grid_stride_chunks
+from repro.gpu.perfmodel import seed_cost
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import seed_cost
 from repro.precision.modes import policy_for
 
 from .precalc_oracle import PrecalcKernel, naive_qt_row
@@ -169,7 +169,7 @@ class TestPrecalcCost:
         walk over the same items takes as many chunks."""
         step = launch.total_threads
         for n_items in (0, 1, step - 1, step, step + 1):
-            cost = seed_cost(n_items, 0, 1, 8, n_items + 7, 7, policy_for("FP32"), launch)
+            cost = seed_cost(n_items, 0, 1, 8, policy_for("FP32").precalc.itemsize, launch)
             assert cost.loop_rounds == len(list(grid_stride_chunks(n_items, launch)))
 
 

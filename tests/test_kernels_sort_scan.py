@@ -110,13 +110,15 @@ class TestSortScanKernel:
         assert np.all(np.diff(out, axis=0) >= -1e-12)
 
     def test_cost_syncs(self, rng):
-        plane = rng.normal(size=(8, 5))
-        k = SortScanKernel(config=CFG, policy=policy_for("FP64"))
-        k.run(plane)
-        k.run(plane)
+        """A tile of two d = 8 rows is charged one sync per network stage
+        and one launch per row."""
+        m = 4
+        result = matrix_profile(rng.normal(size=(2 + m - 1, 8)),
+                                rng.normal(size=(5 + m - 1, 8)), m=m)
+        cost = result.costs["sort_&_incl_scan"]
         sort_stages, scan_stages = sort_stage_count(8)
-        assert k.cost.syncs == 2 * (sort_stages + scan_stages)
-        assert k.cost.launches == 2
+        assert cost.syncs == 2 * (sort_stages + scan_stages)
+        assert cost.launches == 2
 
     def test_d1_passthrough(self, rng):
         plane = np.abs(rng.normal(size=(1, 11)))

@@ -22,12 +22,8 @@ from repro.core.tiling import Tile
 from repro.engine import JobSpec
 from repro.gpu.kernel import KernelCost
 from repro.kernels.layout import to_device_layout
-from repro.kernels.precalc import (
-    fft_seed_qt_rows,
-    plane_cost,
-    seed_cost,
-    seed_qt_rows,
-)
+from repro.gpu.perfmodel import plane_cost, seed_cost
+from repro.kernels.precalc import fft_seed_qt_rows, seed_qt_rows
 from repro.precision.errors import dot_product_error_bound
 from repro.precision.modes import PrecisionMode, policy_for
 from repro.reporting import render_precalc_savings
@@ -110,8 +106,7 @@ class TestPlaneBitIdentity:
         # carries the plane charge.
         seed_only = seed_cost(
             child.n_rows, child.n_cols, spec.d, spec.m,
-            child.n_rows + spec.m - 1, child.n_cols + spec.m - 1,
-            spec.policy, spec.config.launch,
+            spec.policy.precalc.itemsize, spec.config.launch, spec.policy.compensated,
         )
         assert prepared.costs[0].flops == seed_only.flops
 
@@ -165,18 +160,15 @@ class TestCostAccounting:
     @pytest.mark.parametrize("mode", ["FP64", "FP16C"])
     def test_carrier_and_saved_flops_decomposition(self, rng, mode):
         spec, plan = _spec_plan(rng, mode, False, 4)
-        policy = spec.policy
-        full_plane = plane_cost(spec.n_r_seg, spec.n_q_seg, spec.d, policy)
+        size, comp = spec.policy.precalc.itemsize, spec.policy.compensated
+        full_plane = plane_cost(spec.n_r_seg, spec.n_q_seg, spec.d, size, comp)
         min_id = min(t.tile_id for t in plan.tiles)
         total_saved = 0.0
         for tile in plan.tiles:
             prepared = plan.precalc_cache.prepare(plan, [tile])
-            seed = seed_cost(
-                tile.n_rows, tile.n_cols, spec.d, spec.m,
-                tile.n_rows + spec.m - 1, tile.n_cols + spec.m - 1,
-                policy, spec.config.launch,
-            )
-            tile_plane = plane_cost(tile.n_rows, tile.n_cols, spec.d, policy)
+            seed = seed_cost(tile.n_rows, tile.n_cols, spec.d, spec.m, size,
+                             spec.config.launch, comp)
+            tile_plane = plane_cost(tile.n_rows, tile.n_cols, spec.d, size, comp)
             if tile.tile_id == min_id:
                 # The deterministic carrier: charged the full plane pass,
                 # idempotently on every (re-)execution.
@@ -198,11 +190,10 @@ class TestCostAccounting:
         result = compute_multi_tile(ref, None, 16, cfg)
         spec = JobSpec.from_arrays(ref, None, 16, cfg)
         plan = spec.plan()
-        policy = spec.policy
+        size, comp = spec.policy.precalc.itemsize, spec.policy.compensated
         expected = sum(
-            plane_cost(t.n_rows, t.n_cols, spec.d, policy).flops
-            for t in plan.tiles
-        ) - plane_cost(spec.n_r_seg, spec.n_q_seg, spec.d, policy).flops
+            plane_cost(t.n_rows, t.n_cols, spec.d, size, comp).flops for t in plan.tiles
+        ) - plane_cost(spec.n_r_seg, spec.n_q_seg, spec.d, size, comp).flops
         assert result.precalc_saved_flops == pytest.approx(expected)
         assert expected > 0.0
 
@@ -229,8 +220,7 @@ class TestEscalation:
         def seed_flops(tile):
             return seed_cost(
                 tile.n_rows, tile.n_cols, espec.d, espec.m,
-                tile.n_rows + espec.m - 1, tile.n_cols + espec.m - 1,
-                espec.policy, espec.config.launch,
+                espec.policy.precalc.itemsize, espec.config.launch, espec.policy.compensated,
             ).flops
 
         # Escalated modes have no planned carrier: the first tile to
@@ -332,19 +322,16 @@ class TestStatsStore:
         second = [plan2.precalc_cache.prepare(plan2, [t]) for t in plan2.tiles]
         assert store.hits == 1
 
-        policy = spec2.policy
+        size, comp = spec2.policy.precalc.itemsize, spec2.policy.compensated
         for tile, prep1, prep2 in zip(plan2.tiles, first, second):
             _assert_results_identical(prep2.result, prep1.result, "store reuse")
             # Store hit: nobody carries the plane charge, every tile
             # saves its full local plane work.
-            seed = seed_cost(
-                tile.n_rows, tile.n_cols, spec2.d, spec2.m,
-                tile.n_rows + spec2.m - 1, tile.n_cols + spec2.m - 1,
-                policy, spec2.config.launch,
-            )
+            seed = seed_cost(tile.n_rows, tile.n_cols, spec2.d, spec2.m, size,
+                             spec2.config.launch, comp)
             assert prep2.costs[0].flops == seed.flops
             assert prep2.saved_flops[0] == plane_cost(
-                tile.n_rows, tile.n_cols, spec2.d, policy
+                tile.n_rows, tile.n_cols, spec2.d, size, comp
             ).flops
 
     def test_ab_partial_hit_charges_missing_role_only(self, rng):
@@ -362,14 +349,11 @@ class TestStatsStore:
         plan2 = spec2.plan(precalc_store=store)
         carrier = plan2.precalc_cache.prepare(plan2, [plan2.tiles[0]])
         assert store.hits == 1  # the reference role
-        policy = spec2.policy
+        size, comp = spec2.policy.precalc.itemsize, spec2.policy.compensated
         tile = plan2.tiles[0]
-        seed = seed_cost(
-            tile.n_rows, tile.n_cols, spec2.d, spec2.m,
-            tile.n_rows + spec2.m - 1, tile.n_cols + spec2.m - 1,
-            policy, spec2.config.launch,
-        )
-        missing = plane_cost(0, spec2.n_q_seg, spec2.d, policy)
+        seed = seed_cost(tile.n_rows, tile.n_cols, spec2.d, spec2.m, size,
+                         spec2.config.launch, comp)
+        missing = plane_cost(0, spec2.n_q_seg, spec2.d, size, comp)
         assert carrier.costs[0].flops == seed.flops + missing.flops
 
     def test_keying_separates_m_mode_and_series(self, rng):

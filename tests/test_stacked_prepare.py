@@ -26,7 +26,8 @@ from repro.core.tiling import Tile
 from repro.engine import ExecutionPolicy, JobSpec, NumericBackend
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
-from repro.kernels.precalc import PrecalcResult, plane_cost
+from repro.gpu.perfmodel import plane_cost
+from repro.kernels.precalc import PrecalcResult
 from repro.precision.modes import PrecisionMode
 from repro.service.cache import PrecalcStatsCache
 from repro.streams import IncrementalMatrixProfile, StreamIngestService, TenantPolicy
@@ -112,8 +113,8 @@ class TestPlanStacks:
         charged = [
             ids[t] for ids, p in zip(stack_ids, prepared) for t in range(len(ids))
             if p.saved_flops[t] != plane_cost(
-                got_plan.tiles[ids[t]].n_rows, got_plan.tiles[ids[t]].n_cols,
-                spec.d, spec.policy).flops
+                got_plan.tiles[ids[t]].n_rows, got_plan.tiles[ids[t]].n_cols, spec.d,
+                spec.policy.precalc.itemsize, spec.policy.compensated).flops
         ]
         assert charged == [0]
         assert _claim_state(got_plan) == _claim_state(want_plan)

@@ -56,7 +56,7 @@ def _parts(plan, tile) -> list[int]:
     parts = [spec.d * (r1 - r0) * itemsize]
     if not (plan.tq_layout is plan.tr_layout and (r0, r1) == (c0, c1)):
         parts.append(spec.d * (c1 - c0) * itemsize)
-    parts.append(workspace_bytes(tile.n_rows, tile.n_cols, spec.d, spec.policy,
+    parts.append(workspace_bytes(tile.n_rows, tile.n_cols, spec.d, spec.policy.itemsize,
                                  mirror=tile.mirror))
     return parts
 

@@ -494,6 +494,6 @@ class TestWorkspacePlanes:
     so TC jobs stop being over-split near the cache budget."""
 
     def test_plane_counts(self):
-        from repro.engine.backends import WORKSPACE_HALF_PLANES
+        from repro.gpu.perfmodel import WORKSPACE_HALF_PLANES
 
         assert WORKSPACE_HALF_PLANES == {"vector": 4, "tensor_core": 3}

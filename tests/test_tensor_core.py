@@ -85,11 +85,14 @@ class TestTcGemmParity:
         assert err <= tc_gemm_error_bound(N_SEG, M, "Mixed", panel_rows=BLOCK)
 
     def test_cost_record_marks_tensor_core(self):
-        ser = _series(3, N_SEG + M - 1)
-        _, dist = _tc_corr_error("Mixed", ser, ser)
-        assert dist.cost.tensor_core
+        policy = policy_for("Mixed")
+        tr = to_device_layout(_series(3, N_SEG + M - 1), policy.storage)
+        out = run_tile(tr, tr, M, policy, LAUNCH, main_loop="tensor_core",
+                       precalc=kernel_precalc(tr, tr, M, policy, LAUNCH))
+        cost = out.costs["dist_calc"]
+        assert cost.tensor_core
         # One modelled launch per super-step panel, not per row.
-        assert dist.cost.launches == -(-N_SEG // BLOCK)
+        assert cost.launches == -(-N_SEG // BLOCK)
 
     @pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
     def test_rejects_non_tc_modes(self, mode):

@@ -27,6 +27,7 @@ from repro.engine import backends
 from repro.engine.backends import NumericBackend, run_tile
 from repro.engine.dispatch import execute_plan
 from repro.engine.faults import FaultPlan
+from repro.gpu.perfmodel import dist_calc_cost
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels.dist_calc import DistCalcKernel
 from repro.kernels.layout import to_device_layout
@@ -63,10 +64,10 @@ def transposed_steps(monkeypatch):
     steps = []
     bind, run_block = DistCalcKernel.bind, DistCalcKernel.run_block
 
-    def spy_bind(self, pre, transposed=False, tiles=1):
+    def spy_bind(self, pre, transposed=False):
         if transposed:
             steps.append(0)
-        return bind(self, pre, transposed=transposed, tiles=tiles)
+        return bind(self, pre, transposed=transposed)
 
     def spy_run_block(self, start, rows, out):
         if self.transposed:
@@ -179,7 +180,11 @@ class TestDistancePanels:
         )
         got = np.ascontiguousarray(got.swapaxes(1, 2))
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
-        assert kernel.cost.launches == 0  # the caller charges the logical tile
+        # run_tile charges the logical row-major tile, not the panels.
+        tile = run_tile(tr, tq, m, cfg.policy, cfg.launch,
+                        precalc=kernel_precalc(tr, tq, m, cfg.policy, cfg.launch))
+        assert tile.costs["dist_calc"] == dist_calc_cost(
+            n_r, n_q, d, cfg.policy.itemsize, cfg.launch)
 
 
 class TestPanelWidths:
