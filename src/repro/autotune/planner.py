@@ -26,7 +26,7 @@ from ..core.tiling import tile_grid_shape
 from ..gpu.device import DeviceSpec, get_device
 from ..gpu.kernel import LaunchConfig
 from ..gpu.occupancy import best_block_size
-from ..gpu.perfmodel import single_tile_costs, single_tile_timing
+from ..gpu.perfmodel import kernel_itemsize, single_tile_costs, single_tile_timing
 from ..gpu.profiler import binding
 from ..precision.errors import (
     dot_product_error_bound,
@@ -203,9 +203,7 @@ class TuneDecision:
         timing = single_tile_timing(rows, cols, d, m, device, policy.itemsize, **sizes)
         table = []
         for name, cost in costs.items():
-            itemsize = (
-                policy.precalc.itemsize if name == "precalculation" else policy.itemsize
-            )
+            itemsize = kernel_itemsize(name, policy.itemsize, policy.precalc.itemsize)
             table.append([
                 name,
                 binding(cost, device, itemsize),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-import numpy as np
 
 from .device import DeviceSpec
 
@@ -137,17 +136,7 @@ class Kernel:
     def __post_init__(self) -> None:
         self.cost = KernelCost(name=type(self).__name__, launches=0)
 
-    def _account(self, **deltas: float) -> None:
-        """Accumulate cost fields (e.g. ``bytes_dram=...``, ``syncs=...``)."""
-        for key, value in deltas.items():
-            setattr(self.cost, key, getattr(self.cost, key) + value)
-
     def _charge(self, cost: KernelCost) -> None:
         """Add ``cost``'s counts to :attr:`cost` (the per-row methods
         charge one row each through ``repro.gpu.perfmodel``)."""
         self.cost = self.cost + replace(cost, name=self.cost.name)
-
-    @staticmethod
-    def nbytes(*arrays: np.ndarray) -> float:
-        """Total byte size of the given arrays (DRAM traffic helper)."""
-        return float(sum(a.nbytes for a in arrays))

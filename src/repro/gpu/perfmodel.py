@@ -67,6 +67,7 @@ __all__ = [
     "plane_cost",
     "single_tile_costs",
     "transfer_bytes",
+    "kernel_itemsize",
     "tile_timing",
     "single_tile_timing",
     "workspace_bytes",
@@ -388,6 +389,13 @@ def transfer_bytes(
     return h2d, d2h
 
 
+def kernel_itemsize(name: str, itemsize: int, precalc_itemsize: int) -> int:
+    """The bytes per element kernel ``name`` is priced at: the precalc
+    dtype's for ``precalculation``, the storage dtype's for the main
+    loop's kernels."""
+    return precalc_itemsize if name == "precalculation" else itemsize
+
+
 def tile_timing(
     costs: dict[str, KernelCost],
     device: DeviceSpec,
@@ -416,7 +424,7 @@ def tile_timing(
         key = (id(cost), id(device))
         kt = None if memo is None else memo.get(key)
         if kt is None:
-            size = precalc_itemsize if name == "precalculation" else itemsize
+            size = kernel_itemsize(name, itemsize, precalc_itemsize)
             kt = kernel_time(cost, device, size, working_set=working_set)
             if memo is not None:
                 memo[key] = kt

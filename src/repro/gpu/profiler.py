@@ -17,7 +17,7 @@ from ..core.result import MatrixProfileResult
 from ..precision.modes import policy_for
 from ..reporting import format_seconds, format_table
 from .device import DeviceSpec, get_device
-from .perfmodel import roofline_terms
+from .perfmodel import kernel_itemsize, roofline_terms
 
 __all__ = ["KernelProfile", "binding", "profile_result", "render_report"]
 
@@ -70,9 +70,7 @@ def profile_result(
     profiles = []
     for name, cost in result.costs.items():
         time = breakdown.get(name, 0.0)
-        itemsize = (
-            policy.precalc.itemsize if name == "precalculation" else policy.itemsize
-        )
+        itemsize = kernel_itemsize(name, policy.itemsize, policy.precalc.itemsize)
         profiles.append(
             KernelProfile(
                 name=name,

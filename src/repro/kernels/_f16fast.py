@@ -1,29 +1,36 @@
-"""Vectorised half-precision rounding for the row-blocked fast path.
+"""Half precision on float32 carriers.
 
 numpy's ``float16`` ufuncs are scalar C loops: every element is widened
-to ``float32``, computed there, and rounded back to half.  That makes
-each half-precision operation ~7x slower than the same ``float32``
-vector op.  The row-blocked kernels therefore evaluate half arithmetic
-the way the hardware pipeline (and numpy itself) defines it — a
-``float32`` vector op followed by one round-to-nearest-even conversion
-to half — but keep the values *in* ``float32`` storage and perform the
-conversion with integer bit manipulation instead of the scalar loop:
+to ``float32``, computed there, and rounded back to half, and a
+``float32 -> float16`` cast is a scalar loop too.  The row-blocked
+kernels therefore hold half-precision values in ``float32`` arrays
+("carriers": every element is a half value) and evaluate each half
+operation the way numpy defines it — one ``float32`` vector op — followed
+by one vectorised rounding to half precision:
 
-* a ``float32`` value is half-valued iff its mantissa bits below bit 13
-  are zero (half has 10 explicit mantissa bits against single's 23), so
-  rounding to half precision in the normal half range is
-  ``(bits + 0xFFF + lsb) & ~0x1FFF`` — textbook RNE with the carry into
-  the exponent handling the mantissa wrap for free;
-* magnitudes that carry to >= 2^16 overflow to infinity, exactly like
-  ``astype(float16)``;
-* subnormal-half magnitudes and zeros round via an exact add/subtract
-  against 0.75 that lands them on the 2^-24 subnormal grid with RNE
-  (the same vectorised quantiser as ``TcGemmKernel``); only
-  overflow-adjacent magnitudes and NaNs take the ``astype`` round trip.
+* **Veltkamp splitting.**  With ``C = 2^13 + 1``, ``c = x * C`` and
+  ``hi = c - (c - x)`` in float32, ``hi`` is ``x`` rounded to the 11
+  significant bits of a half, round-to-nearest-even.  For every float32
+  with ``|x|`` in ``[2^-14, 2^16)`` (the normal half range plus the
+  values that round to infinity) this equals
+  ``x.astype(float16).astype(float32)`` bit for bit, except that values
+  rounding to infinity come out as finite magnitudes ``>= 2^16``
+  (:func:`split_f16`, three ufuncs).
+* **Range check.**  Outside that domain — half subnormals, zeros that a
+  tiny ``x`` rounds to, overflow, infinities and NaN — the split is
+  wrong, and recognisably so on its *result*: ``0 < |hi| <= 2^-14``,
+  ``|hi| >= 2^16`` or NaN.  Exact zeros are exact.  One
+  ``bitwise_and`` of the magnitude bits and a min and a max decide
+  whether a whole buffer is clean; only a buffer that is not pays for
+  the positions to redo with the exact ``astype`` round trip
+  (:func:`f16_flagged`, :func:`f16_exact`).
 
-Both entry points are verified against ``astype(np.float16)`` — the
-checks in ``tests/test_row_blocking.py`` sample the full bit range and
-every boundary (subnormal limits, 65504/65520, infinities, NaNs).
+:func:`round_f16` is the whole primitive (it runs the same check on the
+split's first product, so it needs no copy of its input); the kernels
+that can defer the check — the QT recurrence checks once per super-step
+and repairs only the affected diagonals — use the pieces.  ``tests/test_f16_carrier.py``
+checks the split against ``astype`` on every float32 exponent, every
+tie pattern and every boundary.
 """
 
 from __future__ import annotations
@@ -33,133 +40,134 @@ import numpy as np
 from .workspace import WorkspacePool
 
 __all__ = [
-    "round_f16_inplace",
-    "round_f16_nonneg_inplace",
-    "f16_lut19",
-    "f16_keys19",
+    "F16_OVERFLOW",
+    "split_f16",
+    "f16_flagged",
+    "f16_exact",
+    "round_f16",
+    "round_f16_with",
 ]
 
+#: Veltkamp's splitting constant for 11 of float32's 24 significant bits.
+_SPLIT = np.float32(2**13 + 1)
 _MAG_MASK = np.uint32(0x7FFFFFFF)
-_SIGN_MASK = np.uint32(0x80000000)
-_MIN_NORM16 = np.uint32(0x38800000)  # 2^-14, smallest normal half, as f32 bits
-_INF_F32 = np.uint32(0x7F800000)
-_CARRY_INF = np.uint32(0x47800000)  # 65536.0f: rounded magnitudes here and up -> inf
-_NEAR_INF = np.uint32(0x477F0000)  # conservative "might round to inf" threshold
-#: 65520.0f — the smallest magnitude whose RNE half rounding overflows to
-#: inf; from here up (and for NaNs) the gathered ``astype`` fallback runs.
-_OVERFLOW_LIM = np.uint32(0x477FF000)
-#: Adding then subtracting 0.75 forces RNE onto the half-subnormal 2^-24
-#: grid: for |x| < 2^-14 the sum lands in [0.75 - 2^-14, 0.75 + 2^-14],
-#: where the float32 mantissa ulp is exactly 2^-24, and the subtraction
-#: is exact by Sterbenz.
-_GRID_C = np.float32(0.75)
+#: 2^-14 (the smallest normal half) and 2^16 as float32 bit patterns:
+#: a split result ``hi`` is exact iff ``hi == 0`` or ``2^-14 < |hi| < 2^16``.
+_NORMAL_BITS = 0x38800000
+_OVERFLOW_BITS = 0x47800000
+#: 2^16: a split result this large stands for an overflow to infinity.
+F16_OVERFLOW = np.float32(2.0**16)
 
 
-def _rne_trick_inplace(u: np.ndarray, pool: WorkspacePool) -> None:
-    """Round the f32 bit patterns in ``u`` (uint32 view) to half-valued
-    patterns, round-to-nearest-even.  Domain: zeros, infinities and
-    magnitudes in the normal half range (carry to inf handled by the
-    callers); subnormal-half magnitudes and NaNs must not be present."""
-    with pool.lease(u.shape, np.uint32) as odd:
-        np.right_shift(u, np.uint32(13), out=odd)
-        odd &= np.uint32(1)
-        odd += np.uint32(0x0FFF)
-        u += odd
-    u &= np.uint32(0xFFFFE000)
+def _limits(exp: int) -> tuple[np.uint32, np.uint32]:
+    """The exact-domain bounds as magnitude bits, for values scaled by
+    ``2^exp`` (a power-of-two scale moves both by ``exp`` exponent
+    steps)."""
+    return (np.uint32(_NORMAL_BITS + (exp << 23)),
+            np.uint32(_OVERFLOW_BITS + (exp << 23)))
 
 
-def _carry_fix_inplace(u: np.ndarray, mag_hint: int) -> None:
-    """Replace rounded magnitudes >= 2^16 with signed infinity (the
-    overflow behaviour of the half conversion).  Skipped entirely when
-    ``mag_hint`` shows no element can be near the boundary."""
-    if mag_hint < int(_NEAR_INF):
-        return
-    mag = u & _MAG_MASK
-    np.copyto(u, (u & _SIGN_MASK) | _INF_F32, where=mag >= _CARRY_INF)
+#: The same bounds on the split's first product ``c = x * (2^13 + 1)``:
+#: rounding is monotone, so every ``x`` outside ``[2^-14, 65520)`` has a
+#: ``c`` at most ``C * 2^-14`` (exact) or at least ``RN(C * 65520)`` —
+#: or NaN — and :func:`round_f16` can find them before ``x`` is gone.
+_PRODUCT_LIMITS = (
+    np.float32(_SPLIT * np.float32(2.0**-14)).view(np.uint32),
+    np.float32(_SPLIT * np.float32(65520.0)).view(np.uint32),
+)
 
 
-def round_f16_nonneg_inplace(buf: np.ndarray, pool: WorkspacePool | None = None) -> None:
-    """In-place ``buf = buf.astype(float16).astype(float32)`` for
-    non-negative, NaN-free float32 data whose values are either zero,
-    exactly representable in half (e.g. sums of two subnormal-range
-    halves, which land on the half grid and pass through the trick
-    unchanged), or in the normal/overflow half range.
-
-    This is the scan-stage case: sums of sorted, saturated distances.
-    The temporary comes from ``pool`` (a private one when omitted).
-    """
-    u = buf.view(np.uint32)
-    mag_hint = int(u.max()) if u.size else 0
-    _rne_trick_inplace(u, pool or WorkspacePool())
-    _carry_fix_inplace(u, mag_hint)
+def split_f16(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Round the float32 array ``x`` to half precision by Veltkamp
+    splitting, in three ufuncs: ``c = x * (2^13 + 1)``, then ``out = c -
+    (c - x)``.  ``c`` is float32 scratch of ``x``'s shape; ``out`` may be
+    ``x`` (rounded in place) or ``c`` (the scratch becomes the result),
+    and ``x`` is overwritten either way.  Exact except where
+    :func:`f16_flagged` says.  Callers silence float errors."""
+    np.multiply(x, _SPLIT, out=c)
+    np.subtract(c, x, out=x)
+    np.subtract(c, x, out=out)
+    return out
 
 
-def round_f16_inplace(buf: np.ndarray, pool: WorkspacePool | None = None) -> None:
-    """In-place ``buf = buf.astype(float16).astype(float32)`` for any
-    float32 data.
-
-    The bit trick covers the normal half range; half-subnormal
-    magnitudes and zeros (any correlation within ~6e-5 of zero lands
-    here, so a large block almost always contains a few) round via an
-    exact add/subtract against ``_GRID_C`` that forces RNE onto the
-    2^-24 subnormal grid — fully vectorised, where the old
-    boolean-gather patch degraded as soon as a single update term fell
-    below 2^-14.  The trick returns ``+0.0`` for magnitudes that round
-    to zero, so the original sign bit is OR-ed back (IEEE rounding never
-    flips a sign), keeping ``-0.0`` and negative underflow bit-exact.
-    Only overflow-adjacent magnitudes (>= 65520, which RNE sends to inf)
-    and NaNs still take the gathered scalar ``astype`` round trip, rare
-    in saturated distance data.  The block-sized temporaries come from
-    ``pool`` (a private one when omitted).
-    """
-    pool = pool or WorkspacePool()
-    u = buf.view(np.uint32)
-    with pool.lease(buf.shape, np.uint32) as mag, \
-            pool.lease(buf.shape, np.bool_) as small:
-        np.bitwise_and(u, _MAG_MASK, out=mag)
-        top = int(mag.max()) if mag.size else 0
-        ext_mask = ext_vals = None
-        if top >= int(_OVERFLOW_LIM):
-            ext_mask = mag >= _OVERFLOW_LIM
-            with np.errstate(over="ignore", invalid="ignore"):
-                ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
-        np.less(mag, _MIN_NORM16, out=small)
-        if not small.any():
-            _rne_trick_inplace(u, pool)
-        else:
-            with pool.lease(buf.shape, np.float32) as grid:
-                # errstate: a signaling NaN elsewhere in the buffer would
-                # raise "invalid" here; NaN entries are patched by the ext
-                # gather.
-                with np.errstate(invalid="ignore"):
-                    np.add(buf, _GRID_C, out=grid)
-                    grid -= _GRID_C
-                # Only the small entries are copied back, so the sign can
-                # be OR-ed into the whole grid (``mag`` is spent).
-                sign = np.bitwise_and(u, _SIGN_MASK, out=mag)
-                grid_bits = grid.view(np.uint32)
-                grid_bits |= sign
-                _rne_trick_inplace(u, pool)
-                np.copyto(buf, grid, where=small)
-    if ext_mask is not None:
-        buf[ext_mask] = ext_vals
+def _out_of_range(v: np.ndarray, mag: np.ndarray, lo: np.uint32, top: np.uint32):
+    """Whether any element of ``v`` has ``0 < |v| <= lo`` and whether any
+    has ``|v| >= top`` or is NaN (bounds as magnitude bits).  Four
+    passes — the magnitude bits, their max, minus one (zeros wrap to the
+    top) and the min — leaving ``mag`` holding the bits minus one."""
+    np.bitwise_and(v.view(np.uint32), _MAG_MASK, out=mag)
+    if v.size == 0:
+        return False, False
+    big = bool(mag.max() >= top)
+    np.subtract(mag, np.uint32(1), out=mag)
+    return bool(mag.min() < lo), big
 
 
-def f16_keys19(buf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The 19-bit table key (sign + exponent + 10 mantissa bits) of each
-    half-valued float32 element — distinct half values give distinct
-    keys, so a 2^19 table gathers any per-value map in one pass.
-    ``out`` may be an ``intp`` array, the index dtype ``np.take`` uses
-    without converting."""
-    return np.right_shift(buf.view(np.uint32), np.uint32(13), out=out)
+def _positions(mag: np.ndarray, pool: WorkspacePool, lo: np.uint32, top: np.uint32,
+               big: bool) -> np.ndarray:
+    """The flat positions :func:`_out_of_range` found, from the ``mag`` it
+    left (bits minus one); the overflow side, rare, only when ``big``."""
+    with pool.lease(mag.shape, np.bool_) as flags:
+        np.less(mag, lo, out=flags)
+        if big:
+            with pool.lease(mag.shape, np.bool_) as over:
+                np.add(mag, np.uint32(1), out=mag)
+                flags |= np.greater_equal(mag, top, out=over)
+        return np.flatnonzero(flags)
 
 
-def f16_lut19(lut16: np.ndarray) -> np.ndarray:
-    """Re-key a 65536-entry half-indexed table to the 19-bit float32 key
-    space of :func:`f16_keys19` (entries at unreachable keys stay 0)."""
-    vals = np.arange(65536, dtype=np.uint16).view(np.float16)
-    keys = vals.astype(np.float32).view(np.uint32) >> np.uint32(13)
-    table = np.zeros(1 << 19, dtype=lut16.dtype)
-    table[keys] = lut16
-    table.setflags(write=False)
-    return table
+def f16_flagged(hi: np.ndarray, pool: WorkspacePool, exp: int = 0) -> np.ndarray:
+    """The flat positions (C order of ``hi``'s shape) of the split
+    result ``hi`` (values scaled by ``2^exp``) that may be rounded
+    wrongly: ``0 < |hi| <= 2^-14``, ``|hi| >= 2^16`` (both scaled) or
+    NaN — none when every element is zero or strictly between.  A clean
+    buffer costs four passes (the magnitude bits, their max, minus one
+    and the min); the block-sized scratch is leased from ``pool``."""
+    lo, top = _limits(exp)
+    with pool.lease(hi.shape, np.uint32) as mag:
+        small, big = _out_of_range(hi, mag, lo, top)
+        if not (small or big):
+            return np.empty(0, dtype=np.intp)
+        return _positions(mag, pool, lo, top, big)
+
+
+def f16_exact(x: np.ndarray) -> np.ndarray:
+    """``x.astype(float16).astype(float32)``: the exact rounding, for
+    the few elements the split gets wrong."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.astype(np.float16).astype(np.float32)
+
+
+def round_f16(x: np.ndarray, pool: WorkspacePool, out: np.ndarray | None = None) -> np.ndarray:
+    """``out = x.astype(float16).astype(float32)`` for any float32 ``x``,
+    bit for bit: :func:`split_f16` with the range check on its first
+    product, so the few elements outside the exact domain are found —
+    and their ``x`` kept — before the split overwrites anything, then
+    rounded exactly.  ``out`` defaults to ``x`` (rounded in place); a
+    distinct ``out`` leaves ``x`` untouched.  The scratch is leased from
+    ``pool``."""
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pool.lease(x.shape, np.float32) as c, \
+            pool.lease(x.shape, np.uint32) as mag:
+        return round_f16_with(x, c, mag, pool, out)
+
+
+def round_f16_with(x: np.ndarray, c: np.ndarray, mag: np.ndarray, pool: WorkspacePool,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`round_f16` with its float32 and uint32 scratch ``c`` and
+    ``mag`` (of ``x``'s shape) supplied by the caller — for loops of
+    small arrays, where leasing would cost more than the rounding.
+    Callers silence float errors."""
+    if out is None:
+        out = x
+    lo, top = _PRODUCT_LIMITS
+    np.multiply(x, _SPLIT, out=c)
+    small, big = _out_of_range(c, mag, lo, top)
+    if small or big:
+        idx = _positions(mag, pool, lo, top, big)
+        kept = x.flat[idx]
+    np.subtract(c, x, out=out)
+    np.subtract(c, out, out=out)
+    if small or big:
+        out.flat[idx] = f16_exact(kept)
+    return out

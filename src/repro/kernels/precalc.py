@@ -24,12 +24,15 @@ that work is ``repro.gpu.perfmodel.seed_cost`` and ``plane_cost``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..gpu.perfmodel import plane_cost, seed_cost
 from ..precision.modes import PrecisionPolicy
+from ._f16fast import round_f16_with
+from .workspace import WorkspacePool
 
 __all__ = [
     "PrecalcResult",
@@ -167,40 +170,79 @@ class PrecalcResult:
         )
 
 
+#: Half-precision arrays of at least this many elements compute on
+#: float32 carriers; smaller ones in numpy float16 directly.  A float16
+#: ufunc is one long loop that releases the interpreter lock, while a
+#: carrier operation is several short calls: on small arrays the calls'
+#: overhead outweighs the faster loops, and concurrent workers (the
+#: service's) queue for the lock between them.
+_CARRIER_MIN_SIZE = 8192
+
+
+def _half_ops(dtype: np.dtype, size: int):
+    """``(carrier, rnd)`` for arithmetic in ``dtype`` on arrays of
+    ``size`` elements.  Half precision on at least ``_CARRIER_MIN_SIZE``
+    elements runs on float32 carriers, each float32 op followed by
+    ``rnd`` (the exact half rounding of
+    :func:`~._f16fast.round_f16_with`, in place) — numpy's float16
+    ufuncs compute in float32 and round once, so the bits match
+    (float32's 24 significant bits are at least 2·11 + 2, so the double
+    rounding of +, −, ×, ÷ and √ is harmless).  Otherwise the arithmetic
+    runs in ``dtype`` itself and ``rnd`` does nothing."""
+    if dtype != np.float16 or size < _CARRIER_MIN_SIZE:
+        return dtype, lambda buf: buf
+    pool = WorkspacePool()
+    scratch: dict = {}
+
+    def rnd(buf: np.ndarray) -> np.ndarray:
+        # The loops round a few shapes many times: keep their scratch.
+        pair = scratch.get(buf.shape)
+        if pair is None:
+            pair = scratch[buf.shape] = (np.empty(buf.shape, dtype=np.float32),
+                                         np.empty(buf.shape, dtype=np.uint32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return round_f16_with(buf, *pair, pool)
+
+    return np.dtype(np.float32), rnd
+
+
 class _Accumulator:
     """Sequential (optionally Kahan-compensated) accumulator in ``dtype``.
 
     Models one device thread's register accumulation: every addition
     rounds to the target format; with compensation enabled the classic
-    Kahan recurrence runs entirely in that format.
+    Kahan recurrence runs entirely in that format.  Large half-precision
+    accumulators hold float32 carriers (see :func:`_half_ops`).
     """
 
     def __init__(self, shape: tuple[int, ...], dtype: np.dtype, compensated: bool):
         self.dtype = dtype
-        self.value = np.zeros(shape, dtype=dtype)
+        carrier, self._rnd = _half_ops(dtype, math.prod(shape))
+        self.value = np.zeros(shape, dtype=carrier)
         if compensated:
-            self.comp = np.zeros(shape, dtype=dtype)
+            self.comp = np.zeros(shape, dtype=carrier)
             # Persistent Kahan scratch: the y/total intermediates live for
             # the whole accumulation instead of being reallocated per add.
-            self._y = np.empty(shape, dtype=dtype)
-            self._total = np.empty(shape, dtype=dtype)
+            self._y = np.empty(shape, dtype=carrier)
+            self._total = np.empty(shape, dtype=carrier)
         else:
             self.comp = None
 
     def add(self, term: np.ndarray) -> None:
         # Guard against accidental promotion only when it would actually
-        # occur — every in-repo caller already hands in ``dtype`` terms,
-        # so the common path skips the astype entirely.
-        if term.dtype != self.dtype:
-            term = term.astype(self.dtype)
+        # occur — every in-repo caller already hands in ``dtype`` (or
+        # carrier) terms, so the common path skips the astype entirely.
+        carrier, rnd = self.value.dtype, self._rnd
+        if term.dtype != carrier:
+            term = term.astype(self.dtype).astype(carrier, copy=False)
         if self.comp is None:
-            np.add(self.value, term, out=self.value)
+            rnd(np.add(self.value, term, out=self.value))
         else:
             y, total = self._y, self._total
-            np.subtract(term, self.comp, out=y)
-            np.add(self.value, y, out=total)
-            np.subtract(total, self.value, out=self.comp)
-            np.subtract(self.comp, y, out=self.comp)
+            rnd(np.subtract(term, self.comp, out=y))
+            rnd(np.add(self.value, y, out=total))
+            rnd(np.subtract(total, self.value, out=self.comp))
+            rnd(np.subtract(self.comp, y, out=self.comp))
             # Swap buffers: the old value array becomes next round's
             # ``total`` scratch.
             self.value, self._total = total, self.value
@@ -216,37 +258,42 @@ def _window_stats(
     corresponding cumulative summations for each element", Section III-A)
     with a two-pass centred second moment — so the rounding error is the
     length-m dot-product error of the precalc format, which FP16C further
-    compresses with Kahan compensation.
+    compresses with Kahan compensation.  Both outputs are in the precalc
+    dtype; large half-precision planes compute on float32 carriers
+    (:func:`_half_ops`).
     """
     dtype = policy.precalc
     d, length = series.shape
     n_seg = length - m + 1
+    carrier, rnd = _half_ops(dtype, d * n_seg)
+    series = series.astype(carrier, copy=False)
 
     acc = _Accumulator((d, n_seg), dtype, policy.compensated)
     for t in range(m):
         acc.add(series[:, t : t + n_seg])
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = (acc.value / dtype.type(m)).astype(dtype)
+        mu = rnd(acc.value / carrier.type(dtype.type(m)))
 
     acc2 = _Accumulator((d, n_seg), dtype, policy.compensated)
     # Reused per-iteration scratch: same subtract/multiply ufuncs as the
     # temporaries they replace, so the rounding is bit-identical.
-    diff = np.empty((d, n_seg), dtype=dtype)
-    sq = np.empty((d, n_seg), dtype=dtype)
+    diff = np.empty((d, n_seg), dtype=carrier)
+    sq = np.empty((d, n_seg), dtype=carrier)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(m):
-            np.subtract(series[:, t : t + n_seg], mu, out=diff)
-            np.multiply(diff, diff, out=sq)
+            rnd(np.subtract(series[:, t : t + n_seg], mu, out=diff))
+            rnd(np.multiply(diff, diff, out=sq))
             acc2.add(sq)
     cent_sq = acc2.value
     # Flat windows give non-positive centred energy after rounding; clamp to
     # the smallest normal so the reciprocal stays finite (ill-conditioned
     # regions then produce the large errors Section V-B describes).
     tiny = np.finfo(dtype).tiny
-    cent_sq = np.maximum(cent_sq, dtype.type(tiny))
+    cent_sq = np.maximum(cent_sq, carrier.type(tiny))
     with np.errstate(over="ignore", invalid="ignore"):
-        inv = (dtype.type(1.0) / np.sqrt(cent_sq).astype(dtype)).astype(dtype)
-    return mu, inv
+        norm = rnd(np.sqrt(cent_sq))
+        inv = rnd(carrier.type(1.0) / norm)
+    return mu.astype(dtype, copy=False), inv.astype(dtype, copy=False)
 
 
 def _delta_coefficients(
@@ -256,19 +303,23 @@ def _delta_coefficients(
 
     ``df[i] = (T[i+m-1] - T[i-1]) / 2``
     ``dg[i] = (T[i+m-1] - mu[i]) + (T[i-1] - mu[i-1])``, with index 0 = 0.
+    Each operation rounds to ``dtype`` (large half-precision planes on
+    float32 carriers, :func:`_half_ops`); the outputs are in ``dtype``.
     """
     d, length = series.shape
     n_seg = length - m + 1
-    df = np.zeros((d, n_seg), dtype=dtype)
-    dg = np.zeros((d, n_seg), dtype=dtype)
+    carrier, rnd = _half_ops(dtype, d * n_seg)
+    df = np.zeros((d, n_seg), dtype=carrier)
+    dg = np.zeros((d, n_seg), dtype=carrier)
     if n_seg > 1:
+        series = series.astype(carrier, copy=False)
+        mu = mu.astype(carrier, copy=False)
         head = series[:, m : m + n_seg - 1]  # T[i+m-1] for i >= 1
         tail = series[:, 0 : n_seg - 1]  # T[i-1]   for i >= 1
-        df[:, 1:] = ((head - tail).astype(dtype) * dtype.type(0.5)).astype(dtype)
-        dg[:, 1:] = (
-            (head - mu[:, 1:]).astype(dtype) + (tail - mu[:, :-1]).astype(dtype)
-        ).astype(dtype)
-    return df, dg
+        with np.errstate(over="ignore", invalid="ignore"):
+            df[:, 1:] = rnd(rnd(head - tail) * carrier.type(0.5))
+            dg[:, 1:] = rnd(rnd(head - mu[:, 1:]) + rnd(tail - mu[:, :-1]))
+    return df.astype(dtype, copy=False), dg.astype(dtype, copy=False)
 
 
 def seed_qt_rows(
@@ -293,24 +344,30 @@ def seed_qt_rows(
     to a one-start pass and each output column to a pass over any span of
     ``series_other`` that holds it — the batching only amortises the
     Python-level length-``m`` loop across all tiles sharing a band.
+    Large half-precision batches compute on float32 carriers
+    (:func:`_half_ops`); the output is in the precalc dtype.
     """
     dtype = policy.precalc
     d, n_seg = mu_other.shape
     n_bands = len(starts)
+    carrier, rnd = _half_ops(dtype, n_bands * d * n_seg)
     if n_bands == 0:
         return np.empty((0, d, n_seg), dtype=dtype)
-    fixed = np.stack([series_fixed[:, s : s + m] for s in starts])
-    fmu = np.stack([mu_fixed[:, s] for s in starts])
-    fixed_centered = (fixed - fmu[:, :, None]).astype(dtype, copy=False)
+    fixed = np.stack([series_fixed[:, s : s + m] for s in starts]).astype(carrier, copy=False)
+    fmu = np.stack([mu_fixed[:, s] for s in starts]).astype(carrier, copy=False)
+    series_other = series_other.astype(carrier, copy=False)
+    mu_other = mu_other.astype(carrier, copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fixed_centered = rnd(fixed - fmu[:, :, None])
     acc = _Accumulator((n_bands, d, n_seg), dtype, policy.compensated)
-    diff = np.empty((d, n_seg), dtype=dtype)
-    term = np.empty((n_bands, d, n_seg), dtype=dtype)
+    diff = np.empty((d, n_seg), dtype=carrier)
+    term = np.empty((n_bands, d, n_seg), dtype=carrier)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(m):
-            np.subtract(series_other[:, t : t + n_seg], mu_other, out=diff)
-            np.multiply(fixed_centered[:, :, t : t + 1], diff[None], out=term)
+            rnd(np.subtract(series_other[:, t : t + n_seg], mu_other, out=diff))
+            rnd(np.multiply(fixed_centered[:, :, t : t + 1], diff[None], out=term))
             acc.add(term)
-    return acc.value
+    return acc.value.astype(dtype, copy=False)
 
 
 def fft_seed_qt_rows(

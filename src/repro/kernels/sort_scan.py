@@ -18,10 +18,11 @@ hardware differs from a sequential cumsum) is reproduced bit for bit.
 Sorting is exact (comparisons don't round).  :class:`SortScanKernel`
 produces the bits of the stage-by-stage bitonic network through one
 value-exact compare-exchange network for every precision — Batcher's
-odd-even merge sort over float values or, for halves, uint16 radix keys,
-with ``np.sort`` only above 16 rows — and, for half precision, a
-float32-domain scan; the cost model charges the bitonic network's
-stages (``repro.gpu.perfmodel.sort_scan_cost``).  The stage-by-stage
+odd-even merge sort over float values, with ``np.sort`` only above 16
+rows — and, for half precision, runs on float32 carriers (see
+``_f16fast``): the same network, with the fan-in stages and the
+division rounded to half in float32; the cost model charges the bitonic
+network's stages (``repro.gpu.perfmodel.sort_scan_cost``).  The stage-by-stage
 bitonic network itself is the test oracle, in ``tests/per_row_oracle.py``.
 """
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..gpu.kernel import Kernel
 from ..precision.modes import PrecisionPolicy
-from ._f16fast import f16_keys19, round_f16_nonneg_inplace
+from ._f16fast import F16_OVERFLOW, round_f16, split_f16
 from .workspace import WorkspacePool
 
 __all__ = ["SortScanKernel", "fanin_inclusive_scan"]
@@ -48,9 +49,6 @@ def _divisor_column(d: int, dtype: np.dtype) -> np.ndarray:
     col.setflags(write=False)
     return col
 
-
-_U16_SIGN = np.uint16(0x8000)
-_U16_REST = np.uint16(0x7FFF)
 
 #: Largest ``d`` sorted by the Batcher odd-even merge network (19
 #: comparators at d=8); larger planes fall back to ``np.sort``.
@@ -98,10 +96,11 @@ def _sort_network_inplace(plane: np.ndarray, lo: np.ndarray | None = None) -> np
 
     Each compare-exchange is a vectorised min/max over two whole rows,
     which for small ``d`` is far cheaper than ``np.sort`` striding down
-    ``n`` short columns.  ``plane`` holds float32/float64 values or the
-    uint16 radix keys of halves; float columns must be NaN-free and free
-    of ``-0.0``, so that min/max and ``np.sort`` agree on every value
-    (distance planes are, by construction).  ``lo`` is an optional
+    ``n`` short columns.  ``plane`` holds float32/float64 values (half
+    values in float32 carriers) or integer radix keys; float columns
+    must be NaN-free and free of ``-0.0``, so that min/max and
+    ``np.sort`` agree on every value (distance planes are, by
+    construction).  ``lo`` is an optional
     ``(n,)`` row temporary of the plane's dtype.  Above
     ``_BATCHER_MAX_D`` rows the plane goes to ``np.sort``.
     """
@@ -118,121 +117,34 @@ def _sort_network_inplace(plane: np.ndarray, lo: np.ndarray | None = None) -> np
     return plane
 
 
-def _sort_f16_inplace(plane: np.ndarray, pool: WorkspacePool) -> np.ndarray:
-    """Value-exact in-place per-column sort of a contiguous half plane.
-
-    numpy's ``float16`` comparisons run a scalar convert-to-float loop,
-    so halves are sorted as ``uint16`` keys: IEEE half bit patterns
-    order like their values once negative patterns are flipped (the
-    classic radix-key transform).  The flip pattern of each element is
-    built in a leased ``uint16`` temporary, whose first row then serves
-    as the network's row temporary.
-    """
-    u = plane.view(np.uint16)
-    with pool.lease(u.shape, np.uint16) as flip:
-        # Keys: negative patterns -> ~u, non-negative -> u | 0x8000.
-        np.right_shift(u, np.uint16(15), out=flip)
-        flip *= _U16_REST
-        flip += _U16_SIGN
-        u ^= flip
-        _sort_network_inplace(u, flip[0])
-        # Back: keys with the top bit set were non-negative halves.
-        np.right_shift(u, np.uint16(15), out=flip)
-        flip ^= np.uint16(1)
-        flip *= _U16_REST
-        flip += _U16_SIGN
-        u ^= flip
-    return plane
-
-
-def _sort_columns_exact(plane: np.ndarray) -> np.ndarray:
-    """Ascending per-column sort of a copy of ``plane`` whose output
-    *values* are identical to the bitonic network's — any correct
-    ascending sort of a NaN-free column yields the same value sequence,
-    so only the emulation fidelity (stage-by-stage execution) is given
-    up, never a bit of the result.
-
-    Every dtype runs :func:`_sort_network_inplace`; halves go through
-    the radix keys of :func:`_sort_f16_inplace`.  Columns must be
-    NaN-free (distance planes are by construction; the network's
-    behaviour under NaN is unspecified anyway).
-    """
-    if plane.dtype != np.float16:
-        return _sort_network_inplace(plane.copy())
-    return _sort_f16_inplace(plane.copy(), WorkspacePool())
-
-
-def _divide_lut_f16(k: int) -> np.ndarray:
-    """All 65536 half values divided by ``k`` and rounded, as one table.
-
-    ``x / k`` is a unary function of ``x`` for a fixed divisor, and half
-    precision has only 2^16 values — so the whole inclusive-average
-    division collapses to a gather.  Built with the very numpy ops of the
-    stage-by-stage division, hence bit-identical by construction (NaN
-    payloads included).
-    """
-    vals = np.arange(65536, dtype=np.uint16).view(np.float16)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (vals / np.float16(k)).astype(np.float16)
-
-
-#: The span of 19-bit keys (:func:`f16_keys19`) the divide tables cover.
-#: Scan sums of a sorted distance plane are non-negative, NaN-free and
-#: half-valued, so their keys are 0 (``+0``), ``103 << 10`` (2^-24, the
-#: smallest subnormal half) to ``(142 << 10) | 1023`` (65504), or
-#: ``255 << 10`` (``+inf``).  The two ends are never halves: key
-#: ``102 << 10`` is 2^-25, which rounds to ``+0``, and key ``143 << 10``
-#: is 2^16, which rounds to ``+inf`` — so a gather clipped to the span
-#: sends ``+0`` and ``+inf`` to entries holding exactly those quotients.
-_DIV_KEY_LO = 102 << 10
-_DIV_KEY_HI = 143 << 10
-
-
-@lru_cache(maxsize=16)
-def _divide_table_f16(d: int) -> np.ndarray:
-    """The divide-by-k tables for k = 1..d over the reachable keys
-    ``_DIV_KEY_LO`` to ``_DIV_KEY_HI``, interleaved row-minor: entry
-    ``(key - _DIV_KEY_LO) * d + k - 1`` holds the half quotient of the
-    key's value by ``k``.  One flat gather with ``key * d + row -
-    _DIV_KEY_LO * d`` indices (:func:`_divide_index_offsets`) divides a
-    whole ``(d, n)`` plane, and ``np.take(..., mode="clip")`` sends every
-    row's ``+0`` to the first entry (0 / 1) and every row's ``+inf`` to
-    the last (inf / d), with no per-row clamp.  About 84 KB per divisor.
-    """
-    keys = np.arange(_DIV_KEY_LO, _DIV_KEY_HI + 1, dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        halves = (keys << np.uint32(13)).view(np.float32).astype(np.float16)
-    idx = halves.view(np.uint16)
-    table = np.empty((keys.size, d), dtype=np.float16)
-    for k in range(d):
-        table[:, k] = _divide_lut_f16(k + 1)[idx]
-    table = table.ravel()
-    table.setflags(write=False)
-    return table
-
-
-def _fanin_scan_inplace(plane: np.ndarray, tmp: np.ndarray, round_stage=None) -> None:
+def _fanin_scan_inplace(plane: np.ndarray, tmp: np.ndarray, half: bool = False) -> None:
     """:func:`fanin_inclusive_scan` in place on a float32/float64 plane:
     the same additions in the same order, each stage's sums staged in
     ``tmp`` (``(d - 1, n)`` or larger) and rounded to the plane's dtype.
 
-    Half precision runs in float32 storage: numpy's half add *is* a
-    float32 add followed by one RNE conversion per element (scalar
-    loop), so ``round_stage`` — ``round_f16_nonneg_inplace``, whose
-    domain the sorted, saturated distances are — applies that
-    conversion to each stage's sums, vectorised, and every stage's bits
-    match.  The plane then ends half-valued (gather keys via
-    :func:`f16_keys19`).
+    ``half=True`` runs half precision on a float32 carrier plane:
+    numpy's half add *is* a float32 add followed by one rounding to
+    half, and :func:`~._f16fast.split_f16` applies that rounding to each
+    stage's sums, straight back into the plane.  The sums of a sorted,
+    saturated distance plane are non-negative, finite and on the half
+    grid, where the split is exact except that a sum rounding to
+    ``+inf`` comes out as a finite value of ``2^16`` or more — and stays
+    there through the later stages, as ``+inf`` would.  No check is
+    needed: the divide step of :class:`SortScanKernel` turns every such
+    value into ``+inf`` first.
     """
     d = plane.shape[0]
     offset = 1
     with np.errstate(over="ignore", invalid="ignore"):
         while offset < d:
             seg = tmp[: d - offset]
-            np.add(plane[offset:], plane[:-offset], out=seg)
-            if round_stage is not None:
-                round_stage(seg)
-            plane[offset:] = seg
+            if half:
+                dst = plane[offset:]
+                np.add(dst, plane[:-offset], out=seg)
+                split_f16(seg, dst, dst)
+            else:
+                np.add(plane[offset:], plane[:-offset], out=seg)
+                plane[offset:] = seg
             offset *= 2
 
 
@@ -255,15 +167,6 @@ def fanin_inclusive_scan(plane: np.ndarray, dtype: np.dtype, count_stages: bool 
     if count_stages:
         return work, stages
     return work
-
-
-@lru_cache(maxsize=16)
-def _divide_index_offsets(d: int) -> np.ndarray:
-    """The ``(d, 1)`` column ``k - _DIV_KEY_LO * d`` that turns row
-    ``k``'s keys, times ``d``, into indices of :func:`_divide_table_f16`."""
-    col = np.arange(d, dtype=np.intp)[:, None] - _DIV_KEY_LO * d
-    col.setflags(write=False)
-    return col
 
 
 @lru_cache(maxsize=16)
@@ -301,24 +204,27 @@ class SortScanKernel(Kernel):
         """Returns D'' — the (d, n_q) plane of inclusive averages, where row
         ``k`` holds the mean of the k+1 best per-dimension distances.
 
-        The sort is value-exact (Batcher's min/max network, over radix
-        keys for halves) and the half-precision scan and division run in
-        the float32 domain with per-stage rounding and a divide-by-k
-        table, so the output is bit-for-bit what the stage-by-stage
-        bitonic sort and :func:`fanin_inclusive_scan` networks produce —
-        those remain the test oracle.  Both networks are
+        The sort is value-exact (Batcher's min/max network) and the
+        half-precision scan and division run on float32 carriers with
+        per-stage rounding, so the output is bit-for-bit what the
+        stage-by-stage bitonic sort and :func:`fanin_inclusive_scan`
+        networks produce — those remain the test oracle.  Both networks are
         column-independent, so a row-blocked caller passes a block of
         logical distance rows — of a stack of tiles, too — side by side
         as one ``(d, rows*n_q)`` plane.  Nothing is charged: the caller
         charges the tile.
 
-        The result is written into ``out``, a contiguous compute-dtype
-        ``(d, n)`` array, or into a fresh one when ``out`` is ``None``;
-        ``plane`` itself is left untouched unless it *is* ``out``.  The
-        vector main loop passes its distance buffer as both, so the sort,
-        the scan and the divide run in place there, with the stage
-        temporaries leased from :attr:`pool`; the tensor-core loop passes
-        a leased float32 ``out`` beside its panel (see :meth:`_run_mma`).
+        The result is written into ``out``, a contiguous ``(d, n)``
+        array of ``plane``'s dtype, or into a fresh one when ``out`` is
+        ``None``; ``plane`` itself is left untouched unless it *is*
+        ``out``.  The vector main loop passes its distance buffer as
+        both, so the sort, the scan and the divide run in place there,
+        with the stage temporaries leased from :attr:`pool`; the
+        tensor-core loop passes a leased float32 ``out`` beside its panel
+        (see :meth:`_run_mma`).  At half precision the main loop's planes
+        are float32 carriers (see ``_f16fast``); any other plane is
+        rounded to half, widened into a leased carrier, and the result
+        narrowed back into a half ``out``.
         """
         dtype = self.policy.compute
         d = plane.shape[0]
@@ -328,8 +234,17 @@ class SortScanKernel(Kernel):
             and dtype == np.float16
         ):
             return self._run_mma(plane, out)
+        if dtype == np.float16 and plane.dtype != np.float32:
+            half = plane.astype(dtype, copy=False)
+            if out is None:
+                out = np.empty_like(half)
+            with self.pool.lease(plane.shape, np.float32) as work:
+                np.copyto(work, half)
+                self._sort_scan_f16(work)
+                np.copyto(out, work)
+            return out
         if out is None:
-            out = plane.astype(dtype, copy=True)
+            out = plane.astype(np.float32 if dtype == np.float16 else dtype, copy=True)
         elif out is not plane:
             np.copyto(out, plane)
         if dtype == np.float16:
@@ -343,25 +258,31 @@ class SortScanKernel(Kernel):
         return out
 
     def _sort_scan_f16(self, plane: np.ndarray) -> None:
-        """The half-precision sort, scan and divide, in place on
-        ``plane``: the scan runs in a leased float32 copy, and the
-        divide-by-k table gathers straight back into ``plane`` through
-        leased ``intp`` keys (``np.take`` would convert narrower keys to
-        a fresh ``intp`` array)."""
+        """The half-precision sort, scan and divide, in place on the
+        float32 carrier ``plane``: the min/max network sorts the carriers
+        as the FP32 path sorts its planes, the fan-in stages round with
+        the Veltkamp split, and rows ``k >= 1`` are divided by ``k + 1``
+        in float32 and rounded by :func:`~._f16fast.round_f16` — numpy's
+        half division is that float32 quotient rounded once.  Scan sums
+        of ``2^16`` or more (and the NaN an infinite input leaves) stand
+        for ``+inf`` and become it before the division; the last row
+        holds the largest sums, so one look at it decides."""
         pool = self.pool
         d, n = plane.shape
-        _sort_f16_inplace(plane, pool)
-        with pool.lease(plane.shape, np.float32) as work, \
-                pool.lease((max(d - 1, 1), n), np.float32) as tmp:
-            np.copyto(work, plane)
-            _fanin_scan_inplace(
-                work, tmp, lambda seg: round_f16_nonneg_inplace(seg, pool)
-            )
-            with pool.lease(plane.shape, np.intp) as keys:
-                f16_keys19(work, out=keys)
-                keys *= d
-                keys += _divide_index_offsets(d)
-                np.take(_divide_table_f16(d), keys, out=plane, mode="clip")
+        with pool.lease((max(d - 1, 1), n), np.float32) as tmp:
+            _sort_network_inplace(plane, tmp[0])
+            _fanin_scan_inplace(plane, tmp, half=True)
+        if d == 1:
+            return
+        sums = plane[1:]
+        if not sums[-1].max() < F16_OVERFLOW:
+            with pool.lease(sums.shape, np.bool_) as overflow:
+                np.less(sums, F16_OVERFLOW, out=overflow)
+                np.logical_not(overflow, out=overflow)  # NaN included
+                np.copyto(sums, np.float32(np.inf), where=overflow)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(sums, _divisor_column(d, np.dtype(np.float32))[1:], out=sums)
+        round_f16(sums, pool)
 
     def _run_mma(self, plane: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """Fused tensor-core sort+scan on the FP32 distance fragment.

@@ -76,6 +76,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..gpu.perfmodel import MMA_K
 from ..precision.modes import DTYPE_MAX, TENSOR_CORE_MODES
+from ._f16fast import round_f16
 from .dist_calc import DistCalcKernel
 from .precalc import PrecalcResult
 
@@ -90,17 +91,6 @@ TC_PANEL_ROWS = 32
 #: FP16 saturation value used by the fused epilogue (the storage format's
 #: largest finite value, kept in float32).
 _F16_LIMIT = np.float32(DTYPE_MAX[np.dtype(np.float16)])
-
-# Bit thresholds of the float32 -> float16 quantiser below: |x| < 2^-14
-# (the result is an FP16 subnormal) and |x| >= 65520 (the result
-# overflows to infinity; 65520 is the exact rounding boundary).
-_MAG_MASK = np.uint32(0x7FFFFFFF)
-_SUBNORMAL_LIM = np.uint32(0x38800000)
-_OVERFLOW_LIM = np.uint32(0x477FF000)
-#: Round-to-grid constant: adding then subtracting 0.75 rounds any
-#: |x| < 2^-14 to the FP16 subnormal grid (2^-24) with RNE, exactly.
-_GRID_C = np.float32(0.75)
-
 
 @lru_cache(maxsize=16)
 def _ltri_f32(k: int) -> np.ndarray:
@@ -166,7 +156,6 @@ class TcGemmKernel(DistCalcKernel):
         if self._blk_ready:
             return
         super()._ensure_block_state()
-        self._qt_col0_w = self._qt_col0.astype(self._wide)
         # The fused epilogue folds the 2m distance scale into the row
         # normaliser: D^2 = 2m - QT * (2m * inv_r) * inv_q.
         self._two_m_w = np.float32(2 * self.pre.m)
@@ -218,49 +207,12 @@ class TcGemmKernel(DistCalcKernel):
 
     def _quantise_f16(self, buf: np.ndarray) -> None:
         """In-place float32 -> FP16-valued float32 quantisation (RNE) —
-        the operand rounding that loads ``buf`` into MMA fragments.
-
-        Equivalent to ``buf.astype(float16).astype(float32)`` except the
-        sign of a negative zero may flip (irrelevant: the values feed
-        additions only).  Normal-range values round via the classic
-        mantissa bit trick; subnormal results via an exact add/subtract
-        against 0.75, which forces RNE onto the 2^-24 grid — both fully
-        vectorised, unlike the boolean-gather fallback of
-        ``_f16fast.round_f16_inplace``, whose cost explodes as soon as a
-        single update term lands below 2^-14 (common for df*dg products).
-        Overflow/NaN/inf entries take a gathered scalar fallback, rare by
-        the same magnitude argument.  The four temporaries are leased
-        from :attr:`pool` per call, like the half path's rounding
-        temporaries.
-        """
-        pool = self.pool
-        with pool.lease(buf.shape, np.uint32) as mag, \
-                pool.lease(buf.shape, np.uint32) as gbuf, \
-                pool.lease(buf.shape, np.float32) as tmp32, \
-                pool.lease(buf.shape, bool) as small:
-            v = buf.view(np.uint32)
-            np.bitwise_and(v, _MAG_MASK, out=mag)
-            top = mag.max()
-            ext_mask = ext_vals = None
-            if top >= _OVERFLOW_LIM:
-                ext_mask = mag >= _OVERFLOW_LIM
-                with np.errstate(over="ignore"):
-                    ext_vals = buf[ext_mask].astype(np.float16).astype(np.float32)
-            np.less(mag, _SUBNORMAL_LIM, out=small)
-            has_small = bool(small.any())
-            if has_small:
-                np.add(buf, _GRID_C, out=tmp32)
-                np.subtract(tmp32, _GRID_C, out=tmp32)
-            # RNE bit trick for the normal range, in place.
-            np.right_shift(v, np.uint32(13), out=gbuf)
-            np.bitwise_and(gbuf, np.uint32(1), out=gbuf)
-            np.add(gbuf, v, out=gbuf)
-            np.add(gbuf, np.uint32(0x0FFF), out=gbuf)
-            np.bitwise_and(gbuf, np.uint32(0xFFFFE000), out=v)
-            if has_small:
-                np.copyto(buf, tmp32, where=small)
-            if ext_mask is not None:
-                buf[ext_mask] = ext_vals
+        the operand rounding that loads ``buf`` into MMA fragments:
+        ``buf.astype(float16).astype(float32)`` bit for bit, through the
+        carrier rounding of ``_f16fast.round_f16`` (df*dg products often
+        land below 2^-14, where the exact fallback takes over), with its
+        scratch leased from :attr:`pool`."""
+        round_f16(buf, self.pool)
 
     def _panel(
         self, i_start: int, T: int, base_f16: np.ndarray, out: np.ndarray
@@ -270,7 +222,7 @@ class TcGemmKernel(DistCalcKernel):
         float32 panel ``out`` (the FP32 accumulator contents)."""
         d, n_q = self._inv_q.shape
         if n_q == 1:
-            out[:, :, 0] = self._qt_col0_w[:, i_start : i_start + T]
+            out[:, :, 0] = self._qt_col0_c[:, i_start : i_start + T]
             return
 
         # Rank-2 update GEMM: exact FP16xFP16 products accumulated in
@@ -307,7 +259,7 @@ class TcGemmKernel(DistCalcKernel):
         scanP = self._buf("scanP", T, T)
         tmpc = self._buf("chunk", min(MMA_K, T), n_q - 1)
         carry_s = base_f16.astype(np.float32)[:, None, : n_q - 1]
-        carry_p = self._qt_col0_w[:, None, i_start : i_start + T]
+        carry_p = self._qt_col0_c[:, None, i_start : i_start + T]
         with np.errstate(over="ignore", invalid="ignore"):
             for c0 in range(0, T, MMA_K):
                 r = min(MMA_K, T - c0)
@@ -335,7 +287,7 @@ class TcGemmKernel(DistCalcKernel):
         corner_vals = self._buf("cornerW", T, cj)  # the shear is consumed
         np.take(scanP.reshape(d, -1), idx_corner, axis=1, out=corner_vals.reshape(d, -1))
         np.copyto(out[:, :, :cj], corner_vals, where=mask_corner)
-        out[:, :, 0] = self._qt_col0_w[:, i_start : i_start + T]
+        out[:, :, 0] = self._qt_col0_c[:, i_start : i_start + T]
 
     def run_block(self, i0: int, rows: int, workspace: np.ndarray | None) -> np.ndarray:
         """Tensor-core super-step: one packed-panel launch for ``rows``

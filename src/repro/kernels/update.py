@@ -267,21 +267,22 @@ class UpdateKernel(Kernel):
                 f"block shape {block.shape} != profile shape {self.profile.shape}"
             )
         storage = self.policy.storage
-        # Fused tensor-core path: a wide block is the FP32 accumulator
-        # fragment from the mma sort/scan (and that kernel's scratch, so
-        # masking in place is fine).  Reduce over the row axis *before*
-        # narrowing — on hardware the min-merge runs in registers and
-        # only the winning entry is stored — so the single FP16 rounding
-        # per column happens at the store below.  Ties are decided on
-        # the wide values; columns whose wide values differ only below
-        # storage precision may therefore pick a different (equally
-        # minimal after rounding) row than the storage-domain networks.
+        # A wide block is the FP32 accumulator fragment from the fused
+        # tensor-core sort/scan, or the vector half path's float32
+        # carriers.  Reduce over the row axis *before* narrowing — on
+        # hardware the min-merge runs in registers and only the winning
+        # entry is stored — so the single FP16 rounding per column
+        # happens at the store below.  Ties are decided on the wide
+        # values; accumulator values that differ only below storage
+        # precision may therefore pick a different (equally minimal
+        # after rounding) row than the storage-domain networks.  Carrier
+        # values are half values, so their ties are exactly the halves'.
         wide_block = block.dtype.itemsize > storage.itemsize
         if not wide_block:
             block = block.astype(storage, copy=False)
         if mask is not None:
             limit = block.dtype.type(DTYPE_MAX[np.dtype(storage)])
-            if wide_block or in_place:
+            if in_place:
                 np.copyto(block, limit, where=mask[None])
             else:
                 block = np.where(mask[None], limit, block)

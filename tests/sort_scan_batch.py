@@ -27,11 +27,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.gpu.kernel import Kernel
-from repro.kernels.sort_scan import _divisor_column
+from repro.gpu.kernel import Kernel, KernelCost
+from repro.kernels.sort_scan import _divisor_column, _sort_network_inplace
+from repro.kernels.workspace import WorkspacePool
 from repro.precision.modes import PrecisionPolicy
 
-__all__ = ["BatchSortScanKernel", "insertion_sort_columns", "sequential_inclusive_scan"]
+__all__ = [
+    "BatchSortScanKernel",
+    "insertion_sort_columns",
+    "sequential_inclusive_scan",
+    "sort_columns_exact",
+]
 
 
 def insertion_sort_columns(plane: np.ndarray, count_ops: bool = False):
@@ -110,11 +116,51 @@ class BatchSortScanKernel(Kernel):
         size = self.policy.storage.itemsize
         touched = float(moves * 2 + d * n_q)
         sector_waste = 16.0
-        self._account(
+        self._charge(KernelCost(
+            name=self.cost.name,
             bytes_dram=touched * size * sector_waste,
             bytes_l2=touched * size * sector_waste,
             flops=touched,
             launches=1,
             loop_rounds=math.ceil(n_q / self.config.total_threads),
-        )
+        ))
         return averaged
+
+
+def _sort_f16_inplace(plane: np.ndarray, pool: WorkspacePool) -> np.ndarray:
+    """Value-exact in-place per-column sort of a contiguous half plane,
+    as ``uint16`` radix keys: IEEE half bit patterns order like their
+    values once negative patterns are flipped (the classic radix-key
+    transform).  The flip pattern of each element is built in a leased
+    ``uint16`` temporary, whose first row then serves as the network's
+    row temporary."""
+    sign, rest = np.uint16(0x8000), np.uint16(0x7FFF)
+    u = plane.view(np.uint16)
+    with pool.lease(u.shape, np.uint16) as flip:
+        # Keys: negative patterns -> ~u, non-negative -> u | 0x8000.
+        np.right_shift(u, np.uint16(15), out=flip)
+        flip *= rest
+        flip += sign
+        u ^= flip
+        _sort_network_inplace(u, flip[0])
+        # Back: keys with the top bit set were non-negative halves.
+        np.right_shift(u, np.uint16(15), out=flip)
+        flip ^= np.uint16(1)
+        flip *= rest
+        flip += sign
+        u ^= flip
+    return plane
+
+
+def sort_columns_exact(plane: np.ndarray) -> np.ndarray:
+    """Ascending per-column sort of a copy of ``plane`` whose output
+    *values* are identical to the bitonic network's — any correct
+    ascending sort of a NaN-free column yields the same value sequence.
+
+    Every dtype runs the kernel's min/max network
+    (``_sort_network_inplace``); halves go through radix keys.  Columns
+    must be NaN-free."""
+    if plane.dtype != np.float16:
+        return _sort_network_inplace(plane.copy())
+    return _sort_f16_inplace(plane.copy(), WorkspacePool())
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gpu.device import A100, V100
-from repro.gpu.kernel import Kernel, KernelCost, LaunchConfig, grid_stride_chunks
+from repro.gpu.kernel import KernelCost, LaunchConfig, grid_stride_chunks
 
 
 class TestLaunchConfig:
@@ -71,19 +71,3 @@ class TestKernelCost:
         s = cost.scaled(3)
         assert s.bytes_dram == 300
         assert s.launches == 3
-
-    def test_kernel_accounting_helper(self):
-        class Dummy(Kernel):
-            pass
-
-        k = Dummy(config=LaunchConfig(1, 32))
-        k._account(bytes_dram=100.0, flops=7.0, launches=1)
-        k._account(bytes_dram=50.0)
-        assert k.cost.bytes_dram == 150.0
-        assert k.cost.flops == 7.0
-        assert k.cost.launches == 1
-
-    def test_nbytes_helper(self):
-        a = np.zeros((4, 4), dtype=np.float64)
-        b = np.zeros(10, dtype=np.float16)
-        assert Kernel.nbytes(a, b) == 128 + 20

@@ -11,20 +11,17 @@ from repro.core.api import matrix_profile
 from repro.core.config import RunConfig
 from repro.gpu.kernel import LaunchConfig
 from repro.gpu.perfmodel import sort_stage_count
-from repro.kernels._f16fast import f16_keys19
 from repro.kernels.dist_calc import _qt_to_dist_lut_f16
 from repro.kernels.sort_scan import (
     _BATCHER_MAX_D,
     SortScanKernel,
-    _divide_index_offsets,
-    _divide_table_f16,
-    _sort_columns_exact,
     _sort_network_inplace,
     fanin_inclusive_scan,
 )
 from repro.precision.modes import DTYPE_MAX, TENSOR_CORE_MODES, PrecisionMode, policy_for
 
 from .per_row_oracle import bitonic_sort
+from .sort_scan_batch import sort_columns_exact
 
 CFG = LaunchConfig(grid=4, block=64)
 
@@ -151,7 +148,7 @@ class TestUnifiedSort:
     def test_bytes_match_np_sort_and_oracle(self, rng, dtype, d):
         plane = _tie_heavy_plane(rng, d, dtype)
         before = plane.copy()
-        out = _sort_columns_exact(plane)
+        out = sort_columns_exact(plane)
         assert out.dtype == plane.dtype and out.shape == plane.shape
         assert out.tobytes() == np.sort(plane, axis=0).tobytes()
         assert out.tobytes() == bitonic_sort(plane).tobytes()
@@ -192,17 +189,8 @@ def _divided(x, k):
 
 
 class TestDivideTable:
-    """The half-precision divide-by-k gather covers only the keys that
-    non-negative, NaN-free scan sums can take; on those it is exact."""
-
-    @pytest.mark.parametrize("d", [1, 2, 8, 16, 17])
-    def test_gather_exact_for_every_divisor(self, d):
-        keys = f16_keys19(_NONNEG_F16.astype(np.float32)).astype(np.intp)
-        idx = keys[None, :] * d + _divide_index_offsets(d)
-        got = np.take(_divide_table_f16(d), idx, mode="clip")
-        for k in range(1, d + 1):
-            want = _divided(_NONNEG_F16, k)
-            assert got[k - 1].tobytes() == want.tobytes(), k
+    """The half-precision divide-by-k rounds every non-negative half's
+    quotient exactly as numpy's half division does."""
 
     @pytest.mark.parametrize("k", range(1, 18))
     def test_kernel_divides_every_nonneg_half(self, k):
@@ -214,16 +202,12 @@ class TestDivideTable:
         assert out[-1].tobytes() == _divided(_NONNEG_F16, k).tobytes()
         assert not out[:-1].view(np.uint16).any()  # +0, not -0.0
 
-    @pytest.mark.parametrize("d", [1, 8, 64])
-    def test_table_size_per_divisor(self, d):
-        assert _divide_table_f16(d).nbytes <= 96 * 1024 * d
-
 
 class TestDistanceTablePrecondition:
-    """The divide tables cover every key a scan sum can take only while
-    the sorted distances are never NaN or ``-0.0``: the half correlation
-    -> distance table guarantees that, and saturates infinities, for
-    every input half, NaN and inf included."""
+    """The min/max network sorts, and the half scan's unchecked splits
+    round, exactly only while the sorted distances are never NaN or
+    ``-0.0``: the half correlation -> distance table guarantees that, and
+    saturates infinities, for every input half, NaN and inf included."""
 
     @pytest.mark.parametrize("m", [2, 16, 32, 100, 1024, 40000])
     def test_qt_to_dist_table_is_finite_and_sign_clean(self, m):

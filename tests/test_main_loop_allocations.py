@@ -109,13 +109,13 @@ def _block_bytes(shape, policy, main_loop="vector"):
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
+@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16", "Mixed", "FP16C"])
 def test_warm_run_tile_allocates_no_block(mode, shape, monkeypatch):
     monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", BUDGET)
     _assert_warm_tile_allocates_no_block(mode, SHAPES[shape])
 
 
-@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16"])
+@pytest.mark.parametrize("mode", ["FP64", "FP32", "FP16", "Mixed", "FP16C"])
 def test_warm_wide_stack_allocates_no_block(mode, monkeypatch):
     monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", WIDE_STACK_BUDGET)
     n_r, n_q, tiles, _ = WIDE_STACK

@@ -36,10 +36,8 @@ from repro.engine.health import HealthPolicy
 from repro.gpu.memory import DeviceOutOfMemoryError
 from repro.gpu.simulator import GPUSimulator
 from repro.kernels._f16fast import (
-    f16_keys19,
-    f16_lut19,
-    round_f16_inplace,
-    round_f16_nonneg_inplace,
+    round_f16,
+    split_f16,
 )
 from repro.kernels.layout import to_device_layout
 
@@ -504,8 +502,9 @@ class TestWorkspacePool:
 
 
 class TestHalfRoundingPrimitives:
-    """The float32-domain half rounding that powers the blocked fast
-    paths must agree with ``astype(float16)`` everywhere it is used."""
+    """The float32-carrier half rounding that powers the blocked fast
+    paths must agree with ``astype(float16)`` everywhere it is used
+    (the sweep over every float32 exponent is in ``test_f16_carrier.py``)."""
 
     def _reference(self, x):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -522,39 +521,29 @@ class TestHalfRoundingPrimitives:
             np.inf, -np.inf, np.nan,
         ], dtype=np.float32)
         got = cases.copy()
-        round_f16_inplace(got)
+        round_f16(got, WorkspacePool())
         ref = self._reference(cases)
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
     def test_random_full_range_bits(self, rng):
         bits = rng.integers(0, 1 << 32, size=200_000, dtype=np.uint64)
         x = bits.astype(np.uint32).view(np.float32)
-        got = x.copy()
-        round_f16_inplace(got)
+        got = np.empty_like(x)
+        round_f16(x, WorkspacePool(), out=got)
         ref = self._reference(x)
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
     def test_nonneg_variant_on_half_pair_sums(self, rng):
         """The scan-stage domain: float32 sums of two non-negative half
-        values (numpy's half add is exactly this sum plus one rounding)."""
-        a = rng.integers(0, 0x7C01, size=100_000, dtype=np.uint16).view(np.float16)
-        b = rng.integers(0, 0x7C01, size=100_000, dtype=np.uint16).view(np.float16)
+        values (numpy's half add is exactly this sum plus one rounding).
+        The unchecked split matches, except that a sum rounding to
+        ``+inf`` stays a finite value of at least 2^16."""
+        a = rng.integers(0, 0x7C00, size=100_000, dtype=np.uint16).view(np.float16)
+        b = rng.integers(0, 0x7C00, size=100_000, dtype=np.uint16).view(np.float16)
         with np.errstate(over="ignore"):
             ref = (a + b).astype(np.float32)  # half add, widened
         got = a.astype(np.float32) + b.astype(np.float32)
-        round_f16_nonneg_inplace(got)
-        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
-
-    def test_lut19_keys_are_unique_per_half_value(self):
-        vals = np.arange(65536, dtype=np.uint16).view(np.float16)
-        keys = f16_keys19(vals.astype(np.float32))
-        assert len(np.unique(keys)) == 65536
-
-    def test_lut19_gather_matches_u16_table(self, rng):
-        table16 = rng.normal(size=65536).astype(np.float16)
-        table19 = f16_lut19(table16)
-        sample = rng.integers(0, 1 << 16, size=4096, dtype=np.uint16)
-        x32 = sample.view(np.float16).astype(np.float32)
-        assert np.array_equal(
-            np.take(table19, f16_keys19(x32)), np.take(table16, sample)
-        )
+        split_f16(got, np.empty_like(got), got)
+        inf = np.isinf(ref)
+        assert inf.any() and (got[inf] >= 2.0**16).all()
+        assert np.array_equal(got[~inf].view(np.uint32), ref[~inf].view(np.uint32))

@@ -120,8 +120,8 @@ class TestQuantiseF16:
         kern._quantise_f16(buf)
         with np.errstate(over="ignore"):
             ref = vals.astype(np.float16).astype(np.float32)
-        # Bit-exact modulo the sign of zero (+ 0.0 normalises -0 to +0).
-        assert np.array_equal(buf.ravel() + 0.0, ref + 0.0, equal_nan=True)
+        # Bit-exact, the sign of zero and NaN payloads included.
+        assert np.array_equal(buf.ravel().view(np.uint32), ref.view(np.uint32))
 
 
 class TestBatcherNetwork:

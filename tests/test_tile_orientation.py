@@ -168,16 +168,16 @@ class TestDistancePanels:
         n_r, n_q = pre.n_r_seg, pre.n_q_seg
         kernel = DistCalcKernel(config=cfg.launch, policy=cfg.policy)
         kernel.bind(pre)
-        ws = np.empty((n_r, d, n_q), dtype=cfg.policy.compute)
-        want = kernel.run_block(0, n_r, ws)
+        with kernel.lease(n_r) as ws:
+            want = kernel.run_block(0, n_r, ws).copy()
         kernel = DistCalcKernel(config=cfg.launch, policy=cfg.policy)
         kernel.bind(pre.transposed(), transposed=True)
-        ws = np.empty((B, d, n_r), dtype=cfg.policy.compute)
-        got = np.concatenate(
-            [kernel.run_block(j0, min(B, n_q - j0), ws[: min(B, n_q - j0)])
-             for j0 in range(0, n_q, B)],
-            axis=1,
-        )
+        with kernel.lease(B) as ws:
+            got = np.concatenate(
+                [kernel.run_block(j0, min(B, n_q - j0), ws).copy()
+                 for j0 in range(0, n_q, B)],
+                axis=1,
+            )
         got = np.ascontiguousarray(got.swapaxes(1, 2))
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
         # run_tile charges the logical row-major tile, not the panels.
