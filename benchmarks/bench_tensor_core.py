@@ -29,6 +29,7 @@ floor for CI smoke runs.
 """
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -88,15 +89,16 @@ def _max_corr_error(mode, tr, tq, ref_corr, tensor_core=False):
         dist = DistCalcKernel(config=LAUNCH, policy=policy)
     config = RunConfig(mode=mode, launch=LAUNCH)
     dist.bind(JobSpec.from_layouts(tr_dev, tq_dev, M, config).whole_grid_precalc().result)
-    ws = None if tensor_core else np.empty(
-        dist.workspace_shape(BLOCK), dtype=policy.compute
-    )
+    # The vector path needs its leased carrier workspace; the panel
+    # loop ignores the argument.
+    lease = nullcontext(None) if tensor_core else dist.lease(BLOCK)
     err = 0.0
-    for i0 in range(0, n_r, BLOCK):
-        b = min(BLOCK, n_r - i0)
-        blk = dist.run_block(i0, b, ws).astype(np.float64)
-        corr = 1.0 - blk**2 / (2.0 * M)
-        err = max(err, float(np.nanmax(np.abs(corr - ref_corr[:, i0:i0 + b]))))
+    with lease as ws:
+        for i0 in range(0, n_r, BLOCK):
+            b = min(BLOCK, n_r - i0)
+            blk = dist.run_block(i0, b, ws).astype(np.float64)
+            corr = 1.0 - blk**2 / (2.0 * M)
+            err = max(err, float(np.nanmax(np.abs(corr - ref_corr[:, i0:i0 + b]))))
     return err
 
 

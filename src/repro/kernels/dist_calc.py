@@ -66,13 +66,11 @@ def _qt_to_dist_f16(corr: np.ndarray, m: int) -> np.ndarray:
     return np.where(np.isfinite(dist), dist, limit).astype(np.float16)
 
 
-def _nan_or_beyond(a: np.ndarray, limit: float | None) -> bool:
-    """Whether ``a`` holds a NaN or, given a ``limit``, a magnitude of at
-    least ``limit``: one or two reductions, no temporaries."""
+def _nan_or_beyond(a: np.ndarray, limit: float) -> bool:
+    """Whether ``a`` holds a NaN or a magnitude of at least ``limit``:
+    a max and a min, no temporaries."""
     top = a.max()
-    if np.isnan(top):
-        return True
-    return limit is not None and (top >= limit or a.min() <= -limit)
+    return bool(np.isnan(top) or top >= limit or a.min() <= -limit)
 
 
 def _qt_to_dist_lut_f16(m: int) -> np.ndarray:
@@ -97,7 +95,10 @@ _DIST_KEY_SPAN = (1 << 18) - 2 * _DIST_KEY_LO + 1
 #: A super-step with more flagged roundings than this many per row
 #: recomputes its rows from the first flag on with the exact rounding
 #: instead of walking the flagged diagonals one element at a time.
-_DENSE_REPAIR = 4
+#: Timed against each other on the same flagged super-steps (d = 3,
+#: m = 32, inputs that leave half precision), the walk was the faster
+#: repair up to 8-11 flags per row and the redo from 16-22 on.
+_DENSE_REPAIR = 12
 
 
 @lru_cache(maxsize=32)
@@ -469,22 +470,24 @@ class DistCalcKernel(Kernel):
         and the unary tail collapses into one gather of float32
         distances (:func:`_qt_to_dist_table_f16`).  The second multiply
         uses the normaliser pre-scaled by ``2^DIST_SCALE_EXP``, so the
-        rounded correlation arrives scaled for the gather's keys.  Only
-        the roundings that can change a distance are checked.  A wrong
-        split is either below 2^-14 in magnitude, as its exact rounding
-        is, or an overflow to infinity left finite, or NaN.  Every
-        correlation of magnitude up to 2^-12 has the distance of 0 (``1
-        - corr`` rounds to 1), and the table holds that distance for all
-        their keys, so small wrong roundings matter only in the first
-        product, and only if the second normaliser exceeds 4.  Overflow
-        of a product needs a normaliser above 1.  So, by the normalisers'
-        maxima: a second one above 4 checks both roundings fully;
-        otherwise a max (and a min) look for NaN and, where a normaliser
-        exceeds 1, for magnitudes of 2^16.  Flagged elements get the
-        exact chain (``astype`` roundings and :func:`_qt_to_dist_f16`).
-        Bit-identical to the per-row chain.  The correlations, the
-        check's scratch and the gather keys are leased from
-        :attr:`pool`.
+        rounded correlation arrives scaled for the gather's keys.
+
+        A split outside its exact domain is wrong in one of two ways
+        (see ``_f16fast``): below 2^-14 in magnitude, where the exact
+        rounding lies too, or as an overflow or NaN.  Every correlation
+        of magnitude up to 2^-12 has the distance of 0 (``1 - corr``
+        rounds to 1), and the table holds that distance for all their
+        keys, so a small wrong rounding changes no distance unless it
+        is the first product's and the second normaliser exceeds 4.
+        Hence the rule: a max and a min of each rounded product look for
+        NaN and overflow, and the first product is also checked for
+        small values when the second normaliser exceeds 4.  A product
+        that fails gets :func:`~._f16fast.f16_flagged`, and the flagged
+        elements take the exact chain (``astype`` roundings and
+        :func:`_qt_to_dist_f16`); everywhere else the gathered distance
+        is the chain's.  Bit-identical to the per-row chain.  The
+        correlations, the check's scratch and the gather keys are leased
+        from :attr:`pool`.
         """
         self._ensure_block_state()
         pool = self.pool
@@ -494,44 +497,30 @@ class DistCalcKernel(Kernel):
         scaled = self._normalisers(
             self._inv_r_s[:, i0 : i0 + rows, None], self._inv_q_s[:, None, :]
         )[1]
-        # Which wrong roundings can reach a distance (see the docstring):
-        # small ones only through a second normaliser above 4, overflow
-        # of the first product only with a first normaliser above 1,
-        # and of the second only with a second normaliser above 1.
-        f_max, s_max = first.max(), second.max()
-        full = not s_max <= 4
         with np.errstate(over="ignore", invalid="ignore"), \
                 pool.lease(out.shape, np.float32) as corr:
             # The layout transpose rides the first multiply.
             np.multiply(ws.transpose(1, 0, 2), first, out=corr)
             split_f16(corr, out, out)
             flagged = []
-            if full or (not f_max <= 1 and _nan_or_beyond(out, F16_OVERFLOW)):
+            if not second.max() <= 4 or _nan_or_beyond(out, F16_OVERFLOW):
                 flagged.append(f16_flagged(out, pool))
             np.multiply(out, scaled, out=corr)
             split_f16(corr, out, out)
-            limit = None if s_max <= 1 else F16_OVERFLOW * 2.0**DIST_SCALE_EXP
-            if full or _nan_or_beyond(out, limit):
+            if _nan_or_beyond(out, F16_OVERFLOW * 2.0**DIST_SCALE_EXP):
                 flagged.append(f16_flagged(out, pool, DIST_SCALE_EXP))
             with pool.lease(out.shape, np.intp) as keys:
                 np.right_shift(out.view(np.int32), 13, out=keys)
                 np.abs(keys, out=keys)
                 keys -= _DIST_KEY_LO
                 np.take(_qt_to_dist_table_f16(self.pre.m), keys, out=out, mode="clip")
-            if any(f.size for f in flagged):
+            if flagged:
                 # An element flagged twice is redone twice, identically.
                 idx = np.concatenate(flagged)
-                m = self.pre.m
-                if idx.size > out.size // 8:
-                    # Inputs that leave half precision wholesale: the
-                    # whole block's exact chain beats a gather per element.
-                    corr1 = f16_exact(ws.transpose(1, 0, 2) * first)
-                    out[...] = _qt_to_dist_f16((corr1 * second).astype(np.float16), m)
-                else:
-                    p, r, j = np.unravel_index(idx, out.shape)
-                    corr1 = f16_exact(ws[r, p, j] * np.broadcast_to(first, out.shape)[p, r, j])
-                    corr2 = corr1 * np.broadcast_to(second, out.shape)[p, r, j]
-                    out.reshape(-1)[idx] = _qt_to_dist_f16(corr2.astype(np.float16), m)
+                p, r, j = np.unravel_index(idx, out.shape)
+                corr1 = f16_exact(ws[r, p, j] * np.broadcast_to(first, out.shape)[p, r, j])
+                corr2 = corr1 * np.broadcast_to(second, out.shape)[p, r, j]
+                out.reshape(-1)[idx] = _qt_to_dist_f16(corr2.astype(np.float16), self.pre.m)
 
     def _distances_block(
         self, ws: np.ndarray, i0: int, rows: int, out: np.ndarray
@@ -613,6 +602,11 @@ class DistCalcKernel(Kernel):
             raise ValueError(f"rows must be >= 1, got {rows}")
         if i0 != 0 and self.qt is None:
             raise RuntimeError("rows must be visited in order starting at 0")
+        if workspace.dtype != self.carrier:
+            raise TypeError(
+                f"run_block needs a {self.carrier} workspace (see lease()), "
+                f"got {workspace.dtype}"
+            )
         planes, width = self._inv_q.shape
         self._advance_qt_block(i0, rows, workspace)
         # The workspace is reused by the caller; keep the recurrence state

@@ -23,6 +23,7 @@ import pytest
 from repro.core.config import RunConfig
 from repro.engine import backends
 from repro.engine.backends import run_tile
+from repro.kernels import dist_calc
 from repro.kernels._f16fast import (
     f16_flagged,
     round_f16,
@@ -203,15 +204,21 @@ class TestRepairMatchesPerRow:
             _assert_same(got, want)
         assert repairs["diagonals"] + repairs["rows"] > 0
 
-    def test_both_repair_paths_run(self, repairs, monkeypatch):
-        """The sparse walk and the dense redo each run on these inputs."""
+    @pytest.mark.parametrize("kind", ["subnormal", "overflow"])
+    @pytest.mark.parametrize("dense", [0, 10**9], ids=["redo-rows", "walk-diagonals"])
+    def test_each_repair_alone_matches_per_row(self, kind, dense, repairs, monkeypatch):
+        """Either repair on its own reproduces the per-row oracle, so the
+        flags-per-row threshold between them only picks the faster."""
         cfg = RunConfig(mode="FP16")
-        for kind in ("subnormal", "overflow"):
-            tr, tq = self._tiles(kind, 90, 120, 1, cfg.policy)
-            monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", 7 * 120 * self.D)
-            run_tile(tr[0], tq[0], self.M, cfg.policy, cfg.launch,
-                     precalc=kernel_precalc(tr[0], tq[0], self.M, cfg.policy, cfg.launch))
-        assert repairs["diagonals"] > 0 and repairs["rows"] > 0
+        tr, tq = self._tiles(kind, 90, 120, 1, cfg.policy)
+        precalc = kernel_precalc(tr[0], tq[0], self.M, cfg.policy, cfg.launch)
+        want = per_row_tile(tr[0], tq[0], self.M, cfg.policy, cfg.launch, precalc=precalc)
+        monkeypatch.setattr(dist_calc, "_DENSE_REPAIR", dense)
+        monkeypatch.setattr(backends, "SUPER_STEP_ELEMENTS", 7 * 120 * self.D)
+        got = run_tile(tr[0], tq[0], self.M, cfg.policy, cfg.launch, precalc=precalc)
+        _assert_same([got], [want])
+        ran, idle = ("rows", "diagonals") if dense == 0 else ("diagonals", "rows")
+        assert repairs[ran] > 0 and repairs[idle] == 0
 
 
 def test_repair_stops_at_a_short_last_super_step():
@@ -266,18 +273,27 @@ class TestDistanceTable:
         inf, nan = np.float16(np.inf).view(np.uint16), np.float16(np.nan).view(np.uint16)
         assert lut[inf] == 0 and lut[nan] == np.float16(65504)
 
-    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 4.0, 8.0])
-    def test_block_distances_cover_every_half(self, scale):
+    @pytest.mark.parametrize("below_one", [False, True], ids=["every-half", "below-one"])
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 3.75, 4.0, 6.5, 8.0])
+    def test_block_distances_cover_every_half(self, scale, below_one):
         """``QT`` equal to every half value, both normalisers ``scale``
         (each side of the thresholds the block conversion's checks
         depend on), through the block conversion, against the per-row
-        chain."""
-        halves = np.arange(65536, dtype=np.uint16).view(np.float16).reshape(64, 1, 1024)
+        chain.  ``below_one`` keeps the halves of magnitude below 1, so
+        no NaN or overflow switches the full check on: at 6.5 one small
+        first product that the split rounds wrongly then reaches a
+        distance, and only the second normaliser above 4 catches it."""
+        halves = np.arange(65536, dtype=np.uint16).view(np.float16)
+        if below_one:
+            halves = np.concatenate([halves[np.abs(halves) < 1],
+                                     np.zeros(2048, dtype=np.float16)])[:32 * 1024]
+        halves = halves.reshape(-1, 1, 1024)
+        rows = halves.shape[0]
         m = 32
-        ones = np.ones((1, 64), dtype=np.float16)
+        ones = np.ones((1, rows), dtype=np.float16)
         inv = np.full((1, 1024), scale, dtype=np.float16)
         zeros_q = np.zeros((1, 1024), dtype=np.float16)
-        zeros_r = np.zeros((1, 64), dtype=np.float16)
+        zeros_r = np.zeros((1, rows), dtype=np.float16)
         pre = PrecalcResult(m=m, mu_r=zeros_r, inv_r=ones * np.float16(scale),
                             df_r=zeros_r, dg_r=zeros_r, mu_q=zeros_q, inv_q=inv,
                             df_q=zeros_q, dg_q=zeros_q,
@@ -285,10 +301,10 @@ class TestDistanceTable:
         policy = policy_for("FP16")
         kernel = DistCalcKernel(config=RunConfig().launch, policy=policy)
         kernel.bind(pre)
-        out = np.empty((1, 64, 1024), dtype=np.float32)
-        kernel._distances_block_f16(halves.astype(np.float32), 0, 64, out)
+        out = np.empty((1, rows, 1024), dtype=np.float32)
+        kernel._distances_block_f16(halves.astype(np.float32), 0, rows, out)
         want = np.stack([kernel._distances(halves[r], pre.inv_r[:, r : r + 1])
-                         for r in range(64)], axis=1)
+                         for r in range(rows)], axis=1)
         assert np.array_equal(out.view(np.uint32),
                               want.astype(np.float32).view(np.uint32))
 
@@ -365,3 +381,17 @@ def test_block_path_holds_no_half_buffer():
         dist = kernel.run_block(0, 8, ws)
         assert ws.dtype == dist.dtype == kernel.qt.dtype == np.float32
     assert kernel.workspace_shape(8) == ws.shape
+
+
+def test_block_path_rejects_a_half_workspace():
+    """A float16 workspace (the layout before carriers) fails at the
+    call, not deep in the range check."""
+    cfg = RunConfig(mode="FP16")
+    layout = to_device_layout(_series("walk", 120, 2, 0), cfg.policy.storage)
+    tr = layout[:, :80]
+    pre = kernel_precalc(tr, tr, 16, cfg.policy, cfg.launch).result
+    kernel = DistCalcKernel(config=cfg.launch, policy=cfg.policy)
+    kernel.bind(pre)
+    ws = np.empty(kernel.workspace_shape(8), dtype=np.float16)
+    with pytest.raises(TypeError, match="float32 workspace"):
+        kernel.run_block(0, 8, ws)
